@@ -60,8 +60,7 @@ void GpuBackend::dispatch_next(core::Lane lane) {
     s.busy = false;
     return;
   }
-  Job job = std::move(s.queue.front());
-  s.queue.pop_front();
+  Job job = s.queue.take_front();
   s.busy = true;
   ++s.dispatched;
   s.max_queue_wait = std::max(s.max_queue_wait, sim_.now() - job.submitted);

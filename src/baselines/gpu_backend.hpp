@@ -16,12 +16,12 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <span>
 #include <vector>
 
 #include "baselines/gpu_model.hpp"
+#include "common/fifo.hpp"
 #include "core/execution_backend.hpp"
 #include "core/phase_scheduler.hpp"
 #include "core/timing.hpp"
@@ -97,7 +97,7 @@ class GpuBackend final : public core::ExecutionBackend {
     Cycle submitted = 0;
   };
   struct Stream {
-    std::deque<Job> queue;
+    Fifo<Job> queue;
     bool busy = false;
     std::size_t dispatched = 0;
     Cycle max_queue_wait = 0;

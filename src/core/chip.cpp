@@ -24,22 +24,30 @@ ChipTimingModel::ChipTimingModel(const ChipConfig& config, ChipComposition compo
   config_.validate();
   const std::size_t clusters_per_group =
       config.cc_clusters_per_group + config.mc_clusters_per_group;
+  const std::size_t total_clusters = config.groups * clusters_per_group;
 
   // Hierarchical AXI interconnect (Fig. 4): one crossbar link per group,
-  // one system crossbar in front of the DRAM controller.
+  // one system crossbar in front of the DRAM controller. Every table is
+  // sized up front: each cluster adds one port per hop.
   system_xbar_ = std::make_unique<mem::ResourceServer>(
       sim_, "sys-xbar", config.system_xbar_bytes_per_cycle,
       config.system_xbar_latency);
+  system_xbar_->reserve_ports(total_clusters);
+  dram_.channel().reserve_ports(total_clusters);
+  group_xbars_.reserve(config.groups);
   for (std::size_t g = 0; g < config.groups; ++g) {
     group_xbars_.push_back(std::make_unique<mem::ResourceServer>(
         sim_, "grp-xbar" + std::to_string(g), config.group_xbar_bytes_per_cycle,
         config.group_xbar_latency));
+    group_xbars_.back()->reserve_ports(clusters_per_group);
   }
+  clusters_.reserve(total_clusters);
 
   auto add_cluster = [&](ClusterKind kind, std::size_t group, std::size_t index) {
     const std::string name = std::string(to_string(kind)) + "-g" +
                              std::to_string(group) + "c" + std::to_string(index);
     mem::MemoryPath path;
+    path.reserve(3);
     path.add_hop(*group_xbars_[group], group_xbars_[group]->add_port(name));
     path.add_hop(*system_xbar_, system_xbar_->add_port(name));
     path.add_hop(dram_.channel(), dram_.add_port(name));

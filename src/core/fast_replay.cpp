@@ -178,7 +178,10 @@ const char* to_string(ReplayMode mode) {
 
 FastMemoryModel::FastMemoryModel(sim::Simulator& sim, mem::DramController& dram,
                                  const ChipConfig& config)
-    : sim_(sim), dram_(dram), config_(config) {}
+    : sim_(sim), dram_(dram), config_(config) {
+  lanes_.reserve(config.groups *
+                 (config.cc_clusters_per_group + config.mc_clusters_per_group));
+}
 
 void FastMemoryModel::register_cluster(ClusterTimingModel& cluster) {
   lanes_.push_back(Lane{&cluster, nullptr, {}, 0});
@@ -491,8 +494,7 @@ void FastMemoryModel::retire(Lane& lane, std::unique_ptr<Stream> stream) {
   // (the detailed engine's double buffer frees exactly then) — which is
   // the flood-corrected dma_end, not the fluid crossing.
   if (!lane.pending.empty()) {
-    auto next = std::move(lane.pending.front());
-    lane.pending.pop_front();
+    auto next = lane.pending.take_front();
     activate(lane, std::move(next), times.dma_end);
   }
 }

@@ -16,11 +16,11 @@
 #define EDGEMM_CORE_FAST_REPLAY_HPP
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "common/types.hpp"
 #include "core/config.hpp"
 #include "core/timing.hpp"
@@ -154,7 +154,7 @@ class FastMemoryModel {
   struct Lane {
     ClusterTimingModel* cluster = nullptr;
     std::unique_ptr<Stream> active;
-    std::deque<std::unique_ptr<Stream>> pending;
+    Fifo<std::unique_ptr<Stream>> pending;
     std::size_t outstanding = 0;  ///< submitted batches whose done is pending
     /// PMC interval usage carried across this lane's streams: a batch
     /// chained behind a budget-bound one starts on whatever the

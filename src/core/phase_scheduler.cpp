@@ -109,8 +109,7 @@ void PhaseScheduler::dispatch_next(LaneState& lane) {
     }
   }
   if (pick != lane.queue.begin()) ++lane.stats.affinity_chained;
-  Job job = std::move(*pick);
-  lane.queue.erase(pick);
+  Job job = lane.queue.take(pick);
   // Chain-length accounting counts every consecutive same-affinity
   // dispatch (chained or natural FIFO) so the cap bounds the true run.
   if (job.affinity != 0 && job.affinity == lane.last_affinity) {

@@ -11,11 +11,11 @@
 #define EDGEMM_CORE_PHASE_SCHEDULER_HPP
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "core/chip.hpp"
 #include "core/timing.hpp"
 
@@ -125,7 +125,7 @@ class PhaseScheduler {
   };
   struct LaneState {
     std::vector<ClusterTimingModel*> clusters;
-    std::deque<Job> queue;
+    Fifo<Job> queue;
     bool busy = false;
     bool chain_affinity = false;
     std::size_t chain_limit = 0;   ///< 0 = unbounded

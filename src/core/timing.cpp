@@ -186,8 +186,7 @@ void ClusterTimingModel::maybe_issue_dma() {
   // Double buffering: at most one block loading while one computes and
   // one sits ready.
   while (!blocks_.empty() && inflight_dma_ + ready_.size() < 2) {
-    Block block = std::move(blocks_.front());
-    blocks_.pop_front();
+    Block block = blocks_.take_front();
     if (block.dma_bytes == 0) {
       ready_.push_back(std::move(block));
       maybe_start_compute();
@@ -208,8 +207,7 @@ void ClusterTimingModel::maybe_issue_dma() {
 
 void ClusterTimingModel::maybe_start_compute() {
   if (compute_busy_ || ready_.empty()) return;
-  Block block = std::move(ready_.front());
-  ready_.pop_front();
+  Block block = ready_.take_front();
   compute_busy_ = true;
   const Cycle cycles = block.compute_cycles;
   sim_.schedule(cycles, [this, blk = std::move(block)]() mutable {

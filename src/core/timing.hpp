@@ -7,12 +7,12 @@
 #ifndef EDGEMM_CORE_TIMING_HPP
 #define EDGEMM_CORE_TIMING_HPP
 
-#include <deque>
 #include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "common/types.hpp"
 #include "core/config.hpp"
 #include "mem/dma.hpp"
@@ -130,8 +130,8 @@ class ClusterTimingModel {
   ClusterKind kind_;
   std::string name_;
   mem::DmaEngine dma_;
-  std::deque<Block> blocks_;          // not yet DMA-issued
-  std::deque<Block> ready_;           // loaded, awaiting compute
+  Fifo<Block> blocks_;  // not yet DMA-issued
+  Fifo<Block> ready_;   // loaded, awaiting compute
   std::size_t inflight_dma_ = 0;
   bool compute_busy_ = false;
   ClusterStats stats_;

@@ -86,9 +86,9 @@ void DmaEngine::issue_or_defer(Burst burst) {
         interval_usage_ = 0;
         // Drain deferred bursts; issue_or_defer re-blocks once the fresh
         // budget is consumed again.
-        std::deque<Burst> pending;
-        pending.swap(deferred_);
-        for (auto& b : pending) issue_or_defer(std::move(b));
+        draining_.swap(deferred_);
+        for (Burst& b : draining_) issue_or_defer(std::move(b));
+        draining_.clear();
       });
     }
     return;

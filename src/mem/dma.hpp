@@ -4,11 +4,11 @@
 #ifndef EDGEMM_MEM_DMA_HPP
 #define EDGEMM_MEM_DMA_HPP
 
-#include <deque>
 #include <functional>
 #include <limits>
 #include <string>
 
+#include "common/fifo.hpp"
 #include "common/types.hpp"
 #include "mem/dram.hpp"
 #include "mem/memory_path.hpp"
@@ -99,7 +99,10 @@ class DmaEngine {
   Bytes total_bytes_ = 0;
   Cycle throttle_stall_cycles_ = 0;
   std::size_t inflight_ = 0;
-  std::deque<Burst> deferred_;
+  Fifo<Burst> deferred_;
+  /// The wake-up drains deferred_ through this buffer (swapped in, then
+  /// cleared), so the two queues trade capacity instead of reallocating.
+  Fifo<Burst> draining_;
   bool wakeup_scheduled_ = false;
   std::function<void()> budget_listener_;
 };

@@ -29,6 +29,9 @@ class MemoryPath {
   /// Appends a hop; `port` must have been obtained from server.add_port.
   void add_hop(ResourceServer& server, int port);
 
+  /// Pre-sizes the hop list for `hops` add_hop calls.
+  void reserve(std::size_t hops) { hops_.reserve(hops); }
+
   bool empty() const { return hops_.empty(); }
   std::size_t hop_count() const { return hops_.size(); }
 

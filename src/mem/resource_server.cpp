@@ -66,8 +66,7 @@ void ResourceServer::try_dispatch() {
   rr_next_ = (chosen + 1) % n;
 
   Port& port = ports_[chosen];
-  Request req = std::move(port.queue.front());
-  port.queue.pop_front();
+  Request req = port.queue.take_front();
 
   const auto occupancy = static_cast<Cycle>(
       std::ceil(static_cast<double>(req.bytes) / bytes_per_cycle_));

@@ -7,11 +7,11 @@
 #ifndef EDGEMM_MEM_RESOURCE_SERVER_HPP
 #define EDGEMM_MEM_RESOURCE_SERVER_HPP
 
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "common/types.hpp"
 #include "sim/simulator.hpp"
 
@@ -33,6 +33,9 @@ class ResourceServer {
 
   /// Registers a requesting port (e.g. one per cluster DMA). Returns its id.
   int add_port(std::string port_name);
+
+  /// Pre-sizes the port table for `ports` add_port calls.
+  void reserve_ports(std::size_t ports) { ports_.reserve(ports); }
 
   /// Enqueues a transfer of `bytes` on `port`; `done` fires at completion.
   /// Throws std::out_of_range for an unknown port.
@@ -72,7 +75,7 @@ class ResourceServer {
   };
   struct Port {
     std::string name;
-    std::deque<Request> queue;
+    Fifo<Request> queue;
     Bytes bytes_served = 0;
   };
 

@@ -213,6 +213,38 @@ std::vector<core::GemmWork> build_decode_step(
   return core::pruned_ops(build_decode_step(model, contexts), keep_fraction);
 }
 
+DecodeStepTraffic decode_step_traffic(const MllmConfig& model, double keep_fraction,
+                                      std::size_t weight_elem_bytes) {
+  if (keep_fraction < 0.0 || keep_fraction > 1.0) {
+    throw std::invalid_argument(
+        "decode_step_traffic: keep_fraction must be in [0, 1]");
+  }
+  // Mirrors build_decode_step: per layer QKV, O and the (pruned) MLP
+  // batched to m = B, plus two KV-stream ops per request; then the LM
+  // head. Activations stream BF16 in and out of every op.
+  const TransformerShape& s = model.llm;
+  const Bytes d = s.d_model;
+  const Bytes kv = s.kv_dim();
+  const Bytes layers = s.layers;
+  const Bytes up_k = pruned_dim(s.d_model, keep_fraction);
+  const Bytes down_k = pruned_dim(s.d_ffn, keep_fraction);
+  const Bytes ups = s.gated_mlp ? 2 : 1;  // up (+ gate)
+  Bytes weight_elems =
+      layers * (d * (d + 2 * kv) + d * d + ups * up_k * s.d_ffn + down_k * d);
+  Bytes act_elems =
+      layers * ((2 * d + 2 * kv) + 2 * d + ups * (up_k + s.d_ffn) + (down_k + d));
+  if (s.vocab > 0) {
+    weight_elems += d * s.vocab;
+    act_elems += d + s.vocab;
+  }
+  constexpr Bytes kBf16 = 2;
+  // Each request's two KV-stream ops (m = 1, BF16 weights) over context
+  // c move 2·kv·c weight elements and 2·(kv + c) activation elements.
+  return {weight_elems * weight_elem_bytes,
+          kBf16 * (act_elems + 2 * layers * kv),
+          kBf16 * 2 * layers * (kv + 1)};
+}
+
 std::vector<core::GemmWork> aggregate_ops(const std::vector<core::GemmWork>& ops) {
   std::vector<core::GemmWork> out;
   for (const core::GemmWork& op : ops) {

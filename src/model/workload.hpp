@@ -121,6 +121,28 @@ std::vector<core::GemmWork> build_decode_step(
     const MllmConfig& model, std::span<const std::size_t> contexts,
     double keep_fraction);
 
+/// DRAM bytes of one pruned decode step, split the way continuous
+/// batching shares them (Fig. 9(c)). A step of build_decode_step(model,
+/// contexts, keep_fraction) priced with weight element size
+/// `weight_elem_bytes` moves
+///   shared + sum_i (per_request + kv_slope * contexts[i])
+/// bytes:
+/// - `shared`: the weight fetch, once per step whatever the batch;
+/// - `per_request`: one row of BF16 activations (inputs + outputs) plus
+///   the context-independent part of the KV-stream ops;
+/// - `kv_slope`: per context token, its K and V rows (4·L·kv_dim) and
+///   its attention score in and out (4·L).
+/// The closed form of core::estimated_traffic_bytes over those ops on a
+/// cluster fetching weights at `weight_elem_bytes`. Throws
+/// std::invalid_argument for keep_fraction outside [0, 1].
+struct DecodeStepTraffic {
+  Bytes shared = 0;
+  Bytes per_request = 0;
+  Bytes kv_slope = 0;
+};
+DecodeStepTraffic decode_step_traffic(const MllmConfig& model, double keep_fraction,
+                                      std::size_t weight_elem_bytes);
+
 /// Merges ops that share (k, phase, prunable, element override, residency)
 /// by summing their n dimensions. Total weight bytes, FLOPs, and — thanks
 /// to the linear tiling of both coprocessor cycle models — compute cycles

@@ -1,7 +1,6 @@
 #include "serve/serving_engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -22,6 +21,13 @@ namespace {
 /// EWMA weight for the online throughput/step-duration estimators.
 constexpr double kEstimatorGain = 0.25;
 
+/// Validates before the chip is built: an invalid composition throws
+/// without paying for the clusters.
+EngineConfig validated(EngineConfig config) {
+  config.validate();
+  return config;
+}
+
 }  // namespace
 
 ServingEngine::ServingEngine(const core::ChipConfig& config,
@@ -29,12 +35,11 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
                              EngineConfig engine_config)
     : config_(config),
       models_(std::move(models)),
-      engine_config_(std::move(engine_config)),
+      engine_config_(validated(std::move(engine_config))),
       local_(config_, core::ChipComposition::kHeterogeneous,
              engine_config_.replay_mode(), engine_config_.bandwidth_policy()),
       queue_(engine_config_.deadline_ordered_queue() ? QueueOrder::kDeadline
                                                      : QueueOrder::kArrival) {
-  engine_config_.validate();
   if (models_.empty()) {
     throw std::invalid_argument("ServingEngine: no models to serve");
   }
@@ -78,35 +83,16 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
     layer_weight_bytes_.push_back(llm_layer_group_bytes(m, config_));
   }
 
-  // Probe the decode traffic decomposition of every model once, on an
-  // MC cluster. A step of batch B with contexts c_i moves
-  //   shared + sum_i (request + kv_slope * c_i)
-  // bytes: the batch-amortized weight fetch, the per-request activation
-  // traffic, and the per-request KV stream. Solved from three probes —
-  // batch 1 at two contexts (isolates the KV slope) and batch 2
-  // (isolates the per-request share, since the weight fetch does not
-  // grow with the batch). Used by the interval rebalancer to size the
-  // MC side of the budget split without rebuilding op lists per tick.
-  const core::ClusterTimingModel* probe =
-      local_.scheduler().lane_clusters(Lane::kMcDecode).front();
+  // Decode traffic decomposition of every model, as the MC lane fetches
+  // it (closed form, model::decode_step_traffic). Used by the interval
+  // rebalancer to size the MC side of the budget split without
+  // rebuilding op lists per tick.
   for (std::size_t i = 0; i < models_.size(); ++i) {
-    const model::MllmConfig& m = models_[i];
-    auto step_bytes = [&](std::span<const std::size_t> contexts) {
-      const auto ops = core::pruned_ops(model::build_decode_step(m, contexts),
-                                        keep_fraction_[i]);
-      return static_cast<double>(core::estimated_traffic_bytes(*probe, ops));
-    };
-    const std::array<std::size_t, 1> near{1};
-    const std::array<std::size_t, 1> far{1025};
-    const std::array<std::size_t, 2> pair{1, 1};
-    const double batch1_near = step_bytes(near);
-    const double batch1_far = step_bytes(far);
-    const double batch2 = step_bytes(pair);
-    const double slope = (batch1_far - batch1_near) / 1024.0;
-    const double per_request_near = batch2 - batch1_near;
-    decode_kv_slope_.push_back(slope);
-    decode_request_bytes_.push_back(per_request_near - slope);
-    decode_shared_bytes_.push_back(batch1_near - per_request_near);
+    const model::DecodeStepTraffic traffic = model::decode_step_traffic(
+        models_[i], keep_fraction_[i], config_.mc_elem_bytes);
+    decode_shared_bytes_.push_back(static_cast<double>(traffic.shared));
+    decode_request_bytes_.push_back(static_cast<double>(traffic.per_request));
+    decode_kv_slope_.push_back(static_cast<double>(traffic.kv_slope));
   }
 
   queued_per_model_.assign(models_.size(), 0);

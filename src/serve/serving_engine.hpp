@@ -412,8 +412,9 @@ class ServingEngine {
   /// Legacy-tracker reservation flags by record index: set at join (or
   /// at admission on a decode-only tier), cleared at release.
   std::vector<std::uint8_t> kv_reserved_;
-  /// Per-token decode traffic model per served MllmConfig, probed at
-  /// construction. One decode step of a batch with contexts c_i costs
+  /// Per-token decode traffic model per served MllmConfig, from the
+  /// closed form model::decode_step_traffic at the MC lane's weight
+  /// element size. One decode step of a batch with contexts c_i costs
   /// shared + sum_i (request + kv_slope * c_i): `shared` is the weight
   /// fetch amortized across the whole batch (Fig. 9(c)), the other two
   /// terms are per-request (activations + private KV stream).

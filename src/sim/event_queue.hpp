@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/types.hpp"
@@ -44,7 +43,9 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  /// Binary min-heap under Later (std::push_heap/pop_heap). Owned rather
+  /// than a std::priority_queue so pop_and_run can move the action out.
+  std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 0;
 };
 

@@ -65,6 +65,37 @@ TEST(ResourceServer, RoundRobinAlternatesPorts) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 1}));
 }
 
+TEST(ResourceServer, RoundRobinSurvivesPortTableRegrowth) {
+  // Ports added while earlier ports hold queued requests: the port table
+  // regrows (and moves its queues) several times between requests.
+  sim::Simulator sim;
+  ResourceServer server(sim, "chan", 1.0, 0);
+  constexpr int kEarly = 4;
+  constexpr int kPorts = 18;
+  std::vector<int> order;
+  auto enqueue_twice = [&](int port) {
+    for (int i = 0; i < 2; ++i) {
+      server.request(port, static_cast<Bytes>(10 + port),
+                     [&order, port] { order.push_back(port); });
+    }
+  };
+  for (int p = 0; p < kEarly; ++p) enqueue_twice(server.add_port("early"));
+  for (int p = kEarly; p < kPorts; ++p) enqueue_twice(server.add_port("late"));
+  EXPECT_EQ(server.queued_requests(), 2u * kPorts - 1);  // p0's first is in flight
+  sim.run();
+
+  // p0's first request took the idle channel while p0 was the only
+  // port, so the arbiter's next scan starts at p0 again; from there it
+  // serves every port round-robin, twice over.
+  std::vector<int> expected{0};
+  for (int p = 0; p < kPorts; ++p) expected.push_back(p);
+  for (int p = 1; p < kPorts; ++p) expected.push_back(p);
+  EXPECT_EQ(order, expected);
+  for (int p = 0; p < kPorts; ++p) {
+    EXPECT_EQ(server.bytes_served(p), 2u * static_cast<Bytes>(10 + p)) << p;
+  }
+}
+
 TEST(ResourceServer, FairBandwidthSplitUnderContention) {
   sim::Simulator sim;
   ResourceServer server(sim, "chan", 8.0, 10);

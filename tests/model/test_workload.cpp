@@ -1,10 +1,17 @@
 #include "model/workload.hpp"
 
+#include <array>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/config.hpp"
+#include "core/timing.hpp"
+#include "mem/dram.hpp"
 #include "model/transformer.hpp"
+#include "sim/simulator.hpp"
 
 namespace edgemm::model {
 namespace {
@@ -266,6 +273,82 @@ TEST(Workload, BatchedDecodeStepSharesWeightsNotKvCaches) {
   EXPECT_THROW(build_decode_step(sphinx_tiny(), {}), std::invalid_argument);
   const std::size_t bad[] = {300, 0};
   EXPECT_THROW(build_decode_step(sphinx_tiny(), bad), std::invalid_argument);
+}
+
+/// Prices decode steps the way the serving engine's MC lane fetches them.
+class DecodeTrafficOracle {
+ public:
+  explicit DecodeTrafficOracle(std::size_t mc_elem_bytes)
+      : config_(with_mc_elem_bytes(mc_elem_bytes)),
+        dram_(sim_, config_.dram),
+        mc_(sim_, dram_, config_, core::ClusterKind::kMemoryCentric, "mc") {}
+
+  Bytes step_bytes(const MllmConfig& model, std::span<const std::size_t> contexts,
+                   double keep) const {
+    return core::estimated_traffic_bytes(mc_,
+                                         build_decode_step(model, contexts, keep));
+  }
+
+ private:
+  static core::ChipConfig with_mc_elem_bytes(std::size_t bytes) {
+    core::ChipConfig config = core::default_chip_config();
+    config.mc_elem_bytes = bytes;
+    return config;
+  }
+
+  core::ChipConfig config_;
+  sim::Simulator sim_;
+  mem::DramController dram_;
+  core::ClusterTimingModel mc_;
+};
+
+TEST(Workload, DecodeStepTrafficMatchesThreeProbeDerivation) {
+  // The derivation the closed form replaced: batch 1 at two contexts
+  // isolates the KV slope, batch 2 the per-request share, and the rest
+  // of a batch-1 step is the shared weight fetch.
+  const std::array<std::size_t, 1> near{1};
+  const std::array<std::size_t, 1> far{1025};
+  const std::array<std::size_t, 2> pair{1, 1};
+  std::size_t cases = 0;
+  for (const std::size_t elem : {1u, 2u}) {
+    const DecodeTrafficOracle oracle(elem);
+    for (const MllmConfig& model : model_zoo()) {
+      for (int tenth = 1; tenth <= 10; ++tenth) {
+        const double keep = tenth / 10.0;
+        SCOPED_TRACE(model.name + " keep " + std::to_string(keep) + " elem " +
+                     std::to_string(elem));
+        const Bytes batch1_near = oracle.step_bytes(model, near, keep);
+        const Bytes batch1_far = oracle.step_bytes(model, far, keep);
+        const Bytes batch2 = oracle.step_bytes(model, pair, keep);
+        ASSERT_EQ((batch1_far - batch1_near) % 1024, 0u);
+        const Bytes slope = (batch1_far - batch1_near) / 1024;
+        const Bytes per_request = batch2 - batch1_near - slope;
+        const Bytes shared = batch1_near - per_request - slope;
+
+        const DecodeStepTraffic traffic = decode_step_traffic(model, keep, elem);
+        EXPECT_EQ(traffic.shared, shared);
+        EXPECT_EQ(traffic.per_request, per_request);
+        EXPECT_EQ(traffic.kv_slope, slope);
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2 * 10 * model_zoo().size());
+}
+
+TEST(Workload, DecodeStepTrafficPricesMixedBatches) {
+  const DecodeTrafficOracle oracle(1);
+  const std::array<std::size_t, 3> contexts{310, 1, 4096};
+  for (const MllmConfig& model : model_zoo()) {
+    for (const double keep : {0.0, 0.37, 1.0}) {
+      const DecodeStepTraffic t = decode_step_traffic(model, keep, 1);
+      Bytes expected = t.shared;
+      for (const std::size_t c : contexts) expected += t.per_request + t.kv_slope * c;
+      EXPECT_EQ(oracle.step_bytes(model, contexts, keep), expected) << model.name;
+    }
+  }
+  EXPECT_THROW(decode_step_traffic(sphinx_tiny(), 1.5, 1), std::invalid_argument);
+  EXPECT_THROW(decode_step_traffic(sphinx_tiny(), -0.1, 1), std::invalid_argument);
 }
 
 }  // namespace
