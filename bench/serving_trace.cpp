@@ -15,20 +15,18 @@
 //      SLO attainment), plus KV-capacity accounting on the same trace.
 //   3. prefill planners on a long-prefill trace: monolithic vs chunked
 //      vs weight-resident chunk chaining (CC weight traffic, makespan,
-//      worst-case CC-lane queueing delay, pin/fallback accounting).
-//      Pinned to the PR 3 per-request pin mode so its headline stays the
-//      baseline §4 is measured against.
-//   4. shared vs per-request weight pins on the same multi-request
-//      same-model trace: one refcounted pin per model charges the budget
-//      once, riders skip weight DMA on every chunk (fallbacks, CC weight
-//      fetch, peak pinned bytes).
+//      worst-case CC-lane queueing delay, pin/fallback accounting). One
+//      refcounted pin per model charges the budget once and riders skip
+//      weight DMA; every resident row's fetched + saved weight bytes are
+//      gated exactly equal to the chunked row's fetch.
+//   (4 is unused: the section numbers stay stable for docs and CI.)
 //   5. fidelity sweep — makespan drift across burst/block coarsening
 //      factors (8x/4x/2x/1x).
 //   6. multi-model zoo — residency-aware placement policies
 //      (keep-current vs demand-weighted vs evict-idle-on-pressure) over
-//      one shared budget, with the rider fill barrier on so the savings
-//      are fill-timing-honest (and a barrier-off row pricing the PR 4
-//      optimism).
+//      one shared budget, with the rider fill barrier keeping the
+//      savings fill-timing-honest; every row's fetched + saved weight
+//      bytes are gated exactly equal.
 //   7. fast/detailed execution tiers — every §1–§6 case re-replayed on
 //      the fast tier (ReplayMode::kFast): per-case makespan drift gated
 //      under 1%, completion counts equal, single-replay and policy-sweep
@@ -374,8 +372,8 @@ int main(int argc, char** argv) {
               long_prefill.requests, long_prefill.input_tokens,
               long_prefill.crops);
 
-  // Residency budget: two requests' full LLM layer-group sets can stay
-  // pinned at once (the rest fall back to per-chunk re-fetch). Like the
+  // Residency budget: two full LLM layer-group sets. The trace serves one
+  // model, so its single refcounted pin charges at most one set. Like the
   // KV budget, this oversubscribes the physical TCDM — it models the
   // near-memory / enlarged-scratchpad design point, and the printed
   // multiple keeps that honest.
@@ -393,10 +391,6 @@ int main(int argc, char** argv) {
               static_cast<double>(layer_group) / (1024.0 * 1024.0),
               resid_oversub);
 
-  // This section keeps the PR 3 PER-REQUEST pins (share_weight_pins
-  // off): every request charges its own layer-group bytes, so at most
-  // two of the 12 hold pins at once and the rest fall back. §4 below
-  // replays the same trace with the shared-pin fix.
   const auto prefill_trace = serve::poisson_trace(long_prefill);
   const std::vector<serve::SweepCase> s3_cases = {
       {"s3 mono", chip8, sphinx_models, continuous_config(true), prefill_trace},
@@ -407,15 +401,13 @@ int main(int argc, char** argv) {
       {"s3 resident", chip8, sphinx_models,
        continuous_config(true)
            .prefill_planner(std::make_shared<serve::ResidentChunkedPrefill>(128))
-           .weight_residency_bytes(resid_budget)
-           .share_weight_pins(false),
+           .weight_residency_bytes(resid_budget),
        prefill_trace},
       {"s3 chained", chip8, sphinx_models,
        continuous_config(true)
            .prefill_planner(std::make_shared<serve::ResidentChunkedPrefill>(
                128, /*chain_lane_affinity=*/true))
-           .weight_residency_bytes(resid_budget)
-           .share_weight_pins(false),
+           .weight_residency_bytes(resid_budget),
        prefill_trace},
   };
   const SectionRun s3 = run_section(s3_cases);
@@ -460,14 +452,27 @@ int main(int argc, char** argv) {
   std::printf("resident chaining cuts CC weight traffic at equal chunk size "
               "without makespan cost: %s\n",
               resident_wins ? "yes" : "NO");
-  // Lane chaining exists to shorten pin hold times: it must convert
-  // that into strictly more pinned traffic than plain residency.
-  const bool chaining_wins =
-      chained.cc_weight_fetch_bytes < resident.cc_weight_fetch_bytes &&
-      chained.weight_pins > resident.weight_pins;
-  std::printf("lane chaining pins more requests and fetches less than plain "
-              "residency: %s\n",
-              chaining_wins ? "yes" : "NO");
+  // The trace serves a single model: its one refcounted pin charges the
+  // budget at most one layer-group set, and later requests ride it.
+  const bool charged_once = resident.peak_pinned_bytes <= full_set &&
+                            resident.weight_shared_attaches > 0;
+  std::printf("budget charged once per model (peak <= one layer-group set, "
+              "riders attach free): %s\n",
+              charged_once ? "yes" : "NO");
+  // Residency only relabels weight bytes: a pinned op's bytes move from
+  // fetched to saved and a barrier re-fetch stays fetched, so fetch +
+  // saved is exactly the chunked row's fetch on both resident rows.
+  const auto conserves_weight_bytes = [&chunked](const serve::ServingResult& r) {
+    return r.cc_weight_fetch_bytes + r.cc_weight_bytes_saved ==
+           chunked.cc_weight_fetch_bytes;
+  };
+  const bool planner_bytes_conserved =
+      conserves_weight_bytes(resident) && conserves_weight_bytes(chained);
+  std::printf("resident rows conserve weight bytes (fetch + saved == chunked "
+              "fetch, %.1f GiB): %s\n",
+              static_cast<double>(chunked.cc_weight_fetch_bytes) /
+                  (1024.0 * 1024.0 * 1024.0),
+              planner_bytes_conserved ? "yes" : "NO");
   std::printf("remaining makespan gap to monolithic: %+.1f %% (chunked was "
               "%+.1f %%)\n",
               100.0 * (resident.makespan_ms - mono.makespan_ms) /
@@ -475,81 +480,6 @@ int main(int argc, char** argv) {
               100.0 * (chunked.makespan_ms - mono.makespan_ms) /
                   mono.makespan_ms);
   print_section_wall(s3);
-
-  // --- 4. Shared vs per-request weight pins -------------------------------
-  // The same 12-request same-model trace: all in-flight requests serve
-  // SPHINX-Tiny, so per-request pins duplicate the identical layer-group
-  // bytes and halve the effective residency capacity. One refcounted pin
-  // per model charges the budget once; every later request rides it for
-  // free and skips the pinned layers' weight DMA on ALL its chunks.
-  std::printf("\n--- shared vs per-request weight pins (same trace, "
-              "multi-request same-model) ---\n\n");
-  // Pinned to the PR 4 composition — fill barrier OFF (the fill-timing-
-  // optimistic accounting this section's headline was measured with);
-  // §6 replays shared pins with the barrier on and prices the optimism.
-  const std::vector<serve::SweepCase> s4_cases = {
-      {"s4 shared", chip8, sphinx_models,
-       continuous_config(true)
-           .prefill_planner(std::make_shared<serve::ResidentChunkedPrefill>(128))
-           .weight_residency_bytes(resid_budget)  // sharing defaults on
-           .rider_fill_barrier(false),
-       prefill_trace},
-      {"s4 shared-chained", chip8, sphinx_models,
-       continuous_config(true)
-           .prefill_planner(std::make_shared<serve::ResidentChunkedPrefill>(
-               128, /*chain_lane_affinity=*/true))
-           .weight_residency_bytes(resid_budget)
-           .rider_fill_barrier(false),
-       prefill_trace},
-  };
-  const SectionRun s4 = run_section(s4_cases);
-  track(s4_cases, s4);
-  json_section("shared_pins", s4_cases, s4);
-  const auto& shared = s4.outcomes[0].result;
-  const auto& shared_chained = s4.outcomes[1].result;
-
-  auto print_pins = [](const char* label, const serve::ServingResult& r) {
-    std::printf("  %-28s CC weight fetch %7.1f GiB  makespan %8.1f ms  "
-                "%3zu pins %3zu rides %3zu fallbacks  peak %.2f GiB\n",
-                label,
-                static_cast<double>(r.cc_weight_fetch_bytes) /
-                    (1024.0 * 1024.0 * 1024.0),
-                r.makespan_ms, r.weight_pins, r.weight_shared_attaches,
-                r.weight_pin_fallbacks,
-                static_cast<double>(r.peak_pinned_bytes) /
-                    (1024.0 * 1024.0 * 1024.0));
-  };
-  print_pins("per-request pins", resident);
-  print_pins("shared (refcounted) pins", shared);
-  print_pins("per-request + chaining", chained);
-  print_pins("shared + chaining", shared_chained);
-
-  // The bugfix gates: sharing must strictly cut both the fallbacks (no
-  // same-model request is ever turned away by its own model's bytes) and
-  // the CC weight traffic, while charging the budget at most one
-  // layer-group set at a time (the trace serves a single model).
-  const bool sharing_wins =
-      shared.cc_weight_fetch_bytes < resident.cc_weight_fetch_bytes &&
-      shared.weight_pin_fallbacks < resident.weight_pin_fallbacks;
-  std::printf("\nshared pins fetch strictly less and fall back strictly less "
-              "than per-request: %s\n",
-              sharing_wins ? "yes" : "NO");
-  const bool charged_once = shared.peak_pinned_bytes <= full_set &&
-                            shared.weight_shared_attaches > 0;
-  std::printf("budget charged once per model (peak <= one layer-group set, "
-              "riders attach free): %s\n",
-              charged_once ? "yes" : "NO");
-  std::printf("weight DMA avoided: %.1f GiB shared vs %.1f GiB per-request "
-              "(%.1f / %.1f GiB with chaining)\n",
-              static_cast<double>(shared.cc_weight_bytes_saved) /
-                  (1024.0 * 1024.0 * 1024.0),
-              static_cast<double>(resident.cc_weight_bytes_saved) /
-                  (1024.0 * 1024.0 * 1024.0),
-              static_cast<double>(shared_chained.cc_weight_bytes_saved) /
-                  (1024.0 * 1024.0 * 1024.0),
-              static_cast<double>(chained.cc_weight_bytes_saved) /
-                  (1024.0 * 1024.0 * 1024.0));
-  print_section_wall(s4);
 
   // --- 5. Fidelity sweep --------------------------------------------------
   std::printf("\n--- fidelity sweep (burst/block coarsening) ---\n");
@@ -590,10 +520,9 @@ int main(int argc, char** argv) {
   // model's fill again and again, while demand-weighted keeps the
   // hottest models' pins warm across their request gaps and
   // evict-idle-on-pressure keeps everything warm until someone needs
-  // the room. The fill barrier is ON for every placement row — riders
-  // dispatched before a pin's fill lands re-fetch (rider_refetch_bytes)
-  // — so the savings are fill-timing-honest; the barrier-off row prices
-  // exactly the optimism PR 4's numbers carried.
+  // the room. The fill barrier holds on every row — riders dispatched
+  // before a pin's fill lands re-fetch (rider_refetch_bytes) — so the
+  // savings are fill-timing-honest.
   std::printf("\n--- multi-model zoo: placement policies x fill barrier ---\n");
   // The Table I zoo scenario lives in bench_common.hpp so §8 shards the
   // exact same models/trace/budget across the cluster.
@@ -616,36 +545,28 @@ int main(int argc, char** argv) {
               static_cast<double>(zoo_sets[1]) / (1024.0 * 1024.0 * 1024.0),
               static_cast<double>(zoo_sets[2]) / (1024.0 * 1024.0 * 1024.0));
 
-  auto zoo_config = [&](std::shared_ptr<const serve::PlacementPolicy> placement,
-                        bool barrier) {
+  auto zoo_config = [&](std::shared_ptr<const serve::PlacementPolicy> placement) {
     return continuous_config(true)
         .prefill_planner(std::make_shared<serve::ResidentChunkedPrefill>(128))
         .weight_residency_bytes(zoo_budget)
-        .placement_policy(std::move(placement))
-        .rider_fill_barrier(barrier);
+        .placement_policy(std::move(placement));
   };
   const auto zoo_trace = serve::poisson_trace(zoo_cfg);
   const std::vector<serve::SweepCase> s6_cases = {
-      {"s6 keep-current barrier-off", chip8, zoo,
-       zoo_config(std::make_shared<serve::KeepCurrentPlacement>(), false),
-       zoo_trace},
       {"s6 keep-current", chip8, zoo,
-       zoo_config(std::make_shared<serve::KeepCurrentPlacement>(), true),
-       zoo_trace},
+       zoo_config(std::make_shared<serve::KeepCurrentPlacement>()), zoo_trace},
       {"s6 demand-weighted", chip8, zoo,
-       zoo_config(std::make_shared<serve::DemandWeightedPlacement>(), true),
+       zoo_config(std::make_shared<serve::DemandWeightedPlacement>()),
        zoo_trace},
       {"s6 evict-idle", chip8, zoo,
-       zoo_config(std::make_shared<serve::EvictIdleOnPressure>(), true),
-       zoo_trace},
+       zoo_config(std::make_shared<serve::EvictIdleOnPressure>()), zoo_trace},
   };
   const SectionRun s6 = run_section(s6_cases);
   track(s6_cases, s6);
   json_section("zoo", s6_cases, s6);
-  const auto& zoo_optimistic = s6.outcomes[0].result;
-  const auto& zoo_keep = s6.outcomes[1].result;
-  const auto& zoo_demand = s6.outcomes[2].result;
-  const auto& zoo_evict = s6.outcomes[3].result;
+  const auto& zoo_keep = s6.outcomes[0].result;
+  const auto& zoo_demand = s6.outcomes[1].result;
+  const auto& zoo_evict = s6.outcomes[2].result;
 
   auto print_zoo = [](const char* label, const serve::ServingResult& r) {
     std::printf("  %-28s CC weight fetch %7.1f GiB  makespan %8.1f ms\n",
@@ -661,7 +582,6 @@ int main(int argc, char** argv) {
                 static_cast<double>(r.rider_refetch_bytes) /
                     (1024.0 * 1024.0 * 1024.0));
   };
-  print_zoo("keep-current, barrier OFF", zoo_optimistic);
   print_zoo("keep-current, barrier on", zoo_keep);
   print_zoo("demand-weighted, barrier on", zoo_demand);
   print_zoo("evict-idle, barrier on", zoo_evict);
@@ -670,25 +590,35 @@ int main(int argc, char** argv) {
   // (barrier-on) CC weight traffic vs the keep-current baseline by
   // turning refetched fills into warm rides, and evict-idle must have
   // actually exercised pressure eviction (idle pins reclaimed, not
-  // drained). The barrier gate demands the optimism is priced: riders
-  // really did dispatch before fills landed on this trace.
+  // drained). The barrier gate demands riders really did dispatch
+  // before fills landed on this trace and paid the re-fetch.
   const bool placement_wins =
       zoo_demand.cc_weight_fetch_bytes < zoo_keep.cc_weight_fetch_bytes &&
       zoo_demand.weight_warm_attaches > 0;
   std::printf("\ndemand-weighted placement fetches strictly less than "
               "keep-current (barrier on): %s\n",
               placement_wins ? "yes" : "NO");
-  const bool barrier_honest = zoo_keep.rider_refetch_bytes > 0 &&
-                              zoo_keep.cc_weight_fetch_bytes >
-                                  zoo_optimistic.cc_weight_fetch_bytes;
-  std::printf("fill barrier prices the optimism (rider re-fetches > 0, "
-              "honest fetch above optimistic): %s\n",
+  const bool barrier_honest = zoo_keep.rider_refetch_bytes > 0;
+  std::printf("fill barrier prices rider re-fetches (> 0 bytes): %s\n",
               barrier_honest ? "yes" : "NO");
   const bool eviction_exercised = zoo_evict.placement_evictions > 0 &&
                                   zoo_evict.weight_warm_attaches > 0;
   std::printf("evict-idle keeps pins warm and reclaims them under "
               "pressure: %s\n",
               eviction_exercised ? "yes" : "NO");
+  // Placement and the barrier only move bytes between fetched and saved:
+  // every row streams the same trace's weights, so fetch + saved is one
+  // exact total across the rows.
+  const auto zoo_weight_bytes = [](const serve::ServingResult& r) {
+    return r.cc_weight_fetch_bytes + r.cc_weight_bytes_saved;
+  };
+  const bool zoo_bytes_conserved =
+      zoo_weight_bytes(zoo_demand) == zoo_weight_bytes(zoo_keep) &&
+      zoo_weight_bytes(zoo_evict) == zoo_weight_bytes(zoo_keep);
+  std::printf("every placement row conserves weight bytes (fetch + saved "
+              "== %llu B): %s\n",
+              static_cast<unsigned long long>(zoo_weight_bytes(zoo_keep)),
+              zoo_bytes_conserved ? "yes" : "NO");
   print_section_wall(s6);
 
   // --- 7. Fast/detailed execution tiers -----------------------------------
@@ -830,10 +760,10 @@ int main(int argc, char** argv) {
   std::printf("\n--- cluster: replica scaling + disaggregated "
               "prefill/decode (zoo traffic) ---\n\n");
 
-  const serve::SweepCase& s6_demand_case = s6_cases[2];  // "s6 demand-weighted"
+  const serve::SweepCase& s6_demand_case = s6_cases[1];  // "s6 demand-weighted"
   const serve::ClusterOutcome one_chip = serve::run_cluster(
       chip8, zoo, s6_demand_case.engine, serve::ClusterConfig{}, zoo_trace);
-  const auto& s6_demand = s6.outcomes[2];
+  const auto& s6_demand = s6.outcomes[1];
   bool cluster_identity_ok =
       one_chip.result.per_chip.size() == 1 &&
       serve::results_identical(one_chip.result.per_chip[0], s6_demand.result) &&
@@ -1459,8 +1389,8 @@ int main(int argc, char** argv) {
   json.end_object();
 
   const bool ok = beats && slo_wins && chunk_wins && resident_wins &&
-                  chaining_wins && sharing_wins && charged_once &&
-                  placement_wins && barrier_honest && eviction_exercised &&
+                  charged_once && planner_bytes_conserved && placement_wins &&
+                  barrier_honest && eviction_exercised && zoo_bytes_conserved &&
                   fidelity_ok && zoo_speedup_ok && s2_speedup_ok &&
                   identity_ok && throughput_ok && cluster_identity_ok &&
                   replica_scaling_ok && kv_conservation_ok &&
@@ -1475,12 +1405,12 @@ int main(int argc, char** argv) {
   json.field("slo_wins", slo_wins);
   json.field("chunk_wins", chunk_wins);
   json.field("resident_wins", resident_wins);
-  json.field("chaining_wins", chaining_wins);
-  json.field("sharing_wins", sharing_wins);
   json.field("charged_once", charged_once);
+  json.field("planner_bytes_conserved", planner_bytes_conserved);
   json.field("placement_wins", placement_wins);
   json.field("barrier_honest", barrier_honest);
   json.field("eviction_exercised", eviction_exercised);
+  json.field("zoo_bytes_conserved", zoo_bytes_conserved);
   json.field("fidelity_ok", fidelity_ok);
   json.field("zoo_speedup_ok", zoo_speedup_ok);
   json.field("policy_sweep_speedup_ok", s2_speedup_ok);

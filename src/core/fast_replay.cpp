@@ -4,10 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <utility>
-#ifdef EDGEMM_FAST_DEBUG
-#include <cstdio>
-#include <cstdlib>
-#endif
 
 #include "common/assert.hpp"
 
@@ -150,16 +146,6 @@ FastMemoryModel::ChainTimes FastMemoryModel::replay_chain(
       }
       u_time = chan_end;
     }
-#ifdef EDGEMM_FAST_DEBUG
-    if (std::getenv("EDGEMM_FAST_DBG") != nullptr) {
-      std::fprintf(stderr,
-                   "  op bytes=%.0f blocks=%.0f serve1=%.0f avail=%.0f "
-                   "g_n=%.0f land1=%.0f chan_end=%.0f comp_end=%.0f "
-                   "usage=%.0f\n",
-                   op.bytes, op.n_blocks, serve1, avail, g_n, land1,
-                   chan_end, comp_end, usage);
-    }
-#endif
     chan = chan_end;
     comp = comp_end;
     cs_prev = new_prev;
@@ -433,7 +419,8 @@ void FastMemoryModel::retire(Lane& lane, std::unique_ptr<Stream> stream) {
   // water-filling prices the average slowdown, but the detailed
   // tier's burst-granular FIFO arbitration runs slower than the
   // fluid share; the excess fraction is calibrated against the
-  // detailed tier (bench §4 rider-vs-decode shapes). Chained
+  // detailed tier on the rider-vs-decode shapes of the serving_trace
+  // §3 resident/chained rows, whose fast-tier drift §7 gates. Chained
   // continuation batches (usage carried from the lane bucket) skip
   // the charge — their flood tail is an artificial batch boundary,
   // not a real end-of-stream drain.
@@ -442,18 +429,6 @@ void FastMemoryModel::retire(Lane& lane, std::unique_ptr<Stream> stream) {
     times.dma_end += kGridSlipExcess * stream->slip_acc;
     times.done += kGridSlipExcess * stream->slip_acc;
   }
-#ifdef EDGEMM_FAST_DEBUG
-  if (std::getenv("EDGEMM_FAST_DBG") != nullptr) {
-    std::fprintf(stderr,
-                 "retire lane=%zu t0=%.0f bytes=%.0f iso=%.0f span=%.0f "
-                 "cpb=%.4f flood=%.4f sync=%.4f invrb=%.4f defers=%d "
-                 "dma_end=%.0f done=%.0f\n",
-                 stream->lane, stream->started_at, stream->total_bytes,
-                 stream->dma_iso, stream->dma_done_at - stream->started_at,
-                 cpb, flood_cpb, sync_cpb, inv_rb, (int)stream->defers,
-                 times.dma_end, times.done);
-  }
-#endif
   const double t_done = times.done;
   if (inv_rb > 0.0) {
     // Carry the PMC interval charge to the next batch on this lane; a

@@ -332,57 +332,12 @@ ClusterOutcome run_cluster(const core::ChipConfig& chip,
 }
 
 bool cluster_results_identical(const ClusterResult& a, const ClusterResult& b) {
-  if (!(a.mode == b.mode && a.chips == b.chips && a.completed == b.completed &&
-        a.rejected == b.rejected && a.makespan == b.makespan &&
-        a.makespan_ms == b.makespan_ms &&
-        a.p50_latency_ms == b.p50_latency_ms &&
-        a.p95_latency_ms == b.p95_latency_ms &&
-        a.p99_latency_ms == b.p99_latency_ms &&
-        a.mean_latency_ms == b.mean_latency_ms &&
-        a.tokens_per_second == b.tokens_per_second &&
-        a.with_deadline == b.with_deadline &&
-        a.slo_attained == b.slo_attained &&
-        a.slo_attainment == b.slo_attainment &&
-        a.cc_weight_fetch_bytes == b.cc_weight_fetch_bytes &&
-        a.cc_weight_bytes_saved == b.cc_weight_bytes_saved &&
-        a.rider_refetch_bytes == b.rider_refetch_bytes &&
-        a.weight_pins == b.weight_pins &&
-        a.placement_denials == b.placement_denials &&
-        a.offloaded_requests == b.offloaded_requests &&
-        a.offloaded_chunks == b.offloaded_chunks &&
-        a.fat_bytes_moved == b.fat_bytes_moved &&
-        a.quality_downgrades == b.quality_downgrades &&
-        a.quality_restores == b.quality_restores &&
-        a.tokens_at_degraded_quality == b.tokens_at_degraded_quality &&
-        a.accuracy_proxy_mean == b.accuracy_proxy_mean &&
-        a.accuracy_proxy_min == b.accuracy_proxy_min &&
-        a.kv_return_bytes == b.kv_return_bytes &&
-        a.kv_transfers == b.kv_transfers &&
-        a.kv_bytes_sent == b.kv_bytes_sent &&
-        a.kv_migration_bytes == b.kv_migration_bytes &&
-        a.kv_bytes_in_flight == b.kv_bytes_in_flight &&
-        a.link_occupancy == b.link_occupancy &&
-        a.max_link_queue_ms == b.max_link_queue_ms &&
-        a.routed_per_chip == b.routed_per_chip &&
-        a.per_chip.size() == b.per_chip.size())) {
-    return false;
-  }
-  for (std::size_t c = 0; c < a.per_chip.size(); ++c) {
-    if (!results_identical(a.per_chip[c], b.per_chip[c])) return false;
-  }
-  return true;
+  return a == b;
 }
 
 bool cluster_outcomes_identical(const ClusterOutcome& a,
                                 const ClusterOutcome& b) {
-  if (!cluster_results_identical(a.result, b.result) ||
-      a.records.size() != b.records.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    if (!record_identical(a.records[i], b.records[i])) return false;
-  }
-  return true;
+  return a.result == b.result && a.records == b.records;
 }
 
 }  // namespace edgemm::serve

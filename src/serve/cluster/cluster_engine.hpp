@@ -99,6 +99,10 @@ struct ClusterResult {
   /// Each chip's own replay result, chip order (a chip that received no
   /// requests reports a default ServingResult).
   std::vector<ServingResult> per_chip;
+
+  /// Exact, including the floating-point metrics and every per-chip
+  /// result.
+  bool operator==(const ClusterResult&) const = default;
 };
 
 /// Result + merged per-request records (original trace order; in
@@ -120,8 +124,7 @@ ClusterOutcome run_cluster(const core::ChipConfig& chip,
                            const ClusterConfig& cluster,
                            std::vector<Request> requests);
 
-/// Field-by-field equality of two cluster results (exact, including the
-/// floating-point metrics and every per-chip result).
+/// Exact equality of two cluster results (ClusterResult::operator==).
 bool cluster_results_identical(const ClusterResult& a, const ClusterResult& b);
 
 /// Outcome equality: result plus every merged record, field by field.

@@ -100,16 +100,6 @@ EngineConfig::EngineConfig()
       offload_(std::make_shared<NoOffload>()),
       quality_(std::make_shared<StaticQuality>()) {}
 
-EngineConfig EngineConfig::from_legacy(const ServingOptions& options) {
-  EngineConfig config;
-  config.scheduler(std::make_shared<ConcurrencyPolicy>(options.admission))
-      .manage_bandwidth(options.manage_bandwidth)
-      .bandwidth_policy(options.policy)
-      .rebalance_interval(options.rebalance_interval)
-      .prune_keep_fraction(options.prune_keep_fraction);
-  return config;
-}
-
 EngineConfig& EngineConfig::scheduler(
     std::shared_ptr<const SchedulerPolicy> policy) {
   if (!policy) {
@@ -145,11 +135,6 @@ EngineConfig& EngineConfig::manage_bandwidth(bool enabled) {
 EngineConfig& EngineConfig::bandwidth_policy(
     const core::BandwidthPolicy& policy) {
   bandwidth_ = policy;
-  return *this;
-}
-
-EngineConfig& EngineConfig::rebalance_interval(Cycle interval) {
-  rebalance_interval_ = interval;
   return *this;
 }
 
@@ -212,22 +197,12 @@ EngineConfig& EngineConfig::weight_residency_bytes(Bytes bytes) {
   return *this;
 }
 
-EngineConfig& EngineConfig::share_weight_pins(bool enabled) {
-  share_weight_pins_ = enabled;
-  return *this;
-}
-
 EngineConfig& EngineConfig::placement_policy(
     std::shared_ptr<const PlacementPolicy> policy) {
   if (!policy) {
     throw std::invalid_argument("EngineConfig: null PlacementPolicy");
   }
   placement_ = std::move(policy);
-  return *this;
-}
-
-EngineConfig& EngineConfig::rider_fill_barrier(bool enabled) {
-  rider_fill_barrier_ = enabled;
   return *this;
 }
 
@@ -248,20 +223,6 @@ EngineConfig& EngineConfig::lane_chain_limit(std::size_t limit) {
 
 EngineConfig& EngineConfig::phase(EnginePhase phase) {
   phase_ = phase;
-  return *this;
-}
-
-EngineConfig& EngineConfig::per_group_fill_landing(bool enabled) {
-  per_group_fill_landing_ = enabled;
-  return *this;
-}
-
-EngineConfig& EngineConfig::demand_decay_tau_s(double seconds) {
-  if (!(seconds > 0.0)) {
-    throw std::invalid_argument(
-        "EngineConfig: demand_decay_tau_s must be positive");
-  }
-  demand_decay_tau_s_ = seconds;
   return *this;
 }
 

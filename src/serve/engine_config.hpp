@@ -1,8 +1,6 @@
 // EngineConfig: composes the serving engine's policies and knobs.
 //
-// Replaces the PR-1 flat ServingOptions struct (kept below as a
-// deprecated shim). A config is built fluently and validated once by
-// the engine:
+// A config is built fluently and validated once by the engine:
 //
 //   auto cfg = EngineConfig()
 //                  .scheduler(std::make_shared<SloAwarePolicy>(limits))
@@ -62,21 +60,6 @@ double quality_accuracy_proxy(const model::MllmConfig& model,
                               double keep_fraction,
                               const TaskProxyPruningOptions& options = {});
 
-/// DEPRECATED PR-1 engine knobs, kept so existing call sites compile.
-/// Convert with EngineConfig::from_legacy or pass to the deprecated
-/// ServingEngine constructor.
-struct ServingOptions {
-  AdmissionLimits admission{};
-  /// Adaptive CC:MC budget rebalancing; false = static equal sharing
-  /// (the §IV-B baseline, PMC throttles still armed).
-  bool manage_bandwidth = true;
-  core::BandwidthPolicy policy{};
-  /// Fraction of prunable FFN rows kept during decode (§IV-A); 1 = off.
-  double prune_keep_fraction = 1.0;
-  /// Cycles between bandwidth rebalances; 0 = the DMA throttle interval.
-  Cycle rebalance_interval = 0;
-};
-
 // EnginePhase lives in serve/policy.hpp (included above) so
 // OffloadContext can carry it; every EngineConfig user still sees it.
 
@@ -88,17 +71,15 @@ class EngineConfig {
   /// management on, pruning and KV accounting off.
   EngineConfig();
 
-  /// The PR-1 shim: a ServingOptions mapped onto equivalent policies.
-  static EngineConfig from_legacy(const ServingOptions& options);
-
   // --- Builder setters (each validates its argument eagerly) -------------
   EngineConfig& scheduler(std::shared_ptr<const SchedulerPolicy> policy);
   EngineConfig& prefill_planner(std::shared_ptr<const PrefillPlanner> planner);
   EngineConfig& batch_policy(std::shared_ptr<const BatchPolicy> policy);
+  /// Adaptive CC:MC budget rebalancing, once per DMA throttle interval
+  /// (ChipConfig::dma.throttle_interval); false = static equal sharing
+  /// (the §IV-B baseline, PMC throttles still armed).
   EngineConfig& manage_bandwidth(bool enabled);
   EngineConfig& bandwidth_policy(const core::BandwidthPolicy& policy);
-  /// 0 = the DMA throttle interval.
-  EngineConfig& rebalance_interval(Cycle interval);
   /// Global decode keep fraction in (0, 1]; overridden per request when
   /// task-proxy pruning is enabled. Throws std::invalid_argument.
   EngineConfig& prune_keep_fraction(double fraction);
@@ -141,36 +122,23 @@ class EngineConfig {
   /// scratchpad at construction: the budget must stay within
   /// kMaxWeightResidencyOversubscription x the CC TCDM; see
   /// chip_weight_residency_capacity for sizing).
-  EngineConfig& weight_residency_bytes(Bytes bytes);
-  /// Share one refcounted weight pin per MODEL across its in-flight
-  /// requests (default: true). A model's layer-group weights are the
-  /// same bytes whichever request streams them, so the first attaching
+  ///
+  /// Pins are keyed by MODEL: a model's layer-group weights are the same
+  /// bytes whichever request streams them, so the first attaching
   /// request fetches and charges the budget and later same-model
-  /// requests ride the pin for free — their chunks skip the pinned
-  /// layers' weight DMA immediately — until the last attached request's
-  /// prefill retires. false restores the PR 3 per-request pins (every
-  /// request charges the full layer-group bytes; kept for the bench
-  /// baseline and A/B comparisons). No effect unless weight residency
-  /// is active; with at most one in-flight request per model the two
-  /// modes replay identically.
-  EngineConfig& share_weight_pins(bool enabled);
+  /// requests ride the one refcounted pin until the last attached
+  /// request's prefill retires. A fresh pin only counts as on chip once
+  /// its owner's fill chunk retires: a rider chunk dispatched before
+  /// that re-fetches the whole pin (the fill barrier, ledgered as
+  /// ServingResult::rider_refetch_bytes).
+  EngineConfig& weight_residency_bytes(Bytes bytes);
   /// Residency-aware model placement: which models' pins to hold,
   /// acquire or evict against the shared budget (see PlacementPolicy).
   /// Default KeepCurrentPlacement — first-come pinning, eviction at
   /// refcount zero — which reproduces the placement-oblivious engine
-  /// bit-for-bit. Only consulted when weight residency is active and
-  /// share_weight_pins is on (per-request pin keys are never reused, so
-  /// there is nothing to place). Throws std::invalid_argument on null.
+  /// bit-for-bit. Only consulted when weight residency is active.
+  /// Throws std::invalid_argument on null.
   EngineConfig& placement_policy(std::shared_ptr<const PlacementPolicy> policy);
-  /// Honest shared-pin fill timing (default: true): a fresh pin's bytes
-  /// only count as on-chip once the owner's fill chunk retires, so a
-  /// rider chunk dispatched before that re-fetches the not-yet-landed
-  /// layer groups (ledgered as ServingResult::rider_refetch_bytes).
-  /// false restores the PR 4 fill-timing-optimistic model — riders skip
-  /// weight DMA the moment they attach — kept for A/B comparisons and
-  /// the bench baselines. No effect without shared weight pins (a pin's
-  /// owner is always ordered after its own fill).
-  EngineConfig& rider_fill_barrier(bool enabled);
   /// Execution tier for the replay (default kDetailed): kFast prices op
   /// batches analytically with core::FastMemoryModel instead of walking
   /// every DMA burst through the event-driven memory hierarchy —
@@ -196,22 +164,6 @@ class EngineConfig {
   /// treats each arrival as its KV landing on this chip. Set by
   /// ClusterEngine; composable with any policy set.
   EngineConfig& phase(EnginePhase phase);
-  /// Per-layer-group fill landing for the rider fill barrier (default:
-  /// false = the PR 5 pin-granular barrier, byte-identical). When on, a
-  /// chunk that fetches not-yet-landed pinned groups LANDS them at its
-  /// retirement — the owner's fill chunk and rider re-fetches alike — so
-  /// a later rider re-fetches only the groups still in flight instead of
-  /// the whole pinned set. Tightens rider_refetch_bytes; no effect with
-  /// the barrier off or without shared pins.
-  EngineConfig& per_group_fill_landing(bool enabled);
-  /// Time constant (seconds of simulated time) of the per-model demand
-  /// EWMA the engine maintains for placement policies
-  /// (ModelDemand::demand_decayed): the signal relaxes toward the live
-  /// queued+inflight count with e^(-dt/tau). Smaller = more reactive,
-  /// larger = longer memory of past bursts. Default 1.0 s (about one
-  /// zoo-trace burst gap); must be positive. The EWMA is maintained
-  /// regardless — this only tunes it; policies opt in by reading it.
-  EngineConfig& demand_decay_tau_s(double seconds);
   /// Pairs a fat backend (a GpuBackend over this spec, sharing the
   /// EdgeMM chip's simulator) with the engine, so an OffloadPolicy can
   /// route prefill chunks to it. Validates the spec eagerly (throws
@@ -250,7 +202,6 @@ class EngineConfig {
   const BatchPolicy& batch_policy() const { return *batcher_; }
   bool manage_bandwidth() const { return manage_bandwidth_; }
   const core::BandwidthPolicy& bandwidth_policy() const { return bandwidth_; }
-  Cycle rebalance_interval() const { return rebalance_interval_; }
   double prune_keep_fraction() const { return prune_keep_fraction_; }
   const std::optional<TaskProxyPruningOptions>& task_proxy_pruning() const {
     return task_proxy_;
@@ -261,15 +212,11 @@ class EngineConfig {
   bool kv_prefix_sharing() const { return kv_prefix_sharing_; }
   const SwapPolicy& kv_swap_policy() const { return *swap_policy_; }
   Bytes weight_residency() const { return weight_residency_bytes_; }
-  bool share_weight_pins() const { return share_weight_pins_; }
   const PlacementPolicy& placement() const { return *placement_; }
-  bool rider_fill_barrier() const { return rider_fill_barrier_; }
   core::ReplayMode replay_mode() const { return replay_mode_; }
   bool deadline_ordered_queue() const { return deadline_ordered_queue_; }
   std::size_t lane_chain_limit() const { return lane_chain_limit_; }
   EnginePhase phase() const { return phase_; }
-  bool per_group_fill_landing() const { return per_group_fill_landing_; }
-  double demand_decay_tau_s() const { return demand_decay_tau_s_; }
   const std::optional<baselines::GpuSpec>& fat_backend() const {
     return fat_backend_;
   }
@@ -299,7 +246,6 @@ class EngineConfig {
   std::shared_ptr<const PlacementPolicy> placement_;
   bool manage_bandwidth_ = true;
   core::BandwidthPolicy bandwidth_{};
-  Cycle rebalance_interval_ = 0;
   double prune_keep_fraction_ = 1.0;
   std::optional<TaskProxyPruningOptions> task_proxy_;
   Bytes kv_capacity_bytes_ = 0;
@@ -308,14 +254,10 @@ class EngineConfig {
   bool kv_prefix_sharing_ = true;
   std::shared_ptr<const SwapPolicy> swap_policy_;
   Bytes weight_residency_bytes_ = 0;
-  bool share_weight_pins_ = true;
-  bool rider_fill_barrier_ = true;
   core::ReplayMode replay_mode_ = core::ReplayMode::kDetailed;
   bool deadline_ordered_queue_ = false;
   std::size_t lane_chain_limit_ = 0;
   EnginePhase phase_ = EnginePhase::kFull;
-  bool per_group_fill_landing_ = false;
-  double demand_decay_tau_s_ = 1.0;
   std::optional<baselines::GpuSpec> fat_backend_;
   std::shared_ptr<const OffloadPolicy> offload_;
   bool kv_swap_refill_dma_ = false;

@@ -119,9 +119,8 @@ class PrefillPlanner {
   ///         through the WeightResidencyTracker: the first chunk that
   ///         fetches a layer group pins it (budget permitting) and
   ///         later chunks skip that group's weight DMA. Pins are
-  ///         refcounted per MODEL by default — concurrent same-model
-  ///         requests ride one pin and the budget is charged once (see
-  ///         EngineConfig::share_weight_pins). Requires
+  ///         refcounted per MODEL — concurrent same-model requests ride
+  ///         one pin and the budget is charged once. Requires
   ///         EngineConfig::weight_residency_bytes > 0 to take effect.
   ///         Default: false (every chunk re-fetches).
   virtual bool chains_weight_residency() const { return false; }
@@ -241,8 +240,7 @@ struct ModelDemand {
   double decode_step_cycles_est = 0.0;  ///< per-model decode-step EWMA
   /// Time-decayed demand signal the engine maintains alongside the live
   /// count: relaxes toward queued+inflight with e^(-dt/tau)
-  /// (tau = EngineConfig::demand_decay_tau_s, 1 s of simulated time by
-  /// default). Burst memory for policies that opt in
+  /// (tau = 1 s of simulated time). Burst memory for policies that opt in
   /// (DemandWeightedOptions::decayed_demand): a model between bursts
   /// keeps a decaying claim on the budget instead of dropping to zero
   /// the moment its queue drains.
@@ -275,9 +273,9 @@ struct PlacementContext {
 /// evict now), and when an allowed acquisition does not fit the
 /// remaining budget (evict_victims — which idle pins to reclaim).
 /// Implementations must be deterministic pure functions of their
-/// construction parameters and arguments. Only consulted in shared-pin
-/// mode with weight residency active; KeepCurrentPlacement reproduces
-/// the placement-oblivious PR 4 engine bit-for-bit.
+/// construction parameters and arguments. Only consulted with weight
+/// residency active; KeepCurrentPlacement reproduces the placement-
+/// oblivious engine (first-come pins, eviction at refcount zero).
 class PlacementPolicy {
  public:
   virtual ~PlacementPolicy() = default;
@@ -320,8 +318,7 @@ class PlacementPolicy {
 
 /// The placement-oblivious baseline (default): every model may pin
 /// first-come-first-served, nothing is kept warm, nothing is evicted.
-/// Composed with the fill barrier off this reproduces the PR 4 engine
-/// bit-for-bit (tested).
+/// Identical to an engine with no placement seam (tested).
 class KeepCurrentPlacement final : public PlacementPolicy {
  public:
   const char* name() const override { return "keep-current"; }

@@ -35,6 +35,8 @@ struct Request {
   /// Leading prompt tokens shared with the group (<= input_tokens);
   /// ignored when prefix_id is 0.
   std::size_t prefix_tokens = 0;
+
+  bool operator==(const Request&) const = default;
 };
 
 /// Lifecycle timestamps the engine records per request (all in cycles).
@@ -64,6 +66,9 @@ struct RequestRecord {
   double keep_fraction_served = 1.0;
   bool done = false;
   bool rejected = false;  ///< dropped by the scheduler policy, never served
+
+  /// Exact: request identity, every replay timestamp, the terminal flags.
+  bool operator==(const RequestRecord&) const = default;
 
   Cycle latency_cycles() const { return finish - request.arrival; }
   double latency_ms(double clock_hz = kChipClockHz) const {

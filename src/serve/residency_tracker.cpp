@@ -73,22 +73,6 @@ void WeightResidencyTracker::mark_filled(PinKey key) {
     throw std::logic_error("WeightResidencyTracker: mark_filled without a pin");
   }
   it->second.filled = true;
-  it->second.landed = it->second.layers;
-}
-
-void WeightResidencyTracker::mark_landed(PinKey key, std::size_t up_to) {
-  const auto it = pins_by_key_.find(key);
-  if (it == pins_by_key_.end()) {
-    throw std::logic_error("WeightResidencyTracker: mark_landed without a pin");
-  }
-  Pin& pin = it->second;
-  pin.landed = std::max(pin.landed, std::min(up_to, pin.layers));
-  if (pin.landed == pin.layers) pin.filled = true;
-}
-
-std::size_t WeightResidencyTracker::landed_layers(PinKey key) const {
-  const auto it = pins_by_key_.find(key);
-  return it == pins_by_key_.end() ? 0 : it->second.landed;
 }
 
 bool WeightResidencyTracker::filled(PinKey key) const {

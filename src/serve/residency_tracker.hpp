@@ -23,18 +23,14 @@
 // so two in-flight requests serving the same model share ONE pin — the
 // first attach fetches and charges the budget, later attaches under the
 // same key ride for free (shared_attaches counter), and the bytes are
-// released only when the LAST attached request detaches. The PR 3
-// per-request behavior (every request charges the full bytes) is
-// recovered by simply keying attaches by request id instead of model
-// id, which makes every attach a fresh pin.
+// released only when the LAST attached request detaches.
 //
 // Two PR 5 extensions make the pins placement- and timing-aware:
 //   - FILL BARRIER: a fresh pin starts UNFILLED — its bytes are only on
 //     chip once the owner's fill chunk retires (mark_filled). A rider
-//     whose chunk dispatches before that must re-fetch the not-yet-
-//     landed groups; the engine checks filled() at submit time and
-//     accounts the re-fetch (ServingResult::rider_refetch_bytes),
-//     bounding PR 4's fill-timing optimism.
+//     whose chunk dispatches before that must re-fetch the whole pin;
+//     the engine checks filled() at submit time and accounts the
+//     re-fetch (ServingResult::rider_refetch_bytes).
 //   - KEEP-WARM / EVICT-IDLE: detach(key, keep_resident = true) keeps a
 //     pin's bytes resident after its refcount hits zero (an IDLE pin) so
 //     the model's next request attaches warm (warm_attaches) with no
@@ -86,11 +82,9 @@ Bytes llm_layer_group_bytes(const model::MllmConfig& model,
                             const core::ChipConfig& config);
 
 /// Key a weight pin is held under. The serving engine uses the MODEL
-/// index in shared mode — every in-flight request of a model attaches
-/// to one refcounted pin — and the request id in the legacy per-request
-/// mode, where keys are unique so every attach charges a fresh pin. A
-/// key must stay on one API: either the refcounted attach/detach pair
-/// or the low-level try_pin/release pair, never both.
+/// index: every in-flight request of a model attaches to one refcounted
+/// pin. A key must stay on one API: either the refcounted attach/detach
+/// pair or the low-level try_pin/release pair, never both.
 using PinKey = std::uint64_t;
 
 /// Pin/release ledger over a fixed byte capacity (a ByteLedger plus the
@@ -107,8 +101,8 @@ class WeightResidencyTracker {
     /// True when the attach rode an EXISTING pin: the bytes were already
     /// charged by an earlier attach, so the caller's next chunk can skip
     /// the pinned layers' weight DMA immediately (no fill fetch needed —
-    /// though an unfilled pin's rider still re-fetches until the fill
-    /// lands when the engine enforces the fill barrier).
+    /// though a rider of an unfilled pin still re-fetches under the
+    /// engine's fill barrier until the fill lands).
     bool shared = false;
     /// True when the attach revived an IDLE pin (refcount was zero but
     /// the bytes were kept resident by a keep-warm detach): the weights
@@ -167,28 +161,13 @@ class WeightResidencyTracker {
   void detach(PinKey key, bool keep_resident = false);
 
   /// Marks `key`'s pin as filled: its owner's fill fetch has retired and
-  /// the bytes are genuinely on chip, so riders stop re-fetching (all
-  /// layers count as landed). Throws std::logic_error when `key` holds
-  /// no pin.
+  /// the bytes are genuinely on chip, so riders stop re-fetching. Throws
+  /// std::logic_error when `key` holds no pin.
   void mark_filled(PinKey key);
 
   /// True when `key`'s pin exists and its fill has landed. False for an
   /// unfilled pin AND for no pin at all (nothing to ride either way).
   bool filled(PinKey key) const;
-
-  /// Per-group fill landing: records that the pin's first `up_to` layer
-  /// groups are genuinely on chip (a chunk that fetched them retired —
-  /// the owner's fill chunk or a rider's own re-fetch, whichever lands
-  /// first). Landing is monotone (up_to below the current mark is a
-  /// no-op) and clamped to the pin's layer count; landing every group
-  /// marks the pin filled. Throws std::logic_error when `key` holds no
-  /// pin.
-  void mark_landed(PinKey key, std::size_t up_to);
-
-  /// Layer groups of `key`'s pin whose fill has landed (0 = no pin; a
-  /// filled pin reports its full layer count). Riders under the
-  /// per-group fill barrier re-fetch only the groups above this mark.
-  std::size_t landed_layers(PinKey key) const;
 
   /// Evicts `key`'s IDLE pin (refcount zero, kept warm): the bytes are
   /// released and idle_evictions is counted. Throws std::logic_error
@@ -231,8 +210,6 @@ class WeightResidencyTracker {
     /// False until the owner's fill fetch retires (mark_filled); riders
     /// of an unfilled pin re-fetch under the engine's fill barrier.
     bool filled = false;
-    /// Layer groups already landed (mark_landed); layers once filled.
-    std::size_t landed = 0;
   };
 
   ByteLedger ledger_;

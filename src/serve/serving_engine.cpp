@@ -21,6 +21,10 @@ namespace {
 /// EWMA weight for the online throughput/step-duration estimators.
 constexpr double kEstimatorGain = 0.25;
 
+/// Time constant (seconds of simulated time) of the per-model demand
+/// EWMA behind ModelDemand::demand_decayed: about one zoo-trace burst gap.
+constexpr double kDemandDecayTauS = 1.0;
+
 /// Validates before the chip is built: an invalid composition throws
 /// without paying for the clusters.
 EngineConfig validated(EngineConfig config) {
@@ -128,12 +132,6 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
   }
 }
 
-ServingEngine::ServingEngine(const core::ChipConfig& config,
-                             std::vector<model::MllmConfig> models,
-                             ServingOptions options)
-    : ServingEngine(config, std::move(models),
-                    EngineConfig::from_legacy(options)) {}
-
 void ServingEngine::set_completion_callback(CompletionCallback callback) {
   on_complete_ = std::move(callback);
 }
@@ -196,10 +194,7 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
   // partition and let the interval rebalancer shift it.
   local_.apply_equal_sharing();
   if (engine_config_.manage_bandwidth()) {
-    const Cycle interval = engine_config_.rebalance_interval() > 0
-                               ? engine_config_.rebalance_interval()
-                               : config_.dma.throttle_interval;
-    schedule_rebalance(interval);
+    schedule_rebalance(config_.dma.throttle_interval);
   }
   sim.run();
   EDGEMM_ASSERT_MSG(completed_ + rejected_ == total_,
@@ -375,8 +370,7 @@ void ServingEngine::refresh_decayed_demand() {
   // remembers what demand looked like across the gap, not after it.
   const Cycle now = local_.simulator().now();
   if (now == demand_decayed_at_) return;
-  const double tau = engine_config_.demand_decay_tau_s() *
-                     static_cast<double>(config_.clock_hz);
+  const double tau = kDemandDecayTauS * static_cast<double>(config_.clock_hz);
   const double alpha =
       std::exp(-static_cast<double>(now - demand_decayed_at_) / tau);
   for (std::size_t m = 0; m < models_.size(); ++m) {
@@ -417,11 +411,11 @@ ServingEngine::PrefillPlan& ServingEngine::plan_for(std::size_t index) {
   plan.built_keep = prefill_keep(index);
   for (std::size_t c = 0; c < chunk_tokens.size(); ++c) {
     std::vector<GemmWork> ops =
-        build_chunk_ops(r, plan, c, kNoResidentCap, plan.built_keep);
+        build_chunk_ops(r, plan, c, /*ride_pin=*/true, plan.built_keep);
     const Bytes bytes = cc_job_bytes(ops);
     const Bytes full =
         plan.built_keep < 1.0
-            ? cc_job_bytes(build_chunk_ops(r, plan, c, kNoResidentCap, 1.0))
+            ? cc_job_bytes(build_chunk_ops(r, plan, c, /*ride_pin=*/true, 1.0))
             : bytes;
     plan.jobs.push_back(std::move(ops));
     plan.job_bytes.push_back(bytes);
@@ -436,11 +430,11 @@ void ServingEngine::rebuild_chunk(std::size_t index, PrefillPlan& plan,
                                   std::size_t chunk) {
   const Request& r = records_[index].request;
   std::vector<GemmWork> ops =
-      build_chunk_ops(r, plan, chunk, kNoResidentCap, plan.built_keep);
+      build_chunk_ops(r, plan, chunk, /*ride_pin=*/true, plan.built_keep);
   const Bytes bytes = cc_job_bytes(ops);
   const Bytes full =
       plan.built_keep < 1.0
-          ? cc_job_bytes(build_chunk_ops(r, plan, chunk, kNoResidentCap, 1.0))
+          ? cc_job_bytes(build_chunk_ops(r, plan, chunk, /*ride_pin=*/true, 1.0))
           : bytes;
   plan.total_bytes -= plan.job_bytes[chunk];
   plan.total_bytes += bytes;
@@ -549,7 +543,7 @@ double ServingEngine::accuracy_for(std::size_t model, double keep) {
 
 std::vector<GemmWork> ServingEngine::build_chunk_ops(
     const Request& r, const PrefillPlan& plan, std::size_t chunk,
-    std::size_t resident_cap, double ffn_keep) const {
+    bool ride_pin, double ffn_keep) const {
   const model::MllmConfig& m = models_[r.model];
   std::size_t start = 0;
   for (std::size_t c = 0; c < chunk; ++c) start += plan.chunk_tokens[c];
@@ -557,13 +551,11 @@ std::vector<GemmWork> ServingEngine::build_chunk_ops(
   // prefill slice (and always fetches — it is what fills the pin).
   std::vector<GemmWork> ops =
       chunk == 0 ? model::build_encoder_ops(m, r.crops) : std::vector<GemmWork>{};
-  // resident_cap below the pinned layer count builds a barrier re-fetch:
-  // a rider dispatched before the pin's fill landed streams the weights
-  // of every not-yet-landed group itself (cap 0 = the whole pin).
+  // !ride_pin builds a barrier re-fetch: a rider dispatched before the
+  // pin's fill landed streams the whole pin's weights itself.
   const std::size_t resident =
-      plan.resident_layers > 0 && chunk >= plan.first_resident_chunk
-          ? std::min(plan.resident_layers, resident_cap)
-          : 0;
+      ride_pin && chunk >= plan.first_resident_chunk ? plan.resident_layers
+                                                     : 0;
   // Pinned layer groups keep full FFN shapes whatever the quality seam
   // judged (full_keep_layers): the pin holds — and its fill/barrier
   // byte math assumes — the FULL weights, so a degraded request's
@@ -585,9 +577,8 @@ PlacementContext ServingEngine::placement_context() const {
     ModelDemand d;
     d.queued = queued_per_model_[m];
     d.inflight = inflight_per_model_[m];
-    const PinKey key = static_cast<PinKey>(m);
-    d.pin_refcount = residency_->refcount(key);
-    d.resident_layers = residency_->resident_layers(key);
+    d.pin_refcount = residency_->refcount(m);
+    d.resident_layers = residency_->resident_layers(m);
     d.idle_resident = d.resident_layers > 0 && d.pin_refcount == 0;
     d.pinned_bytes =
         static_cast<Bytes>(d.resident_layers) * layer_weight_bytes_[m];
@@ -607,24 +598,18 @@ bool ServingEngine::maybe_pin_weights(std::size_t index,
   PrefillPlan& plan = plans_.at(index);
   if (plan.pin_attached) return false;  // already riding a pin
   const Request& r = records_[index].request;
-  // Shared mode keys the pin by MODEL: all in-flight requests of the
-  // model refcount one pin and the budget is charged once. Per-request
-  // mode keys by request id — unique per request, so every attach is a
-  // fresh pin (the PR 3 behavior).
-  const bool shared_mode = engine_config_.share_weight_pins();
-  const PinKey key =
-      shared_mode ? static_cast<PinKey>(r.model) : static_cast<PinKey>(r.id);
-  // A brand-new pin is filled by next_chunk's fetch, so only the chunks
-  // AFTER it ride it — and pinning is pointless with no tail left. An
-  // attach to an existing pin — live, or kept warm by the placement
-  // policy — finds the weights already on chip and starts saving on
-  // next_chunk itself.
-  const bool rides_existing = residency_->resident_layers(key) > 0;
+  // Pins are keyed by MODEL: all in-flight requests of the model
+  // refcount one pin and the budget is charged once. A brand-new pin is
+  // filled by next_chunk's fetch, so only the chunks AFTER it ride it —
+  // and pinning is pointless with no tail left. An attach to an existing
+  // pin — live, or kept warm by the placement policy — finds the weights
+  // already on chip and starts saving on next_chunk itself.
+  const bool rides_existing = residency_->resident_layers(r.model) > 0;
   const std::size_t first_resident =
       rides_existing ? next_chunk : next_chunk + 1;
   if (first_resident >= plan.jobs.size()) return false;
   std::size_t max_attach = models_[r.model].llm.layers;
-  if (!rides_existing && shared_mode) {
+  if (!rides_existing) {
     // Residency-aware placement guards every budget-charging attach
     // (riders are never guarded: sharing resident bytes is free). A
     // denied model keeps re-fetching; an allowed one under budget
@@ -662,16 +647,15 @@ bool ServingEngine::maybe_pin_weights(std::size_t index,
         // Only idle pins are evictable; live riders are never torn down.
         if (victim < models_.size() && victim != r.model &&
             ctx.models[victim].idle_resident) {
-          residency_->evict_idle(static_cast<PinKey>(victim));
+          residency_->evict_idle(victim);
         }
       }
     }
   }
   const auto attach = residency_->attach_layers(
-      key, layer_weight_bytes_[r.model], max_attach);
+      r.model, layer_weight_bytes_[r.model], max_attach);
   if (attach.layers == 0) return false;  // budget contended: keep re-fetching
   plan.pin_attached = true;
-  plan.pin_key = key;
   plan.pin_owner = !attach.shared;
   if (plan.pin_owner) plan.fill_chunk = next_chunk;
   plan.resident_layers = attach.layers;
@@ -698,19 +682,19 @@ void ServingEngine::drop_plan(std::size_t index) {
   const auto it = plans_.find(index);
   if (it == plans_.end()) return;
   if (it->second.pin_attached) {
+    const std::size_t model = records_[index].request.model;
     bool keep_resident = false;
-    if (engine_config_.share_weight_pins() &&
-        residency_->refcount(it->second.pin_key) == 1) {
+    if (residency_->refcount(model) == 1) {
       // Last rider detaching: the placement policy decides whether the
       // model's bytes stay on chip as an idle (warm) pin — free rides
       // for its next request — or leave now. Out-of-favor idle pins are
       // reclaimed later by evict_victims when a hotter model needs the
-      // room. Per-request keys are never reused, so nothing to retain.
+      // room.
       refresh_decayed_demand();
-      keep_resident = engine_config_.placement().retain_idle(
-          records_[index].request.model, placement_context());
+      keep_resident =
+          engine_config_.placement().retain_idle(model, placement_context());
     }
-    residency_->detach(it->second.pin_key, keep_resident);
+    residency_->detach(model, keep_resident);
   }
   plans_.erase(it);
 }
@@ -886,64 +870,41 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
     }
   }
   // Fill barrier: a rider chunk dispatched before the pin owner's fill
-  // fetch retired would skip DMA for bytes that are not on chip yet.
-  // With the barrier on it re-fetches the not-yet-landed groups instead
-  // (this chunk only — the rider's later chunks ride normally once the
-  // fill lands). Pin owners are exempt by construction: their chunks
-  // after the fill chunk are ordered behind it on the same request.
-  if (engine_config_.rider_fill_barrier() && residency_ &&
-      plan.pin_attached && !plan.pin_owner &&
+  // fetch retired would skip DMA for bytes that are not on chip yet, so
+  // it re-fetches the WHOLE pin instead (this chunk only — the rider's
+  // later chunks ride normally once the fill lands). Pin owners are
+  // exempt by construction: their chunks after the fill chunk are
+  // ordered behind it on the same request.
+  if (plan.pin_attached && !plan.pin_owner &&
       chunk >= plan.first_resident_chunk &&
-      !residency_->filled(plan.pin_key)) {
-    // Pin-granular barrier: the rider re-fetches the WHOLE pin until the
-    // owner's fill retires (resident cap 0). Per-group landing caps the
-    // re-fetch at the groups whose fill has not landed yet — and the
-    // rider's own re-fetch lands them when this chunk retires, so later
-    // rider chunks (of any request) stop re-fetching without waiting for
-    // the owner. Under the serial-FIFO CC lane the cap never bites (the
-    // owner's fill is enqueued before any rider can attach, so it
-    // retires — marking the pin filled — before any re-fetch retires);
-    // it is a correctness bound for schedulers that can retire a rider's
-    // re-fetch inside the fill window.
-    const std::size_t landed = engine_config_.per_group_fill_landing()
-                                   ? residency_->landed_layers(plan.pin_key)
-                                   : 0;
-    const auto resident_weight_bytes = [this](const std::vector<GemmWork>& ops) {
-      Bytes total = 0;
-      for (const GemmWork& op : ops) {
-        if (op.weights_resident && op.weight_elem_bytes_override == 0) {
-          total += static_cast<Bytes>(op.k) * op.n * config_.cc_elem_bytes;
-        }
+      !residency_->filled(records_[index].request.model)) {
+    // The re-fetch is exactly the pinned weight bytes this chunk skips.
+    Bytes refetch = 0;
+    for (const GemmWork& op : plan.jobs[chunk]) {
+      if (op.weights_resident && op.weight_elem_bytes_override == 0) {
+        refetch += static_cast<Bytes>(op.k) * op.n * config_.cc_elem_bytes;
       }
-      return total;
-    };
-    const Bytes pinned_resident = resident_weight_bytes(plan.jobs[chunk]);
-    if (pinned_resident > 0 && landed < plan.resident_layers) {
+    }
+    if (refetch > 0) {
+      rider_refetch_bytes_ += refetch;
       std::vector<GemmWork> ops =
           build_chunk_ops(records_[index].request, plan, chunk,
-                          /*resident_cap=*/landed, plan.built_keep);
-      const Bytes refetch = pinned_resident - resident_weight_bytes(ops);
-      if (refetch > 0) {
-        rider_refetch_bytes_ += refetch;
-        const Bytes bytes = cc_job_bytes(ops);
-        const Bytes full =
-            plan.built_keep < 1.0
-                ? cc_job_bytes(build_chunk_ops(records_[index].request, plan,
-                                               chunk, landed, 1.0))
-                : bytes;
-        cc_pending_bytes_ += static_cast<double>(bytes - plan.job_bytes[chunk]);
-        cc_pending_full_bytes_ += static_cast<double>(full) -
-                                  static_cast<double>(plan.job_full_bytes[chunk]);
-        plan.total_bytes += bytes - plan.job_bytes[chunk];
-        plan.total_full_bytes -= plan.job_full_bytes[chunk];
-        plan.total_full_bytes += full;
-        plan.job_full_bytes[chunk] = full;
-        plan.jobs[chunk] = std::move(ops);
-        plan.job_bytes[chunk] = bytes;
-        if (engine_config_.per_group_fill_landing()) {
-          plan.lands_to = plan.resident_layers;
-        }
-      }
+                          /*ride_pin=*/false, plan.built_keep);
+      const Bytes bytes = cc_job_bytes(ops);
+      const Bytes full =
+          plan.built_keep < 1.0
+              ? cc_job_bytes(build_chunk_ops(records_[index].request, plan,
+                                             chunk, /*ride_pin=*/false, 1.0))
+              : bytes;
+      cc_pending_bytes_ += static_cast<double>(bytes - plan.job_bytes[chunk]);
+      cc_pending_full_bytes_ += static_cast<double>(full) -
+                                static_cast<double>(plan.job_full_bytes[chunk]);
+      plan.total_bytes += bytes - plan.job_bytes[chunk];
+      plan.total_full_bytes -= plan.job_full_bytes[chunk];
+      plan.total_full_bytes += full;
+      plan.job_full_bytes[chunk] = full;
+      plan.jobs[chunk] = std::move(ops);
+      plan.job_bytes[chunk] = bytes;
     }
   }
   if (to_fat) {
@@ -1021,13 +982,7 @@ void ServingEngine::on_chunk_done(std::size_t index) {
   // The owner's fill fetch just retired: the pinned bytes are genuinely
   // on chip now, so riders stop re-fetching (fill barrier lifts).
   if (plan.pin_attached && plan.pin_owner && chunk == plan.fill_chunk) {
-    residency_->mark_filled(plan.pin_key);
-  }
-  // Per-group landing: a rider's barrier re-fetch just retired, so the
-  // groups it streamed are genuinely on chip — land them for everyone.
-  if (plan.pin_attached && plan.lands_to > 0) {
-    residency_->mark_landed(plan.pin_key, plan.lands_to);
-    plan.lands_to = 0;
+    residency_->mark_filled(records_[index].request.model);
   }
   // Fold the measured chunk throughput into the estimator of whichever
   // backend ran it — each EWMA divides its OWN cost model's bytes by the

@@ -84,9 +84,8 @@ struct ServingResult {
   Bytes cc_weight_bytes_saved = 0;
   std::size_t weight_pins = 0;           ///< budget-charging pin acquisitions
   std::size_t weight_pin_fallbacks = 0;  ///< failed acquisitions (re-fetch)
-  /// Attaches that rode another request's pin of the same model instead
-  /// of charging the budget again (share_weight_pins; 0 in per-request
-  /// mode, where every attach is a fresh pin).
+  /// Attaches that rode another request's live pin of the same model
+  /// instead of charging the budget again.
   std::size_t weight_shared_attaches = 0;
   Bytes peak_pinned_bytes = 0;           ///< residency high-water mark
   // --- Residency-aware model placement + fill barrier ----------------------
@@ -103,8 +102,8 @@ struct ServingResult {
   /// denied; retries of the same request are not re-counted).
   std::size_t placement_denials = 0;
   /// Weight bytes riders re-fetched because they dispatched before the
-  /// pin owner's fill chunk retired (rider_fill_barrier; bounds the PR 4
-  /// fill-timing optimism — 0 with the barrier off).
+  /// pin owner's fill chunk retired (the fill barrier; a subset of
+  /// cc_weight_fetch_bytes).
   Bytes rider_refetch_bytes = 0;
   // --- Paged KV cache (paged_kv; all zero in whole-footprint mode) --------
   std::size_t kv_pages_allocated = 0;  ///< cumulative page allocations
@@ -167,6 +166,10 @@ struct ServingResult {
   /// Exactly 1.0 when nothing is pruned.
   double accuracy_proxy_mean = 1.0;
   double accuracy_proxy_min = 1.0;
+
+  /// Exact, including the floating-point metrics: identical replays
+  /// produce identical bits.
+  bool operator==(const ServingResult&) const = default;
 };
 
 /// Drives the heterogeneous chip through a request trace.
@@ -185,11 +188,6 @@ class ServingEngine {
   /// EngineConfig composition.
   ServingEngine(const core::ChipConfig& config,
                 std::vector<model::MllmConfig> models, EngineConfig engine_config);
-
-  /// PR-1 shim; prefer the EngineConfig constructor.
-  [[deprecated("compose an EngineConfig instead of ServingOptions")]]
-  ServingEngine(const core::ChipConfig& config,
-                std::vector<model::MllmConfig> models, ServingOptions options);
 
   /// Fires inside the simulation whenever a request retires.
   void set_completion_callback(CompletionCallback callback);
@@ -271,10 +269,9 @@ class ServingEngine {
     Cycle chunk_started = 0;
     std::size_t resident_layers = 0;      ///< layer groups pinned (0 = none)
     std::size_t first_resident_chunk = 0; ///< chunks >= this ride the pin
-    /// This request holds one refcount on pin_key's pin and MUST detach
-    /// exactly once when its plan is dropped (see drop_plan).
+    /// This request holds one refcount on its model's pin and MUST
+    /// detach exactly once when its plan is dropped (see drop_plan).
     bool pin_attached = false;
-    PinKey pin_key = 0;
     /// This request's fresh attach created the pin: its fill_chunk fetch
     /// is what lands the bytes on chip (mark_filled at its retirement).
     /// Riders of the pin re-fetch until then under the fill barrier.
@@ -283,10 +280,6 @@ class ServingEngine {
     /// Already counted toward placement_denials: a request re-asks at
     /// every chunk, but each denied REQUEST is counted once.
     bool placement_denied = false;
-    /// Per-group fill landing: when this request's in-flight chunk
-    /// re-fetched the pin's not-yet-landed groups, its retirement lands
-    /// them (mark_landed up to this group count; 0 = nothing to land).
-    std::size_t lands_to = 0;
     // --- Heterogeneous offload -------------------------------------------
     std::size_t offloaded_chunks = 0;  ///< chunks the fat backend ran
     std::size_t offload_tokens = 0;    ///< their prefill tokens (KV to ship)
@@ -296,11 +289,6 @@ class ServingEngine {
     /// for offloaded starts: 0 = unjudged, 1 = local, 2 = fat.
     std::uint8_t chunk0_target = 0;
   };
-
-  /// build_chunk_ops resident_cap sentinel: no cap, ride the plan's full
-  /// pinned layer count.
-  static constexpr std::size_t kNoResidentCap =
-      static_cast<std::size_t>(-1);
 
   /// Per-request paged-KV state (parallel to records_; only used when
   /// pages_ is live). The allocator owns the page counts; this caches
@@ -338,17 +326,16 @@ class ServingEngine {
   AdmissionContext admission_context(std::size_t index);
   PrefillPlan& plan_for(std::size_t index);
   void drop_plan(std::size_t index);
-  /// Builds one chunk's op list. `resident_cap` limits how many of the
-  /// plan's pinned layer groups count as on-chip: kNoResidentCap rides
-  /// them all, 0 re-fetches everything (the pin-granular barrier
-  /// refetch), a landed-group count in between re-fetches only the
-  /// groups whose fill has not landed yet (per-group fill landing).
-  /// `ffn_keep` < 1 emits the quality seam's pre-pruned FFN shapes for
-  /// the unpinned layers (the plan's resident_layers always keep full
-  /// shapes, so pin and barrier byte math stays exact).
-  std::vector<core::GemmWork> build_chunk_ops(
-      const Request& r, const PrefillPlan& plan, std::size_t chunk,
-      std::size_t resident_cap = kNoResidentCap, double ffn_keep = 1.0) const;
+  /// Builds one chunk's op list. `ride_pin` = false re-fetches the
+  /// plan's pinned layer groups too (the fill-barrier refetch of a rider
+  /// dispatched before the pin's fill landed). `ffn_keep` < 1 emits the
+  /// quality seam's pre-pruned FFN shapes for the unpinned layers (the
+  /// plan's resident_layers always keep full shapes, so pin and barrier
+  /// byte math stays exact).
+  std::vector<core::GemmWork> build_chunk_ops(const Request& r,
+                                              const PrefillPlan& plan,
+                                              std::size_t chunk, bool ride_pin,
+                                              double ffn_keep) const;
   /// The ffn_keep prefill chunks of `index` stream at: its served
   /// fraction when degraded (below the static per-model fraction), else
   /// 1.0 — the static engine never pruned prefill, only decode.
@@ -439,8 +426,8 @@ class ServingEngine {
   /// Time-decayed per-model demand EWMA feeding
   /// ModelDemand::demand_decayed: relaxes toward the live
   /// queued + inflight count with e^(-dt / tau) between refreshes
-  /// (tau = EngineConfig::demand_decay_tau_s x the chip clock). Always
-  /// maintained — placement policies opt in to reading it.
+  /// (tau = kDemandDecayTauS x the chip clock). Always maintained —
+  /// placement policies opt in to reading it.
   std::vector<double> demand_decayed_;
   Cycle demand_decayed_at_ = 0;  ///< sim time of the last EWMA refresh
   std::size_t placement_denials_ = 0;

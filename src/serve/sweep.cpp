@@ -116,91 +116,15 @@ std::vector<SweepOutcome> run_sweep(const std::vector<SweepCase>& cases,
 }
 
 bool results_identical(const ServingResult& a, const ServingResult& b) {
-  return a.completed == b.completed && a.rejected == b.rejected &&
-         a.makespan == b.makespan && a.makespan_ms == b.makespan_ms &&
-         a.p50_latency_ms == b.p50_latency_ms &&
-         a.p95_latency_ms == b.p95_latency_ms &&
-         a.p99_latency_ms == b.p99_latency_ms &&
-         a.mean_latency_ms == b.mean_latency_ms &&
-         a.tokens_per_second == b.tokens_per_second &&
-         a.dram_utilization == b.dram_utilization &&
-         a.mean_decode_batch == b.mean_decode_batch &&
-         a.decode_steps == b.decode_steps &&
-         a.peak_queue_depth == b.peak_queue_depth &&
-         a.rebalances == b.rebalances && a.with_deadline == b.with_deadline &&
-         a.slo_attained == b.slo_attained &&
-         a.slo_attainment == b.slo_attainment &&
-         a.prefill_jobs == b.prefill_jobs &&
-         a.max_cc_queue_delay_ms == b.max_cc_queue_delay_ms &&
-         a.kv_deferrals == b.kv_deferrals &&
-         a.cc_weight_fetch_bytes == b.cc_weight_fetch_bytes &&
-         a.cc_weight_bytes_saved == b.cc_weight_bytes_saved &&
-         a.weight_pins == b.weight_pins &&
-         a.weight_pin_fallbacks == b.weight_pin_fallbacks &&
-         a.weight_shared_attaches == b.weight_shared_attaches &&
-         a.peak_pinned_bytes == b.peak_pinned_bytes &&
-         a.weight_warm_attaches == b.weight_warm_attaches &&
-         a.placement_evictions == b.placement_evictions &&
-         a.placement_denials == b.placement_denials &&
-         a.rider_refetch_bytes == b.rider_refetch_bytes &&
-         a.kv_pages_allocated == b.kv_pages_allocated &&
-         a.kv_pages_freed == b.kv_pages_freed &&
-         a.kv_shared_attaches == b.kv_shared_attaches &&
-         a.kv_shared_pages_saved == b.kv_shared_pages_saved &&
-         a.kv_cow_forks == b.kv_cow_forks &&
-         a.kv_pages_swapped_out == b.kv_pages_swapped_out &&
-         a.kv_pages_swapped_in == b.kv_pages_swapped_in &&
-         a.kv_swap_refetch_bytes == b.kv_swap_refetch_bytes &&
-         a.kv_swap_preemptions == b.kv_swap_preemptions &&
-         a.peak_kv_reserved_bytes == b.peak_kv_reserved_bytes &&
-         a.peak_decode_batch == b.peak_decode_batch &&
-         a.offloaded_requests == b.offloaded_requests &&
-         a.offloaded_chunks == b.offloaded_chunks &&
-         a.fat_bytes_moved == b.fat_bytes_moved &&
-         a.fat_kernel_launches == b.fat_kernel_launches &&
-         a.fat_busy_fraction == b.fat_busy_fraction &&
-         a.kv_return_transfers == b.kv_return_transfers &&
-         a.kv_return_bytes_sent == b.kv_return_bytes_sent &&
-         a.kv_return_bytes_landed == b.kv_return_bytes_landed &&
-         a.kv_return_bytes_in_flight == b.kv_return_bytes_in_flight &&
-         a.kv_return_max_queue_ms == b.kv_return_max_queue_ms &&
-         a.kv_swap_dma_bytes == b.kv_swap_dma_bytes &&
-         a.quality_downgrades == b.quality_downgrades &&
-         a.quality_restores == b.quality_restores &&
-         a.tokens_at_degraded_quality == b.tokens_at_degraded_quality &&
-         a.accuracy_proxy_mean == b.accuracy_proxy_mean &&
-         a.accuracy_proxy_min == b.accuracy_proxy_min;
+  return a == b;
 }
 
 bool record_identical(const RequestRecord& a, const RequestRecord& b) {
-  return a.request.id == b.request.id && a.request.arrival == b.request.arrival &&
-         a.request.model == b.request.model &&
-         a.request.input_tokens == b.request.input_tokens &&
-         a.request.output_tokens == b.request.output_tokens &&
-         a.request.crops == b.request.crops &&
-         a.request.prefix_id == b.request.prefix_id &&
-         a.request.prefix_tokens == b.request.prefix_tokens &&
-         a.request.deadline == b.request.deadline &&
-         a.admitted == b.admitted && a.prefill_start == b.prefill_start &&
-         a.prefill_end == b.prefill_end && a.first_token == b.first_token &&
-         a.finish == b.finish && a.tokens_generated == b.tokens_generated &&
-         a.prefill_chunks == b.prefill_chunks &&
-         a.offloaded_chunks == b.offloaded_chunks &&
-         a.weight_pinned_layers == b.weight_pinned_layers &&
-         a.prune_keep_fraction == b.prune_keep_fraction &&
-         a.keep_fraction_served == b.keep_fraction_served &&
-         a.done == b.done && a.rejected == b.rejected;
+  return a == b;
 }
 
 bool outcomes_identical(const SweepOutcome& a, const SweepOutcome& b) {
-  if (a.label != b.label || !results_identical(a.result, b.result) ||
-      a.records.size() != b.records.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    if (!record_identical(a.records[i], b.records[i])) return false;
-  }
-  return true;
+  return a.label == b.label && a.result == b.result && a.records == b.records;
 }
 
 }  // namespace edgemm::serve

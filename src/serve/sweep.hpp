@@ -59,12 +59,10 @@ struct SweepOutcome {
 std::vector<SweepOutcome> run_sweep(const std::vector<SweepCase>& cases,
                                     const SweepOptions& options = {});
 
-/// Field-by-field equality of two replay results (exact, including the
-/// floating-point metrics: identical replays produce identical bits).
+/// Exact equality of two replay results (ServingResult::operator==).
 bool results_identical(const ServingResult& a, const ServingResult& b);
 
-/// Field-by-field equality of two request records (request identity,
-/// every replay timestamp, and the terminal flags — exact).
+/// Exact equality of two request records (RequestRecord::operator==).
 bool record_identical(const RequestRecord& a, const RequestRecord& b);
 
 /// Outcome equality: label, result and every request record — everything

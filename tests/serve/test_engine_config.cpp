@@ -21,12 +21,8 @@ TEST(EngineConfig, DefaultsReproducePr1Composition) {
   EXPECT_EQ(config.kv_capacity(), 0u);  // accounting off
   EXPECT_EQ(config.weight_residency(), 0u);  // residency off
   EXPECT_FALSE(config.task_proxy_pruning().has_value());
-  // PR 5 residency-placement defaults: the placement-oblivious baseline
-  // with HONEST fill timing (the barrier defaults on — only the bench
-  // baselines switch it off to reproduce the PR 4 optimistic numbers).
+  // Residency-placement default: the placement-oblivious baseline.
   EXPECT_STREQ(config.placement().name(), "keep-current");
-  EXPECT_TRUE(config.rider_fill_barrier());
-  EXPECT_TRUE(config.share_weight_pins());
   // PR 6 defaults: detailed tier, arrival-ordered queue, unbounded chains
   // — all three knobs off keeps the engine byte-identical to PR 5.
   EXPECT_EQ(config.replay_mode(), core::ReplayMode::kDetailed);
@@ -50,11 +46,9 @@ TEST(EngineConfig, PlacementAndBarrierKnobsCompose) {
       EngineConfig()
           .prefill_planner(std::make_shared<ResidentChunkedPrefill>(64))
           .weight_residency_bytes(1 << 24)
-          .placement_policy(std::make_shared<DemandWeightedPlacement>())
-          .rider_fill_barrier(false);
+          .placement_policy(std::make_shared<DemandWeightedPlacement>());
   EXPECT_NO_THROW(config.validate());
   EXPECT_STREQ(config.placement().name(), "demand-weighted");
-  EXPECT_FALSE(config.rider_fill_barrier());
   EXPECT_STREQ(EvictIdleOnPressure{}.name(), "evict-idle");
 }
 
@@ -93,7 +87,6 @@ TEST(EngineConfig, BuilderComposesPolicies) {
           .batch_policy(std::make_shared<ShortestRemainingFirst>())
           .manage_bandwidth(false)
           .prune_keep_fraction(0.5)
-          .rebalance_interval(1234)
           .kv_capacity_bytes(1 << 20);
   EXPECT_NO_THROW(config.validate());
   EXPECT_STREQ(config.scheduler().name(), "slo-aware");
@@ -101,7 +94,6 @@ TEST(EngineConfig, BuilderComposesPolicies) {
   EXPECT_STREQ(config.batch_policy().name(), "shortest-remaining-first");
   EXPECT_FALSE(config.manage_bandwidth());
   EXPECT_DOUBLE_EQ(config.prune_keep_fraction(), 0.5);
-  EXPECT_EQ(config.rebalance_interval(), 1234u);
   EXPECT_EQ(config.kv_capacity(), Bytes{1 << 20});
 }
 
@@ -155,25 +147,6 @@ TEST(EngineConfig, PagedKvSettersValidateEagerly) {
   // The same budget is fine in legacy mode or with a smaller page.
   EXPECT_NO_THROW(tiny.paged_kv(false).validate());
   EXPECT_NO_THROW(tiny.paged_kv(true).kv_page_bytes(1024).validate());
-}
-
-TEST(EngineConfig, FromLegacyMapsEveryServingOption) {
-  ServingOptions options;
-  options.admission = AdmissionLimits{2, 4};
-  options.manage_bandwidth = false;
-  options.policy.max_mc_ratio = 5;
-  options.prune_keep_fraction = 0.7;
-  options.rebalance_interval = 999;
-  const EngineConfig config = EngineConfig::from_legacy(options);
-  EXPECT_STREQ(config.scheduler().name(), "concurrency");
-  EXPECT_STREQ(config.prefill_planner().name(), "monolithic");
-  EXPECT_STREQ(config.batch_policy().name(), "fifo");
-  EXPECT_FALSE(config.manage_bandwidth());
-  EXPECT_EQ(config.bandwidth_policy().max_mc_ratio, 5u);
-  EXPECT_DOUBLE_EQ(config.prune_keep_fraction(), 0.7);
-  EXPECT_EQ(config.rebalance_interval(), 999u);
-  // The legacy limits survive through the scheduler seam.
-  EXPECT_EQ(config.scheduler().decode_join_count(0, 10), 2u);
 }
 
 TEST(DeriveKeepFraction, IsDeterministicAndBounded) {

@@ -5,9 +5,10 @@
 // PlacementPolicy implementations judged against hand-built
 // PlacementContexts. Engine level: the fill-barrier edges (rider
 // attaching before / across / after the owner's fill chunk retires,
-// owner exemption, per-request-mode exemption, fallback-not-stall
-// composition), keep-current byte-identity with the placement-oblivious
-// default, keep-warm reuse across request gaps, and pressure eviction.
+// owner exemption, fallback-not-stall composition), each checked against
+// the no-residency ChunkedPrefill replay of the same trace, keep-current
+// byte-identity with the placement-oblivious default, keep-warm reuse
+// across request gaps, and pressure eviction.
 #include <algorithm>
 #include <memory>
 #include <vector>
@@ -58,6 +59,27 @@ EngineConfig fast_config(std::shared_ptr<const PrefillPlanner> planner) {
 
 Bytes full_weight_set(const model::MllmConfig& m, const core::ChipConfig& cfg) {
   return llm_layer_group_bytes(m, cfg) * m.llm.layers;
+}
+
+EngineConfig resident_config(Bytes budget) {
+  return fast_config(std::make_shared<ResidentChunkedPrefill>(48))
+      .weight_residency_bytes(budget);
+}
+
+/// The no-residency reference: every chunk re-fetches every weight.
+ReplayOutcome chunked_replay(const core::ChipConfig& cfg,
+                             const std::vector<model::MllmConfig>& models,
+                             const std::vector<Request>& trace) {
+  return replay_trace(cfg, models,
+                      fast_config(std::make_shared<ChunkedPrefill>(48)), trace);
+}
+
+/// Residency and the fill barrier only move weight bytes between fetched
+/// and saved: their sum is exactly the chunked replay's fetch.
+void expect_weight_bytes_conserved(const ServingResult& resident,
+                                   const ServingResult& chunked) {
+  EXPECT_EQ(resident.cc_weight_fetch_bytes + resident.cc_weight_bytes_saved,
+            chunked.cc_weight_fetch_bytes);
 }
 
 ModelDemand demand(std::size_t queued, std::size_t inflight,
@@ -283,166 +305,100 @@ TEST(PlacementPolicies, DecayedDemandKeepsABurstyModelRanked) {
   EXPECT_EQ(decayed.target_set(ctx), (std::vector<std::size_t>{1}));
 }
 
-TEST(FillBarrierTracker, PerGroupLandingIsMonotoneClampedAndCompletesFill) {
-  WeightResidencyTracker tracker(1000);
-  ASSERT_EQ(tracker.attach_layers(5, 250, 4).layers, 4u);
-  EXPECT_EQ(tracker.landed_layers(5), 0u);
-  tracker.mark_landed(5, 2);
-  EXPECT_EQ(tracker.landed_layers(5), 2u);
-  EXPECT_FALSE(tracker.filled(5));
-  tracker.mark_landed(5, 1);  // monotone: landings never roll back
-  EXPECT_EQ(tracker.landed_layers(5), 2u);
-  tracker.mark_landed(5, 99);  // clamped to the pin's layer count
-  EXPECT_EQ(tracker.landed_layers(5), 4u);
-  EXPECT_TRUE(tracker.filled(5));  // every group landed == filled
-
-  // mark_filled is the pin-granular shortcut: all groups land at once.
-  ASSERT_EQ(tracker.attach_layers(6, 250, 4).layers, 0u);  // budget full
-  tracker.detach(5);
-  ASSERT_EQ(tracker.attach_layers(6, 250, 4).layers, 4u);
-  tracker.mark_filled(6);
-  EXPECT_EQ(tracker.landed_layers(6), 4u);
-
-  EXPECT_EQ(tracker.landed_layers(99), 0u);  // no pin: nothing landed
-  EXPECT_THROW(tracker.mark_landed(99, 1), std::logic_error);
-}
-
 // --- Engine: fill-barrier edges ---------------------------------------------
 
 TEST(FillBarrierEngine, RiderBeforeFillRefetchesExactlyTheUnlandedBytes) {
   const core::ChipConfig cfg = small_cfg();
   const model::MllmConfig m = tiny_model();
-  const Bytes budget = 2 * full_weight_set(m, cfg);
+  const Bytes set = full_weight_set(m, cfg);
   // Both requests admitted at cycle 0: the rider attaches before the
-  // owner's fill chunk (chunk 0) has retired, so under the barrier its
-  // early chunks stream the weights the optimistic model skipped.
+  // owner's fill chunk (chunk 0) has retired, so its chunk 0 re-fetches
+  // the whole pin. The serial CC lane retires the fill before the
+  // rider's chunk 0, so its later chunks ride.
   const std::vector<Request> trace = {req(0, 0, 4, 192), req(1, 0, 4, 192)};
-  auto config = [&](bool barrier) {
-    return fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-        .weight_residency_bytes(budget)
-        .rider_fill_barrier(barrier);
-  };
-  const auto off = replay_trace(cfg, {m}, config(false), trace);
-  const auto on = replay_trace(cfg, {m}, config(true), trace);
+  const auto on = replay_trace(cfg, {m}, resident_config(2 * set), trace);
+  const auto chunked = chunked_replay(cfg, {m}, trace);
 
-  EXPECT_EQ(off.result.rider_refetch_bytes, 0u);
-  EXPECT_GT(on.result.rider_refetch_bytes, 0u);
-  // Conservation: the barrier only MOVES bytes from "saved" to
-  // "fetched" — every re-fetched byte is accounted, none invented.
-  EXPECT_EQ(on.result.cc_weight_fetch_bytes,
-            off.result.cc_weight_fetch_bytes + on.result.rider_refetch_bytes);
-  EXPECT_EQ(off.result.cc_weight_bytes_saved,
-            on.result.cc_weight_bytes_saved + on.result.rider_refetch_bytes);
-  // The pin topology itself is unchanged: one owner, one rider.
+  EXPECT_EQ(on.result.rider_refetch_bytes, set);
+  // Owner rides chunks 1..3, rider rides chunks 1..3: 6 sets saved.
+  EXPECT_EQ(on.result.cc_weight_bytes_saved, 6u * set);
+  expect_weight_bytes_conserved(on.result, chunked.result);
+  // The pin topology: one owner, one rider.
   EXPECT_EQ(on.result.weight_pins, 1u);
   EXPECT_EQ(on.result.weight_shared_attaches, 1u);
 }
 
 TEST(FillBarrierEngine, RiderSweepAcrossTheFillBoundaryConservesBytes) {
   // Sweep the rider's arrival across the owner's whole prefill window:
-  // wherever the fill-chunk retirement falls, the barrier may only move
-  // bytes from saved to fetched (before/at/after the boundary alike),
-  // and the replay always drains.
+  // wherever the fill-chunk retirement falls, residency and the barrier
+  // may only move bytes between fetched and saved (before/at/after the
+  // boundary alike), and the replay always drains.
   const core::ChipConfig cfg = small_cfg();
   const model::MllmConfig m = tiny_model();
   const Bytes budget = 2 * full_weight_set(m, cfg);
-  const auto probe = replay_trace(
-      cfg, {m},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget),
-      {req(0, 0, 4, 192)});
+  const auto probe =
+      replay_trace(cfg, {m}, resident_config(budget), {req(0, 0, 4, 192)});
   const Cycle prefill_span =
       probe.records[0].prefill_end - probe.records[0].prefill_start;
   for (int i = 0; i <= 4; ++i) {
     const Cycle arrival = prefill_span * static_cast<Cycle>(i) / 4;
     const std::vector<Request> trace = {req(0, 0, 4, 192),
                                         req(1, arrival, 4, 192)};
-    auto config = [&](bool barrier) {
-      return fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .rider_fill_barrier(barrier);
-    };
-    const auto off = replay_trace(cfg, {m}, config(false), trace);
-    const auto on = replay_trace(cfg, {m}, config(true), trace);
+    const auto on = replay_trace(cfg, {m}, resident_config(budget), trace);
+    const auto chunked = chunked_replay(cfg, {m}, trace);
+    SCOPED_TRACE(testing::Message()
+                 << "arrival offset " << i << "/4 through the owner's prefill");
     EXPECT_EQ(on.result.completed, 2u);
-    EXPECT_EQ(on.result.cc_weight_fetch_bytes,
-              off.result.cc_weight_fetch_bytes + on.result.rider_refetch_bytes)
-        << "arrival offset " << i << "/4 through the owner's prefill";
-    EXPECT_EQ(off.result.cc_weight_bytes_saved,
-              on.result.cc_weight_bytes_saved + on.result.rider_refetch_bytes);
+    expect_weight_bytes_conserved(on.result, chunked.result);
+    EXPECT_LE(on.result.rider_refetch_bytes, on.result.cc_weight_fetch_bytes);
   }
 }
 
 TEST(FillBarrierEngine, RiderAfterFillLandedRidesBarrierFree) {
   // The rider arrives 2 cycles before the owner's LAST chunk retires:
-  // the fill (chunk 0) landed long ago, so barrier-on replays the
-  // barrier-off records bit-for-bit and no re-fetch is ledgered.
+  // the fill (chunk 0) landed long ago, so no re-fetch is ledgered and
+  // the rider rides every one of its chunks.
   const core::ChipConfig cfg = small_cfg();
   const model::MllmConfig m = tiny_model();
-  const Bytes budget = 2 * full_weight_set(m, cfg);
-  const auto probe = replay_trace(
-      cfg, {m},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget),
-      {req(0, 0, 4, 192)});
+  const Bytes set = full_weight_set(m, cfg);
+  const auto probe =
+      replay_trace(cfg, {m}, resident_config(2 * set), {req(0, 0, 4, 192)});
   const Cycle late = probe.records[0].prefill_end - 2;
   const std::vector<Request> trace = {req(0, 0, 4, 192), req(1, late, 4, 192)};
-  auto config = [&](bool barrier) {
-    return fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-        .weight_residency_bytes(budget)
-        .rider_fill_barrier(barrier);
-  };
-  const auto off = replay_trace(cfg, {m}, config(false), trace);
-  const auto on = replay_trace(cfg, {m}, config(true), trace);
+  const auto on = replay_trace(cfg, {m}, resident_config(2 * set), trace);
+  const auto chunked = chunked_replay(cfg, {m}, trace);
 
   EXPECT_EQ(on.result.weight_shared_attaches, 1u);  // it really did ride
   EXPECT_EQ(on.result.rider_refetch_bytes, 0u);
-  ASSERT_EQ(on.records.size(), off.records.size());
-  for (std::size_t i = 0; i < on.records.size(); ++i) {
-    EXPECT_EQ(on.records[i].finish, off.records[i].finish);
-    EXPECT_EQ(on.records[i].prefill_end, off.records[i].prefill_end);
-  }
-  EXPECT_EQ(on.result.cc_weight_fetch_bytes, off.result.cc_weight_fetch_bytes);
+  // Owner rides chunks 1..3, rider all 4 chunks.
+  EXPECT_EQ(on.result.cc_weight_bytes_saved, 7u * set);
+  expect_weight_bytes_conserved(on.result, chunked.result);
 }
 
 TEST(FillBarrierEngine, OwnersAndPerRequestPinsAreExempt) {
-  // A pin owner's chunks are ordered behind its own fill chunk, and
-  // per-request keys never have riders: in both compositions barrier on
-  // and off must replay bit-for-bit.
+  // A pin owner's chunks are ordered behind its own fill chunk, so a
+  // request that owns its pin never re-fetches — whether it is the only
+  // request or shares the chip with another model's pin owner.
   const core::ChipConfig cfg = small_cfg();
-  const model::MllmConfig m = tiny_model();
-  const Bytes budget = 2 * full_weight_set(m, cfg);
-  const std::vector<Request> trace = {req(0, 0, 4, 192), req(1, 0, 4, 144)};
-  // Per-request pins: keys are unique, every attach is an owner.
-  auto per_request = [&](bool barrier) {
-    return fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-        .weight_residency_bytes(budget)
-        .share_weight_pins(false)
-        .rider_fill_barrier(barrier);
-  };
-  const auto pr_off = replay_trace(cfg, {m}, per_request(false), trace);
-  const auto pr_on = replay_trace(cfg, {m}, per_request(true), trace);
-  EXPECT_EQ(pr_on.result.rider_refetch_bytes, 0u);
-  EXPECT_EQ(pr_on.result.cc_weight_fetch_bytes,
-            pr_off.result.cc_weight_fetch_bytes);
-  for (std::size_t i = 0; i < pr_on.records.size(); ++i) {
-    EXPECT_EQ(pr_on.records[i].finish, pr_off.records[i].finish);
-  }
-  // Single-request shared mode: the owner is the only attach.
-  const auto off = replay_trace(
-      cfg, {m},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .rider_fill_barrier(false),
-      {req(0, 0, 4, 192)});
-  const auto on = replay_trace(
-      cfg, {m},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .rider_fill_barrier(true),
-      {req(0, 0, 4, 192)});
-  EXPECT_EQ(on.result.rider_refetch_bytes, 0u);
-  EXPECT_EQ(on.records[0].finish, off.records[0].finish);
+  const model::MllmConfig a = tiny_model();
+  const model::MllmConfig b = tiny_model("tiny-mllm-b");
+  const Bytes set = full_weight_set(a, cfg);
+  // One pin per model, both fit: every attach is an owner.
+  const std::vector<Request> trace = {req(0, 0, 4, 192, 0),
+                                      req(1, 0, 4, 144, 1)};
+  const auto owners = replay_trace(cfg, {a, b}, resident_config(2 * set), trace);
+  const auto owners_chunked = chunked_replay(cfg, {a, b}, trace);
+  EXPECT_EQ(owners.result.weight_pins, 2u);
+  EXPECT_EQ(owners.result.weight_shared_attaches, 0u);
+  EXPECT_EQ(owners.result.rider_refetch_bytes, 0u);
+  expect_weight_bytes_conserved(owners.result, owners_chunked.result);
+  // Single request: the owner is the only attach and rides chunks 1..3.
+  const std::vector<Request> single = {req(0, 0, 4, 192)};
+  const auto alone = replay_trace(cfg, {a}, resident_config(2 * set), single);
+  EXPECT_EQ(alone.result.rider_refetch_bytes, 0u);
+  EXPECT_EQ(alone.result.cc_weight_bytes_saved, 3u * set);
+  expect_weight_bytes_conserved(alone.result,
+                                chunked_replay(cfg, {a}, single).result);
 }
 
 TEST(FillBarrierEngine, FallbackNotStallSurvivesTheBarrier) {
@@ -455,12 +411,8 @@ TEST(FillBarrierEngine, FallbackNotStallSurvivesTheBarrier) {
   const Bytes budget = full_weight_set(a, cfg);
   const std::vector<Request> trace = {req(0, 0, 4, 192, 0),
                                       req(1, 0, 4, 192, 1)};
-  const auto outcome = replay_trace(
-      cfg, {a, b},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .rider_fill_barrier(true),
-      trace);
+  const auto outcome =
+      replay_trace(cfg, {a, b}, resident_config(budget), trace);
   EXPECT_EQ(outcome.result.completed, 2u);
   EXPECT_GE(outcome.result.weight_pin_fallbacks, 1u);
   EXPECT_EQ(outcome.result.rider_refetch_bytes, 0u);  // no riders at all
@@ -470,7 +422,7 @@ TEST(FillBarrierEngine, FallbackNotStallSurvivesTheBarrier) {
 // --- Engine: placement policies ---------------------------------------------
 
 TEST(PlacementEngine, KeepCurrentIsByteIdenticalToTheDefaultComposition) {
-  // Explicit KeepCurrentPlacement + barrier off IS the PR 4 engine: the
+  // Explicit KeepCurrentPlacement IS the placement-oblivious engine: the
   // same multi-rider shared-pin trace replays bit-for-bit against the
   // default-placement config, with every placement counter at zero.
   const core::ChipConfig cfg = small_cfg();
@@ -480,26 +432,15 @@ TEST(PlacementEngine, KeepCurrentIsByteIdenticalToTheDefaultComposition) {
                                       req(2, 50, 4, 144)};
   const auto expl = replay_trace(
       cfg, {m},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .placement_policy(std::make_shared<KeepCurrentPlacement>())
-          .rider_fill_barrier(false),
+      resident_config(budget).placement_policy(
+          std::make_shared<KeepCurrentPlacement>()),
       trace);
-  const auto dflt = replay_trace(
-      cfg, {m},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .rider_fill_barrier(false),
-      trace);
-  ASSERT_EQ(expl.records.size(), dflt.records.size());
-  for (std::size_t i = 0; i < expl.records.size(); ++i) {
-    EXPECT_EQ(expl.records[i].finish, dflt.records[i].finish);
-    EXPECT_EQ(expl.records[i].prefill_end, dflt.records[i].prefill_end);
-    EXPECT_EQ(expl.records[i].weight_pinned_layers,
-              dflt.records[i].weight_pinned_layers);
-  }
-  EXPECT_EQ(expl.result.cc_weight_fetch_bytes,
-            dflt.result.cc_weight_fetch_bytes);
+  const auto dflt = replay_trace(cfg, {m}, resident_config(budget), trace);
+  EXPECT_EQ(expl.result, dflt.result);
+  EXPECT_EQ(expl.records, dflt.records);
+  expect_weight_bytes_conserved(expl.result,
+                                chunked_replay(cfg, {m}, trace).result);
+  EXPECT_GT(expl.result.weight_shared_attaches, 0u);
   EXPECT_EQ(expl.result.weight_warm_attaches, 0u);
   EXPECT_EQ(expl.result.placement_denials, 0u);
   EXPECT_EQ(expl.result.placement_evictions, 0u);
@@ -605,60 +546,6 @@ TEST(PlacementEngine, EvictIdleReclaimsAWarmPinUnderPressure) {
   EXPECT_EQ(evict.result.completed, 2u);
 }
 
-TEST(FillBarrierEngine, PerGroupLandingIsBoundedByPinGranularAndConserves) {
-  // Per-group landing caps a rider's re-fetch at the groups whose fill
-  // has not landed yet, so it can never re-fetch MORE than pin-granular
-  // all-or-nothing. On the serial-FIFO CC lane the two coincide: the
-  // owner's fill is enqueued when the pin is created — before any rider
-  // can attach — so it retires (marking the pin filled) before any
-  // rider re-fetch can retire and land groups early. Per-group landing
-  // is therefore a tightening that only bites under schedulers that can
-  // retire a rider's re-fetch inside the fill window; here we pin down
-  // the bound, the conservation ledger, and outcome invariance across
-  // same-arrival and staggered shapes.
-  const core::ChipConfig cfg = small_cfg();
-  const model::MllmConfig m = tiny_model();
-  const Bytes budget = 2 * full_weight_set(m, cfg);
-  auto config = [&](bool barrier, bool per_group) {
-    return fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-        .weight_residency_bytes(budget)
-        .rider_fill_barrier(barrier)
-        .per_group_fill_landing(per_group);
-  };
-  for (const Cycle stagger : {Cycle{0}, Cycle{20000}, Cycle{200000}}) {
-    const std::vector<Request> trace = {req(0, 0, 4, 192),
-                                        req(1, stagger, 4, 192),
-                                        req(2, 2 * stagger, 4, 192)};
-    const auto off = replay_trace(cfg, {m}, config(false, false), trace);
-    const auto pin_granular =
-        replay_trace(cfg, {m}, config(true, false), trace);
-    const auto per_group = replay_trace(cfg, {m}, config(true, true), trace);
-
-    EXPECT_LE(per_group.result.rider_refetch_bytes,
-              pin_granular.result.rider_refetch_bytes)
-        << "stagger " << stagger;
-    // Conservation holds in both accounting modes: the barrier only
-    // moves bytes from "saved" to "fetched" against the barrier-off
-    // optimum.
-    for (const auto* r : {&pin_granular.result, &per_group.result}) {
-      EXPECT_EQ(r->cc_weight_fetch_bytes,
-                off.result.cc_weight_fetch_bytes + r->rider_refetch_bytes)
-          << "stagger " << stagger;
-      EXPECT_EQ(off.result.cc_weight_bytes_saved,
-                r->cc_weight_bytes_saved + r->rider_refetch_bytes)
-          << "stagger " << stagger;
-    }
-    // Landing granularity changes WHEN bytes may move, never the pin
-    // topology or the outcome.
-    EXPECT_EQ(per_group.result.weight_pins, pin_granular.result.weight_pins);
-    EXPECT_EQ(per_group.result.completed, pin_granular.result.completed);
-    if (stagger == 0) {
-      // Same-arrival riders genuinely hit the barrier.
-      EXPECT_GT(per_group.result.rider_refetch_bytes, 0u);
-    }
-  }
-}
-
 TEST(PlacementEngine, FractionalPlacementPinsThePartialSetInsteadOfDenying) {
   // Budget = ONE layer group of a 2-layer model: the whole-set policy
   // denies the pin outright; fractional placement pins the one group
@@ -690,7 +577,7 @@ TEST(PlacementEngine, FractionalPlacementPinsThePartialSetInsteadOfDenying) {
 
 TEST(PlacementEngine, DecayedDemandOptionsReplayTheTraceToCompletion) {
   // Smoke the full decayed-demand composition end to end: EWMA refresh
-  // at every seam, fractional grants, barrier on.
+  // at every seam, fractional grants, the fill barrier.
   const core::ChipConfig cfg = small_cfg();
   const model::MllmConfig a = tiny_model("model-a");
   const model::MllmConfig b = tiny_model("model-b");
@@ -700,9 +587,7 @@ TEST(PlacementEngine, DecayedDemandOptionsReplayTheTraceToCompletion) {
                                   llm_layer_group_bytes(b, cfg))
           .placement_policy(std::make_shared<DemandWeightedPlacement>(
               DemandWeightedOptions{.fractional_sets = true,
-                                    .decayed_demand = true}))
-          .rider_fill_barrier(true)
-          .demand_decay_tau_s(0.5);
+                                    .decayed_demand = true}));
   const auto out = replay_trace(
       cfg, {a, b}, config,
       {req(0, 0, 4, 192, 0), req(1, 0, 4, 192, 1), req(2, 400000, 4, 192, 0),

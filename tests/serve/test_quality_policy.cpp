@@ -575,8 +575,7 @@ TEST(QualityPolicy, SharedPinRiderNeverInheritsTheOwnersFraction) {
   auto shared_config = [] {
     return base_config()
         .prefill_planner(std::make_shared<ResidentChunkedPrefill>(128))
-        .weight_residency_bytes(Bytes{1} << 30)
-        .share_weight_pins(true);
+        .weight_residency_bytes(Bytes{1} << 30);
   };
   const auto plain =
       replay_trace(small_cfg(), {tiny_model()}, shared_config(), trace);

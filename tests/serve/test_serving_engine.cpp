@@ -164,9 +164,12 @@ TEST(ServingEngine, BandwidthManagementRebalancesUnderLoad) {
   trace_cfg.min_output_tokens = 8;
   trace_cfg.max_output_tokens = 24;
 
+  // The engine rebalances once per DMA throttle interval.
+  core::ChipConfig cfg = small_cfg();
+  cfg.dma.throttle_interval = 50'000;
   EngineConfig config = fast_config();
-  config.manage_bandwidth(true).rebalance_interval(50'000);
-  ServingEngine engine(small_cfg(), {tiny_model()}, std::move(config));
+  config.manage_bandwidth(true);
+  ServingEngine engine(cfg, {tiny_model()}, std::move(config));
   const auto result = engine.run(poisson_trace(trace_cfg));
   EXPECT_EQ(result.completed, 8u);
   EXPECT_GT(result.rebalances, 0u);
@@ -388,30 +391,6 @@ TEST(ServingEngine, PerModelEstimatorsIsolateLightModelFromHeavyCoTenant) {
   // light one (so the equality above is not vacuous).
   EXPECT_GT(mixed_estimates.at(h0.id), mixed_estimates.at(light.id));
 }
-
-// The deprecated ServingOptions shim must keep compiling and behave
-// exactly like EngineConfig::from_legacy.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ServingEngine, DeprecatedServingOptionsShimMatchesFromLegacy) {
-  ServingOptions options;
-  options.admission = AdmissionLimits{4, 8};
-  options.manage_bandwidth = false;
-  const std::vector<Request> trace = {req(0, 0, 6), req(1, 500, 4)};
-
-  ServingEngine legacy(small_cfg(), {tiny_model()}, options);
-  const auto via_shim = legacy.run(trace);
-  ServingEngine modern(small_cfg(), {tiny_model()},
-                       EngineConfig::from_legacy(options));
-  const auto via_config = modern.run(trace);
-
-  EXPECT_EQ(via_shim.makespan, via_config.makespan);
-  EXPECT_EQ(via_shim.decode_steps, via_config.decode_steps);
-  for (std::size_t i = 0; i < legacy.records().size(); ++i) {
-    EXPECT_EQ(legacy.records()[i].finish, modern.records()[i].finish);
-  }
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace edgemm::serve

@@ -1,12 +1,10 @@
 // Shared refcounted model-level weight pins: one pin per model charged
 // once against the residency budget, refcounted across that model's
-// in-flight requests — the PR 4 fix for PR 3's per-request duplicate
-// pinning. Covers the tracker's attach/detach ledger semantics, the
-// engine-level sharing seam (budget charged once, riders skip weight
-// DMA on every chunk, release on the LAST detach only), the
-// different-model fallback edge, the capacity-0 and
-// single-request-per-model determinism anchors, and the drained-engine
-// pin-leak regression.
+// in-flight requests. Covers the tracker's attach/detach ledger
+// semantics, the engine-level sharing seam (budget charged once, riders
+// skip weight DMA once the fill lands, release on the LAST detach only),
+// the different-model fallback edge, the capacity-0 determinism anchor,
+// and the drained-engine pin-leak regression.
 #include <algorithm>
 #include <memory>
 #include <vector>
@@ -137,14 +135,10 @@ TEST(SharedPinEngine, SameModelRequestsChargeBudgetOnce) {
   const std::vector<Request> trace = {req(0, 0, 4, 192), req(1, 100, 4, 192)};
   const auto chunked = replay_trace(
       cfg, {m}, fast_config(std::make_shared<ChunkedPrefill>(48)), trace);
-  // Fill barrier off: this test locks the PR 4 fill-timing-OPTIMISTIC
-  // accounting (the rider saves on every chunk from the instant it
-  // attaches); test_placement.cpp covers the barrier-on honest variant.
   const auto shared = replay_trace(
       cfg, {m},
       fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)  // share_weight_pins defaults on
-          .rider_fill_barrier(false),
+          .weight_residency_bytes(budget),
       trace);
 
   EXPECT_EQ(shared.result.completed, 2u);
@@ -158,44 +152,18 @@ TEST(SharedPinEngine, SameModelRequestsChargeBudgetOnce) {
     ASSERT_EQ(rec.prefill_chunks, 4u);
   }
   // Exact saved-bytes accounting: the owner fetches chunk 0 and rides
-  // chunks 1..3 (3 sets); the rider attaches to weights already on chip
-  // and rides ALL 4 chunks (4 sets) — including the chunks it runs after
-  // the owner's prefill retired, which proves the refcount held the
-  // bytes until the last detach.
-  EXPECT_EQ(shared.result.cc_weight_bytes_saved, 7u * set);
+  // chunks 1..3 (3 sets); the rider rides all 4 of its chunks (4 sets),
+  // minus the whole sets the fill barrier re-fetched for rider chunks
+  // dispatched before the owner's fill landed. Riding the chunks it runs
+  // after the owner's prefill retired proves the refcount held the bytes
+  // until the last detach.
+  EXPECT_EQ(shared.result.rider_refetch_bytes % set, 0u);
+  EXPECT_EQ(shared.result.cc_weight_bytes_saved +
+                shared.result.rider_refetch_bytes,
+            7u * set);
   EXPECT_EQ(chunked.result.cc_weight_fetch_bytes -
                 shared.result.cc_weight_fetch_bytes,
             shared.result.cc_weight_bytes_saved);
-}
-
-TEST(SharedPinEngine, SharingBeatsPerRequestPinsOnSameTrace) {
-  const core::ChipConfig cfg = small_cfg();
-  const model::MllmConfig m = tiny_model();
-  // Budget for ONE set, three overlapping same-model requests: per
-  // request, two of them keep falling back; shared, they all ride.
-  const Bytes budget = full_weight_set(m, cfg);
-  const std::vector<Request> trace = {req(0, 0, 4, 192), req(1, 0, 4, 192),
-                                      req(2, 50, 4, 144)};
-  const auto per_request = replay_trace(
-      cfg, {m},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .share_weight_pins(false),
-      trace);
-  const auto shared = replay_trace(
-      cfg, {m},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .share_weight_pins(true),
-      trace);
-
-  EXPECT_EQ(shared.result.completed, 3u);
-  EXPECT_LT(shared.result.cc_weight_fetch_bytes,
-            per_request.result.cc_weight_fetch_bytes);
-  EXPECT_LT(shared.result.weight_pin_fallbacks,
-            per_request.result.weight_pin_fallbacks);
-  EXPECT_GT(shared.result.weight_shared_attaches, 0u);
-  EXPECT_EQ(per_request.result.weight_shared_attaches, 0u);
 }
 
 TEST(SharedPinEngine, DifferentModelFallsBackWhenSharedBudgetIsFull) {
@@ -228,17 +196,15 @@ TEST(SharedPinEngine, DifferentModelFallsBackWhenSharedBudgetIsFull) {
 // --- Determinism anchors ----------------------------------------------------
 
 TEST(SharedPinEngine, CapacityZeroStillDegradesToChunkedByteForByte) {
-  // Sharing enabled but no budget: the planner must replay EXACTLY as
-  // ChunkedPrefill (the PR 3 anchor, restated with the knob explicit).
+  // A residency-capable planner with no budget must replay EXACTLY as
+  // ChunkedPrefill.
   const std::vector<Request> trace = {req(0, 0, 6, 144), req(1, 500, 5, 96)};
   const auto chunked = replay_trace(
       small_cfg(), {tiny_model()},
       fast_config(std::make_shared<ChunkedPrefill>(48)), trace);
   const auto shared = replay_trace(
       small_cfg(), {tiny_model()},
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .share_weight_pins(true),
-      trace);
+      fast_config(std::make_shared<ResidentChunkedPrefill>(48)), trace);
   ASSERT_EQ(shared.records.size(), chunked.records.size());
   for (std::size_t i = 0; i < chunked.records.size(); ++i) {
     EXPECT_EQ(shared.records[i].finish, chunked.records[i].finish);
@@ -247,47 +213,6 @@ TEST(SharedPinEngine, CapacityZeroStillDegradesToChunkedByteForByte) {
   }
   EXPECT_EQ(shared.result.cc_weight_fetch_bytes,
             chunked.result.cc_weight_fetch_bytes);
-  EXPECT_EQ(shared.result.weight_shared_attaches, 0u);
-}
-
-TEST(SharedPinEngine, SingleRequestPerModelReplaysIdenticalInBothModes) {
-  // With at most one in-flight request per model there is never a pin to
-  // share, so shared and per-request modes must replay bit-for-bit
-  // identically (the PR 3 compatibility contract of the default config).
-  const core::ChipConfig cfg = small_cfg();
-  const Bytes budget = 2 * full_weight_set(tiny_model(), cfg);
-  auto config = [&](bool share) {
-    return fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-        .weight_residency_bytes(budget)
-        .share_weight_pins(share);
-  };
-  // Probe replay: when does request 0 fully retire?
-  const auto probe =
-      replay_trace(cfg, {tiny_model()}, config(true), {req(0, 0, 4, 192)});
-  const Cycle after = probe.records[0].finish + 1000;
-  const std::vector<Request> trace = {req(0, 0, 4, 192),
-                                      req(1, after, 4, 192)};
-  const auto shared = replay_trace(cfg, {tiny_model()}, config(true), trace);
-  const auto per_request =
-      replay_trace(cfg, {tiny_model()}, config(false), trace);
-
-  ASSERT_EQ(shared.records.size(), per_request.records.size());
-  for (std::size_t i = 0; i < shared.records.size(); ++i) {
-    const RequestRecord& s = shared.records[i];
-    const RequestRecord& p = per_request.records[i];
-    EXPECT_EQ(s.admitted, p.admitted);
-    EXPECT_EQ(s.prefill_start, p.prefill_start);
-    EXPECT_EQ(s.prefill_end, p.prefill_end);
-    EXPECT_EQ(s.first_token, p.first_token);
-    EXPECT_EQ(s.finish, p.finish);
-    EXPECT_EQ(s.weight_pinned_layers, p.weight_pinned_layers);
-  }
-  EXPECT_EQ(shared.result.makespan, per_request.result.makespan);
-  EXPECT_EQ(shared.result.cc_weight_fetch_bytes,
-            per_request.result.cc_weight_fetch_bytes);
-  EXPECT_EQ(shared.result.cc_weight_bytes_saved,
-            per_request.result.cc_weight_bytes_saved);
-  EXPECT_EQ(shared.result.weight_pins, per_request.result.weight_pins);
   EXPECT_EQ(shared.result.weight_shared_attaches, 0u);
 }
 

@@ -1,7 +1,8 @@
 // Weight-resident chunk chaining: the WeightResidencyTracker ledger
 // edge cases and the engine-level seam — a zero budget degrades
 // byte-for-byte to ChunkedPrefill, a funded budget strictly cuts CC
-// weight traffic, contention falls back to re-fetch instead of stalling.
+// weight traffic, contention between models falls back to re-fetch
+// instead of stalling.
 #include <memory>
 #include <vector>
 
@@ -20,9 +21,9 @@ core::ChipConfig small_cfg() {
   return cfg;
 }
 
-model::MllmConfig tiny_model() {
+model::MllmConfig tiny_model(const char* name = "tiny-mllm") {
   model::MllmConfig m;
-  m.name = "tiny-mllm";
+  m.name = name;
   m.encoders = {{"enc", 2, 256, 512, 4, 4, 0, false}};
   m.vision_tokens = 16;
   m.projector_params = 0;
@@ -31,10 +32,11 @@ model::MllmConfig tiny_model() {
 }
 
 Request req(RequestId id, Cycle arrival, std::size_t output_tokens,
-            std::size_t input_tokens = 128) {
+            std::size_t input_tokens = 128, std::size_t model = 0) {
   Request r;
   r.id = id;
   r.arrival = arrival;
+  r.model = model;
   r.input_tokens = input_tokens;
   r.output_tokens = output_tokens;
   r.crops = 1;
@@ -177,20 +179,21 @@ TEST(ResidentChunkedPrefillEngine, CapacityZeroReproducesChunkedByteForByte) {
 }
 
 TEST(ResidentChunkedPrefillEngine, FundedBudgetStrictlyCutsWeightTraffic) {
-  // Per-request pins (share_weight_pins(false)): the PR 3 baseline this
-  // suite anchors — each request charges and rides its own pin. The
-  // shared-pin accounting lives in test_shared_pins.cpp.
+  // Two models, one request each: each request charges and rides its own
+  // model's pin, with no riders to share it. The shared-pin accounting
+  // lives in test_shared_pins.cpp.
   const core::ChipConfig cfg = small_cfg();
-  const std::vector<Request> trace = {req(0, 0, 4, 192), req(1, 100, 4, 192)};
+  const std::vector<model::MllmConfig> models = {tiny_model(),
+                                                 tiny_model("tiny-mllm-b")};
+  const std::vector<Request> trace = {req(0, 0, 4, 192, 0),
+                                      req(1, 100, 4, 192, 1)};
   const Bytes budget = 2 * full_weight_set(tiny_model(), cfg);
   const auto chunked = replay_trace(
-      cfg, {tiny_model()}, fast_config(std::make_shared<ChunkedPrefill>(48)),
-      trace);
+      cfg, models, fast_config(std::make_shared<ChunkedPrefill>(48)), trace);
   const auto resident = replay_trace(
-      cfg, {tiny_model()},
+      cfg, models,
       fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .share_weight_pins(false),
+          .weight_residency_bytes(budget),
       trace);
 
   EXPECT_LT(resident.result.cc_weight_fetch_bytes,
@@ -211,21 +214,22 @@ TEST(ResidentChunkedPrefillEngine, FundedBudgetStrictlyCutsWeightTraffic) {
   EXPECT_EQ(chunked.result.cc_weight_fetch_bytes -
                 resident.result.cc_weight_fetch_bytes,
             resident.result.cc_weight_bytes_saved);
+  EXPECT_EQ(resident.result.weight_shared_attaches, 0u);
 }
 
 TEST(ResidentChunkedPrefillEngine, ContentionFallsBackAndNeverStalls) {
   const core::ChipConfig cfg = small_cfg();
-  // Budget for ONE request's layer groups under PER-REQUEST pins; two
-  // requests prefill concurrently — the loser re-fetches every chunk but
-  // still completes. (With shared pins this exact contention vanishes:
-  // the second request rides the first's pin; see test_shared_pins.cpp.)
+  // Budget for ONE model's layer groups; requests of two models prefill
+  // concurrently — the loser re-fetches every chunk but still completes.
+  // (Same-model requests would not contend: the second rides the first's
+  // pin; see test_shared_pins.cpp.)
   const Bytes budget = full_weight_set(tiny_model(), cfg);
-  const std::vector<Request> trace = {req(0, 0, 4, 192), req(1, 0, 4, 192)};
+  const std::vector<Request> trace = {req(0, 0, 4, 192, 0),
+                                      req(1, 0, 4, 192, 1)};
   const auto outcome = replay_trace(
-      cfg, {tiny_model()},
+      cfg, {tiny_model(), tiny_model("tiny-mllm-b")},
       fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(budget)
-          .share_weight_pins(false),
+          .weight_residency_bytes(budget),
       trace);
 
   EXPECT_EQ(outcome.result.completed, 2u);
