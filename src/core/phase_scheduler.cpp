@@ -54,19 +54,12 @@ void PhaseScheduler::submit(Lane lane, OpsRef ops, std::function<void()> done,
   if (!s.busy) dispatch_next(s);
 }
 
-void PhaseScheduler::set_affinity_chaining(Lane lane, bool enabled,
-                                           std::size_t max_chain) {
-  LaneState& s = state(lane);
-  s.chain_affinity = enabled;
-  s.chain_limit = max_chain;
+void PhaseScheduler::set_affinity_chaining(Lane lane, bool enabled) {
+  state(lane).chain_affinity = enabled;
 }
 
 bool PhaseScheduler::affinity_chaining(Lane lane) const {
   return state(lane).chain_affinity;
-}
-
-std::size_t PhaseScheduler::max_affinity_chain(Lane lane) const {
-  return state(lane).chain_limit;
 }
 
 bool PhaseScheduler::idle(Lane lane) const {
@@ -99,8 +92,7 @@ void PhaseScheduler::dispatch_next(LaneState& lane) {
   // previous job's affinity group (its on-chip state — pinned weights —
   // is still hot); strict FIFO otherwise and whenever nothing matches.
   auto pick = lane.queue.begin();
-  if (lane.chain_affinity && lane.last_affinity != 0 &&
-      (lane.chain_limit == 0 || lane.chain_length < lane.chain_limit)) {
+  if (lane.chain_affinity && lane.last_affinity != 0) {
     for (auto it = lane.queue.begin(); it != lane.queue.end(); ++it) {
       if (it->affinity == lane.last_affinity) {
         pick = it;
@@ -110,13 +102,6 @@ void PhaseScheduler::dispatch_next(LaneState& lane) {
   }
   if (pick != lane.queue.begin()) ++lane.stats.affinity_chained;
   Job job = lane.queue.take(pick);
-  // Chain-length accounting counts every consecutive same-affinity
-  // dispatch (chained or natural FIFO) so the cap bounds the true run.
-  if (job.affinity != 0 && job.affinity == lane.last_affinity) {
-    ++lane.chain_length;
-  } else {
-    lane.chain_length = 1;
-  }
   lane.last_affinity = job.affinity;
   lane.busy = true;
   ++lane.stats.dispatched;

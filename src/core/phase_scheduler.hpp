@@ -70,14 +70,8 @@ class PhaseScheduler {
   /// a pin is held (and competing pins fall back to re-fetch). Bounded
   /// un-fairness: a chain is at most one request's remaining chunks, and
   /// a lane with no matching job always takes the FIFO head.
-  ///
-  /// `max_chain` additionally caps the head-of-line damage: after
-  /// max_chain consecutive same-affinity dispatches the lane takes the
-  /// FIFO head regardless, then may start a new chain. 0 = unbounded —
-  /// bit-for-bit the original chaining behavior.
-  void set_affinity_chaining(Lane lane, bool enabled, std::size_t max_chain = 0);
+  void set_affinity_chaining(Lane lane, bool enabled);
   bool affinity_chaining(Lane lane) const;
-  std::size_t max_affinity_chain(Lane lane) const;
 
   /// True when no job is running or queued on `lane`.
   bool idle(Lane lane) const;
@@ -128,8 +122,6 @@ class PhaseScheduler {
     Fifo<Job> queue;
     bool busy = false;
     bool chain_affinity = false;
-    std::size_t chain_limit = 0;   ///< 0 = unbounded
-    std::size_t chain_length = 0;  ///< consecutive same-affinity dispatches
     std::uint64_t last_affinity = 0;
     LaneStats stats;
   };

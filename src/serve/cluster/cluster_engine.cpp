@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "common/statistics.hpp"
 #include "common/units.hpp"
 #include "mem/memory_path.hpp"
 #include "model/workload.hpp"
@@ -91,49 +90,6 @@ TierOutcome replay_tier(const core::ChipConfig& chip,
     tier.records[case_chip[k]] = std::move(outcomes[k].records);
   }
   return tier;
-}
-
-/// Recomputes the trace-level aggregates over the merged records with
-/// the EXACT formulas ServingEngine::run uses, so a 1-chip cluster's
-/// numbers are bit-identical to the single engine's.
-void aggregate_records(const std::vector<RequestRecord>& records,
-                       double clock_hz, ClusterResult& result) {
-  Cycle first_arrival = records.front().request.arrival;
-  Cycle last_finish = 0;
-  std::size_t total_tokens = 0;
-  std::vector<double> latencies_ms;
-  for (const RequestRecord& rec : records) {
-    first_arrival = std::min(first_arrival, rec.request.arrival);
-    if (rec.rejected) ++result.rejected;
-    if (rec.request.deadline > 0) {
-      ++result.with_deadline;
-      if (rec.deadline_met()) ++result.slo_attained;
-    }
-    if (!rec.done) continue;
-    ++result.completed;
-    last_finish = std::max(last_finish, rec.finish);
-    total_tokens += rec.tokens_generated;
-    latencies_ms.push_back(rec.latency_ms(clock_hz));
-  }
-  result.makespan =
-      last_finish > first_arrival ? last_finish - first_arrival : 0;
-  result.makespan_ms = cycles_to_ms(result.makespan, clock_hz);
-  result.p50_latency_ms = percentile(latencies_ms, 50.0);
-  result.p95_latency_ms = percentile(latencies_ms, 95.0);
-  result.p99_latency_ms = percentile(latencies_ms, 99.0);
-  double sum = 0.0;
-  for (const double v : latencies_ms) sum += v;
-  result.mean_latency_ms =
-      latencies_ms.empty() ? 0.0
-                           : sum / static_cast<double>(latencies_ms.size());
-  result.tokens_per_second =
-      static_cast<double>(total_tokens) /
-      cycles_to_seconds(std::max<Cycle>(result.makespan, 1), clock_hz);
-  result.slo_attainment =
-      result.with_deadline > 0
-          ? static_cast<double>(result.slo_attained) /
-                static_cast<double>(result.with_deadline)
-          : 1.0;
 }
 
 }  // namespace
@@ -282,7 +238,8 @@ ClusterOutcome run_cluster(const core::ChipConfig& chip,
     }
   }
 
-  aggregate_records(out.records, chip.clock_hz, out.result);
+  static_cast<TraceSummary&>(out.result) =
+      summarize_trace(out.records, chip.clock_hz);
   std::size_t acc_completed = 0;
   double acc_weighted_sum = 0.0;
   for (const ServingResult& r : out.result.per_chip) {

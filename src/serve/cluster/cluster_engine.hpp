@@ -38,25 +38,13 @@
 
 namespace edgemm::serve {
 
-/// Aggregate outcome of one cluster replay: the trace-level metrics
-/// recomputed over the merged per-request records (same formulas as one
-/// ServingEngine, so a 1-chip cluster matches it bit-for-bit), the KV
-/// migration ledger, and every chip's own ServingResult.
-struct ClusterResult {
+/// Aggregate outcome of one cluster replay: the TraceSummary of the
+/// merged per-request records (summarize_trace, as one ServingEngine
+/// uses, so a 1-chip cluster matches it bit-for-bit), the KV migration
+/// ledger, and every chip's own ServingResult.
+struct ClusterResult : TraceSummary {
   ClusterMode mode = ClusterMode::kReplica;
   std::size_t chips = 0;
-  std::size_t completed = 0;
-  std::size_t rejected = 0;
-  Cycle makespan = 0;  ///< first arrival to last token retired, cluster-wide
-  double makespan_ms = 0.0;
-  double p50_latency_ms = 0.0;
-  double p95_latency_ms = 0.0;
-  double p99_latency_ms = 0.0;
-  double mean_latency_ms = 0.0;
-  double tokens_per_second = 0.0;
-  std::size_t with_deadline = 0;
-  std::size_t slo_attained = 0;
-  double slo_attainment = 1.0;
   // --- Cluster-wide weight-traffic ledger (sums over the chips) ----------
   Bytes cc_weight_fetch_bytes = 0;
   Bytes cc_weight_bytes_saved = 0;

@@ -132,12 +132,6 @@ EngineConfig& EngineConfig::manage_bandwidth(bool enabled) {
   return *this;
 }
 
-EngineConfig& EngineConfig::bandwidth_policy(
-    const core::BandwidthPolicy& policy) {
-  bandwidth_ = policy;
-  return *this;
-}
-
 EngineConfig& EngineConfig::prune_keep_fraction(double fraction) {
   if (!(fraction > 0.0) || fraction > 1.0) {
     throw std::invalid_argument(
@@ -208,16 +202,6 @@ EngineConfig& EngineConfig::placement_policy(
 
 EngineConfig& EngineConfig::replay_mode(core::ReplayMode mode) {
   replay_mode_ = mode;
-  return *this;
-}
-
-EngineConfig& EngineConfig::deadline_ordered_queue(bool enabled) {
-  deadline_ordered_queue_ = enabled;
-  return *this;
-}
-
-EngineConfig& EngineConfig::lane_chain_limit(std::size_t limit) {
-  lane_chain_limit_ = limit;
   return *this;
 }
 

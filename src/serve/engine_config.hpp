@@ -14,7 +14,6 @@
 #include <optional>
 
 #include "baselines/gpu_model.hpp"
-#include "core/bandwidth_manager.hpp"
 #include "core/fast_replay.hpp"
 #include "model/mllm_config.hpp"
 #include "pruning/task_proxy.hpp"
@@ -79,7 +78,6 @@ class EngineConfig {
   /// (ChipConfig::dma.throttle_interval); false = static equal sharing
   /// (the §IV-B baseline, PMC throttles still armed).
   EngineConfig& manage_bandwidth(bool enabled);
-  EngineConfig& bandwidth_policy(const core::BandwidthPolicy& policy);
   /// Global decode keep fraction in (0, 1]; overridden per request when
   /// task-proxy pruning is enabled. Throws std::invalid_argument.
   EngineConfig& prune_keep_fraction(double fraction);
@@ -146,17 +144,6 @@ class EngineConfig {
   /// bench gates both). Policies, admission and scheduling decisions run
   /// identically on either tier; only memory timing is approximated.
   EngineConfig& replay_mode(core::ReplayMode mode);
-  /// Earliest-deadline-first pop order among arrived requests (default:
-  /// false = arrival order, the PR 1–5 behavior, byte-identical).
-  /// Requests without a deadline sort last under EDF; with no deadlines
-  /// in the trace EDF degenerates to arrival order.
-  EngineConfig& deadline_ordered_queue(bool enabled);
-  /// Bounds lane-affinity chaining: at most `limit` consecutive
-  /// same-affinity jobs are preferred over the FIFO head before the lane
-  /// takes the head regardless (head-of-line fairness vs pin hold time).
-  /// 0 (default) = unbounded, reproducing the PR 3 chaining bit-for-bit.
-  /// Only meaningful when the planner prefers lane affinity.
-  EngineConfig& lane_chain_limit(std::size_t limit);
   /// Serving stage split for disaggregated clusters (default kFull: the
   /// single-chip engine, byte-identical to every prior PR). kPrefillOnly
   /// retires each request at prefill end — zero tokens generated, the
@@ -201,7 +188,6 @@ class EngineConfig {
   const PrefillPlanner& prefill_planner() const { return *planner_; }
   const BatchPolicy& batch_policy() const { return *batcher_; }
   bool manage_bandwidth() const { return manage_bandwidth_; }
-  const core::BandwidthPolicy& bandwidth_policy() const { return bandwidth_; }
   double prune_keep_fraction() const { return prune_keep_fraction_; }
   const std::optional<TaskProxyPruningOptions>& task_proxy_pruning() const {
     return task_proxy_;
@@ -214,8 +200,6 @@ class EngineConfig {
   Bytes weight_residency() const { return weight_residency_bytes_; }
   const PlacementPolicy& placement() const { return *placement_; }
   core::ReplayMode replay_mode() const { return replay_mode_; }
-  bool deadline_ordered_queue() const { return deadline_ordered_queue_; }
-  std::size_t lane_chain_limit() const { return lane_chain_limit_; }
   EnginePhase phase() const { return phase_; }
   const std::optional<baselines::GpuSpec>& fat_backend() const {
     return fat_backend_;
@@ -245,7 +229,6 @@ class EngineConfig {
   std::shared_ptr<const BatchPolicy> batcher_;
   std::shared_ptr<const PlacementPolicy> placement_;
   bool manage_bandwidth_ = true;
-  core::BandwidthPolicy bandwidth_{};
   double prune_keep_fraction_ = 1.0;
   std::optional<TaskProxyPruningOptions> task_proxy_;
   Bytes kv_capacity_bytes_ = 0;
@@ -255,8 +238,6 @@ class EngineConfig {
   std::shared_ptr<const SwapPolicy> swap_policy_;
   Bytes weight_residency_bytes_ = 0;
   core::ReplayMode replay_mode_ = core::ReplayMode::kDetailed;
-  bool deadline_ordered_queue_ = false;
-  std::size_t lane_chain_limit_ = 0;
   EnginePhase phase_ = EnginePhase::kFull;
   std::optional<baselines::GpuSpec> fat_backend_;
   std::shared_ptr<const OffloadPolicy> offload_;

@@ -57,8 +57,13 @@ using KvPrefixKey = std::uint64_t;
 /// Default KV page size (EngineConfig::kv_page_bytes).
 inline constexpr Bytes kDefaultKvPageBytes = 64 * 1024;
 
+/// Largest Request::prefix_id the paged KV cache accepts: kv_prefix_key
+/// packs the id into the key's low 32 bits.
+inline constexpr std::size_t kMaxKvPrefixId = 0xFFFF'FFFFu;
+
 /// Key of the shared-prefix run requests of `model` with this
-/// `prefix_id` attach to; 0 (no sharing) when prefix_id is 0.
+/// `prefix_id` attach to; 0 (no sharing) when prefix_id is 0. Requires
+/// prefix_id <= kMaxKvPrefixId.
 KvPrefixKey kv_prefix_key(std::size_t model, std::size_t prefix_id);
 
 /// Tokens one `page_bytes` page holds for `model` (>= 1: a page smaller

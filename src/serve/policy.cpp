@@ -68,13 +68,6 @@ void ShortestRemainingFirst::order_joiners(
 
 // --- Placement policies -----------------------------------------------------
 
-std::size_t PlacementPolicy::acquire_target_layers(
-    std::size_t model, const PlacementContext& ctx) const {
-  // Whole-set default: policies that never grant partial sets keep the
-  // PR 4/5 behavior of pinning as many of the model's groups as fit.
-  return ctx.models[model].total_layers;
-}
-
 namespace {
 
 /// Idle resident models ordered coldest-first (live demand asc; within
@@ -131,69 +124,35 @@ std::vector<std::size_t> KeepCurrentPlacement::evict_victims(
   return {};
 }
 
-DemandWeightedPlacement::DemandWeightedPlacement(
-    const DemandWeightedOptions& options)
-    : options_(options) {}
-
-double DemandWeightedPlacement::ranked_demand(const ModelDemand& d) const {
-  const double live = static_cast<double>(d.live_demand());
-  if (!options_.decayed_demand) return live;
-  const double decayed =
-      d.demand_decayed < kDecayedDemandFloor ? 0.0 : d.demand_decayed;
-  return std::max(live, decayed);
-}
-
-std::vector<DemandWeightedPlacement::Grant>
-DemandWeightedPlacement::target_grants(const PlacementContext& ctx) const {
-  // Model indices ordered hottest-first: ranked demand desc, ties to the
+std::vector<std::size_t> DemandWeightedPlacement::target_set(
+    const PlacementContext& ctx) const {
+  // Model indices ordered hottest-first: live demand desc, ties to the
   // lower index (pure determinism — residency deliberately does NOT
   // break ties, or a small resident model could squat the budget slot a
   // big equal-demand model needs).
   std::vector<std::size_t> order(ctx.models.size());
   for (std::size_t m = 0; m < order.size(); ++m) order[m] = m;
   std::stable_sort(order.begin(), order.end(),
-                   [this, &ctx](std::size_t a, std::size_t b) {
-                     const double da = ranked_demand(ctx.models[a]);
-                     const double db = ranked_demand(ctx.models[b]);
+                   [&ctx](std::size_t a, std::size_t b) {
+                     const std::size_t da = ctx.models[a].live_demand();
+                     const std::size_t db = ctx.models[b].live_demand();
                      if (da != db) return da > db;
                      return a < b;
                    });
-  // Greedy knapsack over hottest-first sets. Zero-demand models only
-  // stay in the set while already resident (keeping them warm is free);
-  // they are the first to fall out once a demanded model wants the
-  // bytes, because the greedy pass sees the demanded model first. With
-  // fractional sets a model takes the groups that fit instead of
-  // standing aside whole, so the budget never idles while a hot model
-  // begs.
-  std::vector<Grant> grants;
+  // Greedy knapsack over hottest-first whole sets. Zero-demand models
+  // only stay in the set while already resident (keeping them warm is
+  // free); they are the first to fall out once a demanded model wants
+  // the bytes, because the greedy pass sees the demanded model first.
+  std::vector<std::size_t> target;
   Bytes remaining = ctx.capacity;
   for (const std::size_t m : order) {
     const ModelDemand& d = ctx.models[m];
-    if (ranked_demand(d) == 0.0 && d.resident_layers == 0) continue;
+    if (d.live_demand() == 0 && d.resident_layers == 0) continue;
     const Bytes set = d.full_set_bytes();
-    if (set == 0) continue;
-    if (options_.fractional_sets) {
-      const auto fit = std::min<std::size_t>(
-          d.total_layers,
-          static_cast<std::size_t>(remaining / d.layer_group_bytes));
-      if (fit == 0) continue;
-      grants.push_back(Grant{m, fit});
-      remaining -= static_cast<Bytes>(fit) * d.layer_group_bytes;
-    } else {
-      if (set > remaining) continue;
-      grants.push_back(Grant{m, d.total_layers});
-      remaining -= set;
-    }
+    if (set == 0 || set > remaining) continue;
+    target.push_back(m);
+    remaining -= set;
   }
-  return grants;
-}
-
-std::vector<std::size_t> DemandWeightedPlacement::target_set(
-    const PlacementContext& ctx) const {
-  const auto grants = target_grants(ctx);
-  std::vector<std::size_t> target;
-  target.reserve(grants.size());
-  for (const Grant& g : grants) target.push_back(g.model);
   return target;
 }
 
@@ -201,14 +160,6 @@ bool DemandWeightedPlacement::may_acquire(std::size_t model,
                                           const PlacementContext& ctx) const {
   const auto target = target_set(ctx);
   return std::find(target.begin(), target.end(), model) != target.end();
-}
-
-std::size_t DemandWeightedPlacement::acquire_target_layers(
-    std::size_t model, const PlacementContext& ctx) const {
-  for (const Grant& g : target_grants(ctx)) {
-    if (g.model == model) return g.layers;
-  }
-  return 0;
 }
 
 bool DemandWeightedPlacement::retain_idle(std::size_t model,

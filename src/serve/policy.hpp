@@ -238,13 +238,6 @@ struct ModelDemand {
   std::size_t total_layers = 0;     ///< LLM layers (full set = total x group)
   double cc_bytes_per_cycle_est = 0.0;  ///< per-model CC throughput EWMA
   double decode_step_cycles_est = 0.0;  ///< per-model decode-step EWMA
-  /// Time-decayed demand signal the engine maintains alongside the live
-  /// count: relaxes toward queued+inflight with e^(-dt/tau)
-  /// (tau = 1 s of simulated time). Burst memory for policies that opt in
-  /// (DemandWeightedOptions::decayed_demand): a model between bursts
-  /// keeps a decaying claim on the budget instead of dropping to zero
-  /// the moment its queue drains.
-  double demand_decayed = 0.0;
 
   /// Live requests that could want this model's weights near compute.
   std::size_t live_demand() const { return queued + inflight; }
@@ -304,16 +297,6 @@ class PlacementPolicy {
   virtual std::vector<std::size_t> evict_victims(
       std::size_t model, Bytes bytes_needed,
       const PlacementContext& ctx) const = 0;
-
-  /// Layer groups the engine should aim to pin when `model`'s fresh
-  /// acquisition proceeds (the engine clamps to the model's total layers
-  /// and the tracker still clips to whatever fits the budget). The
-  /// default — the full set — reproduces the whole-set engine
-  /// bit-for-bit; fractional policies return fewer groups so a model
-  /// whose whole set never fits still gets its k hottest groups near
-  /// compute instead of a denial.
-  virtual std::size_t acquire_target_layers(std::size_t model,
-                                            const PlacementContext& ctx) const;
 };
 
 /// The placement-oblivious baseline (default): every model may pin
@@ -331,41 +314,16 @@ class KeepCurrentPlacement final : public PlacementPolicy {
       const PlacementContext& ctx) const override;
 };
 
-/// Opt-in refinements of DemandWeightedPlacement. Defaults reproduce the
-/// PR 5 whole-set, instantaneous-demand policy bit-for-bit.
-struct DemandWeightedOptions {
-  /// Grant partial layer-group sets: a hot model whose whole set no
-  /// longer fits takes the k groups that DO fit instead of being denied,
-  /// and the leftover budget flows to the next model down the ranking.
-  bool fractional_sets = false;
-  /// Rank models by max(live demand, demand_decayed) instead of the
-  /// instantaneous count alone: the EWMA's burst memory keeps a
-  /// recently-hot model's bytes from thrashing in the gaps between its
-  /// bursts (signals below kDecayedDemandFloor count as zero so long-
-  /// cold models still fall out of the set).
-  bool decayed_demand = false;
-};
-
-/// Decayed-demand signals below this floor count as zero demand (the
-/// exponential EWMA never reaches exactly zero; without a floor a model
-/// that was hot once would squat in the target ranking forever).
-inline constexpr double kDecayedDemandFloor = 1e-3;
-
-/// Demand-weighted resident set: ranks models by demand (live
-/// queued + inflight by default, optionally the time-decayed EWMA; ties
-/// to the lower index) and greedily grants layer-group sets from the top
-/// until the budget runs out (zero-demand models only stay ranked while
-/// already resident — keeping them warm is free until a demanded model
-/// wants the bytes). By default grants are whole sets; with
-/// DemandWeightedOptions::fractional_sets the hottest non-fitting model
-/// takes the groups that do fit. A model outside the target set may not
-/// acquire and is not kept warm; an in-set model under budget pressure
-/// evicts idle out-of-set pins (coldest first).
+/// Demand-weighted resident set: ranks models by live demand
+/// (queued + inflight; ties to the lower index) and greedily grants
+/// whole layer-group sets from the top until the budget runs out
+/// (zero-demand models only stay ranked while already resident — keeping
+/// them warm is free until a demanded model wants the bytes). A model
+/// outside the target set may not acquire and is not kept warm; an
+/// in-set model under budget pressure evicts idle out-of-set pins
+/// (coldest first).
 class DemandWeightedPlacement final : public PlacementPolicy {
  public:
-  DemandWeightedPlacement() = default;
-  explicit DemandWeightedPlacement(const DemandWeightedOptions& options);
-
   const char* name() const override { return "demand-weighted"; }
   bool may_acquire(std::size_t model,
                    const PlacementContext& ctx) const override;
@@ -374,32 +332,10 @@ class DemandWeightedPlacement final : public PlacementPolicy {
   std::vector<std::size_t> evict_victims(
       std::size_t model, Bytes bytes_needed,
       const PlacementContext& ctx) const override;
-  std::size_t acquire_target_layers(std::size_t model,
-                                    const PlacementContext& ctx) const override;
 
-  /// One granted slice of the budget (fractional grants can be below
-  /// the model's total layers).
-  struct Grant {
-    std::size_t model = 0;
-    std::size_t layers = 0;
-  };
-
-  /// Per-model layer grants in grant order (exposed for tests and
-  /// observability; deterministic).
-  std::vector<Grant> target_grants(const PlacementContext& ctx) const;
-
-  /// The models the budget should hold, in grant order (the grants
-  /// without their layer counts).
+  /// The models the budget should hold, in grant order (exposed for
+  /// tests and observability; deterministic).
   std::vector<std::size_t> target_set(const PlacementContext& ctx) const;
-
-  const DemandWeightedOptions& options() const { return options_; }
-
- private:
-  /// The ranking signal under the configured options (0 when below the
-  /// decayed floor).
-  double ranked_demand(const ModelDemand& d) const;
-
-  DemandWeightedOptions options_{};
 };
 
 /// Optimistic keep-warm: everyone may pin and every pin is kept warm at

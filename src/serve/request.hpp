@@ -30,7 +30,8 @@ struct Request {
   /// Shared-prefix conversation group: requests with the same
   /// (model, prefix_id) share their first prefix_tokens prompt tokens
   /// (a common system/image prompt), which the paged KV allocator
-  /// CoW-shares (EngineConfig::kv_prefix_sharing). 0 = no shared prefix.
+  /// CoW-shares (EngineConfig::kv_prefix_sharing). 0 = no shared prefix;
+  /// under paged KV at most kMaxKvPrefixId (2^32 - 1).
   std::size_t prefix_id = 0;
   /// Leading prompt tokens shared with the group (<= input_tokens);
   /// ignored when prefix_id is 0.

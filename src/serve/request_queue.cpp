@@ -5,18 +5,9 @@
 
 namespace edgemm::serve {
 
-const char* to_string(QueueOrder order) {
-  switch (order) {
-    case QueueOrder::kArrival: return "arrival";
-    case QueueOrder::kDeadline: return "deadline";
-  }
-  return "?";
-}
-
 void RequestQueue::push(Request request) { heap_.push(std::move(request)); }
 
 const Request& RequestQueue::front() const {
-  if (!ready_.empty()) return ready_.top();
   if (heap_.empty()) {
     throw std::out_of_range("RequestQueue::front: empty queue");
   }
@@ -24,11 +15,6 @@ const Request& RequestQueue::front() const {
 }
 
 Request RequestQueue::pop() {
-  if (!ready_.empty()) {
-    Request out = ready_.top();
-    ready_.pop();
-    return out;
-  }
   if (heap_.empty()) {
     throw std::out_of_range("RequestQueue::pop: empty queue");
   }
@@ -37,19 +23,8 @@ Request RequestQueue::pop() {
   return out;
 }
 
-void RequestQueue::migrate(Cycle now) {
-  while (!heap_.empty() && heap_.top().arrival <= now) {
-    ready_.push(heap_.top());
-    heap_.pop();
-  }
-}
-
-bool RequestQueue::ready(Cycle now) {
-  if (order_ == QueueOrder::kArrival) {
-    return !heap_.empty() && heap_.top().arrival <= now;
-  }
-  migrate(now);
-  return !ready_.empty();
+bool RequestQueue::ready(Cycle now) const {
+  return !heap_.empty() && heap_.top().arrival <= now;
 }
 
 std::optional<Request> RequestQueue::pop_ready(Cycle now) {

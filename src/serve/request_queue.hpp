@@ -3,8 +3,6 @@
 #define EDGEMM_SERVE_REQUEST_QUEUE_HPP
 
 #include <cstddef>
-#include <cstdint>
-#include <limits>
 #include <optional>
 #include <queue>
 #include <vector>
@@ -13,46 +11,25 @@
 
 namespace edgemm::serve {
 
-/// Pop order among waiting requests (EngineConfig::deadline_ordered_queue).
-enum class QueueOrder : std::uint8_t {
-  /// (arrival, id): earliest arrival first — the default, and the only
-  /// order PR 1–5 engines ever saw.
-  kArrival,
-  /// Earliest-deadline-first among requests that have arrived; requests
-  /// without a deadline (0) sort last, ties broken by (arrival, id).
-  /// Requests still in flight toward the queue stay arrival-ordered, so
-  /// a late short-deadline request can overtake only once it arrives.
-  kDeadline,
-};
-
-const char* to_string(QueueOrder order);
-
-/// Priority queue of pending requests. Ties always break by id so
-/// replays are deterministic no matter the push order.
+/// Priority queue of pending requests, earliest arrival first. Ties
+/// always break by id so replays are deterministic no matter the push
+/// order.
 class RequestQueue {
  public:
-  explicit RequestQueue(QueueOrder order = QueueOrder::kArrival)
-      : order_(order) {}
-
-  QueueOrder order() const { return order_; }
-
   void push(Request request);
 
-  bool empty() const { return heap_.empty() && ready_.empty(); }
-  std::size_t size() const { return heap_.size() + ready_.size(); }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
   /// The request that would be popped next; throws std::out_of_range on
-  /// an empty queue. Under kDeadline this reflects arrivals up to the
-  /// last ready() call.
+  /// an empty queue.
   const Request& front() const;
 
   /// Pops the next request; throws std::out_of_range on empty.
   Request pop();
 
-  /// True when a request with arrival <= now is waiting. Under kDeadline
-  /// this also migrates arrived requests into deadline order, which is
-  /// why it is not const.
-  bool ready(Cycle now);
+  /// True when a request with arrival <= now is waiting.
+  bool ready(Cycle now) const;
 
   /// Pops the next request if one has arrived by `now`.
   std::optional<Request> pop_ready(Cycle now);
@@ -64,25 +41,8 @@ class RequestQueue {
       return a.id > b.id;
     }
   };
-  struct LaterDeadline {
-    static Cycle effective(const Request& r) {
-      return r.deadline == 0 ? std::numeric_limits<Cycle>::max() : r.deadline;
-    }
-    bool operator()(const Request& a, const Request& b) const {
-      if (effective(a) != effective(b)) return effective(a) > effective(b);
-      if (a.arrival != b.arrival) return a.arrival > b.arrival;
-      return a.id > b.id;
-    }
-  };
 
-  void migrate(Cycle now);
-
-  QueueOrder order_;
-  /// Not-yet-popped requests in arrival order (all of them under
-  /// kArrival; the not-yet-arrived ones under kDeadline).
   std::priority_queue<Request, std::vector<Request>, Later> heap_;
-  /// Arrived requests in deadline order (kDeadline only).
-  std::priority_queue<Request, std::vector<Request>, LaterDeadline> ready_;
 };
 
 }  // namespace edgemm::serve

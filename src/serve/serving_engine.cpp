@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/statistics.hpp"
 #include "common/units.hpp"
 #include "core/pipeline.hpp"
 #include "model/workload.hpp"
@@ -20,10 +19,6 @@ namespace {
 
 /// EWMA weight for the online throughput/step-duration estimators.
 constexpr double kEstimatorGain = 0.25;
-
-/// Time constant (seconds of simulated time) of the per-model demand
-/// EWMA behind ModelDemand::demand_decayed: about one zoo-trace burst gap.
-constexpr double kDemandDecayTauS = 1.0;
 
 /// Validates before the chip is built: an invalid composition throws
 /// without paying for the clusters.
@@ -41,9 +36,7 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
       models_(std::move(models)),
       engine_config_(validated(std::move(engine_config))),
       local_(config_, core::ChipComposition::kHeterogeneous,
-             engine_config_.replay_mode(), engine_config_.bandwidth_policy()),
-      queue_(engine_config_.deadline_ordered_queue() ? QueueOrder::kDeadline
-                                                     : QueueOrder::kArrival) {
+             engine_config_.replay_mode(), core::BandwidthPolicy{}) {
   if (models_.empty()) {
     throw std::invalid_argument("ServingEngine: no models to serve");
   }
@@ -69,8 +62,7 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
     }
     residency_.emplace(engine_config_.weight_residency());
     if (engine_config_.prefill_planner().prefers_lane_affinity()) {
-      local_.scheduler().set_affinity_chaining(Lane::kCcStage, true,
-                                               engine_config_.lane_chain_limit());
+      local_.scheduler().set_affinity_chaining(Lane::kCcStage, true);
     }
   }
 
@@ -101,7 +93,6 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
 
   queued_per_model_.assign(models_.size(), 0);
   inflight_per_model_.assign(models_.size(), 0);
-  demand_decayed_.assign(models_.size(), 0.0);
 
   // Seed the per-model policy estimators analytically; each converges
   // onto its own model's measured values as that model's chunks retire
@@ -168,6 +159,12 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
         throw std::invalid_argument(
             "ServingEngine::run: prefix_tokens exceeds input_tokens");
       }
+      if (r.prefix_id > kMaxKvPrefixId) {
+        // A wider id would spill into kv_prefix_key's model word and
+        // share another model's prefix pages.
+        throw std::invalid_argument(
+            "ServingEngine::run: prefix_id exceeds kMaxKvPrefixId");
+      }
       if (kv_page_footprint(r, models_[r.model],
                             engine_config_.kv_page_bytes(),
                             engine_config_.kv_prefix_sharing()) >
@@ -202,37 +199,8 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
 
   // --- Aggregate metrics ---------------------------------------------------
   ServingResult result;
-  result.completed = completed_;
-  result.rejected = rejected_;
-  Cycle first_arrival = records_.front().request.arrival;
-  Cycle last_finish = 0;
-  std::size_t total_tokens = 0;
-  std::vector<double> latencies_ms;
-  latencies_ms.reserve(completed_);
-  for (const RequestRecord& rec : records_) {
-    first_arrival = std::min(first_arrival, rec.request.arrival);
-    if (rec.request.deadline > 0) {
-      ++result.with_deadline;
-      if (rec.deadline_met()) ++result.slo_attained;
-    }
-    if (!rec.done) continue;
-    last_finish = std::max(last_finish, rec.finish);
-    total_tokens += rec.tokens_generated;
-    latencies_ms.push_back(rec.latency_ms(config_.clock_hz));
-  }
-  result.makespan = last_finish > first_arrival ? last_finish - first_arrival : 0;
-  result.makespan_ms = cycles_to_ms(result.makespan, config_.clock_hz);
-  result.p50_latency_ms = percentile(latencies_ms, 50.0);
-  result.p95_latency_ms = percentile(latencies_ms, 95.0);
-  result.p99_latency_ms = percentile(latencies_ms, 99.0);
-  double sum = 0.0;
-  for (const double v : latencies_ms) sum += v;
-  result.mean_latency_ms =
-      latencies_ms.empty() ? 0.0
-                           : sum / static_cast<double>(latencies_ms.size());
-  result.tokens_per_second =
-      static_cast<double>(total_tokens) /
-      cycles_to_seconds(std::max<Cycle>(result.makespan, 1), config_.clock_hz);
+  static_cast<TraceSummary&>(result) =
+      summarize_trace(records_, config_.clock_hz);
   result.dram_utilization = local_.memory_utilization();
   result.decode_steps = decode_steps_;
   result.mean_decode_batch =
@@ -241,11 +209,6 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
                         : 0.0;
   result.peak_queue_depth = peak_queue_depth_;
   result.rebalances = rebalances_;
-  result.slo_attainment =
-      result.with_deadline > 0
-          ? static_cast<double>(result.slo_attained) /
-                static_cast<double>(result.with_deadline)
-          : 1.0;
   result.prefill_jobs = local_.dispatched(Lane::kCcStage);
   result.max_cc_queue_delay_ms = cycles_to_ms(
       local_.max_queue_wait(Lane::kCcStage), config_.clock_hz);
@@ -364,25 +327,7 @@ OffloadTarget ServingEngine::judge_offload(std::size_t index,
   return engine_config_.offload_policy().place_chunk(r, ctx);
 }
 
-void ServingEngine::refresh_decayed_demand() {
-  // Relax every model's EWMA toward its live demand over the elapsed sim
-  // time, BEFORE the caller mutates the live counts — the decayed signal
-  // remembers what demand looked like across the gap, not after it.
-  const Cycle now = local_.simulator().now();
-  if (now == demand_decayed_at_) return;
-  const double tau = kDemandDecayTauS * static_cast<double>(config_.clock_hz);
-  const double alpha =
-      std::exp(-static_cast<double>(now - demand_decayed_at_) / tau);
-  for (std::size_t m = 0; m < models_.size(); ++m) {
-    const double live =
-        static_cast<double>(queued_per_model_[m] + inflight_per_model_[m]);
-    demand_decayed_[m] = live + (demand_decayed_[m] - live) * alpha;
-  }
-  demand_decayed_at_ = now;
-}
-
 void ServingEngine::on_arrival(std::size_t index) {
-  refresh_decayed_demand();
   queue_.push(records_[index].request);
   ++queued_per_model_[records_[index].request.model];
   peak_queue_depth_ = std::max(peak_queue_depth_, queue_.size());
@@ -584,7 +529,6 @@ PlacementContext ServingEngine::placement_context() const {
         static_cast<Bytes>(d.resident_layers) * layer_weight_bytes_[m];
     d.layer_group_bytes = layer_weight_bytes_[m];
     d.total_layers = models_[m].llm.layers;
-    d.demand_decayed = demand_decayed_[m];
     d.cc_bytes_per_cycle_est = cc_bytes_per_cycle_est_[m];
     d.decode_step_cycles_est = decode_step_cycles_est_[m];
     ctx.models.push_back(d);
@@ -608,13 +552,12 @@ bool ServingEngine::maybe_pin_weights(std::size_t index,
   const std::size_t first_resident =
       rides_existing ? next_chunk : next_chunk + 1;
   if (first_resident >= plan.jobs.size()) return false;
-  std::size_t max_attach = models_[r.model].llm.layers;
+  const std::size_t total_layers = models_[r.model].llm.layers;
   if (!rides_existing) {
     // Residency-aware placement guards every budget-charging attach
     // (riders are never guarded: sharing resident bytes is free). A
     // denied model keeps re-fetching; an allowed one under budget
     // pressure may first reclaim idle kept-warm pins of colder models.
-    refresh_decayed_demand();
     const PlacementContext ctx = placement_context();
     if (!engine_config_.placement().may_acquire(r.model, ctx)) {
       // One count per denied REQUEST, not per retry: the late-pin seam
@@ -625,21 +568,8 @@ bool ServingEngine::maybe_pin_weights(std::size_t index,
       }
       return false;
     }
-    // The policy also sizes the grant: whole-set policies ask for every
-    // layer group, fractional placement grants the k hottest groups that
-    // fit and leaves the rest of the budget to colder models.
-    max_attach = std::min(
-        engine_config_.placement().acquire_target_layers(r.model, ctx),
-        models_[r.model].llm.layers);
-    if (max_attach == 0) {
-      if (!plan.placement_denied) {
-        plan.placement_denied = true;
-        ++placement_denials_;
-      }
-      return false;
-    }
     const Bytes want =
-        static_cast<Bytes>(max_attach) * layer_weight_bytes_[r.model];
+        static_cast<Bytes>(total_layers) * layer_weight_bytes_[r.model];
     if (residency_->available() < want) {
       const Bytes needed = want - residency_->available();
       for (const std::size_t victim :
@@ -653,7 +583,7 @@ bool ServingEngine::maybe_pin_weights(std::size_t index,
     }
   }
   const auto attach = residency_->attach_layers(
-      r.model, layer_weight_bytes_[r.model], max_attach);
+      r.model, layer_weight_bytes_[r.model], total_layers);
   if (attach.layers == 0) return false;  // budget contended: keep re-fetching
   plan.pin_attached = true;
   plan.pin_owner = !attach.shared;
@@ -690,7 +620,6 @@ void ServingEngine::drop_plan(std::size_t index) {
       // for its next request — or leave now. Out-of-favor idle pins are
       // reclaimed later by evict_victims when a hotter model needs the
       // room.
-      refresh_decayed_demand();
       keep_resident =
           engine_config_.placement().retain_idle(model, placement_context());
     }
@@ -735,7 +664,6 @@ AdmissionContext ServingEngine::admission_context(std::size_t index) {
 
 void ServingEngine::pump_admission() {
   sim::Simulator& sim = local_.simulator();
-  refresh_decayed_demand();
   while (queue_.ready(sim.now())) {
     const std::size_t index = index_.at(queue_.front().id);
     AdmissionVerdict verdict = engine_config_.scheduler().admit(
@@ -1045,7 +973,6 @@ void ServingEngine::on_prefill_done(std::size_t index) {
     // Disaggregated prefill tier: this chip's job ends here — the KV
     // cache ships to a decode chip, so the request retires with its
     // finish at prefill end and zero tokens generated locally.
-    refresh_decayed_demand();
     rec.finish = rec.prefill_end;
     rec.done = true;
     if (rec.request.deadline > 0 && rec.finish > rec.request.deadline) {
@@ -1324,7 +1251,6 @@ void ServingEngine::on_decode_step_done() {
           kEstimatorGain * share;
     }
   }
-  refresh_decayed_demand();
   std::vector<std::size_t> still_active;
   still_active.reserve(active_.size());
   for (const std::size_t index : active_) {
@@ -1393,11 +1319,11 @@ void ServingEngine::rebalance() {
   std::size_t ratio = 1;
   if (cc_pending_bytes_ <= 0.0) {
     // No upstream work: hand the MC side the whole ramp.
-    ratio = engine_config_.bandwidth_policy().max_mc_ratio;
+    ratio = local_.manager().policy().max_mc_ratio;
   } else if (mc_bytes > 0.0) {
     ratio = std::clamp<std::size_t>(
         static_cast<std::size_t>(mc_bytes / cc_pending_bytes_ + 0.5), 1,
-        engine_config_.bandwidth_policy().max_mc_ratio);
+        local_.manager().policy().max_mc_ratio);
   }
   local_.apply_bandwidth_ratio(ratio);
   ++rebalances_;

@@ -43,33 +43,21 @@
 #include "serve/kv_pages.hpp"
 #include "serve/kv_tracker.hpp"
 #include "serve/request.hpp"
+#include "serve/trace_summary.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/residency_tracker.hpp"
 
 namespace edgemm::serve {
 
-/// Aggregate outcome of one trace replay. Latency percentiles and
-/// throughput cover completed requests only; rejected requests count
-/// against SLO attainment but not against the latency tail.
-struct ServingResult {
-  std::size_t completed = 0;
-  std::size_t rejected = 0;  ///< dropped by the scheduler policy
-  Cycle makespan = 0;  ///< first arrival to last token retired
-  double makespan_ms = 0.0;
-  double p50_latency_ms = 0.0;
-  double p95_latency_ms = 0.0;
-  double p99_latency_ms = 0.0;
-  double mean_latency_ms = 0.0;
-  double tokens_per_second = 0.0;
+/// Aggregate outcome of one trace replay: the TraceSummary of its
+/// records plus the engine's own counters and ledgers.
+struct ServingResult : TraceSummary {
   double dram_utilization = 0.0;
   double mean_decode_batch = 0.0;  ///< average in-flight requests per step
   std::size_t decode_steps = 0;
   std::size_t peak_queue_depth = 0;
   std::size_t rebalances = 0;
   // --- Policy-seam observability -----------------------------------------
-  std::size_t with_deadline = 0;  ///< requests that carried an SLO deadline
-  std::size_t slo_attained = 0;   ///< completed on or before their deadline
-  double slo_attainment = 1.0;    ///< attained / with_deadline (1 if none)
   std::size_t prefill_jobs = 0;   ///< CC-lane jobs (prefill chunks) dispatched
   /// Worst job queueing delay on the CC lane — the head-of-line blocking
   /// chunked prefill bounds.
@@ -356,7 +344,6 @@ class ServingEngine {
   /// ledger's accuracy pricing.
   double accuracy_for(std::size_t model, double keep);
   PlacementContext placement_context() const;
-  void refresh_decayed_demand();
   /// Consults the OffloadPolicy for one chunk of `index`'s plan; always
   /// kLocal without a fat backend (the policy is never even called).
   OffloadTarget judge_offload(std::size_t index, std::size_t chunk);
@@ -423,13 +410,6 @@ class ServingEngine {
   /// arrival queue, inflight the admitted-but-unfinished requests).
   std::vector<std::size_t> queued_per_model_;
   std::vector<std::size_t> inflight_per_model_;
-  /// Time-decayed per-model demand EWMA feeding
-  /// ModelDemand::demand_decayed: relaxes toward the live
-  /// queued + inflight count with e^(-dt / tau) between refreshes
-  /// (tau = kDemandDecayTauS x the chip clock). Always maintained —
-  /// placement policies opt in to reading it.
-  std::vector<double> demand_decayed_;
-  Cycle demand_decayed_at_ = 0;  ///< sim time of the last EWMA refresh
   std::size_t placement_denials_ = 0;
   double cc_pending_bytes_ = 0.0;
   /// Full-precision-equivalent twin of cc_pending_bytes_: what the same

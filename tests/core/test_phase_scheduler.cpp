@@ -184,94 +184,6 @@ TEST(PhaseScheduler, AffinityIsInertWithoutChaining) {
   EXPECT_EQ(sched.lane_stats(Lane::kCcStage).affinity_chained, 0u);
 }
 
-TEST(PhaseScheduler, BoundedChainYieldsToFifoHeadAtTheLimit) {
-  // A's chunks (affinity 1) chain, but with max_chain = 2 the lane takes
-  // the FIFO head (B) after two consecutive affinity-1 dispatches, then
-  // resumes A's chain: A1 A2 B A3 A4.
-  ChipTimingModel chip(small_cfg(), ChipComposition::kHeterogeneous);
-  PhaseScheduler sched(chip);
-  sched.set_affinity_chaining(Lane::kCcStage, true, 2);
-  EXPECT_EQ(sched.max_affinity_chain(Lane::kCcStage), 2u);
-  std::vector<std::string> order;
-  std::function<void(int)> submit_chunk = [&](int chunk) {
-    sched.submit(
-        Lane::kCcStage, cc_job(),
-        [&, chunk] {
-          order.push_back("A" + std::to_string(chunk));
-          if (chunk < 4) submit_chunk(chunk + 1);
-        },
-        {}, /*affinity=*/1);
-  };
-  submit_chunk(1);
-  sched.submit(
-      Lane::kCcStage, cc_job(), [&] { order.push_back("B"); }, {},
-      /*affinity=*/2);
-  chip.simulator().run();
-  EXPECT_EQ(order, (std::vector<std::string>{"A1", "A2", "B", "A3", "A4"}));
-}
-
-TEST(PhaseScheduler, ZeroChainLimitReproducesUnboundedChaining) {
-  // k = 0 must dispatch bit-for-bit like the original two-argument
-  // enable — the PR 3 behavior the default engine keeps.
-  auto run = [](bool pass_limit) {
-    ChipTimingModel chip(small_cfg(), ChipComposition::kHeterogeneous);
-    PhaseScheduler sched(chip);
-    if (pass_limit) {
-      sched.set_affinity_chaining(Lane::kCcStage, true, 0);
-    } else {
-      sched.set_affinity_chaining(Lane::kCcStage, true);
-    }
-    std::vector<std::string> order;
-    std::function<void(int)> submit_chunk = [&](int chunk) {
-      sched.submit(
-          Lane::kCcStage, cc_job(),
-          [&, chunk] {
-            order.push_back("A" + std::to_string(chunk));
-            if (chunk < 4) submit_chunk(chunk + 1);
-          },
-          {}, /*affinity=*/1);
-    };
-    submit_chunk(1);
-    sched.submit(
-        Lane::kCcStage, cc_job(), [&] { order.push_back("B"); }, {},
-        /*affinity=*/2);
-    chip.simulator().run();
-    return order;
-  };
-  const auto with_limit = run(true);
-  const auto without = run(false);
-  EXPECT_EQ(with_limit, without);
-  EXPECT_EQ(with_limit,
-            (std::vector<std::string>{"A1", "A2", "A3", "A4", "B"}));
-}
-
-TEST(PhaseScheduler, ChainLengthCountsNaturalFifoRunsToo) {
-  // Two affinity-1 jobs queued FIFO followed by an affinity-2 job, limit
-  // 2: even though no job ever jumps the queue, the third affinity-1
-  // submission (arriving mid-run) must not extend the run past the cap.
-  ChipTimingModel chip(small_cfg(), ChipComposition::kHeterogeneous);
-  PhaseScheduler sched(chip);
-  sched.set_affinity_chaining(Lane::kCcStage, true, 2);
-  std::vector<std::string> order;
-  sched.submit(
-      Lane::kCcStage, cc_job(), [&] { order.push_back("A1"); }, {}, 1);
-  sched.submit(
-      Lane::kCcStage, cc_job(),
-      [&] {
-        order.push_back("A2");
-        // A third same-affinity job shows up while B waits.
-        sched.submit(
-            Lane::kCcStage, cc_job(), [&] { order.push_back("A3"); }, {}, 1);
-      },
-      {}, 1);
-  sched.submit(
-      Lane::kCcStage, cc_job(), [&] { order.push_back("B"); }, {}, 2);
-  chip.simulator().run();
-  // A1 A2 count as a length-2 run (natural FIFO), so the cap forces B
-  // before A3.
-  EXPECT_EQ(order, (std::vector<std::string>{"A1", "A2", "B", "A3"}));
-}
-
 TEST(PhaseScheduler, RejectsEmptyJobs) {
   ChipTimingModel chip(small_cfg(), ChipComposition::kHeterogeneous);
   PhaseScheduler sched(chip);

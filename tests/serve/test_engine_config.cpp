@@ -23,22 +23,23 @@ TEST(EngineConfig, DefaultsReproducePr1Composition) {
   EXPECT_FALSE(config.task_proxy_pruning().has_value());
   // Residency-placement default: the placement-oblivious baseline.
   EXPECT_STREQ(config.placement().name(), "keep-current");
-  // PR 6 defaults: detailed tier, arrival-ordered queue, unbounded chains
-  // — all three knobs off keeps the engine byte-identical to PR 5.
+  // Detailed tier by default.
   EXPECT_EQ(config.replay_mode(), core::ReplayMode::kDetailed);
-  EXPECT_FALSE(config.deadline_ordered_queue());
-  EXPECT_EQ(config.lane_chain_limit(), 0u);
 }
 
 TEST(EngineConfig, ReplayAndQueueKnobsCompose) {
-  const EngineConfig config = EngineConfig()
-                                  .replay_mode(core::ReplayMode::kFast)
-                                  .deadline_ordered_queue(true)
-                                  .lane_chain_limit(3);
+  // The fast tier composes with the admission limits that drain the
+  // arrival-ordered request queue.
+  AdmissionLimits limits;
+  limits.max_decode_batch = 2;
+  limits.max_inflight = 2;
+  const EngineConfig config =
+      EngineConfig()
+          .replay_mode(core::ReplayMode::kFast)
+          .scheduler(std::make_shared<ConcurrencyPolicy>(limits));
   EXPECT_NO_THROW(config.validate());
   EXPECT_EQ(config.replay_mode(), core::ReplayMode::kFast);
-  EXPECT_TRUE(config.deadline_ordered_queue());
-  EXPECT_EQ(config.lane_chain_limit(), 3u);
+  EXPECT_STREQ(config.scheduler().name(), "concurrency");
 }
 
 TEST(EngineConfig, PlacementAndBarrierKnobsCompose) {

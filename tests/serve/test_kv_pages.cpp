@@ -538,6 +538,25 @@ TEST(PagedServing, ValidatesOversizedAndMalformedRequestsUpFront) {
   }
 }
 
+TEST(PagedServing, RejectsPrefixIdsThatWouldSpillIntoTheModelWord) {
+  // One past the limit, model 0's group would key model 1's prefix run.
+  constexpr std::size_t kSpill = kMaxKvPrefixId + 2;
+  ASSERT_EQ(kv_prefix_key(0, kSpill), kv_prefix_key(1, 1));
+  {
+    ServingEngine engine(small_cfg(), {tiny_model()},
+                         paged_config(64 * kPage));
+    EXPECT_THROW(engine.run({req(0, 32, 8, kMaxKvPrefixId + 1, 8)}),
+                 std::invalid_argument);
+  }
+  {
+    // The largest id that fits its word still serves normally.
+    ServingEngine engine(small_cfg(), {tiny_model()},
+                         paged_config(64 * kPage));
+    const auto result = engine.run({req(0, 32, 8, kMaxKvPrefixId, 8)});
+    EXPECT_EQ(result.completed, 1u);
+  }
+}
+
 // --- Legacy-mode byte identity ----------------------------------------------
 
 TEST(PagedServing, LegacyModeIsTheDefaultAndStaysByteIdentical) {

@@ -250,61 +250,6 @@ TEST(PlacementPolicies, EvictIdleOrdersVictimsColdestAndLargestFirst) {
   EXPECT_TRUE(std::find(victims.begin(), victims.end(), 3u) == victims.end());
 }
 
-TEST(PlacementPolicies, FractionalSetsGrantThePartialFitWholeSetsDeny) {
-  // Model 0: demand 3, set 600 (150 x 4). Model 1: demand 1, set 400
-  // (100 x 4). Capacity 800: whole-set grants only model 0; fractional
-  // mode hands model 1 the 2 layer groups that still fit.
-  PlacementContext ctx;
-  ctx.capacity = 800;
-  ctx.models = {demand(2, 1, 0, 0, 150, 4), demand(1, 0, 0, 0, 100, 4)};
-
-  const DemandWeightedPlacement whole;
-  EXPECT_TRUE(whole.may_acquire(0, ctx));
-  EXPECT_FALSE(whole.may_acquire(1, ctx));
-  EXPECT_EQ(whole.acquire_target_layers(0, ctx), 4u);
-  EXPECT_EQ(whole.acquire_target_layers(1, ctx), 0u);
-
-  const DemandWeightedPlacement fractional(
-      DemandWeightedOptions{.fractional_sets = true});
-  const auto grants = fractional.target_grants(ctx);
-  ASSERT_EQ(grants.size(), 2u);
-  EXPECT_EQ(grants[0].model, 0u);
-  EXPECT_EQ(grants[0].layers, 4u);
-  EXPECT_EQ(grants[1].model, 1u);
-  EXPECT_EQ(grants[1].layers, 2u);  // 200 remaining / 100 per group
-  EXPECT_TRUE(fractional.may_acquire(1, ctx));
-  EXPECT_EQ(fractional.acquire_target_layers(1, ctx), 2u);
-
-  // Not even one group fits: the fractional grant degenerates to a
-  // denial, never a zero-layer pin.
-  ctx.capacity = 650;
-  EXPECT_FALSE(fractional.may_acquire(1, ctx));
-  EXPECT_EQ(fractional.acquire_target_layers(1, ctx), 0u);
-}
-
-TEST(PlacementPolicies, DecayedDemandKeepsABurstyModelRanked) {
-  // Model 0's queue just drained but its decayed signal is still hot;
-  // model 1 has one live request. Live-only ranking drops model 0 to
-  // unranked (not resident); the decayed option keeps it first.
-  PlacementContext ctx;
-  ctx.capacity = 1000;
-  ctx.models = {demand(0, 0, 0, 0, 100, 4), demand(0, 1, 0, 0, 100, 4)};
-  ctx.models[0].demand_decayed = 2.5;
-  ctx.models[1].demand_decayed = 1.0;
-
-  const DemandWeightedPlacement live_only;
-  EXPECT_EQ(live_only.target_set(ctx), (std::vector<std::size_t>{1}));
-
-  const DemandWeightedPlacement decayed(
-      DemandWeightedOptions{.decayed_demand = true});
-  EXPECT_EQ(decayed.target_set(ctx), (std::vector<std::size_t>{0, 1}));
-
-  // Below the floor the residue counts as zero — a long-idle model
-  // cannot squat on the budget via an infinitesimal tail.
-  ctx.models[0].demand_decayed = kDecayedDemandFloor / 2.0;
-  EXPECT_EQ(decayed.target_set(ctx), (std::vector<std::size_t>{1}));
-}
-
 // --- Engine: fill-barrier edges ---------------------------------------------
 
 TEST(FillBarrierEngine, RiderBeforeFillRefetchesExactlyTheUnlandedBytes) {
@@ -544,56 +489,6 @@ TEST(PlacementEngine, EvictIdleReclaimsAWarmPinUnderPressure) {
   EXPECT_EQ(keep.records[1].weight_pinned_layers, b.llm.layers);
   // Either way the replay drains: no idle pin survives the flush.
   EXPECT_EQ(evict.result.completed, 2u);
-}
-
-TEST(PlacementEngine, FractionalPlacementPinsThePartialSetInsteadOfDenying) {
-  // Budget = ONE layer group of a 2-layer model: the whole-set policy
-  // denies the pin outright; fractional placement pins the one group
-  // that fits and still saves its re-fetches.
-  const core::ChipConfig cfg = small_cfg();
-  const model::MllmConfig m = tiny_model();
-  const Bytes one_group = llm_layer_group_bytes(m, cfg);
-  const std::vector<Request> trace = {req(0, 0, 4, 192)};
-  auto config = [&](DemandWeightedOptions options) {
-    return fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-        .weight_residency_bytes(one_group)
-        .placement_policy(
-            std::make_shared<DemandWeightedPlacement>(options));
-  };
-  const auto whole = replay_trace(cfg, {m}, config({}), trace);
-  EXPECT_EQ(whole.result.weight_pins, 0u);
-  EXPECT_GE(whole.result.placement_denials, 1u);
-  EXPECT_EQ(whole.result.cc_weight_bytes_saved, 0u);
-
-  const auto fractional = replay_trace(
-      cfg, {m}, config({.fractional_sets = true}), trace);
-  EXPECT_EQ(fractional.result.weight_pins, 1u);
-  EXPECT_EQ(fractional.result.placement_denials, 0u);
-  EXPECT_GT(fractional.result.cc_weight_bytes_saved, 0u);
-  ASSERT_EQ(fractional.records.size(), 1u);
-  EXPECT_EQ(fractional.records[0].weight_pinned_layers, 1u);
-  EXPECT_EQ(fractional.result.completed, 1u);
-}
-
-TEST(PlacementEngine, DecayedDemandOptionsReplayTheTraceToCompletion) {
-  // Smoke the full decayed-demand composition end to end: EWMA refresh
-  // at every seam, fractional grants, the fill barrier.
-  const core::ChipConfig cfg = small_cfg();
-  const model::MllmConfig a = tiny_model("model-a");
-  const model::MllmConfig b = tiny_model("model-b");
-  EngineConfig config =
-      fast_config(std::make_shared<ResidentChunkedPrefill>(48))
-          .weight_residency_bytes(full_weight_set(a, cfg) +
-                                  llm_layer_group_bytes(b, cfg))
-          .placement_policy(std::make_shared<DemandWeightedPlacement>(
-              DemandWeightedOptions{.fractional_sets = true,
-                                    .decayed_demand = true}));
-  const auto out = replay_trace(
-      cfg, {a, b}, config,
-      {req(0, 0, 4, 192, 0), req(1, 0, 4, 192, 1), req(2, 400000, 4, 192, 0),
-       req(3, 800000, 4, 144, 1)});
-  EXPECT_EQ(out.result.completed, 4u);
-  EXPECT_GT(out.result.weight_pins, 0u);
 }
 
 TEST(PlacementEngine, RetainedPinsAreFlushedBeforeTheDrainAssert) {

@@ -60,69 +60,15 @@ Request deadline_req(RequestId id, Cycle arrival, Cycle deadline) {
   return r;
 }
 
-TEST(RequestQueue, QueueOrderToString) {
-  EXPECT_STREQ(to_string(QueueOrder::kArrival), "arrival");
-  EXPECT_STREQ(to_string(QueueOrder::kDeadline), "deadline");
-  EXPECT_EQ(RequestQueue().order(), QueueOrder::kArrival);
-}
-
 TEST(RequestQueue, DefaultOrderIgnoresDeadlines) {
-  // kArrival must behave exactly as before the knob existed, deadlines
-  // or not — the byte-identity contract of the default engine.
+  // Pop order is arrival order, deadlines or not: an urgent request
+  // never overtakes one that arrived before it.
   RequestQueue q;
   q.push(deadline_req(0, 100, 9000));
   q.push(deadline_req(1, 200, 500));  // urgent but later-arriving
   ASSERT_TRUE(q.ready(200));
   EXPECT_EQ(q.pop().id, 0u);
   EXPECT_EQ(q.pop().id, 1u);
-}
-
-TEST(RequestQueue, DeadlineOrderPopsEarliestDeadlineAmongArrived) {
-  RequestQueue q(QueueOrder::kDeadline);
-  q.push(deadline_req(0, 100, 9000));
-  q.push(deadline_req(1, 150, 500));
-  q.push(deadline_req(2, 120, 4000));
-  ASSERT_TRUE(q.ready(150));
-  EXPECT_EQ(q.front().id, 1u);  // tightest deadline wins
-  EXPECT_EQ(q.pop().id, 1u);
-  EXPECT_EQ(q.pop().id, 2u);
-  EXPECT_EQ(q.pop().id, 0u);
-}
-
-TEST(RequestQueue, DeadlineOrderHidesRequestsUntilTheyArrive) {
-  RequestQueue q(QueueOrder::kDeadline);
-  q.push(deadline_req(0, 100, 9000));
-  q.push(deadline_req(1, 5000, 500));  // urgent, but far in the future
-  ASSERT_TRUE(q.ready(100));
-  EXPECT_EQ(q.front().id, 0u);  // the urgent one has not arrived yet
-  const auto popped = q.pop_ready(100);
-  ASSERT_TRUE(popped.has_value());
-  EXPECT_EQ(popped->id, 0u);
-  ASSERT_TRUE(q.ready(5000));
-  EXPECT_EQ(q.pop().id, 1u);
-}
-
-TEST(RequestQueue, DeadlineOrderSortsNoDeadlineLast) {
-  RequestQueue q(QueueOrder::kDeadline);
-  q.push(deadline_req(0, 10, 0));  // no SLO
-  q.push(deadline_req(1, 20, 800));
-  q.push(deadline_req(2, 30, 0));  // no SLO, later arrival
-  ASSERT_TRUE(q.ready(30));
-  EXPECT_EQ(q.pop().id, 1u);
-  // Both deadline-free: ties break by (arrival, id).
-  EXPECT_EQ(q.pop().id, 0u);
-  EXPECT_EQ(q.pop().id, 2u);
-}
-
-TEST(RequestQueue, DeadlineOrderBreaksTiesByArrivalThenId) {
-  RequestQueue q(QueueOrder::kDeadline);
-  q.push(deadline_req(7, 50, 1000));
-  q.push(deadline_req(3, 40, 1000));
-  q.push(deadline_req(5, 40, 1000));
-  ASSERT_TRUE(q.ready(50));
-  EXPECT_EQ(q.pop().id, 3u);
-  EXPECT_EQ(q.pop().id, 5u);
-  EXPECT_EQ(q.pop().id, 7u);
 }
 
 }  // namespace

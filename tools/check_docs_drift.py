@@ -8,11 +8,13 @@ Every knob referenced anywhere in the given markdown files/dirs must
 appear as an identifier in the corresponding header:
 
   EngineConfig::<name>  -> src/serve/engine_config.hpp
-  ServingResult::<name> -> src/serve/serving_engine.hpp
+  ServingResult::<name> -> src/serve/serving_engine.hpp + trace_summary.hpp
+  TraceSummary::<name>  -> src/serve/trace_summary.hpp
   ReplayMode::<name>    -> src/core/fast_replay.hpp
   SweepCase / SweepOptions / SweepOutcome::<name> -> src/serve/sweep.hpp
   ClusterConfig::<name> -> src/serve/cluster/cluster_config.hpp
   ClusterResult / ClusterOutcome::<name> -> src/serve/cluster/cluster_engine.hpp
+    (ClusterResult also + src/serve/trace_summary.hpp)
   RouterPolicy::<name>  -> src/serve/cluster/router.hpp
   ChipLink::<name>      -> src/mem/memory_path.hpp
   KvPageAllocator / SwapPolicy::<name> -> src/serve/kv_pages.hpp
@@ -21,6 +23,14 @@ appear as an identifier in the corresponding header:
   OffloadPolicy / OffloadContext::<name> -> src/serve/policy.hpp
   QualityPolicy / QualityContext::<name> -> src/serve/policy.hpp
   RequestRecord::<name> -> src/serve/request.hpp
+  PlacementPolicy / DemandWeightedPlacement / ModelDemand / PlacementContext
+    / SchedulerPolicy / PrefillPlanner / BatchPolicy::<name> -> src/serve/policy.hpp
+  PhaseScheduler::<name> -> src/core/phase_scheduler.hpp
+  RequestQueue::<name>  -> src/serve/request_queue.hpp
+  WeightResidencyTracker::<name> -> src/serve/residency_tracker.hpp
+  KvCapacityTracker::<name> -> src/serve/kv_tracker.hpp
+
+A struct that inherits its fields maps to its own header plus its base's.
 
 Offline and dependency-free by design, like check_markdown_links.py.
 
@@ -32,24 +42,19 @@ import os
 import re
 import sys
 
-# `EngineConfig::knob` or `ServingResult::counter` (also matched with a
-# dot, as prose sometimes writes `ServingResult.rider_refetch_bytes`).
-REF_RE = re.compile(
-    r"\b(EngineConfig|ServingResult|ReplayMode|SweepCase|SweepOptions"
-    r"|SweepOutcome|ClusterConfig|ClusterResult|ClusterOutcome"
-    r"|RouterPolicy|ChipLink|KvPageAllocator|SwapPolicy|ExecutionBackend"
-    r"|GpuBackend|GpuSpec|OffloadPolicy|OffloadContext"
-    r"|QualityPolicy|QualityContext|RequestRecord)(?:::|\.)(\w+)")
-
+# Owner -> header, or a tuple of headers for a struct with a base.
 HEADERS = {
     "EngineConfig": "src/serve/engine_config.hpp",
-    "ServingResult": "src/serve/serving_engine.hpp",
+    "ServingResult": ("src/serve/serving_engine.hpp",
+                      "src/serve/trace_summary.hpp"),
+    "TraceSummary": "src/serve/trace_summary.hpp",
     "ReplayMode": "src/core/fast_replay.hpp",
     "SweepCase": "src/serve/sweep.hpp",
     "SweepOptions": "src/serve/sweep.hpp",
     "SweepOutcome": "src/serve/sweep.hpp",
     "ClusterConfig": "src/serve/cluster/cluster_config.hpp",
-    "ClusterResult": "src/serve/cluster/cluster_engine.hpp",
+    "ClusterResult": ("src/serve/cluster/cluster_engine.hpp",
+                      "src/serve/trace_summary.hpp"),
     "ClusterOutcome": "src/serve/cluster/cluster_engine.hpp",
     "RouterPolicy": "src/serve/cluster/router.hpp",
     "ChipLink": "src/mem/memory_path.hpp",
@@ -63,7 +68,28 @@ HEADERS = {
     "QualityPolicy": "src/serve/policy.hpp",
     "QualityContext": "src/serve/policy.hpp",
     "RequestRecord": "src/serve/request.hpp",
+    "PlacementPolicy": "src/serve/policy.hpp",
+    "DemandWeightedPlacement": "src/serve/policy.hpp",
+    "ModelDemand": "src/serve/policy.hpp",
+    "PlacementContext": "src/serve/policy.hpp",
+    "SchedulerPolicy": "src/serve/policy.hpp",
+    "PrefillPlanner": "src/serve/policy.hpp",
+    "BatchPolicy": "src/serve/policy.hpp",
+    "PhaseScheduler": "src/core/phase_scheduler.hpp",
+    "RequestQueue": "src/serve/request_queue.hpp",
+    "WeightResidencyTracker": "src/serve/residency_tracker.hpp",
+    "KvCapacityTracker": "src/serve/kv_tracker.hpp",
 }
+
+# `EngineConfig::knob` or `ServingResult::counter` for any owner above
+# (also matched with a dot, as prose sometimes writes
+# `ServingResult.rider_refetch_bytes`).
+REF_RE = re.compile(r"\b(" + "|".join(HEADERS) + r")(?:::|\.)(\w+)")
+
+
+def headers_of(owner: str) -> tuple:
+    header = HEADERS[owner]
+    return header if isinstance(header, tuple) else (header,)
 
 
 def repo_root() -> str:
@@ -82,19 +108,21 @@ def collect_files(args):
     return sorted(set(files))
 
 
-def header_identifiers(path: str) -> set:
-    """Identifiers declared in the header, with // comments stripped
+def header_identifiers(paths: tuple) -> set:
+    """Identifiers declared in the headers, with // comments stripped
     first — a knob renamed in code but still mentioned in a comment must
     not keep the old doc reference alive."""
-    with open(path, encoding="utf-8") as fh:
-        code = re.sub(r"//[^\n]*", "", fh.read())
-    return set(re.findall(r"\b\w+\b", code))
+    identifiers = set()
+    for path in paths:
+        with open(os.path.join(repo_root(), path), encoding="utf-8") as fh:
+            code = re.sub(r"//[^\n]*", "", fh.read())
+        identifiers.update(re.findall(r"\b\w+\b", code))
+    return identifiers
 
 
 def check(files):
     identifiers = {
-        owner: header_identifiers(os.path.join(repo_root(), header))
-        for owner, header in HEADERS.items()
+        owner: header_identifiers(headers_of(owner)) for owner in HEADERS
     }
     failures = []
     for path in files:
@@ -104,7 +132,8 @@ def check(files):
             if name not in identifiers[owner]:
                 failures.append(
                     f"{path}: {owner}::{name} is not declared in "
-                    f"{HEADERS[owner]} (renamed or removed knob?)")
+                    f"{' + '.join(headers_of(owner))} "
+                    f"(renamed or removed knob?)")
     return failures
 
 
@@ -123,7 +152,7 @@ def main() -> int:
     for failure in failures:
         print(failure)
     print(f"checked {len(files)} markdown files against "
-          f"{', '.join(sorted(HEADERS.values()))}: "
+          f"{', '.join(sorted({h for o in HEADERS for h in headers_of(o)}))}: "
           f"{'OK' if not failures else f'{len(failures)} drifted reference(s)'}")
     return 1 if failures else 0
 
