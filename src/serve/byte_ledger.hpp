@@ -1,9 +1,7 @@
-// Reserve/release byte ledger keyed by request id — the shared core of
-// KvCapacityTracker (decode-batch KV reservations) and
-// WeightResidencyTracker (prefill weight pins). One place owns the
-// overcommit, duplicate-hold and unknown-release invariants; the
-// trackers add their domain counters (deferrals / fallbacks, peak) on
-// top.
+// Reserve/release byte ledger keyed by request id — the core of
+// WeightResidencyTracker (prefill weight pins). It owns the overcommit,
+// duplicate-hold and unknown-release invariants; the tracker adds its
+// domain counters (fallbacks, peak) on top.
 #ifndef EDGEMM_SERVE_BYTE_LEDGER_HPP
 #define EDGEMM_SERVE_BYTE_LEDGER_HPP
 

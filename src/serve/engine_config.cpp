@@ -96,7 +96,6 @@ EngineConfig::EngineConfig()
       planner_(std::make_shared<MonolithicPrefill>()),
       batcher_(std::make_shared<FifoBatch>()),
       placement_(std::make_shared<KeepCurrentPlacement>()),
-      swap_policy_(std::make_shared<LruSwapPolicy>()),
       offload_(std::make_shared<NoOffload>()),
       quality_(std::make_shared<StaticQuality>()) {}
 
@@ -177,15 +176,6 @@ EngineConfig& EngineConfig::kv_prefix_sharing(bool enabled) {
   return *this;
 }
 
-EngineConfig& EngineConfig::kv_swap_policy(
-    std::shared_ptr<const SwapPolicy> policy) {
-  if (!policy) {
-    throw std::invalid_argument("EngineConfig: null SwapPolicy");
-  }
-  swap_policy_ = std::move(policy);
-  return *this;
-}
-
 EngineConfig& EngineConfig::weight_residency_bytes(Bytes bytes) {
   weight_residency_bytes_ = bytes;
   return *this;
@@ -250,8 +240,7 @@ EngineConfig& EngineConfig::quality_band(double min_keep, double max_keep) {
 }
 
 void EngineConfig::validate() const {
-  if (!scheduler_ || !planner_ || !batcher_ || !placement_ || !swap_policy_ ||
-      !quality_) {
+  if (!scheduler_ || !planner_ || !batcher_ || !placement_ || !quality_) {
     throw std::invalid_argument("EngineConfig: missing policy");
   }
   if (!(quality_min_keep_ > 0.0) || quality_min_keep_ > quality_max_keep_ ||

@@ -87,18 +87,20 @@ class EngineConfig {
   /// single request's KV cache, so a meaningful budget must be chosen
   /// explicitly (see chip_kv_capacity's oversubscription parameter).
   EngineConfig& kv_capacity_bytes(Bytes bytes);
-  /// Page-granular KV accounting (default: false — the PR 2 whole-
-  /// footprint KvCapacityTracker, byte-identical to every prior PR).
-  /// When on (and a KV budget is set), the engine reserves only the
-  /// pages a request's PROMPT occupies at decode join and grows the
-  /// reservation one page per generated-token page boundary; when the
-  /// budget fills mid-decode it preempts SwapPolicy victims to DRAM and
-  /// refills them (see KvPageAllocator). No effect without
+  /// Page-granular KV accounting (default: false — whole-footprint
+  /// reservations: each request reserves its full final KV footprint at
+  /// decode join). When on (and a KV budget is set), the engine
+  /// reserves only the pages a request's PROMPT occupies at decode join
+  /// and grows the reservation one page per generated-token page
+  /// boundary; when the budget fills mid-decode it preempts the active
+  /// request with the least-recent page-table touch to DRAM and refills
+  /// it later (see KvPageAllocator). No effect without
   /// kv_capacity_bytes.
   EngineConfig& paged_kv(bool enabled);
   /// KV page size for paged_kv (default kDefaultKvPageBytes = 64 KiB).
   /// Throws std::invalid_argument on zero; validate() requires the KV
-  /// budget to hold at least one page.
+  /// budget to hold at least one page, and the engine requires a page
+  /// to hold at least one token's K+V of every served model.
   EngineConfig& kv_page_bytes(Bytes bytes);
   /// Copy-on-write prefix sharing under paged_kv (default: true):
   /// requests with the same (model, Request::prefix_id) share their
@@ -108,10 +110,6 @@ class EngineConfig {
   /// whole prompt privately — the A/B baseline. No effect on traces
   /// without prefix ids.
   EngineConfig& kv_prefix_sharing(bool enabled);
-  /// Victim selection for the paged-KV evict-to-DRAM swap tier (default
-  /// LruSwapPolicy: least-recent page-table touch, ties by id). Throws
-  /// std::invalid_argument on null. Only consulted under paged_kv.
-  EngineConfig& kv_swap_policy(std::shared_ptr<const SwapPolicy> policy);
   /// Byte budget for weight-resident chunk chaining (the
   /// WeightResidencyTracker's capacity); 0 (default) disables residency
   /// — a residency-capable planner then degrades to per-chunk re-fetch,
@@ -166,9 +164,9 @@ class EngineConfig {
   /// Inject paged-KV swap-in refill traffic as DMA ops on the MC decode
   /// lane (default: false — refills are bookkeeping-only, byte-identical
   /// to PR 8). When on, each refill's re-fetched bytes ride the next
-  /// decode step as a KV-stream op, so a SwapPolicy's thrashing costs
-  /// decode bandwidth in the timing plane instead of being free. No
-  /// effect without paged_kv.
+  /// decode step as a KV-stream op, so swap thrashing costs decode
+  /// bandwidth in the timing plane instead of being free. No effect
+  /// without paged_kv.
   EngineConfig& kv_swap_refill_dma(bool enabled);
   /// At WHAT quality (FFN keep fraction) each request is served (the
   /// sixth seam; see QualityPolicy). Default StaticQuality — every
@@ -196,7 +194,6 @@ class EngineConfig {
   bool paged_kv() const { return paged_kv_; }
   Bytes kv_page_bytes() const { return kv_page_bytes_; }
   bool kv_prefix_sharing() const { return kv_prefix_sharing_; }
-  const SwapPolicy& kv_swap_policy() const { return *swap_policy_; }
   Bytes weight_residency() const { return weight_residency_bytes_; }
   const PlacementPolicy& placement() const { return *placement_; }
   core::ReplayMode replay_mode() const { return replay_mode_; }
@@ -235,7 +232,6 @@ class EngineConfig {
   bool paged_kv_ = false;
   Bytes kv_page_bytes_ = kDefaultKvPageBytes;
   bool kv_prefix_sharing_ = true;
-  std::shared_ptr<const SwapPolicy> swap_policy_;
   Bytes weight_residency_bytes_ = 0;
   core::ReplayMode replay_mode_ = core::ReplayMode::kDetailed;
   EnginePhase phase_ = EnginePhase::kFull;

@@ -21,9 +21,13 @@ std::size_t kv_tokens_per_page(const model::MllmConfig& model,
   if (page_bytes == 0) {
     throw std::invalid_argument("kv_tokens_per_page: page_bytes must be > 0");
   }
-  return std::max<std::size_t>(
-      1, static_cast<std::size_t>(page_bytes /
-                                  model::kv_bytes_per_token(model)));
+  const std::size_t tokens =
+      static_cast<std::size_t>(page_bytes / model::kv_bytes_per_token(model));
+  if (tokens == 0) {
+    throw std::invalid_argument(
+        "kv_tokens_per_page: page_bytes is smaller than one token's KV");
+  }
+  return tokens;
 }
 
 std::size_t kv_shared_prefix_pages(const Request& r,
@@ -45,28 +49,11 @@ std::size_t kv_page_footprint(const Request& r,
   return shared + (private_tokens + tpp - 1) / tpp;
 }
 
-std::vector<RequestId> LruSwapPolicy::victim_order(
-    const std::vector<SwapCandidate>& candidates) const {
-  std::vector<std::size_t> order(candidates.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (candidates[a].last_touch != candidates[b].last_touch) {
-      return candidates[a].last_touch < candidates[b].last_touch;
-    }
-    return candidates[a].id < candidates[b].id;
-  });
-  std::vector<RequestId> victims;
-  victims.reserve(order.size());
-  for (const std::size_t i : order) victims.push_back(candidates[i].id);
-  return victims;
-}
-
 KvPageAllocator::KvPageAllocator(Bytes capacity, Bytes page_bytes)
     : page_bytes_(page_bytes),
       total_pages_(page_bytes > 0
                        ? static_cast<std::size_t>(capacity / page_bytes)
-                       : 0),
-      ledger_(capacity, "KvPageAllocator") {
+                       : 0) {
   if (page_bytes_ == 0) {
     throw std::invalid_argument("KvPageAllocator: page_bytes must be > 0");
   }
@@ -78,7 +65,7 @@ KvPageAllocator::KvPageAllocator(Bytes capacity, Bytes page_bytes)
 
 std::size_t KvPageAllocator::resident_pages_of(RequestId id) const {
   const auto it = tables_.find(id);
-  return it == tables_.end() ? 0 : it->second.resident.size();
+  return it == tables_.end() ? 0 : it->second.resident;
 }
 
 std::size_t KvPageAllocator::swapped_pages_of(RequestId id) const {
@@ -92,9 +79,20 @@ std::size_t KvPageAllocator::shared_refcount(KvPrefixKey key) const {
 }
 
 bool KvPageAllocator::conserved() const {
-  return pages_allocated_ ==
+  // Recount from the tables and runs: the running counters must agree
+  // with the state they summarize, not only with each other.
+  std::size_t resident = 0;
+  std::size_t swapped = 0;
+  for (const auto& entry : tables_) {
+    resident += entry.second.resident;
+    swapped += entry.second.swapped;
+  }
+  for (const auto& entry : runs_) {
+    (entry.second.swapped ? swapped : resident) += entry.second.pages;
+  }
+  return resident == resident_count_ && swapped == swapped_count_ &&
+         pages_allocated_ ==
              resident_count_ + swapped_count_ + pages_freed_ &&
-         ledger_.held() == resident_count_ * page_bytes_ &&
          resident_count_ <= total_pages_;
 }
 
@@ -104,26 +102,16 @@ void KvPageAllocator::assert_conserved() const {
                     "(allocated != resident + swapped + freed)");
 }
 
-std::uint64_t KvPageAllocator::acquire_page() {
-  EDGEMM_ASSERT_MSG(resident_count_ < total_pages_,
-                    "KvPageAllocator: acquire_page without a free page");
-  const std::uint64_t page_id = next_page_++;
-  const bool ok = ledger_.try_acquire(page_id, page_bytes_);
-  EDGEMM_ASSERT_MSG(ok, "KvPageAllocator: ledger refused a counted-free page");
-  ++resident_count_;
+void KvPageAllocator::acquire(std::size_t pages) {
+  EDGEMM_ASSERT_MSG(pages <= free_pages(),
+                    "KvPageAllocator: acquire without enough free pages");
+  resident_count_ += pages;
   peak_resident_bytes_ =
       std::max<Bytes>(peak_resident_bytes_, resident_count_ * page_bytes_);
-  return page_id;
-}
-
-void KvPageAllocator::release_page(std::uint64_t page_id) {
-  ledger_.release(page_id);
-  --resident_count_;
 }
 
 void KvPageAllocator::swap_run_out(SharedRun& run) {
-  for (const std::uint64_t page_id : run.page_ids) release_page(page_id);
-  run.page_ids.clear();
+  resident_count_ -= run.pages;
   run.swapped = true;
   swapped_count_ += run.pages;
   pages_swapped_out_ += run.pages;
@@ -159,22 +147,15 @@ bool KvPageAllocator::try_join(RequestId id, std::size_t private_pages,
 
   if (with_prefix) {
     if (run == nullptr) {
-      SharedRun fresh;
-      fresh.pages = shared_pages;
-      fresh.page_ids.reserve(shared_pages);
-      for (std::size_t p = 0; p < shared_pages; ++p) {
-        fresh.page_ids.push_back(acquire_page());
-      }
+      acquire(shared_pages);
       pages_allocated_ += shared_pages;
-      run = &runs_.emplace(prefix, std::move(fresh)).first->second;
+      run = &runs_.emplace(prefix, SharedRun{0, 0, false, shared_pages})
+                 .first->second;
     } else {
       ++shared_attaches_;
       shared_pages_saved_ += run->pages;
       if (run->swapped) {
-        run->page_ids.reserve(run->pages);
-        for (std::size_t p = 0; p < run->pages; ++p) {
-          run->page_ids.push_back(acquire_page());
-        }
+        acquire(run->pages);
         run->swapped = false;
         swapped_count_ -= run->pages;
         pages_swapped_in_ += run->pages;
@@ -185,14 +166,10 @@ bool KvPageAllocator::try_join(RequestId id, std::size_t private_pages,
     ++run->resident_refs;
   }
 
-  PageTable table;
-  table.prefix = with_prefix ? prefix : 0;
-  table.resident.reserve(private_pages);
-  for (std::size_t p = 0; p < private_pages; ++p) {
-    table.resident.push_back(acquire_page());
-  }
+  acquire(private_pages);
   pages_allocated_ += private_pages;
-  tables_.emplace(id, std::move(table));
+  tables_.emplace(id, PageTable{private_pages, 0, with_prefix ? prefix : 0,
+                                false});
   assert_conserved();
   return true;
 }
@@ -204,7 +181,8 @@ bool KvPageAllocator::try_append(RequestId id) {
         "KvPageAllocator: append for an unknown or swapped-out request");
   }
   if (free_pages() == 0) return false;
-  it->second.resident.push_back(acquire_page());
+  acquire(1);
+  ++it->second.resident;
   ++pages_allocated_;
   assert_conserved();
   return true;
@@ -217,9 +195,9 @@ std::size_t KvPageAllocator::swap_out(RequestId id) {
         "KvPageAllocator: swap_out for an unknown or already-swapped request");
   }
   PageTable& table = it->second;
-  const std::size_t moved = table.resident.size();
-  for (const std::uint64_t page_id : table.resident) release_page(page_id);
-  table.resident.clear();
+  const std::size_t moved = table.resident;
+  resident_count_ -= moved;
+  table.resident = 0;
   table.swapped += moved;
   table.out = true;
   swapped_count_ += moved;
@@ -250,19 +228,10 @@ bool KvPageAllocator::try_swap_in(RequestId id) {
   const std::size_t needed = table.swapped + (run_refill ? run->pages : 0);
   if (needed > free_pages()) return false;
 
-  if (run_refill) {
-    run->page_ids.reserve(run->pages);
-    for (std::size_t p = 0; p < run->pages; ++p) {
-      run->page_ids.push_back(acquire_page());
-    }
-    run->swapped = false;
-    swapped_count_ -= run->pages;
-  }
-  table.resident.reserve(table.swapped);
-  for (std::size_t p = 0; p < table.swapped; ++p) {
-    table.resident.push_back(acquire_page());
-  }
-  swapped_count_ -= table.swapped;
+  acquire(needed);
+  if (run_refill) run->swapped = false;
+  swapped_count_ -= needed;
+  table.resident = table.swapped;
   table.swapped = 0;
   table.out = false;
   if (run != nullptr) ++run->resident_refs;
@@ -278,9 +247,9 @@ void KvPageAllocator::release(RequestId id) {
     throw std::logic_error("KvPageAllocator: release for an unknown request");
   }
   PageTable& table = it->second;
-  for (const std::uint64_t page_id : table.resident) release_page(page_id);
-  pages_freed_ += table.resident.size() + table.swapped;
+  resident_count_ -= table.resident;
   swapped_count_ -= table.swapped;
+  pages_freed_ += table.resident + table.swapped;
   if (table.prefix != 0) {
     SharedRun& run = runs_.at(table.prefix);
     EDGEMM_ASSERT(run.refs > 0);
@@ -291,11 +260,7 @@ void KvPageAllocator::release(RequestId id) {
     if (--run.refs == 0) {
       // Last holder: the run's pages are freed exactly once, wherever
       // they live.
-      if (run.swapped) {
-        swapped_count_ -= run.pages;
-      } else {
-        for (const std::uint64_t page_id : run.page_ids) release_page(page_id);
-      }
+      (run.swapped ? swapped_count_ : resident_count_) -= run.pages;
       pages_freed_ += run.pages;
       runs_.erase(table.prefix);
     } else if (run.resident_refs == 0 && !run.swapped) {

@@ -1,15 +1,14 @@
-// Page-granular KV-cache allocation with copy-on-write prefix sharing
-// and an evict-to-DRAM swap tier.
-//
-// PR 2's KvCapacityTracker reserves each request's FULL final footprint
-// when it joins the decode batch, so most of the CIM budget is dead
-// reservation for tokens not generated yet. The KvPageAllocator replaces
-// that with fixed-size pages over the same byte budget (backed by the
-// same ByteLedger):
-//   - a request joining the decode batch reserves only the pages its
-//     PROMPT occupies; the reservation then grows one page at a time as
-//     generated tokens cross page boundaries (the engine's per-token
-//     growth pass);
+// The decode batch's one KV ledger: fixed-size pages over the KV byte
+// budget, with copy-on-write prefix sharing and an evict-to-DRAM swap
+// tier. It runs in two modes; the allocator itself has no mode switch:
+//   - whole-footprint (the default, paged_kv off): a 1-byte page. A
+//     request joining the decode batch reserves its FULL final footprint
+//     (kv_footprint_bytes) in one join, never appends and never swaps; a
+//     join that would overflow is deferred by the engine;
+//   - paged (paged_kv): a request joining the decode batch reserves only
+//     the pages its PROMPT occupies; the reservation then grows one page
+//     at a time as generated tokens cross page boundaries (the engine's
+//     per-token growth pass);
 //   - requests with a common system/image prompt (Request::prefix_id)
 //     share the prefix's FULL pages under one refcounted run — the first
 //     attacher allocates and charges them once, later attachers ride for
@@ -18,18 +17,19 @@
 //     copies it into its private page table at join, because its first
 //     divergent token writes into that page. Shared pages are freed
 //     exactly once, when the last holder releases;
-//   - when the CIM budget fills mid-decode, the engine preempts victim
-//     requests chosen by a SwapPolicy (least-recent page-table touch by
-//     default): ALL of a victim's private resident pages move to DRAM
-//     (swap-out releases their CIM bytes), and the re-fetch bytes are
-//     charged onto the ledger when the victim is refilled — preempt-and-
-//     refill instead of defer-at-join. A shared run whose last resident
-//     holder leaves swaps out with it.
+//   - when the CIM budget fills mid-decode, the engine preempts the
+//     active request with the least-recent page-table touch: ALL of a
+//     victim's private resident pages move to DRAM (swap-out releases
+//     their CIM bytes), and the re-fetch bytes are charged when the
+//     victim is refilled — preempt-and-refill instead of defer-at-join. A
+//     shared run whose last resident holder leaves swaps out with it.
 //
+// Page identities are never observed, so a page table is just its
+// resident and swapped page counts, and a shared run its page count.
 // Conservation is the contract, asserted after every mutation:
 //     pages_allocated() == resident_pages() + swapped_pages() + pages_freed()
-// and the backing ByteLedger holds exactly resident_pages() x page_bytes
-// at every probe cycle. (In the simulated chip KV streams from DRAM
+// and resident_pages() / swapped_pages() equal the sums recomputed from
+// the page tables and runs. (In the simulated chip KV streams from DRAM
 // through the CIM macros each step regardless — see chip_kv_capacity —
 // so swap costs are ledgered as re-fetch BYTES, not extra step latency:
 // the budget governs which requests may decode, the ledger prices the
@@ -40,12 +40,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "common/types.hpp"
 #include "common/units.hpp"
 #include "model/mllm_config.hpp"
-#include "serve/byte_ledger.hpp"
 #include "serve/request.hpp"
 
 namespace edgemm::serve {
@@ -66,8 +64,9 @@ inline constexpr std::size_t kMaxKvPrefixId = 0xFFFF'FFFFu;
 /// prefix_id <= kMaxKvPrefixId.
 KvPrefixKey kv_prefix_key(std::size_t model, std::size_t prefix_id);
 
-/// Tokens one `page_bytes` page holds for `model` (>= 1: a page smaller
-/// than one token's K+V still advances one token per page).
+/// Tokens one `page_bytes` page holds for `model`. Throws
+/// std::invalid_argument when the page is smaller than one token's K+V
+/// (a page must never charge less than the KV it stands for).
 std::size_t kv_tokens_per_page(const model::MllmConfig& model,
                                Bytes page_bytes);
 
@@ -89,49 +88,10 @@ std::size_t kv_page_footprint(const Request& r,
                               const model::MllmConfig& model,
                               Bytes page_bytes, bool prefix_sharing);
 
-/// One swap-victim candidate the engine offers the SwapPolicy: an
-/// ACTIVE decode request (never the one asking for a page) with private
-/// resident pages that could move to DRAM.
-struct SwapCandidate {
-  RequestId id = 0;
-  std::size_t resident_pages = 0;  ///< private pages swap-out would free
-  /// Last cycle the request's page table was touched (join, page append
-  /// or refill) — the recency signal the LRU default ranks by.
-  Cycle last_touch = 0;
-  std::size_t context_tokens = 0;    ///< prompt + generated so far
-  std::size_t remaining_tokens = 0;  ///< output tokens still to generate
-};
-
-/// Victim-selection seam for the evict-to-DRAM swap tier
-/// (EngineConfig::kv_swap_policy). The engine preempts candidates
-/// front-to-back from victim_order until the page it needs is free;
-/// deterministic orderings keep replays byte-identical.
-class SwapPolicy {
- public:
-  virtual ~SwapPolicy() = default;
-  virtual const char* name() const = 0;
-  /// Ranks `candidates` most-evictable first. Must return a permutation
-  /// of the candidate ids; ties must be broken deterministically.
-  virtual std::vector<RequestId> victim_order(
-      const std::vector<SwapCandidate>& candidates) const = 0;
-};
-
-/// Default SwapPolicy: least-recent page-table touch first (every active
-/// request streams its whole KV each step, so "recently USED" cannot
-/// discriminate — recency of page-table GROWTH is the cold signal),
-/// ties by ascending request id.
-class LruSwapPolicy : public SwapPolicy {
- public:
-  const char* name() const override { return "lru"; }
-  std::vector<RequestId> victim_order(
-      const std::vector<SwapCandidate>& candidates) const override;
-};
-
-/// Fixed-size page allocator over a KV byte budget, backed by a
-/// ByteLedger (one ledger hold per resident physical page). Tracks per-
-/// request private page tables, refcounted shared-prefix runs and the
-/// DRAM swap tier; asserts the conservation invariant after every
-/// mutation (see the header comment).
+/// Fixed-size page allocator over a KV byte budget. Tracks per-request
+/// private page counts, refcounted shared-prefix runs and the DRAM swap
+/// tier; asserts the conservation invariant after every mutation (see
+/// the header comment).
 class KvPageAllocator {
  public:
   /// Throws std::invalid_argument for a zero page size or a capacity
@@ -171,8 +131,9 @@ class KvPageAllocator {
   std::size_t deferrals() const { return deferrals_; }
 
   /// The conservation invariant, checkable at ANY probe cycle:
-  /// allocated == resident + swapped + freed, and the backing ledger
-  /// holds exactly the resident pages' bytes.
+  /// allocated == resident + swapped + freed, the resident and swapped
+  /// counts equal the sums over the page tables and runs, and the
+  /// resident pages fit the budget.
   bool conserved() const;
 
   /// Joins `id` with `private_pages` pages, first attaching the shared
@@ -188,7 +149,7 @@ class KvPageAllocator {
 
   /// One more private page for `id` (a generated token crossed a page
   /// boundary). False when no page is free — the engine then preempts a
-  /// SwapPolicy victim and retries. Not counted as a deferral.
+  /// victim and retries. Not counted as a deferral.
   bool try_append(RequestId id);
 
   /// Preempts `id` to DRAM: ALL its private resident pages release
@@ -218,29 +179,25 @@ class KvPageAllocator {
     std::size_t resident_refs = 0;  ///< holders whose table is resident
     bool swapped = false;           ///< run pages evicted to DRAM
     std::size_t pages = 0;          ///< run length (fixed at creation)
-    std::vector<std::uint64_t> page_ids;  ///< ledger holds while resident
   };
   /// One request's private page table.
   struct PageTable {
-    std::vector<std::uint64_t> resident;  ///< ledger page ids
-    std::size_t swapped = 0;              ///< private pages in DRAM
-    KvPrefixKey prefix = 0;               ///< 0 = no shared run
-    bool out = false;                     ///< request preempted to DRAM
+    std::size_t resident = 0;  ///< private pages holding CIM budget
+    std::size_t swapped = 0;   ///< private pages in DRAM
+    KvPrefixKey prefix = 0;    ///< 0 = no shared run
+    bool out = false;          ///< request preempted to DRAM
   };
 
-  /// Acquires one physical page from the ledger (caller checked
+  /// Charges `pages` free pages to the budget (caller checked
   /// free_pages(); asserted here).
-  std::uint64_t acquire_page();
-  void release_page(std::uint64_t page_id);
+  void acquire(std::size_t pages);
   void swap_run_out(SharedRun& run);
   void assert_conserved() const;
 
   Bytes page_bytes_;
   std::size_t total_pages_;
-  ByteLedger ledger_;
   std::unordered_map<RequestId, PageTable> tables_;
   std::unordered_map<KvPrefixKey, SharedRun> runs_;
-  std::uint64_t next_page_ = 0;   ///< physical page ids are never reused
   std::size_t resident_count_ = 0;
   std::size_t swapped_count_ = 0;
   Bytes peak_resident_bytes_ = 0;

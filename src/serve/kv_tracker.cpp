@@ -1,6 +1,5 @@
 #include "serve/kv_tracker.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -21,19 +20,5 @@ Bytes chip_kv_capacity(const core::ChipConfig& config, double oversubscription) 
                       static_cast<double>(config.mc_cluster_cim_bytes());
   return static_cast<Bytes>(std::llround(base * oversubscription));
 }
-
-KvCapacityTracker::KvCapacityTracker(Bytes capacity)
-    : ledger_(capacity, "KvCapacityTracker") {}
-
-bool KvCapacityTracker::try_reserve(RequestId id, Bytes bytes) {
-  if (!ledger_.try_acquire(id, bytes)) {
-    ++deferrals_;
-    return false;
-  }
-  peak_reserved_ = std::max(peak_reserved_, ledger_.held());
-  return true;
-}
-
-void KvCapacityTracker::release(RequestId id) { ledger_.release(id); }
 
 }  // namespace edgemm::serve

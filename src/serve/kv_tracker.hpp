@@ -1,11 +1,12 @@
-// KV-cache capacity accounting for the decode batch.
+// KV-cache sizing for the decode batch.
 //
 // Each request decoding on the MC side owns a private KV cache whose
 // full footprint is (input + output tokens) x kv_bytes_per_token of its
-// model. The tracker charges that footprint against a byte budget when
-// the request joins the decode batch and releases it at retirement; a
-// join that would overflow is deferred by the engine (the request stays
-// decode-ready and retries at the next step boundary).
+// model. In whole-footprint mode the engine reserves that footprint on
+// the KvPageAllocator (serve/kv_pages.hpp) when the request joins the
+// decode batch and releases it at retirement; a join that would
+// overflow is deferred (the request stays decode-ready and retries at
+// the next step boundary).
 //
 // The natural budget unit is the MC-side CIM storage of the chip
 // (chip_kv_capacity below, from ChipConfig::mc_cluster_cim_bytes());
@@ -15,11 +16,9 @@
 #ifndef EDGEMM_SERVE_KV_TRACKER_HPP
 #define EDGEMM_SERVE_KV_TRACKER_HPP
 
-#include <cstddef>
-
+#include "common/types.hpp"
 #include "core/config.hpp"
 #include "model/mllm_config.hpp"
-#include "serve/byte_ledger.hpp"
 #include "serve/request.hpp"
 
 namespace edgemm::serve {
@@ -34,41 +33,6 @@ Bytes chip_kv_capacity(const core::ChipConfig& config,
 /// the amount a request reserves when it joins the decode batch (and
 /// the unit KV budgets should be sized in).
 Bytes kv_footprint_bytes(const Request& r, const model::MllmConfig& model);
-
-/// Reserve/release ledger over a fixed byte capacity (a ByteLedger plus
-/// the deferral counter). Reservations are keyed by request id; the
-/// tracker never overcommits.
-class KvCapacityTracker {
- public:
-  /// Throws std::invalid_argument for a zero capacity.
-  explicit KvCapacityTracker(Bytes capacity);
-
-  Bytes capacity() const { return ledger_.capacity(); }
-  Bytes reserved() const { return ledger_.held(); }
-  Bytes available() const { return ledger_.available(); }
-  std::size_t holders() const { return ledger_.holders(); }
-  /// True when `id` holds a reservation (a decode-only tier reserves at
-  /// admission — the KV hand-off — and the join finds it held).
-  bool holds(RequestId id) const { return ledger_.held_by(id) > 0; }
-  /// High-water mark of reserved() — what the whole-footprint mode peaks
-  /// at, against which paged mode's peak_resident_bytes compares.
-  Bytes peak_reserved() const { return peak_reserved_; }
-  /// Failed try_reserve calls so far (each one is a deferred join).
-  std::size_t deferrals() const { return deferrals_; }
-
-  /// Reserves `bytes` for `id`. Filling the budget to exactly capacity
-  /// succeeds; one byte over fails (and counts a deferral). Throws
-  /// std::logic_error when `id` already holds a reservation.
-  bool try_reserve(RequestId id, Bytes bytes);
-
-  /// Releases `id`'s reservation; throws std::logic_error if absent.
-  void release(RequestId id);
-
- private:
-  ByteLedger ledger_;
-  Bytes peak_reserved_ = 0;
-  std::size_t deferrals_ = 0;
-};
 
 }  // namespace edgemm::serve
 

@@ -41,7 +41,7 @@
 //
 // The natural budget unit is the CC-side TCDM of the chip
 // (chip_weight_residency_capacity below, from
-// ChipConfig::cc_cluster_tcdm_bytes). As with the KV tracker, the
+// ChipConfig::cc_cluster_tcdm_bytes). As with the KV budget, the
 // Fig. 10 chip's physical scratchpad (512 KiB total) is far below one
 // LLM layer group, so meaningful budgets are expressed as an
 // oversubscription multiple of it — the tracker then models the

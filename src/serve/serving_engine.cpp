@@ -40,13 +40,23 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
   if (models_.empty()) {
     throw std::invalid_argument("ServingEngine: no models to serve");
   }
-  if (engine_config_.kv_capacity() > 0) {
-    if (engine_config_.paged_kv()) {
-      pages_.emplace(engine_config_.kv_capacity(),
-                     engine_config_.kv_page_bytes());
-    } else {
-      kv_.emplace(engine_config_.kv_capacity());
+  if (engine_config_.paged_kv()) {
+    // A page smaller than one token's K+V would charge the budget less
+    // than the KV it holds.
+    for (const model::MllmConfig& m : models_) {
+      if (engine_config_.kv_page_bytes() < model::kv_bytes_per_token(m)) {
+        throw std::invalid_argument(
+            "ServingEngine: kv_page_bytes is smaller than one token's KV of "
+            "a served model");
+      }
     }
+  }
+  if (engine_config_.kv_capacity() > 0) {
+    // Whole-footprint mode reserves byte-granular footprints: a 1-byte
+    // page, so a join charges exactly kv_footprint_bytes.
+    paged_ = engine_config_.paged_kv();
+    pages_.emplace(engine_config_.kv_capacity(),
+                   paged_ ? engine_config_.kv_page_bytes() : 1);
   }
   if (engine_config_.weight_residency() > 0) {
     // EngineConfig::validate() already guaranteed a residency-capable
@@ -147,14 +157,7 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     if (r.model >= models_.size()) {
       throw std::invalid_argument("ServingEngine::run: model index out of range");
     }
-    if (kv_) {
-      if (kv_footprint_bytes(r, models_[r.model]) > kv_->capacity()) {
-        throw std::invalid_argument(
-            "ServingEngine::run: request KV cache exceeds the KV capacity "
-            "budget (it could never join a decode batch)");
-      }
-    }
-    if (pages_) {
+    if (paged_) {
       if (r.prefix_tokens > r.input_tokens) {
         throw std::invalid_argument(
             "ServingEngine::run: prefix_tokens exceeds input_tokens");
@@ -165,13 +168,17 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
         throw std::invalid_argument(
             "ServingEngine::run: prefix_id exceeds kMaxKvPrefixId");
       }
-      if (kv_page_footprint(r, models_[r.model],
-                            engine_config_.kv_page_bytes(),
-                            engine_config_.kv_prefix_sharing()) >
-          pages_->total_pages()) {
+    }
+    if (pages_) {
+      const std::size_t footprint =
+          paged_ ? kv_page_footprint(r, models_[r.model],
+                                     engine_config_.kv_page_bytes(),
+                                     engine_config_.kv_prefix_sharing())
+                 : kv_footprint_bytes(r, models_[r.model]);
+      if (footprint > pages_->total_pages()) {
         throw std::invalid_argument(
-            "ServingEngine::run: request KV pages exceed the paged KV "
-            "budget (it could never grow to its last token)");
+            "ServingEngine::run: request KV footprint exceeds the KV budget "
+            "(it could never reach its last token)");
       }
     }
     if (!index_.emplace(r.id, records_.size()).second) {
@@ -181,7 +188,6 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
   }
   total_ = records_.size();
   if (pages_) kv_paging_.assign(total_, KvPagingState{});
-  if (kv_) kv_reserved_.assign(total_, 0);
 
   sim::Simulator& sim = local_.simulator();
   for (std::size_t i = 0; i < records_.size(); ++i) {
@@ -212,18 +218,19 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
   result.prefill_jobs = local_.dispatched(Lane::kCcStage);
   result.max_cc_queue_delay_ms = cycles_to_ms(
       local_.max_queue_wait(Lane::kCcStage), config_.clock_hz);
-  result.kv_deferrals = kv_ ? kv_->deferrals() : 0;
   result.peak_decode_batch = peak_decode_batch_;
-  if (kv_) result.peak_kv_reserved_bytes = kv_->peak_reserved();
   if (pages_) {
-    // Drained-engine invariant, the page analogue of the pin-drain
-    // assert below: every page allocated over the replay was freed —
-    // none resident, none stranded in DRAM, no preempted request still
+    // Drained-engine invariant, the KV analogue of the pin-drain assert
+    // below: every page allocated over the replay was freed — none
+    // resident, none stranded in DRAM, no preempted request still
     // awaiting refill.
     EDGEMM_ASSERT_MSG(pages_->holders() == 0 && pages_->resident_pages() == 0 &&
                           pages_->swapped_pages() == 0 && kv_swapped_.empty(),
                       "ServingEngine: KV pages leaked past the replay");
     result.kv_deferrals = pages_->deferrals();
+    result.peak_kv_reserved_bytes = pages_->peak_resident_bytes();
+  }
+  if (paged_) {
     result.kv_pages_allocated = pages_->pages_allocated();
     result.kv_pages_freed = pages_->pages_freed();
     result.kv_shared_attaches = pages_->shared_attaches();
@@ -233,7 +240,6 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     result.kv_pages_swapped_in = pages_->pages_swapped_in();
     result.kv_swap_refetch_bytes = pages_->swap_refetch_bytes();
     result.kv_swap_preemptions = pages_->preemptions();
-    result.peak_kv_reserved_bytes = pages_->peak_resident_bytes();
   }
   result.cc_weight_fetch_bytes = cc_weight_fetched_;
   result.cc_weight_bytes_saved = cc_weight_saved_;
@@ -683,8 +689,7 @@ void ServingEngine::pump_admission() {
     }
     if (verdict == AdmissionVerdict::kDefer) break;
     if (verdict == AdmissionVerdict::kAdmit &&
-        engine_config_.phase() == EnginePhase::kDecodeOnly &&
-        (kv_ || pages_)) {
+        engine_config_.phase() == EnginePhase::kDecodeOnly && pages_) {
       // Hand-off reservation: the migrated KV's bytes are charged the
       // moment the decode tier accepts the request, so the decode batch
       // can never turn it away later. If it does not fit yet, the whole
@@ -993,62 +998,47 @@ void ServingEngine::on_prefill_done(std::size_t index) {
 
 bool ServingEngine::kv_join_reserve(std::size_t index) {
   const Request& r = records_[index].request;
-  if (pages_) {
-    KvPagingState& st = kv_paging_[index];
-    if (st.joined) return true;  // hand-off reservation made at admission
-    const Bytes page_bytes = engine_config_.kv_page_bytes();
-    st.tokens_per_page = kv_tokens_per_page(models_[r.model], page_bytes);
-    st.shared_pages =
-        engine_config_.kv_prefix_sharing()
-            ? kv_shared_prefix_pages(r, models_[r.model], page_bytes)
-            : 0;
-    st.prefix =
-        st.shared_pages > 0 ? kv_prefix_key(r.model, r.prefix_id) : 0;
-    // Only the PROMPT's pages are reserved at join — the tail grows one
-    // page per generated-token page boundary (grow_page_tables). This
-    // is where paged mode's concurrency headroom comes from: a legacy
-    // join charges (input + output) tokens up front.
-    const std::size_t private_tokens =
-        r.input_tokens - st.shared_pages * st.tokens_per_page;
-    const std::size_t private_pages =
-        (private_tokens + st.tokens_per_page - 1) / st.tokens_per_page;
-    if (!pages_->try_join(r.id, private_pages, st.prefix, st.shared_pages)) {
-      return false;
-    }
-    // The prefix's partial boundary page cannot be shared — the
-    // request's first divergent token writes into it — so it was copied
-    // into the private table above: a CoW fork.
-    if (st.shared_pages > 0 &&
-        r.prefix_tokens % st.tokens_per_page != 0) {
-      ++kv_cow_forks_;
-    }
-    st.joined = true;
-    st.swapped = false;
-    st.last_touch = local_.simulator().now();
-    return true;
+  KvPagingState& st = kv_paging_[index];
+  if (st.joined) return true;  // hand-off reservation made at admission
+  if (!paged_) {
+    // Whole footprint: (input + output) tokens reserved up front, never
+    // grown or swapped.
+    st.joined = pages_->try_join(r.id, kv_footprint_bytes(r, models_[r.model]));
+    return st.joined;
   }
-  if (kv_) {
-    if (kv_reserved_[index]) return true;  // hand-off reservation held
-    if (!kv_->try_reserve(r.id, kv_footprint_bytes(r, models_[r.model]))) {
-      return false;
-    }
-    kv_reserved_[index] = 1;
-    return true;
+  const Bytes page_bytes = engine_config_.kv_page_bytes();
+  st.tokens_per_page = kv_tokens_per_page(models_[r.model], page_bytes);
+  st.shared_pages =
+      engine_config_.kv_prefix_sharing()
+          ? kv_shared_prefix_pages(r, models_[r.model], page_bytes)
+          : 0;
+  st.prefix = st.shared_pages > 0 ? kv_prefix_key(r.model, r.prefix_id) : 0;
+  // Only the PROMPT's pages are reserved at join — the tail grows one
+  // page per generated-token page boundary (grow_page_tables). This is
+  // where paged mode's concurrency headroom comes from: a whole-footprint
+  // join charges (input + output) tokens up front.
+  const std::size_t private_tokens =
+      r.input_tokens - st.shared_pages * st.tokens_per_page;
+  const std::size_t private_pages =
+      (private_tokens + st.tokens_per_page - 1) / st.tokens_per_page;
+  if (!pages_->try_join(r.id, private_pages, st.prefix, st.shared_pages)) {
+    return false;
   }
+  // The prefix's partial boundary page cannot be shared — the request's
+  // first divergent token writes into it — so it was copied into the
+  // private table above: a CoW fork.
+  if (st.shared_pages > 0 && r.prefix_tokens % st.tokens_per_page != 0) {
+    ++kv_cow_forks_;
+  }
+  st.joined = true;
+  st.last_touch = local_.simulator().now();
   return true;
 }
 
 void ServingEngine::kv_release(std::size_t index) {
-  const RequestId id = records_[index].request.id;
-  if (pages_) {
-    pages_->release(id);
-    kv_paging_[index].joined = false;
-    return;
-  }
-  if (kv_) {
-    kv_->release(id);
-    kv_reserved_[index] = 0;
-  }
+  if (!pages_) return;
+  pages_->release(records_[index].request.id);
+  kv_paging_[index].joined = false;
 }
 
 void ServingEngine::refill_swapped() {
@@ -1058,9 +1048,7 @@ void ServingEngine::refill_swapped() {
   while (!kv_swapped_.empty()) {
     const std::size_t index = kv_swapped_.front();
     if (!pages_->try_swap_in(records_[index].request.id)) break;
-    KvPagingState& st = kv_paging_[index];
-    st.swapped = false;
-    st.last_touch = local_.simulator().now();
+    kv_paging_[index].last_touch = local_.simulator().now();
     active_.push_back(index);
     kv_swapped_.erase(kv_swapped_.begin());
   }
@@ -1069,39 +1057,29 @@ void ServingEngine::refill_swapped() {
 void ServingEngine::preempt_to_dram(std::size_t active_pos) {
   const std::size_t index = active_[active_pos];
   pages_->swap_out(records_[index].request.id);
-  kv_paging_[index].swapped = true;
   active_.erase(active_.begin() +
                 static_cast<std::ptrdiff_t>(active_pos));
   kv_swapped_.push_back(index);
 }
 
 bool ServingEngine::preempt_victim(std::size_t& grower_pos) {
-  std::vector<SwapCandidate> candidates;
+  std::size_t victim_pos = active_.size();
+  Cycle victim_touch = 0;
+  RequestId victim_id = 0;
   for (std::size_t j = 0; j < active_.size(); ++j) {
     if (j == grower_pos) continue;
-    const RequestRecord& rec = records_[active_[j]];
-    const std::size_t resident = pages_->resident_pages_of(rec.request.id);
-    if (resident == 0) continue;  // nothing evictable (prefix-only table)
-    SwapCandidate c;
-    c.id = rec.request.id;
-    c.resident_pages = resident;
-    c.last_touch = kv_paging_[active_[j]].last_touch;
-    c.context_tokens = rec.request.input_tokens + rec.tokens_generated;
-    c.remaining_tokens = rec.request.output_tokens - rec.tokens_generated;
-    candidates.push_back(c);
+    const RequestId id = records_[active_[j]].request.id;
+    // A prefix-only table has nothing private to evict.
+    if (pages_->resident_pages_of(id) == 0) continue;
+    const Cycle touch = kv_paging_[active_[j]].last_touch;
+    if (victim_pos == active_.size() || touch < victim_touch ||
+        (touch == victim_touch && id < victim_id)) {
+      victim_pos = j;
+      victim_touch = touch;
+      victim_id = id;
+    }
   }
-  if (candidates.empty()) return false;
-  const std::vector<RequestId> order =
-      engine_config_.kv_swap_policy().victim_order(candidates);
-  EDGEMM_ASSERT_MSG(!order.empty(),
-                    "ServingEngine: SwapPolicy returned no victim order");
-  const std::size_t victim_index = index_.at(order.front());
-  const auto it = std::find(active_.begin(), active_.end(), victim_index);
-  EDGEMM_ASSERT_MSG(it != active_.end(),
-                    "ServingEngine: SwapPolicy picked a non-candidate victim");
-  const std::size_t victim_pos =
-      static_cast<std::size_t>(it - active_.begin());
-  EDGEMM_ASSERT(victim_pos != grower_pos);
+  if (victim_pos == active_.size()) return false;
   preempt_to_dram(victim_pos);
   if (victim_pos < grower_pos) --grower_pos;
   return true;
@@ -1145,7 +1123,7 @@ void ServingEngine::start_decode_step() {
   // Preempt-and-refill: restore swapped-out requests before admitting
   // new joiners — they were already mid-decode when evicted.
   Bytes swap_dma = 0;
-  if (pages_) {
+  if (paged_) {
     const Bytes refetch_before = pages_->swap_refetch_bytes();
     refill_swapped();
     // kv_swap_refill_dma: the refills' re-fetched bytes ride this step
@@ -1163,12 +1141,10 @@ void ServingEngine::start_decode_step() {
   for (auto it = decode_ready_.begin();
        it != decode_ready_.end() && joined < join;) {
     const std::size_t index = *it;
-    if (kv_ || pages_) {
-      if (!kv_join_reserve(index)) {
-        // Deferred join: stays decode-ready, retries next step boundary.
-        ++it;
-        continue;
-      }
+    if (pages_ && !kv_join_reserve(index)) {
+      // Deferred join: stays decode-ready, retries next step boundary.
+      ++it;
+      continue;
     }
     active_.push_back(index);
     it = decode_ready_.erase(it);
@@ -1176,7 +1152,7 @@ void ServingEngine::start_decode_step() {
   }
   // Every active request writes one token this step — extend page tables
   // first (may preempt victims to DRAM when the budget is full).
-  if (pages_) grow_page_tables();
+  if (paged_) grow_page_tables();
   if (active_.empty()) return;  // MC lane drains until new prefills land
 
   // One continuous-batching step: per served model, batch the weight-
@@ -1206,7 +1182,7 @@ void ServingEngine::start_decode_step() {
     // Swap-in refill traffic as one KV-stream-priced DMA op (element
     // override 2, like the per-request KV streams): weight side k*2 plus
     // activation side ~2k re-streams ≈ the refilled bytes through the MC
-    // lane, so SwapPolicy thrashing costs decode bandwidth in the timing
+    // lane, so swap thrashing costs decode bandwidth in the timing
     // plane. A swap-in implies the swapped request rejoined active_, so
     // the step below always exists to carry the op.
     step.push_back(GemmWork{

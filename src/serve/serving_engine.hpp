@@ -11,8 +11,8 @@
 //     into one or more CC-lane jobs (chunked prefill bounds CC-lane
 //     head-of-line blocking);
 //   - a BatchPolicy orders the prefilled requests joining the decode
-//     batch at each step boundary, subject to the KvCapacityTracker's
-//     byte budget (joins that would overflow are deferred);
+//     batch at each step boundary, subject to the KvPageAllocator's
+//     KV budget (joins that would overflow are deferred);
 //   - a PlacementPolicy decides which models' weight pins to hold,
 //     acquire or evict against the shared residency budget (multi-model
 //     zoos: keep-warm idle pins, demand-weighted resident sets), with a
@@ -111,9 +111,9 @@ struct ServingResult : TraceSummary {
   /// Requests preempted wholesale to DRAM mid-decode (swap-outs).
   std::size_t kv_swap_preemptions = 0;
   /// High-water mark of the CIM KV budget actually reserved — whole-
-  /// footprint reservations (legacy) or resident pages (paged). The §9
-  /// equal-budget comparison: paged mode either batches MORE requests or
-  /// peaks LOWER here.
+  /// footprint reservations (the default) or resident pages (paged). The
+  /// §9 equal-budget comparison: paged mode either batches MORE requests
+  /// or peaks LOWER here.
   Bytes peak_kv_reserved_bytes = 0;
   /// Largest decode batch any step ran — the sustained-concurrency
   /// headline paged KV raises at equal budget.
@@ -207,14 +207,9 @@ class ServingEngine {
     return kv_return_link_ ? &*kv_return_link_ : nullptr;
   }
 
-  /// KV accounting ledger; nullptr when EngineConfig left it disabled
-  /// (or replaced it with the page allocator via paged_kv).
-  const KvCapacityTracker* kv_tracker() const {
-    return kv_ ? &*kv_ : nullptr;
-  }
-
-  /// Page-granular KV allocator; nullptr unless paged_kv is on with a
-  /// KV budget set.
+  /// The KV ledger; nullptr without a KV budget. Whole-footprint mode
+  /// runs it at 1-byte pages (one page per KV byte), paged_kv at
+  /// kv_page_bytes.
   const KvPageAllocator* kv_pages() const {
     return pages_ ? &*pages_ : nullptr;
   }
@@ -278,16 +273,17 @@ class ServingEngine {
     std::uint8_t chunk0_target = 0;
   };
 
-  /// Per-request paged-KV state (parallel to records_; only used when
-  /// pages_ is live). The allocator owns the page counts; this caches
-  /// the token->page math and the swap bookkeeping the engine needs at
-  /// step boundaries.
+  /// Per-request KV state (parallel to records_; only used when pages_
+  /// is live). The allocator owns the page counts; this caches the
+  /// token->page math and the recency the engine needs at step
+  /// boundaries (paged mode only, apart from `joined`).
   struct KvPagingState {
     std::size_t tokens_per_page = 1;
     KvPrefixKey prefix = 0;        ///< 0 = no shared run (or sharing off)
     std::size_t shared_pages = 0;  ///< full prefix pages shared with the group
-    bool joined = false;           ///< holds pages (resident or swapped)
-    bool swapped = false;          ///< preempted to DRAM, awaiting refill
+    /// Holds KV (resident or swapped) — set at join, or at admission on
+    /// a decode-only tier (the KV hand-off), cleared at release.
+    bool joined = false;
     Cycle last_touch = 0;          ///< join / page-append / refill cycle
   };
 
@@ -303,12 +299,15 @@ class ServingEngine {
   void refill_swapped();
   /// Paged mode, step start after joins: grows every active request's
   /// page table to cover the token this step generates, preempting
-  /// SwapPolicy victims (or the grower itself, with no victim left) when
-  /// the budget is full.
+  /// victims (or the grower itself, with no victim left) when the budget
+  /// is full.
   void grow_page_tables();
-  /// Swaps out ONE SwapPolicy victim among active_ (excluding position
-  /// `grower_pos`, adjusted if the victim sat before it). False when no
-  /// active holds an evictable private page.
+  /// Swaps out ONE victim among active_ (excluding position
+  /// `grower_pos`, adjusted if the victim sat before it): the request
+  /// with resident private pages and the least (last_touch, request id).
+  /// Every active request streams its whole KV each step, so recency of
+  /// page-table GROWTH is the cold signal. False when no active holds an
+  /// evictable private page.
   bool preempt_victim(std::size_t& grower_pos);
   void preempt_to_dram(std::size_t active_pos);
   AdmissionContext admission_context(std::size_t index);
@@ -369,8 +368,10 @@ class ServingEngine {
   /// Ledgered return wire for offloaded prefills' KV (ChipLink pricing,
   /// conservation-exact); engaged with fat_.
   std::optional<mem::ChipLink> kv_return_link_;
-  std::optional<KvCapacityTracker> kv_;
+  /// The one KV ledger (see kv_pages()); engaged with a KV budget.
   std::optional<KvPageAllocator> pages_;
+  /// pages_ runs page-granular (paged_kv) rather than whole-footprint.
+  bool paged_ = false;
   std::optional<WeightResidencyTracker> residency_;
 
   RequestQueue queue_;
@@ -382,10 +383,7 @@ class ServingEngine {
   /// Preempted-to-DRAM requests in preemption order (paged mode); they
   /// sit out decode steps until refill_swapped restores their pages.
   std::vector<std::size_t> kv_swapped_;
-  std::vector<KvPagingState> kv_paging_;    ///< by record index (paged mode)
-  /// Legacy-tracker reservation flags by record index: set at join (or
-  /// at admission on a decode-only tier), cleared at release.
-  std::vector<std::uint8_t> kv_reserved_;
+  std::vector<KvPagingState> kv_paging_;    ///< by record index
   /// Per-token decode traffic model per served MllmConfig, from the
   /// closed form model::decode_step_traffic at the MC lane's weight
   /// element size. One decode step of a batch with contexts c_i costs

@@ -117,10 +117,9 @@ TEST(EngineConfig, SettersValidateEagerly) {
 
 TEST(EngineConfig, PagedKvDefaultsKeepLegacyAccounting) {
   const EngineConfig config;
-  EXPECT_FALSE(config.paged_kv());  // whole-footprint tracker by default
+  EXPECT_FALSE(config.paged_kv());  // whole-footprint reservations by default
   EXPECT_EQ(config.kv_page_bytes(), kDefaultKvPageBytes);
   EXPECT_TRUE(config.kv_prefix_sharing());  // engaged only once paged_kv on
-  EXPECT_STREQ(config.kv_swap_policy().name(), "lru");
 }
 
 TEST(EngineConfig, PagedKvKnobsCompose) {
@@ -138,14 +137,13 @@ TEST(EngineConfig, PagedKvKnobsCompose) {
 TEST(EngineConfig, PagedKvSettersValidateEagerly) {
   EngineConfig config;
   EXPECT_THROW(config.kv_page_bytes(0), std::invalid_argument);
-  EXPECT_THROW(config.kv_swap_policy(nullptr), std::invalid_argument);
   // A paged budget smaller than one page cannot hold anything.
   EngineConfig tiny = EngineConfig()
                           .kv_capacity_bytes(1024)
                           .paged_kv(true)
                           .kv_page_bytes(4096);
   EXPECT_THROW(tiny.validate(), std::invalid_argument);
-  // The same budget is fine in legacy mode or with a smaller page.
+  // The same budget is fine in whole-footprint mode or with a smaller page.
   EXPECT_NO_THROW(tiny.paged_kv(false).validate());
   EXPECT_NO_THROW(tiny.paged_kv(true).kv_page_bytes(1024).validate());
 }

@@ -1,13 +1,16 @@
 #include "serve/kv_pages.hpp"
 
-#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/config.hpp"
 #include "model/workload.hpp"
+#include "serve/kv_tracker.hpp"
 #include "serve/serving_engine.hpp"
 #include "serve/sweep.hpp"
 #include "serve/trace.hpp"
@@ -79,8 +82,11 @@ TEST(KvPageMath, TokensPerPageIsAtLeastOne) {
   const model::MllmConfig m = tiny_model();
   ASSERT_EQ(model::kv_bytes_per_token(m), kTokenBytes);
   EXPECT_EQ(kv_tokens_per_page(m, kPage), 4u);
-  // A page smaller than one token still holds one token (never zero).
-  EXPECT_EQ(kv_tokens_per_page(m, 1), 1u);
+  EXPECT_EQ(kv_tokens_per_page(m, kTokenBytes), 1u);
+  // A page smaller than one token would charge less than the KV it
+  // holds: rejected, never rounded up to one token.
+  EXPECT_THROW(kv_tokens_per_page(m, kTokenBytes - 1), std::invalid_argument);
+  EXPECT_THROW(kv_tokens_per_page(m, 1), std::invalid_argument);
   EXPECT_THROW(kv_tokens_per_page(m, 0), std::invalid_argument);
 }
 
@@ -105,22 +111,6 @@ TEST(KvPageMath, PageFootprintRoundsUpPrivateTail) {
   EXPECT_EQ(kv_page_footprint(req(0, 32, 8, 1, 32), m, kPage, true), 10u);
   // Sharing disabled ignores the prefix annotation.
   EXPECT_EQ(kv_page_footprint(req(0, 32, 8, 1, 32), m, kPage, false), 10u);
-}
-
-// --- SwapPolicy -------------------------------------------------------------
-
-TEST(LruSwapPolicy, OrdersColdestFirstWithIdTiebreak) {
-  LruSwapPolicy lru;
-  EXPECT_STREQ(lru.name(), "lru");
-  std::vector<SwapCandidate> candidates;
-  candidates.push_back({/*id=*/7, 2, /*last_touch=*/900, 10, 5});
-  candidates.push_back({/*id=*/3, 2, /*last_touch=*/100, 10, 5});
-  candidates.push_back({/*id=*/9, 2, /*last_touch=*/100, 10, 5});
-  const auto order = lru.victim_order(candidates);
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 3u);  // coldest; id breaks the 100-tie
-  EXPECT_EQ(order[1], 9u);
-  EXPECT_EQ(order[2], 7u);
 }
 
 // --- KvPageAllocator: construction and exact fill ---------------------------
@@ -382,6 +372,210 @@ TEST(KvPageAllocator, AppendGrowsThePrivateTailNeverTheSharedRun) {
   EXPECT_TRUE(pages.conserved());
 }
 
+// --- KvPageAllocator: whole-footprint use (1-byte pages) -------------------
+
+TEST(KvWholeFootprint, ValidatesCapacity) {
+  EXPECT_THROW(KvPageAllocator(0, 1), std::invalid_argument);
+}
+
+TEST(KvWholeFootprint, ReservesExactlyToCapacity) {
+  KvPageAllocator kv(1000, 1);
+  EXPECT_TRUE(kv.try_join(1, 600));
+  EXPECT_EQ(kv.resident_bytes(), 600u);
+  EXPECT_EQ(kv.free_pages(), 400u);
+  // Filling the budget to exactly capacity succeeds.
+  EXPECT_TRUE(kv.try_join(2, 400));
+  EXPECT_EQ(kv.resident_bytes(), 1000u);
+  EXPECT_EQ(kv.free_pages(), 0u);
+  EXPECT_EQ(kv.holders(), 2u);
+  EXPECT_EQ(kv.deferrals(), 0u);
+  EXPECT_TRUE(kv.conserved());
+}
+
+TEST(KvWholeFootprint, OneByteOverDefers) {
+  KvPageAllocator kv(1000, 1);
+  EXPECT_TRUE(kv.try_join(1, 1000));
+  EXPECT_FALSE(kv.try_join(2, 1));  // one byte over
+  EXPECT_EQ(kv.deferrals(), 1u);
+  EXPECT_EQ(kv.holders(), 1u);
+  EXPECT_EQ(kv.resident_bytes(), 1000u);
+
+  KvPageAllocator fresh(1000, 1);
+  EXPECT_FALSE(fresh.try_join(1, 1001));  // single oversized request
+  EXPECT_EQ(fresh.deferrals(), 1u);
+  // Zero-byte reservations are fine even at a full budget.
+  EXPECT_TRUE(fresh.try_join(2, 1000));
+  EXPECT_TRUE(fresh.try_join(3, 0));
+  EXPECT_TRUE(fresh.conserved());
+}
+
+TEST(KvWholeFootprint, ReleaseMakesRoomAgain) {
+  KvPageAllocator kv(1000, 1);
+  EXPECT_TRUE(kv.try_join(1, 700));
+  EXPECT_FALSE(kv.try_join(2, 500));
+  kv.release(1);
+  EXPECT_EQ(kv.resident_bytes(), 0u);
+  EXPECT_TRUE(kv.try_join(2, 500));
+  EXPECT_EQ(kv.holders(), 1u);
+  EXPECT_TRUE(kv.conserved());
+}
+
+TEST(KvWholeFootprint, RejectsDuplicateAndUnknownIds) {
+  KvPageAllocator kv(1000, 1);
+  EXPECT_TRUE(kv.try_join(1, 100));
+  EXPECT_THROW(kv.try_join(1, 100), std::logic_error);
+  EXPECT_THROW(kv.release(2), std::logic_error);
+  kv.release(1);
+  EXPECT_THROW(kv.release(1), std::logic_error);
+}
+
+TEST(KvWholeFootprint, HoldsIsKeyedById) {
+  // holds() answers for exactly the ids that joined, independent of how
+  // many bytes each one charged.
+  KvPageAllocator kv(1000, 1);
+  EXPECT_FALSE(kv.holds(1));
+  EXPECT_TRUE(kv.try_join(1, 600));
+  EXPECT_TRUE(kv.try_join(2, 0));
+  EXPECT_TRUE(kv.holds(1));
+  EXPECT_TRUE(kv.holds(2));  // a zero-byte table is still a table
+  EXPECT_FALSE(kv.holds(3));
+  kv.release(1);
+  EXPECT_FALSE(kv.holds(1));
+}
+
+TEST(KvWholeFootprint, PeakResidentIsAHighWaterMark) {
+  KvPageAllocator kv(1000, 1);
+  EXPECT_EQ(kv.peak_resident_bytes(), 0u);
+  EXPECT_TRUE(kv.try_join(1, 300));
+  EXPECT_TRUE(kv.try_join(2, 400));
+  EXPECT_EQ(kv.peak_resident_bytes(), 700u);
+  kv.release(1);
+  EXPECT_EQ(kv.resident_bytes(), 400u);
+  EXPECT_EQ(kv.peak_resident_bytes(), 700u);  // the mark never recedes
+  // A failed reservation moves nothing, so the peak stays put ...
+  EXPECT_FALSE(kv.try_join(3, 700));
+  EXPECT_EQ(kv.peak_resident_bytes(), 700u);
+  // ... and a smaller success past the old mark advances it.
+  EXPECT_TRUE(kv.try_join(4, 350));
+  EXPECT_EQ(kv.peak_resident_bytes(), 750u);
+}
+
+TEST(ChipKvCapacity, ScalesWithMcClustersAndOversubscription) {
+  const core::ChipConfig cfg = core::default_chip_config();
+  const Bytes base = chip_kv_capacity(cfg);
+  EXPECT_EQ(base, cfg.total_mc_clusters() * cfg.mc_cluster_cim_bytes());
+  EXPECT_EQ(chip_kv_capacity(cfg, 2.0), 2 * base);
+  EXPECT_THROW(chip_kv_capacity(cfg, 0.0), std::invalid_argument);
+  EXPECT_THROW(chip_kv_capacity(cfg, -1.0), std::invalid_argument);
+}
+
+// --- KvPageAllocator: generated operation sequences -------------------------
+
+/// One holder as the test models it: its private pages and whether it
+/// sits in DRAM.
+struct ModelTable {
+  RequestId id = 0;
+  std::size_t pages = 0;
+  bool out = false;
+};
+
+/// Drives one allocator through a seeded random sequence of joins (with
+/// and without prefix runs), appends, swap-outs, swap-ins and releases,
+/// checking the conservation ledger and every holder's page counts after
+/// each operation, then drains it. `unit` scales request sizes, so one
+/// corpus exercises both 1-byte whole-footprint pages (many units per
+/// request) and multi-token pages (a few units each).
+void run_generated_sequence(std::uint64_t seed, Bytes page_bytes,
+                            std::size_t unit) {
+  std::mt19937_64 rng(seed);
+  const std::size_t total_pages = 24 * unit;
+  KvPageAllocator pages(total_pages * page_bytes, page_bytes);
+  std::vector<ModelTable> holders;
+  RequestId next_id = 0;
+  std::size_t expected_deferrals = 0;
+  auto pick = [&](bool out) -> ModelTable* {
+    std::vector<ModelTable*> matching;
+    for (ModelTable& t : holders) {
+      if (t.out == out) matching.push_back(&t);
+    }
+    return matching.empty() ? nullptr : matching[rng() % matching.size()];
+  };
+  for (std::size_t op = 0; op < 300; ++op) {
+    switch (rng() % 6) {
+      case 0:
+      case 1: {  // join; group 0 carries no prefix run
+        const std::size_t group = rng() % 4;
+        const std::size_t shared = group == 0 ? 0 : (1 + group) * unit;
+        const std::size_t private_pages = rng() % (4 * unit + 1);
+        const RequestId id = next_id++;
+        if (pages.try_join(id, private_pages, kv_prefix_key(0, group),
+                           shared)) {
+          holders.push_back({id, private_pages, false});
+        } else {
+          ++expected_deferrals;
+        }
+        break;
+      }
+      case 2: {
+        if (ModelTable* t = pick(false)) {
+          if (pages.try_append(t->id)) ++t->pages;
+        }
+        break;
+      }
+      case 3: {
+        if (ModelTable* t = pick(false)) {
+          EXPECT_EQ(pages.swap_out(t->id), t->pages);
+          t->out = true;
+        }
+        break;
+      }
+      case 4: {
+        if (ModelTable* t = pick(true)) {
+          if (pages.try_swap_in(t->id)) t->out = false;
+        }
+        break;
+      }
+      default: {
+        if (!holders.empty()) {
+          const std::size_t i = rng() % holders.size();
+          pages.release(holders[i].id);
+          holders.erase(holders.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        break;
+      }
+    }
+    ASSERT_TRUE(pages.conserved()) << "seed " << seed << " op " << op;
+    ASSERT_EQ(pages.holders(), holders.size());
+    ASSERT_EQ(pages.deferrals(), expected_deferrals);
+    for (const ModelTable& t : holders) {
+      ASSERT_EQ(pages.resident_pages_of(t.id), t.out ? 0 : t.pages)
+          << "seed " << seed << " op " << op << " id " << t.id;
+      ASSERT_EQ(pages.swapped_pages_of(t.id), t.out ? t.pages : 0)
+          << "seed " << seed << " op " << op << " id " << t.id;
+    }
+  }
+  for (const ModelTable& t : holders) {
+    pages.release(t.id);
+    ASSERT_TRUE(pages.conserved());
+  }
+  EXPECT_EQ(pages.holders(), 0u);
+  EXPECT_EQ(pages.resident_pages(), 0u);
+  EXPECT_EQ(pages.swapped_pages(), 0u);
+  EXPECT_EQ(pages.pages_allocated(), pages.pages_freed());
+}
+
+TEST(KvPageAllocator, GeneratedSequencesConserveAndDrainAtOneBytePages) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    run_generated_sequence(seed, 1, kTokenBytes);
+  }
+}
+
+TEST(KvPageAllocator, GeneratedSequencesConserveAndDrainAtMultiTokenPages) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    run_generated_sequence(seed, kPage, 1);
+  }
+}
+
 // --- ServingEngine: paged mode ----------------------------------------------
 
 TEST(PagedServing, ReplayDrainsEveryPageAndConservesTheLedger) {
@@ -397,8 +591,7 @@ TEST(PagedServing, ReplayDrainsEveryPageAndConservesTheLedger) {
   EXPECT_EQ(result.kv_pages_allocated, result.kv_pages_freed);
   EXPECT_GT(result.peak_kv_reserved_bytes, 0u);
   EXPECT_TRUE(engine.kv_pages()->conserved());
-  // Legacy tracker is not built in paged mode.
-  EXPECT_EQ(engine.kv_tracker(), nullptr);
+  EXPECT_EQ(engine.kv_pages()->page_bytes(), kPage);
 }
 
 TEST(PagedServing, GrowPerTokenPeaksNoHigherThanWholeFootprints) {
@@ -424,8 +617,8 @@ TEST(PagedServing, GrowPerTokenPeaksNoHigherThanWholeFootprints) {
 TEST(PagedServing, PrefixSharingSustainsMoreConcurrencyAtEqualBudget) {
   // Two conversation turns over one 64-token shared prefix, 8 output
   // tokens each. Whole footprint: 72 tokens = 18 pages per request; the
-  // 20-page budget fits only ONE whole footprint, so the legacy tracker
-  // serializes. Paged + sharing: 16 shared pages + two 2-page private
+  // 20-page budget fits only ONE whole footprint, so whole-footprint
+  // reservation serializes. Paged + sharing: 16 shared pages + two 2-page private
   // tails = 20 pages — both decode together.
   const std::vector<Request> trace = {req(0, 64, 8, 1, 64),
                                       req(1, 64, 8, 1, 64)};
@@ -491,36 +684,47 @@ TEST(PagedServing, TightBudgetSwapsToDramAndStillCompletes) {
   }
 }
 
-TEST(PagedServing, CustomSwapPolicySelectsItsOwnVictims) {
-  // Evict the request with the MOST resident pages first (anti-LRU on
-  // this workload): the seam must honor it without any engine change.
-  class BiggestFirst : public SwapPolicy {
-   public:
-    const char* name() const override { return "biggest-first"; }
-    std::vector<RequestId> victim_order(
-        const std::vector<SwapCandidate>& candidates) const override {
-      std::vector<SwapCandidate> sorted = candidates;
-      std::sort(sorted.begin(), sorted.end(),
-                [](const SwapCandidate& a, const SwapCandidate& b) {
-                  if (a.resident_pages != b.resident_pages) {
-                    return a.resident_pages > b.resident_pages;
-                  }
-                  return a.id < b.id;
-                });
-      std::vector<RequestId> order;
-      for (const SwapCandidate& c : sorted) order.push_back(c.id);
-      return order;
-    }
+TEST(PagedServing, SwapVictimIsTheColdestTableWithLowerIdOnTies) {
+  // Decode-only tier: all three KVs land at cycle 0 and reserve their
+  // prompt page at admission (last_touch 0). Request 0 decodes alone for
+  // the first step; 1 and 2 join at the second, where the growth pass
+  // walks the batch in join order [0, 1, 2] with the budget full.
+  auto replay = [](Bytes budget, std::size_t input_2) {
+    return replay_trace(
+        small_cfg(), {tiny_model()},
+        paged_config(budget).phase(EnginePhase::kDecodeOnly),
+        {req(0, 3, 4), req(1, 3, 4), req(2, input_2, 4)});
   };
-  const std::vector<Request> trace = {req(0, 64, 8, 1, 64),
-                                      req(1, 64, 8, 1, 64)};
-  EngineConfig config =
-      paged_config(18 * kPage).kv_swap_policy(std::make_shared<BiggestFirst>());
-  const auto out =
-      replay_trace(small_cfg(), {tiny_model()}, std::move(config), trace);
-  EXPECT_EQ(out.result.completed, 2u);
-  EXPECT_GT(out.result.kv_swap_preemptions, 0u);
-  EXPECT_EQ(out.result.kv_pages_allocated, out.result.kv_pages_freed);
+  {
+    // Coldest first: request 0 appends its second page this step (touch
+    // now) and fills the 4-page budget, then request 2 needs a page. The
+    // colder request 1 (touch 0) is evicted, not the lower-id request 0.
+    const auto out = replay(4 * kPage, 4);
+    EXPECT_GT(out.result.kv_swap_preemptions, 0u);
+    EXPECT_GT(out.records[1].first_token, out.records[2].first_token);
+    EXPECT_EQ(out.result.kv_pages_allocated, out.result.kv_pages_freed);
+  }
+  {
+    // Tie: request 0 needs its second page with the 3-page budget full;
+    // requests 1 and 2 were both last touched at cycle 0, so the lower
+    // id, request 1, is evicted and sits the step out.
+    const auto out = replay(3 * kPage, 3);
+    EXPECT_GT(out.result.kv_swap_preemptions, 0u);
+    EXPECT_GT(out.records[1].first_token, out.records[2].first_token);
+    EXPECT_EQ(out.result.kv_pages_allocated, out.result.kv_pages_freed);
+  }
+}
+
+TEST(PagedServing, RejectsPagesSmallerThanOneTokensKv) {
+  // tiny_model() needs 2048 B of K+V per token: a 1024 B page would
+  // charge the budget half the KV each token really holds.
+  EXPECT_THROW(ServingEngine engine(small_cfg(), {tiny_model()},
+                                    paged_config(64 * kPage).kv_page_bytes(1024)),
+               std::invalid_argument);
+  // One token per page is the smallest page that charges honestly.
+  ServingEngine engine(small_cfg(), {tiny_model()},
+                       paged_config(64 * kPage).kv_page_bytes(kTokenBytes));
+  EXPECT_EQ(engine.run({req(0, 32, 8)}).completed, 1u);
 }
 
 TEST(PagedServing, ValidatesOversizedAndMalformedRequestsUpFront) {
@@ -573,8 +777,8 @@ TEST(PagedServing, LegacyModeIsTheDefaultAndStaysByteIdentical) {
   EXPECT_FALSE(untouched.paged_kv());  // paging is strictly opt-in
   const auto baseline = replay_trace(small_cfg(), {tiny_model()},
                                      std::move(untouched), trace);
-  // Explicit paged_kv(false) routes through the same KvCapacityTracker
-  // and must replay bit-for-bit, whatever the other paged knobs say.
+  // Explicit paged_kv(false) takes the same whole-footprint path and
+  // must replay bit-for-bit, whatever the other paged knobs say.
   EngineConfig legacy = fast_config()
                             .kv_capacity_bytes(budget)
                             .paged_kv(false)
@@ -587,7 +791,7 @@ TEST(PagedServing, LegacyModeIsTheDefaultAndStaysByteIdentical) {
   for (std::size_t i = 0; i < baseline.records.size(); ++i) {
     EXPECT_TRUE(record_identical(baseline.records[i], explicit_off.records[i]));
   }
-  EXPECT_GT(baseline.result.kv_deferrals + 1, 0u);  // tracker path exercised
+  EXPECT_GT(baseline.result.kv_deferrals + 1, 0u);  // whole-footprint path
   EXPECT_EQ(baseline.result.kv_pages_allocated, 0u);  // no paging counters
 }
 

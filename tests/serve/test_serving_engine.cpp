@@ -287,8 +287,10 @@ TEST(ServingEngine, KvCapacityDefersJoinsUntilReleased) {
 
   EXPECT_EQ(result.completed, 2u);
   EXPECT_GT(result.kv_deferrals, 0u);
-  ASSERT_NE(engine.kv_tracker(), nullptr);
-  EXPECT_EQ(engine.kv_tracker()->reserved(), 0u);  // all released at the end
+  ASSERT_NE(engine.kv_pages(), nullptr);
+  EXPECT_EQ(engine.kv_pages()->page_bytes(), 1u);  // byte-granular footprints
+  EXPECT_EQ(engine.kv_pages()->resident_bytes(), 0u);  // all released at the end
+  EXPECT_EQ(result.peak_kv_reserved_bytes, per_request);
   // Serialized decode: the second request's first token comes after the
   // first request fully retired.
   EXPECT_GE(engine.records()[1].first_token, engine.records()[0].finish);

@@ -247,8 +247,8 @@ TEST(SharedPinEngine, DrainedEngineHoldsNoPinsOnAnyExitPath) {
   ASSERT_NE(engine.residency_tracker(), nullptr);
   EXPECT_EQ(engine.residency_tracker()->pinned(), 0u);
   EXPECT_EQ(engine.residency_tracker()->holders(), 0u);
-  ASSERT_NE(engine.kv_tracker(), nullptr);
-  EXPECT_EQ(engine.kv_tracker()->reserved(), 0u);
+  ASSERT_NE(engine.kv_pages(), nullptr);
+  EXPECT_EQ(engine.kv_pages()->resident_bytes(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // KV swap-refill DMA injection (EngineConfig::kv_swap_refill_dma): the
 // bytes a swapped-out request re-fetches from DRAM on refill become a
-// real MC-lane op in the decode step, so SwapPolicy thrashing costs
+// real MC-lane op in the decode step, so swap thrashing costs
 // decode bandwidth in the timing plane instead of being ledgered for
 // free.
 #include <memory>

@@ -17,7 +17,7 @@ appear as an identifier in the corresponding header:
     (ClusterResult also + src/serve/trace_summary.hpp)
   RouterPolicy::<name>  -> src/serve/cluster/router.hpp
   ChipLink::<name>      -> src/mem/memory_path.hpp
-  KvPageAllocator / SwapPolicy::<name> -> src/serve/kv_pages.hpp
+  KvPageAllocator::<name> -> src/serve/kv_pages.hpp
   ExecutionBackend::<name>  -> src/core/execution_backend.hpp
   GpuBackend / GpuSpec::<name> -> src/baselines/gpu_backend.hpp + gpu_model.hpp
   OffloadPolicy / OffloadContext::<name> -> src/serve/policy.hpp
@@ -28,9 +28,11 @@ appear as an identifier in the corresponding header:
   PhaseScheduler::<name> -> src/core/phase_scheduler.hpp
   RequestQueue::<name>  -> src/serve/request_queue.hpp
   WeightResidencyTracker::<name> -> src/serve/residency_tracker.hpp
-  KvCapacityTracker::<name> -> src/serve/kv_tracker.hpp
 
 A struct that inherits its fields maps to its own header plus its base's.
+Every mapped owner must itself still be declared (class / struct / enum)
+in one of its headers, so a deleted type cannot leave its map entry —
+and the doc references it checks — silently passing.
 
 Offline and dependency-free by design, like check_markdown_links.py.
 
@@ -59,7 +61,6 @@ HEADERS = {
     "RouterPolicy": "src/serve/cluster/router.hpp",
     "ChipLink": "src/mem/memory_path.hpp",
     "KvPageAllocator": "src/serve/kv_pages.hpp",
-    "SwapPolicy": "src/serve/kv_pages.hpp",
     "ExecutionBackend": "src/core/execution_backend.hpp",
     "GpuBackend": "src/baselines/gpu_backend.hpp",
     "GpuSpec": "src/baselines/gpu_model.hpp",
@@ -78,7 +79,6 @@ HEADERS = {
     "PhaseScheduler": "src/core/phase_scheduler.hpp",
     "RequestQueue": "src/serve/request_queue.hpp",
     "WeightResidencyTracker": "src/serve/residency_tracker.hpp",
-    "KvCapacityTracker": "src/serve/kv_tracker.hpp",
 }
 
 # `EngineConfig::knob` or `ServingResult::counter` for any owner above
@@ -108,23 +108,34 @@ def collect_files(args):
     return sorted(set(files))
 
 
-def header_identifiers(paths: tuple) -> set:
-    """Identifiers declared in the headers, with // comments stripped
-    first — a knob renamed in code but still mentioned in a comment must
-    not keep the old doc reference alive."""
-    identifiers = set()
+def header_code(paths: tuple) -> str:
+    """The headers' text with // comments stripped — a knob renamed in
+    code but still mentioned in a comment must not keep the old doc
+    reference alive."""
+    code = []
     for path in paths:
         with open(os.path.join(repo_root(), path), encoding="utf-8") as fh:
-            code = re.sub(r"//[^\n]*", "", fh.read())
-        identifiers.update(re.findall(r"\b\w+\b", code))
-    return identifiers
+            code.append(re.sub(r"//[^\n]*", "", fh.read()))
+    return "\n".join(code)
+
+
+def declares(code: str, owner: str) -> bool:
+    return re.search(
+        r"\b(?:class|struct|enum(?:\s+class)?)\s+" + owner + r"\b",
+        code) is not None
 
 
 def check(files):
+    codes = {owner: header_code(headers_of(owner)) for owner in HEADERS}
+    failures = [
+        f"{' + '.join(headers_of(owner))}: {owner} is mapped but no longer "
+        f"declared there (stale HEADERS entry?)"
+        for owner, code in codes.items() if not declares(code, owner)
+    ]
     identifiers = {
-        owner: header_identifiers(headers_of(owner)) for owner in HEADERS
+        owner: set(re.findall(r"\b\w+\b", code))
+        for owner, code in codes.items()
     }
-    failures = []
     for path in files:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
