@@ -31,7 +31,7 @@ Cycle run_single_cluster(const core::ChipConfig& cfg, core::ClusterKind kind,
                          const GemmWork& op) {
   sim::Simulator sim;
   mem::DramController dram(sim, cfg.dram);
-  core::ClusterTimingModel cluster(sim, dram, cfg, kind, "probe");
+  core::ClusterTimingModel cluster(sim, dram, cfg, kind);
   Cycle done = 0;
   cluster.run_ops({op}, [&] { done = sim.now(); });
   sim.run();

@@ -123,15 +123,19 @@ struct SectionRun {
   std::size_t workers = 1;
 };
 
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
 SectionRun run_section(const std::vector<serve::SweepCase>& cases) {
-  using clock = std::chrono::steady_clock;
   serve::SweepOptions opts;
   opts.workers = default_workers(cases.size());
-  const auto t0 = clock::now();
+  const auto t0 = Clock::now();
   SectionRun run;
   run.outcomes = serve::run_sweep(cases, opts);
-  run.wall_ms =
-      std::chrono::duration<double, std::milli>(clock::now() - t0).count();
+  run.wall_ms = ms_since(t0);
   run.workers = opts.workers;
   return run;
 }
@@ -166,6 +170,11 @@ void print_section_wall(const SectionRun& run) {
   std::printf("  [section wall %.1f ms, %zu cases, %zu worker%s]\n",
               run.wall_ms, run.outcomes.size(), run.workers,
               run.workers == 1 ? "" : "s");
+}
+
+/// Wall time of a section that is not one sweep (§7, §8).
+void print_section_wall(double wall_ms) {
+  std::printf("  [section wall %.1f ms]\n", wall_ms);
 }
 
 }  // namespace
@@ -630,15 +639,14 @@ int main(int argc, char** argv) {
   // completion counts, order-of-magnitude single-replay speedup, and a
   // parallel sweep that is byte-identical whatever the worker count.
   std::printf("\n--- fast/detailed execution tiers (ReplayMode::kFast) ---\n\n");
+  const auto s7_t0 = Clock::now();
   std::vector<serve::SweepCase> fast_cases;
   fast_cases.reserve(fidelity.size());
   for (const FidelityCase& f : fidelity) fast_cases.push_back(f.fast_case);
 
-  using clock = std::chrono::steady_clock;
-  const auto fast_t0 = clock::now();
+  const auto fast_t0 = Clock::now();
   const auto fast_seq = serve::run_sweep(fast_cases, {/*workers=*/1});
-  const double fast_seq_wall_ms =
-      std::chrono::duration<double, std::milli>(clock::now() - fast_t0).count();
+  const double fast_seq_wall_ms = ms_since(fast_t0);
 
   bool fidelity_ok = true;
   double worst_drift = 0.0;
@@ -705,14 +713,12 @@ int main(int argc, char** argv) {
   // must deposit outcomes identical to the sequential run — result order
   // and every field, floats included. Unconditional (threads oversubscribe
   // harmlessly on small hosts); only the THROUGHPUT gate needs real cores.
-  const auto par2_t0 = clock::now();
+  const auto par2_t0 = Clock::now();
   const auto fast_par2 = serve::run_sweep(fast_cases, {/*workers=*/2});
-  const double fast_par2_wall_ms =
-      std::chrono::duration<double, std::milli>(clock::now() - par2_t0).count();
-  const auto par8_t0 = clock::now();
+  const double fast_par2_wall_ms = ms_since(par2_t0);
+  const auto par8_t0 = Clock::now();
   const auto fast_par8 = serve::run_sweep(fast_cases, {/*workers=*/8});
-  const double fast_par8_wall_ms =
-      std::chrono::duration<double, std::milli>(clock::now() - par8_t0).count();
+  const double fast_par8_wall_ms = ms_since(par8_t0);
   bool identity_ok = fast_par2.size() == fast_seq.size() &&
                      fast_par8.size() == fast_seq.size();
   for (std::size_t i = 0; identity_ok && i < fast_seq.size(); ++i) {
@@ -737,7 +743,11 @@ int main(int argc, char** argv) {
                 sweep_throughput, hw, hw == 1 ? "" : "s");
   }
 
+  const double s7_wall_ms = ms_since(s7_t0);
+  print_section_wall(s7_wall_ms);
+
   json.begin_object("fast_sweep");
+  json.field("wall_ms", s7_wall_ms);
   json.field("cases", fast_cases.size());
   json.field("sequential_wall_ms", fast_seq_wall_ms);
   json.field("workers2_wall_ms", fast_par2_wall_ms);
@@ -759,6 +769,7 @@ int main(int argc, char** argv) {
   // over the chip-to-chip link with the byte ledger exactly conserved.
   std::printf("\n--- cluster: replica scaling + disaggregated "
               "prefill/decode (zoo traffic) ---\n\n");
+  const auto s8_t0 = Clock::now();
 
   const serve::SweepCase& s6_demand_case = s6_cases[1];  // "s6 demand-weighted"
   const serve::ClusterOutcome one_chip = serve::run_cluster(
@@ -870,8 +881,11 @@ int main(int argc, char** argv) {
   std::printf("KV ledger exactly conserved (sent == landed + in-flight, "
               "drained to 0): %s\n",
               kv_conservation_ok ? "yes" : "NO");
+  const double s8_wall_ms = ms_since(s8_t0);
+  print_section_wall(s8_wall_ms);
 
   json.begin_object("cluster");
+  json.field("wall_ms", s8_wall_ms);
   json.field("identity_1chip", cluster_identity_ok);
   json.begin_array("replica_scaling");
   for (const serve::ClusterOutcome& o : scaling) {
@@ -1049,6 +1063,7 @@ int main(int argc, char** argv) {
   print_section_wall(s9);
 
   json.begin_object("paged_kv");
+  json.field("wall_ms", s9.wall_ms);
   json.field("page_bytes", static_cast<std::size_t>(kv_page));
   json.field("equal_budget_bytes", static_cast<std::size_t>(equal_budget));
   json.field("tight_budget_bytes", static_cast<std::size_t>(tight_budget));
@@ -1207,6 +1222,7 @@ int main(int argc, char** argv) {
   print_section_wall(s10);
 
   json.begin_object("backend_mix");
+  json.field("wall_ms", s10.wall_ms);
   json.field("fat_backend", fat_spec.name);
   json.begin_array("cases");
   for (std::size_t i = 0; i < s10_cases.size(); ++i) {
@@ -1363,6 +1379,7 @@ int main(int argc, char** argv) {
   print_section_wall(s11);
 
   json.begin_object("quality");
+  json.field("wall_ms", s11.wall_ms);
   json.begin_array("cases");
   for (std::size_t i = 0; i < s11_cases.size(); ++i) {
     const serve::ServingResult& r = s11.outcomes[i].result;

@@ -77,16 +77,16 @@ std::size_t BandwidthManager::batch_for_length(std::size_t l) const {
 }
 
 void BandwidthManager::apply(ChipTimingModel& chip, std::size_t l) const {
-  const auto cc = chip.clusters(ClusterKind::kComputeCentric);
-  const auto mc = chip.clusters(ClusterKind::kMemoryCentric);
+  const auto& cc = chip.clusters(ClusterKind::kComputeCentric);
+  const auto& mc = chip.clusters(ClusterKind::kMemoryCentric);
   const auto budgets = budgets_for_length(l, cc.size(), mc.size());
   for (auto* cluster : cc) cluster->dma().set_budget(budgets.cc_budget_per_cluster);
   for (auto* cluster : mc) cluster->dma().set_budget(budgets.mc_budget_per_cluster);
 }
 
 void BandwidthManager::apply_ratio(ChipTimingModel& chip, std::size_t mc_ratio) const {
-  const auto cc = chip.clusters(ClusterKind::kComputeCentric);
-  const auto mc = chip.clusters(ClusterKind::kMemoryCentric);
+  const auto& cc = chip.clusters(ClusterKind::kComputeCentric);
+  const auto& mc = chip.clusters(ClusterKind::kMemoryCentric);
   if (cc.empty() || mc.empty() || mc_ratio <= 1) {
     apply_equal_sharing(chip);
     return;
@@ -103,8 +103,8 @@ void BandwidthManager::apply_ratio(ChipTimingModel& chip, std::size_t mc_ratio) 
 }
 
 void BandwidthManager::apply_equal_sharing(ChipTimingModel& chip) const {
-  const auto cc = chip.clusters(ClusterKind::kComputeCentric);
-  const auto mc = chip.clusters(ClusterKind::kMemoryCentric);
+  const auto& cc = chip.clusters(ClusterKind::kComputeCentric);
+  const auto& mc = chip.clusters(ClusterKind::kMemoryCentric);
   const auto budgets = equal_sharing(cc.size(), mc.size());
   for (auto* cluster : cc) cluster->dma().set_budget(budgets.cc_budget_per_cluster);
   for (auto* cluster : mc) cluster->dma().set_budget(budgets.mc_budget_per_cluster);

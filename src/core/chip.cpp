@@ -1,7 +1,8 @@
 #include "core/chip.hpp"
 
+#include <algorithm>
 #include <memory>
-#include <string>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -17,93 +18,87 @@ const char* to_string(ChipComposition composition) {
   return "?";
 }
 
+namespace {
+
+/// Validates before any member is built from the configuration.
+const ChipConfig& validated(const ChipConfig& config) {
+  config.validate();
+  return config;
+}
+
+}  // namespace
+
 ChipTimingModel::ChipTimingModel(const ChipConfig& config, ChipComposition composition,
                                  ReplayMode mode)
-    : config_(config), composition_(composition), mode_(mode),
-      dram_(sim_, config.dram) {
-  config_.validate();
+    : config_(validated(config)), composition_(composition), mode_(mode),
+      dram_(sim_, config_.dram),
+      system_xbar_(sim_, config_.system_xbar_bytes_per_cycle,
+                   config_.system_xbar_latency) {
   const std::size_t clusters_per_group =
-      config.cc_clusters_per_group + config.mc_clusters_per_group;
-  const std::size_t total_clusters = config.groups * clusters_per_group;
+      config_.cc_clusters_per_group + config_.mc_clusters_per_group;
+  const std::size_t total_clusters = config_.groups * clusters_per_group;
 
   // Hierarchical AXI interconnect (Fig. 4): one crossbar link per group,
   // one system crossbar in front of the DRAM controller. Every table is
-  // sized up front: each cluster adds one port per hop.
-  system_xbar_ = std::make_unique<mem::ResourceServer>(
-      sim_, "sys-xbar", config.system_xbar_bytes_per_cycle,
-      config.system_xbar_latency);
-  system_xbar_->reserve_ports(total_clusters);
+  // sized up front (each cluster adds one port per hop), so nothing the
+  // clusters point at ever moves.
+  system_xbar_.reserve_ports(total_clusters);
   dram_.channel().reserve_ports(total_clusters);
-  group_xbars_.reserve(config.groups);
-  for (std::size_t g = 0; g < config.groups; ++g) {
-    group_xbars_.push_back(std::make_unique<mem::ResourceServer>(
-        sim_, "grp-xbar" + std::to_string(g), config.group_xbar_bytes_per_cycle,
-        config.group_xbar_latency));
-    group_xbars_.back()->reserve_ports(clusters_per_group);
+  group_xbars_.reserve(config_.groups);
+  for (std::size_t g = 0; g < config_.groups; ++g) {
+    group_xbars_.emplace_back(sim_, config_.group_xbar_bytes_per_cycle,
+                              config_.group_xbar_latency);
+    group_xbars_.back().reserve_ports(clusters_per_group);
   }
   clusters_.reserve(total_clusters);
 
-  auto add_cluster = [&](ClusterKind kind, std::size_t group, std::size_t index) {
-    const std::string name = std::string(to_string(kind)) + "-g" +
-                             std::to_string(group) + "c" + std::to_string(index);
-    mem::MemoryPath path;
-    path.reserve(3);
-    path.add_hop(*group_xbars_[group], group_xbars_[group]->add_port(name));
-    path.add_hop(*system_xbar_, system_xbar_->add_port(name));
-    path.add_hop(dram_.channel(), dram_.add_port(name));
-    clusters_.push_back(std::make_unique<ClusterTimingModel>(sim_, std::move(path),
-                                                             config_, kind, name));
-  };
-
-  for (std::size_t g = 0; g < config.groups; ++g) {
+  for (std::size_t g = 0; g < config_.groups; ++g) {
+    mem::ResourceServer& group_xbar = group_xbars_[g];
     for (std::size_t c = 0; c < clusters_per_group; ++c) {
+      ClusterKind kind = ClusterKind::kBaselineSimd;
       switch (composition) {
         case ChipComposition::kHeterogeneous:
-          add_cluster(c < config.cc_clusters_per_group ? ClusterKind::kComputeCentric
-                                                       : ClusterKind::kMemoryCentric,
-                      g, c);
+          kind = c < config_.cc_clusters_per_group ? ClusterKind::kComputeCentric
+                                                   : ClusterKind::kMemoryCentric;
           break;
-        case ChipComposition::kHomoCc:
-          add_cluster(ClusterKind::kComputeCentric, g, c);
-          break;
-        case ChipComposition::kHomoMc:
-          add_cluster(ClusterKind::kMemoryCentric, g, c);
-          break;
-        case ChipComposition::kBaselineSnitch:
-          add_cluster(ClusterKind::kBaselineSimd, g, c);
-          break;
+        case ChipComposition::kHomoCc: kind = ClusterKind::kComputeCentric; break;
+        case ChipComposition::kHomoMc: kind = ClusterKind::kMemoryCentric; break;
+        case ChipComposition::kBaselineSnitch: break;
       }
+      mem::MemoryPath path;
+      path.add_hop(group_xbar, group_xbar.add_port());
+      path.add_hop(system_xbar_, system_xbar_.add_port());
+      path.add_hop(dram_.channel(), dram_.add_port());
+      clusters_.emplace_back(sim_, std::move(path), config_, kind);
+    }
+  }
+  EDGEMM_ASSERT(clusters_.size() == total_clusters);
+
+  all_.reserve(total_clusters);
+  for (ClusterTimingModel& cluster : clusters_) all_.push_back(&cluster);
+  for (std::size_t k = 0; k < by_kind_.size(); ++k) {
+    const auto kind = static_cast<ClusterKind>(k);
+    const auto n = static_cast<std::size_t>(std::count_if(
+        all_.begin(), all_.end(),
+        [kind](const ClusterTimingModel* c) { return c->kind() == kind; }));
+    by_kind_[k].reserve(n);
+    for (ClusterTimingModel* cluster : all_) {
+      if (cluster->kind() == kind) by_kind_[k].push_back(cluster);
     }
   }
 
   if (mode_ == ReplayMode::kFast) {
-    fast_ = std::make_unique<FastMemoryModel>(sim_, dram_, config_);
-    for (const auto& cluster : clusters_) {
-      fast_->register_cluster(*cluster);
+    FastMemoryModel& fast = fast_.emplace(sim_, dram_, config_);
+    for (ClusterTimingModel& cluster : clusters_) {
+      fast.register_cluster(cluster);
       // Budget changes (BandwidthManager rebalances) re-price the active
       // streams; the model coalesces the per-cluster calls of one tick.
-      cluster->dma().set_budget_listener(
-          [fast = fast_.get()] { fast->budgets_changed(); });
+      cluster.dma().set_budget_listener([&fast] { fast.budgets_changed(); });
     }
   }
 }
 
-std::vector<ClusterTimingModel*> ChipTimingModel::clusters(ClusterKind kind) {
-  std::vector<ClusterTimingModel*> out;
-  for (const auto& c : clusters_) {
-    if (c->kind() == kind) out.push_back(c.get());
-  }
-  return out;
-}
-
-std::vector<ClusterTimingModel*> ChipTimingModel::all_clusters() {
-  std::vector<ClusterTimingModel*> out;
-  out.reserve(clusters_.size());
-  for (const auto& c : clusters_) out.push_back(c.get());
-  return out;
-}
-
-std::vector<ClusterTimingModel*> ChipTimingModel::preferred_clusters(Phase phase) {
+const ChipTimingModel::ClusterSet& ChipTimingModel::preferred_clusters(Phase phase) {
   // §IV-B: "it is optimal to run modality encoder and LLM-prefill on
   // CC-clusters, with LLM-decoding on MC-clusters."
   if (composition_ == ChipComposition::kHeterogeneous) {
@@ -112,7 +107,7 @@ std::vector<ClusterTimingModel*> ChipTimingModel::preferred_clusters(Phase phase
     return clusters(wants_cc ? ClusterKind::kComputeCentric
                              : ClusterKind::kMemoryCentric);
   }
-  return all_clusters();
+  return all_;
 }
 
 std::vector<GemmWork> ChipTimingModel::partition(const GemmWork& work,
@@ -132,9 +127,8 @@ std::vector<GemmWork> ChipTimingModel::partition(const GemmWork& work,
   return shards;
 }
 
-void ChipTimingModel::run_on(const std::vector<ClusterTimingModel*>& targets,
-                             const std::vector<GemmWork>& ops,
-                             std::function<void()> done) {
+void ChipTimingModel::run_on(const ClusterSet& targets,
+                             const std::vector<GemmWork>& ops, sim::Action done) {
   EDGEMM_ASSERT_MSG(!targets.empty(), "run_on: empty cluster set");
   // Build one op list per cluster by sharding each op's n dimension.
   std::vector<std::vector<GemmWork>> per_cluster(targets.size());
@@ -145,23 +139,24 @@ void ChipTimingModel::run_on(const std::vector<ClusterTimingModel*>& targets,
     }
   }
   // Join barrier across clusters.
-  auto pending = std::make_shared<std::size_t>(0);
-  auto finish = std::make_shared<std::function<void()>>(std::move(done));
+  struct Join {
+    std::size_t pending = 0;
+    sim::Action finish;
+  };
+  auto join = std::make_shared<Join>();
+  join->finish = std::move(done);
   for (std::size_t t = 0; t < targets.size(); ++t) {
-    if (per_cluster[t].empty()) continue;
-    ++*pending;
+    if (!per_cluster[t].empty()) ++join->pending;
   }
-  if (*pending == 0) {
-    sim_.schedule(0, [finish] {
-      if (*finish) (*finish)();
-    });
+  if (join->pending == 0) {
+    sim_.schedule(0, std::move(join->finish));
     return;
   }
   for (std::size_t t = 0; t < targets.size(); ++t) {
     if (per_cluster[t].empty()) continue;
-    targets[t]->run_ops(per_cluster[t], [pending, finish] {
-      EDGEMM_ASSERT(*pending > 0);
-      if (--*pending == 0 && *finish) (*finish)();
+    targets[t]->run_ops(per_cluster[t], [join] {
+      EDGEMM_ASSERT(join->pending > 0);
+      if (--join->pending == 0 && join->finish) join->finish();
     });
   }
 }
@@ -185,7 +180,7 @@ Cycle ChipTimingModel::run_phase(std::span<const GemmWork> ops) {
 }
 
 void ChipTimingModel::clear_bandwidth_budgets() {
-  for (const auto& c : clusters_) c->dma().set_budget(mem::DmaEngine::kUnlimited);
+  for (ClusterTimingModel& c : clusters_) c.dma().set_budget(mem::DmaEngine::kUnlimited);
 }
 
 }  // namespace edgemm::core

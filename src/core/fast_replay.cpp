@@ -165,8 +165,10 @@ const char* to_string(ReplayMode mode) {
 FastMemoryModel::FastMemoryModel(sim::Simulator& sim, mem::DramController& dram,
                                  const ChipConfig& config)
     : sim_(sim), dram_(dram), config_(config) {
-  lanes_.reserve(config.groups *
-                 (config.cc_clusters_per_group + config.mc_clusters_per_group));
+  const std::size_t clusters =
+      config.groups * (config.cc_clusters_per_group + config.mc_clusters_per_group);
+  lanes_.reserve(clusters);
+  rate_entries_.reserve(clusters);
 }
 
 void FastMemoryModel::register_cluster(ClusterTimingModel& cluster) {
@@ -184,7 +186,7 @@ std::size_t FastMemoryModel::lane_index(const ClusterTimingModel& cluster) const
 
 void FastMemoryModel::submit(ClusterTimingModel& cluster,
                              const std::vector<GemmWork>& ops,
-                             std::function<void()> done) {
+                             sim::Action done) {
   EDGEMM_ASSERT(!ops.empty());
   const std::size_t li = lane_index(cluster);
   auto stream = std::make_unique<Stream>();
@@ -454,7 +456,7 @@ void FastMemoryModel::retire(Lane& lane, std::unique_ptr<Stream> stream) {
   sim_.schedule_at(when, [this, li = stream->lane, cluster = stream->cluster,
                           bytes = stream->stat_bytes, compute = stream->stat_compute,
                           flops = stream->stat_flops,
-                          done = std::move(stream->done)] {
+                          done = std::move(stream->done)]() mutable {
     ClusterStats& stats = cluster->stats_;
     stats.dma_bytes += bytes;
     stats.compute_cycles += compute;
@@ -475,13 +477,10 @@ void FastMemoryModel::retire(Lane& lane, std::unique_ptr<Stream> stream) {
 }
 
 void FastMemoryModel::compute_rates() {
-  struct Entry {
-    Stream* stream;
-    double demand;
-  };
+  using Entry = RateEntry;
   const double bw = dram_.config().bytes_per_cycle;
-  std::vector<Entry> entries;
-  entries.reserve(lanes_.size());
+  std::vector<Entry>& entries = rate_entries_;
+  entries.clear();
   double flooding = 0.0;
   for (Lane& lane : lanes_) {
     Stream* s = lane.active.get();
@@ -503,8 +502,14 @@ void FastMemoryModel::compute_rates() {
   }
   // Max-min fair split of the channel: ascending demand, stable in lane
   // (registration) order so float accumulation is run-to-run identical.
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& a, const Entry& b) { return a.demand < b.demand; });
+  // An insertion sort: stable, at most one entry per cluster, and unlike
+  // std::stable_sort it needs no temporary buffer.
+  for (std::size_t i = 1; i < entries.size(); ++i) {
+    const Entry e = entries[i];
+    std::size_t j = i;
+    for (; j > 0 && e.demand < entries[j - 1].demand; --j) entries[j] = entries[j - 1];
+    entries[j] = e;
+  }
   double remaining = bw;
   std::size_t left = entries.size();
   for (Entry& e : entries) {

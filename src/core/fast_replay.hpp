@@ -16,7 +16,6 @@
 #define EDGEMM_CORE_FAST_REPLAY_HPP
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "core/config.hpp"
 #include "core/timing.hpp"
 #include "mem/dram.hpp"
+#include "sim/action.hpp"
 #include "sim/simulator.hpp"
 
 namespace edgemm::core {
@@ -89,7 +89,7 @@ class FastMemoryModel {
   /// modeled completion. Called by ClusterTimingModel::run_ops in fast
   /// mode (never with an empty op list).
   void submit(ClusterTimingModel& cluster, const std::vector<GemmWork>& ops,
-              std::function<void()> done);
+              sim::Action done);
 
   /// True when `cluster` has no stream active or queued.
   bool idle(const ClusterTimingModel& cluster) const;
@@ -125,7 +125,7 @@ class FastMemoryModel {
   struct Stream {
     ClusterTimingModel* cluster = nullptr;
     std::size_t lane = 0;  ///< registration index of the cluster
-    std::function<void()> done;
+    sim::Action done;
     std::vector<OpCost> ops;         ///< serial chain, submission order
     double total_bytes = 0.0;        ///< D: batch DMA bytes
     double served_bytes = 0.0;       ///< integrated at the current rates
@@ -200,10 +200,18 @@ class FastMemoryModel {
   void schedule_next();
   double budget_rate(ClusterTimingModel& cluster) const;
 
+  /// One active stream's channel demand in compute_rates (scratch kept
+  /// across calls, sized for one entry per cluster).
+  struct RateEntry {
+    Stream* stream;
+    double demand;
+  };
+
   sim::Simulator& sim_;
   mem::DramController& dram_;
   const ChipConfig& config_;
   std::vector<Lane> lanes_;
+  std::vector<RateEntry> rate_entries_;
   double last_advance_ = 0.0;
   std::uint64_t event_token_ = 0;  ///< newest scheduled recompute wins
   bool budget_recompute_pending_ = false;

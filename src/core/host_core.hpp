@@ -15,6 +15,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "common/tensor.hpp"

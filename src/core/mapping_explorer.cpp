@@ -16,11 +16,11 @@ MappingExplorer::MappingExplorer(const ChipConfig& config)
       dram_(std::make_unique<mem::DramController>(*sim_, config.dram)) {
   config_.validate();
   cc_probe_ = std::make_unique<ClusterTimingModel>(
-      *sim_, *dram_, config_, ClusterKind::kComputeCentric, "probe-cc");
+      *sim_, *dram_, config_, ClusterKind::kComputeCentric);
   mc_probe_ = std::make_unique<ClusterTimingModel>(
-      *sim_, *dram_, config_, ClusterKind::kMemoryCentric, "probe-mc");
+      *sim_, *dram_, config_, ClusterKind::kMemoryCentric);
   simd_probe_ = std::make_unique<ClusterTimingModel>(
-      *sim_, *dram_, config_, ClusterKind::kBaselineSimd, "probe-simd");
+      *sim_, *dram_, config_, ClusterKind::kBaselineSimd);
 }
 
 ClusterTimingModel& MappingExplorer::probe(ClusterKind kind) const {

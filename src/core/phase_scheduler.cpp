@@ -20,9 +20,9 @@ PhaseScheduler::PhaseScheduler(ChipTimingModel& chip) : chip_(chip) {
   // §IV-B mapping: encoder/prefill prefer the CC clusters, decode the MC
   // clusters; preferred_clusters already falls back to every cluster for
   // the homogeneous and baseline compositions.
-  cc_.clusters = chip_.preferred_clusters(Phase::kPrefill);
-  mc_.clusters = chip_.preferred_clusters(Phase::kDecode);
-  EDGEMM_ASSERT_MSG(!cc_.clusters.empty() && !mc_.clusters.empty(),
+  cc_.clusters = &chip_.preferred_clusters(Phase::kPrefill);
+  mc_.clusters = &chip_.preferred_clusters(Phase::kDecode);
+  EDGEMM_ASSERT_MSG(!cc_.clusters->empty() && !mc_.clusters->empty(),
                     "PhaseScheduler: chip has no clusters for a lane");
 }
 
@@ -80,9 +80,8 @@ const PhaseScheduler::LaneStats& PhaseScheduler::lane_stats(Lane lane) const {
   return state(lane).stats;
 }
 
-const std::vector<ClusterTimingModel*>& PhaseScheduler::lane_clusters(
-    Lane lane) const {
-  return state(lane).clusters;
+const ChipTimingModel::ClusterSet& PhaseScheduler::lane_clusters(Lane lane) const {
+  return *state(lane).clusters;
 }
 
 void PhaseScheduler::dispatch_next(LaneState& lane) {
@@ -109,9 +108,10 @@ void PhaseScheduler::dispatch_next(LaneState& lane) {
   lane.stats.max_queue_wait = std::max(lane.stats.max_queue_wait, waited);
   lane.stats.total_queue_wait += waited;
   if (job.started) job.started();
-  auto done = std::move(job.done);
-  chip_.run_on(lane.clusters, *job.ops, [this, &lane, done = std::move(done)] {
+  lane.running_done = std::move(job.done);
+  chip_.run_on(*lane.clusters, *job.ops, [this, &lane] {
     lane.busy = false;
+    const std::function<void()> done = std::move(lane.running_done);
     if (done) done();
     // `done` may have submitted follow-up work (continuous batching does
     // exactly this); only dispatch if it did not already claim the lane.

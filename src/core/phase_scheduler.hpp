@@ -107,7 +107,7 @@ class PhaseScheduler {
   /// The cluster set backing `lane` under the chip's composition
   /// (heterogeneous: CC / MC; homogeneous compositions share all
   /// clusters between both lanes and serialize inside the cluster FIFOs).
-  const std::vector<ClusterTimingModel*>& lane_clusters(Lane lane) const;
+  const ChipTimingModel::ClusterSet& lane_clusters(Lane lane) const;
 
  private:
   struct Job {
@@ -118,8 +118,12 @@ class PhaseScheduler {
     std::uint64_t affinity = 0;
   };
   struct LaneState {
-    std::vector<ClusterTimingModel*> clusters;
+    /// The chip's cluster set for the lane (bound, never copied).
+    const ChipTimingModel::ClusterSet* clusters = nullptr;
     Fifo<Job> queue;
+    /// The running job's completion, held here so the join callback
+    /// captures only the lane.
+    std::function<void()> running_done;
     bool busy = false;
     bool chain_affinity = false;
     std::uint64_t last_affinity = 0;

@@ -43,8 +43,8 @@ BandwidthPolicy derive_policy(const ChipConfig& config,
   // Throwaway models to evaluate the analytic per-op costs.
   sim::Simulator sim;
   mem::DramController dram(sim, config.dram);
-  ClusterTimingModel cc(sim, dram, config, ClusterKind::kComputeCentric, "cc-probe");
-  ClusterTimingModel mc(sim, dram, config, ClusterKind::kMemoryCentric, "mc-probe");
+  ClusterTimingModel cc(sim, dram, config, ClusterKind::kComputeCentric);
+  ClusterTimingModel mc(sim, dram, config, ClusterKind::kMemoryCentric);
 
   const double half_bw = config.dram.bytes_per_cycle / 2.0;
   const std::size_t n_cc = std::max<std::size_t>(config.total_cc_clusters(), 1);
@@ -104,8 +104,8 @@ PipelineResult MllmPipeline::run(const PhaseWorkload& workload,
   }
 
   ChipTimingModel chip(config_, ChipComposition::kHeterogeneous);
-  const auto cc_set = chip.clusters(ClusterKind::kComputeCentric);
-  const auto mc_set = chip.clusters(ClusterKind::kMemoryCentric);
+  const auto& cc_set = chip.clusters(ClusterKind::kComputeCentric);
+  const auto& mc_set = chip.clusters(ClusterKind::kMemoryCentric);
   EDGEMM_ASSERT_MSG(!cc_set.empty() && !mc_set.empty(),
                     "pipeline requires a heterogeneous chip");
 

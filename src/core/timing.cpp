@@ -34,16 +34,13 @@ const char* to_string(ClusterKind kind) {
 }
 
 ClusterTimingModel::ClusterTimingModel(sim::Simulator& sim, mem::DramController& dram,
-                                       const ChipConfig& config, ClusterKind kind,
-                                       std::string name)
-    : sim_(sim), config_(config), kind_(kind), name_(std::move(name)),
-      dma_(sim, dram, dram.add_port(name_), config.dma, name_ + ".dma") {}
+                                       const ChipConfig& config, ClusterKind kind)
+    : sim_(sim), config_(config), kind_(kind),
+      dma_(sim, dram, dram.add_port(), config.dma) {}
 
 ClusterTimingModel::ClusterTimingModel(sim::Simulator& sim, mem::MemoryPath path,
-                                       const ChipConfig& config, ClusterKind kind,
-                                       std::string name)
-    : sim_(sim), config_(config), kind_(kind), name_(std::move(name)),
-      dma_(sim, std::move(path), config.dma, name_ + ".dma") {}
+                                       const ChipConfig& config, ClusterKind kind)
+    : sim_(sim), config_(config), kind_(kind), dma_(sim, std::move(path), config.dma) {}
 
 Cycle ClusterTimingModel::compute_cycles(const GemmWork& work) const {
   switch (kind_) {
@@ -125,12 +122,9 @@ Bytes ClusterTimingModel::block_bytes() const {
   return scaled > 0 ? scaled : 1;
 }
 
-void ClusterTimingModel::run_ops(const std::vector<GemmWork>& ops,
-                                 std::function<void()> done) {
+void ClusterTimingModel::run_ops(const std::vector<GemmWork>& ops, sim::Action done) {
   if (ops.empty()) {
-    sim_.schedule(0, [done = std::move(done)] {
-      if (done) done();
-    });
+    sim_.schedule(0, std::move(done));
     return;
   }
   if (fast_ != nullptr) {
@@ -166,10 +160,7 @@ void ClusterTimingModel::run_ops(const std::vector<GemmWork>& ops,
       compute_left -= block.compute_cycles > compute_left ? compute_left
                                                           : block.compute_cycles;
       flops_left -= block.flops;
-      if (oi == ops.size() - 1 && b == n_blocks - 1) {
-        block.last_of_batch = true;
-        block.done = std::move(done);
-      }
+      if (oi == ops.size() - 1 && b == n_blocks - 1) block.done = std::move(done);
       blocks_.push_back(std::move(block));
     }
     ++stats_.ops_executed;
@@ -179,26 +170,24 @@ void ClusterTimingModel::run_ops(const std::vector<GemmWork>& ops,
 
 bool ClusterTimingModel::idle() const {
   if (fast_ != nullptr) return fast_->idle(*this);
-  return blocks_.empty() && inflight_dma_ == 0 && !compute_busy_;
+  return blocks_.empty() && loading_.empty() && !compute_busy_;
 }
 
 void ClusterTimingModel::maybe_issue_dma() {
   // Double buffering: at most one block loading while one computes and
   // one sits ready.
-  while (!blocks_.empty() && inflight_dma_ + ready_.size() < 2) {
+  while (!blocks_.empty() && loading_.size() + ready_.size() < 2) {
     Block block = blocks_.take_front();
     if (block.dma_bytes == 0) {
       ready_.push_back(std::move(block));
       maybe_start_compute();
       continue;
     }
-    ++inflight_dma_;
     const Bytes bytes = block.dma_bytes;
     stats_.dma_bytes += bytes;
-    dma_.transfer(bytes, [this, blk = std::move(block)]() mutable {
-      EDGEMM_ASSERT(inflight_dma_ > 0);
-      --inflight_dma_;
-      ready_.push_back(std::move(blk));
+    loading_.push_back(std::move(block));
+    dma_.transfer(bytes, [this] {
+      ready_.push_back(loading_.take_front());
       maybe_start_compute();
       maybe_issue_dma();
     });
@@ -207,12 +196,11 @@ void ClusterTimingModel::maybe_issue_dma() {
 
 void ClusterTimingModel::maybe_start_compute() {
   if (compute_busy_ || ready_.empty()) return;
-  Block block = ready_.take_front();
+  computing_ = ready_.take_front();
   compute_busy_ = true;
-  const Cycle cycles = block.compute_cycles;
-  sim_.schedule(cycles, [this, blk = std::move(block)]() mutable {
+  sim_.schedule(computing_.compute_cycles, [this] {
     compute_busy_ = false;
-    finish_block(std::move(blk));
+    finish_block(std::move(computing_));
     maybe_start_compute();
     maybe_issue_dma();
   });

@@ -7,9 +7,7 @@
 #ifndef EDGEMM_CORE_TIMING_HPP
 #define EDGEMM_CORE_TIMING_HPP
 
-#include <functional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/fifo.hpp"
@@ -17,6 +15,7 @@
 #include "core/config.hpp"
 #include "mem/dma.hpp"
 #include "mem/dram.hpp"
+#include "sim/action.hpp"
 #include "sim/simulator.hpp"
 
 namespace edgemm::core {
@@ -69,15 +68,14 @@ class ClusterTimingModel {
  public:
   /// Direct-to-DRAM wiring (single-hop; unit tests and isolated probes).
   ClusterTimingModel(sim::Simulator& sim, mem::DramController& dram,
-                     const ChipConfig& config, ClusterKind kind, std::string name);
+                     const ChipConfig& config, ClusterKind kind);
 
   /// Hierarchical wiring: the DMA routes through the provided
   /// interconnect path (group crossbar -> system crossbar -> DRAM).
   ClusterTimingModel(sim::Simulator& sim, mem::MemoryPath path,
-                     const ChipConfig& config, ClusterKind kind, std::string name);
+                     const ChipConfig& config, ClusterKind kind);
 
   ClusterKind kind() const { return kind_; }
-  const std::string& name() const { return name_; }
 
   /// Analytic datapath cycles for `work` on this cluster (all cores of
   /// the cluster cooperating), excluding memory time.
@@ -95,7 +93,7 @@ class ClusterTimingModel {
   /// Enqueues `ops`; `done` fires when the last block of the last op
   /// retires. May be called while a previous batch is still running —
   /// the new ops queue behind it.
-  void run_ops(const std::vector<GemmWork>& ops, std::function<void()> done);
+  void run_ops(const std::vector<GemmWork>& ops, sim::Action done);
 
   /// Routes subsequent run_ops batches through the fast replay tier
   /// instead of the event-driven DMA plane. Wired once by
@@ -114,8 +112,7 @@ class ClusterTimingModel {
     Bytes dma_bytes = 0;
     Cycle compute_cycles = 0;
     Flops flops = 0;
-    bool last_of_batch = false;
-    std::function<void()> done;  // set on the last block of a batch
+    sim::Action done;  // set on the last block of a batch
   };
 
   void maybe_issue_dma();
@@ -128,11 +125,14 @@ class ClusterTimingModel {
   sim::Simulator& sim_;
   const ChipConfig& config_;
   ClusterKind kind_;
-  std::string name_;
   mem::DmaEngine dma_;
-  Fifo<Block> blocks_;  // not yet DMA-issued
-  Fifo<Block> ready_;   // loaded, awaiting compute
-  std::size_t inflight_dma_ = 0;
+  // A block moves blocks_ -> loading_ -> ready_ -> computing_. The DMA
+  // lands this cluster's transfers in issue order, so the event callbacks
+  // capture only `this` and take the block from the front of its queue.
+  Fifo<Block> blocks_;   // not yet DMA-issued
+  Fifo<Block> loading_;  // DMA in flight, in issue order
+  Fifo<Block> ready_;    // loaded, awaiting compute
+  Block computing_;      // on the datapath while compute_busy_
   bool compute_busy_ = false;
   ClusterStats stats_;
 };

@@ -15,10 +15,10 @@ std::vector<BandwidthSample> measure_effective_bandwidth(
   for (const Bytes size : transfer_sizes) {
     sim::Simulator sim;
     DramController dram(sim, dram_config);
-    const int port = dram.add_port("probe");
+    const int port = dram.add_port();
     DmaConfig dma_config;
     dma_config.burst_bytes = burst_bytes;
-    DmaEngine dma(sim, dram, port, dma_config, "probe-dma");
+    DmaEngine dma(sim, dram, port, dma_config);
 
     bool finished = false;
     Cycle completion = 0;

@@ -26,12 +26,11 @@ void check_dma_config(const DmaConfig& config) {
 }  // namespace
 
 DmaEngine::DmaEngine(sim::Simulator& sim, DramController& dram, int port,
-                     const DmaConfig& config, std::string name)
-    : DmaEngine(sim, single_hop(dram, port), config, std::move(name)) {}
+                     const DmaConfig& config, std::string_view /*label*/)
+    : DmaEngine(sim, single_hop(dram, port), config) {}
 
-DmaEngine::DmaEngine(sim::Simulator& sim, MemoryPath path, const DmaConfig& config,
-                     std::string name)
-    : sim_(sim), path_(std::move(path)), config_(config), name_(std::move(name)) {
+DmaEngine::DmaEngine(sim::Simulator& sim, MemoryPath path, const DmaConfig& config)
+    : sim_(sim), path_(std::move(path)), config_(config) {
   check_dma_config(config);
   if (path_.empty()) {
     throw std::invalid_argument("DmaEngine: memory path must have hops");
@@ -41,20 +40,25 @@ DmaEngine::DmaEngine(sim::Simulator& sim, MemoryPath path, const DmaConfig& conf
 void DmaEngine::transfer(Bytes bytes, Done done) {
   ++inflight_;
   if (bytes == 0) {
-    sim_.schedule(0, [this, done = std::move(done)] {
-      --inflight_;
-      if (done) done();
-    });
+    instant_.push_back(std::move(done));
+    sim_.schedule(0, [this] { complete(instant_); });
     return;
   }
   total_bytes_ += bytes;
+  pending_.push_back(std::move(done));
   Bytes remaining = bytes;
   while (remaining > 0) {
     const Bytes chunk = remaining > config_.burst_bytes ? config_.burst_bytes : remaining;
     remaining -= chunk;
-    const bool last = remaining == 0;
-    issue_or_defer(Burst{chunk, last, last ? std::move(done) : Done{}});
+    issue_or_defer(Burst{chunk, remaining == 0});
   }
+}
+
+void DmaEngine::complete(Fifo<Done>& queue) {
+  EDGEMM_ASSERT(inflight_ > 0);
+  --inflight_;
+  Done done = queue.take_front();
+  if (done) done();
 }
 
 Cycle DmaEngine::next_interval_boundary() const {
@@ -75,7 +79,7 @@ void DmaEngine::issue_or_defer(Burst burst) {
   // until the interval elapses. Keep strict FIFO: if bursts are already
   // deferred, new bursts queue behind them.
   if (!deferred_.empty() || interval_usage_ > budget_) {
-    deferred_.push_back(std::move(burst));
+    deferred_.push_back(burst);
     if (!wakeup_scheduled_) {
       wakeup_scheduled_ = true;
       const Cycle boundary = next_interval_boundary();
@@ -87,7 +91,7 @@ void DmaEngine::issue_or_defer(Burst burst) {
         // Drain deferred bursts; issue_or_defer re-blocks once the fresh
         // budget is consumed again.
         draining_.swap(deferred_);
-        for (Burst& b : draining_) issue_or_defer(std::move(b));
+        for (const Burst& b : draining_) issue_or_defer(b);
         draining_.clear();
       });
     }
@@ -95,17 +99,12 @@ void DmaEngine::issue_or_defer(Burst burst) {
   }
 
   interval_usage_ += burst.bytes;
-  issue(std::move(burst));
+  issue(burst);
 }
 
 void DmaEngine::issue(Burst burst) {
-  const Bytes bytes = burst.bytes;
-  path_.request(bytes, [this, last = burst.last, done = std::move(burst.done)] {
-    if (last) {
-      EDGEMM_ASSERT(inflight_ > 0);
-      --inflight_;
-      if (done) done();
-    }
+  path_.request(burst.bytes, [this, last = burst.last] {
+    if (last) complete(pending_);
   });
 }
 

@@ -4,14 +4,14 @@
 #ifndef EDGEMM_MEM_DMA_HPP
 #define EDGEMM_MEM_DMA_HPP
 
-#include <functional>
 #include <limits>
-#include <string>
+#include <string_view>
 
 #include "common/fifo.hpp"
 #include "common/types.hpp"
 #include "mem/dram.hpp"
 #include "mem/memory_path.hpp"
+#include "sim/action.hpp"
 #include "sim/simulator.hpp"
 
 namespace edgemm::mem {
@@ -33,20 +33,21 @@ struct DmaConfig {
 /// elapses and the PMC resets, exactly as described in §IV-B.
 class DmaEngine {
  public:
-  using Done = std::function<void()>;
+  using Done = sim::Action;
 
-  /// Direct-to-DRAM engine; `port` must come from `dram.add_port`.
+  /// Direct-to-DRAM engine; `port` must come from `dram.add_port`. The
+  /// label is accepted for call-site readability and not stored.
   DmaEngine(sim::Simulator& sim, DramController& dram, int port,
-            const DmaConfig& config, std::string name);
+            const DmaConfig& config, std::string_view label = {});
 
   /// Engine routed through a hierarchical interconnect path (cluster
   /// crossbar -> system crossbar -> DRAM, Fig. 4). The path's last hop
   /// must be the memory channel.
-  DmaEngine(sim::Simulator& sim, MemoryPath path, const DmaConfig& config,
-            std::string name);
+  DmaEngine(sim::Simulator& sim, MemoryPath path, const DmaConfig& config);
 
-  /// Starts a transfer of `bytes`; `done` fires when the last burst lands.
-  /// Zero-byte transfers complete immediately (next delta-cycle).
+  /// Starts a transfer of `bytes`; `done` (may be empty) fires when the
+  /// last burst lands. Zero-byte transfers complete immediately (next
+  /// delta-cycle).
   void transfer(Bytes bytes, Done done);
 
   /// Sets the per-interval byte budget B. Unlimited by default.
@@ -58,7 +59,7 @@ class DmaEngine {
 
   /// Observer invoked after every set_budget call — the fast replay tier
   /// re-prices its streams when the bandwidth manager moves budgets.
-  void set_budget_listener(std::function<void()> listener) {
+  void set_budget_listener(sim::Action listener) {
     budget_listener_ = std::move(listener);
   }
 
@@ -76,23 +77,28 @@ class DmaEngine {
   /// Transfers still in flight.
   std::size_t inflight() const { return inflight_; }
 
-  const std::string& name() const { return name_; }
-
  private:
   struct Burst {
     Bytes bytes;
-    bool last;
-    Done done;  // only set on the last burst of a transfer
+    bool last;  ///< the last burst of its transfer
   };
 
   void issue_or_defer(Burst burst);
   void issue(Burst burst);
+  /// Retires the oldest transfer whose completion waits in `queue`.
+  void complete(Fifo<Done>& queue);
   Cycle next_interval_boundary() const;
 
   sim::Simulator& sim_;
   MemoryPath path_;
   DmaConfig config_;
-  std::string name_;
+  /// Completions of transfers with bytes, in transfer order. The path
+  /// delivers this engine's bursts in issue order and the throttle keeps
+  /// them FIFO, so a landing last burst belongs to the oldest transfer.
+  Fifo<Done> pending_;
+  /// Completions of zero-byte transfers; each fires one delta cycle
+  /// after its call, so they also retire in call order.
+  Fifo<Done> instant_;
   Bytes budget_ = kUnlimited;
   Bytes interval_usage_ = 0;
   Cycle interval_start_ = 0;
@@ -104,7 +110,7 @@ class DmaEngine {
   /// cleared), so the two queues trade capacity instead of reallocating.
   Fifo<Burst> draining_;
   bool wakeup_scheduled_ = false;
-  std::function<void()> budget_listener_;
+  sim::Action budget_listener_;
 };
 
 }  // namespace edgemm::mem

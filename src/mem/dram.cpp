@@ -5,9 +5,7 @@
 namespace edgemm::mem {
 
 DramController::DramController(sim::Simulator& sim, const DramConfig& config)
-    : config_(config),
-      server_(std::make_unique<ResourceServer>(sim, "dram", config.bytes_per_cycle,
-                                               config.latency)) {}
+    : config_(config), server_(sim, config.bytes_per_cycle, config.latency) {}
 
 double effective_bandwidth(const DramConfig& config, Bytes bytes) {
   if (bytes == 0) return 0.0;

@@ -3,8 +3,7 @@
 #ifndef EDGEMM_MEM_DRAM_HPP
 #define EDGEMM_MEM_DRAM_HPP
 
-#include <memory>
-#include <string>
+#include <string_view>
 
 #include "common/types.hpp"
 #include "mem/resource_server.hpp"
@@ -22,30 +21,38 @@ struct DramConfig {
   Cycle latency = 100;
 };
 
-/// Thin wrapper over ResourceServer that fixes the naming and exposes the
-/// DRAM-specific analytic helpers.
+/// Thin wrapper over ResourceServer that exposes the DRAM-specific
+/// analytic helpers.
+///
+/// Pinned in place: requesters hold the channel's address, and in-flight
+/// events point at it, so a controller is neither copied nor moved.
 class DramController {
  public:
   DramController(sim::Simulator& sim, const DramConfig& config);
+  DramController(const DramController&) = delete;
+  DramController& operator=(const DramController&) = delete;
+  DramController(DramController&&) = delete;
+  DramController& operator=(DramController&&) = delete;
 
-  /// One port per cluster DMA engine.
-  int add_port(std::string port_name) { return server_->add_port(std::move(port_name)); }
+  /// One port per cluster DMA engine. The label is accepted for
+  /// call-site readability and not stored.
+  int add_port(std::string_view /*label*/ = {}) { return server_.add_port(); }
 
   void request(int port, Bytes bytes, ResourceServer::Done done) {
-    server_->request(port, bytes, std::move(done));
+    server_.request(port, bytes, std::move(done));
   }
 
   const DramConfig& config() const { return config_; }
-  ResourceServer& channel() { return *server_; }
-  const ResourceServer& channel() const { return *server_; }
+  ResourceServer& channel() { return server_; }
+  const ResourceServer& channel() const { return server_; }
 
-  Bytes bytes_served() const { return server_->bytes_served(); }
-  Bytes bytes_served(int port) const { return server_->bytes_served(port); }
-  double utilization() const { return server_->utilization(); }
+  Bytes bytes_served() const { return server_.bytes_served(); }
+  Bytes bytes_served(int port) const { return server_.bytes_served(port); }
+  double utilization() const { return server_.utilization(); }
 
  private:
   DramConfig config_;
-  std::unique_ptr<ResourceServer> server_;
+  ResourceServer server_;
 };
 
 /// Effective bandwidth (bytes/cycle) seen by one isolated transfer of

@@ -10,41 +10,48 @@
 namespace edgemm::mem {
 
 void MemoryPath::add_hop(ResourceServer& server, int port) {
-  hops_.push_back(Hop{&server, port});
+  if (hop_count_ == kMaxHops) {
+    throw std::length_error("MemoryPath::add_hop: path already has kMaxHops hops");
+  }
+  hops_[hop_count_++] = Hop{&server, port};
 }
 
-void MemoryPath::request(Bytes bytes, std::function<void()> done) const {
-  if (hops_.empty()) {
+void MemoryPath::request(Bytes bytes, sim::Action done) {
+  if (hop_count_ == 0) {
     throw std::logic_error("MemoryPath::request: no hops configured");
   }
-  request_from(0, bytes, std::move(done));
+  if (hop_count_ == 1) {
+    hops_[0].server->request(hops_[0].port, bytes, std::move(done));
+    return;
+  }
+  // Hop 0 only schedules events, so the completion can park after it
+  // accepted the burst (an unknown port throws with nothing parked).
+  forward(0, bytes);
+  parked_.push_back(std::move(done));
 }
 
-void MemoryPath::request_from(std::size_t index, Bytes bytes,
-                              std::function<void()> done) const {
+void MemoryPath::forward(std::size_t index, Bytes bytes) {
   const Hop& hop = hops_[index];
-  if (index + 1 == hops_.size()) {
-    hop.server->request(hop.port, bytes, std::move(done));
+  if (index + 1 == hop_count_) {
+    hop.server->request(hop.port, bytes, parked_.take_front());
     return;
   }
   hop.server->request(hop.port, bytes,
-                      [this, index, bytes, done = std::move(done)]() mutable {
-                        request_from(index + 1, bytes, std::move(done));
-                      });
+                      [this, index, bytes] { forward(index + 1, bytes); });
 }
 
 Cycle MemoryPath::total_latency() const {
   Cycle total = 0;
-  for (const Hop& hop : hops_) total += hop.server->latency();
+  for (std::size_t i = 0; i < hop_count_; ++i) total += hops_[i].server->latency();
   return total;
 }
 
 double MemoryPath::bottleneck_bytes_per_cycle() const {
   double tightest = std::numeric_limits<double>::infinity();
-  for (const Hop& hop : hops_) {
-    tightest = std::min(tightest, hop.server->bytes_per_cycle());
+  for (std::size_t i = 0; i < hop_count_; ++i) {
+    tightest = std::min(tightest, hops_[i].server->bytes_per_cycle());
   }
-  return hops_.empty() ? 0.0 : tightest;
+  return hop_count_ == 0 ? 0.0 : tightest;
 }
 
 // --- ChipLink ---------------------------------------------------------------

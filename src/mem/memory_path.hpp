@@ -12,32 +12,41 @@
 #ifndef EDGEMM_MEM_MEMORY_PATH_HPP
 #define EDGEMM_MEM_MEMORY_PATH_HPP
 
-#include <functional>
+#include <array>
+#include <cstddef>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "common/types.hpp"
 #include "mem/resource_server.hpp"
+#include "sim/action.hpp"
 
 namespace edgemm::mem {
 
 /// Ordered hops from requester to memory. The last hop is the DRAM
-/// channel; intermediate hops are crossbar links.
+/// channel; intermediate hops are crossbar links. The hops live in an
+/// inline array sized for the chip's route, so building a path
+/// allocates nothing.
+///
+/// A path must not move while a burst is in flight: the hop hand-offs
+/// point back at it.
 class MemoryPath {
  public:
+  /// Most hops one path holds: group crossbar, system crossbar, DRAM.
+  static constexpr std::size_t kMaxHops = 3;
+
   MemoryPath() = default;
 
   /// Appends a hop; `port` must have been obtained from server.add_port.
+  /// Throws std::length_error past kMaxHops hops.
   void add_hop(ResourceServer& server, int port);
 
-  /// Pre-sizes the hop list for `hops` add_hop calls.
-  void reserve(std::size_t hops) { hops_.reserve(hops); }
-
-  bool empty() const { return hops_.empty(); }
-  std::size_t hop_count() const { return hops_.size(); }
+  bool empty() const { return hop_count_ == 0; }
+  std::size_t hop_count() const { return hop_count_; }
 
   /// Routes one burst through all hops in order; `done` fires when the
   /// final hop completes. Throws std::logic_error on an empty path.
-  void request(Bytes bytes, std::function<void()> done) const;
+  void request(Bytes bytes, sim::Action done);
 
   /// Sum of per-hop latencies (for analytic sanity checks).
   Cycle total_latency() const;
@@ -50,10 +59,17 @@ class MemoryPath {
     ResourceServer* server = nullptr;
     int port = -1;
   };
-  void request_from(std::size_t index, Bytes bytes,
-                    std::function<void()> done) const;
+  /// Requests hop `index` for one burst. Every hop serves this path's
+  /// port FIFO at a fixed latency, so bursts leave each hop in the order
+  /// they entered the path: the burst entering the last hop owns the
+  /// oldest parked completion.
+  void forward(std::size_t index, Bytes bytes);
 
-  std::vector<Hop> hops_;
+  std::array<Hop, kMaxHops> hops_{};
+  std::size_t hop_count_ = 0;
+  /// Completions of multi-hop bursts still short of the last hop, in
+  /// request order.
+  Fifo<sim::Action> parked_;
 };
 
 /// One serialized chip-to-chip channel (board-level SerDes between two

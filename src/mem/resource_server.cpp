@@ -7,17 +7,16 @@
 
 namespace edgemm::mem {
 
-ResourceServer::ResourceServer(sim::Simulator& sim, std::string name,
-                               double bytes_per_cycle, Cycle latency)
-    : sim_(sim), name_(std::move(name)), bytes_per_cycle_(bytes_per_cycle),
-      latency_(latency) {
+ResourceServer::ResourceServer(sim::Simulator& sim, double bytes_per_cycle,
+                               Cycle latency)
+    : sim_(sim), bytes_per_cycle_(bytes_per_cycle), latency_(latency) {
   if (bytes_per_cycle <= 0.0) {
     throw std::invalid_argument("ResourceServer: bytes_per_cycle must be > 0");
   }
 }
 
-int ResourceServer::add_port(std::string port_name) {
-  ports_.push_back(Port{std::move(port_name), {}, 0});
+int ResourceServer::add_port() {
+  ports_.push_back(Port{});
   return static_cast<int>(ports_.size()) - 1;
 }
 
@@ -83,9 +82,7 @@ void ResourceServer::try_dispatch() {
     channel_busy_ = false;
     try_dispatch();
   });
-  sim_.schedule(busy_for + latency_, [done = std::move(req.done)] {
-    if (done) done();
-  });
+  sim_.schedule(busy_for + latency_, std::move(req.done));
 }
 
 }  // namespace edgemm::mem

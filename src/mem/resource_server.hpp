@@ -7,12 +7,11 @@
 #ifndef EDGEMM_MEM_RESOURCE_SERVER_HPP
 #define EDGEMM_MEM_RESOURCE_SERVER_HPP
 
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "common/fifo.hpp"
 #include "common/types.hpp"
+#include "sim/action.hpp"
 #include "sim/simulator.hpp"
 
 namespace edgemm::mem {
@@ -25,23 +24,21 @@ namespace edgemm::mem {
 /// bytes / (latency + bytes/bw) — the curve of paper Fig. 6(b).
 class ResourceServer {
  public:
-  using Done = std::function<void()>;
+  using Done = sim::Action;
 
   /// Throws std::invalid_argument if bytes_per_cycle <= 0.
-  ResourceServer(sim::Simulator& sim, std::string name, double bytes_per_cycle,
-                 Cycle latency);
+  ResourceServer(sim::Simulator& sim, double bytes_per_cycle, Cycle latency);
 
   /// Registers a requesting port (e.g. one per cluster DMA). Returns its id.
-  int add_port(std::string port_name);
+  int add_port();
 
   /// Pre-sizes the port table for `ports` add_port calls.
   void reserve_ports(std::size_t ports) { ports_.reserve(ports); }
 
-  /// Enqueues a transfer of `bytes` on `port`; `done` fires at completion.
-  /// Throws std::out_of_range for an unknown port.
+  /// Enqueues a transfer of `bytes` on `port`; `done` (may be empty)
+  /// fires at completion. Throws std::out_of_range for an unknown port.
   void request(int port, Bytes bytes, Done done);
 
-  const std::string& name() const { return name_; }
   double bytes_per_cycle() const { return bytes_per_cycle_; }
   Cycle latency() const { return latency_; }
 
@@ -74,7 +71,6 @@ class ResourceServer {
     Done done;
   };
   struct Port {
-    std::string name;
     Fifo<Request> queue;
     Bytes bytes_served = 0;
   };
@@ -82,7 +78,6 @@ class ResourceServer {
   void try_dispatch();
 
   sim::Simulator& sim_;
-  std::string name_;
   double bytes_per_cycle_;
   Cycle latency_;
   std::vector<Port> ports_;

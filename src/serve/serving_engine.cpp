@@ -76,46 +76,33 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
     }
   }
 
-  // Decode keep fraction per model: the task-proxy derivation when
-  // enabled (§IV-A accuracy model), else the global constant. Layer
-  // group bytes feed the residency pin granularity.
+  // Per-model state. The decode keep fraction is the task-proxy
+  // derivation when enabled (§IV-A accuracy model), else the global
+  // constant; layer-group bytes feed the residency pin granularity; the
+  // decode traffic decomposition (closed form, model::decode_step_traffic,
+  // as the MC lane fetches it) sizes the MC side of the interval
+  // rebalance without rebuilding op lists per tick. The policy
+  // estimators seed analytically; each converges onto its own model's
+  // measured values as that model's chunks retire and decode steps it
+  // took part in complete.
+  const double cc_seed = std::max(config_.dram.bytes_per_cycle * 0.5, 1e-6);
+  per_model_.reserve(models_.size());
   for (const model::MllmConfig& m : models_) {
-    if (engine_config_.task_proxy_pruning()) {
-      keep_fraction_.push_back(
-          derive_keep_fraction(m, *engine_config_.task_proxy_pruning()));
-    } else {
-      keep_fraction_.push_back(engine_config_.prune_keep_fraction());
-    }
-    layer_weight_bytes_.push_back(llm_layer_group_bytes(m, config_));
-  }
-
-  // Decode traffic decomposition of every model, as the MC lane fetches
-  // it (closed form, model::decode_step_traffic). Used by the interval
-  // rebalancer to size the MC side of the budget split without
-  // rebuilding op lists per tick.
-  for (std::size_t i = 0; i < models_.size(); ++i) {
-    const model::DecodeStepTraffic traffic = model::decode_step_traffic(
-        models_[i], keep_fraction_[i], config_.mc_elem_bytes);
-    decode_shared_bytes_.push_back(static_cast<double>(traffic.shared));
-    decode_request_bytes_.push_back(static_cast<double>(traffic.per_request));
-    decode_kv_slope_.push_back(static_cast<double>(traffic.kv_slope));
-  }
-
-  queued_per_model_.assign(models_.size(), 0);
-  inflight_per_model_.assign(models_.size(), 0);
-
-  // Seed the per-model policy estimators analytically; each converges
-  // onto its own model's measured values as that model's chunks retire
-  // and decode steps it took part in complete.
-  cc_bytes_per_cycle_est_.assign(
-      models_.size(), std::max(config_.dram.bytes_per_cycle * 0.5, 1e-6));
-  decode_step_cycles_est_.reserve(models_.size());
-  for (std::size_t i = 0; i < models_.size(); ++i) {
-    const double step_bytes = decode_shared_bytes_[i] +
-                              decode_request_bytes_[i] +
-                              decode_kv_slope_[i] * 512.0;
-    decode_step_cycles_est_.push_back(
-        std::max(1.0, step_bytes / cc_bytes_per_cycle_est_[i]));
+    ModelState& s = per_model_.emplace_back();
+    s.keep_fraction =
+        engine_config_.task_proxy_pruning()
+            ? derive_keep_fraction(m, *engine_config_.task_proxy_pruning())
+            : engine_config_.prune_keep_fraction();
+    s.layer_weight_bytes = llm_layer_group_bytes(m, config_);
+    const model::DecodeStepTraffic traffic =
+        model::decode_step_traffic(m, s.keep_fraction, config_.mc_elem_bytes);
+    s.decode_shared_bytes = static_cast<double>(traffic.shared);
+    s.decode_request_bytes = static_cast<double>(traffic.per_request);
+    s.decode_kv_slope = static_cast<double>(traffic.kv_slope);
+    s.cc_bytes_per_cycle_est = cc_seed;
+    const double step_bytes = s.decode_shared_bytes + s.decode_request_bytes +
+                              s.decode_kv_slope * 512.0;
+    s.decode_step_cycles_est = std::max(1.0, step_bytes / s.cc_bytes_per_cycle_est);
   }
 
   // Heterogeneous pair: the fat backend schedules on the SAME simulator
@@ -328,14 +315,14 @@ OffloadTarget ServingEngine::judge_offload(std::size_t index,
   ctx.model = r.model;
   ctx.local_queued = local_.queued(Lane::kCcStage);
   ctx.fat_queued = fat_->queued(Lane::kCcStage);
-  ctx.local_bytes_per_cycle_est = cc_bytes_per_cycle_est_[r.model];
+  ctx.local_bytes_per_cycle_est = per_model_[r.model].cc_bytes_per_cycle_est;
   ctx.fat_bytes_per_cycle_est = fat_bytes_per_cycle_est_;
   return engine_config_.offload_policy().place_chunk(r, ctx);
 }
 
 void ServingEngine::on_arrival(std::size_t index) {
   queue_.push(records_[index].request);
-  ++queued_per_model_[records_[index].request.model];
+  ++per_model_[records_[index].request.model].queued;
   peak_queue_depth_ = std::max(peak_queue_depth_, queue_.size());
   pump_admission();
 }
@@ -401,15 +388,15 @@ double ServingEngine::prefill_keep(std::size_t index) const {
   // shapes only shrink when a request is actively DEGRADED below its
   // static fraction — a fraction at or above it streams full weights.
   const RequestRecord& rec = records_[index];
-  const double base = keep_fraction_[rec.request.model];
+  const double base = per_model_[rec.request.model].keep_fraction;
   return rec.keep_fraction_served < base ? rec.keep_fraction_served : 1.0;
 }
 
 double ServingEngine::judge_quality(std::size_t index) {
   const RequestRecord& rec = records_[index];
   const Request& r = rec.request;
-  const double base = keep_fraction_[r.model];
-  const double cc_est = cc_bytes_per_cycle_est_[r.model];
+  const double base = per_model_[r.model].keep_fraction;
+  const double cc_est = per_model_[r.model].cc_bytes_per_cycle_est;
   QualityContext ctx;
   ctx.now = local_.simulator().now();
   ctx.queue_depth = queue_.size();
@@ -440,7 +427,7 @@ double ServingEngine::judge_quality(std::size_t index) {
   if (engine_config_.phase() != EnginePhase::kPrefillOnly) {
     remaining +=
         static_cast<double>(r.output_tokens - rec.tokens_generated) *
-        decode_step_cycles_est_[r.model];
+        per_model_[r.model].decode_step_cycles_est;
   }
   ctx.estimated_finish = ctx.now + static_cast<Cycle>(remaining);
   const double raw = engine_config_.quality().keep_fraction(r, ctx);
@@ -457,7 +444,7 @@ double ServingEngine::judge_quality(std::size_t index) {
 
 void ServingEngine::apply_quality(std::size_t index, double served) {
   RequestRecord& rec = records_[index];
-  const double base = keep_fraction_[rec.request.model];
+  const double base = per_model_[rec.request.model].keep_fraction;
   const bool was_degraded = rec.keep_fraction_served < base;
   const bool now_degraded = served < base;
   if (!was_degraded && now_degraded) ++quality_downgrades_;
@@ -526,17 +513,17 @@ PlacementContext ServingEngine::placement_context() const {
   ctx.models.reserve(models_.size());
   for (std::size_t m = 0; m < models_.size(); ++m) {
     ModelDemand d;
-    d.queued = queued_per_model_[m];
-    d.inflight = inflight_per_model_[m];
+    d.queued = per_model_[m].queued;
+    d.inflight = per_model_[m].inflight;
     d.pin_refcount = residency_->refcount(m);
     d.resident_layers = residency_->resident_layers(m);
     d.idle_resident = d.resident_layers > 0 && d.pin_refcount == 0;
     d.pinned_bytes =
-        static_cast<Bytes>(d.resident_layers) * layer_weight_bytes_[m];
-    d.layer_group_bytes = layer_weight_bytes_[m];
+        static_cast<Bytes>(d.resident_layers) * per_model_[m].layer_weight_bytes;
+    d.layer_group_bytes = per_model_[m].layer_weight_bytes;
     d.total_layers = models_[m].llm.layers;
-    d.cc_bytes_per_cycle_est = cc_bytes_per_cycle_est_[m];
-    d.decode_step_cycles_est = decode_step_cycles_est_[m];
+    d.cc_bytes_per_cycle_est = per_model_[m].cc_bytes_per_cycle_est;
+    d.decode_step_cycles_est = per_model_[m].decode_step_cycles_est;
     ctx.models.push_back(d);
   }
   return ctx;
@@ -575,7 +562,7 @@ bool ServingEngine::maybe_pin_weights(std::size_t index,
       return false;
     }
     const Bytes want =
-        static_cast<Bytes>(total_layers) * layer_weight_bytes_[r.model];
+        static_cast<Bytes>(total_layers) * per_model_[r.model].layer_weight_bytes;
     if (residency_->available() < want) {
       const Bytes needed = want - residency_->available();
       for (const std::size_t victim :
@@ -589,7 +576,7 @@ bool ServingEngine::maybe_pin_weights(std::size_t index,
     }
   }
   const auto attach = residency_->attach_layers(
-      r.model, layer_weight_bytes_[r.model], total_layers);
+      r.model, per_model_[r.model].layer_weight_bytes, total_layers);
   if (attach.layers == 0) return false;  // budget contended: keep re-fetching
   plan.pin_attached = true;
   plan.pin_owner = !attach.shared;
@@ -639,7 +626,7 @@ AdmissionContext ServingEngine::admission_context(std::size_t index) {
   // The candidate is judged against ITS model's estimators: a heavy
   // co-tenant's slow decode steps never inflate a light model's
   // estimated_service (the multi-model-zoo SLO fix).
-  const double cc_est = cc_bytes_per_cycle_est_[r.model];
+  const double cc_est = per_model_[r.model].cc_bytes_per_cycle_est;
   AdmissionContext ctx;
   ctx.now = local_.simulator().now();
   ctx.inflight = inflight_;
@@ -662,7 +649,7 @@ AdmissionContext ServingEngine::admission_context(std::size_t index) {
   double decode_cycles = 0.0;
   if (engine_config_.phase() != EnginePhase::kPrefillOnly) {
     decode_cycles = static_cast<double>(r.output_tokens) *
-                    decode_step_cycles_est_[r.model];
+                    per_model_[r.model].decode_step_cycles_est;
   }
   ctx.estimated_service = static_cast<Cycle>(prefill_cycles + decode_cycles);
   return ctx;
@@ -704,7 +691,7 @@ void ServingEngine::pump_admission() {
       }
     }
     const Request r = queue_.pop();
-    --queued_per_model_[r.model];
+    --per_model_[r.model].queued;
     RequestRecord& rec = records_[index];
     if (verdict == AdmissionVerdict::kReject) {
       rec.rejected = true;
@@ -714,14 +701,14 @@ void ServingEngine::pump_admission() {
     }
 
     ++inflight_;
-    ++inflight_per_model_[r.model];
+    ++per_model_[r.model].inflight;
     rec.admitted = sim.now();
-    rec.prune_keep_fraction = keep_fraction_[r.model];
+    rec.prune_keep_fraction = per_model_[r.model].keep_fraction;
     // Admission-time quality judgment: the request enters at its static
     // fraction and the QualityPolicy may immediately degrade it under
     // pressure (the plan below is then built at the judged fraction —
     // apply_quality reshapes it before its bytes go pending).
-    rec.keep_fraction_served = keep_fraction_[r.model];
+    rec.keep_fraction_served = per_model_[r.model].keep_fraction;
     apply_quality(index, judge_quality(index));
     if (engine_config_.phase() == EnginePhase::kDecodeOnly) {
       // Disaggregated decode tier: the KV cache arrived finished from a
@@ -938,7 +925,7 @@ void ServingEngine::on_chunk_done(std::size_t index) {
     // (all consumers divide full-equiv bytes by it, so units agree).
     const double observed = static_cast<double>(full) /
                             static_cast<double>(now - plan.chunk_started);
-    double& est = cc_bytes_per_cycle_est_[records_[index].request.model];
+    double& est = per_model_[records_[index].request.model].cc_bytes_per_cycle_est;
     est = (1.0 - kEstimatorGain) * est + kEstimatorGain * observed;
   }
   if (plan.next < plan.jobs.size()) {
@@ -985,7 +972,7 @@ void ServingEngine::on_prefill_done(std::size_t index) {
     }
     ++completed_;
     --inflight_;
-    --inflight_per_model_[rec.request.model];
+    --per_model_[rec.request.model].inflight;
     if (on_complete_) on_complete_(rec);
     pump_admission();  // the retired prefill freed admission slots
     return;
@@ -1165,7 +1152,7 @@ void ServingEngine::start_decode_step() {
     // The batched weight fetch serves the whole per-model batch at once,
     // so it prunes to the LEAST degraded active request's fraction (the
     // max): a degraded co-batcher cannot starve an undegraded one of
-    // rows it needs. Equal to keep_fraction_[m] under StaticQuality.
+    // rows it needs. Equal to the model's keep_fraction under StaticQuality.
     double frac = 0.0;
     for (const std::size_t index : active_) {
       const RequestRecord& rec = records_[index];
@@ -1212,27 +1199,26 @@ void ServingEngine::on_decode_step_done() {
     // full duration would double-count the co-tenants' work and inflate
     // every estimator in a zoo. Single-model steps attribute the full
     // duration — byte-identical to the pre-attribution estimator.
-    std::vector<std::size_t> step_tokens(models_.size(), 0);
+    for (ModelState& state : per_model_) state.step_tokens = 0;
     for (const std::size_t index : active_) {
-      ++step_tokens[records_[index].request.model];
+      ++per_model_[records_[index].request.model].step_tokens;
     }
     const double observed = static_cast<double>(now - step_started_);
     const double total_tokens = static_cast<double>(active_.size());
-    for (std::size_t m = 0; m < models_.size(); ++m) {
-      if (step_tokens[m] == 0) continue;
+    for (ModelState& state : per_model_) {
+      if (state.step_tokens == 0) continue;
       const double share =
-          observed * static_cast<double>(step_tokens[m]) / total_tokens;
-      decode_step_cycles_est_[m] =
-          (1.0 - kEstimatorGain) * decode_step_cycles_est_[m] +
+          observed * static_cast<double>(state.step_tokens) / total_tokens;
+      state.decode_step_cycles_est =
+          (1.0 - kEstimatorGain) * state.decode_step_cycles_est +
           kEstimatorGain * share;
     }
   }
-  std::vector<std::size_t> still_active;
-  still_active.reserve(active_.size());
+  still_active_.clear();
   for (const std::size_t index : active_) {
     RequestRecord& rec = records_[index];
     ++rec.tokens_generated;
-    if (rec.keep_fraction_served < keep_fraction_[rec.request.model]) {
+    if (rec.keep_fraction_served < per_model_[rec.request.model].keep_fraction) {
       ++tokens_degraded_;
     }
     if (rec.tokens_generated == 1) rec.first_token = now;
@@ -1244,14 +1230,14 @@ void ServingEngine::on_decode_step_done() {
       }
       ++completed_;
       --inflight_;
-      --inflight_per_model_[rec.request.model];
+      --per_model_[rec.request.model].inflight;
       kv_release(index);
       if (on_complete_) on_complete_(rec);
     } else {
-      still_active.push_back(index);
+      still_active_.push_back(index);
     }
   }
-  active_ = std::move(still_active);
+  active_.swap(still_active_);
   pump_admission();   // retired requests freed admission slots
   start_decode_step();  // survivors + any newly prefilled joiners
 }
@@ -1272,24 +1258,23 @@ void ServingEngine::rebalance() {
   // model's batch keeps decoding until its longest request drains — not
   // once per request; continuous batching is what amortizes them.
   double mc_bytes = 0.0;
-  std::vector<std::size_t> max_remaining(models_.size(), 0);
+  for (ModelState& state : per_model_) state.max_remaining = 0;
   auto add_remaining = [&](std::size_t index) {
     const RequestRecord& rec = records_[index];
     const std::size_t remaining =
         rec.request.output_tokens - rec.tokens_generated;
     const std::size_t context =
         rec.request.input_tokens + rec.tokens_generated;
-    const std::size_t m = rec.request.model;
-    max_remaining[m] = std::max(max_remaining[m], remaining);
+    ModelState& state = per_model_[rec.request.model];
+    state.max_remaining = std::max(state.max_remaining, remaining);
     mc_bytes += static_cast<double>(remaining) *
-                (decode_request_bytes_[m] +
-                 decode_kv_slope_[m] * static_cast<double>(context));
+                (state.decode_request_bytes +
+                 state.decode_kv_slope * static_cast<double>(context));
   };
   for (const std::size_t index : active_) add_remaining(index);
   for (const std::size_t index : decode_ready_) add_remaining(index);
-  for (std::size_t m = 0; m < models_.size(); ++m) {
-    mc_bytes +=
-        decode_shared_bytes_[m] * static_cast<double>(max_remaining[m]);
+  for (const ModelState& state : per_model_) {
+    mc_bytes += state.decode_shared_bytes * static_cast<double>(state.max_remaining);
   }
 
   std::size_t ratio = 1;

@@ -223,7 +223,7 @@ class ServingEngine {
   /// Decode keep fraction the engine uses for `model_index` (the global
   /// EngineConfig constant, or the task-proxy derivation per model).
   double keep_fraction(std::size_t model_index) const {
-    return keep_fraction_.at(model_index);
+    return per_model_.at(model_index).keep_fraction;
   }
 
  private:
@@ -271,6 +271,39 @@ class ServingEngine {
     /// Chunk 0's judgment, made at admission so pinning can be skipped
     /// for offloaded starts: 0 = unjudged, 1 = local, 2 = fat.
     std::uint8_t chunk0_target = 0;
+  };
+
+  /// Everything the engine keeps per served model (parallel to models_).
+  struct ModelState {
+    double keep_fraction = 1.0;  ///< decode keep fraction
+    /// Bytes of one LLM layer group on the CC lane — the granularity
+    /// weight pins are carved at.
+    Bytes layer_weight_bytes = 0;
+    /// Per-token decode traffic, from the closed form
+    /// model::decode_step_traffic at the MC lane's weight element size.
+    /// One decode step of a batch with contexts c_i costs
+    /// shared + sum_i (request + kv_slope * c_i): `shared` is the weight
+    /// fetch amortized across the whole batch (Fig. 9(c)), the other two
+    /// terms are per-request (activations + private KV stream).
+    double decode_shared_bytes = 0.0;
+    double decode_request_bytes = 0.0;
+    double decode_kv_slope = 0.0;
+    /// Demand counts feeding PlacementContext: `queued` tracks the
+    /// arrival queue, `inflight` the admitted-but-unfinished requests.
+    std::size_t queued = 0;
+    std::size_t inflight = 0;
+    /// Online estimators feeding AdmissionContext, per model so a heavy
+    /// co-tenant's measurements never inflate a light model's
+    /// estimated_service into spurious SLO rejections (EWMA over
+    /// measured chunk throughput / decode-step duration; seeded
+    /// analytically; a model's estimator only folds in chunks and decode
+    /// steps that model took part in).
+    double cc_bytes_per_cycle_est = 0.0;
+    double decode_step_cycles_est = 0.0;
+    /// Scratch of rebalance() and on_decode_step_done(), kept here so
+    /// neither allocates per call.
+    std::size_t max_remaining = 0;
+    std::size_t step_tokens = 0;
   };
 
   /// Per-request KV state (parallel to records_; only used when pages_
@@ -384,19 +417,9 @@ class ServingEngine {
   /// sit out decode steps until refill_swapped restores their pages.
   std::vector<std::size_t> kv_swapped_;
   std::vector<KvPagingState> kv_paging_;    ///< by record index
-  /// Per-token decode traffic model per served MllmConfig, from the
-  /// closed form model::decode_step_traffic at the MC lane's weight
-  /// element size. One decode step of a batch with contexts c_i costs
-  /// shared + sum_i (request + kv_slope * c_i): `shared` is the weight
-  /// fetch amortized across the whole batch (Fig. 9(c)), the other two
-  /// terms are per-request (activations + private KV stream).
-  std::vector<double> decode_shared_bytes_;
-  std::vector<double> decode_request_bytes_;
-  std::vector<double> decode_kv_slope_;
-  std::vector<double> keep_fraction_;       ///< decode keep fraction per model
-  /// Bytes of one LLM layer group on the CC lane per model — the
-  /// granularity weight pins are carved at.
-  std::vector<Bytes> layer_weight_bytes_;
+  std::vector<ModelState> per_model_;
+  /// on_decode_step_done's survivor list, swapped with active_ each step.
+  std::vector<std::size_t> still_active_;
 
   CompletionCallback on_complete_;
   bool ran_ = false;
@@ -404,10 +427,6 @@ class ServingEngine {
   std::size_t completed_ = 0;
   std::size_t rejected_ = 0;
   std::size_t inflight_ = 0;
-  /// Per-model demand counts feeding PlacementContext (queued tracks the
-  /// arrival queue, inflight the admitted-but-unfinished requests).
-  std::vector<std::size_t> queued_per_model_;
-  std::vector<std::size_t> inflight_per_model_;
   std::size_t placement_denials_ = 0;
   double cc_pending_bytes_ = 0.0;
   /// Full-precision-equivalent twin of cc_pending_bytes_: what the same
@@ -442,15 +461,6 @@ class ServingEngine {
   std::size_t peak_queue_depth_ = 0;
   std::size_t rebalances_ = 0;
   Cycle step_started_ = 0;
-  /// Online estimators feeding AdmissionContext, PER MODEL so a heavy
-  /// co-tenant's measurements never inflate a light model's
-  /// estimated_service into spurious SLO rejections (EWMA over measured
-  /// chunk throughput / decode-step duration; seeded analytically; a
-  /// model's estimator only folds in chunks and decode steps that model
-  /// took part in). With a single served model the sequences are
-  /// byte-identical to the former engine-global scalars.
-  std::vector<double> cc_bytes_per_cycle_est_;
-  std::vector<double> decode_step_cycles_est_;
 };
 
 /// Result + records of a one-shot replay (replay_trace below).

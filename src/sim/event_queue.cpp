@@ -23,7 +23,7 @@ Cycle EventQueue::pop_and_run() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   Entry top = std::move(heap_.back());
   heap_.pop_back();
-  top.action();
+  if (top.action) top.action();
   return top.when;
 }
 

@@ -3,10 +3,10 @@
 #define EDGEMM_SIM_EVENT_QUEUE_HPP
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/types.hpp"
+#include "sim/action.hpp"
 
 namespace edgemm::sim {
 
@@ -14,9 +14,8 @@ namespace edgemm::sim {
 /// insertion order (a strict tie-break keeps runs deterministic).
 class EventQueue {
  public:
-  using Action = std::function<void()>;
-
-  /// Schedules `action` at absolute time `when`.
+  /// Schedules `action` at absolute time `when`. An empty action is a
+  /// no-op event: it still takes its place in the order.
   void push(Cycle when, Action action);
 
   /// True when no events remain.

@@ -4,11 +4,11 @@
 
 namespace edgemm::sim {
 
-void Simulator::schedule(Cycle delay, std::function<void()> action) {
+void Simulator::schedule(Cycle delay, Action action) {
   schedule_at(now_ + delay, std::move(action));
 }
 
-void Simulator::schedule_at(Cycle when, std::function<void()> action) {
+void Simulator::schedule_at(Cycle when, Action action) {
   if (when < now_) {
     throw std::invalid_argument("Simulator::schedule_at: timestamp in the past");
   }

@@ -2,9 +2,8 @@
 #ifndef EDGEMM_SIM_SIMULATOR_HPP
 #define EDGEMM_SIM_SIMULATOR_HPP
 
-#include <functional>
-
 #include "common/types.hpp"
+#include "sim/action.hpp"
 #include "sim/event_queue.hpp"
 
 namespace edgemm::sim {
@@ -21,10 +20,10 @@ class Simulator {
   Cycle now() const { return now_; }
 
   /// Schedules `action` to run `delay` cycles from now.
-  void schedule(Cycle delay, std::function<void()> action);
+  void schedule(Cycle delay, Action action);
 
   /// Schedules `action` at an absolute timestamp; must be >= now().
-  void schedule_at(Cycle when, std::function<void()> action);
+  void schedule_at(Cycle when, Action action);
 
   /// Runs until the queue is empty. Returns the final time.
   Cycle run();

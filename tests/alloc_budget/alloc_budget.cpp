@@ -4,15 +4,24 @@
 // Replaces the global operator new/delete to count allocations, so it is
 // a binary of its own (registered with ctest as `alloc_budget`, outside
 // the gtest suite). It counts the heap allocations made while
-// constructing a ChipTimingModel on each replay tier and a three-model
-// zoo ServingEngine (the inputs are built outside the counted window),
-// and while constructing that engine and replaying a three-request
-// trace on the detailed tier. Exits 1 when any count exceeds its budget.
+// constructing a ChipTimingModel on each replay tier, a three-model zoo
+// ServingEngine and a fast-tier single-model paged-KV ServingEngine (the
+// inputs are built outside the counted window), while constructing the
+// zoo engine and replaying a three-request trace on the detailed tier,
+// and while a fast-tier EdgeMmBackend applies 1,000 bandwidth ratios.
+// Exits 1 when any count exceeds its budget.
 //
-// Counts with deque-backed timing-plane queues, a three-probe decode
-// traffic model and an event kernel that copied each action out of the
-// heap: 472 / 572 / 600 / 16.8 M. The budgets leave headroom over the
-// current counts (46 / 48 / 80 / 6.9 M with GCC 12 and libstdc++).
+// Count history (chip detailed / chip fast / zoo engine / zoo replay):
+//   - deque-backed timing-plane queues, a three-probe decode traffic
+//     model and an event kernel that copied each action out of the heap:
+//     472 / 572 / 600 / 16.8 M;
+//   - Fifo queues, the closed-form decode traffic model and an event
+//     kernel that moves actions out: 46 / 48 / 80 / 6.9 M;
+//   - a flat, nameless chip topology, one per-model engine state and
+//     sim::Action on the event path: 11 / 13 / 18 / 2,747 (paged engine
+//     17, bandwidth ratios 0).
+// The budgets sit just above the current counts with GCC 12 and
+// libstdc++; the bandwidth-ratio row must stay at zero.
 //
 //   ./build/edgemm_alloc_budget
 #include <cstddef>
@@ -26,7 +35,9 @@
 
 #include "core/chip.hpp"
 #include "core/config.hpp"
+#include "core/execution_backend.hpp"
 #include "model/mllm_config.hpp"
+#include "model/workload.hpp"
 #include "serve/admission.hpp"
 #include "serve/engine_config.hpp"
 #include "serve/policy.hpp"
@@ -134,8 +145,21 @@ int main() {
   trace_cfg.seed = 7;
   const std::vector<serve::Request> trace = serve::poisson_trace(trace_cfg);
 
+  // chat_paged's composition: one model on the fast tier with paged KV.
+  const std::vector<model::MllmConfig> single = {model::sphinx_tiny()};
+  const serve::EngineConfig paged_config =
+      serve::EngineConfig()
+          .scheduler(std::make_shared<serve::ConcurrencyPolicy>(
+              serve::AdmissionLimits{8, 16}))
+          .manage_bandwidth(true)
+          .replay_mode(core::ReplayMode::kFast)
+          .kv_capacity_bytes(3 * 1024 * model::kv_bytes_per_token(single[0]))
+          .paged_kv(true)
+          .kv_page_bytes(16 * model::kv_bytes_per_token(single[0]));
+
   std::optional<core::ChipTimingModel> chip_model;
   std::optional<serve::ServingEngine> engine;
+  std::optional<core::EdgeMmBackend> backend;
   std::vector<Row> rows;
   auto measure = [&](const char* name, std::size_t budget,
                      const std::function<void()>& work,
@@ -144,23 +168,41 @@ int main() {
     teardown();
   };
 
-  measure("ChipTimingModel (detailed tier)", 64,
+  measure("ChipTimingModel (detailed tier)", 12,
           [&] { chip_model.emplace(chip, core::ChipComposition::kHeterogeneous); },
           [&] { chip_model.reset(); });
-  measure("ChipTimingModel (fast tier)", 64,
+  measure("ChipTimingModel (fast tier)", 14,
           [&] {
             chip_model.emplace(chip, core::ChipComposition::kHeterogeneous,
                                core::ReplayMode::kFast);
           },
           [&] { chip_model.reset(); });
-  measure("ServingEngine, 3-model zoo", 150,
+  measure("ServingEngine, 3-model zoo", 20,
           [&] { engine.emplace(chip, zoo, engine_config); }, [&] { engine.reset(); });
-  measure("ServingEngine, 3-model zoo + 3-request replay", 10'000'000,
+  measure("ServingEngine, 1-model paged KV (fast tier)", 19,
+          [&] { engine.emplace(chip, single, paged_config); },
+          [&] { engine.reset(); });
+  measure("ServingEngine, 3-model zoo + 3-request replay", 3'000,
           [&] {
             engine.emplace(chip, zoo, engine_config);
             engine->run(trace);
           },
           [&] { engine.reset(); });
+
+  // Every rebalance tick applies a ratio; on the fast tier each one
+  // re-budgets all clusters and schedules one coalesced re-pricing
+  // event. The first pass sizes the event heap outside the window.
+  backend.emplace(chip, core::ChipComposition::kHeterogeneous, core::ReplayMode::kFast,
+                  core::BandwidthPolicy{});
+  auto apply_ratios = [&](std::size_t calls) {
+    for (std::size_t i = 0; i < calls; ++i) {
+      backend->apply_bandwidth_ratio(1 + i % 7);
+      backend->simulator().run();
+    }
+  };
+  apply_ratios(1);
+  measure("EdgeMmBackend::apply_bandwidth_ratio x 1,000", 0,
+          [&] { apply_ratios(1'000); }, [&] { backend.reset(); });
 
   bool ok = true;
   std::printf("%-48s %12s %12s %10s\n", "measured", "allocations", "bytes",

@@ -1,9 +1,75 @@
 #include "core/chip.hpp"
 
+#include <type_traits>
+
 #include <gtest/gtest.h>
 
 namespace edgemm::core {
 namespace {
+
+// Clusters, DMA hops and in-flight events point into the chip: it is
+// pinned in place.
+static_assert(!std::is_copy_constructible_v<ChipTimingModel>);
+static_assert(!std::is_copy_assignable_v<ChipTimingModel>);
+static_assert(!std::is_move_constructible_v<ChipTimingModel>);
+static_assert(!std::is_move_assignable_v<ChipTimingModel>);
+
+constexpr ChipComposition kCompositions[] = {
+    ChipComposition::kHeterogeneous, ChipComposition::kHomoCc,
+    ChipComposition::kHomoMc, ChipComposition::kBaselineSnitch};
+
+TEST(Chip, ClusterSetsAreBuiltOnceInGroupMajorOrder) {
+  const ChipConfig cfg = default_chip_config();
+  const std::size_t per_group = cfg.cc_clusters_per_group + cfg.mc_clusters_per_group;
+  for (const ChipComposition composition : kCompositions) {
+    SCOPED_TRACE(to_string(composition));
+    ChipTimingModel chip(cfg, composition);
+    const ChipTimingModel::ClusterSet& all = chip.all_clusters();
+    EXPECT_EQ(&all, &chip.all_clusters());
+    ASSERT_EQ(all.size(), cfg.groups * per_group);
+    // Flat storage in registration order: group g's slot c is entry
+    // g * per_group + c, and consecutive clusters are adjacent.
+    for (std::size_t i = 1; i < all.size(); ++i) EXPECT_EQ(all[i], all[i - 1] + 1);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      const std::size_t slot = i % per_group;
+      ClusterKind expected = ClusterKind::kBaselineSimd;
+      if (composition == ChipComposition::kHeterogeneous) {
+        expected = slot < cfg.cc_clusters_per_group ? ClusterKind::kComputeCentric
+                                                    : ClusterKind::kMemoryCentric;
+      } else if (composition == ChipComposition::kHomoCc) {
+        expected = ClusterKind::kComputeCentric;
+      } else if (composition == ChipComposition::kHomoMc) {
+        expected = ClusterKind::kMemoryCentric;
+      }
+      EXPECT_EQ(all[i]->kind(), expected);
+    }
+    // Each kind's set is the same object on every call and is the
+    // in-order subsequence of all_clusters() of that kind.
+    for (const ClusterKind kind : {ClusterKind::kComputeCentric,
+                                   ClusterKind::kMemoryCentric,
+                                   ClusterKind::kBaselineSimd}) {
+      const ChipTimingModel::ClusterSet& set = chip.clusters(kind);
+      EXPECT_EQ(&set, &chip.clusters(kind));
+      ChipTimingModel::ClusterSet expected;
+      for (ClusterTimingModel* c : all) {
+        if (c->kind() == kind) expected.push_back(c);
+      }
+      EXPECT_EQ(set, expected);
+    }
+    for (const Phase phase : {Phase::kVisionEncoder, Phase::kProjector,
+                              Phase::kPrefill, Phase::kDecode}) {
+      const ChipTimingModel::ClusterSet& preferred = chip.preferred_clusters(phase);
+      EXPECT_EQ(&preferred, &chip.preferred_clusters(phase));
+      if (composition != ChipComposition::kHeterogeneous) {
+        EXPECT_EQ(&preferred, &all);
+      } else {
+        EXPECT_EQ(&preferred, &chip.clusters(phase == Phase::kDecode
+                                                 ? ClusterKind::kMemoryCentric
+                                                 : ClusterKind::kComputeCentric));
+      }
+    }
+  }
+}
 
 TEST(Chip, HeterogeneousCompositionMatchesConfig) {
   ChipTimingModel chip(default_chip_config(), ChipComposition::kHeterogeneous);

@@ -16,7 +16,7 @@ struct TimingFixture : ::testing::Test {
 };
 
 TEST_F(TimingFixture, CcComputeFollowsEq2Tiling) {
-  ClusterTimingModel cc(sim, dram, cfg, ClusterKind::kComputeCentric, "cc0");
+  ClusterTimingModel cc(sim, dram, cfg, ClusterKind::kComputeCentric);
   const GemmWork work{300, 2048, 2048, Phase::kPrefill, false, 0, false};
   // tiles = (2048/16)·(2048/16) = 16384; per-tile Eq. 2 at m=300 = 345;
   // 4 cores share the tiles.
@@ -25,7 +25,7 @@ TEST_F(TimingFixture, CcComputeFollowsEq2Tiling) {
 }
 
 TEST_F(TimingFixture, McComputeFollowsEq3PlusWrites) {
-  ClusterTimingModel mc(sim, dram, cfg, ClusterKind::kMemoryCentric, "mc0");
+  ClusterTimingModel mc(sim, dram, cfg, ClusterKind::kMemoryCentric);
   const GemmWork work{1, 2048, 2048, Phase::kDecode, false, 0, false};
   // col groups = 2048/64 = 32 over 2 cores = 16 sequential groups;
   // per group: 128 entries × 16 write cycles + (1·128·8 + 1) compute.
@@ -34,7 +34,7 @@ TEST_F(TimingFixture, McComputeFollowsEq3PlusWrites) {
 }
 
 TEST_F(TimingFixture, ResidentWeightsSkipCimWrites) {
-  ClusterTimingModel mc(sim, dram, cfg, ClusterKind::kMemoryCentric, "mc0");
+  ClusterTimingModel mc(sim, dram, cfg, ClusterKind::kMemoryCentric);
   GemmWork work{1, 2048, 2048, Phase::kDecode, false, 0, false};
   const Cycle with_writes = mc.compute_cycles(work);
   work.weights_resident = true;
@@ -43,8 +43,8 @@ TEST_F(TimingFixture, ResidentWeightsSkipCimWrites) {
 }
 
 TEST_F(TimingFixture, WeightBytesFollowElementSizes) {
-  ClusterTimingModel cc(sim, dram, cfg, ClusterKind::kComputeCentric, "cc0");
-  ClusterTimingModel mc(sim, dram, cfg, ClusterKind::kMemoryCentric, "mc0");
+  ClusterTimingModel cc(sim, dram, cfg, ClusterKind::kComputeCentric);
+  ClusterTimingModel mc(sim, dram, cfg, ClusterKind::kMemoryCentric);
   const GemmWork work{1, 1024, 1024, Phase::kDecode, false, 0, false};
   EXPECT_EQ(cc.weight_bytes(work), 1024u * 1024u * 2u);  // BF16 weights
   EXPECT_EQ(mc.weight_bytes(work), 1024u * 1024u * 1u);  // INT8 weights
@@ -60,8 +60,8 @@ TEST_F(TimingFixture, WeightBytesFollowElementSizes) {
 
 TEST_F(TimingFixture, McBlocksLargerThanCc) {
   // Fig. 6(b) insight: the ample MC memory permits larger DMA blocks.
-  ClusterTimingModel cc(sim, dram, cfg, ClusterKind::kComputeCentric, "cc0");
-  ClusterTimingModel mc(sim, dram, cfg, ClusterKind::kMemoryCentric, "mc0");
+  ClusterTimingModel cc(sim, dram, cfg, ClusterKind::kComputeCentric);
+  ClusterTimingModel mc(sim, dram, cfg, ClusterKind::kMemoryCentric);
   EXPECT_GT(mc.block_bytes(), cc.block_bytes());
 }
 
@@ -73,7 +73,7 @@ TEST_F(TimingFixture, GemvFasterOnMcThanCc) {
   auto run_isolated = [&](ClusterKind kind) {
     sim::Simulator local_sim;
     mem::DramController local_dram(local_sim, cfg.dram);
-    ClusterTimingModel cluster(local_sim, local_dram, cfg, kind, "x");
+    ClusterTimingModel cluster(local_sim, local_dram, cfg, kind);
     Cycle done = 0;
     cluster.run_ops({gemv}, [&] { done = local_sim.now(); });
     local_sim.run();
@@ -95,7 +95,7 @@ TEST_F(TimingFixture, GemmFasterOnCcThanMc) {
   auto run_isolated = [&](ClusterKind kind) {
     sim::Simulator local_sim;
     mem::DramController local_dram(local_sim, cfg.dram);
-    ClusterTimingModel cluster(local_sim, local_dram, cfg, kind, "x");
+    ClusterTimingModel cluster(local_sim, local_dram, cfg, kind);
     Cycle done = 0;
     cluster.run_ops({gemm}, [&] { done = local_sim.now(); });
     local_sim.run();
@@ -111,13 +111,13 @@ TEST_F(TimingFixture, GemmFasterOnCcThanMc) {
 
 TEST_F(TimingFixture, BaselineSlowerThanBothExtensions) {
   const GemmWork gemm{300, 2048, 2048, Phase::kPrefill, false, 0, false};
-  ClusterTimingModel cc(sim, dram, cfg, ClusterKind::kComputeCentric, "cc");
-  ClusterTimingModel simd(sim, dram, cfg, ClusterKind::kBaselineSimd, "simd");
+  ClusterTimingModel cc(sim, dram, cfg, ClusterKind::kComputeCentric);
+  ClusterTimingModel simd(sim, dram, cfg, ClusterKind::kBaselineSimd);
   EXPECT_GT(simd.compute_cycles(gemm), 10 * cc.compute_cycles(gemm));
 }
 
 TEST_F(TimingFixture, RunOpsCompletesAndAccountsStats) {
-  ClusterTimingModel cc(sim, dram, cfg, ClusterKind::kComputeCentric, "cc0");
+  ClusterTimingModel cc(sim, dram, cfg, ClusterKind::kComputeCentric);
   bool done = false;
   const GemmWork work{16, 256, 256, Phase::kPrefill, false, 0, false};
   cc.run_ops({work, work}, [&] { done = true; });
@@ -132,7 +132,7 @@ TEST_F(TimingFixture, RunOpsCompletesAndAccountsStats) {
 }
 
 TEST_F(TimingFixture, EmptyOpListStillCompletes) {
-  ClusterTimingModel cc(sim, dram, cfg, ClusterKind::kComputeCentric, "cc0");
+  ClusterTimingModel cc(sim, dram, cfg, ClusterKind::kComputeCentric);
   bool done = false;
   cc.run_ops({}, [&] { done = true; });
   sim.run();
@@ -142,7 +142,7 @@ TEST_F(TimingFixture, EmptyOpListStillCompletes) {
 TEST_F(TimingFixture, DoubleBufferingOverlapsDmaAndCompute) {
   // End-to-end latency of n blocks must be well below the serial sum
   // (DMA then compute per block) when both sides are comparable.
-  ClusterTimingModel cc(sim, dram, cfg, ClusterKind::kComputeCentric, "cc0");
+  ClusterTimingModel cc(sim, dram, cfg, ClusterKind::kComputeCentric);
   const GemmWork work{64, 2048, 2048, Phase::kPrefill, false, 0, false};
   Cycle done_at = 0;
   cc.run_ops({work}, [&] { done_at = sim.now(); });

@@ -34,7 +34,7 @@ TEST_P(TimingPropertySweep, FlopAndByteConservation) {
   const ChipConfig cfg = default_chip_config();
   sim::Simulator sim;
   mem::DramController dram(sim, cfg.dram);
-  ClusterTimingModel cluster(sim, dram, cfg, ClusterKind::kComputeCentric, "p");
+  ClusterTimingModel cluster(sim, dram, cfg, ClusterKind::kComputeCentric);
 
   const auto ops = random_ops(rng, 6);
   Flops expected_flops = 0;
@@ -60,7 +60,7 @@ TEST_P(TimingPropertySweep, LatencyBoundedByComputeAndMemoryFloors) {
   const ChipConfig cfg = default_chip_config();
   sim::Simulator sim;
   mem::DramController dram(sim, cfg.dram);
-  ClusterTimingModel cluster(sim, dram, cfg, ClusterKind::kMemoryCentric, "p");
+  ClusterTimingModel cluster(sim, dram, cfg, ClusterKind::kMemoryCentric);
 
   const auto ops = random_ops(rng, 4);
   Cycle compute_floor = 0;

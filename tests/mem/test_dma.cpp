@@ -14,15 +14,15 @@ struct DmaFixture : ::testing::Test {
   sim::Simulator sim;
   DramConfig dram_cfg{16.0, 10};
   DramController dram{sim, dram_cfg};
-  int port = dram.add_port("c0");
+  int port = dram.add_port();
   DmaConfig dma_cfg{/*burst_bytes=*/1024, /*throttle_interval=*/1000};
-  DmaEngine dma{sim, dram, port, dma_cfg, "dma0"};
+  DmaEngine dma{sim, dram, port, dma_cfg};
 };
 
 TEST_F(DmaFixture, RejectsBadConfig) {
-  EXPECT_THROW(DmaEngine(sim, dram, port, DmaConfig{0, 100}, "bad"),
+  EXPECT_THROW(DmaEngine(sim, dram, port, DmaConfig{0, 100}),
                std::invalid_argument);
-  EXPECT_THROW(DmaEngine(sim, dram, port, DmaConfig{64, 0}, "bad"),
+  EXPECT_THROW(DmaEngine(sim, dram, port, DmaConfig{64, 0}),
                std::invalid_argument);
 }
 
@@ -108,8 +108,8 @@ TEST_F(DmaFixture, InflightTracksOutstandingTransfers) {
 
 TEST_F(DmaFixture, ThrottledClusterFreesBandwidthForPeer) {
   // Two DMAs share the channel; throttling one must speed up the other.
-  const int port2 = dram.add_port("c1");
-  DmaEngine dma2(sim, dram, port2, dma_cfg, "dma1");
+  const int port2 = dram.add_port();
+  DmaEngine dma2(sim, dram, port2, dma_cfg);
 
   // Unthrottled contention baseline.
   Cycle done_free = 0;
@@ -120,10 +120,10 @@ TEST_F(DmaFixture, ThrottledClusterFreesBandwidthForPeer) {
   // Fresh system with dma throttled hard.
   sim::Simulator sim_b;
   DramController dram_b(sim_b, dram_cfg);
-  const int pa = dram_b.add_port("a");
-  const int pb = dram_b.add_port("b");
-  DmaEngine dma_a(sim_b, dram_b, pa, dma_cfg, "a");
-  DmaEngine dma_b(sim_b, dram_b, pb, dma_cfg, "b");
+  const int pa = dram_b.add_port();
+  const int pb = dram_b.add_port();
+  DmaEngine dma_a(sim_b, dram_b, pa, dma_cfg);
+  DmaEngine dma_b(sim_b, dram_b, pb, dma_cfg);
   dma_a.set_budget(1024);
   Cycle done_throttled = 0;
   dma_a.transfer(32 * 1024, nullptr);

@@ -1,5 +1,7 @@
 #include "mem/dram.hpp"
 
+#include <type_traits>
+
 #include <gtest/gtest.h>
 
 #include "mem/analysis.hpp"
@@ -7,6 +9,12 @@
 
 namespace edgemm::mem {
 namespace {
+
+// Requesters and in-flight events hold the channel's address.
+static_assert(!std::is_copy_constructible_v<DramController>);
+static_assert(!std::is_copy_assignable_v<DramController>);
+static_assert(!std::is_move_constructible_v<DramController>);
+static_assert(!std::is_move_assignable_v<DramController>);
 
 TEST(Dram, EffectiveBandwidthClosedForm) {
   DramConfig cfg{25.6, 100};
@@ -56,8 +64,8 @@ TEST(Dram, EffectiveBandwidthMonotoneInSize) {
 TEST(Dram, PortAccountingSeparatesClients) {
   sim::Simulator sim;
   DramController dram(sim, DramConfig{16.0, 10});
-  const int a = dram.add_port("a");
-  const int b = dram.add_port("b");
+  const int a = dram.add_port();
+  const int b = dram.add_port();
   dram.request(a, 1000, nullptr);
   dram.request(b, 3000, nullptr);
   sim.run();

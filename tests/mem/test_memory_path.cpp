@@ -19,9 +19,9 @@ TEST(MemoryPath, EmptyPathThrows) {
 
 TEST(MemoryPath, SingleHopBehavesLikeDirectRequest) {
   sim::Simulator sim;
-  ResourceServer dram(sim, "dram", 16.0, 10);
+  ResourceServer dram(sim, 16.0, 10);
   MemoryPath path;
-  path.add_hop(dram, dram.add_port("p"));
+  path.add_hop(dram, dram.add_port());
   Cycle done_at = 0;
   path.request(160, [&] { done_at = sim.now(); });
   sim.run();
@@ -31,11 +31,11 @@ TEST(MemoryPath, SingleHopBehavesLikeDirectRequest) {
 
 TEST(MemoryPath, HopsTraverseInOrderWithSummedLatency) {
   sim::Simulator sim;
-  ResourceServer xbar(sim, "xbar", 64.0, 4);
-  ResourceServer dram(sim, "dram", 16.0, 10);
+  ResourceServer xbar(sim, 64.0, 4);
+  ResourceServer dram(sim, 16.0, 10);
   MemoryPath path;
-  path.add_hop(xbar, xbar.add_port("c0"));
-  path.add_hop(dram, dram.add_port("c0"));
+  path.add_hop(xbar, xbar.add_port());
+  path.add_hop(dram, dram.add_port());
   Cycle done_at = 0;
   path.request(160, [&] { done_at = sim.now(); });
   sim.run();
@@ -47,13 +47,57 @@ TEST(MemoryPath, HopsTraverseInOrderWithSummedLatency) {
   EXPECT_EQ(dram.bytes_served(), 160u);
 }
 
+TEST(MemoryPath, AddHopPastCapacityThrowsAndKeepsThePath) {
+  sim::Simulator sim;
+  std::vector<ResourceServer> hops;
+  hops.reserve(MemoryPath::kMaxHops + 1);
+  for (std::size_t i = 0; i <= MemoryPath::kMaxHops; ++i) hops.emplace_back(sim, 16.0, 1);
+  MemoryPath path;
+  for (std::size_t i = 0; i < MemoryPath::kMaxHops; ++i) {
+    path.add_hop(hops[i], hops[i].add_port());
+  }
+  ResourceServer& extra = hops[MemoryPath::kMaxHops];
+  EXPECT_THROW(path.add_hop(extra, extra.add_port()), std::length_error);
+  EXPECT_THROW(path.add_hop(extra, 0), std::length_error);
+  EXPECT_EQ(path.hop_count(), MemoryPath::kMaxHops);
+  EXPECT_EQ(path.total_latency(), MemoryPath::kMaxHops);
+
+  // The full path still routes through exactly its own hops: 16 bytes is
+  // one cycle of occupancy plus one of latency per hop.
+  Cycle done_at = 0;
+  path.request(16, [&] { done_at = sim.now(); });
+  sim.run();
+  EXPECT_EQ(done_at, 2 * MemoryPath::kMaxHops);
+  for (std::size_t i = 0; i < MemoryPath::kMaxHops; ++i) EXPECT_EQ(hops[i].bytes_served(), 16u);
+  EXPECT_EQ(extra.bytes_served(), 0u);
+}
+
+TEST(MemoryPath, MultiHopBurstsCompleteInRequestOrder) {
+  // Completions of a multi-hop path wait for the last hop in request
+  // order; each burst must get its own.
+  sim::Simulator sim;
+  ResourceServer xbar(sim, 64.0, 4);
+  ResourceServer dram(sim, 16.0, 10);
+  MemoryPath path;
+  path.add_hop(xbar, xbar.add_port());
+  path.add_hop(dram, dram.add_port());
+  std::vector<std::pair<int, Cycle>> done;
+  for (int i = 0; i < 4; ++i) {
+    path.request(160 * static_cast<Bytes>(i + 1), [&done, &sim, i] { done.emplace_back(i, sim.now()); });
+  }
+  sim.run();
+  ASSERT_EQ(done.size(), 4u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(done[static_cast<std::size_t>(i)].first, i);
+  for (std::size_t i = 1; i < done.size(); ++i) EXPECT_GT(done[i].second, done[i - 1].second);
+}
+
 TEST(MemoryPath, BottleneckIsTightestHop) {
   sim::Simulator sim;
-  ResourceServer fast(sim, "fast", 128.0, 1);
-  ResourceServer slow(sim, "slow", 8.0, 1);
+  ResourceServer fast(sim, 128.0, 1);
+  ResourceServer slow(sim, 8.0, 1);
   MemoryPath path;
-  path.add_hop(fast, fast.add_port("p"));
-  path.add_hop(slow, slow.add_port("p"));
+  path.add_hop(fast, fast.add_port());
+  path.add_hop(slow, slow.add_port());
   EXPECT_DOUBLE_EQ(path.bottleneck_bytes_per_cycle(), 8.0);
 }
 
@@ -61,19 +105,19 @@ TEST(MemoryPath, GroupCrossbarContentionSerializesSiblings) {
   // Two clusters in one group share the group link; a third cluster in
   // another group bypasses that contention.
   sim::Simulator sim;
-  ResourceServer group0(sim, "g0", 16.0, 2);   // tight group link
-  ResourceServer group1(sim, "g1", 16.0, 2);
-  ResourceServer dram(sim, "dram", 64.0, 5);   // ample channel
+  ResourceServer group0(sim, 16.0, 2);   // tight group link
+  ResourceServer group1(sim, 16.0, 2);
+  ResourceServer dram(sim, 64.0, 5);   // ample channel
 
-  auto make_path = [&](ResourceServer& group, const char* name) {
+  auto make_path = [&](ResourceServer& group) {
     MemoryPath p;
-    p.add_hop(group, group.add_port(name));
-    p.add_hop(dram, dram.add_port(name));
+    p.add_hop(group, group.add_port());
+    p.add_hop(dram, dram.add_port());
     return p;
   };
-  MemoryPath a = make_path(group0, "a");
-  MemoryPath b = make_path(group0, "b");
-  MemoryPath c = make_path(group1, "c");
+  MemoryPath a = make_path(group0);
+  MemoryPath b = make_path(group0);
+  MemoryPath c = make_path(group1);
 
   std::vector<Cycle> done(3, 0);
   a.request(1600, [&] { done[0] = sim.now(); });
@@ -88,12 +132,12 @@ TEST(MemoryPath, GroupCrossbarContentionSerializesSiblings) {
 
 TEST(MemoryPath, DmaOverHierarchicalPathCompletes) {
   sim::Simulator sim;
-  ResourceServer xbar(sim, "xbar", 128.0, 4);
+  ResourceServer xbar(sim, 128.0, 4);
   DramController dram(sim, DramConfig{32.0, 20});
   MemoryPath path;
-  path.add_hop(xbar, xbar.add_port("c"));
-  path.add_hop(dram.channel(), dram.add_port("c"));
-  DmaEngine dma(sim, std::move(path), DmaConfig{1024, 10000}, "hier-dma");
+  path.add_hop(xbar, xbar.add_port());
+  path.add_hop(dram.channel(), dram.add_port());
+  DmaEngine dma(sim, std::move(path), DmaConfig{1024, 10000});
   bool finished = false;
   dma.transfer(64 * 1024, [&] { finished = true; });
   sim.run();
@@ -104,12 +148,12 @@ TEST(MemoryPath, DmaOverHierarchicalPathCompletes) {
 
 TEST(MemoryPath, ThrottleStillGovernsHierarchicalDma) {
   sim::Simulator sim;
-  ResourceServer xbar(sim, "xbar", 128.0, 4);
+  ResourceServer xbar(sim, 128.0, 4);
   DramController dram(sim, DramConfig{32.0, 20});
   MemoryPath path;
-  path.add_hop(xbar, xbar.add_port("c"));
-  path.add_hop(dram.channel(), dram.add_port("c"));
-  DmaEngine dma(sim, std::move(path), DmaConfig{1024, 1000}, "hier-dma");
+  path.add_hop(xbar, xbar.add_port());
+  path.add_hop(dram.channel(), dram.add_port());
+  DmaEngine dma(sim, std::move(path), DmaConfig{1024, 1000});
   dma.set_budget(1024);
   Cycle done_at = 0;
   dma.transfer(8 * 1024, [&] { done_at = sim.now(); });

@@ -12,14 +12,14 @@ namespace {
 
 TEST(ResourceServer, RejectsNonPositiveBandwidth) {
   sim::Simulator sim;
-  EXPECT_THROW(ResourceServer(sim, "x", 0.0, 10), std::invalid_argument);
-  EXPECT_THROW(ResourceServer(sim, "x", -1.0, 10), std::invalid_argument);
+  EXPECT_THROW(ResourceServer(sim, 0.0, 10), std::invalid_argument);
+  EXPECT_THROW(ResourceServer(sim, -1.0, 10), std::invalid_argument);
 }
 
 TEST(ResourceServer, SingleTransferLatencyIsOccupancyPlusLatency) {
   sim::Simulator sim;
-  ResourceServer server(sim, "chan", 16.0, 100);
-  const int port = server.add_port("p0");
+  ResourceServer server(sim, 16.0, 100);
+  const int port = server.add_port();
   Cycle done_at = 0;
   server.request(port, 1600, [&] { done_at = sim.now(); });
   sim.run();
@@ -29,17 +29,17 @@ TEST(ResourceServer, SingleTransferLatencyIsOccupancyPlusLatency) {
 
 TEST(ResourceServer, UnknownPortThrows) {
   sim::Simulator sim;
-  ResourceServer server(sim, "chan", 1.0, 0);
+  ResourceServer server(sim, 1.0, 0);
   EXPECT_THROW(server.request(0, 1, nullptr), std::out_of_range);
-  server.add_port("p0");
+  server.add_port();
   EXPECT_THROW(server.request(1, 1, nullptr), std::out_of_range);
   EXPECT_THROW(server.bytes_served(3), std::out_of_range);
 }
 
 TEST(ResourceServer, BackToBackTransfersSerialize) {
   sim::Simulator sim;
-  ResourceServer server(sim, "chan", 10.0, 5);
-  const int port = server.add_port("p0");
+  ResourceServer server(sim, 10.0, 5);
+  const int port = server.add_port();
   std::vector<Cycle> done;
   server.request(port, 100, [&] { done.push_back(sim.now()); });  // 10 cycles
   server.request(port, 100, [&] { done.push_back(sim.now()); });
@@ -51,9 +51,9 @@ TEST(ResourceServer, BackToBackTransfersSerialize) {
 
 TEST(ResourceServer, RoundRobinAlternatesPorts) {
   sim::Simulator sim;
-  ResourceServer server(sim, "chan", 1.0, 0);
-  const int p0 = server.add_port("p0");
-  const int p1 = server.add_port("p1");
+  ResourceServer server(sim, 1.0, 0);
+  const int p0 = server.add_port();
+  const int p1 = server.add_port();
   std::vector<int> order;
   // Queue 2 requests on each port before anything runs; RR must
   // interleave p0, p1, p0, p1.
@@ -69,7 +69,7 @@ TEST(ResourceServer, RoundRobinSurvivesPortTableRegrowth) {
   // Ports added while earlier ports hold queued requests: the port table
   // regrows (and moves its queues) several times between requests.
   sim::Simulator sim;
-  ResourceServer server(sim, "chan", 1.0, 0);
+  ResourceServer server(sim, 1.0, 0);
   constexpr int kEarly = 4;
   constexpr int kPorts = 18;
   std::vector<int> order;
@@ -79,8 +79,8 @@ TEST(ResourceServer, RoundRobinSurvivesPortTableRegrowth) {
                      [&order, port] { order.push_back(port); });
     }
   };
-  for (int p = 0; p < kEarly; ++p) enqueue_twice(server.add_port("early"));
-  for (int p = kEarly; p < kPorts; ++p) enqueue_twice(server.add_port("late"));
+  for (int p = 0; p < kEarly; ++p) enqueue_twice(server.add_port());
+  for (int p = kEarly; p < kPorts; ++p) enqueue_twice(server.add_port());
   EXPECT_EQ(server.queued_requests(), 2u * kPorts - 1);  // p0's first is in flight
   sim.run();
 
@@ -98,9 +98,9 @@ TEST(ResourceServer, RoundRobinSurvivesPortTableRegrowth) {
 
 TEST(ResourceServer, FairBandwidthSplitUnderContention) {
   sim::Simulator sim;
-  ResourceServer server(sim, "chan", 8.0, 10);
-  const int p0 = server.add_port("a");
-  const int p1 = server.add_port("b");
+  ResourceServer server(sim, 8.0, 10);
+  const int p0 = server.add_port();
+  const int p1 = server.add_port();
   // Equal demand from both ports in equal chunks.
   for (int i = 0; i < 50; ++i) {
     server.request(p0, 1024, nullptr);
@@ -113,8 +113,8 @@ TEST(ResourceServer, FairBandwidthSplitUnderContention) {
 
 TEST(ResourceServer, BusyCyclesMatchTraffic) {
   sim::Simulator sim;
-  ResourceServer server(sim, "chan", 4.0, 7);
-  const int port = server.add_port("p");
+  ResourceServer server(sim, 4.0, 7);
+  const int port = server.add_port();
   server.request(port, 400, nullptr);  // 100 busy cycles
   server.request(port, 40, nullptr);   // 10 busy cycles
   sim.run();
@@ -123,8 +123,8 @@ TEST(ResourceServer, BusyCyclesMatchTraffic) {
 
 TEST(ResourceServer, UtilizationBounded) {
   sim::Simulator sim;
-  ResourceServer server(sim, "chan", 2.0, 50);
-  const int port = server.add_port("p");
+  ResourceServer server(sim, 2.0, 50);
+  const int port = server.add_port();
   server.request(port, 100, nullptr);
   sim.run();
   EXPECT_GT(server.utilization(), 0.0);
@@ -133,8 +133,8 @@ TEST(ResourceServer, UtilizationBounded) {
 
 TEST(ResourceServer, ZeroByteRequestStillCompletes) {
   sim::Simulator sim;
-  ResourceServer server(sim, "chan", 8.0, 3);
-  const int port = server.add_port("p");
+  ResourceServer server(sim, 8.0, 3);
+  const int port = server.add_port();
   bool done = false;
   server.request(port, 0, [&] { done = true; });
   sim.run();
@@ -143,8 +143,8 @@ TEST(ResourceServer, ZeroByteRequestStillCompletes) {
 
 TEST(ResourceServer, QueuedRequestsReported) {
   sim::Simulator sim;
-  ResourceServer server(sim, "chan", 1.0, 0);
-  const int port = server.add_port("p");
+  ResourceServer server(sim, 1.0, 0);
+  const int port = server.add_port();
   server.request(port, 100, nullptr);  // dispatches immediately
   server.request(port, 100, nullptr);  // queued
   server.request(port, 100, nullptr);  // queued

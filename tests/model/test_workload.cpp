@@ -281,7 +281,7 @@ class DecodeTrafficOracle {
   explicit DecodeTrafficOracle(std::size_t mc_elem_bytes)
       : config_(with_mc_elem_bytes(mc_elem_bytes)),
         dram_(sim_, config_.dram),
-        mc_(sim_, dram_, config_, core::ClusterKind::kMemoryCentric, "mc") {}
+        mc_(sim_, dram_, config_, core::ClusterKind::kMemoryCentric) {}
 
   Bytes step_bytes(const MllmConfig& model, std::span<const std::size_t> contexts,
                    double keep) const {

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,11 @@
 
 namespace edgemm::serve {
 namespace {
+
+// The engine owns its chip by value, and the chip is pinned in place.
+static_assert(!std::is_copy_constructible_v<ServingEngine>);
+static_assert(!std::is_move_constructible_v<ServingEngine>);
+static_assert(!std::is_move_assignable_v<ServingEngine>);
 
 core::ChipConfig small_cfg() {
   core::ChipConfig cfg = core::default_chip_config();
