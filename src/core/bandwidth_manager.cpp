@@ -80,8 +80,8 @@ void BandwidthManager::apply(ChipTimingModel& chip, std::size_t l) const {
   const auto& cc = chip.clusters(ClusterKind::kComputeCentric);
   const auto& mc = chip.clusters(ClusterKind::kMemoryCentric);
   const auto budgets = budgets_for_length(l, cc.size(), mc.size());
-  for (auto* cluster : cc) cluster->dma().set_budget(budgets.cc_budget_per_cluster);
-  for (auto* cluster : mc) cluster->dma().set_budget(budgets.mc_budget_per_cluster);
+  for (auto* cluster : cc) cluster->set_budget(budgets.cc_budget_per_cluster);
+  for (auto* cluster : mc) cluster->set_budget(budgets.mc_budget_per_cluster);
 }
 
 void BandwidthManager::apply_ratio(ChipTimingModel& chip, std::size_t mc_ratio) const {
@@ -98,16 +98,16 @@ void BandwidthManager::apply_ratio(ChipTimingModel& chip, std::size_t mc_ratio) 
                                             static_cast<double>(cc.size()));
   const auto mc_budget = static_cast<Bytes>(interval_bytes * (1.0 - cc_share) /
                                             static_cast<double>(mc.size()));
-  for (auto* cluster : cc) cluster->dma().set_budget(cc_budget);
-  for (auto* cluster : mc) cluster->dma().set_budget(mc_budget);
+  for (auto* cluster : cc) cluster->set_budget(cc_budget);
+  for (auto* cluster : mc) cluster->set_budget(mc_budget);
 }
 
 void BandwidthManager::apply_equal_sharing(ChipTimingModel& chip) const {
   const auto& cc = chip.clusters(ClusterKind::kComputeCentric);
   const auto& mc = chip.clusters(ClusterKind::kMemoryCentric);
   const auto budgets = equal_sharing(cc.size(), mc.size());
-  for (auto* cluster : cc) cluster->dma().set_budget(budgets.cc_budget_per_cluster);
-  for (auto* cluster : mc) cluster->dma().set_budget(budgets.mc_budget_per_cluster);
+  for (auto* cluster : cc) cluster->set_budget(budgets.cc_budget_per_cluster);
+  for (auto* cluster : mc) cluster->set_budget(budgets.mc_budget_per_cluster);
 }
 
 }  // namespace edgemm::core

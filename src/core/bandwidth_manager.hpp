@@ -1,11 +1,12 @@
 // Token-length-driven bandwidth management (paper §IV-B, Fig. 9/13).
 //
-// Mechanism: every cluster DMA carries a PMC and a byte budget per
-// interval T (mem/dma.hpp). Policy: as the output token length l grows,
-// LLM-decoding on the MC-clusters dominates the pipeline, so the
-// CC-cluster budget Bc is progressively reduced in favour of Bm
-// (ratios down to 1:7); beyond l_b the pipeline switches to stream-based
-// batch decoding (Fig. 9(c)).
+// Mechanism: every cluster carries a PMC byte budget per interval T
+// (ClusterTimingModel::set_budget; the detailed tier's DMA enforces it,
+// mem/dma.hpp, and the fast tier prices it). Policy: as the output
+// token length l grows, LLM-decoding on the MC-clusters dominates the
+// pipeline, so the CC-cluster budget Bc is progressively reduced in
+// favour of Bm (ratios down to 1:7); beyond l_b the pipeline switches
+// to stream-based batch decoding (Fig. 9(c)).
 #ifndef EDGEMM_CORE_BANDWIDTH_MANAGER_HPP
 #define EDGEMM_CORE_BANDWIDTH_MANAGER_HPP
 

@@ -39,21 +39,26 @@ ChipTimingModel::ChipTimingModel(const ChipConfig& config, ChipComposition compo
   const std::size_t total_clusters = config_.groups * clusters_per_group;
 
   // Hierarchical AXI interconnect (Fig. 4): one crossbar link per group,
-  // one system crossbar in front of the DRAM controller. Every table is
-  // sized up front (each cluster adds one port per hop), so nothing the
-  // clusters point at ever moves.
-  system_xbar_.reserve_ports(total_clusters);
-  dram_.channel().reserve_ports(total_clusters);
-  group_xbars_.reserve(config_.groups);
-  for (std::size_t g = 0; g < config_.groups; ++g) {
-    group_xbars_.emplace_back(sim_, config_.group_xbar_bytes_per_cycle,
-                              config_.group_xbar_latency);
-    group_xbars_.back().reserve_ports(clusters_per_group);
+  // one system crossbar in front of the DRAM controller. Only the
+  // detailed tier walks bursts through it; the fast tier prices the
+  // hops analytically and builds no ports, paths or DMA engines. Every
+  // table is sized up front (each cluster adds one port per hop), so
+  // nothing the clusters point at ever moves.
+  if (mode_ == ReplayMode::kFast) {
+    fast_.emplace(sim_, dram_, config_);
+  } else {
+    system_xbar_.reserve_ports(total_clusters);
+    dram_.channel().reserve_ports(total_clusters);
+    group_xbars_.reserve(config_.groups);
+    for (std::size_t g = 0; g < config_.groups; ++g) {
+      group_xbars_.emplace_back(sim_, config_.group_xbar_bytes_per_cycle,
+                                config_.group_xbar_latency);
+      group_xbars_.back().reserve_ports(clusters_per_group);
+    }
   }
   clusters_.reserve(total_clusters);
 
   for (std::size_t g = 0; g < config_.groups; ++g) {
-    mem::ResourceServer& group_xbar = group_xbars_[g];
     for (std::size_t c = 0; c < clusters_per_group; ++c) {
       ClusterKind kind = ClusterKind::kBaselineSimd;
       switch (composition) {
@@ -65,6 +70,11 @@ ChipTimingModel::ChipTimingModel(const ChipConfig& config, ChipComposition compo
         case ChipComposition::kHomoMc: kind = ClusterKind::kMemoryCentric; break;
         case ChipComposition::kBaselineSnitch: break;
       }
+      if (fast_) {
+        clusters_.emplace_back(sim_, *fast_, config_, kind);
+        continue;
+      }
+      mem::ResourceServer& group_xbar = group_xbars_[g];
       mem::MemoryPath path;
       path.add_hop(group_xbar, group_xbar.add_port());
       path.add_hop(system_xbar_, system_xbar_.add_port());
@@ -84,16 +94,6 @@ ChipTimingModel::ChipTimingModel(const ChipConfig& config, ChipComposition compo
     by_kind_[k].reserve(n);
     for (ClusterTimingModel* cluster : all_) {
       if (cluster->kind() == kind) by_kind_[k].push_back(cluster);
-    }
-  }
-
-  if (mode_ == ReplayMode::kFast) {
-    FastMemoryModel& fast = fast_.emplace(sim_, dram_, config_);
-    for (ClusterTimingModel& cluster : clusters_) {
-      fast.register_cluster(cluster);
-      // Budget changes (BandwidthManager rebalances) re-price the active
-      // streams; the model coalesces the per-cluster calls of one tick.
-      cluster.dma().set_budget_listener([&fast] { fast.budgets_changed(); });
     }
   }
 }
@@ -180,7 +180,7 @@ Cycle ChipTimingModel::run_phase(std::span<const GemmWork> ops) {
 }
 
 void ChipTimingModel::clear_bandwidth_budgets() {
-  for (ClusterTimingModel& c : clusters_) c.dma().set_budget(mem::DmaEngine::kUnlimited);
+  for (ClusterTimingModel& c : clusters_) c.set_budget(mem::DmaEngine::kUnlimited);
 }
 
 }  // namespace edgemm::core

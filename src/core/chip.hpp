@@ -38,11 +38,14 @@ const char* to_string(ChipComposition composition);
 /// runs its shard through the double-buffered timing model and the
 /// shared DRAM arbitrates the resulting traffic.
 ///
-/// The topology is flat and built once: crossbars and clusters live by
-/// value in storage sized at construction, and the cluster sets the
-/// accessors return are computed there too. Clusters, DMA hops and
-/// in-flight events point into that storage, so a chip is pinned in
-/// place: neither copyable nor movable.
+/// The topology is flat, built once and shaped by the tier: crossbars
+/// and clusters live by value in storage sized at construction, and the
+/// cluster sets the accessors return are computed there too. Only the
+/// detailed tier builds the burst hierarchy (crossbar and DRAM ports, a
+/// MemoryPath and a DmaEngine per cluster); a fast-tier cluster holds
+/// just its PMC budget and its lane in the FastMemoryModel. Clusters,
+/// DMA hops, fast lanes and in-flight events point into that storage,
+/// so a chip is pinned in place: neither copyable nor movable.
 class ChipTimingModel {
  public:
   using ClusterSet = std::vector<ClusterTimingModel*>;
@@ -95,10 +98,11 @@ class ChipTimingModel {
   /// phase, running the simulator to completion. Returns elapsed cycles.
   Cycle run_phase(std::span<const GemmWork> ops);
 
-  /// Sets every cluster DMA budget to unlimited (per interval).
+  /// Sets every cluster's PMC budget to unlimited (per interval).
   void clear_bandwidth_budgets();
 
   /// The per-group crossbar links (for interconnect inspection/tests).
+  /// Empty on the fast tier, whose system crossbar has no ports.
   std::span<const mem::ResourceServer> group_crossbars() const { return group_xbars_; }
   mem::ResourceServer& system_crossbar() { return system_xbar_; }
 
@@ -109,7 +113,7 @@ class ChipTimingModel {
   sim::Simulator sim_;
   mem::DramController dram_;
   mem::ResourceServer system_xbar_;
-  std::vector<mem::ResourceServer> group_xbars_;  ///< reserved once
+  std::vector<mem::ResourceServer> group_xbars_;  ///< reserved once; detailed only
   std::vector<ClusterTimingModel> clusters_;      ///< reserved once
   std::array<ClusterSet, 3> by_kind_;             ///< indexed by ClusterKind
   ClusterSet all_;

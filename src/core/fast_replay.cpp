@@ -171,24 +171,17 @@ FastMemoryModel::FastMemoryModel(sim::Simulator& sim, mem::DramController& dram,
   rate_entries_.reserve(clusters);
 }
 
-void FastMemoryModel::register_cluster(ClusterTimingModel& cluster) {
+std::size_t FastMemoryModel::register_cluster(ClusterTimingModel& cluster) {
   lanes_.push_back(Lane{&cluster, nullptr, {}, 0});
-  cluster.attach_fast_model(this);
-}
-
-std::size_t FastMemoryModel::lane_index(const ClusterTimingModel& cluster) const {
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    if (lanes_[i].cluster == &cluster) return i;
-  }
-  EDGEMM_ASSERT_MSG(false, "FastMemoryModel: cluster was never registered");
-  return 0;
+  return lanes_.size() - 1;
 }
 
 void FastMemoryModel::submit(ClusterTimingModel& cluster,
                              const std::vector<GemmWork>& ops,
                              sim::Action done) {
   EDGEMM_ASSERT(!ops.empty());
-  const std::size_t li = lane_index(cluster);
+  const std::size_t li = cluster.fast_lane_;
+  EDGEMM_ASSERT(cluster.fast_ == this && lanes_[li].cluster == &cluster);
   auto stream = std::make_unique<Stream>();
   stream->cluster = &cluster;
   stream->lane = li;
@@ -246,10 +239,7 @@ void FastMemoryModel::submit(ClusterTimingModel& cluster,
 }
 
 bool FastMemoryModel::idle(const ClusterTimingModel& cluster) const {
-  for (const Lane& lane : lanes_) {
-    if (lane.cluster == &cluster) return lane.outstanding == 0;
-  }
-  return true;
+  return lanes_[cluster.fast_lane_].outstanding == 0;
 }
 
 void FastMemoryModel::budgets_changed() {
@@ -567,8 +557,8 @@ void FastMemoryModel::compute_rates() {
   }
 }
 
-double FastMemoryModel::budget_rate(ClusterTimingModel& cluster) const {
-  const Bytes budget = cluster.dma().budget();
+double FastMemoryModel::budget_rate(const ClusterTimingModel& cluster) const {
+  const Bytes budget = cluster.budget();
   if (budget == mem::DmaEngine::kUnlimited) return kInf;
   // The PMC charges a burst before it blocks: floor(B / burst) + 1 bursts
   // land per interval, overshooting the nominal budget by up to one.

@@ -80,10 +80,11 @@ class FastMemoryModel {
   FastMemoryModel(sim::Simulator& sim, mem::DramController& dram,
                   const ChipConfig& config);
 
-  /// Registers `cluster` with a stable index (replay determinism: the
-  /// water-filling iterates clusters in registration order, never by
-  /// pointer). Called by ChipTimingModel at construction.
-  void register_cluster(ClusterTimingModel& cluster);
+  /// Registers `cluster` and returns its lane index (replay determinism:
+  /// the water-filling iterates clusters in registration order, never by
+  /// pointer). Called by the fast-tier ClusterTimingModel constructor,
+  /// which keeps the index so submit and idle find the lane in O(1).
+  std::size_t register_cluster(ClusterTimingModel& cluster);
 
   /// Prices `ops` as one stream on `cluster`; `done` fires at the
   /// modeled completion. Called by ClusterTimingModel::run_ops in fast
@@ -94,10 +95,10 @@ class FastMemoryModel {
   /// True when `cluster` has no stream active or queued.
   bool idle(const ClusterTimingModel& cluster) const;
 
-  /// Re-prices every active stream at the current time; call after a
-  /// budget change. Coalesces: many set_budget calls in one event (a
-  /// BandwidthManager rebalance touches every cluster) trigger one
-  /// recompute.
+  /// Re-prices every active stream at the current time; every
+  /// ClusterTimingModel::set_budget on this tier calls it. Coalesces:
+  /// many set_budget calls in one event (a BandwidthManager rebalance
+  /// touches every cluster) schedule one recompute.
   void budgets_changed();
 
   /// Streams priced so far (tests / sanity checks).
@@ -188,7 +189,6 @@ class FastMemoryModel {
                           double flood_cpb, double sync_cpb, double inv_rb,
                           double t0, double usage0) const;
 
-  std::size_t lane_index(const ClusterTimingModel& cluster) const;
   void activate(Lane& lane, std::unique_ptr<Stream> stream,
                 double not_before = 0.0);
   void reprice(Stream& stream);
@@ -198,7 +198,7 @@ class FastMemoryModel {
   void compute_rates();
   void recompute();
   void schedule_next();
-  double budget_rate(ClusterTimingModel& cluster) const;
+  double budget_rate(const ClusterTimingModel& cluster) const;
 
   /// One active stream's channel demand in compute_rates (scratch kept
   /// across calls, sized for one entry per cluster).

@@ -36,11 +36,26 @@ const char* to_string(ClusterKind kind) {
 ClusterTimingModel::ClusterTimingModel(sim::Simulator& sim, mem::DramController& dram,
                                        const ChipConfig& config, ClusterKind kind)
     : sim_(sim), config_(config), kind_(kind),
-      dma_(sim, dram, dram.add_port(), config.dma) {}
+      dma_(std::in_place, sim, dram, dram.add_port(), config.dma) {}
 
 ClusterTimingModel::ClusterTimingModel(sim::Simulator& sim, mem::MemoryPath path,
                                        const ChipConfig& config, ClusterKind kind)
-    : sim_(sim), config_(config), kind_(kind), dma_(sim, std::move(path), config.dma) {}
+    : sim_(sim), config_(config), kind_(kind),
+      dma_(std::in_place, sim, std::move(path), config.dma) {}
+
+ClusterTimingModel::ClusterTimingModel(sim::Simulator& sim, FastMemoryModel& fast,
+                                       const ChipConfig& config, ClusterKind kind)
+    : fast_(&fast), fast_lane_(fast.register_cluster(*this)), sim_(sim),
+      config_(config), kind_(kind) {}
+
+void ClusterTimingModel::set_budget(Bytes budget) {
+  budget_ = budget;
+  if (fast_ != nullptr) {
+    fast_->budgets_changed();
+  } else {
+    dma_->set_budget(budget);
+  }
+}
 
 Cycle ClusterTimingModel::compute_cycles(const GemmWork& work) const {
   switch (kind_) {
@@ -186,7 +201,7 @@ void ClusterTimingModel::maybe_issue_dma() {
     const Bytes bytes = block.dma_bytes;
     stats_.dma_bytes += bytes;
     loading_.push_back(std::move(block));
-    dma_.transfer(bytes, [this] {
+    dma_->transfer(bytes, [this] {
       ready_.push_back(loading_.take_front());
       maybe_start_compute();
       maybe_issue_dma();

@@ -7,9 +7,11 @@
 #ifndef EDGEMM_CORE_TIMING_HPP
 #define EDGEMM_CORE_TIMING_HPP
 
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/fifo.hpp"
 #include "common/types.hpp"
 #include "core/config.hpp"
@@ -75,6 +77,12 @@ class ClusterTimingModel {
   ClusterTimingModel(sim::Simulator& sim, mem::MemoryPath path,
                      const ChipConfig& config, ClusterKind kind);
 
+  /// Fast-tier wiring: no DMA and no path. Batches are priced by `fast`,
+  /// which registers this cluster as its next lane; the cluster must not
+  /// move afterwards.
+  ClusterTimingModel(sim::Simulator& sim, FastMemoryModel& fast,
+                     const ChipConfig& config, ClusterKind kind);
+
   ClusterKind kind() const { return kind_; }
 
   /// Analytic datapath cycles for `work` on this cluster (all cores of
@@ -95,15 +103,21 @@ class ClusterTimingModel {
   /// the new ops queue behind it.
   void run_ops(const std::vector<GemmWork>& ops, sim::Action done);
 
-  /// Routes subsequent run_ops batches through the fast replay tier
-  /// instead of the event-driven DMA plane. Wired once by
-  /// FastMemoryModel::register_cluster at chip construction.
-  void attach_fast_model(FastMemoryModel* fast) { fast_ = fast; }
-
   /// True when no blocks are queued or in flight.
   bool idle() const;
 
-  mem::DmaEngine& dma() { return dma_; }
+  /// Sets the per-interval PMC byte budget B (§IV-B). The detailed tier
+  /// forwards it to the cluster's DMA; the fast tier re-prices its
+  /// streams on every call, an unchanged value included (the re-pricing
+  /// is not idempotent, so skipping it would move simulated output).
+  void set_budget(Bytes budget);
+  Bytes budget() const { return budget_; }
+
+  /// The cluster's DMA engine; only the detailed-tier wirings have one.
+  mem::DmaEngine& dma() {
+    EDGEMM_ASSERT_MSG(dma_.has_value(), "fast-tier clusters have no DMA");
+    return *dma_;
+  }
   const ClusterStats& stats() const { return stats_; }
   void reset_stats() { stats_ = ClusterStats{}; }
 
@@ -119,13 +133,15 @@ class ClusterTimingModel {
   void maybe_start_compute();
   void finish_block(Block block);
 
-  friend class FastMemoryModel;  // injects batch totals into stats_
+  friend class FastMemoryModel;  // injects batch totals into stats_, reads fast_lane_
 
   FastMemoryModel* fast_ = nullptr;
+  std::size_t fast_lane_ = 0;  ///< this cluster's lane in *fast_
   sim::Simulator& sim_;
   const ChipConfig& config_;
   ClusterKind kind_;
-  mem::DmaEngine dma_;
+  Bytes budget_ = mem::DmaEngine::kUnlimited;
+  std::optional<mem::DmaEngine> dma_;  ///< detailed tier only
   // A block moves blocks_ -> loading_ -> ready_ -> computing_. The DMA
   // lands this cluster's transfers in issue order, so the event callbacks
   // capture only `this` and take the block from the front of its queue.

@@ -1,6 +1,6 @@
-// Per-cluster DMA engine with performance-monitoring counter (PMC) and
-// budget-based throttling — the mechanism behind the paper's
-// token-length-driven bandwidth management (§IV-B).
+// Per-cluster DMA engine of the detailed tier, with performance-
+// monitoring counter (PMC) and budget-based throttling — the mechanism
+// behind the paper's token-length-driven bandwidth management (§IV-B).
 #ifndef EDGEMM_MEM_DMA_HPP
 #define EDGEMM_MEM_DMA_HPP
 
@@ -50,18 +50,11 @@ class DmaEngine {
   /// delta-cycle).
   void transfer(Bytes bytes, Done done);
 
-  /// Sets the per-interval byte budget B. Unlimited by default.
-  void set_budget(Bytes budget) {
-    budget_ = budget;
-    if (budget_listener_) budget_listener_();
-  }
+  /// Sets the per-interval byte budget B. Unlimited by default. On a
+  /// chip the cluster owns the budget (ClusterTimingModel::set_budget)
+  /// and forwards it here.
+  void set_budget(Bytes budget) { budget_ = budget; }
   Bytes budget() const { return budget_; }
-
-  /// Observer invoked after every set_budget call — the fast replay tier
-  /// re-prices its streams when the bandwidth manager moves budgets.
-  void set_budget_listener(sim::Action listener) {
-    budget_listener_ = std::move(listener);
-  }
 
   static constexpr Bytes kUnlimited = std::numeric_limits<Bytes>::max();
 
@@ -110,7 +103,6 @@ class DmaEngine {
   /// cleared), so the two queues trade capacity instead of reallocating.
   Fifo<Burst> draining_;
   bool wakeup_scheduled_ = false;
-  sim::Action budget_listener_;
 };
 
 }  // namespace edgemm::mem

@@ -35,6 +35,9 @@ class ResourceServer {
   /// Pre-sizes the port table for `ports` add_port calls.
   void reserve_ports(std::size_t ports) { ports_.reserve(ports); }
 
+  /// Ports registered so far.
+  std::size_t port_count() const { return ports_.size(); }
+
   /// Enqueues a transfer of `bytes` on `port`; `done` (may be empty)
   /// fires at completion. Throws std::out_of_range for an unknown port.
   void request(int port, Bytes bytes, Done done);

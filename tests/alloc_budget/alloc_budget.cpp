@@ -19,7 +19,10 @@
 //     kernel that moves actions out: 46 / 48 / 80 / 6.9 M;
 //   - a flat, nameless chip topology, one per-model engine state and
 //     sim::Action on the event path: 11 / 13 / 18 / 2,747 (paged engine
-//     17, bandwidth ratios 0).
+//     17, bandwidth ratios 0);
+//   - a tier-shaped chip (the fast tier builds no crossbar or DRAM
+//     ports, paths or DMA engines; the cluster owns its PMC budget):
+//     11 / 6 / 18 / 2,747 (paged engine 10, bandwidth ratios 0).
 // The budgets sit just above the current counts with GCC 12 and
 // libstdc++; the bandwidth-ratio row must stay at zero.
 //
@@ -171,7 +174,7 @@ int main() {
   measure("ChipTimingModel (detailed tier)", 12,
           [&] { chip_model.emplace(chip, core::ChipComposition::kHeterogeneous); },
           [&] { chip_model.reset(); });
-  measure("ChipTimingModel (fast tier)", 14,
+  measure("ChipTimingModel (fast tier)", 7,
           [&] {
             chip_model.emplace(chip, core::ChipComposition::kHeterogeneous,
                                core::ReplayMode::kFast);
@@ -179,7 +182,7 @@ int main() {
           [&] { chip_model.reset(); });
   measure("ServingEngine, 3-model zoo", 20,
           [&] { engine.emplace(chip, zoo, engine_config); }, [&] { engine.reset(); });
-  measure("ServingEngine, 1-model paged KV (fast tier)", 19,
+  measure("ServingEngine, 1-model paged KV (fast tier)", 11,
           [&] { engine.emplace(chip, single, paged_config); },
           [&] { engine.reset(); });
   measure("ServingEngine, 3-model zoo + 3-request replay", 3'000,

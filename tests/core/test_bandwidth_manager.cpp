@@ -113,19 +113,38 @@ TEST(BandwidthManager, ApplySetsClusterBudgets) {
   ChipTimingModel chip(cfg, ChipComposition::kHeterogeneous);
   mgr.apply(chip, 131);
   const Bytes cc_at_131 =
-      chip.clusters(ClusterKind::kComputeCentric).front()->dma().budget();
+      chip.clusters(ClusterKind::kComputeCentric).front()->budget();
   for (auto* c : chip.clusters(ClusterKind::kComputeCentric)) {
-    EXPECT_EQ(c->dma().budget(), cc_at_131);
+    EXPECT_EQ(c->budget(), cc_at_131);
   }
   for (auto* c : chip.clusters(ClusterKind::kMemoryCentric)) {
-    EXPECT_GT(c->dma().budget(), 6 * cc_at_131);
+    EXPECT_GT(c->budget(), 6 * cc_at_131);
   }
   mgr.apply(chip, 8);  // short output: back to the equal partition
   const Bytes equal_slice = mgr.equal_sharing(8, 8).cc_budget_per_cluster;
   for (auto* c : chip.all_clusters()) {
+    EXPECT_EQ(c->budget(), equal_slice);
+    // The detailed tier enforces the cluster's budget in its DMA.
     EXPECT_EQ(c->dma().budget(), equal_slice);
   }
   EXPECT_GT(equal_slice, cc_at_131);
+}
+
+TEST(BandwidthManager, ApplyRatioSetsFastTierBudgets) {
+  const ChipConfig cfg = default_chip_config();
+  const auto mgr = make_manager();
+  ChipTimingModel detailed(cfg, ChipComposition::kHeterogeneous);
+  ChipTimingModel fast(cfg, ChipComposition::kHeterogeneous, ReplayMode::kFast);
+  mgr.apply_ratio(detailed, 7);
+  mgr.apply_ratio(fast, 7);
+  const auto& want = detailed.all_clusters();
+  const auto& got = fast.all_clusters();
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i]->budget(), want[i]->budget());
+  }
+  EXPECT_GT(fast.clusters(ClusterKind::kMemoryCentric).front()->budget(),
+            6 * fast.clusters(ClusterKind::kComputeCentric).front()->budget());
 }
 
 }  // namespace

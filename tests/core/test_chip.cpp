@@ -188,12 +188,51 @@ TEST(Chip, MixedPhaseSpanRunsGroupwise) {
 TEST(Chip, ClearBandwidthBudgetsLiftsThrottles) {
   ChipConfig cfg = default_chip_config();
   cfg.groups = 1;
-  ChipTimingModel chip(cfg, ChipComposition::kHeterogeneous);
-  for (auto* c : chip.all_clusters()) c->dma().set_budget(1);
-  chip.clear_bandwidth_budgets();
-  for (auto* c : chip.all_clusters()) {
-    EXPECT_EQ(c->dma().budget(), mem::DmaEngine::kUnlimited);
+  for (const ReplayMode mode : {ReplayMode::kDetailed, ReplayMode::kFast}) {
+    SCOPED_TRACE(to_string(mode));
+    const bool detailed = mode == ReplayMode::kDetailed;
+    ChipTimingModel chip(cfg, ChipComposition::kHeterogeneous, mode);
+    for (auto* c : chip.all_clusters()) c->set_budget(1);
+    for (auto* c : chip.all_clusters()) {
+      EXPECT_EQ(c->budget(), 1u);
+      if (detailed) EXPECT_EQ(c->dma().budget(), 1u);
+    }
+    chip.clear_bandwidth_budgets();
+    for (auto* c : chip.all_clusters()) {
+      EXPECT_EQ(c->budget(), mem::DmaEngine::kUnlimited);
+      if (detailed) EXPECT_EQ(c->dma().budget(), mem::DmaEngine::kUnlimited);
+    }
   }
+}
+
+TEST(Chip, DetailedTierBuildsTheBurstHierarchy) {
+  const ChipConfig cfg = default_chip_config();
+  ChipTimingModel chip(cfg, ChipComposition::kHeterogeneous);
+  const std::size_t per_group = cfg.cc_clusters_per_group + cfg.mc_clusters_per_group;
+  const std::size_t total = cfg.groups * per_group;
+  ASSERT_EQ(chip.group_crossbars().size(), cfg.groups);
+  for (const mem::ResourceServer& xbar : chip.group_crossbars()) {
+    EXPECT_EQ(xbar.port_count(), per_group);
+  }
+  EXPECT_EQ(chip.system_crossbar().port_count(), total);
+  EXPECT_EQ(chip.dram().channel().port_count(), total);
+}
+
+TEST(Chip, FastTierBuildsNoBurstHierarchy) {
+  // The fast tier prices memory time analytically: no crossbar or DRAM
+  // hop ports, no MemoryPath and no cluster DMA.
+  const ChipConfig cfg = default_chip_config();
+  for (const ChipComposition composition : kCompositions) {
+    SCOPED_TRACE(to_string(composition));
+    ChipTimingModel chip(cfg, composition, ReplayMode::kFast);
+    EXPECT_TRUE(chip.group_crossbars().empty());
+    EXPECT_EQ(chip.system_crossbar().port_count(), 0u);
+    EXPECT_EQ(chip.dram().channel().port_count(), 0u);
+    EXPECT_EQ(chip.all_clusters().size(),
+              cfg.groups * (cfg.cc_clusters_per_group + cfg.mc_clusters_per_group));
+  }
+  ChipTimingModel chip(cfg, ChipComposition::kHeterogeneous, ReplayMode::kFast);
+  EXPECT_DEATH(chip.all_clusters().front()->dma(), "fast-tier clusters have no DMA");
 }
 
 }  // namespace

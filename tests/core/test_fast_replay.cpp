@@ -230,9 +230,80 @@ TEST(FastReplay, IdleTracksOutstandingStreams) {
   chip.run_on(cc, {{64, 512, 512, Phase::kPrefill, false, 0, false}},
               [&] { done = true; });
   EXPECT_FALSE(cc[0]->idle());
+  // Each cluster finds its own lane: the idle MC lanes stay idle.
+  for (auto* mc : chip.clusters(ClusterKind::kMemoryCentric)) EXPECT_TRUE(mc->idle());
   chip.simulator().run();
   EXPECT_TRUE(done);
   EXPECT_TRUE(cc[0]->idle());
+}
+
+/// Sets every cluster of `chip` to `budget` in one event, runs the
+/// simulator dry and returns the events that took.
+std::uint64_t rebudget_events(ChipTimingModel& chip, Bytes budget) {
+  for (ClusterTimingModel* c : chip.all_clusters()) c->set_budget(budget);
+  const std::uint64_t before = chip.simulator().events_executed();
+  chip.simulator().run();
+  return chip.simulator().events_executed() - before;
+}
+
+TEST(FastReplay, SameValueBudgetStillSchedulesOneRecompute) {
+  // FastMemoryModel::recompute() is not idempotent: it splits the fluid
+  // integration at the current cycle and re-solves every rate, which
+  // moves floating-point rounding. So the fast tier re-prices on every
+  // set_budget, an unchanged value included, and coalesces the calls of
+  // one event into one recompute.
+  ChipTimingModel chip(small_cfg(), ChipComposition::kHeterogeneous,
+                       ReplayMode::kFast);
+  EXPECT_EQ(rebudget_events(chip, 4096), 1u);  // a change
+  EXPECT_EQ(rebudget_events(chip, 4096), 1u);  // the same value again
+  EXPECT_EQ(rebudget_events(chip, mem::DmaEngine::kUnlimited), 1u);
+}
+
+TEST(FastReplay, DetailedTierBudgetSchedulesNothing) {
+  // The detailed tier's DMA reads the budget at each burst; setting it
+  // is not an event.
+  ChipTimingModel chip(small_cfg(), ChipComposition::kHeterogeneous);
+  EXPECT_EQ(rebudget_events(chip, 4096), 0u);
+  EXPECT_EQ(rebudget_events(chip, 4096), 0u);
+}
+
+struct BudgetedRun {
+  Cycle cycles = 0;
+  Cycle dma_stall = 0;  ///< detailed tier only
+};
+
+/// Runs one memory-bound op on the first CC cluster of a fresh chip in
+/// `mode` under a per-interval PMC `budget`, checking the budget reads
+/// back through the cluster (and its DMA on the detailed tier).
+BudgetedRun run_budgeted(ReplayMode mode, Bytes budget) {
+  ChipTimingModel chip(small_cfg(), ChipComposition::kHeterogeneous, mode);
+  ClusterTimingModel& cc = *chip.clusters(ClusterKind::kComputeCentric).front();
+  EXPECT_EQ(cc.budget(), mem::DmaEngine::kUnlimited);
+  cc.set_budget(budget);
+  EXPECT_EQ(cc.budget(), budget);
+  if (mode == ReplayMode::kDetailed) EXPECT_EQ(cc.dma().budget(), budget);
+  bool done = false;
+  cc.run_ops({{1, 1024, 1024, Phase::kDecode, false, 0, false}}, [&] { done = true; });
+  chip.simulator().run();
+  EXPECT_TRUE(done);
+  BudgetedRun run;
+  run.cycles = chip.simulator().now();
+  if (mode == ReplayMode::kDetailed) run.dma_stall = cc.dma().throttle_stall_cycles();
+  return run;
+}
+
+TEST(FastReplay, ClusterBudgetThrottlesBothTiers) {
+  const Bytes tight = 2 * small_cfg().dma.burst_bytes;
+  const BudgetedRun det_free = run_budgeted(ReplayMode::kDetailed, mem::DmaEngine::kUnlimited);
+  const BudgetedRun det_tight = run_budgeted(ReplayMode::kDetailed, tight);
+  EXPECT_EQ(det_free.dma_stall, 0u);
+  EXPECT_GT(det_tight.dma_stall, 0u);  // the cluster's DMA enforced it
+  EXPECT_GT(det_tight.cycles, 2 * det_free.cycles);
+
+  const BudgetedRun fast_free = run_budgeted(ReplayMode::kFast, mem::DmaEngine::kUnlimited);
+  const BudgetedRun fast_tight = run_budgeted(ReplayMode::kFast, tight);
+  EXPECT_GT(fast_tight.cycles, 2 * fast_free.cycles);
+  EXPECT_LT(drift(det_tight.cycles, fast_tight.cycles), 0.01);
 }
 
 }  // namespace

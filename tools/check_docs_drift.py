@@ -10,7 +10,12 @@ appear as an identifier in the corresponding header:
   EngineConfig::<name>  -> src/serve/engine_config.hpp
   ServingResult::<name> -> src/serve/serving_engine.hpp + trace_summary.hpp
   TraceSummary::<name>  -> src/serve/trace_summary.hpp
-  ReplayMode::<name>    -> src/core/fast_replay.hpp
+  ReplayMode / FastMemoryModel::<name> -> src/core/fast_replay.hpp
+  ChipTimingModel::<name> -> src/core/chip.hpp
+  ClusterTimingModel::<name> -> src/core/timing.hpp
+  DmaEngine::<name>     -> src/mem/dma.hpp
+  MemoryPath::<name>    -> src/mem/memory_path.hpp
+  ResourceServer::<name> -> src/mem/resource_server.hpp
   SweepCase / SweepOptions / SweepOutcome::<name> -> src/serve/sweep.hpp
   ClusterConfig::<name> -> src/serve/cluster/cluster_config.hpp
   ClusterResult / ClusterOutcome::<name> -> src/serve/cluster/cluster_engine.hpp
@@ -51,6 +56,12 @@ HEADERS = {
                       "src/serve/trace_summary.hpp"),
     "TraceSummary": "src/serve/trace_summary.hpp",
     "ReplayMode": "src/core/fast_replay.hpp",
+    "FastMemoryModel": "src/core/fast_replay.hpp",
+    "ChipTimingModel": "src/core/chip.hpp",
+    "ClusterTimingModel": "src/core/timing.hpp",
+    "DmaEngine": "src/mem/dma.hpp",
+    "MemoryPath": "src/mem/memory_path.hpp",
+    "ResourceServer": "src/mem/resource_server.hpp",
     "SweepCase": "src/serve/sweep.hpp",
     "SweepOptions": "src/serve/sweep.hpp",
     "SweepOutcome": "src/serve/sweep.hpp",
