@@ -1,6 +1,7 @@
 #include "core/chip.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <utility>
 
@@ -74,12 +75,16 @@ ChipTimingModel::ChipTimingModel(const ChipConfig& config, ChipComposition compo
         clusters_.emplace_back(sim_, *fast_, config_, kind);
         continue;
       }
+      // The cluster's DMA builds its path in place from this route; a
+      // braced list evaluates in order, so ports are added group crossbar
+      // first, then system crossbar, then DRAM.
       mem::ResourceServer& group_xbar = group_xbars_[g];
-      mem::MemoryPath path;
-      path.add_hop(group_xbar, group_xbar.add_port());
-      path.add_hop(system_xbar_, system_xbar_.add_port());
-      path.add_hop(dram_.channel(), dram_.add_port());
-      clusters_.emplace_back(sim_, std::move(path), config_, kind);
+      const std::array<mem::MemoryPath::Hop, 3> route{{
+          {&group_xbar, group_xbar.add_port()},
+          {&system_xbar_, system_xbar_.add_port()},
+          {&dram_.channel(), dram_.add_port()},
+      }};
+      clusters_.emplace_back(sim_, route, config_, kind);
     }
   }
   EDGEMM_ASSERT(clusters_.size() == total_clusters);

@@ -1,5 +1,6 @@
 #include "core/timing.hpp"
 
+#include <array>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -35,13 +36,15 @@ const char* to_string(ClusterKind kind) {
 
 ClusterTimingModel::ClusterTimingModel(sim::Simulator& sim, mem::DramController& dram,
                                        const ChipConfig& config, ClusterKind kind)
-    : sim_(sim), config_(config), kind_(kind),
-      dma_(std::in_place, sim, dram, dram.add_port(), config.dma) {}
+    : ClusterTimingModel(
+          sim, std::array{mem::MemoryPath::Hop{&dram.channel(), dram.add_port()}}, config,
+          kind) {}
 
-ClusterTimingModel::ClusterTimingModel(sim::Simulator& sim, mem::MemoryPath path,
+ClusterTimingModel::ClusterTimingModel(sim::Simulator& sim,
+                                       std::span<const mem::MemoryPath::Hop> route,
                                        const ChipConfig& config, ClusterKind kind)
     : sim_(sim), config_(config), kind_(kind),
-      dma_(std::in_place, sim, std::move(path), config.dma) {}
+      dma_(std::in_place, sim, route, config.dma) {}
 
 ClusterTimingModel::ClusterTimingModel(sim::Simulator& sim, FastMemoryModel& fast,
                                        const ChipConfig& config, ClusterKind kind)

@@ -68,13 +68,14 @@ struct ClusterStats {
 /// double-buffered (DMA-in, compute) block sequences on the shared DRAM.
 class ClusterTimingModel {
  public:
-  /// Direct-to-DRAM wiring (single-hop; unit tests and isolated probes).
+  /// Direct-to-DRAM wiring: a one-hop route on a fresh DRAM port (unit
+  /// tests and isolated probes).
   ClusterTimingModel(sim::Simulator& sim, mem::DramController& dram,
                      const ChipConfig& config, ClusterKind kind);
 
-  /// Hierarchical wiring: the DMA routes through the provided
-  /// interconnect path (group crossbar -> system crossbar -> DRAM).
-  ClusterTimingModel(sim::Simulator& sim, mem::MemoryPath path,
+  /// Hierarchical wiring: the DMA builds its path in place from `route`
+  /// (group crossbar -> system crossbar -> DRAM).
+  ClusterTimingModel(sim::Simulator& sim, std::span<const mem::MemoryPath::Hop> route,
                      const ChipConfig& config, ClusterKind kind);
 
   /// Fast-tier wiring: no DMA and no path. Batches are priced by `fast`,

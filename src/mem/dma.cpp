@@ -1,5 +1,6 @@
 #include "mem/dma.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "common/assert.hpp"
@@ -7,12 +8,6 @@
 namespace edgemm::mem {
 
 namespace {
-
-MemoryPath single_hop(DramController& dram, int port) {
-  MemoryPath path;
-  path.add_hop(dram.channel(), port);
-  return path;
-}
 
 void check_dma_config(const DmaConfig& config) {
   if (config.burst_bytes == 0) {
@@ -27,10 +22,11 @@ void check_dma_config(const DmaConfig& config) {
 
 DmaEngine::DmaEngine(sim::Simulator& sim, DramController& dram, int port,
                      const DmaConfig& config, std::string_view /*label*/)
-    : DmaEngine(sim, single_hop(dram, port), config) {}
+    : DmaEngine(sim, std::array{MemoryPath::Hop{&dram.channel(), port}}, config) {}
 
-DmaEngine::DmaEngine(sim::Simulator& sim, MemoryPath path, const DmaConfig& config)
-    : sim_(sim), path_(std::move(path)), config_(config) {
+DmaEngine::DmaEngine(sim::Simulator& sim, std::span<const MemoryPath::Hop> route,
+                     const DmaConfig& config)
+    : sim_(sim), path_(route), config_(config) {
   check_dma_config(config);
   if (path_.empty()) {
     throw std::invalid_argument("DmaEngine: memory path must have hops");

@@ -5,6 +5,7 @@
 #define EDGEMM_MEM_DMA_HPP
 
 #include <limits>
+#include <span>
 #include <string_view>
 
 #include "common/fifo.hpp"
@@ -35,15 +36,18 @@ class DmaEngine {
  public:
   using Done = sim::Action;
 
-  /// Direct-to-DRAM engine; `port` must come from `dram.add_port`. The
-  /// label is accepted for call-site readability and not stored.
+  /// Direct-to-DRAM engine: a one-hop route onto the DRAM channel;
+  /// `port` must come from `dram.add_port`. The label is accepted for
+  /// call-site readability and not stored.
   DmaEngine(sim::Simulator& sim, DramController& dram, int port,
             const DmaConfig& config, std::string_view label = {});
 
-  /// Engine routed through a hierarchical interconnect path (cluster
-  /// crossbar -> system crossbar -> DRAM, Fig. 4). The path's last hop
-  /// must be the memory channel.
-  DmaEngine(sim::Simulator& sim, MemoryPath path, const DmaConfig& config);
+  /// Engine whose memory path is built in place from `route`, e.g.
+  /// cluster crossbar -> system crossbar -> DRAM (Fig. 4); the last hop
+  /// must be the memory channel. Throws std::invalid_argument for an
+  /// empty route and what MemoryPath::add_hop throws for a bad hop.
+  DmaEngine(sim::Simulator& sim, std::span<const MemoryPath::Hop> route,
+            const DmaConfig& config);
 
   /// Starts a transfer of `bytes`; `done` (may be empty) fires when the
   /// last burst lands. Zero-byte transfers complete immediately (next

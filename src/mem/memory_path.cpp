@@ -9,9 +9,16 @@
 
 namespace edgemm::mem {
 
+MemoryPath::MemoryPath(std::span<const Hop> hops) {
+  for (const Hop& hop : hops) add_hop(*hop.server, hop.port);
+}
+
 void MemoryPath::add_hop(ResourceServer& server, int port) {
   if (hop_count_ == kMaxHops) {
     throw std::length_error("MemoryPath::add_hop: path already has kMaxHops hops");
+  }
+  if (port < 0 || static_cast<std::size_t>(port) >= server.port_count()) {
+    throw std::out_of_range("MemoryPath::add_hop: unknown port");
   }
   hops_[hop_count_++] = Hop{&server, port};
 }
@@ -25,7 +32,8 @@ void MemoryPath::request(Bytes bytes, sim::Action done) {
     return;
   }
   // Hop 0 only schedules events, so the completion can park after it
-  // accepted the burst (an unknown port throws with nothing parked).
+  // accepted the burst. Every hop's port was checked by add_hop, so no
+  // later hop can throw from inside an event.
   forward(0, bytes);
   parked_.push_back(std::move(done));
 }

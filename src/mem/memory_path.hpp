@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/fifo.hpp"
@@ -26,7 +27,8 @@ namespace edgemm::mem {
 /// Ordered hops from requester to memory. The last hop is the DRAM
 /// channel; intermediate hops are crossbar links. The hops live in an
 /// inline array sized for the chip's route, so building a path
-/// allocates nothing.
+/// allocates nothing, and an owner builds its path in place from a hop
+/// span rather than taking a finished one.
 ///
 /// A path must not move while a burst is in flight: the hop hand-offs
 /// point back at it.
@@ -35,10 +37,22 @@ class MemoryPath {
   /// Most hops one path holds: group crossbar, system crossbar, DRAM.
   static constexpr std::size_t kMaxHops = 3;
 
+  /// One hop of a route: a server and the requester's port on it.
+  struct Hop {
+    ResourceServer* server = nullptr;
+    int port = -1;
+  };
+
   MemoryPath() = default;
 
+  /// The route `hops`, in order, each appended through add_hop (same
+  /// checks, same exceptions).
+  explicit MemoryPath(std::span<const Hop> hops);
+
   /// Appends a hop; `port` must have been obtained from server.add_port.
-  /// Throws std::length_error past kMaxHops hops.
+  /// Throws std::length_error past kMaxHops hops and std::out_of_range
+  /// for a port `server` has not registered; either way the path is left
+  /// unchanged.
   void add_hop(ResourceServer& server, int port);
 
   bool empty() const { return hop_count_ == 0; }
@@ -55,10 +69,6 @@ class MemoryPath {
   double bottleneck_bytes_per_cycle() const;
 
  private:
-  struct Hop {
-    ResourceServer* server = nullptr;
-    int port = -1;
-  };
   /// Requests hop `index` for one burst. Every hop serves this path's
   /// port FIFO at a fixed latency, so bursts leave each hop in the order
   /// they entered the path: the burst entering the last hop owns the

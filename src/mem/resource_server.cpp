@@ -15,11 +15,6 @@ ResourceServer::ResourceServer(sim::Simulator& sim, double bytes_per_cycle,
   }
 }
 
-int ResourceServer::add_port() {
-  ports_.push_back(Port{});
-  return static_cast<int>(ports_.size()) - 1;
-}
-
 void ResourceServer::request(int port, Bytes bytes, Done done) {
   if (port < 0 || static_cast<std::size_t>(port) >= ports_.size()) {
     throw std::out_of_range("ResourceServer::request: unknown port");

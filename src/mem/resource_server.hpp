@@ -30,7 +30,10 @@ class ResourceServer {
   ResourceServer(sim::Simulator& sim, double bytes_per_cycle, Cycle latency);
 
   /// Registers a requesting port (e.g. one per cluster DMA). Returns its id.
-  int add_port();
+  int add_port() {
+    ports_.emplace_back();
+    return static_cast<int>(ports_.size()) - 1;
+  }
 
   /// Pre-sizes the port table for `ports` add_port calls.
   void reserve_ports(std::size_t ports) { ports_.reserve(ports); }

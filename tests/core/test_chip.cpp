@@ -218,6 +218,48 @@ TEST(Chip, DetailedTierBuildsTheBurstHierarchy) {
   EXPECT_EQ(chip.dram().channel().port_count(), total);
 }
 
+TEST(Chip, DetailedRoutesFollowTheGroupHierarchy) {
+  // Cluster i's DMA crosses its group's crossbar on the group-local port,
+  // then the system crossbar and the DRAM channel on port i (Fig. 4).
+  // Each cluster moves a distinct byte count, so a swapped port lands the
+  // wrong bytes on some port; a server counts a burst when it starts
+  // serving it, so a swapped hop lets a downstream counter lead.
+  const ChipConfig cfg = default_chip_config();
+  ChipTimingModel chip(cfg, ChipComposition::kHeterogeneous);
+  const std::size_t per_group = cfg.cc_clusters_per_group + cfg.mc_clusters_per_group;
+  const ChipTimingModel::ClusterSet& all = chip.all_clusters();
+  ASSERT_EQ(per_group, 4u);
+  ASSERT_EQ(all.size(), 16u);
+  mem::ResourceServer& system = chip.system_crossbar();
+  mem::ResourceServer& dram = chip.dram().channel();
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    SCOPED_TRACE(i);
+    const Bytes bytes = 4096 * (i + 1);
+    const mem::ResourceServer& group = chip.group_crossbars()[i / per_group];
+    const Bytes group_before = group.bytes_served();
+    const Bytes system_before = system.bytes_served();
+    const Bytes dram_before = dram.bytes_served();
+    bool landed = false;
+    all[i]->dma().transfer(bytes, [&] { landed = true; });
+    const int port = static_cast<int>(i);
+    const int group_port = static_cast<int>(i % per_group);
+    sim::Simulator& sim = chip.simulator();
+    while (!sim.idle()) {
+      sim.run_until(sim.now() + 1);
+      ASSERT_GE(group.bytes_served(group_port), system.bytes_served(port)) << sim.now();
+      ASSERT_GE(system.bytes_served(port), dram.bytes_served(port)) << sim.now();
+    }
+    ASSERT_TRUE(landed);
+    EXPECT_EQ(group.bytes_served(group_port), bytes);
+    EXPECT_EQ(system.bytes_served(port), bytes);
+    EXPECT_EQ(dram.bytes_served(port), bytes);
+    // Nothing else moved: the transfer crossed exactly these three hops.
+    EXPECT_EQ(group.bytes_served() - group_before, bytes);
+    EXPECT_EQ(system.bytes_served() - system_before, bytes);
+    EXPECT_EQ(dram.bytes_served() - dram_before, bytes);
+  }
+}
+
 TEST(Chip, FastTierBuildsNoBurstHierarchy) {
   // The fast tier prices memory time analytically: no crossbar or DRAM
   // hop ports, no MemoryPath and no cluster DMA.

@@ -1,5 +1,7 @@
 #include "mem/memory_path.hpp"
 
+#include <array>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -72,6 +74,67 @@ TEST(MemoryPath, AddHopPastCapacityThrowsAndKeepsThePath) {
   EXPECT_EQ(extra.bytes_served(), 0u);
 }
 
+TEST(MemoryPath, AddHopRejectsAnUnknownPortAtEveryHopIndex) {
+  // A bad port must surface when the route is built, not from inside a
+  // burst event after earlier hops counted the bytes.
+  for (std::size_t bad = 0; bad < MemoryPath::kMaxHops; ++bad) {
+    SCOPED_TRACE(bad);
+    sim::Simulator sim;
+    std::vector<ResourceServer> hops;
+    hops.reserve(MemoryPath::kMaxHops);
+    for (std::size_t i = 0; i < MemoryPath::kMaxHops; ++i) hops.emplace_back(sim, 16.0, 1);
+    MemoryPath path;
+    for (std::size_t i = 0; i < bad; ++i) path.add_hop(hops[i], hops[i].add_port());
+    ResourceServer& server = hops[bad];
+    EXPECT_THROW(path.add_hop(server, 0), std::out_of_range);  // no port yet
+    const int port = server.add_port();
+    EXPECT_THROW(path.add_hop(server, port + 1), std::out_of_range);
+    EXPECT_THROW(path.add_hop(server, -1), std::out_of_range);
+    EXPECT_EQ(path.hop_count(), bad);
+    EXPECT_EQ(path.total_latency(), bad);
+
+    // The same route as a hop span throws too, and so does a DMA built on it.
+    std::vector<MemoryPath::Hop> route;
+    for (std::size_t i = 0; i < MemoryPath::kMaxHops; ++i) {
+      const int hop_port = i < bad ? 0 : (i == bad ? port + 1 : hops[i].add_port());
+      route.push_back({&hops[i], hop_port});
+    }
+    EXPECT_THROW(MemoryPath{route}, std::out_of_range);
+    EXPECT_THROW(DmaEngine(sim, route, DmaConfig{}), std::out_of_range);
+
+    // With the valid port the hop joins and a burst crosses every hop.
+    path.add_hop(server, port);
+    EXPECT_EQ(path.hop_count(), bad + 1);
+    Cycle done_at = 0;
+    path.request(16, [&] { done_at = sim.now(); });
+    sim.run();
+    EXPECT_EQ(done_at, 2 * (bad + 1));
+    for (std::size_t i = 0; i <= bad; ++i) EXPECT_EQ(hops[i].bytes_served(), 16u);
+  }
+}
+
+TEST(MemoryPath, DmaRejectsAnEmptyOrOverlongRoute) {
+  sim::Simulator sim;
+  std::vector<ResourceServer> hops;
+  hops.reserve(MemoryPath::kMaxHops + 1);
+  std::vector<MemoryPath::Hop> route;
+  for (std::size_t i = 0; i <= MemoryPath::kMaxHops; ++i) {
+    hops.emplace_back(sim, 16.0, 1);
+    route.push_back({&hops.back(), hops.back().add_port()});
+  }
+  EXPECT_THROW(DmaEngine(sim, std::span<const MemoryPath::Hop>{}, DmaConfig{}),
+               std::invalid_argument);
+  EXPECT_THROW(DmaEngine(sim, route, DmaConfig{}), std::length_error);
+  // kMaxHops hops is a full route, not an overlong one.
+  DmaEngine dma(sim, std::span(route).first(MemoryPath::kMaxHops), DmaConfig{});
+  bool finished = false;
+  dma.transfer(16, [&] { finished = true; });
+  sim.run();
+  EXPECT_TRUE(finished);
+  for (std::size_t i = 0; i < MemoryPath::kMaxHops; ++i) EXPECT_EQ(hops[i].bytes_served(), 16u);
+  EXPECT_EQ(hops[MemoryPath::kMaxHops].bytes_served(), 0u);
+}
+
 TEST(MemoryPath, MultiHopBurstsCompleteInRequestOrder) {
   // Completions of a multi-hop path wait for the last hop in request
   // order; each burst must get its own.
@@ -134,10 +197,9 @@ TEST(MemoryPath, DmaOverHierarchicalPathCompletes) {
   sim::Simulator sim;
   ResourceServer xbar(sim, 128.0, 4);
   DramController dram(sim, DramConfig{32.0, 20});
-  MemoryPath path;
-  path.add_hop(xbar, xbar.add_port());
-  path.add_hop(dram.channel(), dram.add_port());
-  DmaEngine dma(sim, std::move(path), DmaConfig{1024, 10000});
+  const std::array<MemoryPath::Hop, 2> route{
+      {{&xbar, xbar.add_port()}, {&dram.channel(), dram.add_port()}}};
+  DmaEngine dma(sim, route, DmaConfig{1024, 10000});
   bool finished = false;
   dma.transfer(64 * 1024, [&] { finished = true; });
   sim.run();
@@ -150,10 +212,9 @@ TEST(MemoryPath, ThrottleStillGovernsHierarchicalDma) {
   sim::Simulator sim;
   ResourceServer xbar(sim, 128.0, 4);
   DramController dram(sim, DramConfig{32.0, 20});
-  MemoryPath path;
-  path.add_hop(xbar, xbar.add_port());
-  path.add_hop(dram.channel(), dram.add_port());
-  DmaEngine dma(sim, std::move(path), DmaConfig{1024, 1000});
+  const std::array<MemoryPath::Hop, 2> route{
+      {{&xbar, xbar.add_port()}, {&dram.channel(), dram.add_port()}}};
+  DmaEngine dma(sim, route, DmaConfig{1024, 1000});
   dma.set_budget(1024);
   Cycle done_at = 0;
   dma.transfer(8 * 1024, [&] { done_at = sim.now(); });
