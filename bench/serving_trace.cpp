@@ -1002,11 +1002,14 @@ int main(int argc, char** argv) {
                     (1024.0 * 1024.0));
     if (r.kv_pages_allocated > 0) {
       std::printf("  %-24s pages %zu alloc / %zu freed  shared attach %zu "
-                  "(saved %zu)  swap out %zu  refetch %.1f MiB\n",
+                  "(saved %zu)  swap out %zu  refetch %.1f MiB  "
+                  "refill DMA %.1f MiB\n",
                   "", r.kv_pages_allocated, r.kv_pages_freed,
                   r.kv_shared_attaches, r.kv_shared_pages_saved,
                   r.kv_pages_swapped_out,
                   static_cast<double>(r.kv_swap_refetch_bytes) /
+                      (1024.0 * 1024.0),
+                  static_cast<double>(r.kv_swap_dma_bytes) /
                       (1024.0 * 1024.0));
     }
   }
@@ -1039,6 +1042,15 @@ int main(int argc, char** argv) {
                              paged_tight.completed == paged_cfg.requests &&
                              paged_tight.peak_kv_reserved_bytes <
                                  whole_kv.peak_kv_reserved_bytes;
+  // Gate (e): every re-fetched byte rode a decode step as MC-lane DMA
+  // (the two ledgers agree on every paged row), and the tight row
+  // actually priced some.
+  bool paged_refill_priced_ok = paged_tight.kv_swap_dma_bytes > 0;
+  for (std::size_t i = 1; i < s9.outcomes.size(); ++i) {
+    const serve::ServingResult& r = s9.outcomes[i].result;
+    paged_refill_priced_ok = paged_refill_priced_ok &&
+                             r.kv_swap_dma_bytes == r.kv_swap_refetch_bytes;
+  }
   std::printf("\npaged+prefix sustains more concurrency at the same "
               "budget (peak batch %zu vs %zu): %s\n",
               paged_prefix.peak_decode_batch, whole_kv.peak_decode_batch,
@@ -1060,6 +1072,11 @@ int main(int argc, char** argv) {
               static_cast<double>(whole_kv.peak_kv_reserved_bytes) /
                   (1024.0 * 1024.0),
               paged_swap_ok ? "yes" : "NO");
+  std::printf("every re-fetched byte priced as refill DMA (tight row %.1f "
+              "MiB injected == re-fetched): %s\n",
+              static_cast<double>(paged_tight.kv_swap_dma_bytes) /
+                  (1024.0 * 1024.0),
+              paged_refill_priced_ok ? "yes" : "NO");
   print_section_wall(s9);
 
   json.begin_object("paged_kv");
@@ -1086,6 +1103,8 @@ int main(int argc, char** argv) {
     json.field("kv_pages_swapped_out", r.kv_pages_swapped_out);
     json.field("kv_swap_refetch_bytes",
                static_cast<std::size_t>(r.kv_swap_refetch_bytes));
+    json.field("kv_swap_dma_bytes",
+               static_cast<std::size_t>(r.kv_swap_dma_bytes));
     json.end_object();
   }
   json.end_array();
@@ -1093,6 +1112,7 @@ int main(int argc, char** argv) {
   json.field("conservation_ok", paged_conservation_ok);
   json.field("prefix_sharing_ok", prefix_sharing_ok);
   json.field("swap_ok", paged_swap_ok);
+  json.field("refill_priced_ok", paged_refill_priced_ok);
   json.end_object();
 
   // --- 10. Heterogeneous offload: EdgeMM + fat-GPU backend mixes ----------
@@ -1412,7 +1432,8 @@ int main(int argc, char** argv) {
                   identity_ok && throughput_ok && cluster_identity_ok &&
                   replica_scaling_ok && kv_conservation_ok &&
                   paged_concurrency_ok && paged_conservation_ok &&
-                  prefix_sharing_ok && paged_swap_ok && s10_identity_ok &&
+                  prefix_sharing_ok && paged_swap_ok &&
+                  paged_refill_priced_ok && s10_identity_ok &&
                   s10_offload_win && s10_decode_p99_ok && s10_link_ok &&
                   s11_degrade_ok && s11_slo_ok && s11_reject_ok &&
                   s11_accuracy_ok && s11_identity_ok;
@@ -1439,6 +1460,7 @@ int main(int argc, char** argv) {
   json.field("paged_conservation_ok", paged_conservation_ok);
   json.field("prefix_sharing_ok", prefix_sharing_ok);
   json.field("paged_swap_ok", paged_swap_ok);
+  json.field("paged_refill_priced_ok", paged_refill_priced_ok);
   json.field("offload_identity_ok", s10_identity_ok);
   json.field("offload_win_ok", s10_offload_win);
   json.field("offload_decode_p99_ok", s10_decode_p99_ok);

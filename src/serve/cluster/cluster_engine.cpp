@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "common/units.hpp"
@@ -41,6 +42,33 @@ std::vector<std::vector<std::size_t>> route_requests(
   }
   return assigned;
 }
+
+/// The ClusterResult ledgers that are plain sums over the chips, as
+/// (cluster member, per-chip ServingResult member) pairs.
+constexpr auto kChipSums = std::make_tuple(
+    std::pair{&ClusterResult::cc_weight_fetch_bytes,
+              &ServingResult::cc_weight_fetch_bytes},
+    std::pair{&ClusterResult::cc_weight_bytes_saved,
+              &ServingResult::cc_weight_bytes_saved},
+    std::pair{&ClusterResult::rider_refetch_bytes,
+              &ServingResult::rider_refetch_bytes},
+    std::pair{&ClusterResult::weight_pins, &ServingResult::weight_pins},
+    std::pair{&ClusterResult::placement_denials,
+              &ServingResult::placement_denials},
+    std::pair{&ClusterResult::offloaded_requests,
+              &ServingResult::offloaded_requests},
+    std::pair{&ClusterResult::offloaded_chunks,
+              &ServingResult::offloaded_chunks},
+    std::pair{&ClusterResult::fat_bytes_moved,
+              &ServingResult::fat_bytes_moved},
+    std::pair{&ClusterResult::kv_return_bytes,
+              &ServingResult::kv_return_bytes_sent},
+    std::pair{&ClusterResult::quality_downgrades,
+              &ServingResult::quality_downgrades},
+    std::pair{&ClusterResult::quality_restores,
+              &ServingResult::quality_restores},
+    std::pair{&ClusterResult::tokens_at_degraded_quality,
+              &ServingResult::tokens_at_degraded_quality});
 
 /// One tier's replay: ServingResult per chip (default for an empty chip
 /// — ServingEngine rejects empty traces, and an idle chip has nothing to
@@ -243,18 +271,11 @@ ClusterOutcome run_cluster(const core::ChipConfig& chip,
   std::size_t acc_completed = 0;
   double acc_weighted_sum = 0.0;
   for (const ServingResult& r : out.result.per_chip) {
-    out.result.cc_weight_fetch_bytes += r.cc_weight_fetch_bytes;
-    out.result.cc_weight_bytes_saved += r.cc_weight_bytes_saved;
-    out.result.rider_refetch_bytes += r.rider_refetch_bytes;
-    out.result.weight_pins += r.weight_pins;
-    out.result.placement_denials += r.placement_denials;
-    out.result.offloaded_requests += r.offloaded_requests;
-    out.result.offloaded_chunks += r.offloaded_chunks;
-    out.result.fat_bytes_moved += r.fat_bytes_moved;
-    out.result.kv_return_bytes += r.kv_return_bytes_sent;
-    out.result.quality_downgrades += r.quality_downgrades;
-    out.result.quality_restores += r.quality_restores;
-    out.result.tokens_at_degraded_quality += r.tokens_at_degraded_quality;
+    std::apply(
+        [&](const auto&... sum) {
+          ((out.result.*sum.first += r.*sum.second), ...);
+        },
+        kChipSums);
     if (r.completed > 0) {
       acc_completed += r.completed;
       acc_weighted_sum +=
@@ -286,15 +307,6 @@ ClusterOutcome run_cluster(const core::ChipConfig& chip,
         cycles_to_ms(link->max_queue_wait(), chip.clock_hz);
   }
   return out;
-}
-
-bool cluster_results_identical(const ClusterResult& a, const ClusterResult& b) {
-  return a == b;
-}
-
-bool cluster_outcomes_identical(const ClusterOutcome& a,
-                                const ClusterOutcome& b) {
-  return a.result == b.result && a.records == b.records;
 }
 
 }  // namespace edgemm::serve

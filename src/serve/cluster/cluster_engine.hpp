@@ -99,6 +99,9 @@ struct ClusterResult : TraceSummary {
 struct ClusterOutcome {
   ClusterResult result;
   std::vector<RequestRecord> records;
+
+  /// Exact: the result plus every merged record, field by field.
+  bool operator==(const ClusterOutcome&) const = default;
 };
 
 /// Replays `requests` across a cluster of `cluster.chips()` chips, each
@@ -111,13 +114,6 @@ ClusterOutcome run_cluster(const core::ChipConfig& chip,
                            const EngineConfig& engine,
                            const ClusterConfig& cluster,
                            std::vector<Request> requests);
-
-/// Exact equality of two cluster results (ClusterResult::operator==).
-bool cluster_results_identical(const ClusterResult& a, const ClusterResult& b);
-
-/// Outcome equality: result plus every merged record, field by field.
-bool cluster_outcomes_identical(const ClusterOutcome& a,
-                                const ClusterOutcome& b);
 
 }  // namespace edgemm::serve
 

@@ -25,7 +25,7 @@ std::uint64_t name_hash(const std::string& name) {
 
 double derive_keep_fraction(const model::MllmConfig& model,
                             const TaskProxyPruningOptions& options) {
-  if (options.min_agreement < 0.0 || options.min_agreement > 1.0) {
+  if (!(options.min_agreement >= 0.0 && options.min_agreement <= 1.0)) {
     throw std::invalid_argument(
         "derive_keep_fraction: min_agreement must be in [0, 1]");
   }
@@ -141,7 +141,7 @@ EngineConfig& EngineConfig::prune_keep_fraction(double fraction) {
 }
 
 EngineConfig& EngineConfig::task_proxy_pruning(TaskProxyPruningOptions options) {
-  if (options.min_agreement < 0.0 || options.min_agreement > 1.0) {
+  if (!(options.min_agreement >= 0.0 && options.min_agreement <= 1.0)) {
     throw std::invalid_argument(
         "EngineConfig: task-proxy min_agreement must be in [0, 1]");
   }
@@ -212,11 +212,6 @@ EngineConfig& EngineConfig::offload_policy(
     throw std::invalid_argument("EngineConfig: null OffloadPolicy");
   }
   offload_ = std::move(policy);
-  return *this;
-}
-
-EngineConfig& EngineConfig::kv_swap_refill_dma(bool enabled) {
-  kv_swap_refill_dma_ = enabled;
   return *this;
 }
 

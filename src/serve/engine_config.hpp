@@ -94,8 +94,8 @@ class EngineConfig {
   /// and grows the reservation one page per generated-token page
   /// boundary; when the budget fills mid-decode it preempts the active
   /// request with the least-recent page-table touch to DRAM and refills
-  /// it later (see KvPageAllocator). No effect without
-  /// kv_capacity_bytes.
+  /// it later (see KvPageAllocator); every refilled byte rides the next
+  /// decode step as MC-lane DMA. No effect without kv_capacity_bytes.
   EngineConfig& paged_kv(bool enabled);
   /// KV page size for paged_kv (default kDefaultKvPageBytes = 64 KiB).
   /// Throws std::invalid_argument on zero; validate() requires the KV
@@ -161,13 +161,6 @@ class EngineConfig {
   /// configured. Throws std::invalid_argument on null; validate()
   /// rejects a non-NoOffload policy without a fat backend to route to.
   EngineConfig& offload_policy(std::shared_ptr<const OffloadPolicy> policy);
-  /// Inject paged-KV swap-in refill traffic as DMA ops on the MC decode
-  /// lane (default: false — refills are bookkeeping-only, byte-identical
-  /// to PR 8). When on, each refill's re-fetched bytes ride the next
-  /// decode step as a KV-stream op, so swap thrashing costs decode
-  /// bandwidth in the timing plane instead of being free. No effect
-  /// without paged_kv.
-  EngineConfig& kv_swap_refill_dma(bool enabled);
   /// At WHAT quality (FFN keep fraction) each request is served (the
   /// sixth seam; see QualityPolicy). Default StaticQuality — every
   /// request serves at its static per-model fraction, byte-identical to
@@ -202,16 +195,7 @@ class EngineConfig {
     return fat_backend_;
   }
   const OffloadPolicy& offload_policy() const { return *offload_; }
-  /// The shared_ptr itself (cluster plumbing re-composes configs).
-  const std::shared_ptr<const OffloadPolicy>& offload_policy_ptr() const {
-    return offload_;
-  }
-  bool kv_swap_refill_dma() const { return kv_swap_refill_dma_; }
   const QualityPolicy& quality() const { return *quality_; }
-  /// The shared_ptr itself (cluster plumbing re-composes configs).
-  const std::shared_ptr<const QualityPolicy>& quality_policy_ptr() const {
-    return quality_;
-  }
   double quality_min_keep() const { return quality_min_keep_; }
   double quality_max_keep() const { return quality_max_keep_; }
 
@@ -237,7 +221,6 @@ class EngineConfig {
   EnginePhase phase_ = EnginePhase::kFull;
   std::optional<baselines::GpuSpec> fat_backend_;
   std::shared_ptr<const OffloadPolicy> offload_;
-  bool kv_swap_refill_dma_ = false;
   std::shared_ptr<const QualityPolicy> quality_;
   double quality_min_keep_ = 0.25;
   double quality_max_keep_ = 1.0;

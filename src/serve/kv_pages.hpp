@@ -29,11 +29,10 @@
 // Conservation is the contract, asserted after every mutation:
 //     pages_allocated() == resident_pages() + swapped_pages() + pages_freed()
 // and resident_pages() / swapped_pages() equal the sums recomputed from
-// the page tables and runs. (In the simulated chip KV streams from DRAM
-// through the CIM macros each step regardless — see chip_kv_capacity —
-// so swap costs are ledgered as re-fetch BYTES, not extra step latency:
-// the budget governs which requests may decode, the ledger prices the
-// traffic honestly.)
+// the page tables and runs. (The budget governs which requests may
+// decode; the allocator only ledgers swap costs as re-fetch BYTES. The
+// ServingEngine turns every re-fetched byte into MC-lane DMA in the next
+// decode step, so swap thrashing costs step time.)
 #ifndef EDGEMM_SERVE_KV_PAGES_HPP
 #define EDGEMM_SERVE_KV_PAGES_HPP
 

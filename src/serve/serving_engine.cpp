@@ -191,21 +191,20 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
                     "ServingEngine: trace replay left unfinished requests");
 
   // --- Aggregate metrics ---------------------------------------------------
-  ServingResult result;
+  // The engine's own counters already sit in result_; fill in the trace
+  // summary and the fields the chip, allocator and trackers own.
+  ServingResult& result = result_;
   static_cast<TraceSummary&>(result) =
       summarize_trace(records_, config_.clock_hz);
   result.dram_utilization = local_.memory_utilization();
-  result.decode_steps = decode_steps_;
   result.mean_decode_batch =
-      decode_steps_ > 0 ? static_cast<double>(batch_occupancy_sum_) /
-                              static_cast<double>(decode_steps_)
-                        : 0.0;
-  result.peak_queue_depth = peak_queue_depth_;
-  result.rebalances = rebalances_;
+      result.decode_steps > 0
+          ? static_cast<double>(batch_occupancy_sum_) /
+                static_cast<double>(result.decode_steps)
+          : 0.0;
   result.prefill_jobs = local_.dispatched(Lane::kCcStage);
   result.max_cc_queue_delay_ms = cycles_to_ms(
       local_.max_queue_wait(Lane::kCcStage), config_.clock_hz);
-  result.peak_decode_batch = peak_decode_batch_;
   if (pages_) {
     // Drained-engine invariant, the KV analogue of the pin-drain assert
     // below: every page allocated over the replay was freed — none
@@ -214,6 +213,11 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     EDGEMM_ASSERT_MSG(pages_->holders() == 0 && pages_->resident_pages() == 0 &&
                           pages_->swapped_pages() == 0 && kv_swapped_.empty(),
                       "ServingEngine: KV pages leaked past the replay");
+    // Every byte the allocator re-fetched from DRAM rode a decode step as
+    // MC-lane DMA: nothing is left pending and the two ledgers agree.
+    EDGEMM_ASSERT_MSG(
+        result.kv_swap_dma_bytes == pages_->swap_refetch_bytes(),
+        "ServingEngine: swap refills left unpriced past the replay");
     result.kv_deferrals = pages_->deferrals();
     result.peak_kv_reserved_bytes = pages_->peak_resident_bytes();
   }
@@ -222,16 +226,11 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     result.kv_pages_freed = pages_->pages_freed();
     result.kv_shared_attaches = pages_->shared_attaches();
     result.kv_shared_pages_saved = pages_->shared_pages_saved();
-    result.kv_cow_forks = kv_cow_forks_;
     result.kv_pages_swapped_out = pages_->pages_swapped_out();
     result.kv_pages_swapped_in = pages_->pages_swapped_in();
     result.kv_swap_refetch_bytes = pages_->swap_refetch_bytes();
     result.kv_swap_preemptions = pages_->preemptions();
   }
-  result.cc_weight_fetch_bytes = cc_weight_fetched_;
-  result.cc_weight_bytes_saved = cc_weight_saved_;
-  result.rider_refetch_bytes = rider_refetch_bytes_;
-  result.placement_denials = placement_denials_;
   if (residency_) {
     // Pins kept warm by the placement policy legitimately outlive their
     // last rider; flush them now that the trace is drained, THEN assert
@@ -248,8 +247,6 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     result.weight_warm_attaches = residency_->warm_attaches();
     result.peak_pinned_bytes = residency_->peak_pinned();
   }
-  result.offloaded_requests = offloaded_requests_;
-  result.offloaded_chunks = offloaded_chunks_;
   if (fat_) {
     result.fat_bytes_moved = fat_->bytes_moved();
     result.fat_kernel_launches = fat_->kernel_launches();
@@ -272,15 +269,11 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     result.kv_return_max_queue_ms =
         cycles_to_ms(kv_return_link_->max_queue_wait(), config_.clock_hz);
   }
-  result.kv_swap_dma_bytes = kv_swap_dma_bytes_;
   // Quality ledger: what the QualityPolicy cost. The accuracy proxy is
   // priced per COMPLETED request at the fraction it finished at (memoized
   // per (model, fraction) — zero proxy evaluations when nothing was ever
   // degraded, since keep >= the static fraction prices as exact under
   // keep >= 1 or reuses the decode-side derivation's agreement).
-  result.quality_downgrades = quality_downgrades_;
-  result.quality_restores = quality_restores_;
-  result.tokens_at_degraded_quality = tokens_degraded_;
   {
     double acc_sum = 0.0;
     double acc_min = 1.0;
@@ -323,7 +316,8 @@ OffloadTarget ServingEngine::judge_offload(std::size_t index,
 void ServingEngine::on_arrival(std::size_t index) {
   queue_.push(records_[index].request);
   ++per_model_[records_[index].request.model].queued;
-  peak_queue_depth_ = std::max(peak_queue_depth_, queue_.size());
+  result_.peak_queue_depth =
+      std::max(result_.peak_queue_depth, queue_.size());
   pump_admission();
 }
 
@@ -447,8 +441,8 @@ void ServingEngine::apply_quality(std::size_t index, double served) {
   const double base = per_model_[rec.request.model].keep_fraction;
   const bool was_degraded = rec.keep_fraction_served < base;
   const bool now_degraded = served < base;
-  if (!was_degraded && now_degraded) ++quality_downgrades_;
-  if (was_degraded && !now_degraded) ++quality_restores_;
+  if (!was_degraded && now_degraded) ++result_.quality_downgrades;
+  if (was_degraded && !now_degraded) ++result_.quality_restores;
   rec.keep_fraction_served = served;
   const auto it = plans_.find(index);
   if (it == plans_.end()) return;  // decode-only tier: no prefill to reshape
@@ -557,7 +551,7 @@ bool ServingEngine::maybe_pin_weights(std::size_t index,
       // re-asks at every remaining chunk.
       if (!plan.placement_denied) {
         plan.placement_denied = true;
-        ++placement_denials_;
+        ++result_.placement_denials;
       }
       return false;
     }
@@ -806,7 +800,7 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
       }
     }
     if (refetch > 0) {
-      rider_refetch_bytes_ += refetch;
+      result_.rider_refetch_bytes += refetch;
       std::vector<GemmWork> ops =
           build_chunk_ops(records_[index].request, plan, chunk,
                           /*ride_pin=*/false, plan.built_keep);
@@ -841,8 +835,8 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
         fat_->estimated_job_bytes(Lane::kCcStage, plan.jobs[chunk]);
     ++plan.offloaded_chunks;
     plan.offload_tokens += plan.chunk_tokens[chunk];
-    ++offloaded_chunks_;
-    if (plan.offloaded_chunks == 1) ++offloaded_requests_;
+    ++result_.offloaded_chunks;
+    if (plan.offloaded_chunks == 1) ++result_.offloaded_requests;
     records_[index].offloaded_chunks = plan.offloaded_chunks;
     fat_->submit(
         Lane::kCcStage, std::move(plan.jobs[chunk]),
@@ -861,9 +855,9 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
     const Bytes bytes =
         static_cast<Bytes>(op.k) * op.n * config_.cc_elem_bytes;
     if (op.weights_resident) {
-      cc_weight_saved_ += bytes;
+      result_.cc_weight_bytes_saved += bytes;
     } else {
-      cc_weight_fetched_ += bytes;
+      result_.cc_weight_fetch_bytes += bytes;
     }
   }
   // Only a request actually holding a pin (fresh or shared) gets an
@@ -1015,7 +1009,7 @@ bool ServingEngine::kv_join_reserve(std::size_t index) {
   // first divergent token writes into it — so it was copied into the
   // private table above: a CoW fork.
   if (st.shared_pages > 0 && r.prefix_tokens % st.tokens_per_page != 0) {
-    ++kv_cow_forks_;
+    ++result_.kv_cow_forks;
   }
   st.joined = true;
   st.last_touch = local_.simulator().now();
@@ -1109,16 +1103,7 @@ void ServingEngine::grow_page_tables() {
 void ServingEngine::start_decode_step() {
   // Preempt-and-refill: restore swapped-out requests before admitting
   // new joiners — they were already mid-decode when evicted.
-  Bytes swap_dma = 0;
-  if (paged_) {
-    const Bytes refetch_before = pages_->swap_refetch_bytes();
-    refill_swapped();
-    // kv_swap_refill_dma: the refills' re-fetched bytes ride this step
-    // as a real MC-lane DMA op (injected below) instead of being free.
-    if (engine_config_.kv_swap_refill_dma()) {
-      swap_dma = pages_->swap_refetch_bytes() - refetch_before;
-    }
-  }
+  if (paged_) refill_swapped();
   if (!decode_ready_.empty()) {
     engine_config_.batch_policy().order_joiners(decode_ready_, records_);
   }
@@ -1165,23 +1150,30 @@ void ServingEngine::start_decode_step() {
     const auto ops = model::build_decode_step(models_[m], contexts, frac);
     step.insert(step.end(), ops.begin(), ops.end());
   }
-  if (swap_dma > 0) {
+  if (paged_) {
     // Swap-in refill traffic as one KV-stream-priced DMA op (element
     // override 2, like the per-request KV streams): weight side k*2 plus
     // activation side ~2k re-streams ≈ the refilled bytes through the MC
-    // lane, so swap thrashing costs decode bandwidth in the timing
-    // plane. A swap-in implies the swapped request rejoined active_, so
-    // the step below always exists to carry the op.
-    step.push_back(GemmWork{
-        1, std::max<std::size_t>(static_cast<std::size_t>(swap_dma / 4), 1), 1,
-        Phase::kDecode, false, 2, false});
-    kv_swap_dma_bytes_ += swap_dma;
+    // lane, so swap thrashing costs decode bandwidth in the timing plane.
+    // Pending = every byte re-fetched since the last submitted step
+    // (refill_swapped, a join that refilled a swapped prefix run, a
+    // decode-only hand-off join), so a step that never ran because
+    // grow_page_tables emptied active_ drops nothing.
+    const Bytes swap_dma =
+        pages_->swap_refetch_bytes() - result_.kv_swap_dma_bytes;
+    if (swap_dma > 0) {
+      step.push_back(GemmWork{
+          1, std::max<std::size_t>(static_cast<std::size_t>(swap_dma / 4), 1),
+          1, Phase::kDecode, false, 2, false});
+      result_.kv_swap_dma_bytes += swap_dma;
+    }
   }
   step = model::aggregate_ops(step);
 
-  ++decode_steps_;
+  ++result_.decode_steps;
   batch_occupancy_sum_ += active_.size();
-  peak_decode_batch_ = std::max(peak_decode_batch_, active_.size());
+  result_.peak_decode_batch =
+      std::max(result_.peak_decode_batch, active_.size());
   step_started_ = local_.simulator().now();
   local_.submit(Lane::kMcDecode, std::move(step),
                     [this] { on_decode_step_done(); });
@@ -1219,7 +1211,7 @@ void ServingEngine::on_decode_step_done() {
     RequestRecord& rec = records_[index];
     ++rec.tokens_generated;
     if (rec.keep_fraction_served < per_model_[rec.request.model].keep_fraction) {
-      ++tokens_degraded_;
+      ++result_.tokens_at_degraded_quality;
     }
     if (rec.tokens_generated == 1) rec.first_token = now;
     if (rec.tokens_generated >= rec.request.output_tokens) {
@@ -1287,7 +1279,7 @@ void ServingEngine::rebalance() {
         local_.manager().policy().max_mc_ratio);
   }
   local_.apply_bandwidth_ratio(ratio);
-  ++rebalances_;
+  ++result_.rebalances;
 }
 
 ReplayOutcome replay_trace(const core::ChipConfig& config,

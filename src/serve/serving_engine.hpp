@@ -135,9 +135,11 @@ struct ServingResult : TraceSummary {
   /// Probed at makespan end; conservation gate: sent == landed + in_flight.
   Bytes kv_return_bytes_in_flight = 0;
   double kv_return_max_queue_ms = 0.0;  ///< worst wait behind the wire
-  // --- Swap-refill DMA (kv_swap_refill_dma; 0 with the knob off) -----------
-  /// Swap-in re-fetch bytes injected as MC-lane DMA ops (== the
-  /// kv_swap_refetch_bytes those refills charged when the knob is on).
+  // --- Swap-refill DMA (paged_kv; 0 in whole-footprint mode) ---------------
+  /// Swap-in re-fetch bytes injected as MC-lane DMA ops: every refill —
+  /// at step start, or of a swapped shared-prefix run a joiner refills —
+  /// rides the next submitted decode step, so this equals
+  /// kv_swap_refetch_bytes once the trace drains (asserted in run()).
   Bytes kv_swap_dma_bytes = 0;
   // --- Quality ledger (QualityPolicy; static defaults leave it clean) ------
   /// Judgments that took a request below its static per-model fraction.
@@ -427,7 +429,9 @@ class ServingEngine {
   std::size_t completed_ = 0;
   std::size_t rejected_ = 0;
   std::size_t inflight_ = 0;
-  std::size_t placement_denials_ = 0;
+  /// The replay's result, whose engine-owned counters and ledgers are
+  /// incremented in place; run() fills in the rest and returns it.
+  ServingResult result_;
   double cc_pending_bytes_ = 0.0;
   /// Full-precision-equivalent twin of cc_pending_bytes_: what the same
   /// backlog would weigh undegraded. Queue-delay and service estimates
@@ -436,30 +440,15 @@ class ServingEngine {
   /// admission math; cc_pending_bytes_ (actual) keeps feeding the
   /// CC:MC bandwidth rebalance. Identical while nothing is degraded.
   double cc_pending_full_bytes_ = 0.0;
-  // --- Quality ledger (see ServingResult) ---------------------------------
-  std::size_t quality_downgrades_ = 0;
-  std::size_t quality_restores_ = 0;
-  std::size_t tokens_degraded_ = 0;
   /// Finished requests that missed their deadline so far (QualityContext
   /// pressure signal).
   std::size_t slo_misses_ = 0;
   /// accuracy_for memo: (model index, quantized keep) -> agreement.
   std::unordered_map<std::uint64_t, double> accuracy_memo_;
-  Bytes cc_weight_fetched_ = 0;  ///< weight DMA issued by submitted CC jobs
-  Bytes cc_weight_saved_ = 0;    ///< weight DMA avoided via residency
-  Bytes rider_refetch_bytes_ = 0;  ///< barrier re-fetches (subset of fetched)
-  std::size_t offloaded_requests_ = 0;  ///< requests with any fat chunk
-  std::size_t offloaded_chunks_ = 0;    ///< fat-backend prefill chunks
-  Bytes kv_swap_dma_bytes_ = 0;  ///< refill bytes injected as MC DMA ops
   /// Fat-backend throughput EWMA (its cost-model bytes per cycle),
   /// seeded from the spec's peak bandwidth; feeds OffloadContext.
   double fat_bytes_per_cycle_est_ = 0.0;
-  std::size_t decode_steps_ = 0;
   std::size_t batch_occupancy_sum_ = 0;
-  std::size_t peak_decode_batch_ = 0;
-  std::size_t kv_cow_forks_ = 0;
-  std::size_t peak_queue_depth_ = 0;
-  std::size_t rebalances_ = 0;
   Cycle step_started_ = 0;
 };
 

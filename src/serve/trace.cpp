@@ -11,8 +11,12 @@ std::vector<Request> poisson_trace(const TraceConfig& config) {
   if (config.requests == 0) {
     throw std::invalid_argument("poisson_trace: requests must be > 0");
   }
-  if (config.arrival_rate_per_s <= 0.0 || config.clock_hz <= 0.0) {
-    throw std::invalid_argument("poisson_trace: rate and clock must be > 0");
+  // A non-finite rate, clock or SLO would reach a double -> Cycle cast.
+  if (!std::isfinite(config.arrival_rate_per_s) ||
+      !std::isfinite(config.clock_hz) || config.arrival_rate_per_s <= 0.0 ||
+      config.clock_hz <= 0.0) {
+    throw std::invalid_argument(
+        "poisson_trace: rate and clock must be finite and > 0");
   }
   if (config.min_output_tokens == 0 ||
       config.min_output_tokens > config.max_output_tokens) {
@@ -25,14 +29,19 @@ std::vector<Request> poisson_trace(const TraceConfig& config) {
   if (config.burst == 0) {
     throw std::invalid_argument("poisson_trace: burst must be > 0");
   }
-  if (config.slo_per_token_ms < 0.0) {
-    throw std::invalid_argument("poisson_trace: slo_per_token_ms must be >= 0");
+  if (!std::isfinite(config.slo_per_token_ms) ||
+      config.slo_per_token_ms < 0.0) {
+    throw std::invalid_argument(
+        "poisson_trace: slo_per_token_ms must be finite and >= 0");
+  }
+  if (config.slo_base_ms > 0.0 && !std::isfinite(config.slo_base_ms)) {
+    throw std::invalid_argument("poisson_trace: slo_base_ms must be finite");
   }
   double weight_sum = 0.0;
   for (const double w : config.model_weights) {
-    if (w < 0.0) {
+    if (!std::isfinite(w) || w < 0.0) {
       throw std::invalid_argument(
-          "poisson_trace: model_weights must be non-negative");
+          "poisson_trace: model_weights must be finite and non-negative");
     }
     weight_sum += w;
   }

@@ -56,9 +56,10 @@ struct TraceConfig {
 /// output lengths, and optional SLO deadlines, ids 0..n-1 in arrival
 /// order. With burst = 1 and deadlines off, a given seed reproduces the
 /// PR-1 traces exactly. Throws std::invalid_argument for a non-positive
-/// rate, zero request/token/burst counts, min > max output tokens, a
-/// negative per-token SLO, or a model_weights vector with a negative
-/// entry or a non-positive sum.
+/// or non-finite rate or clock, zero request/token/burst counts,
+/// min > max output tokens, a negative or non-finite per-token SLO, an
+/// infinite SLO base, or a model_weights vector with a negative or
+/// non-finite entry or a non-positive sum (NaN counts as non-finite).
 std::vector<Request> poisson_trace(const TraceConfig& config);
 
 }  // namespace edgemm::serve

@@ -201,11 +201,11 @@ TEST(Cluster, ReplicaOutcomeIsByteIdenticalAtAnyWorkerCount) {
   };
   const ClusterOutcome sequential = run_with(1, 4);
   for (const std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
-    EXPECT_TRUE(cluster_outcomes_identical(sequential, run_with(workers, 4)))
+    EXPECT_TRUE(sequential == run_with(workers, 4))
         << workers << " workers diverged";
   }
   // And re-running the same composition reproduces it exactly.
-  EXPECT_TRUE(cluster_outcomes_identical(sequential, run_with(1, 4)));
+  EXPECT_TRUE(sequential == run_with(1, 4));
 }
 
 // --- Split-phase engines ----------------------------------------------------
@@ -418,7 +418,7 @@ TEST(Cluster, DisaggregatedOutcomeIsByteIdenticalAtAnyWorkerCount) {
   };
   const ClusterOutcome sequential = run_with(1);
   for (const std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
-    EXPECT_TRUE(cluster_outcomes_identical(sequential, run_with(workers)))
+    EXPECT_TRUE(sequential == run_with(workers))
         << workers << " workers diverged";
   }
 }

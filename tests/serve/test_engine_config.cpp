@@ -1,5 +1,6 @@
 #include "serve/engine_config.hpp"
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -113,6 +114,16 @@ TEST(EngineConfig, SettersValidateEagerly) {
   bad.min_agreement = 0.9;
   bad.min_keep_fraction = 0.0;
   EXPECT_THROW(config.task_proxy_pruning(bad), std::invalid_argument);
+  // A NaN min_agreement used to pass the range check and silently turn
+  // pruning off (no agreement compares >= NaN).
+  bad = TaskProxyPruningOptions{};
+  for (const double agreement : {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()}) {
+    bad.min_agreement = agreement;
+    EXPECT_THROW(config.task_proxy_pruning(bad), std::invalid_argument)
+        << agreement;
+  }
 }
 
 TEST(EngineConfig, PagedKvDefaultsKeepLegacyAccounting) {
@@ -181,6 +192,8 @@ TEST(DeriveKeepFraction, ImpossibleAgreementDisablesPruning) {
   options.proxy.tokens = 2;
   options.proxy.fixed_ratios = {0.99};  // agreement will not survive this
   options.min_agreement = 1.1;  // validated by the EngineConfig setter...
+  EXPECT_THROW(derive_keep_fraction(model, options), std::invalid_argument);
+  options.min_agreement = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(derive_keep_fraction(model, options), std::invalid_argument);
   options.min_agreement = 1.0;  // ...but 1.0 is legal and nearly unreachable
   options.max_proxy_channels = 128;

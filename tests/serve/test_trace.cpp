@@ -1,5 +1,6 @@
 #include "serve/trace.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -81,6 +82,33 @@ TEST(PoissonTrace, ValidatesConfig) {
   cfg = TraceConfig{};
   cfg.model_weights = {0.0, 0.0};
   EXPECT_THROW(poisson_trace(cfg), std::invalid_argument);
+  // NaN and +inf used to pass the `<= 0` / `< 0` checks and reach the
+  // double -> Cycle casts or the zoo draw as non-finite values.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf}) {
+    cfg = TraceConfig{};
+    cfg.arrival_rate_per_s = bad;
+    EXPECT_THROW(poisson_trace(cfg), std::invalid_argument) << bad;
+    cfg = TraceConfig{};
+    cfg.clock_hz = bad;
+    EXPECT_THROW(poisson_trace(cfg), std::invalid_argument) << bad;
+    cfg = TraceConfig{};
+    cfg.slo_base_ms = 10.0;
+    cfg.slo_per_token_ms = bad;
+    EXPECT_THROW(poisson_trace(cfg), std::invalid_argument) << bad;
+    cfg = TraceConfig{};
+    cfg.model_weights = {1.0, bad};
+    EXPECT_THROW(poisson_trace(cfg), std::invalid_argument) << bad;
+  }
+  cfg = TraceConfig{};
+  cfg.slo_base_ms = kInf;
+  EXPECT_THROW(poisson_trace(cfg), std::invalid_argument);
+  // A NaN or non-positive base still just disables deadlines.
+  for (const double off : {kNan, -kInf, 0.0}) {
+    cfg.slo_base_ms = off;
+    for (const Request& r : poisson_trace(cfg)) EXPECT_EQ(r.deadline, 0u);
+  }
 }
 
 TEST(PoissonTrace, EmptyModelWeightsReplayPreZooTracesByteIdentically) {
