@@ -131,15 +131,6 @@ EngineConfig& EngineConfig::manage_bandwidth(bool enabled) {
   return *this;
 }
 
-EngineConfig& EngineConfig::prune_keep_fraction(double fraction) {
-  if (!(fraction > 0.0) || fraction > 1.0) {
-    throw std::invalid_argument(
-        "EngineConfig: prune_keep_fraction must be in (0, 1]");
-  }
-  prune_keep_fraction_ = fraction;
-  return *this;
-}
-
 EngineConfig& EngineConfig::task_proxy_pruning(TaskProxyPruningOptions options) {
   if (!(options.min_agreement >= 0.0 && options.min_agreement <= 1.0)) {
     throw std::invalid_argument(
@@ -225,7 +216,7 @@ EngineConfig& EngineConfig::quality_policy(
 }
 
 EngineConfig& EngineConfig::quality_band(double min_keep, double max_keep) {
-  if (!(min_keep > 0.0) || min_keep > max_keep || max_keep > 1.0) {
+  if (!(min_keep > 0.0) || min_keep > max_keep || !(max_keep <= 1.0)) {
     throw std::invalid_argument(
         "EngineConfig: quality_band needs 0 < min_keep <= max_keep <= 1");
   }
@@ -239,7 +230,7 @@ void EngineConfig::validate() const {
     throw std::invalid_argument("EngineConfig: missing policy");
   }
   if (!(quality_min_keep_ > 0.0) || quality_min_keep_ > quality_max_keep_ ||
-      quality_max_keep_ > 1.0) {
+      !(quality_max_keep_ <= 1.0)) {
     throw std::invalid_argument(
         "EngineConfig: quality band needs 0 < min_keep <= max_keep <= 1");
   }
@@ -248,10 +239,6 @@ void EngineConfig::validate() const {
     throw std::invalid_argument(
         "EngineConfig: the KV budget must hold at least one kv_page_bytes "
         "page under paged_kv");
-  }
-  if (!(prune_keep_fraction_ > 0.0) || prune_keep_fraction_ > 1.0) {
-    throw std::invalid_argument(
-        "EngineConfig: prune_keep_fraction must be in (0, 1]");
   }
   if (weight_residency_bytes_ > 0 && !planner_->chains_weight_residency()) {
     throw std::invalid_argument(

@@ -24,8 +24,8 @@
 namespace edgemm::serve {
 
 /// Wires the §IV-A task-proxy accuracy model into the engine: instead of
-/// a global prune_keep_fraction constant, each request's keep fraction
-/// is derived from a proxy evaluation of its model (see
+/// serving unpruned (keep fraction 1.0), each request's keep fraction is
+/// derived from a proxy evaluation of its model (see
 /// derive_keep_fraction).
 struct TaskProxyPruningOptions {
   /// Proxy harness parameters (answer head, tokens sampled, FFN width).
@@ -78,9 +78,9 @@ class EngineConfig {
   /// (ChipConfig::dma.throttle_interval); false = static equal sharing
   /// (the §IV-B baseline, PMC throttles still armed).
   EngineConfig& manage_bandwidth(bool enabled);
-  /// Global decode keep fraction in (0, 1]; overridden per request when
-  /// task-proxy pruning is enabled. Throws std::invalid_argument.
-  EngineConfig& prune_keep_fraction(double fraction);
+  /// Derives each model's static decode keep fraction from the task
+  /// proxy (without it every model serves at 1.0). Throws
+  /// std::invalid_argument.
   EngineConfig& task_proxy_pruning(TaskProxyPruningOptions options);
   /// KV byte budget for the decode batch; 0 (default) disables
   /// accounting — the Fig. 10 chip's raw CIM capacity is smaller than a
@@ -179,7 +179,6 @@ class EngineConfig {
   const PrefillPlanner& prefill_planner() const { return *planner_; }
   const BatchPolicy& batch_policy() const { return *batcher_; }
   bool manage_bandwidth() const { return manage_bandwidth_; }
-  double prune_keep_fraction() const { return prune_keep_fraction_; }
   const std::optional<TaskProxyPruningOptions>& task_proxy_pruning() const {
     return task_proxy_;
   }
@@ -210,7 +209,6 @@ class EngineConfig {
   std::shared_ptr<const BatchPolicy> batcher_;
   std::shared_ptr<const PlacementPolicy> placement_;
   bool manage_bandwidth_ = true;
-  double prune_keep_fraction_ = 1.0;
   std::optional<TaskProxyPruningOptions> task_proxy_;
   Bytes kv_capacity_bytes_ = 0;
   bool paged_kv_ = false;

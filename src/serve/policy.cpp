@@ -249,7 +249,7 @@ SloPressureQuality::SloPressureQuality(double step, double relax_margin)
   if (!(step_ > 0.0) || step_ > 1.0) {
     throw std::invalid_argument("SloPressureQuality: step must be in (0, 1]");
   }
-  if (relax_margin_ < 0.0) {
+  if (!(relax_margin_ >= 0.0)) {
     throw std::invalid_argument(
         "SloPressureQuality: relax_margin must be >= 0");
   }

@@ -57,7 +57,7 @@ struct RequestRecord {
   /// budget, or the pin fell back under contention).
   std::size_t weight_pinned_layers = 0;
   /// Fraction of prunable FFN rows kept during this request's decode
-  /// (global EngineConfig constant, or per-model from the task proxy).
+  /// (1.0, or per-model from the task proxy).
   double prune_keep_fraction = 1.0;
   /// Fraction the QualityPolicy actually served this request at — its
   /// last judgment, clamped into the effective band. Equal to

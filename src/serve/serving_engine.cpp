@@ -92,7 +92,7 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
     s.keep_fraction =
         engine_config_.task_proxy_pruning()
             ? derive_keep_fraction(m, *engine_config_.task_proxy_pruning())
-            : engine_config_.prune_keep_fraction();
+            : 1.0;
     s.layer_weight_bytes = llm_layer_group_bytes(m, config_);
     const model::DecodeStepTraffic traffic =
         model::decode_step_traffic(m, s.keep_fraction, config_.mc_elem_bytes);
@@ -122,10 +122,6 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
 
 void ServingEngine::set_completion_callback(CompletionCallback callback) {
   on_complete_ = std::move(callback);
-}
-
-Bytes ServingEngine::cc_job_bytes(const std::vector<GemmWork>& ops) const {
-  return local_.estimated_job_bytes(Lane::kCcStage, ops);
 }
 
 ServingResult ServingEngine::run(std::vector<Request> requests) {
@@ -189,6 +185,10 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
   sim.run();
   EDGEMM_ASSERT_MSG(completed_ + rejected_ == total_,
                     "ServingEngine: trace replay left unfinished requests");
+  // Every admitted chunk's bytes left the CC backlog exactly once, at
+  // retirement or offload, at the price they were last charged.
+  EDGEMM_ASSERT_MSG(cc_pending_bytes_ == 0 && cc_pending_full_bytes_ == 0,
+                    "ServingEngine: CC backlog bytes left past the replay");
 
   // --- Aggregate metrics ---------------------------------------------------
   // The engine's own counters already sit in result_; fill in the trace
@@ -303,8 +303,8 @@ OffloadTarget ServingEngine::judge_offload(std::size_t index,
   ctx.input_tokens = r.input_tokens;
   ctx.crops = r.crops;
   ctx.chunk = chunk;
-  ctx.chunk_count = plan.chunk_tokens.size();
-  ctx.chunk_tokens = plan.chunk_tokens[chunk];
+  ctx.chunk_count = plan.chunks.size();
+  ctx.chunk_tokens = plan.chunks[chunk].tokens;
   ctx.model = r.model;
   ctx.local_queued = local_.queued(Lane::kCcStage);
   ctx.fat_queued = fat_->queued(Lane::kCcStage);
@@ -338,43 +338,48 @@ ServingEngine::PrefillPlan& ServingEngine::plan_for(std::size_t index) {
         "be positive and sum to input_tokens)");
   }
 
-  PrefillPlan plan;
-  plan.chunk_tokens = chunk_tokens;
+  PrefillPlan& plan = plans_.emplace(index, PrefillPlan{}).first->second;
   plan.built_keep = prefill_keep(index);
-  for (std::size_t c = 0; c < chunk_tokens.size(); ++c) {
-    std::vector<GemmWork> ops =
-        build_chunk_ops(r, plan, c, /*ride_pin=*/true, plan.built_keep);
-    const Bytes bytes = cc_job_bytes(ops);
-    const Bytes full =
-        plan.built_keep < 1.0
-            ? cc_job_bytes(build_chunk_ops(r, plan, c, /*ride_pin=*/true, 1.0))
-            : bytes;
-    plan.jobs.push_back(std::move(ops));
-    plan.job_bytes.push_back(bytes);
-    plan.job_full_bytes.push_back(full);
-    plan.total_bytes += bytes;
-    plan.total_full_bytes += full;
+  plan.chunks.reserve(chunk_tokens.size());
+  for (const std::size_t tokens : chunk_tokens) {
+    plan.chunks.emplace_back().tokens = tokens;
+    price_chunk(index, plan, plan.chunks.size() - 1, /*ride_pin=*/true);
   }
-  return plans_.emplace(index, std::move(plan)).first->second;
+  return plan;
 }
 
-void ServingEngine::rebuild_chunk(std::size_t index, PrefillPlan& plan,
-                                  std::size_t chunk) {
+void ServingEngine::price_chunk(std::size_t index, PrefillPlan& plan,
+                                std::size_t chunk, bool ride_pin) {
+  EDGEMM_ASSERT(chunk + 1 >= plan.next);  // never a chunk that already left
   const Request& r = records_[index].request;
-  std::vector<GemmWork> ops =
-      build_chunk_ops(r, plan, chunk, /*ride_pin=*/true, plan.built_keep);
-  const Bytes bytes = cc_job_bytes(ops);
+  PrefillChunk& job = plan.chunks[chunk];
+  job.ops = build_chunk_ops(r, plan, chunk, ride_pin, plan.built_keep);
+  const Bytes bytes = local_.estimated_job_bytes(Lane::kCcStage, job.ops);
   const Bytes full =
       plan.built_keep < 1.0
-          ? cc_job_bytes(build_chunk_ops(r, plan, chunk, /*ride_pin=*/true, 1.0))
+          ? local_.estimated_job_bytes(
+                Lane::kCcStage, build_chunk_ops(r, plan, chunk, ride_pin, 1.0))
           : bytes;
-  plan.total_bytes -= plan.job_bytes[chunk];
-  plan.total_bytes += bytes;
-  plan.total_full_bytes -= plan.job_full_bytes[chunk];
-  plan.total_full_bytes += full;
-  plan.jobs[chunk] = std::move(ops);
-  plan.job_bytes[chunk] = bytes;
-  plan.job_full_bytes[chunk] = full;
+  plan.total_bytes = plan.total_bytes - job.bytes + bytes;
+  plan.total_full_bytes = plan.total_full_bytes - job.full_bytes + full;
+  if (plan.in_backlog) {
+    cc_pending_bytes_ = cc_pending_bytes_ - job.bytes + bytes;
+    cc_pending_full_bytes_ = cc_pending_full_bytes_ - job.full_bytes + full;
+  }
+  job.bytes = bytes;
+  job.full_bytes = full;
+  job.weight_fetch_bytes = 0;
+  job.weight_resident_bytes = 0;
+  for (const GemmWork& op : job.ops) {
+    if (op.weight_elem_bytes_override != 0) continue;
+    const Bytes weights =
+        static_cast<Bytes>(op.k) * op.n * config_.cc_elem_bytes;
+    if (op.weights_resident) {
+      job.weight_resident_bytes += weights;
+    } else {
+      job.weight_fetch_bytes += weights;
+    }
+  }
 }
 
 double ServingEngine::prefill_keep(std::size_t index) const {
@@ -406,14 +411,14 @@ double ServingEngine::judge_quality(std::size_t index) {
   // request's remaining work — and in full-precision-equivalent bytes,
   // so the pressure signal is about load, not about how degraded the
   // backlog already is.
-  double remaining = std::max(cc_pending_full_bytes_, 0.0) / cc_est;
+  double remaining = static_cast<double>(cc_pending_full_bytes_) / cc_est;
   if (engine_config_.phase() != EnginePhase::kDecodeOnly) {
     const auto it = plans_.find(index);
     if (it != plans_.end()) {
       const PrefillPlan& plan = it->second;
       Bytes prefill_left = 0;
-      for (std::size_t c = plan.next; c < plan.job_full_bytes.size(); ++c) {
-        prefill_left += plan.job_full_bytes[c];
+      for (std::size_t c = plan.next; c < plan.chunks.size(); ++c) {
+        prefill_left += plan.chunks[c].full_bytes;
       }
       remaining += static_cast<double>(prefill_left) / cc_est;
     }
@@ -451,10 +456,9 @@ void ServingEngine::apply_quality(std::size_t index, double served) {
   if (plan.built_keep == want) return;
   plan.built_keep = want;
   // Reshape only the unsubmitted tail; in-flight and retired chunks
-  // already streamed at their judged fraction. Callers own the
-  // cc-pending delta (the plan's bytes may not be pending yet).
-  for (std::size_t c = plan.next; c < plan.jobs.size(); ++c) {
-    rebuild_chunk(index, plan, c);
+  // already streamed at their judged fraction.
+  for (std::size_t c = plan.next; c < plan.chunks.size(); ++c) {
+    price_chunk(index, plan, c, /*ride_pin=*/true);
   }
 }
 
@@ -478,7 +482,7 @@ std::vector<GemmWork> ServingEngine::build_chunk_ops(
     bool ride_pin, double ffn_keep) const {
   const model::MllmConfig& m = models_[r.model];
   std::size_t start = 0;
-  for (std::size_t c = 0; c < chunk; ++c) start += plan.chunk_tokens[c];
+  for (std::size_t c = 0; c < chunk; ++c) start += plan.chunks[c].tokens;
   // The first chunk carries the encoder + projector ops in front of its
   // prefill slice (and always fetches — it is what fills the pin).
   std::vector<GemmWork> ops =
@@ -493,7 +497,7 @@ std::vector<GemmWork> ServingEngine::build_chunk_ops(
   // byte math assumes — the FULL weights, so a degraded request's
   // pruning only shrinks the layers it actually streams.
   const auto body = model::build_prefill_chunk(
-      m, start, plan.chunk_tokens[chunk], r.input_tokens, resident, ffn_keep,
+      m, start, plan.chunks[chunk].tokens, r.input_tokens, resident, ffn_keep,
       /*full_keep_layers=*/plan.resident_layers);
   ops.insert(ops.end(), body.begin(), body.end());
   return model::aggregate_ops(ops);
@@ -538,7 +542,7 @@ bool ServingEngine::maybe_pin_weights(std::size_t index,
   const bool rides_existing = residency_->resident_layers(r.model) > 0;
   const std::size_t first_resident =
       rides_existing ? next_chunk : next_chunk + 1;
-  if (first_resident >= plan.jobs.size()) return false;
+  if (first_resident >= plan.chunks.size()) return false;
   const std::size_t total_layers = models_[r.model].llm.layers;
   if (!rides_existing) {
     // Residency-aware placement guards every budget-charging attach
@@ -578,15 +582,15 @@ bool ServingEngine::maybe_pin_weights(std::size_t index,
   plan.resident_layers = attach.layers;
   plan.first_resident_chunk = first_resident;
   records_[index].weight_pinned_layers = attach.layers;
-  // Rebuild the unsubmitted tail: pinned layer groups drop their weight
-  // stream, so the jobs (and the CC backlog accounting) shrink. A
-  // degraded request also rebuilds the not-yet-submitted fill chunk
-  // itself: its pinned layers must stream FULL weights (that is what
-  // lands in the pin), which the pre-pin jobs pruned.
+  // Re-price the unsubmitted tail: pinned layer groups drop their
+  // weight stream, so the jobs (and the CC backlog) shrink. A degraded
+  // request also re-prices the not-yet-submitted fill chunk itself: its
+  // pinned layers must stream FULL weights (that is what lands in the
+  // pin), which the pre-pin jobs pruned.
   const std::size_t rebuild_from =
       plan.built_keep < 1.0 ? next_chunk : first_resident;
-  for (std::size_t c = rebuild_from; c < plan.jobs.size(); ++c) {
-    rebuild_chunk(index, plan, c);
+  for (std::size_t c = rebuild_from; c < plan.chunks.size(); ++c) {
+    price_chunk(index, plan, c, /*ride_pin=*/true);
   }
   return true;
 }
@@ -631,7 +635,7 @@ AdmissionContext ServingEngine::admission_context(std::size_t index) {
   // backlog must not look like a faster lane to the admission judgment.
   // Identical to the actual-bytes ledger when nothing is degraded.
   ctx.estimated_queue_delay =
-      static_cast<Cycle>(std::max(cc_pending_full_bytes_, 0.0) / cc_est);
+      static_cast<Cycle>(static_cast<double>(cc_pending_full_bytes_) / cc_est);
   // A phase-split engine only does the work its tier owns, so the SLO
   // judgment only charges that share: a decode chip never plans (or
   // pays for) a prefill, a prefill chip retires at prefill end.
@@ -700,8 +704,8 @@ void ServingEngine::pump_admission() {
     rec.prune_keep_fraction = per_model_[r.model].keep_fraction;
     // Admission-time quality judgment: the request enters at its static
     // fraction and the QualityPolicy may immediately degrade it under
-    // pressure (the plan below is then built at the judged fraction —
-    // apply_quality reshapes it before its bytes go pending).
+    // pressure (apply_quality re-prices the plan before it enters the
+    // CC backlog).
     rec.keep_fraction_served = per_model_[r.model].keep_fraction;
     apply_quality(index, judge_quality(index));
     if (engine_config_.phase() == EnginePhase::kDecodeOnly) {
@@ -713,23 +717,25 @@ void ServingEngine::pump_admission() {
       continue;
     }
     PrefillPlan& plan = plan_for(index);
-    rec.prefill_chunks = plan.jobs.size();
+    rec.prefill_chunks = plan.chunks.size();
     // Chunk 0's backend is judged HERE so pinning can be skipped for a
     // fat start: EdgeMM weight residency means nothing to a backend
     // that re-streams weights per launch. Without a fat backend the
     // judgment is kLocal without consulting the policy (byte-identical
     // to the pre-seam engine).
-    plan.chunk0_target =
-        judge_offload(index, /*chunk=*/0) == OffloadTarget::kFat ? 2 : 1;
-    if (plan.chunk0_target != 2) {
+    plan.chunk0_fat = judge_offload(index, /*chunk=*/0) == OffloadTarget::kFat;
+    if (!plan.chunk0_fat) {
       // Weight-resident chunk chaining: attach to the model's shared pin
       // (its weights are already on chip — every chunk rides), or pin the
       // layer groups fresh before chunk 0 fetches them so chunks 1.. skip
       // their weight DMA. A failed pin just re-fetches.
       maybe_pin_weights(index, /*next_chunk=*/0);
     }
-    cc_pending_bytes_ += static_cast<double>(plan.total_bytes);
-    cc_pending_full_bytes_ += static_cast<double>(plan.total_full_bytes);
+    // The plan enters the CC backlog; from here on its chunks leave it
+    // only at retirement or offload, and price_chunk moves it.
+    cc_pending_bytes_ += plan.total_bytes;
+    cc_pending_full_bytes_ += plan.total_full_bytes;
+    plan.in_backlog = true;
     submit_next_chunk(index);
   }
 }
@@ -738,19 +744,8 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
   PrefillPlan& plan = plans_.at(index);
   // Per-chunk quality re-judgment: pressure may have moved since the
   // last chunk, and the chunk about to be submitted should stream at
-  // the CURRENT fraction. The plan's bytes are already in the CC
-  // backlog, so this call owns the pending-accumulator deltas.
-  {
-    const double served = judge_quality(index);
-    if (served != records_[index].keep_fraction_served) {
-      const double before = static_cast<double>(plan.total_bytes);
-      const double before_full = static_cast<double>(plan.total_full_bytes);
-      apply_quality(index, served);
-      cc_pending_bytes_ += static_cast<double>(plan.total_bytes) - before;
-      cc_pending_full_bytes_ +=
-          static_cast<double>(plan.total_full_bytes) - before_full;
-    }
-  }
+  // the CURRENT fraction.
+  apply_quality(index, judge_quality(index));
   const std::size_t chunk = plan.next++;
   const bool first = chunk == 0;
   // Backend judgment: chunk 0 consumes its admission-time verdict (made
@@ -761,7 +756,7 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
   // there, not in the GPU's GDDR.
   bool to_fat = false;
   if (fat_) {
-    to_fat = first ? plan.chunk0_target == 2
+    to_fat = first ? plan.chunk0_fat
                    : judge_offload(index, chunk) == OffloadTarget::kFat;
     if (plan.pin_attached) to_fat = false;
   }
@@ -775,13 +770,7 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
   // that may leave again wastes the budget co-tenants want.
   if (chunk > 0 && residency_ && !plan.pin_attached && !to_fat &&
       plan.offloaded_chunks == 0) {
-    const Bytes before = plan.total_bytes;
-    const Bytes before_full = plan.total_full_bytes;
-    if (maybe_pin_weights(index, chunk)) {
-      cc_pending_bytes_ -= static_cast<double>(before - plan.total_bytes);
-      cc_pending_full_bytes_ -=
-          static_cast<double>(before_full - plan.total_full_bytes);
-    }
+    maybe_pin_weights(index, chunk);
   }
   // Fill barrier: a rider chunk dispatched before the pin owner's fill
   // fetch retired would skip DMA for bytes that are not on chip yet, so
@@ -791,36 +780,18 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
   // ordered behind it on the same request.
   if (plan.pin_attached && !plan.pin_owner &&
       chunk >= plan.first_resident_chunk &&
-      !residency_->filled(records_[index].request.model)) {
+      !residency_->filled(records_[index].request.model) &&
+      plan.chunks[chunk].weight_resident_bytes > 0) {
     // The re-fetch is exactly the pinned weight bytes this chunk skips.
-    Bytes refetch = 0;
-    for (const GemmWork& op : plan.jobs[chunk]) {
-      if (op.weights_resident && op.weight_elem_bytes_override == 0) {
-        refetch += static_cast<Bytes>(op.k) * op.n * config_.cc_elem_bytes;
-      }
-    }
-    if (refetch > 0) {
-      result_.rider_refetch_bytes += refetch;
-      std::vector<GemmWork> ops =
-          build_chunk_ops(records_[index].request, plan, chunk,
-                          /*ride_pin=*/false, plan.built_keep);
-      const Bytes bytes = cc_job_bytes(ops);
-      const Bytes full =
-          plan.built_keep < 1.0
-              ? cc_job_bytes(build_chunk_ops(records_[index].request, plan,
-                                             chunk, /*ride_pin=*/false, 1.0))
-              : bytes;
-      cc_pending_bytes_ += static_cast<double>(bytes - plan.job_bytes[chunk]);
-      cc_pending_full_bytes_ += static_cast<double>(full) -
-                                static_cast<double>(plan.job_full_bytes[chunk]);
-      plan.total_bytes += bytes - plan.job_bytes[chunk];
-      plan.total_full_bytes -= plan.job_full_bytes[chunk];
-      plan.total_full_bytes += full;
-      plan.job_full_bytes[chunk] = full;
-      plan.jobs[chunk] = std::move(ops);
-      plan.job_bytes[chunk] = bytes;
-    }
+    result_.rider_refetch_bytes += plan.chunks[chunk].weight_resident_bytes;
+    price_chunk(index, plan, chunk, /*ride_pin=*/false);
   }
+  PrefillChunk& job = plan.chunks[chunk];
+  auto started = [this, index, first] {
+    const Cycle now = local_.simulator().now();
+    plans_.at(index).chunk_started = now;
+    if (first) records_[index].prefill_start = now;
+  };
   if (to_fat) {
     // Offloaded chunk: the job leaves the CC backlog (its bytes will
     // transit the GPU's GDDR, not the chip's DRAM) and runs on the fat
@@ -828,38 +799,22 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
     // it fresh — weights re-streamed per launch, no residency flags
     // honored — and its throughput EWMA folds on retirement against
     // those fat-model bytes.
-    cc_pending_bytes_ -= static_cast<double>(plan.job_bytes[chunk]);
-    cc_pending_full_bytes_ -= static_cast<double>(plan.job_full_bytes[chunk]);
+    cc_pending_bytes_ -= job.bytes;
+    cc_pending_full_bytes_ -= job.full_bytes;
     plan.current_fat = true;
-    plan.current_fat_bytes =
-        fat_->estimated_job_bytes(Lane::kCcStage, plan.jobs[chunk]);
+    plan.current_fat_bytes = fat_->estimated_job_bytes(Lane::kCcStage, job.ops);
     ++plan.offloaded_chunks;
-    plan.offload_tokens += plan.chunk_tokens[chunk];
+    plan.offload_tokens += job.tokens;
     ++result_.offloaded_chunks;
     if (plan.offloaded_chunks == 1) ++result_.offloaded_requests;
     records_[index].offloaded_chunks = plan.offloaded_chunks;
-    fat_->submit(
-        Lane::kCcStage, std::move(plan.jobs[chunk]),
-        [this, index] { on_chunk_done(index); },
-        [this, index, first] {
-          const Cycle now = local_.simulator().now();
-          plans_.at(index).chunk_started = now;
-          if (first) records_[index].prefill_start = now;
-        });
+    fat_->submit(Lane::kCcStage, std::move(job.ops),
+                 [this, index] { on_chunk_done(index); }, started);
     return;
   }
-  // Weight-traffic ledger (KV-stream ops carry context, not weights,
-  // and are excluded): resident ops are the DMA residency avoided.
-  for (const GemmWork& op : plan.jobs[chunk]) {
-    if (op.weight_elem_bytes_override != 0) continue;
-    const Bytes bytes =
-        static_cast<Bytes>(op.k) * op.n * config_.cc_elem_bytes;
-    if (op.weights_resident) {
-      result_.cc_weight_bytes_saved += bytes;
-    } else {
-      result_.cc_weight_fetch_bytes += bytes;
-    }
-  }
+  // Weight-traffic ledger: resident bytes are the DMA residency avoided.
+  result_.cc_weight_fetch_bytes += job.weight_fetch_bytes;
+  result_.cc_weight_bytes_saved += job.weight_resident_bytes;
   // Only a request actually holding a pin (fresh or shared) gets an
   // affinity key: chaining an unpinned request's chunks would
   // re-introduce head-of-line blocking without saving a byte. Keyed per
@@ -869,29 +824,21 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
   // from "none".)
   const std::uint64_t affinity =
       plan.pin_attached ? records_[index].request.id + 1 : 0;
-  local_.submit(
-      Lane::kCcStage, std::move(plan.jobs[chunk]),
-      [this, index] { on_chunk_done(index); },
-      [this, index, first] {
-        const Cycle now = local_.simulator().now();
-        plans_.at(index).chunk_started = now;
-        if (first) records_[index].prefill_start = now;
-      },
-      affinity);
+  local_.submit(Lane::kCcStage, std::move(job.ops),
+                [this, index] { on_chunk_done(index); }, started, affinity);
 }
 
 void ServingEngine::on_chunk_done(std::size_t index) {
   PrefillPlan& plan = plans_.at(index);
   const std::size_t chunk = plan.next - 1;
   const Cycle now = local_.simulator().now();
-  const Bytes bytes = plan.job_bytes[chunk];
-  const Bytes full = plan.job_full_bytes[chunk];
+  const Bytes full = plan.chunks[chunk].full_bytes;
   const bool was_fat = plan.current_fat;
   plan.current_fat = false;
   // A fat chunk's bytes already left the CC backlog at submission.
   if (!was_fat) {
-    cc_pending_bytes_ -= static_cast<double>(bytes);
-    cc_pending_full_bytes_ -= static_cast<double>(full);
+    cc_pending_bytes_ -= plan.chunks[chunk].bytes;
+    cc_pending_full_bytes_ -= full;
   }
   // The owner's fill fetch just retired: the pinned bytes are genuinely
   // on chip now, so riders stop re-fetching (fill barrier lifts).
@@ -922,7 +869,7 @@ void ServingEngine::on_chunk_done(std::size_t index) {
     double& est = per_model_[records_[index].request.model].cc_bytes_per_cycle_est;
     est = (1.0 - kEstimatorGain) * est + kEstimatorGain * observed;
   }
-  if (plan.next < plan.jobs.size()) {
+  if (plan.next < plan.chunks.size()) {
     // Chain the next chunk: it queues BEHIND any job another request
     // submitted meanwhile — exactly the interleaving that bounds
     // CC-lane head-of-line blocking (unless lane-affinity chaining is
@@ -953,21 +900,12 @@ void ServingEngine::on_chunk_done(std::size_t index) {
 }
 
 void ServingEngine::on_prefill_done(std::size_t index) {
-  RequestRecord& rec = records_[index];
-  rec.prefill_end = local_.simulator().now();
+  records_[index].prefill_end = local_.simulator().now();
   if (engine_config_.phase() == EnginePhase::kPrefillOnly) {
     // Disaggregated prefill tier: this chip's job ends here — the KV
     // cache ships to a decode chip, so the request retires with its
     // finish at prefill end and zero tokens generated locally.
-    rec.finish = rec.prefill_end;
-    rec.done = true;
-    if (rec.request.deadline > 0 && rec.finish > rec.request.deadline) {
-      ++slo_misses_;
-    }
-    ++completed_;
-    --inflight_;
-    --per_model_[rec.request.model].inflight;
-    if (on_complete_) on_complete_(rec);
+    retire(index);
     pump_admission();  // the retired prefill freed admission slots
     return;
   }
@@ -1016,10 +954,22 @@ bool ServingEngine::kv_join_reserve(std::size_t index) {
   return true;
 }
 
-void ServingEngine::kv_release(std::size_t index) {
-  if (!pages_) return;
-  pages_->release(records_[index].request.id);
-  kv_paging_[index].joined = false;
+void ServingEngine::retire(std::size_t index) {
+  RequestRecord& rec = records_[index];
+  rec.finish = local_.simulator().now();
+  rec.done = true;
+  if (rec.request.deadline > 0 && rec.finish > rec.request.deadline) {
+    ++slo_misses_;
+  }
+  ++completed_;
+  --inflight_;
+  --per_model_[rec.request.model].inflight;
+  // Release before the callback: it sees the request's KV already freed.
+  if (pages_ && kv_paging_[index].joined) {
+    pages_->release(rec.request.id);
+    kv_paging_[index].joined = false;
+  }
+  if (on_complete_) on_complete_(rec);
 }
 
 void ServingEngine::refill_swapped() {
@@ -1215,16 +1165,7 @@ void ServingEngine::on_decode_step_done() {
     }
     if (rec.tokens_generated == 1) rec.first_token = now;
     if (rec.tokens_generated >= rec.request.output_tokens) {
-      rec.finish = now;
-      rec.done = true;
-      if (rec.request.deadline > 0 && rec.finish > rec.request.deadline) {
-        ++slo_misses_;
-      }
-      ++completed_;
-      --inflight_;
-      --per_model_[rec.request.model].inflight;
-      kv_release(index);
-      if (on_complete_) on_complete_(rec);
+      retire(index);
     } else {
       still_active_.push_back(index);
     }
@@ -1270,12 +1211,14 @@ void ServingEngine::rebalance() {
   }
 
   std::size_t ratio = 1;
-  if (cc_pending_bytes_ <= 0.0) {
+  if (cc_pending_bytes_ == 0) {
     // No upstream work: hand the MC side the whole ramp.
     ratio = local_.manager().policy().max_mc_ratio;
   } else if (mc_bytes > 0.0) {
     ratio = std::clamp<std::size_t>(
-        static_cast<std::size_t>(mc_bytes / cc_pending_bytes_ + 0.5), 1,
+        static_cast<std::size_t>(
+            mc_bytes / static_cast<double>(cc_pending_bytes_) + 0.5),
+        1,
         local_.manager().policy().max_mc_ratio);
   }
   local_.apply_bandwidth_ratio(ratio);

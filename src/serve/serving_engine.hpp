@@ -222,30 +222,44 @@ class ServingEngine {
     return residency_ ? &*residency_ : nullptr;
   }
 
-  /// Decode keep fraction the engine uses for `model_index` (the global
-  /// EngineConfig constant, or the task-proxy derivation per model).
+  /// Decode keep fraction the engine uses for `model_index` (1.0, or the
+  /// task-proxy derivation per model).
   double keep_fraction(std::size_t model_index) const {
     return per_model_.at(model_index).keep_fraction;
   }
 
  private:
+  /// One prefill chunk of a plan: its tokens, its op list (moved out at
+  /// submission) and what price_chunk charged for it.
+  struct PrefillChunk {
+    std::size_t tokens = 0;
+    std::vector<core::GemmWork> ops;
+    Bytes bytes = 0;
+    /// Full-precision-equivalent CC bytes: what the chunk would stream
+    /// at keep fraction 1 with the same residency. Feeds the per-model
+    /// throughput estimators so a degraded co-tenant's shrunken chunks
+    /// never skew admission estimates (== bytes whenever the chunk is
+    /// built undegraded).
+    Bytes full_bytes = 0;
+    /// Weight bytes the chunk's ops stream, and the pinned ones they
+    /// skip (KV-stream ops carry context, not weights: in neither).
+    Bytes weight_fetch_bytes = 0;
+    Bytes weight_resident_bytes = 0;
+  };
+
   /// One admitted request's remaining prefill jobs (built once, consumed
   /// chunk by chunk; also cached for deferred queue heads so repeated
   /// admission judgments don't rebuild op lists). When a weight pin is
-  /// attached, jobs from first_resident_chunk on are rebuilt with the
+  /// attached, jobs from first_resident_chunk on are re-priced with the
   /// pinned layer groups' weight ops marked resident.
   struct PrefillPlan {
-    std::vector<std::size_t> chunk_tokens;
-    std::vector<std::vector<core::GemmWork>> jobs;
-    std::vector<Bytes> job_bytes;
+    std::vector<PrefillChunk> chunks;
     Bytes total_bytes = 0;
-    /// Full-precision-equivalent CC bytes per job: what the chunk would
-    /// stream at keep fraction 1 with the same residency. Feeds the
-    /// per-model throughput estimators so a degraded co-tenant's
-    /// shrunken chunks never skew admission estimates (== job_bytes
-    /// whenever the plan is built undegraded).
-    std::vector<Bytes> job_full_bytes;
     Bytes total_full_bytes = 0;
+    /// Set at admission: from then on each chunk's bytes sit in the CC
+    /// backlog until it retires or is offloaded, and price_chunk moves
+    /// the backlog with every re-pricing.
+    bool in_backlog = false;
     /// The prefill ffn_keep the jobs were last built at (1.0 = full
     /// shapes); a quality re-judgment rebuilds unsubmitted jobs when the
     /// effective prefill keep moves.
@@ -271,8 +285,8 @@ class ServingEngine {
     bool current_fat = false;          ///< the in-flight chunk is on fat
     Bytes current_fat_bytes = 0;       ///< its fat-cost-model job bytes
     /// Chunk 0's judgment, made at admission so pinning can be skipped
-    /// for offloaded starts: 0 = unjudged, 1 = local, 2 = fat.
-    std::uint8_t chunk0_target = 0;
+    /// for offloaded starts.
+    bool chunk0_fat = false;
   };
 
   /// Everything the engine keeps per served model (parallel to models_).
@@ -328,7 +342,6 @@ class ServingEngine {
   /// decode-only tier already made at admission (the KV hand-off).
   /// False = deferred (stays decode-ready / queued).
   bool kv_join_reserve(std::size_t index);
-  void kv_release(std::size_t index);
   /// Paged mode, step start: refills preempted requests from DRAM in
   /// strict preemption order (oldest first), re-joining them to active_.
   void refill_swapped();
@@ -367,13 +380,16 @@ class ServingEngine {
   /// widened to include the static fraction).
   double judge_quality(std::size_t index);
   /// Adopts a judged fraction: ledgers the downgrade/restore transition
-  /// and rebuilds the plan's unsubmitted jobs when the effective prefill
-  /// keep moved. Does NOT touch the cc-pending accumulators — callers
-  /// own that (the plan's bytes may or may not be pending yet).
+  /// and re-prices the plan's unsubmitted jobs when the effective
+  /// prefill keep moved.
   void apply_quality(std::size_t index, double served);
-  /// Rebuilds one unsubmitted job of `index`'s plan at the current
-  /// prefill keep, updating job/full byte arrays and plan totals.
-  void rebuild_chunk(std::size_t index, PrefillPlan& plan, std::size_t chunk);
+  /// The one place a prefill chunk is priced: (re)builds `chunk`'s ops
+  /// at the plan's built keep (`ride_pin` as in build_chunk_ops), stores
+  /// its actual, full-precision-equivalent and weight bytes, updates the
+  /// plan totals and, while the plan is in the CC backlog, moves both
+  /// backlog accumulators by the chunk's delta.
+  void price_chunk(std::size_t index, PrefillPlan& plan, std::size_t chunk,
+                   bool ride_pin);
   /// Memoized task-proxy agreement at (model, keep) — the quality
   /// ledger's accuracy pricing.
   double accuracy_for(std::size_t model, double keep);
@@ -385,11 +401,13 @@ class ServingEngine {
   void submit_next_chunk(std::size_t index);
   void on_chunk_done(std::size_t index);
   void on_prefill_done(std::size_t index);
+  /// Retires a finished request (prefill-only tier at prefill end, else
+  /// at its last token): SLO ledger, counters, KV release, callback.
+  void retire(std::size_t index);
   void start_decode_step();
   void on_decode_step_done();
   void schedule_rebalance(Cycle interval);
   void rebalance();
-  Bytes cc_job_bytes(const std::vector<core::GemmWork>& ops) const;
 
   core::ChipConfig config_;
   std::vector<model::MllmConfig> models_;
@@ -432,14 +450,18 @@ class ServingEngine {
   /// The replay's result, whose engine-owned counters and ledgers are
   /// incremented in place; run() fills in the rest and returns it.
   ServingResult result_;
-  double cc_pending_bytes_ = 0.0;
+  /// The CC backlog: bytes of every admitted plan's chunks that have
+  /// neither retired nor left for the fat backend. Changed only by the
+  /// admission add, price_chunk and the two exits; drains to exactly 0
+  /// (asserted in run()).
+  Bytes cc_pending_bytes_ = 0;
   /// Full-precision-equivalent twin of cc_pending_bytes_: what the same
   /// backlog would weigh undegraded. Queue-delay and service estimates
   /// divide THESE by the (full-equivalent) throughput estimators, so a
   /// degraded heavy co-tenant cannot skew a full-precision candidate's
   /// admission math; cc_pending_bytes_ (actual) keeps feeding the
   /// CC:MC bandwidth rebalance. Identical while nothing is degraded.
-  double cc_pending_full_bytes_ = 0.0;
+  Bytes cc_pending_full_bytes_ = 0;
   /// Finished requests that missed their deadline so far (QualityContext
   /// pressure signal).
   std::size_t slo_misses_ = 0;

@@ -18,7 +18,6 @@ TEST(EngineConfig, DefaultsReproducePr1Composition) {
   EXPECT_STREQ(config.prefill_planner().name(), "monolithic");
   EXPECT_STREQ(config.batch_policy().name(), "fifo");
   EXPECT_TRUE(config.manage_bandwidth());
-  EXPECT_DOUBLE_EQ(config.prune_keep_fraction(), 1.0);
   EXPECT_EQ(config.kv_capacity(), 0u);  // accounting off
   EXPECT_EQ(config.weight_residency(), 0u);  // residency off
   EXPECT_FALSE(config.task_proxy_pruning().has_value());
@@ -88,14 +87,12 @@ TEST(EngineConfig, BuilderComposesPolicies) {
           .prefill_planner(std::make_shared<ChunkedPrefill>(64))
           .batch_policy(std::make_shared<ShortestRemainingFirst>())
           .manage_bandwidth(false)
-          .prune_keep_fraction(0.5)
           .kv_capacity_bytes(1 << 20);
   EXPECT_NO_THROW(config.validate());
   EXPECT_STREQ(config.scheduler().name(), "slo-aware");
   EXPECT_STREQ(config.prefill_planner().name(), "chunked");
   EXPECT_STREQ(config.batch_policy().name(), "shortest-remaining-first");
   EXPECT_FALSE(config.manage_bandwidth());
-  EXPECT_DOUBLE_EQ(config.prune_keep_fraction(), 0.5);
   EXPECT_EQ(config.kv_capacity(), Bytes{1 << 20});
 }
 
@@ -105,9 +102,6 @@ TEST(EngineConfig, SettersValidateEagerly) {
   EXPECT_THROW(config.prefill_planner(nullptr), std::invalid_argument);
   EXPECT_THROW(config.batch_policy(nullptr), std::invalid_argument);
   EXPECT_THROW(config.placement_policy(nullptr), std::invalid_argument);
-  EXPECT_THROW(config.prune_keep_fraction(0.0), std::invalid_argument);
-  EXPECT_THROW(config.prune_keep_fraction(-0.5), std::invalid_argument);
-  EXPECT_THROW(config.prune_keep_fraction(1.5), std::invalid_argument);
   TaskProxyPruningOptions bad;
   bad.min_agreement = 1.5;
   EXPECT_THROW(config.task_proxy_pruning(bad), std::invalid_argument);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -226,6 +227,10 @@ TEST(QualityPolicy, SloPressureValidatesParameters) {
   EXPECT_THROW(SloPressureQuality(0.0), std::invalid_argument);
   EXPECT_THROW(SloPressureQuality(1.5), std::invalid_argument);
   EXPECT_THROW(SloPressureQuality(0.125, -0.1), std::invalid_argument);
+  // A NaN margin fails no ordered comparison: the policy would never relax.
+  EXPECT_THROW(
+      SloPressureQuality(0.125, std::numeric_limits<double>::quiet_NaN()),
+      std::invalid_argument);
   EXPECT_NO_THROW(SloPressureQuality(1.0, 0.0));
 }
 
@@ -281,6 +286,11 @@ TEST(QualityPolicy, ConfigValidationGuardsTheSeam) {
   EXPECT_THROW(base_config().quality_band(0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(base_config().quality_band(0.5, 0.25), std::invalid_argument);
   EXPECT_THROW(base_config().quality_band(0.5, 1.5), std::invalid_argument);
+  // A NaN ceiling fails no ordered comparison: judgments would be served
+  // unclamped.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(base_config().quality_band(0.5, nan), std::invalid_argument);
+  EXPECT_THROW(base_config().quality_band(nan, 1.0), std::invalid_argument);
   EXPECT_NO_THROW(base_config().quality_band(0.25, 1.0).validate());
   EXPECT_NO_THROW(
       base_config()
@@ -394,18 +404,24 @@ TEST(QualityPolicy, DefaultEngineIsByteIdenticalToExplicitStatic) {
 TEST(QualityPolicy, StaticWithBasePruningIsNotADowngrade) {
   // A static per-model fraction below 1.0 is the configured operating
   // point, not a quality downgrade: the ledger stays clean, and the
-  // accuracy proxy prices the configured fraction for every request.
+  // accuracy proxy prices the derived fraction for every request.
+  TaskProxyPruningOptions proxy;
+  proxy.proxy.tokens = 2;
+  proxy.max_proxy_channels = 128;
+  proxy.max_proxy_layers = 4;
+  const double base = derive_keep_fraction(heavy_model(), proxy);
+  ASSERT_LT(base, 1.0);  // the proxy must actually prune this model
   const auto trace = bursty_trace(12);
-  const auto out = replay_trace(small_cfg(), {tiny_model()},
-                                base_config().prune_keep_fraction(0.6), trace);
+  const auto out = replay_trace(small_cfg(), {heavy_model()},
+                                base_config().task_proxy_pruning(proxy), trace);
   EXPECT_EQ(out.result.quality_downgrades, 0u);
   EXPECT_EQ(out.result.tokens_at_degraded_quality, 0u);
   for (const RequestRecord& rec : out.records) {
     if (rec.rejected) continue;
-    EXPECT_DOUBLE_EQ(rec.keep_fraction_served, 0.6);
+    EXPECT_DOUBLE_EQ(rec.keep_fraction_served, base);
     EXPECT_DOUBLE_EQ(rec.keep_fraction_served, rec.prune_keep_fraction);
   }
-  const double priced = quality_accuracy_proxy(tiny_model(), 0.6);
+  const double priced = quality_accuracy_proxy(heavy_model(), base, proxy);
   EXPECT_DOUBLE_EQ(out.result.accuracy_proxy_mean, priced);
   EXPECT_DOUBLE_EQ(out.result.accuracy_proxy_min, priced);
 }
