@@ -1277,8 +1277,8 @@ int main(int argc, char** argv) {
   // --- 11. Load-adaptive quality: QualityPolicy under SLO pressure --------
   // The §6 zoo trace pushed into overload (48 requests in bursts of 4 at
   // 6 req/s, per-request deadlines) behind SLO-aware admission. The
-  // QualityPolicy seam decides each request's FFN keep fraction at
-  // admission and re-judges it at every chunk boundary: StaticQuality
+  // QualityPolicy seam judges each request's FFN keep fraction once per
+  // prefill chunk, chunk 0's judgment being the admission one: StaticQuality
   // serves everything at full keep and can only shed load by rejecting;
   // SloPressureQuality prunes when a request's estimated finish misses
   // its deadline (relaxing only past a hysteresis margin, so constant

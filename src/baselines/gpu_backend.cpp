@@ -29,8 +29,7 @@ Cycle GpuBackend::job_cycles(std::span<const core::GemmWork> ops) const {
 }
 
 Bytes GpuBackend::estimated_job_bytes(
-    core::Lane lane, std::span<const core::GemmWork> ops) const {
-  (void)lane;  // one GDDR fabric; both streams price traffic identically
+    std::span<const core::GemmWork> ops) const {
   Bytes bytes = 0;
   for (const core::GemmWork& op : ops) {
     bytes += gpu_op_bytes(spec_, op);
@@ -40,15 +39,12 @@ Bytes GpuBackend::estimated_job_bytes(
 
 void GpuBackend::submit(core::Lane lane, std::vector<core::GemmWork> ops,
                         std::function<void()> done,
-                        std::function<void()> started,
-                        std::uint64_t affinity) {
-  (void)affinity;  // strict FIFO: no affinity-aware reordering
+                        std::function<void()> started) {
   if (ops.empty()) {
     throw std::invalid_argument("GpuBackend: cannot submit an empty op list");
   }
   Stream& s = stream(lane);
-  s.queue.push_back(Job{std::move(ops), std::move(done), std::move(started),
-                        sim_.now()});
+  s.queue.push_back(Job{std::move(ops), std::move(done), std::move(started)});
   if (!s.busy) {
     dispatch_next(lane);
   }
@@ -63,10 +59,9 @@ void GpuBackend::dispatch_next(core::Lane lane) {
   Job job = s.queue.take_front();
   s.busy = true;
   ++s.dispatched;
-  s.max_queue_wait = std::max(s.max_queue_wait, sim_.now() - job.submitted);
   const Cycle duration = job_cycles(job.ops);
   s.busy_cycles += duration;
-  bytes_moved_ += estimated_job_bytes(lane, job.ops);
+  bytes_moved_ += estimated_job_bytes(job.ops);
   kernel_launches_ += job.ops.size();
   if (job.started) {
     job.started();
@@ -77,16 +72,6 @@ void GpuBackend::dispatch_next(core::Lane lane) {
     }
     dispatch_next(lane);
   });
-}
-
-double GpuBackend::memory_utilization() const {
-  const Cycle now = sim_.now();
-  if (now == 0) {
-    return 0.0;
-  }
-  const double elapsed_s = static_cast<double>(now) / clock_hz_;
-  const double achieved = static_cast<double>(bytes_moved_) / elapsed_s;
-  return std::min(1.0, achieved / spec_.memory_bandwidth);
 }
 
 }  // namespace edgemm::baselines

@@ -1,5 +1,5 @@
-// GpuBackend: the Table II roofline GPU promoted to a schedulable
-// core::ExecutionBackend.
+// GpuBackend: the Table II roofline GPU as a schedulable execution
+// target.
 //
 // The offline comparison (evaluate_gpu) prices a request by summing
 // gpu_op_seconds over its phases; GpuBackend schedules exactly those
@@ -7,22 +7,19 @@
 // discrete-event simulator, so the same cost model that fills Table II
 // also serves traffic under an OffloadPolicy. There is no TCDM and no
 // weight residency: every kernel launch re-streams its full weight tile
-// through the GPU's own GDDR lane family, which is also why the
-// engine's bandwidth-rebalancing hooks are no-ops here — the fabric is
-// private to the backend and not partitionable from outside.
+// through the GPU's own GDDR, which is private to the GPU — the
+// engine's bandwidth rebalancer never touches it.
 #ifndef EDGEMM_BASELINES_GPU_BACKEND_HPP
 #define EDGEMM_BASELINES_GPU_BACKEND_HPP
 
 #include <array>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
 
 #include "baselines/gpu_model.hpp"
 #include "common/fifo.hpp"
-#include "core/execution_backend.hpp"
 #include "core/phase_scheduler.hpp"
 #include "core/timing.hpp"
 #include "sim/simulator.hpp"
@@ -37,8 +34,8 @@ namespace edgemm::baselines {
 /// duration is the sum of gpu_op_seconds over the job's ops, converted
 /// to cycles of the shared clock (ceil — a job never retires early).
 /// Determinism: identical submission sequences produce identical
-/// dispatch and retirement times; `affinity` is ignored (strict FIFO).
-class GpuBackend final : public core::ExecutionBackend {
+/// dispatch and retirement times.
+class GpuBackend {
  public:
   /// `sim` is the SHARED simulator of the heterogeneous composition
   /// (the EdgeMM chip's, when paired); `clock_hz` converts backend
@@ -46,14 +43,36 @@ class GpuBackend final : public core::ExecutionBackend {
   /// invalid spec or non-positive clock.
   GpuBackend(sim::Simulator& sim, GpuSpec spec, double clock_hz);
 
-  const GpuSpec& spec() const { return spec_; }
-
   /// Seconds one job of `ops` occupies its stream (Σ gpu_op_seconds,
   /// the exact sum evaluate_gpu uses per phase).
   double job_seconds(std::span<const core::GemmWork> ops) const;
 
   /// job_seconds converted to shared-clock cycles (ceil, min 1).
   Cycle job_cycles(std::span<const core::GemmWork> ops) const;
+
+  /// Bytes `ops` stream through GDDR as one job (Σ gpu_op_bytes) — the
+  /// numerator of the engine's fat-backend throughput EWMA.
+  Bytes estimated_job_bytes(std::span<const core::GemmWork> ops) const;
+
+  /// Enqueues `ops` as one FIFO job on `lane`'s stream; `started` fires
+  /// at dispatch, `done` at retirement, both inside the simulation.
+  /// Throws std::invalid_argument for an empty op list.
+  void submit(core::Lane lane, std::vector<core::GemmWork> ops,
+              std::function<void()> done, std::function<void()> started = {});
+
+  /// True when no job is running or queued on `lane`.
+  bool idle(core::Lane lane) const {
+    const Stream& s = stream(lane);
+    return !s.busy && s.queue.empty();
+  }
+  /// Jobs waiting behind the running one on `lane`.
+  std::size_t queued(core::Lane lane) const {
+    return stream(lane).queue.size();
+  }
+  /// Jobs dispatched to `lane` so far.
+  std::size_t dispatched(core::Lane lane) const {
+    return stream(lane).dispatched;
+  }
 
   // --- Ledger (observability) --------------------------------------------
   /// Bytes streamed through GDDR by dispatched jobs (Σ gpu_op_bytes).
@@ -63,44 +82,16 @@ class GpuBackend final : public core::ExecutionBackend {
   /// Cycles `lane`'s stream spent occupied by dispatched jobs.
   Cycle busy_cycles(core::Lane lane) const { return stream(lane).busy_cycles; }
 
-  // --- ExecutionBackend ---------------------------------------------------
-  const char* name() const override { return "gpu"; }
-  sim::Simulator& simulator() override { return sim_; }
-  double clock_hz() const override { return clock_hz_; }
-  void submit(core::Lane lane, std::vector<core::GemmWork> ops,
-              std::function<void()> done, std::function<void()> started = {},
-              std::uint64_t affinity = 0) override;
-  bool idle(core::Lane lane) const override {
-    const Stream& s = stream(lane);
-    return !s.busy && s.queue.empty();
-  }
-  std::size_t queued(core::Lane lane) const override {
-    return stream(lane).queue.size();
-  }
-  std::size_t dispatched(core::Lane lane) const override {
-    return stream(lane).dispatched;
-  }
-  Cycle max_queue_wait(core::Lane lane) const override {
-    return stream(lane).max_queue_wait;
-  }
-  Bytes estimated_job_bytes(core::Lane lane,
-                            std::span<const core::GemmWork> ops) const override;
-  // apply_equal_sharing / apply_bandwidth_ratio: inherited no-ops — the
-  // GDDR lane family is private and not partitionable from the engine.
-  double memory_utilization() const override;
-
  private:
   struct Job {
     std::vector<core::GemmWork> ops;
     std::function<void()> done;
     std::function<void()> started;
-    Cycle submitted = 0;
   };
   struct Stream {
     Fifo<Job> queue;
     bool busy = false;
     std::size_t dispatched = 0;
-    Cycle max_queue_wait = 0;
     Cycle busy_cycles = 0;
   };
 

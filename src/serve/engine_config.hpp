@@ -54,7 +54,8 @@ double derive_keep_fraction(const model::MllmConfig& model,
 /// activation profile derive_keep_fraction uses). keep_fraction >= 1 is
 /// exactly 1.0 (no pruning, no proxy run). Deterministic per
 /// (model name, keep_fraction, options); throws std::invalid_argument
-/// for a non-positive or > 1 fraction.
+/// for a non-positive fraction, or for zero proxy caps when
+/// keep_fraction < 1.
 double quality_accuracy_proxy(const model::MllmConfig& model,
                               double keep_fraction,
                               const TaskProxyPruningOptions& options = {});

@@ -471,9 +471,12 @@ struct QualityContext {
   std::size_t inflight = 0;      ///< admitted but unfinished requests
   std::size_t active_batch = 0;  ///< requests in the current decode batch
   Cycle deadline = 0;            ///< the request's absolute deadline (0 = none)
-  /// Estimated absolute completion: now + CC-lane queue delay + the
-  /// request's remaining prefill + remaining decode, all from the
-  /// engine's full-precision-equivalent throughput EWMAs.
+  /// Estimated absolute completion: now + the CC backlog's delay + the
+  /// request's remaining decode, from the engine's full-precision-
+  /// equivalent throughput EWMAs. The backlog already holds the
+  /// request's unsubmitted prefill chunks, so they count once; at
+  /// chunk 0 this equals the admission estimate (queue delay +
+  /// service).
   Cycle estimated_finish = 0;
   std::size_t slo_misses = 0;    ///< finished requests that missed deadlines
   double base_keep = 1.0;        ///< the static per-model keep fraction
@@ -484,8 +487,10 @@ struct QualityContext {
 
 /// Decides, per request, what FFN keep fraction it is served at — the
 /// paper's activation-aware pruning knob turned into an online,
-/// load-adaptive control. Judged at admission and re-judged at every
-/// prefill chunk submission; the last judgment sticks for decode. The
+/// load-adaptive control. Judged once per prefill chunk, at its
+/// submission: chunk 0's judgment is the admission judgment (a
+/// decode-only tier, which has no chunks, is judged once at
+/// admission). The last judgment sticks for decode. The
 /// engine clamps the returned value into
 /// [min(min_keep, base_keep), max(max_keep, base_keep)] so the static
 /// fraction is always reachable. Serving below base_keep is a

@@ -8,6 +8,7 @@
 #include "common/assert.hpp"
 #include "common/units.hpp"
 #include "core/pipeline.hpp"
+#include "core/timing.hpp"
 #include "model/workload.hpp"
 
 namespace edgemm::serve {
@@ -35,8 +36,10 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
     : config_(config),
       models_(std::move(models)),
       engine_config_(validated(std::move(engine_config))),
-      local_(config_, core::ChipComposition::kHeterogeneous,
-             engine_config_.replay_mode(), core::BandwidthPolicy{}) {
+      chip_(config_, core::ChipComposition::kHeterogeneous,
+            engine_config_.replay_mode()),
+      scheduler_(chip_),
+      manager_(config_, core::BandwidthPolicy{}) {
   if (models_.empty()) {
     throw std::invalid_argument("ServingEngine: no models to serve");
   }
@@ -72,7 +75,7 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
     }
     residency_.emplace(engine_config_.weight_residency());
     if (engine_config_.prefill_planner().prefers_lane_affinity()) {
-      local_.scheduler().set_affinity_chaining(Lane::kCcStage, true);
+      scheduler_.set_affinity_chaining(Lane::kCcStage, true);
     }
   }
 
@@ -111,7 +114,7 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
   // links. The throughput EWMA seeds at the spec's peak bandwidth and
   // converges onto measured fat-chunk throughput.
   if (engine_config_.fat_backend()) {
-    fat_.emplace(local_.simulator(), *engine_config_.fat_backend(),
+    fat_.emplace(chip_.simulator(), *engine_config_.fat_backend(),
                  config_.clock_hz);
     kv_return_link_.emplace(config_.chip_link_bytes_per_cycle,
                             config_.chip_link_latency);
@@ -172,13 +175,13 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
   total_ = records_.size();
   if (pages_) kv_paging_.assign(total_, KvPagingState{});
 
-  sim::Simulator& sim = local_.simulator();
+  sim::Simulator& sim = chip_.simulator();
   for (std::size_t i = 0; i < records_.size(); ++i) {
     sim.schedule_at(records_[i].request.arrival, [this, i] { on_arrival(i); });
   }
   // PMC throttles are always armed (§IV-B); start from the default equal
   // partition and let the interval rebalancer shift it.
-  local_.apply_equal_sharing();
+  manager_.apply_equal_sharing(chip_);
   if (engine_config_.manage_bandwidth()) {
     schedule_rebalance(config_.dma.throttle_interval);
   }
@@ -196,15 +199,15 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
   ServingResult& result = result_;
   static_cast<TraceSummary&>(result) =
       summarize_trace(records_, config_.clock_hz);
-  result.dram_utilization = local_.memory_utilization();
+  result.dram_utilization = chip_.dram().utilization();
   result.mean_decode_batch =
       result.decode_steps > 0
           ? static_cast<double>(batch_occupancy_sum_) /
                 static_cast<double>(result.decode_steps)
           : 0.0;
-  result.prefill_jobs = local_.dispatched(Lane::kCcStage);
+  result.prefill_jobs = scheduler_.dispatched(Lane::kCcStage);
   result.max_cc_queue_delay_ms = cycles_to_ms(
-      local_.max_queue_wait(Lane::kCcStage), config_.clock_hz);
+      scheduler_.lane_stats(Lane::kCcStage).max_queue_wait, config_.clock_hz);
   if (pages_) {
     // Drained-engine invariant, the KV analogue of the pin-drain assert
     // below: every page allocated over the replay was freed — none
@@ -260,7 +263,7 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     // Every return transfer schedules its landing event, so the drained
     // simulator's clock sits at or past the last arrival: in_flight must
     // probe to zero and sent == landed + in_flight holds exactly.
-    const Cycle probe_at = local_.simulator().now();
+    const Cycle probe_at = chip_.simulator().now();
     result.kv_return_transfers = kv_return_link_->transfers().size();
     result.kv_return_bytes_sent = kv_return_link_->bytes_sent_by(probe_at);
     result.kv_return_bytes_landed = kv_return_link_->bytes_landed_by(probe_at);
@@ -306,7 +309,7 @@ OffloadTarget ServingEngine::judge_offload(std::size_t index,
   ctx.chunk_count = plan.chunks.size();
   ctx.chunk_tokens = plan.chunks[chunk].tokens;
   ctx.model = r.model;
-  ctx.local_queued = local_.queued(Lane::kCcStage);
+  ctx.local_queued = scheduler_.queued(Lane::kCcStage);
   ctx.fat_queued = fat_->queued(Lane::kCcStage);
   ctx.local_bytes_per_cycle_est = per_model_[r.model].cc_bytes_per_cycle_est;
   ctx.fat_bytes_per_cycle_est = fat_bytes_per_cycle_est_;
@@ -354,11 +357,15 @@ void ServingEngine::price_chunk(std::size_t index, PrefillPlan& plan,
   const Request& r = records_[index].request;
   PrefillChunk& job = plan.chunks[chunk];
   job.ops = build_chunk_ops(r, plan, chunk, ride_pin, plan.built_keep);
-  const Bytes bytes = local_.estimated_job_bytes(Lane::kCcStage, job.ops);
+  // The CC lane's clusters are homogeneous: the front one's cost tables
+  // price the whole job.
+  const core::ClusterTimingModel& cc =
+      *scheduler_.lane_clusters(Lane::kCcStage).front();
+  const Bytes bytes = core::estimated_traffic_bytes(cc, job.ops);
   const Bytes full =
       plan.built_keep < 1.0
-          ? local_.estimated_job_bytes(
-                Lane::kCcStage, build_chunk_ops(r, plan, chunk, ride_pin, 1.0))
+          ? core::estimated_traffic_bytes(
+                cc, build_chunk_ops(r, plan, chunk, ride_pin, 1.0))
           : bytes;
   plan.total_bytes = plan.total_bytes - job.bytes + bytes;
   plan.total_full_bytes = plan.total_full_bytes - job.full_bytes + full;
@@ -397,7 +404,7 @@ double ServingEngine::judge_quality(std::size_t index) {
   const double base = per_model_[r.model].keep_fraction;
   const double cc_est = per_model_[r.model].cc_bytes_per_cycle_est;
   QualityContext ctx;
-  ctx.now = local_.simulator().now();
+  ctx.now = chip_.simulator().now();
   ctx.queue_depth = queue_.size();
   ctx.inflight = inflight_;
   ctx.active_batch = active_.size();
@@ -407,27 +414,14 @@ double ServingEngine::judge_quality(std::size_t index) {
   ctx.current_keep = rec.keep_fraction_served;
   ctx.min_keep = engine_config_.quality_min_keep();
   ctx.max_keep = engine_config_.quality_max_keep();
-  // Estimated finish mirrors admission_context, restricted to THIS
-  // request's remaining work — and in full-precision-equivalent bytes,
-  // so the pressure signal is about load, not about how degraded the
-  // backlog already is.
-  double remaining = static_cast<double>(cc_pending_full_bytes_) / cc_est;
-  if (engine_config_.phase() != EnginePhase::kDecodeOnly) {
-    const auto it = plans_.find(index);
-    if (it != plans_.end()) {
-      const PrefillPlan& plan = it->second;
-      Bytes prefill_left = 0;
-      for (std::size_t c = plan.next; c < plan.chunks.size(); ++c) {
-        prefill_left += plan.chunks[c].full_bytes;
-      }
-      remaining += static_cast<double>(prefill_left) / cc_est;
-    }
-  }
-  if (engine_config_.phase() != EnginePhase::kPrefillOnly) {
-    remaining +=
-        static_cast<double>(r.output_tokens - rec.tokens_generated) *
-        per_model_[r.model].decode_step_cycles_est;
-  }
+  // Estimated finish: the CC backlog ahead (which, once the request's
+  // plan is admitted, already holds its unsubmitted chunks) plus its own
+  // remaining service — the admission_context estimate, in full-
+  // precision-equivalent bytes so the pressure signal is about load,
+  // not about how degraded the backlog already is.
+  const double remaining =
+      static_cast<double>(cc_pending_full_bytes_) / cc_est +
+      remaining_service(index);
   ctx.estimated_finish = ctx.now + static_cast<Cycle>(remaining);
   const double raw = engine_config_.quality().keep_fraction(r, ctx);
   if (!std::isfinite(raw)) {
@@ -626,7 +620,7 @@ AdmissionContext ServingEngine::admission_context(std::size_t index) {
   // estimated_service (the multi-model-zoo SLO fix).
   const double cc_est = per_model_[r.model].cc_bytes_per_cycle_est;
   AdmissionContext ctx;
-  ctx.now = local_.simulator().now();
+  ctx.now = chip_.simulator().now();
   ctx.inflight = inflight_;
   ctx.active_batch = active_.size();
   ctx.queue_depth = queue_.size();
@@ -636,25 +630,36 @@ AdmissionContext ServingEngine::admission_context(std::size_t index) {
   // Identical to the actual-bytes ledger when nothing is degraded.
   ctx.estimated_queue_delay =
       static_cast<Cycle>(static_cast<double>(cc_pending_full_bytes_) / cc_est);
-  // A phase-split engine only does the work its tier owns, so the SLO
-  // judgment only charges that share: a decode chip never plans (or
-  // pays for) a prefill, a prefill chip retires at prefill end.
-  double prefill_cycles = 0.0;
-  if (engine_config_.phase() != EnginePhase::kDecodeOnly) {
-    const PrefillPlan& plan = plan_for(index);
-    prefill_cycles = static_cast<double>(plan.total_full_bytes) / cc_est;
-  }
-  double decode_cycles = 0.0;
-  if (engine_config_.phase() != EnginePhase::kPrefillOnly) {
-    decode_cycles = static_cast<double>(r.output_tokens) *
-                    per_model_[r.model].decode_step_cycles_est;
-  }
-  ctx.estimated_service = static_cast<Cycle>(prefill_cycles + decode_cycles);
+  ctx.estimated_service = static_cast<Cycle>(remaining_service(index));
   return ctx;
 }
 
+double ServingEngine::remaining_service(std::size_t index) {
+  const RequestRecord& rec = records_[index];
+  const Request& r = rec.request;
+  // A phase-split engine only does the work its tier owns, so only that
+  // share is charged: a decode chip never plans (or pays for) a
+  // prefill, a prefill chip retires at prefill end. A plan already in
+  // the CC backlog is charged there, not here.
+  double prefill_cycles = 0.0;
+  if (engine_config_.phase() != EnginePhase::kDecodeOnly) {
+    const PrefillPlan& plan = plan_for(index);
+    if (!plan.in_backlog) {
+      prefill_cycles = static_cast<double>(plan.total_full_bytes) /
+                       per_model_[r.model].cc_bytes_per_cycle_est;
+    }
+  }
+  double decode_cycles = 0.0;
+  if (engine_config_.phase() != EnginePhase::kPrefillOnly) {
+    decode_cycles =
+        static_cast<double>(r.output_tokens - rec.tokens_generated) *
+        per_model_[r.model].decode_step_cycles_est;
+  }
+  return prefill_cycles + decode_cycles;
+}
+
 void ServingEngine::pump_admission() {
-  sim::Simulator& sim = local_.simulator();
+  sim::Simulator& sim = chip_.simulator();
   while (queue_.ready(sim.now())) {
     const std::size_t index = index_.at(queue_.front().id);
     AdmissionVerdict verdict = engine_config_.scheduler().admit(
@@ -702,13 +707,13 @@ void ServingEngine::pump_admission() {
     ++per_model_[r.model].inflight;
     rec.admitted = sim.now();
     rec.prune_keep_fraction = per_model_[r.model].keep_fraction;
-    // Admission-time quality judgment: the request enters at its static
-    // fraction and the QualityPolicy may immediately degrade it under
-    // pressure (apply_quality re-prices the plan before it enters the
-    // CC backlog).
+    // The request enters at its static fraction. Its one admission-time
+    // quality judgment is chunk 0's (submit_next_chunk), made once the
+    // plan is in the CC backlog; a decode tier, which has no chunks, is
+    // judged here.
     rec.keep_fraction_served = per_model_[r.model].keep_fraction;
-    apply_quality(index, judge_quality(index));
     if (engine_config_.phase() == EnginePhase::kDecodeOnly) {
+      apply_quality(index, judge_quality(index));
       // Disaggregated decode tier: the KV cache arrived finished from a
       // prefill chip (the request's arrival IS the KV landing), so the
       // request joins the decode batch with no CC-lane work at all.
@@ -721,8 +726,7 @@ void ServingEngine::pump_admission() {
     // Chunk 0's backend is judged HERE so pinning can be skipped for a
     // fat start: EdgeMM weight residency means nothing to a backend
     // that re-streams weights per launch. Without a fat backend the
-    // judgment is kLocal without consulting the policy (byte-identical
-    // to the pre-seam engine).
+    // judgment is kLocal without consulting the policy.
     plan.chunk0_fat = judge_offload(index, /*chunk=*/0) == OffloadTarget::kFat;
     if (!plan.chunk0_fat) {
       // Weight-resident chunk chaining: attach to the model's shared pin
@@ -742,9 +746,9 @@ void ServingEngine::pump_admission() {
 
 void ServingEngine::submit_next_chunk(std::size_t index) {
   PrefillPlan& plan = plans_.at(index);
-  // Per-chunk quality re-judgment: pressure may have moved since the
-  // last chunk, and the chunk about to be submitted should stream at
-  // the CURRENT fraction.
+  // Per-chunk quality judgment (chunk 0's is the admission judgment):
+  // pressure may have moved since the last chunk, and the chunk about to
+  // be submitted should stream at the CURRENT fraction.
   apply_quality(index, judge_quality(index));
   const std::size_t chunk = plan.next++;
   const bool first = chunk == 0;
@@ -788,7 +792,7 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
   }
   PrefillChunk& job = plan.chunks[chunk];
   auto started = [this, index, first] {
-    const Cycle now = local_.simulator().now();
+    const Cycle now = chip_.simulator().now();
     plans_.at(index).chunk_started = now;
     if (first) records_[index].prefill_start = now;
   };
@@ -802,7 +806,7 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
     cc_pending_bytes_ -= job.bytes;
     cc_pending_full_bytes_ -= job.full_bytes;
     plan.current_fat = true;
-    plan.current_fat_bytes = fat_->estimated_job_bytes(Lane::kCcStage, job.ops);
+    plan.current_fat_bytes = fat_->estimated_job_bytes(job.ops);
     ++plan.offloaded_chunks;
     plan.offload_tokens += job.tokens;
     ++result_.offloaded_chunks;
@@ -824,14 +828,14 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
   // from "none".)
   const std::uint64_t affinity =
       plan.pin_attached ? records_[index].request.id + 1 : 0;
-  local_.submit(Lane::kCcStage, std::move(job.ops),
+  scheduler_.submit(Lane::kCcStage, std::move(job.ops),
                 [this, index] { on_chunk_done(index); }, started, affinity);
 }
 
 void ServingEngine::on_chunk_done(std::size_t index) {
   PrefillPlan& plan = plans_.at(index);
   const std::size_t chunk = plan.next - 1;
-  const Cycle now = local_.simulator().now();
+  const Cycle now = chip_.simulator().now();
   const Bytes full = plan.chunks[chunk].full_bytes;
   const bool was_fat = plan.current_fat;
   plan.current_fat = false;
@@ -892,7 +896,7 @@ void ServingEngine::on_chunk_done(std::size_t index) {
         static_cast<Bytes>(return_tokens) *
         model::kv_bytes_per_token(models_[records_[index].request.model]);
     const Cycle arrival = kv_return_link_->transfer(kv_bytes, now);
-    local_.simulator().schedule_at(arrival,
+    chip_.simulator().schedule_at(arrival,
                                    [this, index] { on_prefill_done(index); });
     return;
   }
@@ -900,7 +904,7 @@ void ServingEngine::on_chunk_done(std::size_t index) {
 }
 
 void ServingEngine::on_prefill_done(std::size_t index) {
-  records_[index].prefill_end = local_.simulator().now();
+  records_[index].prefill_end = chip_.simulator().now();
   if (engine_config_.phase() == EnginePhase::kPrefillOnly) {
     // Disaggregated prefill tier: this chip's job ends here — the KV
     // cache ships to a decode chip, so the request retires with its
@@ -912,7 +916,7 @@ void ServingEngine::on_prefill_done(std::size_t index) {
   decode_ready_.push_back(index);
   // Continuous batching: if the MC lane is mid-step, this request joins
   // at the next step boundary; only an idle lane needs a kick.
-  if (local_.idle(Lane::kMcDecode)) start_decode_step();
+  if (scheduler_.idle(Lane::kMcDecode)) start_decode_step();
 }
 
 bool ServingEngine::kv_join_reserve(std::size_t index) {
@@ -950,13 +954,13 @@ bool ServingEngine::kv_join_reserve(std::size_t index) {
     ++result_.kv_cow_forks;
   }
   st.joined = true;
-  st.last_touch = local_.simulator().now();
+  st.last_touch = chip_.simulator().now();
   return true;
 }
 
 void ServingEngine::retire(std::size_t index) {
   RequestRecord& rec = records_[index];
-  rec.finish = local_.simulator().now();
+  rec.finish = chip_.simulator().now();
   rec.done = true;
   if (rec.request.deadline > 0 && rec.finish > rec.request.deadline) {
     ++slo_misses_;
@@ -979,7 +983,7 @@ void ServingEngine::refill_swapped() {
   while (!kv_swapped_.empty()) {
     const std::size_t index = kv_swapped_.front();
     if (!pages_->try_swap_in(records_[index].request.id)) break;
-    kv_paging_[index].last_touch = local_.simulator().now();
+    kv_paging_[index].last_touch = chip_.simulator().now();
     active_.push_back(index);
     kv_swapped_.erase(kv_swapped_.begin());
   }
@@ -1017,7 +1021,7 @@ bool ServingEngine::preempt_victim(std::size_t& grower_pos) {
 }
 
 void ServingEngine::grow_page_tables() {
-  const Cycle now = local_.simulator().now();
+  const Cycle now = chip_.simulator().now();
   std::size_t i = 0;
   while (i < active_.size()) {
     const std::size_t index = active_[i];
@@ -1124,13 +1128,13 @@ void ServingEngine::start_decode_step() {
   batch_occupancy_sum_ += active_.size();
   result_.peak_decode_batch =
       std::max(result_.peak_decode_batch, active_.size());
-  step_started_ = local_.simulator().now();
-  local_.submit(Lane::kMcDecode, std::move(step),
+  step_started_ = chip_.simulator().now();
+  scheduler_.submit(Lane::kMcDecode, std::move(step),
                     [this] { on_decode_step_done(); });
 }
 
 void ServingEngine::on_decode_step_done() {
-  const Cycle now = local_.simulator().now();
+  const Cycle now = chip_.simulator().now();
   if (now > step_started_) {
     // Fold the measured step duration into every model that took part in
     // the step (active_ still holds the step's batch here). A model that
@@ -1176,7 +1180,7 @@ void ServingEngine::on_decode_step_done() {
 }
 
 void ServingEngine::schedule_rebalance(Cycle interval) {
-  local_.simulator().schedule(interval, [this, interval] {
+  chip_.simulator().schedule(interval, [this, interval] {
     if (completed_ + rejected_ >= total_) return;  // drained: stop ticking
     rebalance();
     schedule_rebalance(interval);
@@ -1213,15 +1217,15 @@ void ServingEngine::rebalance() {
   std::size_t ratio = 1;
   if (cc_pending_bytes_ == 0) {
     // No upstream work: hand the MC side the whole ramp.
-    ratio = local_.manager().policy().max_mc_ratio;
+    ratio = manager_.policy().max_mc_ratio;
   } else if (mc_bytes > 0.0) {
     ratio = std::clamp<std::size_t>(
         static_cast<std::size_t>(
             mc_bytes / static_cast<double>(cc_pending_bytes_) + 0.5),
         1,
-        local_.manager().policy().max_mc_ratio);
+        manager_.policy().max_mc_ratio);
   }
-  local_.apply_bandwidth_ratio(ratio);
+  manager_.apply_ratio(chip_, ratio);
   ++result_.rebalances;
 }
 

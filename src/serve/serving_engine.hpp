@@ -35,7 +35,6 @@
 #include "core/bandwidth_manager.hpp"
 #include "core/chip.hpp"
 #include "core/config.hpp"
-#include "core/execution_backend.hpp"
 #include "core/phase_scheduler.hpp"
 #include "mem/memory_path.hpp"
 #include "model/mllm_config.hpp"
@@ -192,22 +191,7 @@ class ServingEngine {
   /// Per-request lifecycle records, in the order requests were passed.
   const std::vector<RequestRecord>& records() const { return records_; }
 
-  const core::ChipTimingModel& chip() const { return local_.chip(); }
-
-  /// The local (EdgeMM) execution backend behind the seam.
-  const core::EdgeMmBackend& local_backend() const { return local_; }
-
-  /// The paired fat backend; nullptr unless EngineConfig::fat_backend
-  /// was set.
-  const baselines::GpuBackend* fat_backend() const {
-    return fat_ ? &*fat_ : nullptr;
-  }
-
-  /// The KV return link of the heterogeneous pair; nullptr without a
-  /// fat backend.
-  const mem::ChipLink* kv_return_link() const {
-    return kv_return_link_ ? &*kv_return_link_ : nullptr;
-  }
+  const core::ChipTimingModel& chip() const { return chip_; }
 
   /// The KV ledger; nullptr without a KV budget. Whole-footprint mode
   /// runs it at 1-byte pages (one page per KV byte), paged_kv at
@@ -359,6 +343,12 @@ class ServingEngine {
   bool preempt_victim(std::size_t& grower_pos);
   void preempt_to_dram(std::size_t active_pos);
   AdmissionContext admission_context(std::size_t index);
+  /// Cycles of `index`'s own work left on this tier, from its model's
+  /// full-precision-equivalent estimators: its prefill plan while the
+  /// plan is outside the CC backlog, plus its remaining decode steps.
+  /// The estimated_service of admission_context and, added to the
+  /// backlog delay, judge_quality's estimated finish.
+  double remaining_service(std::size_t index);
   PrefillPlan& plan_for(std::size_t index);
   void drop_plan(std::size_t index);
   /// Builds one chunk's op list. `ride_pin` = false re-fetches the
@@ -412,10 +402,12 @@ class ServingEngine {
   core::ChipConfig config_;
   std::vector<model::MllmConfig> models_;
   EngineConfig engine_config_;
-  /// The EdgeMM chip behind the ExecutionBackend seam (chip + scheduler
-  /// + bandwidth manager, constructed in the pre-seam order).
-  core::EdgeMmBackend local_;
-  /// The paired fat backend (GpuBackend on local_'s simulator); engaged
+  /// The EdgeMM chip, its CC/MC lane dispatcher and the §IV-B bandwidth
+  /// manager, constructed in this order (replays depend on it).
+  core::ChipTimingModel chip_;
+  core::PhaseScheduler scheduler_;
+  core::BandwidthManager manager_;
+  /// The paired fat backend (GpuBackend on chip_'s simulator); engaged
   /// only when EngineConfig::fat_backend is set.
   std::optional<baselines::GpuBackend> fat_;
   /// Ledgered return wire for offloaded prefills' KV (ChipLink pricing,

@@ -8,7 +8,8 @@
 // ServingEngine and a fast-tier single-model paged-KV ServingEngine (the
 // inputs are built outside the counted window), while constructing the
 // zoo engine and replaying a three-request trace on the detailed tier,
-// and while a fast-tier EdgeMmBackend applies 1,000 bandwidth ratios.
+// and while a BandwidthManager applies 1,000 bandwidth ratios to a
+// fast-tier chip.
 // Exits 1 when any count exceeds its budget.
 //
 // Count history (chip detailed / chip fast / zoo engine / zoo replay):
@@ -24,7 +25,11 @@
 //     ports, paths or DMA engines; the cluster owns its PMC budget):
 //     11 / 6 / 18 / 2,747 (paged engine 10, bandwidth ratios 0);
 //   - one vector of per-chunk records per prefill plan (it kept four
-//     parallel vectors): 11 / 6 / 18 / 2,720.
+//     parallel vectors): 11 / 6 / 18 / 2,720;
+//   - an engine that owns its chip, lane scheduler and bandwidth manager
+//     directly (no backend wrapper), bandwidth ratios now applied by a
+//     bare BandwidthManager: 11 / 6 / 18 / 2,720 (paged engine 10,
+//     bandwidth ratios 0).
 // The budgets sit just above the current counts with GCC 12 and
 // libstdc++; the bandwidth-ratio row must stay at zero.
 //
@@ -40,7 +45,7 @@
 
 #include "core/chip.hpp"
 #include "core/config.hpp"
-#include "core/execution_backend.hpp"
+#include "core/bandwidth_manager.hpp"
 #include "model/mllm_config.hpp"
 #include "model/workload.hpp"
 #include "serve/admission.hpp"
@@ -164,7 +169,6 @@ int main() {
 
   std::optional<core::ChipTimingModel> chip_model;
   std::optional<serve::ServingEngine> engine;
-  std::optional<core::EdgeMmBackend> backend;
   std::vector<Row> rows;
   auto measure = [&](const char* name, std::size_t budget,
                      const std::function<void()>& work,
@@ -197,17 +201,18 @@ int main() {
   // Every rebalance tick applies a ratio; on the fast tier each one
   // re-budgets all clusters and schedules one coalesced re-pricing
   // event. The first pass sizes the event heap outside the window.
-  backend.emplace(chip, core::ChipComposition::kHeterogeneous, core::ReplayMode::kFast,
-                  core::BandwidthPolicy{});
+  chip_model.emplace(chip, core::ChipComposition::kHeterogeneous,
+                     core::ReplayMode::kFast);
+  const core::BandwidthManager manager(chip, core::BandwidthPolicy{});
   auto apply_ratios = [&](std::size_t calls) {
     for (std::size_t i = 0; i < calls; ++i) {
-      backend->apply_bandwidth_ratio(1 + i % 7);
-      backend->simulator().run();
+      manager.apply_ratio(*chip_model, 1 + i % 7);
+      chip_model->simulator().run();
     }
   };
   apply_ratios(1);
-  measure("EdgeMmBackend::apply_bandwidth_ratio x 1,000", 0,
-          [&] { apply_ratios(1'000); }, [&] { backend.reset(); });
+  measure("BandwidthManager::apply_ratio x 1,000", 0,
+          [&] { apply_ratios(1'000); }, [&] { chip_model.reset(); });
 
   bool ok = true;
   std::printf("%-48s %12s %12s %10s\n", "measured", "allocations", "bytes",

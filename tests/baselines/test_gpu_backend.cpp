@@ -1,4 +1,4 @@
-#include "core/execution_backend.hpp"
+#include "baselines/gpu_backend.hpp"
 
 #include <cmath>
 #include <stdexcept>
@@ -6,83 +6,18 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/gpu_backend.hpp"
 #include "common/units.hpp"
 #include "sim/simulator.hpp"
 
-namespace edgemm::core {
+namespace edgemm::baselines {
 namespace {
 
-ChipConfig small_cfg() {
-  ChipConfig cfg = default_chip_config();
-  cfg.groups = 1;
-  return cfg;
-}
-
-std::vector<GemmWork> cc_job() {
+std::vector<core::GemmWork> cc_job() {
   return {{64, 256, 256, Phase::kPrefill, false, 0, false}};
 }
 
-std::vector<GemmWork> mc_job() {
+std::vector<core::GemmWork> mc_job() {
   return {{1, 256, 512, Phase::kDecode, false, 0, false}};
-}
-
-// --- EdgeMmBackend: the seam must not change the chip -------------------
-
-TEST(EdgeMmBackend, MatchesDirectPhaseSchedulerRetireTimes) {
-  // The same job sequence through the seam and through a hand-built
-  // ChipTimingModel + PhaseScheduler pair retires at identical cycles:
-  // the backend wraps the pre-seam construction order unchanged.
-  EdgeMmBackend backend(small_cfg(), ChipComposition::kHeterogeneous,
-                        ReplayMode::kDetailed, BandwidthPolicy{});
-  ChipTimingModel chip(small_cfg(), ChipComposition::kHeterogeneous,
-                       ReplayMode::kDetailed);
-  PhaseScheduler sched(chip);
-
-  std::vector<Cycle> seam_retire, direct_retire;
-  for (int i = 0; i < 3; ++i) {
-    backend.submit(Lane::kCcStage, cc_job(),
-                   [&] { seam_retire.push_back(backend.simulator().now()); });
-    sched.submit(Lane::kCcStage, cc_job(),
-                 [&] { direct_retire.push_back(sched.sim().now()); });
-  }
-  backend.submit(Lane::kMcDecode, mc_job(),
-                 [&] { seam_retire.push_back(backend.simulator().now()); });
-  sched.submit(Lane::kMcDecode, mc_job(),
-               [&] { direct_retire.push_back(sched.sim().now()); });
-  backend.simulator().run();
-  chip.simulator().run();
-
-  ASSERT_EQ(seam_retire.size(), 4u);
-  EXPECT_EQ(seam_retire, direct_retire);
-  EXPECT_EQ(backend.dispatched(Lane::kCcStage), 3u);
-  EXPECT_TRUE(backend.idle(Lane::kCcStage));
-  EXPECT_TRUE(backend.idle(Lane::kMcDecode));
-}
-
-TEST(EdgeMmBackend, ForwardsOccupancyAndPricing) {
-  EdgeMmBackend backend(small_cfg(), ChipComposition::kHeterogeneous,
-                        ReplayMode::kDetailed, BandwidthPolicy{});
-  backend.submit(Lane::kCcStage, cc_job(), [] {});
-  backend.submit(Lane::kCcStage, cc_job(), [] {});
-  EXPECT_EQ(backend.queued(Lane::kCcStage), 1u);  // one behind the runner
-  EXPECT_FALSE(backend.idle(Lane::kCcStage));
-
-  // Pricing forwards to the CC lane's cluster traffic estimator.
-  const auto ops = cc_job();
-  EXPECT_EQ(backend.estimated_job_bytes(Lane::kCcStage, ops),
-            estimated_traffic_bytes(
-                *backend.scheduler().lane_clusters(Lane::kCcStage).front(),
-                ops));
-
-  backend.simulator().run();
-  EXPECT_TRUE(backend.idle(Lane::kCcStage));
-
-  // The bandwidth hooks are live on EdgeMM (no-throw repartition).
-  backend.apply_bandwidth_ratio(3);
-  backend.apply_equal_sharing();
-  EXPECT_GE(backend.memory_utilization(), 0.0);
-  EXPECT_LE(backend.memory_utilization(), 1.0);
 }
 
 // --- GpuBackend: deterministic FIFO streams over the shared clock -------
@@ -136,7 +71,7 @@ TEST(GpuBackend, PricesJobsFromTheRooflineModel) {
   EXPECT_EQ(gpu.job_cycles(ops),
             static_cast<Cycle>(
                 std::ceil(gpu.job_seconds(ops) * kChipClockHz)));
-  EXPECT_EQ(gpu.estimated_job_bytes(core::Lane::kCcStage, ops),
+  EXPECT_EQ(gpu.estimated_job_bytes(ops),
             baselines::gpu_op_bytes(spec, ops.front()));
 
   // The ledger prices dispatched work: bytes via gpu_op_bytes, one
@@ -162,4 +97,4 @@ TEST(GpuBackend, RejectsEmptyJobsAndBadConstruction) {
 }
 
 }  // namespace
-}  // namespace edgemm::core
+}  // namespace edgemm::baselines

@@ -139,6 +139,47 @@ class DegradeRequestQuality final : public QualityPolicy {
   double fraction_;
 };
 
+/// Test double: holds every request at its current fraction and logs
+/// each judgment's context, in judgment order.
+class RecordingQuality final : public QualityPolicy {
+ public:
+  const char* name() const override { return "recording-quality"; }
+  double keep_fraction(const Request&,
+                       const QualityContext& ctx) const override {
+    judgments.push_back(ctx);
+    return ctx.current_keep;
+  }
+
+  mutable std::vector<QualityContext> judgments;
+};
+
+/// Test double: admits everything, joins every ready request, and logs
+/// each admission context.
+class RecordingScheduler final : public SchedulerPolicy {
+ public:
+  const char* name() const override { return "recording-scheduler"; }
+  AdmissionVerdict admit(const Request&,
+                         const AdmissionContext& ctx) const override {
+    admissions.push_back(ctx);
+    return AdmissionVerdict::kAdmit;
+  }
+  std::size_t decode_join_count(std::size_t, std::size_t ready) const override {
+    return ready;
+  }
+
+  mutable std::vector<AdmissionContext> admissions;
+};
+
+/// One request alone on the chip: 640 prompt tokens, 4 output tokens,
+/// arriving at cycle 0 with an absolute `deadline` (0 = none).
+std::vector<Request> lone_request(Cycle deadline = 0) {
+  Request r;
+  r.input_tokens = 640;
+  r.output_tokens = 4;
+  r.deadline = deadline;
+  return {r};
+}
+
 QualityContext pressured_ctx(Cycle deadline, Cycle estimated_finish,
                              double current = 1.0) {
   QualityContext ctx;
@@ -560,6 +601,58 @@ TEST(QualityPolicy, MidPrefillRestoreHappensAtChunkBoundaries) {
   }
   EXPECT_EQ(out.result.quality_downgrades,
             out.result.quality_restores + still_degraded);
+}
+
+TEST(QualityPolicy, SloPressureStepsDownOnceAtAdmission) {
+  // A monolithic prefill is one chunk, so admission is one judgment: a
+  // hopeless deadline costs one step, not two (the chunk-0 judgment is
+  // the admission judgment, and its estimate does not count the plan in
+  // the CC backlog a second time).
+  const SloPressureQuality policy;
+  const auto out = replay_trace(
+      small_cfg(), {tiny_model()},
+      base_config()
+          .prefill_planner(std::make_shared<MonolithicPrefill>())
+          .quality_policy(std::make_shared<SloPressureQuality>(policy)),
+      lone_request(/*deadline=*/1));
+  ASSERT_TRUE(out.records[0].done);
+  EXPECT_DOUBLE_EQ(out.records[0].keep_fraction_served, 1.0 - policy.step());
+  EXPECT_EQ(out.result.quality_downgrades, 1u);
+}
+
+TEST(QualityPolicy, ChunkedRequestIsJudgedOncePerChunk) {
+  const auto quality = std::make_shared<RecordingQuality>();
+  const auto out = replay_trace(small_cfg(), {tiny_model()},
+                                base_config().quality_policy(quality),
+                                lone_request());
+  ASSERT_EQ(out.records[0].prefill_chunks, 5u);  // 640 tokens / 128
+  EXPECT_EQ(quality->judgments.size(), out.records[0].prefill_chunks);
+}
+
+TEST(QualityPolicy, ChunkZeroEstimateMatchesTheAdmissionEstimate) {
+  // Alone on the chip, the chunk-0 judgment's estimated finish is the
+  // admission estimate: queue delay plus the request's own service.
+  const auto quality = std::make_shared<RecordingQuality>();
+  const auto scheduler = std::make_shared<RecordingScheduler>();
+  const auto out = replay_trace(
+      small_cfg(), {tiny_model()},
+      base_config().scheduler(scheduler).quality_policy(quality),
+      lone_request());
+  ASSERT_EQ(scheduler->admissions.size(), 1u);
+  const AdmissionContext& admission = scheduler->admissions.front();
+  // Chunk 0 is submitted in the admission event: its judgment is the
+  // last one made at the admission cycle.
+  const QualityContext* chunk0 = nullptr;
+  for (const QualityContext& ctx : quality->judgments) {
+    if (ctx.now == out.records[0].admitted) chunk0 = &ctx;
+  }
+  ASSERT_NE(chunk0, nullptr);
+  const double judged =
+      static_cast<double>(chunk0->estimated_finish - chunk0->now);
+  const double admitted = static_cast<double>(admission.estimated_queue_delay +
+                                              admission.estimated_service);
+  EXPECT_GT(admitted, 0.0);
+  EXPECT_NEAR(judged, admitted, 1.0);
 }
 
 // --- Seam interactions -------------------------------------------------------

@@ -23,7 +23,6 @@ appear as an identifier in the corresponding header:
   RouterPolicy::<name>  -> src/serve/cluster/router.hpp
   ChipLink::<name>      -> src/mem/memory_path.hpp
   KvPageAllocator::<name> -> src/serve/kv_pages.hpp
-  ExecutionBackend::<name>  -> src/core/execution_backend.hpp
   GpuBackend / GpuSpec::<name> -> src/baselines/gpu_backend.hpp + gpu_model.hpp
   OffloadPolicy / OffloadContext::<name> -> src/serve/policy.hpp
   QualityPolicy / QualityContext::<name> -> src/serve/policy.hpp
@@ -72,7 +71,6 @@ HEADERS = {
     "RouterPolicy": "src/serve/cluster/router.hpp",
     "ChipLink": "src/mem/memory_path.hpp",
     "KvPageAllocator": "src/serve/kv_pages.hpp",
-    "ExecutionBackend": "src/core/execution_backend.hpp",
     "GpuBackend": "src/baselines/gpu_backend.hpp",
     "GpuSpec": "src/baselines/gpu_model.hpp",
     "OffloadPolicy": "src/serve/policy.hpp",
