@@ -19,7 +19,7 @@ int main() {
     Table t("Systolic array shapes at 256 PEs (Eq. 2, per weight-tile pass)");
     t.set_header({"R x C", "GEMV (M=1)", "GEMM (M=300)", "MACs/cycle @ M=300",
                   "tiles for 2048x2048"});
-    for (const auto [r, c] : {std::pair<std::size_t, std::size_t>{4, 64},
+    for (const auto& [r, c] : {std::pair<std::size_t, std::size_t>{4, 64},
                               {8, 32},
                               {16, 16},
                               {32, 8},
@@ -40,7 +40,7 @@ int main() {
     Table t("CIM macro shapes at 1024 cells/entry-row (Eq. 3 + write cost)");
     t.set_header({"C cols x R subarrays", "GEMV cycles (K=2048)",
                   "entry writes (K=2048)", "column groups for N=2048"});
-    for (const auto [cols, rows] : {std::pair<std::size_t, std::size_t>{128, 8},
+    for (const auto& [cols, rows] : {std::pair<std::size_t, std::size_t>{128, 8},
                                     {64, 16},
                                     {32, 32},
                                     {16, 64}}) {

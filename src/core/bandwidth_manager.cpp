@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "mem/dma.hpp"
+
 namespace edgemm::core {
 
 BandwidthManager::BandwidthManager(const ChipConfig& config,
@@ -45,16 +47,22 @@ BudgetAssignment BandwidthManager::equal_sharing(std::size_t cc_clusters,
 BudgetAssignment BandwidthManager::budgets_for_length(std::size_t l,
                                                       std::size_t cc_clusters,
                                                       std::size_t mc_clusters) const {
-  BudgetAssignment out;
-  out.mc_ratio = mc_ratio_for_length(l);
-  if (cc_clusters == 0 || mc_clusters == 0 || out.mc_ratio == 1) {
+  return budgets_for_ratio(mc_ratio_for_length(l), cc_clusters, mc_clusters);
+}
+
+BudgetAssignment BandwidthManager::budgets_for_ratio(std::size_t mc_ratio,
+                                                     std::size_t cc_clusters,
+                                                     std::size_t mc_clusters) const {
+  if (cc_clusters == 0 || mc_clusters == 0 || mc_ratio <= 1) {
     return equal_sharing(cc_clusters, mc_clusters);
   }
   // Total deliverable bytes per throttle interval at peak bandwidth,
   // partitioned Bc : Bm = 1 : mc_ratio between the cluster sets.
+  BudgetAssignment out;
+  out.mc_ratio = mc_ratio;
   const double interval_bytes =
       config_.dram.bytes_per_cycle * static_cast<double>(config_.dma.throttle_interval);
-  const double cc_share = 1.0 / (1.0 + static_cast<double>(out.mc_ratio));
+  const double cc_share = 1.0 / (1.0 + static_cast<double>(mc_ratio));
   out.cc_budget_per_cluster = static_cast<Bytes>(
       interval_bytes * cc_share / static_cast<double>(cc_clusters));
   out.mc_budget_per_cluster = static_cast<Bytes>(
@@ -77,37 +85,35 @@ std::size_t BandwidthManager::batch_for_length(std::size_t l) const {
 }
 
 void BandwidthManager::apply(ChipTimingModel& chip, std::size_t l) const {
-  const auto& cc = chip.clusters(ClusterKind::kComputeCentric);
-  const auto& mc = chip.clusters(ClusterKind::kMemoryCentric);
-  const auto budgets = budgets_for_length(l, cc.size(), mc.size());
-  for (auto* cluster : cc) cluster->set_budget(budgets.cc_budget_per_cluster);
-  for (auto* cluster : mc) cluster->set_budget(budgets.mc_budget_per_cluster);
+  apply_ratio(chip, mc_ratio_for_length(l));
 }
 
 void BandwidthManager::apply_ratio(ChipTimingModel& chip, std::size_t mc_ratio) const {
-  const auto& cc = chip.clusters(ClusterKind::kComputeCentric);
-  const auto& mc = chip.clusters(ClusterKind::kMemoryCentric);
-  if (cc.empty() || mc.empty() || mc_ratio <= 1) {
-    apply_equal_sharing(chip);
-    return;
-  }
-  const double interval_bytes =
-      config_.dram.bytes_per_cycle * static_cast<double>(config_.dma.throttle_interval);
-  const double cc_share = 1.0 / (1.0 + static_cast<double>(mc_ratio));
-  const auto cc_budget = static_cast<Bytes>(interval_bytes * cc_share /
-                                            static_cast<double>(cc.size()));
-  const auto mc_budget = static_cast<Bytes>(interval_bytes * (1.0 - cc_share) /
-                                            static_cast<double>(mc.size()));
-  for (auto* cluster : cc) cluster->set_budget(cc_budget);
-  for (auto* cluster : mc) cluster->set_budget(mc_budget);
+  const auto budgets = budgets_for_ratio(
+      mc_ratio, chip.clusters(ClusterKind::kComputeCentric).size(),
+      chip.clusters(ClusterKind::kMemoryCentric).size());
+  set_budgets(chip, budgets.cc_budget_per_cluster, budgets.mc_budget_per_cluster);
+}
+
+void BandwidthManager::apply_cc_cap(ChipTimingModel& chip, std::size_t mc_ratio) const {
+  const auto budgets = budgets_for_ratio(
+      mc_ratio, chip.clusters(ClusterKind::kComputeCentric).size(),
+      chip.clusters(ClusterKind::kMemoryCentric).size());
+  set_budgets(chip, budgets.cc_budget_per_cluster, mem::DmaEngine::kUnlimited);
 }
 
 void BandwidthManager::apply_equal_sharing(ChipTimingModel& chip) const {
-  const auto& cc = chip.clusters(ClusterKind::kComputeCentric);
-  const auto& mc = chip.clusters(ClusterKind::kMemoryCentric);
-  const auto budgets = equal_sharing(cc.size(), mc.size());
-  for (auto* cluster : cc) cluster->set_budget(budgets.cc_budget_per_cluster);
-  for (auto* cluster : mc) cluster->set_budget(budgets.mc_budget_per_cluster);
+  apply_ratio(chip, 1);
+}
+
+void BandwidthManager::set_budgets(ChipTimingModel& chip, Bytes cc_budget,
+                                   Bytes mc_budget) {
+  for (auto* cluster : chip.clusters(ClusterKind::kComputeCentric)) {
+    cluster->set_budget(cc_budget);
+  }
+  for (auto* cluster : chip.clusters(ClusterKind::kMemoryCentric)) {
+    cluster->set_budget(mc_budget);
+  }
 }
 
 }  // namespace edgemm::core

@@ -7,6 +7,17 @@
 // pipeline, so the CC-cluster budget Bc is progressively reduced in
 // favour of Bm (ratios down to 1:7); beyond l_b the pipeline switches
 // to stream-based batch decoding (Fig. 9(c)).
+//
+// Two ways to apply a Bc:Bm = 1:r split:
+//   - apply_ratio hard-partitions the interval bytes: both sides are
+//     capped, so the MC side never exceeds r/(1+r) of DRAM even while
+//     the CC side idles. MllmPipeline (Fig. 13, Table II) uses it.
+//   - apply_cc_cap is work-conserving on the decode side: only the CC
+//     clusters are capped (at the same 1/(1+r) slice) and the MC
+//     clusters stay elastic (unthrottled). When both sides saturate, MC
+//     still gets r/(1+r); when the CC side idles or runs under its cap,
+//     DRAM arbitration hands the rest to decode. A bandwidth-managed
+//     ServingEngine rebalances with it.
 #ifndef EDGEMM_CORE_BANDWIDTH_MANAGER_HPP
 #define EDGEMM_CORE_BANDWIDTH_MANAGER_HPP
 
@@ -60,6 +71,12 @@ class BandwidthManager {
                                       std::size_t cc_clusters,
                                       std::size_t mc_clusters) const;
 
+  /// Budget assignment for an explicit Bc:Bm = 1:mc_ratio split; the
+  /// equal partition at mc_ratio <= 1 or when either side is empty.
+  BudgetAssignment budgets_for_ratio(std::size_t mc_ratio,
+                                     std::size_t cc_clusters,
+                                     std::size_t mc_clusters) const;
+
   /// The paper's default operating point: every cluster receives an
   /// equal hard slice of the deliverable interval bytes ("default equal
   /// bandwidth sharing among clusters", §IV-B).
@@ -78,10 +95,19 @@ class BandwidthManager {
   /// ratio, not the raw output length, determines the right split.
   void apply_ratio(ChipTimingModel& chip, std::size_t mc_ratio) const;
 
+  /// Work-conserving split: caps every CC cluster at the budget
+  /// apply_ratio(chip, mc_ratio) would give it and leaves every MC
+  /// cluster at DmaEngine::kUnlimited, so decode takes whatever DRAM
+  /// bytes the CC side leaves unused. The CC side never gets less than
+  /// under apply_ratio.
+  void apply_cc_cap(ChipTimingModel& chip, std::size_t mc_ratio) const;
+
   /// Applies the default equal partition (the Fig. 13 baseline).
   void apply_equal_sharing(ChipTimingModel& chip) const;
 
  private:
+  static void set_budgets(ChipTimingModel& chip, Bytes cc_budget, Bytes mc_budget);
+
   ChipConfig config_;
   BandwidthPolicy policy_;
 };

@@ -73,7 +73,7 @@ class ChipTimingModel {
 
   /// All clusters of one kind in group-major order (empty if the
   /// composition has none). The same object on every call.
-  const ClusterSet& clusters(ClusterKind kind) {
+  const ClusterSet& clusters(ClusterKind kind) const {
     return by_kind_[static_cast<std::size_t>(kind)];
   }
 

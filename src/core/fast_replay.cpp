@@ -405,17 +405,18 @@ void FastMemoryModel::retire(Lane& lane, std::unique_ptr<Stream> stream) {
   ChainTimes times =
       replay_chain(stream->ops, cpb, flood_cpb, sync_cpb, inv_rb,
                    stream->started_at, stream->usage0);
-  // Grid-slip excess: when the allowance grid is oversubscribed
-  // (Σ budgets > channel), every boundary under-delivers and the
-  // deficit cascades through the deferred-burst queue. The fluid
-  // water-filling prices the average slowdown, but the detailed
-  // tier's burst-granular FIFO arbitration runs slower than the
-  // fluid share; the excess fraction is calibrated against the
-  // detailed tier on the rider-vs-decode shapes of the serving_trace
-  // §3 resident/chained rows, whose fast-tier drift §7 gates. Chained
-  // continuation batches (usage carried from the lane bucket) skip
-  // the charge — their flood tail is an artificial batch boundary,
-  // not a real end-of-stream drain.
+  // Grid-slip excess: when the allowance grid is oversubscribed (the
+  // deferring streams' budgets plus the other budgeted traffic exceed
+  // the channel; unthrottled streams never count, see compute_rates),
+  // every boundary under-delivers and the deficit cascades through the
+  // deferred-burst queue. The fluid water-filling prices the average
+  // slowdown, but the detailed tier's burst-granular FIFO arbitration
+  // runs slower than the fluid share; the excess fraction is calibrated
+  // against the detailed tier on the rider-vs-decode shapes of the
+  // serving_trace §3 resident/chained rows, whose fast-tier drift §7
+  // gates. Chained continuation batches (usage carried from the lane
+  // bucket) skip the charge — their flood tail is an artificial batch
+  // boundary, not a real end-of-stream drain.
   if (stream->defers && stream->slip_acc > 0.0 && stream->usage0 <= 0.0) {
     constexpr double kGridSlipExcess = 0.35;
     times.dma_end += kGridSlipExcess * stream->slip_acc;
@@ -520,27 +521,36 @@ void FastMemoryModel::compute_rates() {
   const double floor_bw = 1e-3 * bw;
   double total_rate = 0.0;
   double smooth_rate = 0.0;  // fluid service of the non-deferring streams
+  double budgeted_smooth_rate = 0.0;  // ... of those under a finite budget
+  double defer_rb = 0.0;  // summed allowances of the deferring streams
   for (const Entry& e : entries) {
     total_rate += e.stream->rate;
-    if (!e.stream->defers) smooth_rate += e.stream->rate;
+    const double rb = budget_rate(*e.stream->cluster);
+    if (e.stream->defers) {
+      if (std::isfinite(rb)) defer_rb += rb;
+    } else {
+      smooth_rate += e.stream->rate;
+      if (std::isfinite(rb)) budgeted_smooth_rate += e.stream->rate;
+    }
   }
   const double flood_factor =
       flooding * bw / std::max(bw - smooth_rate, floor_bw);
   // Grid slip: when the ACTIVE deferring clusters' summed allowances
-  // (plus the smooth traffic) oversubscribe the channel, each interval
-  // under-delivers and every deferred queue falls behind its boundary
-  // by the excess — a drift the fluid share cannot see (each stream's
-  // average demand still fits its budget) and the per-flood factor only
-  // prices within one interval. Charged continuously (cycles per cycle)
-  // to avoid quantizing into whole-boundary jumps.
-  double defer_rb = 0.0;
-  for (const Entry& e : entries) {
-    if (!e.stream->defers) continue;
-    const double rb = budget_rate(*e.stream->cluster);
-    if (std::isfinite(rb)) defer_rb += rb;
-  }
+  // (plus the budgeted smooth traffic) oversubscribe the channel, each
+  // interval under-delivers and every deferred queue falls behind its
+  // boundary by the excess — a drift the fluid share cannot see (each
+  // stream's average demand still fits its budget) and the per-flood
+  // factor only prices within one interval. Charged continuously
+  // (cycles per cycle) to avoid quantizing into whole-boundary jumps.
+  // Only budgeted traffic claims a place on the allowance grid. An
+  // unthrottled stream is elastic: the water-filling hands it exactly
+  // what the others leave, so its rate tops the channel up to bw, and
+  // summing it would count every deferring stream's unused allowance
+  // as oversubscription. §7's bandwidth-managed rows and
+  // FastReplay.UnthrottledNeighbourAddsNoGridSlip check this against
+  // the detailed tier.
   const double slip_rate =
-      std::max(defer_rb + smooth_rate - bw, 0.0) / bw;
+      std::max(defer_rb + budgeted_smooth_rate - bw, 0.0) / bw;
   for (const Entry& a : entries) {
     a.stream->flood_now = std::max(flood_factor, 1.0);
     a.stream->slip_now = slip_rate;

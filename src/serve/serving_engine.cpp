@@ -1214,9 +1214,13 @@ void ServingEngine::rebalance() {
     mc_bytes += state.decode_shared_bytes * static_cast<double>(state.max_remaining);
   }
 
+  // The ratio only sizes the CC cap, 1/(1+ratio) of the interval bytes:
+  // the MC clusters stay unthrottled and take every byte the CC side
+  // leaves, so decode keeps at least ratio/(1+ratio) of DRAM when both
+  // sides saturate and the whole channel when the CC side idles.
   std::size_t ratio = 1;
   if (cc_pending_bytes_ == 0) {
-    // No upstream work: hand the MC side the whole ramp.
+    // No upstream work: the tightest CC cap.
     ratio = manager_.policy().max_mc_ratio;
   } else if (mc_bytes > 0.0) {
     ratio = std::clamp<std::size_t>(
@@ -1225,7 +1229,7 @@ void ServingEngine::rebalance() {
         1,
         manager_.policy().max_mc_ratio);
   }
-  manager_.apply_ratio(chip_, ratio);
+  manager_.apply_cc_cap(chip_, ratio);
   ++result_.rebalances;
 }
 

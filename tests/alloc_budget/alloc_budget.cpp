@@ -8,8 +8,8 @@
 // ServingEngine and a fast-tier single-model paged-KV ServingEngine (the
 // inputs are built outside the counted window), while constructing the
 // zoo engine and replaying a three-request trace on the detailed tier,
-// and while a BandwidthManager applies 1,000 bandwidth ratios to a
-// fast-tier chip.
+// and while a BandwidthManager applies the serving engine's CC-cap
+// rebalance 1,000 times to a fast-tier chip.
 // Exits 1 when any count exceeds its budget.
 //
 // Count history (chip detailed / chip fast / zoo engine / zoo replay):
@@ -29,7 +29,11 @@
 //   - an engine that owns its chip, lane scheduler and bandwidth manager
 //     directly (no backend wrapper), bandwidth ratios now applied by a
 //     bare BandwidthManager: 11 / 6 / 18 / 2,720 (paged engine 10,
-//     bandwidth ratios 0).
+//     bandwidth ratios 0);
+//   - a bandwidth-managed engine caps only the CC clusters, so the
+//     1,000-call row drives BandwidthManager::apply_cc_cap and the
+//     replay's decode tail runs unthrottled: 11 / 6 / 18 / 2,655 (paged
+//     engine 10, CC caps 0).
 // The budgets sit just above the current counts with GCC 12 and
 // libstdc++; the bandwidth-ratio row must stay at zero.
 //
@@ -198,21 +202,21 @@ int main() {
           },
           [&] { engine.reset(); });
 
-  // Every rebalance tick applies a ratio; on the fast tier each one
+  // Every rebalance tick applies a CC cap; on the fast tier each one
   // re-budgets all clusters and schedules one coalesced re-pricing
   // event. The first pass sizes the event heap outside the window.
   chip_model.emplace(chip, core::ChipComposition::kHeterogeneous,
                      core::ReplayMode::kFast);
   const core::BandwidthManager manager(chip, core::BandwidthPolicy{});
-  auto apply_ratios = [&](std::size_t calls) {
+  auto apply_caps = [&](std::size_t calls) {
     for (std::size_t i = 0; i < calls; ++i) {
-      manager.apply_ratio(*chip_model, 1 + i % 7);
+      manager.apply_cc_cap(*chip_model, 1 + i % 7);
       chip_model->simulator().run();
     }
   };
-  apply_ratios(1);
-  measure("BandwidthManager::apply_ratio x 1,000", 0,
-          [&] { apply_ratios(1'000); }, [&] { chip_model.reset(); });
+  apply_caps(1);
+  measure("BandwidthManager::apply_cc_cap x 1,000", 0,
+          [&] { apply_caps(1'000); }, [&] { chip_model.reset(); });
 
   bool ok = true;
   std::printf("%-48s %12s %12s %10s\n", "measured", "allocations", "bytes",

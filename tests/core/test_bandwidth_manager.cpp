@@ -1,5 +1,6 @@
 #include "core/bandwidth_manager.hpp"
 
+#include <cstddef>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -145,6 +146,56 @@ TEST(BandwidthManager, ApplyRatioSetsFastTierBudgets) {
   }
   EXPECT_GT(fast.clusters(ClusterKind::kMemoryCentric).front()->budget(),
             6 * fast.clusters(ClusterKind::kComputeCentric).front()->budget());
+}
+
+/// The CC slice apply_ratio gives each CC cluster at Bc:Bm = 1:r.
+Bytes hard_partition_cc_slice(const ChipConfig& cfg, std::size_t r,
+                              std::size_t cc_clusters, std::size_t mc_clusters) {
+  const double interval_bytes =
+      cfg.dram.bytes_per_cycle * static_cast<double>(cfg.dma.throttle_interval);
+  if (r == 1) {
+    return static_cast<Bytes>(interval_bytes /
+                              static_cast<double>(cc_clusters + mc_clusters));
+  }
+  return static_cast<Bytes>(interval_bytes * (1.0 / (1.0 + static_cast<double>(r))) /
+                            static_cast<double>(cc_clusters));
+}
+
+TEST(BandwidthManager, CcCapKeepsTheCcSliceAndFreesTheMcSide) {
+  const ChipConfig cfg = default_chip_config();
+  const auto mgr = make_manager();
+  for (const ReplayMode mode : {ReplayMode::kDetailed, ReplayMode::kFast}) {
+    SCOPED_TRACE(to_string(mode));
+    const bool detailed = mode == ReplayMode::kDetailed;
+    ChipTimingModel partitioned(cfg, ChipComposition::kHeterogeneous, mode);
+    ChipTimingModel capped(cfg, ChipComposition::kHeterogeneous, mode);
+    const auto& cc = capped.clusters(ClusterKind::kComputeCentric);
+    const auto& mc = capped.clusters(ClusterKind::kMemoryCentric);
+    for (std::size_t r = 1; r <= 7; ++r) {
+      SCOPED_TRACE(r);
+      mgr.apply_ratio(partitioned, r);
+      mgr.apply_cc_cap(capped, r);
+      const Bytes slice = hard_partition_cc_slice(cfg, r, cc.size(), mc.size());
+      EXPECT_EQ(partitioned.clusters(ClusterKind::kComputeCentric).front()->budget(),
+                slice);
+      for (auto* c : cc) {
+        EXPECT_EQ(c->budget(), slice);
+        if (detailed) {
+          EXPECT_EQ(c->dma().budget(), slice);
+        }
+      }
+      for (auto* c : mc) {
+        EXPECT_EQ(c->budget(), mem::DmaEngine::kUnlimited);
+        if (detailed) {
+          EXPECT_EQ(c->dma().budget(), mem::DmaEngine::kUnlimited);
+        }
+      }
+    }
+    // Switching back to the hard partition re-caps the MC side.
+    mgr.apply_ratio(capped, 7);
+    EXPECT_EQ(mc.front()->budget(),
+              partitioned.clusters(ClusterKind::kMemoryCentric).front()->budget());
+  }
 }
 
 }  // namespace

@@ -195,12 +195,16 @@ TEST(Chip, ClearBandwidthBudgetsLiftsThrottles) {
     for (auto* c : chip.all_clusters()) c->set_budget(1);
     for (auto* c : chip.all_clusters()) {
       EXPECT_EQ(c->budget(), 1u);
-      if (detailed) EXPECT_EQ(c->dma().budget(), 1u);
+      if (detailed) {
+        EXPECT_EQ(c->dma().budget(), 1u);
+      }
     }
     chip.clear_bandwidth_budgets();
     for (auto* c : chip.all_clusters()) {
       EXPECT_EQ(c->budget(), mem::DmaEngine::kUnlimited);
-      if (detailed) EXPECT_EQ(c->dma().budget(), mem::DmaEngine::kUnlimited);
+      if (detailed) {
+        EXPECT_EQ(c->dma().budget(), mem::DmaEngine::kUnlimited);
+      }
     }
   }
 }

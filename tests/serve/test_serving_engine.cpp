@@ -181,6 +181,37 @@ TEST(ServingEngine, BandwidthManagementRebalancesUnderLoad) {
   EXPECT_GT(result.rebalances, 0u);
 }
 
+TEST(ServingEngine, ManagedDecodeTailRunsUnthrottled) {
+  // Once the prompt's prefill retires, the CC backlog is empty: each
+  // rebalance caps only the CC clusters, at the 1:max_mc_ratio slice,
+  // and leaves the MC clusters running the decode tail unthrottled.
+  core::ChipConfig cfg = small_cfg();
+  cfg.dma.throttle_interval = 10'000;
+  EngineConfig config = fast_config();
+  config.manage_bandwidth(true);
+  ServingEngine engine(cfg, {tiny_model()}, std::move(config));
+  const core::BandwidthManager reference(cfg, core::BandwidthPolicy{});
+  const Bytes cc_cap =
+      reference.budgets_for_ratio(core::BandwidthPolicy{}.max_mc_ratio, 2, 2)
+          .cc_budget_per_cluster;
+  std::size_t checked = 0;
+  engine.set_completion_callback([&](const RequestRecord& rec) {
+    EXPECT_GT(rec.finish - rec.first_token, 2 * cfg.dma.throttle_interval);
+    const core::ChipTimingModel& chip = engine.chip();
+    for (auto* c : chip.clusters(core::ClusterKind::kComputeCentric)) {
+      EXPECT_EQ(c->budget(), cc_cap);
+    }
+    for (auto* c : chip.clusters(core::ClusterKind::kMemoryCentric)) {
+      EXPECT_EQ(c->budget(), mem::DmaEngine::kUnlimited);
+      EXPECT_EQ(c->dma().budget(), mem::DmaEngine::kUnlimited);
+    }
+    ++checked;
+  });
+  const auto result = engine.run({req(0, 0, 64)});
+  EXPECT_EQ(checked, 1u);
+  EXPECT_GT(result.rebalances, 2u);
+}
+
 TEST(ServingEngine, FiresCompletionCallbacksInFinishOrder) {
   ServingEngine engine(small_cfg(), {tiny_model()}, fast_config());
   std::vector<RequestId> completions;

@@ -19,10 +19,23 @@ BENCHMARK.json in CHANGE_DIR. The workload's held-out seed (read from
 perfbench/workloads.cpp) is refused unless --held-out is passed: spend
 it once, after the other seeds.
 
+A change that moves the modeled chip on purpose (a scheduling or timing
+change) moves the simulated metrics too. `--sim-change` compares such a
+change: it prints the same per-seed values and summary for EVERY
+end-to-end metric instead of one, and lets simulated metrics differ.
+
+    python3 tools/perf_pairs.py PARENT_DIR CHANGE_DIR --workload chat_paged \\
+        --seeds 1-10 --sim-change
+
+`--self-test` checks the --sim-change verdict on built-in results and
+runs nothing.
+
 Exit status: 0 when every run is correct with no failed operations and
 every end-to-end metric other than the host ones (setup_s, peak_rss_mib)
-is identical between the two trees at each seed; 1 otherwise; 2 on a
-usage error.
+is identical between the two trees at each seed; with --sim-change, 0
+when every run is correct with no failed operations and no metric's
+change median is worse than the parent's by more than the metric's
+BENCHMARK.json bound; 1 otherwise; 2 on a usage error.
 """
 
 import argparse
@@ -89,20 +102,144 @@ def quartiles(values):
     return q1, q3
 
 
+def runs_sound(seed, results):
+    """True when every side's run is correct with no failed operation."""
+    ok = True
+    for side, result in results.items():
+        if not result["correct"] or result["failed"] > 0:
+            print(f"perf_pairs: {side} seed {seed}: correct {result['correct']}, "
+                  f"failed {result['failed']}", file=sys.stderr)
+            ok = False
+    return ok
+
+
+def summarize(pairs, lower_is_better):
+    """Prints the wins, medians, quartiles and parent IQR of (parent, change)
+    pairs; returns the two medians."""
+    parents = [p for p, _ in pairs]
+    changes = [c for _, c in pairs]
+    wins = sum(1 for p, c in pairs if (c < p if lower_is_better else c > p))
+    parent_median = statistics.median(parents)
+    change_median = statistics.median(changes)
+    q1, q3 = quartiles(parents)
+    c1, c3 = quartiles(changes)
+    gap = abs(parent_median - change_median)
+    print(f"change wins {wins} of {len(pairs)} pairs")
+    print(f"median (quartiles): parent {parent_median:.6g} ({q1:.6g}-{q3:.6g}), "
+          f"change {change_median:.6g} ({c1:.6g}-{c3:.6g})")
+    if parent_median:
+        print(f"median ratio change/parent {change_median / parent_median:.3f}")
+        print(f"parent IQR {q3 - q1:.6g} = {(q3 - q1) / parent_median:.1%} of its "
+              f"median; median gap {gap:.6g} {'>' if gap > q3 - q1 else '<='} IQR")
+    return parent_median, change_median
+
+
+def worse_beyond_bound(metric, parent_median, change_median):
+    """True when the change's median is worse than the parent's by more than
+    the metric's relative BENCHMARK.json bound."""
+    slack = metric["bound"] * abs(parent_median)
+    if metric["better"] == "lower":
+        return change_median > parent_median + slack
+    return change_median < parent_median - slack
+
+
+def sim_change_report(metrics, rows):
+    """Per-metric report over rows of (seed, first side, {side: result}).
+
+    Returns False when a run is unsound or a metric's change median is worse
+    than its bound allows."""
+    ok = True
+    for seed, _, results in rows:
+        ok = runs_sound(seed, results) and ok
+    if not rows:
+        return False
+    for name, metric in metrics.items():
+        lower_is_better = metric["better"] == "lower"
+        print(f"\n{name} ({metric['unit']}, "
+              f"{'lower' if lower_is_better else 'higher'} is better, "
+              f"bound {metric['bound']:.0%})")
+        print(f"{'seed':>6}  {'first':<6}  {'parent':>12}  {'change':>12}  {'ratio':>6}")
+        pairs = []
+        for seed, first, results in rows:
+            parent = results["parent"]["metrics"][name]["value"]
+            change = results["change"]["metrics"][name]["value"]
+            pairs.append((parent, change))
+            ratio = f"{change / parent:>6.3f}" if parent else f"{'-':>6}"
+            print(f"{seed:>6}  {first:<6}  {parent:>12.6g}  {change:>12.6g}  {ratio}")
+        parent_median, change_median = summarize(pairs, lower_is_better)
+        if worse_beyond_bound(metric, parent_median, change_median):
+            print(f"perf_pairs: {name}: change median {change_median:.6g} is worse "
+                  f"than the parent's {parent_median:.6g} by more than "
+                  f"{metric['bound']:.0%}", file=sys.stderr)
+            ok = False
+    print("\nevery run correct and every median within its bound: "
+          f"{'yes' if ok else 'NO'}")
+    return ok
+
+
+def self_test():
+    """Checks sim_change_report's verdict on built-in results; returns 0/1."""
+    metrics = {
+        "tpot_p50_ms": {"unit": "ms", "better": "lower", "bound": 0.25},
+        "served_share": {"unit": "share", "better": "higher", "bound": 0.25},
+    }
+
+    def result(tpot, share, correct=True, failed=0):
+        return {"correct": correct, "failed": failed,
+                "metrics": {"tpot_p50_ms": {"value": tpot},
+                            "served_share": {"value": share}}}
+
+    def rows(change):
+        return [(seed, "parent", {"parent": result(24.0 + seed * 0.1, 1.0),
+                                  "change": change(seed)})
+                for seed in (1, 2, 3)]
+
+    cases = [
+        ("simulated gain", rows(lambda s: result(23.0 + s * 0.1, 1.0)), True),
+        ("loss inside the bound", rows(lambda s: result(28.0, 0.8)), True),
+        ("median worse than the bound", rows(lambda s: result(31.0, 1.0)), False),
+        ("higher-better median below the bound", rows(lambda s: result(24.0, 0.7)),
+         False),
+        ("incorrect run", rows(lambda s: result(24.0, 1.0, correct=s != 2)), False),
+        ("failed operation", rows(lambda s: result(24.0, 1.0, failed=int(s == 3))),
+         False),
+        ("no pairs", [], False),
+    ]
+    failures = []
+    for label, case_rows, want in cases:
+        print(f"\n=== self-test: {label} (want {'pass' if want else 'fail'})")
+        if sim_change_report(metrics, case_rows) != want:
+            failures.append(label)
+    print(f"\nself-test: {len(cases) - len(failures)} of {len(cases)} verdicts right"
+          + (f"; wrong: {', '.join(failures)}" if failures else ""))
+    return 1 if failures else 0
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0],
         epilog="Exit 1 on a failed or incorrect run or a simulated metric that "
-               "differs between the trees at one seed.")
-    parser.add_argument("parent", type=Path, help="source tree of the parent commit")
-    parser.add_argument("change", type=Path, help="source tree of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, help="inclusive range A-B, or one seed N")
+               "differs between the trees at one seed (with --sim-change: a "
+               "metric whose median is worse than its bound).")
+    parser.add_argument("parent", type=Path, nargs="?",
+                        help="source tree of the parent commit")
+    parser.add_argument("change", type=Path, nargs="?", help="source tree of the change")
+    parser.add_argument("--workload")
+    parser.add_argument("--seeds", help="inclusive range A-B, or one seed N")
     parser.add_argument("--metric", default="setup_s", help="end-to-end metric to compare")
     parser.add_argument("--seconds", type=float, default=35.0, help="run budget per run")
     parser.add_argument("--held-out", action="store_true",
                         help="allow the workload's held-out seed")
+    parser.add_argument("--sim-change", action="store_true",
+                        help="report every end-to-end metric and let simulated "
+                             "metrics differ; fail on a median worse than its bound")
+    parser.add_argument("--self-test", action="store_true",
+                        help="check the --sim-change verdict on built-in results")
     args = parser.parse_args()
+    if args.self_test:
+        return self_test()
+    if args.parent is None or args.change is None or not args.workload or not args.seeds:
+        usage_error("PARENT_DIR, CHANGE_DIR, --workload and --seeds are required")
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
@@ -120,23 +257,26 @@ def main():
                     "pass --held-out to spend it")
 
     ok = True
+    rows = []  # (seed, first side, {side: result}) of every completed pair
     pairs = []
     others = {}  # (host metric, side) -> values, for the host metrics not compared
-    print(f"{args.workload} {args.metric} ({metrics[args.metric]['unit']}, "
-          f"{'lower' if lower_is_better else 'higher'} is better), "
-          f"{args.seconds:g} s per run, --trace 0")
-    print(f"{'seed':>6}  {'first':<6}  {'parent':>12}  {'change':>12}  {'ratio':>6}")
+    print(f"{args.workload} {'every end-to-end metric' if args.sim_change else args.metric}"
+          f", {args.seconds:g} s per run, --trace 0")
+    if not args.sim_change:
+        print(f"{args.metric} ({metrics[args.metric]['unit']}, "
+              f"{'lower' if lower_is_better else 'higher'} is better)")
+        print(f"{'seed':>6}  {'first':<6}  {'parent':>12}  {'change':>12}  {'ratio':>6}")
     for index, seed in enumerate(seeds):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         results = {side: run(trees[side], args, seed) for side in order}
         if any(r is None for r in results.values()):
             ok = False
             continue
-        for side, result in results.items():
-            if not result["correct"] or result["failed"] > 0:
-                print(f"perf_pairs: {side} seed {seed}: correct {result['correct']}, "
-                      f"failed {result['failed']}", file=sys.stderr)
-                ok = False
+        rows.append((seed, order[0], results))
+        if args.sim_change:
+            print(f"seed {seed} done ({order[0]} first)", flush=True)
+            continue
+        ok = runs_sound(seed, results) and ok
         for name in metrics:
             if name in HOST_METRICS:
                 continue
@@ -155,22 +295,12 @@ def main():
         print(f"{seed:>6}  {order[0]:<6}  {parent:>12.6g}  {change:>12.6g}  {ratio:>6.3f}",
               flush=True)
 
+    if args.sim_change:
+        return 0 if sim_change_report(metrics, rows) and ok else 1
+
     if pairs:
-        parents = [p for p, _ in pairs]
-        changes = [c for _, c in pairs]
-        wins = sum(1 for p, c in pairs if (c < p if lower_is_better else c > p))
-        parent_median = statistics.median(parents)
-        change_median = statistics.median(changes)
-        q1, q3 = quartiles(parents)
-        c1, c3 = quartiles(changes)
-        gap = abs(parent_median - change_median)
-        print(f"change wins {wins} of {len(pairs)} pairs")
-        print(f"median (quartiles): parent {parent_median:.6g} ({q1:.6g}-{q3:.6g}), "
-              f"change {change_median:.6g} ({c1:.6g}-{c3:.6g})")
-        print(f"median ratio change/parent {change_median / parent_median:.3f} "
-              f"(median of pair ratios {statistics.median(c / p for p, c in pairs):.3f})")
-        print(f"parent IQR {q3 - q1:.6g} = {(q3 - q1) / parent_median:.1%} of its median; "
-              f"median gap {gap:.6g} {'>' if gap > q3 - q1 else '<='} IQR")
+        summarize(pairs, lower_is_better)
+        print(f"median of pair ratios {statistics.median(c / p for p, c in pairs):.3f}")
         for name in sorted(HOST_METRICS - {args.metric}):
             print(f"{name} median: parent {statistics.median(others[name, 'parent']):.6g}, "
                   f"change {statistics.median(others[name, 'change']):.6g}")
