@@ -42,8 +42,10 @@
 //      paged + prefix gated to sustain strictly more concurrent decodes
 //      (or equal throughput on fewer peak KV bytes), page ledgers gated
 //      exactly conserved, and a tight-budget row that completes the
-//      trace by paying DRAM re-fetches. §1–§8 replay with paged_kv off,
-//      so their numbers are untouched.
+//      trace by paying DRAM re-fetches. Every row also encodes each
+//      conversation's image once (encoder-cache hits gated to requests
+//      - conversations). §1–§8 replay with paged_kv off and carry no
+//      prefix_id, so their numbers are untouched.
 //  10. heterogeneous offload — the §6 long-prefill zoo trace on one
 //      EdgeMM + fat-GPU chip pair (fast tier), sweeping OffloadPolicy
 //      backend mixes: NoOffload with the GPU configured gated
@@ -66,6 +68,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -932,8 +935,10 @@ int main(int argc, char** argv) {
   // front; paged mode charges pages as tokens are generated, shares full
   // prefix pages copy-on-write across a conversation group, and preempts
   // cold requests to DRAM instead of deferring joins. The tight row
-  // halves the budget to price the swap churn. §1–§8 never see any of
-  // this: paged_kv defaults off, so their replays stay byte-identical.
+  // halves the budget to price the swap churn. Every row, whatever its
+  // KV mode, encodes each conversation's image once. §1–§8 never see any
+  // of this: paged_kv defaults off and their traces carry no prefix_id,
+  // so their replays stay byte-identical.
   std::printf("\n--- paged KV: CoW prefix sharing + DRAM swap "
               "(equal byte budget) ---\n\n");
   serve::TraceConfig paged_cfg;
@@ -995,11 +1000,12 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < s9_cases.size(); ++i) {
     const serve::ServingResult& r = s9.outcomes[i].result;
     std::printf("  %-24s %3zu done  makespan %8.1f ms  %7.1f tok/s  "
-                "peak batch %zu  peak KV %5.1f MiB\n",
+                "peak batch %zu  peak KV %5.1f MiB  encoder hits %zu\n",
                 s9_cases[i].label.c_str(), r.completed, r.makespan_ms,
                 r.tokens_per_second, r.peak_decode_batch,
                 static_cast<double>(r.peak_kv_reserved_bytes) /
-                    (1024.0 * 1024.0));
+                    (1024.0 * 1024.0),
+                r.encoder_cache_hits);
     if (r.kv_pages_allocated > 0) {
       std::printf("  %-24s pages %zu alloc / %zu freed  shared attach %zu "
                   "(saved %zu)  swap out %zu  refetch %.1f MiB  "
@@ -1051,6 +1057,17 @@ int main(int argc, char** argv) {
     paged_refill_priced_ok = paged_refill_priced_ok &&
                              r.kv_swap_dma_bytes == r.kv_swap_refetch_bytes;
   }
+  // Gate (f): every row encodes each conversation's image once — every
+  // request but a conversation's first turn hits the encoder cache,
+  // whatever the KV mode.
+  std::set<std::size_t> conversations;
+  for (const serve::Request& r : paged_trace) conversations.insert(r.prefix_id);
+  const std::size_t expected_hits = paged_trace.size() - conversations.size();
+  bool encoder_cache_ok = true;
+  for (const auto& outcome : s9.outcomes) {
+    encoder_cache_ok = encoder_cache_ok &&
+                       outcome.result.encoder_cache_hits == expected_hits;
+  }
   std::printf("\npaged+prefix sustains more concurrency at the same "
               "budget (peak batch %zu vs %zu): %s\n",
               paged_prefix.peak_decode_batch, whole_kv.peak_decode_batch,
@@ -1077,6 +1094,10 @@ int main(int argc, char** argv) {
               static_cast<double>(paged_tight.kv_swap_dma_bytes) /
                   (1024.0 * 1024.0),
               paged_refill_priced_ok ? "yes" : "NO");
+  std::printf("each conversation's image encoded once on every row (%zu "
+              "encoder-cache hits = %zu requests - %zu conversations): %s\n",
+              expected_hits, paged_trace.size(), conversations.size(),
+              encoder_cache_ok ? "yes" : "NO");
   print_section_wall(s9);
 
   json.begin_object("paged_kv");
@@ -1105,6 +1126,7 @@ int main(int argc, char** argv) {
                static_cast<std::size_t>(r.kv_swap_refetch_bytes));
     json.field("kv_swap_dma_bytes",
                static_cast<std::size_t>(r.kv_swap_dma_bytes));
+    json.field("encoder_cache_hits", r.encoder_cache_hits);
     json.end_object();
   }
   json.end_array();
@@ -1113,6 +1135,7 @@ int main(int argc, char** argv) {
   json.field("prefix_sharing_ok", prefix_sharing_ok);
   json.field("swap_ok", paged_swap_ok);
   json.field("refill_priced_ok", paged_refill_priced_ok);
+  json.field("encoder_cache_ok", encoder_cache_ok);
   json.end_object();
 
   // --- 10. Heterogeneous offload: EdgeMM + fat-GPU backend mixes ----------
@@ -1433,7 +1456,8 @@ int main(int argc, char** argv) {
                   replica_scaling_ok && kv_conservation_ok &&
                   paged_concurrency_ok && paged_conservation_ok &&
                   prefix_sharing_ok && paged_swap_ok &&
-                  paged_refill_priced_ok && s10_identity_ok &&
+                  paged_refill_priced_ok && encoder_cache_ok &&
+                  s10_identity_ok &&
                   s10_offload_win && s10_decode_p99_ok && s10_link_ok &&
                   s11_degrade_ok && s11_slo_ok && s11_reject_ok &&
                   s11_accuracy_ok && s11_identity_ok;
@@ -1461,6 +1485,7 @@ int main(int argc, char** argv) {
   json.field("prefix_sharing_ok", prefix_sharing_ok);
   json.field("paged_swap_ok", paged_swap_ok);
   json.field("paged_refill_priced_ok", paged_refill_priced_ok);
+  json.field("encoder_cache_ok", encoder_cache_ok);
   json.field("offload_identity_ok", s10_identity_ok);
   json.field("offload_win_ok", s10_offload_win);
   json.field("offload_decode_p99_ok", s10_decode_p99_ok);

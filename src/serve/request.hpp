@@ -22,7 +22,10 @@ struct Request {
   std::size_t model = 0;
   std::size_t input_tokens = 300;  ///< prompt + vision tokens entering the LLM
   std::size_t output_tokens = 128; ///< tokens to generate
-  std::size_t crops = 1;           ///< encoder passes (sub-image crops)
+  /// Encoder passes (sub-image crops). The turns of one (model,
+  /// prefix_id) conversation share one image, so they must carry the
+  /// same crops (ServingEngine::run throws otherwise).
+  std::size_t crops = 1;
   /// Absolute SLO deadline (cycle by which the last token must retire);
   /// 0 = no deadline. SLO-aware schedulers may reject requests that
   /// cannot meet theirs.
@@ -30,11 +33,16 @@ struct Request {
   /// Shared-prefix conversation group: requests with the same
   /// (model, prefix_id) share their first prefix_tokens prompt tokens
   /// (a common system/image prompt), which the paged KV allocator
-  /// CoW-shares (EngineConfig::kv_prefix_sharing). 0 = no shared prefix;
-  /// under paged KV at most kMaxKvPrefixId (2^32 - 1).
+  /// CoW-shares (EngineConfig::kv_prefix_sharing). The conversation's
+  /// image is encoded once: the first chunk 0 that runs on the chip's CC
+  /// lane publishes its projected vision tokens to DRAM, and every later
+  /// local turn skips the vision encoder + projector (an offloaded chunk
+  /// 0 encodes for itself). 0 = no shared prefix; under paged KV at most
+  /// kMaxKvPrefixId (2^32 - 1).
   std::size_t prefix_id = 0;
   /// Leading prompt tokens shared with the group (<= input_tokens);
-  /// ignored when prefix_id is 0.
+  /// ignored when prefix_id is 0. 0 shares nothing, the image included:
+  /// such a request always runs its own encoder.
   std::size_t prefix_tokens = 0;
 
   bool operator==(const Request&) const = default;

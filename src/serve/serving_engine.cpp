@@ -170,6 +170,15 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     if (!index_.emplace(r.id, records_.size()).second) {
       throw std::invalid_argument("ServingEngine::run: duplicate request id");
     }
+    if (r.prefix_id != 0) {
+      const auto [it, fresh] =
+          conversations_.try_emplace({r.model, r.prefix_id}, Conversation{r.crops});
+      if (!fresh && it->second.crops != r.crops) {
+        throw std::invalid_argument(
+            "ServingEngine::run: requests of one conversation (model, "
+            "prefix_id) differ in crops");
+      }
+    }
     records_.push_back(RequestRecord{r});
   }
   total_ = records_.size();
@@ -343,12 +352,26 @@ ServingEngine::PrefillPlan& ServingEngine::plan_for(std::size_t index) {
 
   PrefillPlan& plan = plans_.emplace(index, PrefillPlan{}).first->second;
   plan.built_keep = prefill_keep(index);
+  // Encode once per conversation: admission is FIFO, so every earlier
+  // request is already resolved, and an earlier local chunk 0 of this
+  // conversation sits ahead of ours on the FIFO CC lane. Its projected
+  // vision tokens are in DRAM before our chunk 0 runs, and the LLM
+  // prefill reads them as input activations either way.
+  const Conversation* conversation = conversation_of(index);
+  plan.encoder_cached = conversation != nullptr && conversation->published;
   plan.chunks.reserve(chunk_tokens.size());
   for (const std::size_t tokens : chunk_tokens) {
     plan.chunks.emplace_back().tokens = tokens;
     price_chunk(index, plan, plan.chunks.size() - 1, /*ride_pin=*/true);
   }
   return plan;
+}
+
+ServingEngine::Conversation* ServingEngine::conversation_of(std::size_t index) {
+  const Request& r = records_[index].request;
+  // Without a shared prefix the turns share no prompt, image included.
+  if (r.prefix_id == 0 || r.prefix_tokens == 0) return nullptr;
+  return &conversations_.at({r.model, r.prefix_id});
 }
 
 void ServingEngine::price_chunk(std::size_t index, PrefillPlan& plan,
@@ -478,9 +501,11 @@ std::vector<GemmWork> ServingEngine::build_chunk_ops(
   std::size_t start = 0;
   for (std::size_t c = 0; c < chunk; ++c) start += plan.chunks[c].tokens;
   // The first chunk carries the encoder + projector ops in front of its
-  // prefill slice (and always fetches — it is what fills the pin).
-  std::vector<GemmWork> ops =
-      chunk == 0 ? model::build_encoder_ops(m, r.crops) : std::vector<GemmWork>{};
+  // prefill slice (and always fetches — it is what fills the pin), unless
+  // the conversation's image is already encoded in DRAM.
+  std::vector<GemmWork> ops = chunk == 0 && !plan.encoder_cached
+                                  ? model::build_encoder_ops(m, r.crops)
+                                  : std::vector<GemmWork>{};
   // !ride_pin builds a barrier re-fetch: a rider dispatched before the
   // pin's fill landed streams the whole pin's weights itself.
   const std::size_t resident =
@@ -728,6 +753,12 @@ void ServingEngine::pump_admission() {
     // that re-streams weights per launch. Without a fat backend the
     // judgment is kLocal without consulting the policy.
     plan.chunk0_fat = judge_offload(index, /*chunk=*/0) == OffloadTarget::kFat;
+    if (plan.chunk0_fat && plan.encoder_cached) {
+      // The fat backend never saw the conversation's encoded image: an
+      // offloaded chunk 0 encodes it itself.
+      plan.encoder_cached = false;
+      price_chunk(index, plan, /*chunk=*/0, /*ride_pin=*/true);
+    }
     if (!plan.chunk0_fat) {
       // Weight-resident chunk chaining: attach to the model's shared pin
       // (its weights are already on chip — every chunk rides), or pin the
@@ -797,6 +828,7 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
     if (first) records_[index].prefill_start = now;
   };
   if (to_fat) {
+    EDGEMM_ASSERT(!(first && plan.encoder_cached));
     // Offloaded chunk: the job leaves the CC backlog (its bytes will
     // transit the GPU's GDDR, not the chip's DRAM) and runs on the fat
     // backend's prefill stream in FIFO order. The fat cost model prices
@@ -815,6 +847,15 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
     fat_->submit(Lane::kCcStage, std::move(job.ops),
                  [this, index] { on_chunk_done(index); }, started);
     return;
+  }
+  if (first) {
+    // A local chunk 0 either reads its conversation's cached encoding or
+    // publishes it for every later turn (offloaded ones never do).
+    if (plan.encoder_cached) {
+      ++result_.encoder_cache_hits;
+    } else if (Conversation* conversation = conversation_of(index)) {
+      conversation->published = true;
+    }
   }
   // Weight-traffic ledger: resident bytes are the DMA residency avoided.
   result_.cc_weight_fetch_bytes += job.weight_fetch_bytes;

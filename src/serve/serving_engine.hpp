@@ -27,8 +27,10 @@
 
 #include <cstddef>
 #include <functional>
+#include <map>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "baselines/gpu_backend.hpp"
@@ -156,6 +158,13 @@ struct ServingResult : TraceSummary {
   double accuracy_proxy_mean = 1.0;
   double accuracy_proxy_min = 1.0;
 
+  // --- Conversation encoder cache (requests with a prefix_id) --------------
+  /// Local chunk 0s built without the vision encoder + projector because
+  /// an earlier local chunk 0 of the same (model, prefix_id) conversation
+  /// already published its projected vision tokens to DRAM. Once every
+  /// request is served locally: requests - distinct conversations.
+  std::size_t encoder_cache_hits = 0;
+
   /// Exact, including the floating-point metrics: identical replays
   /// produce identical bits.
   bool operator==(const ServingResult&) const = default;
@@ -183,9 +192,10 @@ class ServingEngine {
 
   /// Replays `requests` to completion and returns aggregate metrics.
   /// Throws std::invalid_argument for an empty trace, duplicate ids,
-  /// zero token counts, an out-of-range model index, or a request whose
-  /// KV cache alone exceeds the configured KV capacity; std::logic_error
-  /// on a second call.
+  /// zero token counts, an out-of-range model index, two requests of one
+  /// (model, prefix_id) conversation with different crops (a conversation
+  /// has one image), or a request whose KV cache alone exceeds the
+  /// configured KV capacity; std::logic_error on a second call.
   ServingResult run(std::vector<Request> requests);
 
   /// Per-request lifecycle records, in the order requests were passed.
@@ -271,6 +281,18 @@ class ServingEngine {
     /// Chunk 0's judgment, made at admission so pinning can be skipped
     /// for offloaded starts.
     bool chunk0_fat = false;
+    /// Chunk 0 is built without the encoder + projector ops: decided when
+    /// the plan is built (an earlier local chunk 0 of the conversation was
+    /// already submitted), cleared if chunk 0 is judged fat.
+    bool encoder_cached = false;
+  };
+
+  /// One conversation's image, keyed by (model, prefix_id): every turn
+  /// must carry the same crops, and `published` is set once a local
+  /// chunk 0 has encoded it onto the CC lane.
+  struct Conversation {
+    std::size_t crops = 0;
+    bool published = false;
   };
 
   /// Everything the engine keeps per served model (parallel to models_).
@@ -351,6 +373,9 @@ class ServingEngine {
   double remaining_service(std::size_t index);
   PrefillPlan& plan_for(std::size_t index);
   void drop_plan(std::size_t index);
+  /// `index`'s conversation when its turns share an image (a prefix_id
+  /// and a non-empty shared prefix), else nullptr.
+  Conversation* conversation_of(std::size_t index);
   /// Builds one chunk's op list. `ride_pin` = false re-fetches the
   /// plan's pinned layer groups too (the fill-barrier refetch of a rider
   /// dispatched before the pin's fill landed). `ffn_keep` < 1 emits the
@@ -423,6 +448,10 @@ class ServingEngine {
   std::vector<RequestRecord> records_;
   std::unordered_map<RequestId, std::size_t> index_;
   std::unordered_map<std::size_t, PrefillPlan> plans_;  ///< by record index
+  /// The conversation encoder cache: projected vision tokens live in
+  /// DRAM, outside the CIM KV budget. Empty unless a request carries a
+  /// prefix_id.
+  std::map<std::pair<std::size_t, std::size_t>, Conversation> conversations_;
   std::vector<std::size_t> decode_ready_;   ///< prefilled, awaiting a slot
   std::vector<std::size_t> active_;         ///< current decode batch
   /// Preempted-to-DRAM requests in preemption order (paged mode); they

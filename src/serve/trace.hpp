@@ -42,8 +42,9 @@ struct TraceConfig {
   /// each request draws its Request::prefix_id uniformly from
   /// [1, prefix_groups] — the turns of one conversation share a
   /// system/image prompt of prefix_tokens tokens, which the paged KV
-  /// allocator CoW-shares. 0 (default) consumes no randomness and keeps
-  /// old traces byte-identical.
+  /// allocator CoW-shares, and one image (every request carries `crops`),
+  /// which the engine encodes once per conversation. 0 (default) consumes
+  /// no randomness and keeps old traces byte-identical.
   std::size_t prefix_groups = 0;
   /// Shared-prefix length; must be in (0, input_tokens] when
   /// prefix_groups > 0 (ignored otherwise).

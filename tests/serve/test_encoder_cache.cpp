@@ -1,0 +1,214 @@
+// Conversation encoder cache: the turns of one (model, prefix_id)
+// conversation share an image, so only the first local chunk 0 runs the
+// vision encoder + projector; later turns read its projected tokens from
+// DRAM.
+#include <cstddef>
+#include <memory>
+#include <set>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "baselines/gpu_model.hpp"
+#include "core/timing.hpp"
+#include "model/workload.hpp"
+#include "serve/serving_engine.hpp"
+#include "serve/trace.hpp"
+
+namespace edgemm::serve {
+namespace {
+
+using core::ClusterKind;
+
+core::ChipConfig small_cfg() {
+  core::ChipConfig cfg = core::default_chip_config();
+  cfg.groups = 1;
+  return cfg;
+}
+
+/// One CC cluster: the CC lane runs every job unsharded, so its DMA
+/// bytes are exactly the jobs' estimated traffic.
+core::ChipConfig one_cc_cfg() {
+  core::ChipConfig cfg = small_cfg();
+  cfg.cc_clusters_per_group = 1;
+  return cfg;
+}
+
+model::MllmConfig tiny_model() {
+  model::MllmConfig m;
+  m.name = "tiny-mllm";
+  m.encoders = {{"enc", 2, 256, 512, 4, 4, 0, false}};
+  m.vision_tokens = 16;
+  m.projector_params = 256 * 256;
+  m.llm = {"llm", 2, 256, 512, 4, 4, 1024, true};
+  return m;
+}
+
+Request turn(RequestId id, Cycle arrival, std::size_t prefix_id,
+             std::size_t input_tokens = 64, std::size_t crops = 2) {
+  Request r;
+  r.id = id;
+  r.arrival = arrival;
+  r.input_tokens = input_tokens;
+  r.output_tokens = 4;
+  r.crops = crops;
+  r.prefix_id = prefix_id;
+  r.prefix_tokens = prefix_id != 0 ? 32 : 0;
+  return r;
+}
+
+struct CcRun {
+  ServingResult result;
+  std::vector<RequestRecord> records;
+  Bytes cc_dma_bytes = 0;
+};
+
+CcRun run_on_one_cc(std::vector<Request> trace) {
+  ServingEngine engine(one_cc_cfg(), {tiny_model()}, EngineConfig());
+  CcRun out;
+  out.result = engine.run(std::move(trace));
+  out.records = engine.records();
+  for (const core::ClusterTimingModel* c :
+       engine.chip().clusters(ClusterKind::kComputeCentric)) {
+    out.cc_dma_bytes += c->stats().dma_bytes;
+  }
+  return out;
+}
+
+TEST(EncoderCache, SecondTurnSkipsExactlyTheEncoderTraffic) {
+  // Turns far apart: the second arrives after the first has retired.
+  constexpr Cycle kGap = 200'000'000;
+  const CcRun cached = run_on_one_cc({turn(0, 0, 1), turn(1, kGap, 1)});
+  const CcRun plain = run_on_one_cc({turn(0, 0, 0), turn(1, kGap, 0)});
+  EXPECT_EQ(cached.result.encoder_cache_hits, 1u);
+  EXPECT_EQ(plain.result.encoder_cache_hits, 0u);
+
+  ServingEngine probe(one_cc_cfg(), {tiny_model()}, EngineConfig());
+  const core::ClusterTimingModel& cc =
+      *probe.chip().clusters(ClusterKind::kComputeCentric).front();
+  // The engine aggregates a chunk's ops; encoder ops never merge with
+  // the LLM prefill's (their phase differs), so the saving is the
+  // aggregated encoder pass's traffic.
+  const Bytes encoder = core::estimated_traffic_bytes(
+      cc, model::aggregate_ops(model::build_encoder_ops(tiny_model(), 2)));
+  ASSERT_GT(encoder, 0u);
+  EXPECT_EQ(plain.cc_dma_bytes - cached.cc_dma_bytes, encoder);
+
+  // The first turn publishes at full price and is otherwise untouched.
+  EXPECT_EQ(cached.records[0].prefill_end, plain.records[0].prefill_end);
+  EXPECT_EQ(cached.records[0].finish, plain.records[0].finish);
+  EXPECT_EQ(run_on_one_cc({turn(0, 0, 1)}).cc_dma_bytes,
+            run_on_one_cc({turn(0, 0, 0)}).cc_dma_bytes);
+  // The second turn's prefill is shorter by the encoder's run.
+  EXPECT_LT(cached.records[1].prefill_end - cached.records[1].prefill_start,
+            plain.records[1].prefill_end - plain.records[1].prefill_start);
+}
+
+TEST(EncoderCache, TiersAgreeOnHitsAndWeightFetch) {
+  TraceConfig cfg;
+  cfg.requests = 12;
+  cfg.arrival_rate_per_s = 4000.0;
+  cfg.input_tokens = 96;
+  cfg.crops = 2;
+  cfg.min_output_tokens = 1;
+  cfg.max_output_tokens = 4;
+  cfg.prefix_groups = 3;
+  cfg.prefix_tokens = 48;
+  const std::vector<Request> trace = poisson_trace(cfg);
+  std::set<std::size_t> conversations;
+  for (const Request& r : trace) conversations.insert(r.prefix_id);
+  std::vector<Request> unshared = trace;
+  for (Request& r : unshared) r.prefix_id = 0;
+
+  auto replay = [](core::ReplayMode mode, const std::vector<Request>& t) {
+    return replay_trace(small_cfg(), {tiny_model()},
+                        EngineConfig()
+                            .prefill_planner(std::make_shared<ChunkedPrefill>(32))
+                            .replay_mode(mode),
+                        t)
+        .result;
+  };
+  const ServingResult detailed = replay(core::ReplayMode::kDetailed, trace);
+  const ServingResult fast = replay(core::ReplayMode::kFast, trace);
+  EXPECT_EQ(detailed.encoder_cache_hits, trace.size() - conversations.size());
+  EXPECT_EQ(fast.encoder_cache_hits, detailed.encoder_cache_hits);
+  EXPECT_EQ(fast.cc_weight_fetch_bytes, detailed.cc_weight_fetch_bytes);
+
+  // Each hit skips exactly one encoder pass's weights (attention ops
+  // stream activations, not weights).
+  Bytes encoder_weights = 0;
+  for (const core::GemmWork& op : model::build_encoder_ops(tiny_model(), 2)) {
+    if (op.weight_elem_bytes_override != 0) continue;
+    encoder_weights += static_cast<Bytes>(op.k) * op.n * small_cfg().cc_elem_bytes;
+  }
+  const ServingResult baseline =
+      replay(core::ReplayMode::kFast, unshared);
+  EXPECT_EQ(baseline.encoder_cache_hits, 0u);
+  EXPECT_EQ(baseline.cc_weight_fetch_bytes - fast.cc_weight_fetch_bytes,
+            fast.encoder_cache_hits * encoder_weights);
+}
+
+TEST(EncoderCache, OffloadedChunkZeroNeitherHitsNorPublishes) {
+  // PrefillToFat(512) ships the 640-token turns' whole prefill to the
+  // GPU and keeps the 64-token turns local. Conversation 1 opens with a
+  // fat turn, so its first local turn must still encode (a miss that
+  // publishes) and only its second local turn hits. Conversation 2
+  // opens locally, so its fat turn is a planned hit the offload
+  // verdict turns back into a full-price encode on the GPU.
+  constexpr Cycle kGap = 50'000'000;
+  const std::vector<Request> trace = {
+      turn(0, 0 * kGap, 1, 640), turn(1, 1 * kGap, 1), turn(2, 2 * kGap, 1),
+      turn(3, 3 * kGap, 2),      turn(4, 4 * kGap, 2, 640)};
+  std::vector<Request> unshared = trace;
+  for (Request& r : unshared) r.prefix_id = 0;
+  auto replay = [](const std::vector<Request>& t) {
+    return replay_trace(small_cfg(), {tiny_model()},
+                        EngineConfig()
+                            .prefill_planner(std::make_shared<ChunkedPrefill>(128))
+                            .fat_backend(baselines::GpuSpec{})
+                            .offload_policy(std::make_shared<PrefillToFat>(512)),
+                        t)
+        .result;
+  };
+  const ServingResult cached = replay(trace);
+  const ServingResult plain = replay(unshared);
+  EXPECT_EQ(cached.offloaded_requests, 2u);
+  EXPECT_EQ(cached.encoder_cache_hits, 1u);  // turn 2 only
+  // Both fat turns streamed the encoder through the GPU.
+  EXPECT_EQ(cached.fat_bytes_moved, plain.fat_bytes_moved);
+  EXPECT_LT(cached.cc_weight_fetch_bytes, plain.cc_weight_fetch_bytes);
+}
+
+TEST(EncoderCache, MismatchedCropsInOneConversationThrow) {
+  auto run = [](std::vector<Request> trace) {
+    return replay_trace(small_cfg(), {tiny_model(), tiny_model()}, EngineConfig(),
+                        std::move(trace));
+  };
+  EXPECT_THROW(run({turn(0, 0, 1, 64, 1), turn(1, 10, 1, 64, 2)}),
+               std::invalid_argument);
+  // Different conversations, different models or no conversation at all
+  // may carry different images.
+  std::vector<Request> ok = {turn(0, 0, 1, 64, 1), turn(1, 10, 2, 64, 2),
+                             turn(2, 20, 1, 64, 1), turn(3, 30, 0, 64, 3),
+                             turn(4, 40, 0, 64, 1)};
+  Request other_model = turn(5, 50, 1, 64, 2);
+  other_model.model = 1;
+  ok.push_back(other_model);
+  const ReplayOutcome out = run(ok);
+  EXPECT_EQ(out.result.completed, ok.size());
+  EXPECT_EQ(out.result.encoder_cache_hits, 1u);  // request 2 rides request 0
+}
+
+TEST(EncoderCache, NoSharedPrefixNeverHits) {
+  std::vector<Request> trace = {turn(0, 0, 1), turn(1, 10, 1), turn(2, 20, 1)};
+  for (Request& r : trace) r.prefix_tokens = 0;
+  const ReplayOutcome out =
+      replay_trace(small_cfg(), {tiny_model()}, EngineConfig(), trace);
+  EXPECT_EQ(out.result.completed, trace.size());
+  EXPECT_EQ(out.result.encoder_cache_hits, 0u);
+}
+
+}  // namespace
+}  // namespace edgemm::serve

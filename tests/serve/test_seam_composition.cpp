@@ -2,7 +2,8 @@
 // replayed under every cross of prefill planner (plain chunked vs
 // weight-resident chunked under a tight residency budget), quality
 // policy (static vs queue-depth) and offload (none vs a threshold
-// policy with a fat backend), on both replay tiers. Every replay must
+// policy with a fat backend), on both replay tiers; one trace groups its
+// requests into conversations that share an image. Every replay must
 // drain without tripping the engine's drain asserts (CC backlog, KV
 // pages, weight pins), finish or reject every request, and replay
 // bit-identically a second time.
@@ -44,8 +45,11 @@ std::vector<model::MllmConfig> zoo() {
 }
 
 /// A small two-model trace drawn from `seed`: request count, arrival
-/// rate, burst size, prompt and output lengths all vary.
-std::vector<Request> random_trace(std::uint64_t seed) {
+/// rate, burst size, prompt and output lengths all vary. With
+/// `prefix_groups` > 0 the requests also fall into that many
+/// conversations per model, sharing a 48-token prefix and their image.
+std::vector<Request> random_trace(std::uint64_t seed,
+                                  std::size_t prefix_groups = 0) {
   std::mt19937_64 rng(seed);
   TraceConfig cfg;
   cfg.requests = 8 + rng() % 9;
@@ -54,6 +58,8 @@ std::vector<Request> random_trace(std::uint64_t seed) {
   cfg.model_weights = {1.0, 1.0};
   cfg.min_output_tokens = 1;
   cfg.max_output_tokens = 2 + rng() % 6;
+  cfg.prefix_groups = prefix_groups;
+  cfg.prefix_tokens = prefix_groups > 0 ? 48 : 0;
   cfg.seed = seed;
   std::vector<Request> trace = poisson_trace(cfg);
   for (Request& r : trace) r.input_tokens = 64 + 32 * (rng() % 16);
@@ -108,12 +114,17 @@ EngineConfig compose(const Composition& c, core::ReplayMode mode,
 void replay_grid(core::ReplayMode mode, ServingResult& sum) {
   const core::ChipConfig chip = small_cfg();
   const std::vector<model::MllmConfig> models = zoo();
-  for (const std::uint64_t seed : {11u, 23u, 37u}) {
-    const std::vector<Request> trace = random_trace(seed);
+  // The last trace groups its requests into conversations, so the
+  // encoder cache runs under every composition too.
+  const std::vector<std::vector<Request>> traces = {
+      random_trace(11), random_trace(23), random_trace(37),
+      random_trace(41, /*prefix_groups=*/3)};
+  for (std::size_t t = 0; t < traces.size(); ++t) {
+    const std::vector<Request>& trace = traces[t];
     for (int bits = 0; bits < 8; ++bits) {
       const Composition c{(bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0};
       SCOPED_TRACE(::testing::Message()
-                   << "seed=" << seed << " resident=" << c.resident
+                   << "trace=" << t << " resident=" << c.resident
                    << " queue_depth=" << c.queue_depth
                    << " offload=" << c.offload);
       const ReplayOutcome first =
@@ -131,6 +142,7 @@ void replay_grid(core::ReplayMode mode, ServingResult& sum) {
       sum.weight_pins += first.result.weight_pins;
       sum.rider_refetch_bytes += first.result.rider_refetch_bytes;
       sum.offloaded_chunks += first.result.offloaded_chunks;
+      sum.encoder_cache_hits += first.result.encoder_cache_hits;
     }
   }
 }
@@ -142,6 +154,7 @@ void expect_every_seam_exercised(core::ReplayMode mode) {
   EXPECT_GT(sum.weight_pins, 0u);          // pin re-pricing
   EXPECT_GT(sum.rider_refetch_bytes, 0u);  // fill-barrier re-pricing
   EXPECT_GT(sum.offloaded_chunks, 0u);     // offload exit
+  EXPECT_GT(sum.encoder_cache_hits, 0u);   // encode-once chunk 0s
 }
 
 TEST(SeamComposition, GeneratedTracesDrainOnTheFastTier) {

@@ -27,6 +27,10 @@ end-to-end metric instead of one, and lets simulated metrics differ.
     python3 tools/perf_pairs.py PARENT_DIR CHANGE_DIR --workload chat_paged \\
         --seeds 1-10 --sim-change
 
+With --sim-change, `--workload all` runs the same seeds on every workload
+of perfbench/workloads.cpp and gives one verdict over all of them; it
+refuses --held-out, since each workload has its own held-out seed.
+
 `--self-test` checks the --sim-change verdict on built-in results and
 runs nothing.
 
@@ -35,7 +39,8 @@ every end-to-end metric other than the host ones (setup_s, peak_rss_mib)
 is identical between the two trees at each seed; with --sim-change, 0
 when every run is correct with no failed operations and no metric's
 change median is worse than the parent's by more than the metric's
-BENCHMARK.json bound; 1 otherwise; 2 on a usage error.
+BENCHMARK.json bound, on every workload run; 1 otherwise; 2 on a usage
+error.
 """
 
 import argparse
@@ -71,17 +76,37 @@ def parse_seeds(text):
     return seeds
 
 
-def held_out_seed(tree, workload):
+def held_out_seeds(tree):
+    """Workload name -> held-out seed, in perfbench/workloads.cpp's order."""
     source = (tree / "perfbench" / "workloads.cpp").read_text()
-    seeds = {name: int(seed) for name, seed in SPEC_RE.findall(source)}
-    if workload not in seeds:
+    return {name: int(seed) for name, seed in SPEC_RE.findall(source)}
+
+
+def workloads_to_run(held_out, workload, seeds, sim_change, allow_held_out):
+    """The workloads one invocation runs; a usage error for an unknown name,
+    `all` without --sim-change or with --held-out, or an unspent held-out
+    seed."""
+    if workload == "all":
+        if not sim_change:
+            usage_error("--workload all needs --sim-change")
+        if allow_held_out:
+            usage_error("--workload all refuses --held-out: spend each "
+                        "workload's held-out seed on its own")
+        names = list(held_out)
+    elif workload in held_out:
+        names = [workload]
+    else:
         usage_error(f"workload {workload!r} not in perfbench/workloads.cpp "
-                    f"(known: {', '.join(sorted(seeds))})")
-    return seeds[workload]
+                    f"(known: {', '.join(sorted(held_out))})")
+    for name in names:
+        if held_out[name] in seeds and not allow_held_out:
+            usage_error(f"seed {held_out[name]} is {name}'s held-out seed; "
+                        "pass --held-out to spend it")
+    return names
 
 
-def run(tree, args, seed):
-    command = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+def run(tree, args, workload, seed):
+    command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
     env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
     done = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.PIPE,
@@ -89,7 +114,8 @@ def run(tree, args, seed):
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         print(done.stderr.strip()[-2000:], file=sys.stderr)
-        print(f"perf_pairs: {tree} seed {seed} exited with code {done.returncode}",
+        print(f"perf_pairs: {tree} {workload} seed {seed} exited with code "
+              f"{done.returncode}",
               file=sys.stderr)
         return None
     return json.loads(lines[-1])
@@ -177,6 +203,18 @@ def sim_change_report(metrics, rows):
     return ok
 
 
+def sim_change_verdict(metrics, rows_by_workload):
+    """sim_change_report over every workload's rows; one verdict for all."""
+    verdicts = {}
+    for workload, rows in rows_by_workload.items():
+        print(f"\n##### {workload}")
+        verdicts[workload] = sim_change_report(metrics, rows)
+    if len(verdicts) > 1:
+        print("\nper workload: " + ", ".join(
+            f"{w} {'ok' if v else 'FAILED'}" for w, v in verdicts.items()))
+    return bool(verdicts) and all(verdicts.values())
+
+
 def self_test():
     """Checks sim_change_report's verdict on built-in results; returns 0/1."""
     metrics = {
@@ -205,11 +243,44 @@ def self_test():
          False),
         ("no pairs", [], False),
     ]
+    good = rows(lambda s: result(23.0 + s * 0.1, 1.0))
+    all_cases = [
+        ("all: every workload sound", {"a": good, "b": good}, True),
+        ("all: one workload's failed operation",
+         {"a": good, "b": rows(lambda s: result(24.0, 1.0, failed=int(s == 1)))},
+         False),
+        ("all: one workload's median worse than the bound",
+         {"a": rows(lambda s: result(31.0, 1.0)), "b": good}, False),
+        ("all: one workload without pairs", {"a": good, "b": []}, False),
+    ]
     failures = []
     for label, case_rows, want in cases:
         print(f"\n=== self-test: {label} (want {'pass' if want else 'fail'})")
         if sim_change_report(metrics, case_rows) != want:
             failures.append(label)
+    for label, by_workload, want in all_cases:
+        print(f"\n=== self-test: {label} (want {'pass' if want else 'fail'})")
+        if sim_change_verdict(metrics, by_workload) != want:
+            failures.append(label)
+    cases += all_cases
+    held_out = {"a": 9001, "b": 9002}
+    usage_cases = [
+        ("all with --held-out", ("all", [1, 2], True, True), None),
+        ("all without --sim-change", ("all", [1, 2], False, False), None),
+        ("all over a held-out seed", ("all", [9002], True, False), None),
+        ("all", ("all", [1, 2], True, False), ["a", "b"]),
+        ("one workload", ("b", [9002], True, True), ["b"]),
+    ]
+    for label, (workload, seeds, sim_change, allow), want in usage_cases:
+        print(f"\n=== self-test: usage, {label} (want "
+              f"{want if want else 'usage error'})")
+        try:
+            got = workloads_to_run(held_out, workload, seeds, sim_change, allow)
+        except SystemExit:
+            got = None
+        if got != want:
+            failures.append(f"usage, {label}")
+    cases += usage_cases
     print(f"\nself-test: {len(cases) - len(failures)} of {len(cases)} verdicts right"
           + (f"; wrong: {', '.join(failures)}" if failures else ""))
     return 1 if failures else 0
@@ -224,7 +295,8 @@ def main():
     parser.add_argument("parent", type=Path, nargs="?",
                         help="source tree of the parent commit")
     parser.add_argument("change", type=Path, nargs="?", help="source tree of the change")
-    parser.add_argument("--workload")
+    parser.add_argument("--workload",
+                        help="perfbench workload, or `all` with --sim-change")
     parser.add_argument("--seeds", help="inclusive range A-B, or one seed N")
     parser.add_argument("--metric", default="setup_s", help="end-to-end metric to compare")
     parser.add_argument("--seconds", type=float, default=35.0, help="run budget per run")
@@ -251,52 +323,54 @@ def main():
         usage_error(f"--metric must be one of {', '.join(metrics)}")
     lower_is_better = metrics[args.metric]["better"] == "lower"
     seeds = parse_seeds(args.seeds)
-    held_out = held_out_seed(trees["change"], args.workload)
-    if held_out in seeds and not args.held_out:
-        usage_error(f"seed {held_out} is {args.workload}'s held-out seed; "
-                    "pass --held-out to spend it")
+    workloads = workloads_to_run(held_out_seeds(trees["change"]), args.workload,
+                                 seeds, args.sim_change, args.held_out)
 
     ok = True
-    rows = []  # (seed, first side, {side: result}) of every completed pair
+    # (seed, first side, {side: result}) of every completed pair, per workload
+    rows_by_workload = {workload: [] for workload in workloads}
     pairs = []
     others = {}  # (host metric, side) -> values, for the host metrics not compared
-    print(f"{args.workload} {'every end-to-end metric' if args.sim_change else args.metric}"
+    print(f"{', '.join(workloads)} "
+          f"{'every end-to-end metric' if args.sim_change else args.metric}"
           f", {args.seconds:g} s per run, --trace 0")
     if not args.sim_change:
         print(f"{args.metric} ({metrics[args.metric]['unit']}, "
               f"{'lower' if lower_is_better else 'higher'} is better)")
         print(f"{'seed':>6}  {'first':<6}  {'parent':>12}  {'change':>12}  {'ratio':>6}")
-    for index, seed in enumerate(seeds):
-        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-        results = {side: run(trees[side], args, seed) for side in order}
-        if any(r is None for r in results.values()):
-            ok = False
-            continue
-        rows.append((seed, order[0], results))
-        if args.sim_change:
-            print(f"seed {seed} done ({order[0]} first)", flush=True)
-            continue
-        ok = runs_sound(seed, results) and ok
-        for name in metrics:
-            if name in HOST_METRICS:
-                continue
-            values = [results[side]["metrics"][name]["value"] for side in trees]
-            if values[0] != values[1]:
-                print(f"perf_pairs: seed {seed}: {name} differs: parent {values[0]!r}, "
-                      f"change {values[1]!r}", file=sys.stderr)
+    for workload in workloads:
+        for index, seed in enumerate(seeds):
+            order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+            results = {side: run(trees[side], args, workload, seed) for side in order}
+            if any(r is None for r in results.values()):
                 ok = False
-        for name in HOST_METRICS - {args.metric}:
-            for side in trees:
-                others.setdefault((name, side), []).append(results[side]["metrics"][name]["value"])
-        parent = results["parent"]["metrics"][args.metric]["value"]
-        change = results["change"]["metrics"][args.metric]["value"]
-        pairs.append((parent, change))
-        ratio = change / parent if parent else float("nan")
-        print(f"{seed:>6}  {order[0]:<6}  {parent:>12.6g}  {change:>12.6g}  {ratio:>6.3f}",
-              flush=True)
+                continue
+            rows_by_workload[workload].append((seed, order[0], results))
+            if args.sim_change:
+                print(f"{workload} seed {seed} done ({order[0]} first)", flush=True)
+                continue
+            ok = runs_sound(seed, results) and ok
+            for name in metrics:
+                if name in HOST_METRICS:
+                    continue
+                values = [results[side]["metrics"][name]["value"] for side in trees]
+                if values[0] != values[1]:
+                    print(f"perf_pairs: seed {seed}: {name} differs: parent "
+                          f"{values[0]!r}, change {values[1]!r}", file=sys.stderr)
+                    ok = False
+            for name in HOST_METRICS - {args.metric}:
+                for side in trees:
+                    others.setdefault((name, side), []).append(
+                        results[side]["metrics"][name]["value"])
+            parent = results["parent"]["metrics"][args.metric]["value"]
+            change = results["change"]["metrics"][args.metric]["value"]
+            pairs.append((parent, change))
+            ratio = change / parent if parent else float("nan")
+            print(f"{seed:>6}  {order[0]:<6}  {parent:>12.6g}  {change:>12.6g}  "
+                  f"{ratio:>6.3f}", flush=True)
 
     if args.sim_change:
-        return 0 if sim_change_report(metrics, rows) and ok else 1
+        return 0 if sim_change_verdict(metrics, rows_by_workload) and ok else 1
 
     if pairs:
         summarize(pairs, lower_is_better)
