@@ -4,9 +4,13 @@
 #ifndef EDGEMM_BENCH_BENCH_COMMON_HPP
 #define EDGEMM_BENCH_BENCH_COMMON_HPP
 
+#include <algorithm>
+#include <cstdarg>
 #include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -140,6 +144,78 @@ class JsonWriter {
 
   std::ostringstream out_;
   std::vector<bool> stack_;  ///< "needs a comma" per nesting level
+};
+
+/// The one place a bench records its self-checks. Each `add` prints the
+/// check's line with its yes/NO verdict and keeps (key, passed) in call
+/// order; the registry then writes the `self_checks` JSON object, folds
+/// `all_passed` and supplies the exit code, so a new gate is named once.
+class CheckRegistry {
+ public:
+  explicit CheckRegistry(std::FILE* out = stdout) : out_(out) {}
+
+  /// Prints the printf-formatted `fmt` followed by "yes" or "NO" and a
+  /// newline, records (key, passed) and returns `passed`. Throws
+  /// std::logic_error when `key` is already registered (or is
+  /// "all_passed").
+  [[gnu::format(printf, 4, 5)]] bool add(const char* key, bool passed,
+                                         const char* fmt, ...) {
+    record(key, passed);
+    std::va_list args;
+    va_start(args, fmt);
+    std::vfprintf(out_, fmt, args);
+    va_end(args);
+    std::fprintf(out_, "%s\n", passed ? "yes" : "NO");
+    return passed;
+  }
+
+  /// A check that cannot run on this host: prints the formatted line
+  /// (no verdict) and records `key` as passed.
+  [[gnu::format(printf, 3, 4)]] void skip(const char* key, const char* fmt,
+                                          ...) {
+    record(key, true);
+    std::va_list args;
+    va_start(args, fmt);
+    std::vfprintf(out_, fmt, args);
+    va_end(args);
+    std::fputc('\n', out_);
+  }
+
+  bool all_passed() const {
+    return std::all_of(checks_.begin(), checks_.end(),
+                       [](const Check& c) { return c.passed; });
+  }
+  int exit_code() const { return all_passed() ? 0 : 1; }
+
+  /// Writes `"self_checks": {key: passed, ..., "all_passed": ...}` with
+  /// the keys in registration order.
+  void write_json(JsonWriter& json) const {
+    json.begin_object("self_checks");
+    for (const Check& c : checks_) json.field(c.key.c_str(), c.passed);
+    json.field("all_passed", all_passed());
+    json.end_object();
+  }
+
+ private:
+  struct Check {
+    std::string key;
+    bool passed = false;
+  };
+
+  void record(const char* key, bool passed) {
+    const bool taken =
+        std::strcmp(key, "all_passed") == 0 ||
+        std::any_of(checks_.begin(), checks_.end(),
+                    [key](const Check& c) { return c.key == key; });
+    if (taken) {
+      throw std::logic_error(std::string("self-check key registered twice: ") +
+                             key);
+    }
+    checks_.push_back({key, passed});
+  }
+
+  std::FILE* out_;
+  std::vector<Check> checks_;
 };
 
 }  // namespace edgemm::bench

@@ -185,11 +185,21 @@ void print_section_wall(double wall_ms) {
 int main(int argc, char** argv) {
   // --fast: skip the expensive 1x/2x fidelity points (CI smoke mode).
   // --json=PATH: where to write the BENCH artifact (default: cwd).
+  // Anything else is a usage error (exit 2): a mistyped flag must not
+  // silently run the full sweep or write to the default path.
   bool fast = false;
   std::string json_path = "BENCH_serving_trace.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) fast = true;
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
+    if (std::strcmp(argv[i], "--fast") == 0) {
+      fast = true;
+    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
+      json_path = argv[i] + 7;
+    } else {
+      std::fprintf(stderr, "serving_trace: unknown argument '%s'\n"
+                           "usage: serving_trace [--fast] [--json=PATH]\n",
+                   argv[i]);
+      return 2;
+    }
   }
 
   bench::print_header(
@@ -213,6 +223,7 @@ int main(int argc, char** argv) {
     }
   };
 
+  bench::CheckRegistry checks;
   bench::JsonWriter json;
   json.begin_object();
   json.field("bench", "serving_trace");
@@ -286,9 +297,9 @@ int main(int argc, char** argv) {
               "%.2fx (+BW mgmt)\n",
               sequential.makespan_ms / unmanaged.makespan_ms,
               sequential.makespan_ms / continuous.makespan_ms);
-  const bool beats = continuous.makespan < sequential.makespan;
-  std::printf("continuous batching beats sequential on makespan: %s\n",
-              beats ? "yes" : "NO");
+  checks.add("continuous_beats_sequential",
+             continuous.makespan < sequential.makespan,
+             "continuous batching beats sequential on makespan: ");
   print_section_wall(s1);
 
   // --- 2. Policy comparison on a bursty SLO trace ------------------------
@@ -356,10 +367,10 @@ int main(int argc, char** argv) {
   // exactly the tail — so a p99 win alone would be near-tautological.
   // The gate demands load-shedding pay for itself: better served tail
   // WITHOUT giving up any SLO attainment.
-  const bool slo_wins = slo.slo_attainment >= fifo.slo_attainment &&
-                        slo.p99_latency_ms < fifo.p99_latency_ms;
-  std::printf("\nSLO-aware improves served p99 without losing attainment: %s\n",
-              slo_wins ? "yes" : "NO");
+  checks.add("slo_wins",
+             slo.slo_attainment >= fifo.slo_attainment &&
+                 slo.p99_latency_ms < fifo.p99_latency_ms,
+             "\nSLO-aware improves served p99 without losing attainment: ");
 
   const double oversub = static_cast<double>(kv_budget) /
                          static_cast<double>(serve::chip_kv_capacity(chip8));
@@ -454,23 +465,21 @@ int main(int argc, char** argv) {
               static_cast<double>(chained.cc_weight_bytes_saved) /
                   (1024.0 * 1024.0 * 1024.0));
 
-  const bool chunk_wins =
-      chunked.max_cc_queue_delay_ms < mono.max_cc_queue_delay_ms;
-  std::printf("\nchunked prefill reduces worst-case CC-lane queueing: %s\n",
-              chunk_wins ? "yes" : "NO");
-  const bool resident_wins =
-      resident.cc_weight_fetch_bytes < chunked.cc_weight_fetch_bytes &&
-      resident.makespan <= chunked.makespan;
-  std::printf("resident chaining cuts CC weight traffic at equal chunk size "
-              "without makespan cost: %s\n",
-              resident_wins ? "yes" : "NO");
+  checks.add("chunk_wins",
+             chunked.max_cc_queue_delay_ms < mono.max_cc_queue_delay_ms,
+             "\nchunked prefill reduces worst-case CC-lane queueing: ");
+  checks.add("resident_wins",
+             resident.cc_weight_fetch_bytes < chunked.cc_weight_fetch_bytes &&
+                 resident.makespan <= chunked.makespan,
+             "resident chaining cuts CC weight traffic at equal chunk size "
+             "without makespan cost: ");
   // The trace serves a single model: its one refcounted pin charges the
   // budget at most one layer-group set, and later requests ride it.
-  const bool charged_once = resident.peak_pinned_bytes <= full_set &&
-                            resident.weight_shared_attaches > 0;
-  std::printf("budget charged once per model (peak <= one layer-group set, "
-              "riders attach free): %s\n",
-              charged_once ? "yes" : "NO");
+  checks.add("charged_once",
+             resident.peak_pinned_bytes <= full_set &&
+                 resident.weight_shared_attaches > 0,
+             "budget charged once per model (peak <= one layer-group set, "
+             "riders attach free): ");
   // Residency only relabels weight bytes: a pinned op's bytes move from
   // fetched to saved and a barrier re-fetch stays fetched, so fetch +
   // saved is exactly the chunked row's fetch on both resident rows.
@@ -478,13 +487,12 @@ int main(int argc, char** argv) {
     return r.cc_weight_fetch_bytes + r.cc_weight_bytes_saved ==
            chunked.cc_weight_fetch_bytes;
   };
-  const bool planner_bytes_conserved =
-      conserves_weight_bytes(resident) && conserves_weight_bytes(chained);
-  std::printf("resident rows conserve weight bytes (fetch + saved == chunked "
-              "fetch, %.1f GiB): %s\n",
-              static_cast<double>(chunked.cc_weight_fetch_bytes) /
-                  (1024.0 * 1024.0 * 1024.0),
-              planner_bytes_conserved ? "yes" : "NO");
+  checks.add("planner_bytes_conserved",
+             conserves_weight_bytes(resident) && conserves_weight_bytes(chained),
+             "resident rows conserve weight bytes (fetch + saved == chunked "
+             "fetch, %.1f GiB): ",
+             static_cast<double>(chunked.cc_weight_fetch_bytes) /
+                 (1024.0 * 1024.0 * 1024.0));
   std::printf("remaining makespan gap to monolithic: %+.1f %% (chunked was "
               "%+.1f %%)\n",
               100.0 * (resident.makespan_ms - mono.makespan_ms) /
@@ -604,33 +612,29 @@ int main(int argc, char** argv) {
   // actually exercised pressure eviction (idle pins reclaimed, not
   // drained). The barrier gate demands riders really did dispatch
   // before fills landed on this trace and paid the re-fetch.
-  const bool placement_wins =
-      zoo_demand.cc_weight_fetch_bytes < zoo_keep.cc_weight_fetch_bytes &&
-      zoo_demand.weight_warm_attaches > 0;
-  std::printf("\ndemand-weighted placement fetches strictly less than "
-              "keep-current (barrier on): %s\n",
-              placement_wins ? "yes" : "NO");
-  const bool barrier_honest = zoo_keep.rider_refetch_bytes > 0;
-  std::printf("fill barrier prices rider re-fetches (> 0 bytes): %s\n",
-              barrier_honest ? "yes" : "NO");
-  const bool eviction_exercised = zoo_evict.placement_evictions > 0 &&
-                                  zoo_evict.weight_warm_attaches > 0;
-  std::printf("evict-idle keeps pins warm and reclaims them under "
-              "pressure: %s\n",
-              eviction_exercised ? "yes" : "NO");
+  checks.add("placement_wins",
+             zoo_demand.cc_weight_fetch_bytes < zoo_keep.cc_weight_fetch_bytes &&
+                 zoo_demand.weight_warm_attaches > 0,
+             "\ndemand-weighted placement fetches strictly less than "
+             "keep-current (barrier on): ");
+  checks.add("barrier_honest", zoo_keep.rider_refetch_bytes > 0,
+             "fill barrier prices rider re-fetches (> 0 bytes): ");
+  checks.add("eviction_exercised",
+             zoo_evict.placement_evictions > 0 &&
+                 zoo_evict.weight_warm_attaches > 0,
+             "evict-idle keeps pins warm and reclaims them under pressure: ");
   // Placement and the barrier only move bytes between fetched and saved:
   // every row streams the same trace's weights, so fetch + saved is one
   // exact total across the rows.
   const auto zoo_weight_bytes = [](const serve::ServingResult& r) {
     return r.cc_weight_fetch_bytes + r.cc_weight_bytes_saved;
   };
-  const bool zoo_bytes_conserved =
-      zoo_weight_bytes(zoo_demand) == zoo_weight_bytes(zoo_keep) &&
-      zoo_weight_bytes(zoo_evict) == zoo_weight_bytes(zoo_keep);
-  std::printf("every placement row conserves weight bytes (fetch + saved "
-              "== %llu B): %s\n",
-              static_cast<unsigned long long>(zoo_weight_bytes(zoo_keep)),
-              zoo_bytes_conserved ? "yes" : "NO");
+  checks.add("zoo_bytes_conserved",
+             zoo_weight_bytes(zoo_demand) == zoo_weight_bytes(zoo_keep) &&
+                 zoo_weight_bytes(zoo_evict) == zoo_weight_bytes(zoo_keep),
+             "every placement row conserves weight bytes (fetch + saved "
+             "== %llu B): ",
+             static_cast<unsigned long long>(zoo_weight_bytes(zoo_keep)));
   print_section_wall(s6);
 
   // --- 7. Fast/detailed execution tiers -----------------------------------
@@ -697,16 +701,17 @@ int main(int argc, char** argv) {
   }
   json.end_array();
 
-  std::printf("\nfast tier drifts under 1%% on every section "
-              "(worst %+.2f %%, counts equal): %s\n",
-              worst_drift, fidelity_ok ? "yes" : "NO");
-  const bool zoo_speedup_ok = zoo_speedup >= 10.0;
-  std::printf("single-replay speedup on the §6 zoo trace >= 10x: %.1fx  %s\n",
-              zoo_speedup, zoo_speedup_ok ? "yes" : "NO");
+  checks.add("fidelity_ok", fidelity_ok,
+             "\nfast tier drifts under 1%% on every section "
+             "(worst %+.2f %%, counts equal): ",
+             worst_drift);
+  checks.add("zoo_speedup_ok", zoo_speedup >= 10.0,
+             "single-replay speedup on the §6 zoo trace >= 10x: %.1fx  ",
+             zoo_speedup);
   const double s2_sweep_speedup = s2_det_wall / std::max(s2_fast_wall, 1e-9);
-  const bool s2_speedup_ok = s2_sweep_speedup >= 5.0;
-  std::printf("fast-tier speedup on the §2 policy sweep >= 5x: %.1fx  %s\n",
-              s2_sweep_speedup, s2_speedup_ok ? "yes" : "NO");
+  checks.add("policy_sweep_speedup_ok", s2_sweep_speedup >= 5.0,
+             "fast-tier speedup on the §2 policy sweep >= 5x: %.1fx  ",
+             s2_sweep_speedup);
   std::printf("aggregate: detailed %.1f ms -> fast %.1f ms over %zu cases "
               "(%.0fx)\n",
               det_total_wall, fast_total_wall, fidelity.size(),
@@ -722,27 +727,29 @@ int main(int argc, char** argv) {
   const auto par8_t0 = Clock::now();
   const auto fast_par8 = serve::run_sweep(fast_cases, {/*workers=*/8});
   const double fast_par8_wall_ms = ms_since(par8_t0);
-  bool identity_ok = fast_par2.size() == fast_seq.size() &&
-                     fast_par8.size() == fast_seq.size();
-  for (std::size_t i = 0; identity_ok && i < fast_seq.size(); ++i) {
-    identity_ok = serve::outcomes_identical(fast_seq[i], fast_par2[i]) &&
-                  serve::outcomes_identical(fast_seq[i], fast_par8[i]);
+  bool identical = fast_par2.size() == fast_seq.size() &&
+                   fast_par8.size() == fast_seq.size();
+  for (std::size_t i = 0; identical && i < fast_seq.size(); ++i) {
+    identical = serve::outcomes_identical(fast_seq[i], fast_par2[i]) &&
+                serve::outcomes_identical(fast_seq[i], fast_par8[i]);
   }
-  std::printf("parallel sweep byte-identical to sequential (1/2/8 workers, "
-              "%zu cases): %s\n",
-              fast_cases.size(), identity_ok ? "yes" : "NO");
+  const bool identity_ok = checks.add(
+      "sweep_identity_ok", identical,
+      "parallel sweep byte-identical to sequential (1/2/8 workers, "
+      "%zu cases): ",
+      fast_cases.size());
 
   const std::size_t hw = std::thread::hardware_concurrency();
   const double sweep_throughput =
       fast_seq_wall_ms / std::max(fast_par8_wall_ms, 1e-9);
-  bool throughput_ok = true;
   if (hw >= 8) {
-    throughput_ok = sweep_throughput >= 4.0;
-    std::printf("sweep throughput at 8 workers >= 4x sequential: %.1fx  %s\n",
-                sweep_throughput, throughput_ok ? "yes" : "NO");
+    checks.add("throughput_ok", sweep_throughput >= 4.0,
+               "sweep throughput at 8 workers >= 4x sequential: %.1fx  ",
+               sweep_throughput);
   } else {
-    std::printf("sweep throughput at 8 workers: %.1fx (gate skipped: %zu "
-                "hardware thread%s)\n",
+    checks.skip("throughput_ok",
+                "sweep throughput at 8 workers: %.1fx (gate skipped: %zu "
+                "hardware thread%s)",
                 sweep_throughput, hw, hw == 1 ? "" : "s");
   }
 
@@ -778,7 +785,7 @@ int main(int argc, char** argv) {
   const serve::ClusterOutcome one_chip = serve::run_cluster(
       chip8, zoo, s6_demand_case.engine, serve::ClusterConfig{}, zoo_trace);
   const auto& s6_demand = s6.outcomes[1];
-  bool cluster_identity_ok =
+  bool one_chip_identical =
       one_chip.result.per_chip.size() == 1 &&
       serve::results_identical(one_chip.result.per_chip[0], s6_demand.result) &&
       one_chip.result.completed == s6_demand.result.completed &&
@@ -786,14 +793,15 @@ int main(int argc, char** argv) {
       one_chip.result.p99_latency_ms == s6_demand.result.p99_latency_ms &&
       one_chip.result.tokens_per_second == s6_demand.result.tokens_per_second &&
       one_chip.records.size() == s6_demand.records.size();
-  for (std::size_t i = 0; cluster_identity_ok && i < one_chip.records.size();
+  for (std::size_t i = 0; one_chip_identical && i < one_chip.records.size();
        ++i) {
-    cluster_identity_ok =
+    one_chip_identical =
         serve::record_identical(one_chip.records[i], s6_demand.records[i]);
   }
-  std::printf("  1-chip cluster bit-identical to the single-engine §6 "
-              "replay (result + all records): %s\n",
-              cluster_identity_ok ? "yes" : "NO");
+  const bool cluster_identity_ok = checks.add(
+      "cluster_identity_ok", one_chip_identical,
+      "  1-chip cluster bit-identical to the single-engine §6 "
+      "replay (result + all records): ");
 
   // Denser zoo traffic for the scaling rows (fast tier): one chip is
   // saturated, so added chips convert to throughput until the fixed
@@ -822,10 +830,10 @@ int main(int argc, char** argv) {
                                          replica_cfg, dense_trace));
   }
   const double tps_1chip = scaling[0].result.tokens_per_second;
-  bool replica_scaling_ok = true;
+  bool all_served = true;
   for (std::size_t k = 0; k < scaling.size(); ++k) {
     const serve::ClusterResult& r = scaling[k].result;
-    replica_scaling_ok = replica_scaling_ok && r.completed == dense_cfg.requests;
+    all_served = all_served && r.completed == dense_cfg.requests;
     std::printf("  %zu chip%s  %3zu done  makespan %9.1f ms  p99 %9.1f ms  "
                 "%8.1f tok/s  (%.2fx)\n",
                 r.chips, r.chips == 1 ? " " : "s", r.completed, r.makespan_ms,
@@ -834,10 +842,10 @@ int main(int argc, char** argv) {
   }
   const double scaling_1_to_4 =
       scaling[2].result.tokens_per_second / tps_1chip;
-  replica_scaling_ok = replica_scaling_ok && scaling_1_to_4 >= 3.0;
-  std::printf("\nreplica tokens/s scales >= 3x from 1 to 4 chips "
-              "(all requests served): %.2fx  %s\n",
-              scaling_1_to_4, replica_scaling_ok ? "yes" : "NO");
+  checks.add("replica_scaling_ok", all_served && scaling_1_to_4 >= 3.0,
+             "\nreplica tokens/s scales >= 3x from 1 to 4 chips "
+             "(all requests served): %.2fx  ",
+             scaling_1_to_4);
 
   // Round-robin at 4 chips for comparison: model-blind sharding spreads
   // every model over every chip, so each chip's residency budget thrashes
@@ -877,13 +885,13 @@ int main(int argc, char** argv) {
               static_cast<std::size_t>(dis.kv_bytes_in_flight));
   std::printf("  link: occupancy %4.1f %%, worst KV queue wait %.2f ms\n",
               100.0 * dis.link_occupancy, dis.max_link_queue_ms);
-  const bool kv_conservation_ok =
-      dis.kv_transfers > 0 && dis.kv_migration_bytes > 0 &&
-      dis.kv_bytes_in_flight == 0 &&
-      dis.kv_bytes_sent == dis.kv_migration_bytes + dis.kv_bytes_in_flight;
-  std::printf("KV ledger exactly conserved (sent == landed + in-flight, "
-              "drained to 0): %s\n",
-              kv_conservation_ok ? "yes" : "NO");
+  checks.add("kv_conservation_ok",
+             dis.kv_transfers > 0 && dis.kv_migration_bytes > 0 &&
+                 dis.kv_bytes_in_flight == 0 &&
+                 dis.kv_bytes_sent ==
+                     dis.kv_migration_bytes + dis.kv_bytes_in_flight,
+             "KV ledger exactly conserved (sent == landed + in-flight, "
+             "drained to 0): ");
   const double s8_wall_ms = ms_since(s8_t0);
   print_section_wall(s8_wall_ms);
 
@@ -1023,81 +1031,83 @@ int main(int argc, char** argv) {
   // Gate (a): at the SAME byte budget, paged + prefix sharing sustains
   // strictly more concurrent decodes — or matches throughput on strictly
   // fewer peak KV bytes.
-  const bool paged_concurrency_ok =
+  const bool paged_concurrency_ok = checks.add(
+      "paged_concurrency_ok",
       paged_prefix.peak_decode_batch > whole_kv.peak_decode_batch ||
-      (paged_prefix.tokens_per_second >= whole_kv.tokens_per_second &&
-       paged_prefix.peak_kv_reserved_bytes < whole_kv.peak_kv_reserved_bytes);
+          (paged_prefix.tokens_per_second >= whole_kv.tokens_per_second &&
+           paged_prefix.peak_kv_reserved_bytes <
+               whole_kv.peak_kv_reserved_bytes),
+      "\npaged+prefix sustains more concurrency at the same "
+      "budget (peak batch %zu vs %zu): ",
+      paged_prefix.peak_decode_batch, whole_kv.peak_decode_batch);
   // Gate (b): every paged row drains its ledger exactly and serves the
   // whole trace.
-  bool paged_conservation_ok = true;
+  bool ledgers_drained = true;
   for (std::size_t i = 1; i < s9.outcomes.size(); ++i) {
     const serve::ServingResult& r = s9.outcomes[i].result;
-    paged_conservation_ok = paged_conservation_ok &&
-                            r.completed == paged_cfg.requests &&
-                            r.kv_pages_allocated > 0 &&
-                            r.kv_pages_allocated == r.kv_pages_freed;
+    ledgers_drained = ledgers_drained && r.completed == paged_cfg.requests &&
+                      r.kv_pages_allocated > 0 &&
+                      r.kv_pages_allocated == r.kv_pages_freed;
   }
+  const bool paged_conservation_ok = checks.add(
+      "paged_conservation_ok", ledgers_drained,
+      "page ledger exactly conserved on every paged row "
+      "(alloc == freed > 0, all served): ");
   // Gate (c): the sharing row actually shared (riders attached and pages
   // were saved), and switching sharing off removes every attach.
-  const bool prefix_sharing_ok = paged_prefix.kv_shared_attaches > 0 &&
-                                 paged_prefix.kv_shared_pages_saved > 0 &&
-                                 paged_noshare.kv_shared_attaches == 0;
+  const bool prefix_sharing_ok = checks.add(
+      "prefix_sharing_ok",
+      paged_prefix.kv_shared_attaches > 0 &&
+          paged_prefix.kv_shared_pages_saved > 0 &&
+          paged_noshare.kv_shared_attaches == 0,
+      "prefix sharing engaged (%zu attaches, %zu pages saved; 0 "
+      "with sharing off): ",
+      paged_prefix.kv_shared_attaches, paged_prefix.kv_shared_pages_saved);
   // Gate (d): the tight row survives on a fraction of the budget by
   // actually paying DRAM re-fetches (swap exercised, nothing rejected).
-  const bool paged_swap_ok = paged_tight.kv_swap_refetch_bytes > 0 &&
-                             paged_tight.completed == paged_cfg.requests &&
-                             paged_tight.peak_kv_reserved_bytes <
-                                 whole_kv.peak_kv_reserved_bytes;
+  const bool paged_swap_ok = checks.add(
+      "paged_swap_ok",
+      paged_tight.kv_swap_refetch_bytes > 0 &&
+          paged_tight.completed == paged_cfg.requests &&
+          paged_tight.peak_kv_reserved_bytes < whole_kv.peak_kv_reserved_bytes,
+      "tight budget completes via DRAM swap (%.1f MiB re-fetched, "
+      "peak KV %.1f vs %.1f MiB): ",
+      static_cast<double>(paged_tight.kv_swap_refetch_bytes) /
+          (1024.0 * 1024.0),
+      static_cast<double>(paged_tight.peak_kv_reserved_bytes) /
+          (1024.0 * 1024.0),
+      static_cast<double>(whole_kv.peak_kv_reserved_bytes) /
+          (1024.0 * 1024.0));
   // Gate (e): every re-fetched byte rode a decode step as MC-lane DMA
   // (the two ledgers agree on every paged row), and the tight row
   // actually priced some.
-  bool paged_refill_priced_ok = paged_tight.kv_swap_dma_bytes > 0;
+  bool refills_priced = paged_tight.kv_swap_dma_bytes > 0;
   for (std::size_t i = 1; i < s9.outcomes.size(); ++i) {
     const serve::ServingResult& r = s9.outcomes[i].result;
-    paged_refill_priced_ok = paged_refill_priced_ok &&
-                             r.kv_swap_dma_bytes == r.kv_swap_refetch_bytes;
+    refills_priced =
+        refills_priced && r.kv_swap_dma_bytes == r.kv_swap_refetch_bytes;
   }
+  const bool paged_refill_priced_ok = checks.add(
+      "paged_refill_priced_ok", refills_priced,
+      "every re-fetched byte priced as refill DMA (tight row %.1f "
+      "MiB injected == re-fetched): ",
+      static_cast<double>(paged_tight.kv_swap_dma_bytes) / (1024.0 * 1024.0));
   // Gate (f): every row encodes each conversation's image once — every
   // request but a conversation's first turn hits the encoder cache,
   // whatever the KV mode.
   std::set<std::size_t> conversations;
   for (const serve::Request& r : paged_trace) conversations.insert(r.prefix_id);
   const std::size_t expected_hits = paged_trace.size() - conversations.size();
-  bool encoder_cache_ok = true;
+  bool hits_expected = true;
   for (const auto& outcome : s9.outcomes) {
-    encoder_cache_ok = encoder_cache_ok &&
-                       outcome.result.encoder_cache_hits == expected_hits;
+    hits_expected = hits_expected &&
+                    outcome.result.encoder_cache_hits == expected_hits;
   }
-  std::printf("\npaged+prefix sustains more concurrency at the same "
-              "budget (peak batch %zu vs %zu): %s\n",
-              paged_prefix.peak_decode_batch, whole_kv.peak_decode_batch,
-              paged_concurrency_ok ? "yes" : "NO");
-  std::printf("page ledger exactly conserved on every paged row "
-              "(alloc == freed > 0, all served): %s\n",
-              paged_conservation_ok ? "yes" : "NO");
-  std::printf("prefix sharing engaged (%zu attaches, %zu pages saved; 0 "
-              "with sharing off): %s\n",
-              paged_prefix.kv_shared_attaches,
-              paged_prefix.kv_shared_pages_saved,
-              prefix_sharing_ok ? "yes" : "NO");
-  std::printf("tight budget completes via DRAM swap (%.1f MiB re-fetched, "
-              "peak KV %.1f vs %.1f MiB): %s\n",
-              static_cast<double>(paged_tight.kv_swap_refetch_bytes) /
-                  (1024.0 * 1024.0),
-              static_cast<double>(paged_tight.peak_kv_reserved_bytes) /
-                  (1024.0 * 1024.0),
-              static_cast<double>(whole_kv.peak_kv_reserved_bytes) /
-                  (1024.0 * 1024.0),
-              paged_swap_ok ? "yes" : "NO");
-  std::printf("every re-fetched byte priced as refill DMA (tight row %.1f "
-              "MiB injected == re-fetched): %s\n",
-              static_cast<double>(paged_tight.kv_swap_dma_bytes) /
-                  (1024.0 * 1024.0),
-              paged_refill_priced_ok ? "yes" : "NO");
-  std::printf("each conversation's image encoded once on every row (%zu "
-              "encoder-cache hits = %zu requests - %zu conversations): %s\n",
-              expected_hits, paged_trace.size(), conversations.size(),
-              encoder_cache_ok ? "yes" : "NO");
+  const bool encoder_cache_ok = checks.add(
+      "encoder_cache_ok", hits_expected,
+      "each conversation's image encoded once on every row (%zu "
+      "encoder-cache hits = %zu requests - %zu conversations): ",
+      expected_hits, paged_trace.size(), conversations.size());
   print_section_wall(s9);
 
   json.begin_object("paged_kv");
@@ -1217,51 +1227,53 @@ int main(int argc, char** argv) {
   // Gate (a): an idle fat backend is free — NoOffload with the GPU
   // configured replays byte-identically (result AND every record) to
   // the EdgeMM-only config.
-  bool s10_identity_ok =
+  bool noop_identical =
       serve::results_identical(het_local, het_noop) &&
       s10.outcomes[0].records.size() == s10.outcomes[1].records.size();
-  if (s10_identity_ok) {
+  if (noop_identical) {
     for (std::size_t i = 0; i < s10.outcomes[0].records.size(); ++i) {
-      s10_identity_ok = s10_identity_ok &&
-                        serve::record_identical(s10.outcomes[0].records[i],
-                                                s10.outcomes[1].records[i]);
+      noop_identical = noop_identical &&
+                       serve::record_identical(s10.outcomes[0].records[i],
+                                               s10.outcomes[1].records[i]);
     }
   }
+  const bool s10_identity_ok = checks.add(
+      "offload_identity_ok", noop_identical,
+      "\nidle fat backend is free (NoOffload+gpu bit-identical to "
+      "edgemm-only): ");
   // Gate (b): shipping the long prefills to the fat backend wins on
   // makespan or sustained tokens/s — and it actually offloaded.
-  const bool s10_offload_win =
+  const bool s10_offload_win = checks.add(
+      "offload_win_ok",
       het_ptf.offloaded_requests > 0 &&
-      (het_ptf.makespan < het_local.makespan ||
-       het_ptf.tokens_per_second > het_local.tokens_per_second);
+          (het_ptf.makespan < het_local.makespan ||
+           het_ptf.tokens_per_second > het_local.tokens_per_second),
+      "prefill-to-fat wins makespan or tokens/s (%.1f -> %.1f ms, "
+      "%.1f -> %.1f tok/s): ",
+      het_local.makespan_ms, het_ptf.makespan_ms, het_local.tokens_per_second,
+      het_ptf.tokens_per_second);
   // Gate (c): the win is not bought with decode tail latency (equal
   // decode p99, up to 5% measurement slack on the zoo trace).
-  const bool s10_decode_p99_ok =
-      s10_decode_p99[2] <= s10_decode_p99[0] * 1.05;
+  const bool s10_decode_p99_ok = checks.add(
+      "offload_decode_p99_ok", s10_decode_p99[2] <= s10_decode_p99[0] * 1.05,
+      "decode p99 holds at the offloaded operating point "
+      "(%.1f vs %.1f ms): ",
+      s10_decode_p99[2], s10_decode_p99[0]);
   // Gate (d): the KV return ledger is exactly conserved on every
   // offloading row — sent == landed + in-flight, drained to 0 in flight
   // — and the PrefillToFat row really shipped KV back.
-  bool s10_link_ok = het_ptf.kv_return_transfers > 0;
+  bool links_conserved = het_ptf.kv_return_transfers > 0;
   for (const serve::SweepOutcome& o : s10.outcomes) {
     const serve::ServingResult& r = o.result;
-    s10_link_ok = s10_link_ok && r.kv_return_bytes_in_flight == 0 &&
-                  r.kv_return_bytes_sent ==
-                      r.kv_return_bytes_landed + r.kv_return_bytes_in_flight;
+    links_conserved =
+        links_conserved && r.kv_return_bytes_in_flight == 0 &&
+        r.kv_return_bytes_sent ==
+            r.kv_return_bytes_landed + r.kv_return_bytes_in_flight;
   }
-  std::printf("\nidle fat backend is free (NoOffload+gpu bit-identical to "
-              "edgemm-only): %s\n",
-              s10_identity_ok ? "yes" : "NO");
-  std::printf("prefill-to-fat wins makespan or tokens/s (%.1f -> %.1f ms, "
-              "%.1f -> %.1f tok/s): %s\n",
-              het_local.makespan_ms, het_ptf.makespan_ms,
-              het_local.tokens_per_second, het_ptf.tokens_per_second,
-              s10_offload_win ? "yes" : "NO");
-  std::printf("decode p99 holds at the offloaded operating point "
-              "(%.1f vs %.1f ms): %s\n",
-              s10_decode_p99[2], s10_decode_p99[0],
-              s10_decode_p99_ok ? "yes" : "NO");
-  std::printf("KV return ledger exactly conserved (sent == landed + "
-              "in-flight == landed): %s\n",
-              s10_link_ok ? "yes" : "NO");
+  const bool s10_link_ok = checks.add(
+      "offload_link_ok", links_conserved,
+      "KV return ledger exactly conserved (sent == landed + "
+      "in-flight == landed): ");
   print_section_wall(s10);
 
   json.begin_object("backend_mix");
@@ -1363,16 +1375,24 @@ int main(int argc, char** argv) {
 
   // Gate (a): the pressure policies actually degraded on this trace and
   // StaticQuality never did — the ledger is live, not vacuous.
-  const bool s11_degrade_ok = q_static.quality_downgrades == 0 &&
-                              q_slo.quality_downgrades > 0 &&
-                              q_depth.quality_downgrades > 0;
+  const bool s11_degrade_ok = checks.add(
+      "quality_degrade_ok",
+      q_static.quality_downgrades == 0 && q_slo.quality_downgrades > 0 &&
+          q_depth.quality_downgrades > 0,
+      "\npressure policies degrade, static never does: ");
   // Gate (b): trading quality for schedule slack wins the SLO — the
   // slo-pressure row strictly improves attainment over static full
   // quality on the same trace.
-  const bool s11_slo_ok = q_slo.slo_attainment > q_static.slo_attainment;
+  const bool s11_slo_ok = checks.add(
+      "quality_slo_ok", q_slo.slo_attainment > q_static.slo_attainment,
+      "slo-pressure strictly improves SLO attainment (%.1f %% -> %.1f %%): ",
+      100.0 * q_static.slo_attainment, 100.0 * q_slo.slo_attainment);
   // Gate (c): degradation substitutes for shedding — strictly fewer
   // rejections than the static row.
-  const bool s11_reject_ok = q_slo.rejected < q_static.rejected;
+  const bool s11_reject_ok = checks.add(
+      "quality_reject_ok", q_slo.rejected < q_static.rejected,
+      "degradation substitutes for shedding (%zu -> %zu rejected): ",
+      q_static.rejected, q_slo.rejected);
   // Gate (d): the quality cost is bounded — the static row is exactly
   // 1.0 (nothing was ever pruned below its base), every degrading row's
   // worst-served request stays at or above the accuracy the band floor
@@ -1383,11 +1403,17 @@ int main(int argc, char** argv) {
     s11_proxy_floor =
         std::min(s11_proxy_floor, serve::quality_accuracy_proxy(m, 0.5));
   }
-  const bool s11_accuracy_ok = q_static.accuracy_proxy_mean == 1.0 &&
-                               q_slo.accuracy_proxy_min >= s11_proxy_floor &&
-                               q_depth.accuracy_proxy_min >= s11_proxy_floor &&
-                               q_slo.accuracy_proxy_mean >= 0.75 &&
-                               q_depth.accuracy_proxy_mean >= 0.75;
+  const bool s11_accuracy_ok = checks.add(
+      "quality_accuracy_ok",
+      q_static.accuracy_proxy_mean == 1.0 &&
+          q_slo.accuracy_proxy_min >= s11_proxy_floor &&
+          q_depth.accuracy_proxy_min >= s11_proxy_floor &&
+          q_slo.accuracy_proxy_mean >= 0.75 &&
+          q_depth.accuracy_proxy_mean >= 0.75,
+      "accuracy cost bounded (mean proxy %.4f / %.4f >= 0.75, "
+      "min >= band floor %.4f): ",
+      q_slo.accuracy_proxy_mean, q_depth.accuracy_proxy_mean,
+      s11_proxy_floor);
   // Gate (e): the seam is free when static — the §10 edgemm-only case
   // replayed with the default quality config spelled out explicitly
   // (StaticQuality + the [0.25, 1] band) is bit-identical, result and
@@ -1400,25 +1426,11 @@ int main(int argc, char** argv) {
        zoo_trace},
   };
   const SectionRun s11_id = run_section(s11_identity_cases);
-  const bool s11_identity_ok =
-      serve::outcomes_identical(s11_id.outcomes[0], s10.outcomes[0]);
-
-  std::printf("\npressure policies degrade, static never does: %s\n",
-              s11_degrade_ok ? "yes" : "NO");
-  std::printf("slo-pressure strictly improves SLO attainment "
-              "(%.1f %% -> %.1f %%): %s\n",
-              100.0 * q_static.slo_attainment, 100.0 * q_slo.slo_attainment,
-              s11_slo_ok ? "yes" : "NO");
-  std::printf("degradation substitutes for shedding (%zu -> %zu rejected): "
-              "%s\n",
-              q_static.rejected, q_slo.rejected, s11_reject_ok ? "yes" : "NO");
-  std::printf("accuracy cost bounded (mean proxy %.4f / %.4f >= 0.75, "
-              "min >= band floor %.4f): %s\n",
-              q_slo.accuracy_proxy_mean, q_depth.accuracy_proxy_mean,
-              s11_proxy_floor, s11_accuracy_ok ? "yes" : "NO");
-  std::printf("explicit StaticQuality + default band is bit-identical to "
-              "the default config: %s\n",
-              s11_identity_ok ? "yes" : "NO");
+  const bool s11_identity_ok = checks.add(
+      "quality_identity_ok",
+      serve::outcomes_identical(s11_id.outcomes[0], s10.outcomes[0]),
+      "explicit StaticQuality + default band is bit-identical to "
+      "the default config: ");
   print_section_wall(s11);
 
   json.begin_object("quality");
@@ -1448,55 +1460,7 @@ int main(int argc, char** argv) {
   json.field("identity_ok", s11_identity_ok);
   json.end_object();
 
-  const bool ok = beats && slo_wins && chunk_wins && resident_wins &&
-                  charged_once && planner_bytes_conserved && placement_wins &&
-                  barrier_honest && eviction_exercised && zoo_bytes_conserved &&
-                  fidelity_ok && zoo_speedup_ok && s2_speedup_ok &&
-                  identity_ok && throughput_ok && cluster_identity_ok &&
-                  replica_scaling_ok && kv_conservation_ok &&
-                  paged_concurrency_ok && paged_conservation_ok &&
-                  prefix_sharing_ok && paged_swap_ok &&
-                  paged_refill_priced_ok && encoder_cache_ok &&
-                  s10_identity_ok &&
-                  s10_offload_win && s10_decode_p99_ok && s10_link_ok &&
-                  s11_degrade_ok && s11_slo_ok && s11_reject_ok &&
-                  s11_accuracy_ok && s11_identity_ok;
-
-  json.begin_object("self_checks");
-  json.field("continuous_beats_sequential", beats);
-  json.field("slo_wins", slo_wins);
-  json.field("chunk_wins", chunk_wins);
-  json.field("resident_wins", resident_wins);
-  json.field("charged_once", charged_once);
-  json.field("planner_bytes_conserved", planner_bytes_conserved);
-  json.field("placement_wins", placement_wins);
-  json.field("barrier_honest", barrier_honest);
-  json.field("eviction_exercised", eviction_exercised);
-  json.field("zoo_bytes_conserved", zoo_bytes_conserved);
-  json.field("fidelity_ok", fidelity_ok);
-  json.field("zoo_speedup_ok", zoo_speedup_ok);
-  json.field("policy_sweep_speedup_ok", s2_speedup_ok);
-  json.field("sweep_identity_ok", identity_ok);
-  json.field("cluster_identity_ok", cluster_identity_ok);
-  json.field("replica_scaling_ok", replica_scaling_ok);
-  json.field("kv_conservation_ok", kv_conservation_ok);
-  json.field("paged_concurrency_ok", paged_concurrency_ok);
-  json.field("paged_conservation_ok", paged_conservation_ok);
-  json.field("prefix_sharing_ok", prefix_sharing_ok);
-  json.field("paged_swap_ok", paged_swap_ok);
-  json.field("paged_refill_priced_ok", paged_refill_priced_ok);
-  json.field("encoder_cache_ok", encoder_cache_ok);
-  json.field("offload_identity_ok", s10_identity_ok);
-  json.field("offload_win_ok", s10_offload_win);
-  json.field("offload_decode_p99_ok", s10_decode_p99_ok);
-  json.field("offload_link_ok", s10_link_ok);
-  json.field("quality_degrade_ok", s11_degrade_ok);
-  json.field("quality_slo_ok", s11_slo_ok);
-  json.field("quality_reject_ok", s11_reject_ok);
-  json.field("quality_accuracy_ok", s11_accuracy_ok);
-  json.field("quality_identity_ok", s11_identity_ok);
-  json.field("all_passed", ok);
-  json.end_object();
+  checks.write_json(json);
   json.end_object();
   if (json.write(json_path)) {
     std::printf("\nBENCH artifact written: %s\n", json_path.c_str());
@@ -1505,6 +1469,7 @@ int main(int argc, char** argv) {
                 json_path.c_str());
   }
 
-  std::printf("\nall self-checks passed: %s\n", ok ? "yes" : "NO");
-  return ok ? 0 : 1;
+  std::printf("\nall self-checks passed: %s\n",
+              checks.all_passed() ? "yes" : "NO");
+  return checks.exit_code();
 }

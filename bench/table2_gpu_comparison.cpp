@@ -91,7 +91,6 @@ int main() {
                      {workload.decode_token.begin(), workload.decode_token.end()},
                      record_retire);
   gpu_sim.run();
-  const bool fifo_serializes = last_retire == expected_retire;
 
   // Measured dynamic pruning depth (same harness as Fig. 12).
   model::ActivationProfile profile;
@@ -162,11 +161,12 @@ int main() {
              fmt_percent(breakdown.static_joules / total, 1)});
   e.print();
 
-  std::printf("\nGpuBackend phase costs bit-identical to evaluate_gpu: %s\n",
-              backend_identical ? "yes" : "NO");
-  std::printf("GpuBackend FIFO stream serializes the three phases "
-              "(retire at %llu cycles): %s\n",
-              static_cast<unsigned long long>(expected_retire),
-              fifo_serializes ? "yes" : "NO");
-  return backend_identical && fifo_serializes ? 0 : 1;
+  edgemm::bench::CheckRegistry checks;
+  checks.add("backend_identical", backend_identical,
+             "\nGpuBackend phase costs bit-identical to evaluate_gpu: ");
+  checks.add("fifo_serializes", last_retire == expected_retire,
+             "GpuBackend FIFO stream serializes the three phases "
+             "(retire at %llu cycles): ",
+             static_cast<unsigned long long>(expected_retire));
+  return checks.exit_code();
 }

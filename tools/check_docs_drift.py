@@ -32,6 +32,7 @@ appear as an identifier in the corresponding header:
   PhaseScheduler::<name> -> src/core/phase_scheduler.hpp
   RequestQueue::<name>  -> src/serve/request_queue.hpp
   WeightResidencyTracker::<name> -> src/serve/residency_tracker.hpp
+  CheckRegistry::<name> -> bench/bench_common.hpp
 
 A struct that inherits its fields maps to its own header plus its base's.
 Every mapped owner must itself still be declared (class / struct / enum)
@@ -88,6 +89,7 @@ HEADERS = {
     "PhaseScheduler": "src/core/phase_scheduler.hpp",
     "RequestQueue": "src/serve/request_queue.hpp",
     "WeightResidencyTracker": "src/serve/residency_tracker.hpp",
+    "CheckRegistry": "bench/bench_common.hpp",
 }
 
 # `EngineConfig::knob` or `ServingResult::counter` for any owner above

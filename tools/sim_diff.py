@@ -15,6 +15,10 @@ Capture each side's stdout, then compare:
 
 Exit status: 0 when the masked outputs are identical, 1 when they
 differ, 2 on a usage or read error.
+
+`--self-test` runs the masks on built-in sample lines instead: every
+host-time field must be masked, and no yes/NO verdict or simulated
+number may be (exit 1 if either fails).
 """
 
 import difflib
@@ -45,6 +49,82 @@ MASKS = [
 ]
 
 
+# --self-test samples, taken from a real `serving_trace --fast` run.
+# Each HOST_PAIRS pair differs only in host time, so both lines must mask
+# to the same text (and that text must carry the host marker).
+HOST_PAIRS = [
+    ("  [section wall 25282.5 ms, 3 cases, 3 workers]",
+     "  [section wall 31.0 ms, 3 cases, 1 worker]"),
+    ("  [section wall 1269.9 ms]", "  [section wall 980.2 ms]"),
+    ("  s1 sequential                det  191318.0 ms  fast  190012.8 ms  "
+     "drift -0.68 %  speedup  396.7x",
+     "  s1 sequential                det  191318.0 ms  fast  190012.8 ms  "
+     "drift -0.68 %  speedup   23.2x"),
+    ("single-replay speedup on the §6 zoo trace >= 10x: 72.7x  yes",
+     "single-replay speedup on the §6 zoo trace >= 10x: 130.4x  yes"),
+    ("fast-tier speedup on the §2 policy sweep >= 5x: 64.4x  yes",
+     "fast-tier speedup on the §2 policy sweep >= 5x: 9.0x  yes"),
+    ("aggregate: detailed 70694.0 ms -> fast 653.4 ms over 16 cases (108x)",
+     "aggregate: detailed 41000.5 ms -> fast 201.9 ms over 16 cases (203x)"),
+    ("sweep throughput at 8 workers >= 4x sequential: 5.2x  yes",
+     "sweep throughput at 8 workers >= 4x sequential: 7.9x  yes"),
+    ("sweep throughput at 8 workers: 2.9x (gate skipped: 4 hardware threads)",
+     "sweep throughput at 8 workers: 1.0x (gate skipped: 1 hardware thread)"),
+]
+
+# Each SIM_PAIRS pair differs in a verdict or a simulated number, so the
+# masked lines must still differ.
+SIM_PAIRS = [
+    ("continuous batching beats sequential on makespan: yes",
+     "continuous batching beats sequential on makespan: NO"),
+    ("single-replay speedup on the §6 zoo trace >= 10x: 72.7x  yes",
+     "single-replay speedup on the §6 zoo trace >= 10x: 72.7x  NO"),
+    ("fast-tier speedup on the §2 policy sweep >= 5x: 64.4x  yes",
+     "fast-tier speedup on the §2 policy sweep >= 5x: 64.4x  NO"),
+    ("sweep throughput at 8 workers >= 4x sequential: 5.2x  yes",
+     "sweep throughput at 8 workers >= 4x sequential: 5.2x  NO"),
+    ("  s1 sequential                det  191318.0 ms  fast  190012.8 ms  "
+     "drift -0.68 %  speedup  396.7x",
+     "  s1 sequential                det  191318.0 ms  fast  190012.8 ms  "
+     "drift -0.69 %  speedup  396.7x"),
+    ("  s1 sequential                det  191318.0 ms  fast  190012.8 ms  "
+     "drift -0.68 %  speedup  396.7x",
+     "  s1 sequential                det  191318.1 ms  fast  190012.9 ms  "
+     "drift -0.68 %  speedup  396.7x"),
+    ("aggregate: detailed 70694.0 ms -> fast 653.4 ms over 16 cases (108x)",
+     "aggregate: detailed 70694.0 ms -> fast 653.4 ms over 15 cases (108x)"),
+    ("fast tier drifts under 1% on every section (worst -0.91 %, counts "
+     "equal): yes",
+     "fast tier drifts under 1% on every section (worst -0.92 %, counts "
+     "equal): yes"),
+    ("makespan speedup over sequential: 6.18x (continuous), 9.58x (+BW mgmt)",
+     "makespan speedup over sequential: 6.18x (continuous), 9.59x (+BW mgmt)"),
+    ("replica tokens/s scales >= 3x from 1 to 4 chips (all requests "
+     "served): 3.48x  yes",
+     "replica tokens/s scales >= 3x from 1 to 4 chips (all requests "
+     "served): 3.47x  yes"),
+    ("  4 chips   96 done  makespan   12363.0 ms  p99    8510.9 ms     "
+     "219.8 tok/s  (3.48x)",
+     "  4 chips   96 done  makespan   12363.0 ms  p99    8510.9 ms     "
+     "219.8 tok/s  (3.49x)"),
+]
+
+
+def self_test() -> int:
+    failures = []
+    for a, b in HOST_PAIRS:
+        if mask(a) != mask(b) or HOST not in mask(a):
+            failures.append(f"host time left unmasked:\n  {mask(a)}\n  {mask(b)}")
+    for a, b in SIM_PAIRS:
+        if mask(a) == mask(b):
+            failures.append(f"simulated content masked away:\n  {a}\n  {b}")
+    for failure in failures:
+        print(failure)
+    total = len(HOST_PAIRS) + len(SIM_PAIRS)
+    print(f"sim_diff self-test: {total - len(failures)} of {total} sample pairs right")
+    return 1 if failures else 0
+
+
 def mask(line: str) -> str:
     for pattern, replacement in MASKS:
         line = pattern.sub(replacement, line)
@@ -57,9 +137,12 @@ def masked_lines(path: str) -> list:
 
 
 def main(argv) -> int:
+    if argv[1:] == ["--self-test"]:
+        return self_test()
     if len(argv) != 3:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: tools/sim_diff.py BASELINE.txt CANDIDATE.txt", file=sys.stderr)
+        print("usage: tools/sim_diff.py BASELINE.txt CANDIDATE.txt | --self-test",
+              file=sys.stderr)
         return 2
     try:
         old, new = masked_lines(argv[1]), masked_lines(argv[2])
