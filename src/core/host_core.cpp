@@ -187,13 +187,15 @@ Cycle HostCore::exec_matrix_vector(const DecodedView& d) {
       }
       const std::size_t entries =
           (w.rows() + cim_cfg.tree_inputs - 1) / cim_cfg.tree_inputs;
+      // Rejected before the wrap below, so a refused load leaves the
+      // loaded matrices in place.
+      if (entries > cim_cfg.entries) {
+        throw std::invalid_argument("mv.ldw: matrix exceeds macro capacity");
+      }
       if (next_free_entry_ + entries > cim_cfg.entries) {
         // Macro full: steady-state weight streaming simply wraps.
         next_free_entry_ = 0;
         for (auto& [addr, other] : bound_matrices_) other.loaded = false;
-      }
-      if (entries > cim_cfg.entries) {
-        throw std::invalid_argument("mv.ldw: matrix exceeds macro capacity");
       }
       // Per-tensor symmetric quantization to the macro's weight width.
       const auto q = quantize_symmetric(w.flat(), cim_cfg.weight_bits);

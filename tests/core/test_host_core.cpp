@@ -133,6 +133,29 @@ TEST(HostCore, MvMulBeforeLdwThrows) {
                std::invalid_argument);
 }
 
+TEST(HostCore, RejectedLoadKeepsLoadedMatrices) {
+  ChipConfig cfg = square_cfg();
+  cfg.cim = {16, 4, 16, 8, 8};  // 16 entries of 4 rows: 64 rows per load
+  HostCore core(cfg, CoreKind::kMemoryCentric, 0, 0, 0, 0);
+  Rng rng(11);
+  const Tensor a = random_tile(8, 8, rng);
+  const Tensor too_tall = random_tile(68, 8, rng);  // 17 entries
+  core.bind_matrix(0x100, &a);
+  core.bind_matrix(0x200, &too_tall);
+  core.set_xreg(1, 0x100);
+  core.set_xreg(2, 0x200);
+  core.set_vreg(4, std::vector<float>(8, 0.5F));
+
+  core.execute(isa::assemble_line("mv.ldw (x1)"));
+  core.execute(isa::assemble_line("mv.mul v5, v4, (x1)"));
+  const std::vector<float> before = core.vreg(5);
+
+  EXPECT_THROW(core.execute(isa::assemble_line("mv.ldw (x2)")),
+               std::invalid_argument);
+  core.execute(isa::assemble_line("mv.mul v6, v4, (x1)"));
+  EXPECT_EQ(core.vreg(6), before);
+}
+
 TEST(HostCore, PruneInstructionCompactsAndReportsN) {
   const ChipConfig cfg = square_cfg();
   HostCore core(cfg, CoreKind::kMemoryCentric, 0, 0, 0, 0);

@@ -6,6 +6,11 @@
 
 #include "common/rng.hpp"
 #include "common/statistics.hpp"
+#include "core/host_core.hpp"
+#include "core/timing.hpp"
+#include "isa/assembler.hpp"
+#include "mem/dram.hpp"
+#include "sim/simulator.hpp"
 
 namespace edgemm::core {
 namespace {
@@ -22,6 +27,8 @@ Tensor random_tensor(std::size_t r, std::size_t c, Rng& rng, double sigma = 0.5)
   for (float& v : t.flat()) v = static_cast<float>(rng.gaussian(0.0, sigma));
   return t;
 }
+
+std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
 TEST(SaGemmKernel, MatchesReferenceOnOddShapes) {
   // 7×10 × 10×9 exercises padding on every tile edge.
@@ -160,6 +167,76 @@ TEST(PrunedGemv, ZeroBudgetYieldsZeroOutput) {
   const auto pruned = cim_gemv_pruned(cfg, act, w, 0, 16.0, 2);
   EXPECT_EQ(pruned.channels_kept, 0u);
   for (const float v : pruned.out) EXPECT_EQ(v, 0.0F);
+}
+
+// Differential: the functional kernels and extension instructions
+// against the Eq. 2/3 prices the timing plane charges for the same shape
+// (`ClusterTimingModel::compute_cycles`), one core per cluster so no
+// cross-core split enters. The systolic side agrees exactly. The CIM
+// kernel drains the macro once per window of `cim.entries` entries where
+// Eq. 3 charges one drain per column group (docs/PAPER_MAP.md).
+TEST(KernelCycleDifferential, FunctionalCyclesMatchComputeCycles) {
+  ChipConfig cfg = kernel_cfg();  // 4×4 array; CIM R = 4, C = 8, M = 8
+  cfg.cc_cores_per_cluster = 1;
+  cfg.mc_cores_per_cluster = 1;
+  sim::Simulator sim;
+  mem::DramController dram(sim, cfg.dram);
+  const ClusterTimingModel cc(sim, dram, cfg, ClusterKind::kComputeCentric);
+  const ClusterTimingModel mc(sim, dram, cfg, ClusterKind::kMemoryCentric);
+  const std::size_t tree = cfg.cim.tree_inputs;
+  const std::size_t columns = cfg.cim.columns;
+  const std::size_t macro_rows = tree * cfg.cim.entries;  // R·M
+  Rng rng(28);
+  const auto draw = [&rng](std::size_t lo, std::size_t hi) {
+    return static_cast<std::size_t>(rng.uniform_int(static_cast<std::int64_t>(lo),
+                                                    static_cast<std::int64_t>(hi)));
+  };
+
+  std::size_t edge_tiles = 0;
+  for (int i = 0; i < 60; ++i) {
+    const std::size_t m = draw(1, 12);
+    const std::size_t k = draw(1, 20);
+    const std::size_t n = draw(1, 20);
+    edge_tiles += (k % cfg.systolic.rows != 0 || n % cfg.systolic.cols != 0);
+    const auto got = sa_gemm(cfg, random_tensor(m, k, rng), random_tensor(k, n, rng));
+    EXPECT_EQ(got.cycles, cc.compute_cycles({m, k, n})) << m << "x" << k << "x" << n;
+  }
+  EXPECT_GT(edge_tiles, 0u);
+
+  std::size_t multi_window = 0;
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t k = draw(1, 3 * macro_rows);
+    const std::size_t n = draw(1, 3 * columns);
+    const std::size_t windows = ceil_div(ceil_div(k, tree), cfg.cim.entries);
+    multi_window += windows > 1;
+    const std::vector<float> act(k, 0.5F);
+    const auto got = cim_gemv(cfg, act, random_tensor(k, n, rng));
+    EXPECT_EQ(got.cycles,
+              mc.compute_cycles({1, k, n}) + (windows - 1) * ceil_div(n, columns))
+        << k << "x" << n;
+  }
+  EXPECT_GT(multi_window, 0u);
+
+  // mm.mul on one R×R by R×C tile is one Eq. 2 tile pass at m = R.
+  const std::size_t rows = cfg.systolic.rows;
+  HostCore cc_core(cfg, CoreKind::kComputeCentric, 0, 0, 0, 0);
+  EXPECT_EQ(cc_core.execute(isa::assemble_line("mm.mul m0, m1, m2")),
+            cc.compute_cycles({rows, rows, cfg.systolic.cols}));
+
+  // mv.ldw + mv.mul on a matrix that fits one macro window and one
+  // column group is one Eq. 3 group with its entry writes.
+  for (int i = 0; i < 20; ++i) {
+    const std::size_t k = draw(1, macro_rows);
+    const std::size_t n = draw(1, columns);
+    HostCore mc_core(cfg, CoreKind::kMemoryCentric, 0, 0, 0, 0);
+    const Tensor w = random_tensor(k, n, rng);
+    mc_core.bind_matrix(0x100, &w);
+    mc_core.set_xreg(1, 0x100);
+    mc_core.set_vreg(2, std::vector<float>(k, 0.5F));
+    const Cycle got = mc_core.execute(isa::assemble_line("mv.ldw (x1)")) +
+                      mc_core.execute(isa::assemble_line("mv.mul v3, v2, (x1)"));
+    EXPECT_EQ(got, mc.compute_cycles({1, k, n})) << k << "x" << n;
+  }
 }
 
 }  // namespace

@@ -39,12 +39,27 @@ Every mapped owner must itself still be declared (class / struct / enum)
 in one of its headers, so a deleted type cannot leave its map entry —
 and the doc references it checks — silently passing.
 
+Every backticked repo path must also resolve on disk (glob patterns such
+as `core/pipeline.*` must match at least one file), so a deleted file
+cannot stay named in a table:
+
+  src/…, tests/…, tools/…, perfbench/…, examples/…, docs/…, .github/…
+                        -> that path under the repo root
+  core/…, serve/…, …    -> src-relative: the path under src/
+  bench/<name>, build/<name>
+                        -> a binary: bench/<name>.cpp or examples/<name>.cpp
+                           (bench/ paths that exist as files pass as-is)
+
+Only the first word of an inline code span is read (`bench/serving_trace
+--fast` names bench/serving_trace); fenced code blocks are skipped.
+
 Offline and dependency-free by design, like check_markdown_links.py.
 
 Usage: tools/check_docs_drift.py README.md docs [more files/dirs...]
-Exit status: 0 when every referenced knob exists, 1 otherwise.
+Exit status: 0 when every referenced knob and path exists, 1 otherwise.
 """
 
+import glob
 import os
 import re
 import sys
@@ -98,6 +113,14 @@ HEADERS = {
 REF_RE = re.compile(r"\b(" + "|".join(HEADERS) + r")(?:::|\.)(\w+)")
 
 
+FENCE_RE = re.compile(r"^(```|~~~).*?^\1\s*$", re.MULTILINE | re.DOTALL)
+INLINE_CODE_RE = re.compile(r"`([^`\n]+)`")
+PATH_RE = re.compile(r"^[\w.*-]+(?:/[\w.*-]*)+$")
+REPO_ROOTS = {"src", "tests", "tools", "perfbench", "examples", "docs",
+              ".github"}
+BINARY_ROOTS = {"bench", "build"}
+
+
 def headers_of(owner: str) -> tuple:
     header = HEADERS[owner]
     return header if isinstance(header, tuple) else (header,)
@@ -136,6 +159,39 @@ def declares(code: str, owner: str) -> bool:
         code) is not None
 
 
+def path_resolves(path: str) -> bool:
+    """True when a repo path named in the docs exists on disk; see the
+    module docstring for the forms. Unknown first components (prose such
+    as `a/b`) are not paths and pass."""
+    root = repo_root()
+    path = path.removeprefix("./")
+    head, _, rest = path.partition("/")
+    if head in BINARY_ROOTS:
+        if head == "bench" and glob.glob(os.path.join(root, path)):
+            return True
+        if not rest:
+            return head == "build"  # `build/` names the build directory
+        return any(os.path.isfile(os.path.join(root, d, rest + ".cpp"))
+                   for d in ("bench", "examples"))
+    if head in REPO_ROOTS:
+        base = root
+    elif os.path.isdir(os.path.join(root, "src", head)):
+        base = os.path.join(root, "src")
+    else:
+        return True
+    return bool(glob.glob(os.path.join(base, path)))
+
+
+def dangling_paths(path: str, text: str) -> list:
+    failures = []
+    for span in INLINE_CODE_RE.findall(FENCE_RE.sub("", text)):
+        words = span.split()
+        if words and PATH_RE.match(words[0]) and not path_resolves(words[0]):
+            failures.append(f"{path}: `{words[0]}` does not resolve to a "
+                            f"file in the repo (deleted or renamed?)")
+    return failures
+
+
 def check(files):
     codes = {owner: header_code(headers_of(owner)) for owner in HEADERS}
     failures = [
@@ -150,6 +206,7 @@ def check(files):
     for path in files:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
+        failures.extend(dangling_paths(path, text))
         for owner, name in REF_RE.findall(text):
             if name not in identifiers[owner]:
                 failures.append(
@@ -174,7 +231,8 @@ def main() -> int:
     for failure in failures:
         print(failure)
     print(f"checked {len(files)} markdown files against "
-          f"{', '.join(sorted({h for o in HEADERS for h in headers_of(o)}))}: "
+          f"{', '.join(sorted({h for o in HEADERS for h in headers_of(o)}))} "
+          f"and the repo tree: "
           f"{'OK' if not failures else f'{len(failures)} drifted reference(s)'}")
     return 1 if failures else 0
 
