@@ -944,7 +944,9 @@ int main(int argc, char** argv) {
   // prefix pages copy-on-write across a conversation group, and preempts
   // cold requests to DRAM instead of deferring joins. The tight row
   // halves the budget to price the swap churn. Every row, whatever its
-  // KV mode, encodes each conversation's image once. §1–§8 never see any
+  // KV mode, encodes each conversation's image once and prefills its
+  // shared prefix once: later turns prefill only their suffix, reading
+  // the prefix KV from DRAM. §1–§8 never see any
   // of this: paged_kv defaults off and their traces carry no prefix_id,
   // so their replays stay byte-identical.
   std::printf("\n--- paged KV: CoW prefix sharing + DRAM swap "
@@ -1008,12 +1010,13 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < s9_cases.size(); ++i) {
     const serve::ServingResult& r = s9.outcomes[i].result;
     std::printf("  %-24s %3zu done  makespan %8.1f ms  %7.1f tok/s  "
-                "peak batch %zu  peak KV %5.1f MiB  encoder hits %zu\n",
+                "peak batch %zu  peak KV %5.1f MiB  encoder hits %zu  "
+                "prefix hits %zu\n",
                 s9_cases[i].label.c_str(), r.completed, r.makespan_ms,
                 r.tokens_per_second, r.peak_decode_batch,
                 static_cast<double>(r.peak_kv_reserved_bytes) /
                     (1024.0 * 1024.0),
-                r.encoder_cache_hits);
+                r.encoder_cache_hits, r.prefix_cache_hits);
     if (r.kv_pages_allocated > 0) {
       std::printf("  %-24s pages %zu alloc / %zu freed  shared attach %zu "
                   "(saved %zu)  swap out %zu  refetch %.1f MiB  "
@@ -1099,15 +1102,24 @@ int main(int argc, char** argv) {
   for (const serve::Request& r : paged_trace) conversations.insert(r.prefix_id);
   const std::size_t expected_hits = paged_trace.size() - conversations.size();
   bool hits_expected = true;
+  bool prefix_hits_expected = true;
   for (const auto& outcome : s9.outcomes) {
     hits_expected = hits_expected &&
                     outcome.result.encoder_cache_hits == expected_hits;
+    prefix_hits_expected = prefix_hits_expected &&
+                           outcome.result.prefix_cache_hits == expected_hits;
   }
   const bool encoder_cache_ok = checks.add(
       "encoder_cache_ok", hits_expected,
       "each conversation's image encoded once on every row (%zu "
       "encoder-cache hits = %zu requests - %zu conversations): ",
       expected_hits, paged_trace.size(), conversations.size());
+  // Gate (g): every row prefills each conversation's shared prefix once
+  // (monolithic full-keep chunk 0s cover it), whatever the KV mode.
+  checks.add("prefix_reuse_ok", prefix_hits_expected,
+             "each conversation's prefix prefilled once on every row (%zu "
+             "prefix-cache hits = %zu requests - %zu conversations): ",
+             expected_hits, paged_trace.size(), conversations.size());
   print_section_wall(s9);
 
   json.begin_object("paged_kv");
@@ -1137,6 +1149,7 @@ int main(int argc, char** argv) {
     json.field("kv_swap_dma_bytes",
                static_cast<std::size_t>(r.kv_swap_dma_bytes));
     json.field("encoder_cache_hits", r.encoder_cache_hits);
+    json.field("prefix_cache_hits", r.prefix_cache_hits);
     json.end_object();
   }
   json.end_array();

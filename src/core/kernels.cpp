@@ -138,7 +138,10 @@ PrunedGemvResult cim_gemv_pruned(const ChipConfig& config, std::span<const float
 
   // Partition channels over cores; each core prunes its local slice with
   // a proportional share of the global budget (§IV-A: "each core focuses
-  // on its assigned local channels, avoiding complex global Top-k").
+  // on its assigned local channels, avoiding complex global Top-k"). The
+  // core covering [lo, hi) gets floor(budget·hi/k) − floor(budget·lo/k)
+  // rows: the cumulative floors sum to exactly min(budget, k).
+  const std::size_t budget = std::min(k_budget, k);
   coproc::ActAwarePruner pruner;
   std::vector<std::size_t> kept_global;
   std::size_t n_total = 0;
@@ -148,7 +151,7 @@ PrunedGemvResult cim_gemv_pruned(const ChipConfig& config, std::span<const float
     const std::size_t lo = core * slice;
     if (lo >= k) break;
     const std::size_t len = std::min(slice, k - lo);
-    const std::size_t local_k = std::min(len, ceil_div(k_budget * len, k));
+    const std::size_t local_k = budget * (lo + len) / k - budget * lo / k;
     const Cycle before = pruner.cycles_elapsed();
     const auto outcome = pruner.prune(act.subspan(lo, len), local_k, t);
     prune_cycles += pruner.cycles_elapsed() - before;

@@ -37,12 +37,16 @@ struct Request {
   /// image is encoded once: the first chunk 0 that runs on the chip's CC
   /// lane publishes its projected vision tokens to DRAM, and every later
   /// local turn skips the vision encoder + projector (an offloaded chunk
-  /// 0 encodes for itself). 0 = no shared prefix; under paged KV at most
+  /// 0 encodes for itself). The prefix is prefilled once too: after a
+  /// full-keep local chunk 0 covering it, later local turns prefill only
+  /// their suffix. 0 = no shared prefix; under paged KV at most
   /// kMaxKvPrefixId (2^32 - 1).
   std::size_t prefix_id = 0;
   /// Leading prompt tokens shared with the group (<= input_tokens);
-  /// ignored when prefix_id is 0. 0 shares nothing, the image included:
-  /// such a request always runs its own encoder.
+  /// ignored when prefix_id is 0. One conversation has one prefix
+  /// length: every turn of a (model, prefix_id) must carry the same
+  /// value (ServingEngine::run throws otherwise). 0 shares nothing, the
+  /// image included: such a request always runs its own encoder.
   std::size_t prefix_tokens = 0;
 
   bool operator==(const Request&) const = default;

@@ -143,17 +143,15 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     if (r.model >= models_.size()) {
       throw std::invalid_argument("ServingEngine::run: model index out of range");
     }
-    if (paged_) {
-      if (r.prefix_tokens > r.input_tokens) {
-        throw std::invalid_argument(
-            "ServingEngine::run: prefix_tokens exceeds input_tokens");
-      }
-      if (r.prefix_id > kMaxKvPrefixId) {
-        // A wider id would spill into kv_prefix_key's model word and
-        // share another model's prefix pages.
-        throw std::invalid_argument(
-            "ServingEngine::run: prefix_id exceeds kMaxKvPrefixId");
-      }
+    if (r.prefix_tokens > r.input_tokens) {
+      throw std::invalid_argument(
+          "ServingEngine::run: prefix_tokens exceeds input_tokens");
+    }
+    if (paged_ && r.prefix_id > kMaxKvPrefixId) {
+      // A wider id would spill into kv_prefix_key's model word and share
+      // another model's prefix pages.
+      throw std::invalid_argument(
+          "ServingEngine::run: prefix_id exceeds kMaxKvPrefixId");
     }
     if (pages_) {
       const std::size_t footprint =
@@ -171,12 +169,13 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
       throw std::invalid_argument("ServingEngine::run: duplicate request id");
     }
     if (r.prefix_id != 0) {
-      const auto [it, fresh] =
-          conversations_.try_emplace({r.model, r.prefix_id}, Conversation{r.crops});
-      if (!fresh && it->second.crops != r.crops) {
+      const auto [it, fresh] = conversations_.try_emplace(
+          {r.model, r.prefix_id}, Conversation{r.crops, r.prefix_tokens});
+      if (!fresh && (it->second.crops != r.crops ||
+                     it->second.prefix_tokens != r.prefix_tokens)) {
         throw std::invalid_argument(
             "ServingEngine::run: requests of one conversation (model, "
-            "prefix_id) differ in crops");
+            "prefix_id) differ in crops or prefix_tokens");
       }
     }
     records_.push_back(RequestRecord{r});
@@ -338,33 +337,49 @@ ServingEngine::PrefillPlan& ServingEngine::plan_for(std::size_t index) {
   if (it != plans_.end()) return it->second;
 
   const Request& r = records_[index].request;
+  PrefillPlan& plan = plans_.emplace(index, PrefillPlan{}).first->second;
+  plan.built_keep = prefill_keep(index);
+  // Encode and prefill the shared prefix once per conversation: admission
+  // is FIFO, so every earlier request is already resolved, and the
+  // earlier local chunk 0 that published sits ahead of ours on the FIFO
+  // CC lane. Its projected vision tokens (and, once published, the
+  // prefix KV) are in DRAM before our chunk 0 runs; the suffix attends
+  // over the prefix KV as a later chunk attends over earlier chunks'.
+  // At least one token is always prefilled: it yields the first logits.
+  if (const Conversation* conversation = conversation_of(index)) {
+    plan.encoder_cached = conversation->published;
+    if (conversation->prefix_published) {
+      plan.prefix_skip = std::min(r.prefix_tokens, r.input_tokens - 1);
+    }
+  }
+  plan_chunks(index, plan);
+  return plan;
+}
+
+void ServingEngine::plan_chunks(std::size_t index, PrefillPlan& plan) {
+  // Only a plan that nothing else accounts for yet may be (re)built.
+  EDGEMM_ASSERT(!plan.in_backlog && !plan.pin_attached && plan.next == 0);
+  plan.chunks.clear();
+  plan.total_bytes = 0;
+  plan.total_full_bytes = 0;
+  Request suffix = records_[index].request;
+  suffix.input_tokens -= plan.prefix_skip;
   const std::vector<std::size_t> chunk_tokens =
-      engine_config_.prefill_planner().plan(r);
+      engine_config_.prefill_planner().plan(suffix);
   std::size_t planned = 0;
   for (const std::size_t tokens : chunk_tokens) planned += tokens;
-  if (chunk_tokens.empty() || planned != r.input_tokens ||
+  if (chunk_tokens.empty() || planned != suffix.input_tokens ||
       std::find(chunk_tokens.begin(), chunk_tokens.end(), 0u) !=
           chunk_tokens.end()) {
     throw std::logic_error(
         "ServingEngine: PrefillPlanner returned an invalid plan (chunks must "
         "be positive and sum to input_tokens)");
   }
-
-  PrefillPlan& plan = plans_.emplace(index, PrefillPlan{}).first->second;
-  plan.built_keep = prefill_keep(index);
-  // Encode once per conversation: admission is FIFO, so every earlier
-  // request is already resolved, and an earlier local chunk 0 of this
-  // conversation sits ahead of ours on the FIFO CC lane. Its projected
-  // vision tokens are in DRAM before our chunk 0 runs, and the LLM
-  // prefill reads them as input activations either way.
-  const Conversation* conversation = conversation_of(index);
-  plan.encoder_cached = conversation != nullptr && conversation->published;
   plan.chunks.reserve(chunk_tokens.size());
   for (const std::size_t tokens : chunk_tokens) {
     plan.chunks.emplace_back().tokens = tokens;
     price_chunk(index, plan, plan.chunks.size() - 1, /*ride_pin=*/true);
   }
-  return plan;
 }
 
 ServingEngine::Conversation* ServingEngine::conversation_of(std::size_t index) {
@@ -498,7 +513,7 @@ std::vector<GemmWork> ServingEngine::build_chunk_ops(
     const Request& r, const PrefillPlan& plan, std::size_t chunk,
     bool ride_pin, double ffn_keep) const {
   const model::MllmConfig& m = models_[r.model];
-  std::size_t start = 0;
+  std::size_t start = plan.prefix_skip;
   for (std::size_t c = 0; c < chunk; ++c) start += plan.chunks[c].tokens;
   // The first chunk carries the encoder + projector ops in front of its
   // prefill slice (and always fetches — it is what fills the pin), unless
@@ -747,18 +762,21 @@ void ServingEngine::pump_admission() {
       continue;
     }
     PrefillPlan& plan = plan_for(index);
-    rec.prefill_chunks = plan.chunks.size();
     // Chunk 0's backend is judged HERE so pinning can be skipped for a
     // fat start: EdgeMM weight residency means nothing to a backend
     // that re-streams weights per launch. Without a fat backend the
     // judgment is kLocal without consulting the policy.
     plan.chunk0_fat = judge_offload(index, /*chunk=*/0) == OffloadTarget::kFat;
     if (plan.chunk0_fat && plan.encoder_cached) {
-      // The fat backend never saw the conversation's encoded image: an
-      // offloaded chunk 0 encodes it itself.
+      // The fat backend never saw the conversation's encoded image or
+      // prefix KV: an offloaded start encodes and prefills the whole
+      // prompt itself. Unpinned and outside the backlog, so the plan is
+      // simply rebuilt.
       plan.encoder_cached = false;
-      price_chunk(index, plan, /*chunk=*/0, /*ride_pin=*/true);
+      plan.prefix_skip = 0;
+      plan_chunks(index, plan);
     }
+    rec.prefill_chunks = plan.chunks.size();
     if (!plan.chunk0_fat) {
       // Weight-resident chunk chaining: attach to the model's shared pin
       // (its weights are already on chip — every chunk rides), or pin the
@@ -849,12 +867,18 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
     return;
   }
   if (first) {
-    // A local chunk 0 either reads its conversation's cached encoding or
-    // publishes it for every later turn (offloaded ones never do).
-    if (plan.encoder_cached) {
-      ++result_.encoder_cache_hits;
-    } else if (Conversation* conversation = conversation_of(index)) {
+    // A local chunk 0 either reads its conversation's cached encoding and
+    // prefix KV or publishes them for every later turn (offloaded ones
+    // never do). Only a full-keep chunk 0 that covers the whole prefix
+    // publishes the prefix: a pruned FFN computes different KV, and a
+    // prefix split across chunks would finish after the next chunk 0.
+    if (plan.encoder_cached) ++result_.encoder_cache_hits;
+    if (plan.prefix_skip > 0) ++result_.prefix_cache_hits;
+    if (Conversation* conversation = conversation_of(index)) {
       conversation->published = true;
+      if (plan.built_keep == 1.0 && job.tokens >= conversation->prefix_tokens) {
+        conversation->prefix_published = true;
+      }
     }
   }
   // Weight-traffic ledger: resident bytes are the DMA residency avoided.
@@ -1104,18 +1128,39 @@ void ServingEngine::start_decode_step() {
   }
   const std::size_t join = engine_config_.scheduler().decode_join_count(
       active_.size(), decode_ready_.size());
+  // Under prefix sharing, a request whose shared-prefix run is already
+  // held costs only its private pages, while a fresh run costs the whole
+  // prefix too: riders try first (pass 0), then the rest (pass 1), each
+  // class in the policy's order. Pass 0 records every joiner's class;
+  // pass 1 only runs when pass 0 walked the whole list under the limit.
+  const bool riders_first = paged_ && engine_config_.kv_prefix_sharing();
   std::size_t joined = 0;
-  for (auto it = decode_ready_.begin();
-       it != decode_ready_.end() && joined < join;) {
-    const std::size_t index = *it;
-    if (pages_ && !kv_join_reserve(index)) {
-      // Deferred join: stays decode-ready, retries next step boundary.
-      ++it;
-      continue;
+  for (int pass = riders_first ? 0 : 1; pass < 2; ++pass) {
+    for (auto it = decode_ready_.begin();
+         it != decode_ready_.end() && joined < join;) {
+      const std::size_t index = *it;
+      if (riders_first) {
+        const Request& r = records_[index].request;
+        KvPagingState& st = kv_paging_[index];
+        if (pass == 0) {
+          st.rides_held_prefix =
+              r.prefix_id != 0 &&
+              pages_->shared_refcount(kv_prefix_key(r.model, r.prefix_id)) > 0;
+        }
+        if (st.rides_held_prefix != (pass == 0)) {
+          ++it;
+          continue;
+        }
+      }
+      if (pages_ && !kv_join_reserve(index)) {
+        // Deferred join: stays decode-ready, retries next step boundary.
+        ++it;
+        continue;
+      }
+      active_.push_back(index);
+      it = decode_ready_.erase(it);
+      ++joined;
     }
-    active_.push_back(index);
-    it = decode_ready_.erase(it);
-    ++joined;
   }
   // Every active request writes one token this step — extend page tables
   // first (may preempt victims to DRAM when the budget is full).

@@ -164,6 +164,12 @@ struct ServingResult : TraceSummary {
   /// already published its projected vision tokens to DRAM. Once every
   /// request is served locally: requests - distinct conversations.
   std::size_t encoder_cache_hits = 0;
+  /// Local chunk 0s of plans that prefill only the prompt suffix because
+  /// an earlier full-keep local chunk 0 of the conversation covered its
+  /// whole shared prefix; the suffix reads the prefix KV from DRAM. Once
+  /// every request is served locally at full keep by a planner whose
+  /// chunk 0 covers the prefix: requests - distinct conversations.
+  std::size_t prefix_cache_hits = 0;
 
   /// Exact, including the floating-point metrics: identical replays
   /// produce identical bits.
@@ -192,10 +198,11 @@ class ServingEngine {
 
   /// Replays `requests` to completion and returns aggregate metrics.
   /// Throws std::invalid_argument for an empty trace, duplicate ids,
-  /// zero token counts, an out-of-range model index, two requests of one
-  /// (model, prefix_id) conversation with different crops (a conversation
-  /// has one image), or a request whose KV cache alone exceeds the
-  /// configured KV capacity; std::logic_error on a second call.
+  /// zero token counts, an out-of-range model index, prefix_tokens above
+  /// input_tokens, two requests of one (model, prefix_id) conversation
+  /// with different crops or prefix_tokens (a conversation has one image
+  /// and one shared prefix), or a request whose KV cache alone exceeds
+  /// the configured KV capacity; std::logic_error on a second call.
   ServingResult run(std::vector<Request> requests);
 
   /// Per-request lifecycle records, in the order requests were passed.
@@ -285,14 +292,23 @@ class ServingEngine {
     /// the plan is built (an earlier local chunk 0 of the conversation was
     /// already submitted), cleared if chunk 0 is judged fat.
     bool encoder_cached = false;
+    /// Leading prompt tokens the plan does not prefill because the
+    /// conversation's prefix KV is already in DRAM (decided with
+    /// encoder_cached; 0 = the whole prompt). The chunks cover
+    /// input_tokens - prefix_skip tokens from offset prefix_skip.
+    std::size_t prefix_skip = 0;
   };
 
-  /// One conversation's image, keyed by (model, prefix_id): every turn
-  /// must carry the same crops, and `published` is set once a local
-  /// chunk 0 has encoded it onto the CC lane.
+  /// One conversation, keyed by (model, prefix_id): every turn must carry
+  /// the same crops and prefix_tokens. `published` is set once a local
+  /// chunk 0 has encoded its image onto the CC lane, `prefix_published`
+  /// once a full-keep local chunk 0 covering the whole shared prefix has
+  /// computed the prefix KV.
   struct Conversation {
     std::size_t crops = 0;
+    std::size_t prefix_tokens = 0;
     bool published = false;
+    bool prefix_published = false;
   };
 
   /// Everything the engine keeps per served model (parallel to models_).
@@ -339,6 +355,9 @@ class ServingEngine {
     /// Holds KV (resident or swapped) — set at join, or at admission on
     /// a decode-only tier (the KV hand-off), cleared at release.
     bool joined = false;
+    /// start_decode_step's join class: the request's shared-prefix run
+    /// was held when the step's joins began (riders try first).
+    bool rides_held_prefix = false;
     Cycle last_touch = 0;          ///< join / page-append / refill cycle
   };
 
@@ -372,6 +391,10 @@ class ServingEngine {
   /// backlog delay, judge_quality's estimated finish.
   double remaining_service(std::size_t index);
   PrefillPlan& plan_for(std::size_t index);
+  /// Asks the planner for the tokens `plan` prefills (all but
+  /// plan.prefix_skip) and (re)builds and prices every chunk. The plan
+  /// must be outside the CC backlog and unpinned.
+  void plan_chunks(std::size_t index, PrefillPlan& plan);
   void drop_plan(std::size_t index);
   /// `index`'s conversation when its turns share an image (a prefix_id
   /// and a non-empty shared prefix), else nullptr.
@@ -448,9 +471,9 @@ class ServingEngine {
   std::vector<RequestRecord> records_;
   std::unordered_map<RequestId, std::size_t> index_;
   std::unordered_map<std::size_t, PrefillPlan> plans_;  ///< by record index
-  /// The conversation encoder cache: projected vision tokens live in
-  /// DRAM, outside the CIM KV budget. Empty unless a request carries a
-  /// prefix_id.
+  /// The conversation cache: projected vision tokens and the shared
+  /// prefix's KV live in DRAM, outside the CIM KV budget. Empty unless a
+  /// request carries a prefix_id.
   std::map<std::pair<std::size_t, std::size_t>, Conversation> conversations_;
   std::vector<std::size_t> decode_ready_;   ///< prefilled, awaiting a slot
   std::vector<std::size_t> active_;         ///< current decode batch

@@ -149,15 +149,19 @@ TEST(PrunedGemv, OutlierDominatedVectorSurvivesHeavyPruning) {
 }
 
 TEST(PrunedGemv, BudgetSplitsAcrossCores) {
-  // With num_cores = 4 and k = 8 over 32 channels, each core keeps
-  // ceil(8·8/32) = 2 of its 8 local channels.
+  // A budget of 8 over 4 cores. With 32 channels each core keeps 2 of
+  // its 8. With 30 the slices are 8, 8, 8 and 6, and the core covering
+  // [lo, hi) keeps floor(8·hi/30) − floor(8·lo/30): 2 + 2 + 2 + 2, not
+  // ceil(8·len/30) = 3 + 3 + 3 + 2.
   const ChipConfig cfg = kernel_cfg();
-  Rng rng(9);
-  const Tensor w = random_tensor(32, 8, rng);
-  std::vector<float> act(32);
-  for (float& v : act) v = static_cast<float>(rng.gaussian());
-  const auto pruned = cim_gemv_pruned(cfg, act, w, 8, 16.0, 4);
-  EXPECT_EQ(pruned.channels_kept, 8u);
+  for (const std::size_t k : {32u, 30u}) {
+    Rng rng(9);
+    const Tensor w = random_tensor(k, 8, rng);
+    std::vector<float> act(k);
+    for (float& v : act) v = static_cast<float>(rng.gaussian());
+    const auto pruned = cim_gemv_pruned(cfg, act, w, 8, 16.0, 4);
+    EXPECT_EQ(pruned.channels_kept, 8u) << "k = " << k;
+  }
 }
 
 TEST(PrunedGemv, ZeroBudgetYieldsZeroOutput) {

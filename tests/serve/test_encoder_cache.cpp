@@ -1,7 +1,8 @@
-// Conversation encoder cache: the turns of one (model, prefix_id)
-// conversation share an image, so only the first local chunk 0 runs the
-// vision encoder + projector; later turns read its projected tokens from
-// DRAM.
+// Conversation cache: the turns of one (model, prefix_id) conversation
+// share an image and a prompt prefix, so only the first local chunk 0
+// runs the vision encoder + projector and prefills the prefix; later
+// turns read its projected tokens and the prefix KV from DRAM and
+// prefill only their suffix.
 #include <cstddef>
 #include <memory>
 #include <set>
@@ -77,24 +78,44 @@ CcRun run_on_one_cc(std::vector<Request> trace) {
   return out;
 }
 
+/// The one-CC chip's traffic estimate of `ops` after the engine's
+/// aggregation.
+Bytes one_cc_traffic(const std::vector<core::GemmWork>& ops) {
+  ServingEngine probe(one_cc_cfg(), {tiny_model()}, EngineConfig());
+  return core::estimated_traffic_bytes(
+      *probe.chip().clusters(ClusterKind::kComputeCentric).front(),
+      model::aggregate_ops(ops));
+}
+
+/// What a later turn of `input_tokens` saves on the one-CC chip when it
+/// skips the encoder and prefills only the tokens after its `skip`-token
+/// prefix. The engine aggregates a chunk's ops; encoder ops never merge
+/// with the LLM prefill's (their phase differs), so the parts price
+/// separately.
+Bytes reuse_saving(std::size_t input_tokens, std::size_t skip) {
+  const Bytes encoder = one_cc_traffic(model::build_encoder_ops(tiny_model(), 2));
+  const Bytes full = one_cc_traffic(
+      model::build_prefill_chunk(tiny_model(), 0, input_tokens, input_tokens));
+  const Bytes suffix = one_cc_traffic(model::build_prefill_chunk(
+      tiny_model(), skip, input_tokens - skip, input_tokens));
+  EXPECT_GT(encoder, 0u);
+  EXPECT_LT(suffix, full);
+  return encoder + full - suffix;
+}
+
 TEST(EncoderCache, SecondTurnSkipsExactlyTheEncoderTraffic) {
   // Turns far apart: the second arrives after the first has retired.
   constexpr Cycle kGap = 200'000'000;
   const CcRun cached = run_on_one_cc({turn(0, 0, 1), turn(1, kGap, 1)});
   const CcRun plain = run_on_one_cc({turn(0, 0, 0), turn(1, kGap, 0)});
   EXPECT_EQ(cached.result.encoder_cache_hits, 1u);
+  EXPECT_EQ(cached.result.prefix_cache_hits, 1u);
   EXPECT_EQ(plain.result.encoder_cache_hits, 0u);
-
-  ServingEngine probe(one_cc_cfg(), {tiny_model()}, EngineConfig());
-  const core::ClusterTimingModel& cc =
-      *probe.chip().clusters(ClusterKind::kComputeCentric).front();
-  // The engine aggregates a chunk's ops; encoder ops never merge with
-  // the LLM prefill's (their phase differs), so the saving is the
-  // aggregated encoder pass's traffic.
-  const Bytes encoder = core::estimated_traffic_bytes(
-      cc, model::aggregate_ops(model::build_encoder_ops(tiny_model(), 2)));
-  ASSERT_GT(encoder, 0u);
-  EXPECT_EQ(plain.cc_dma_bytes - cached.cc_dma_bytes, encoder);
+  EXPECT_EQ(plain.result.prefix_cache_hits, 0u);
+  // The second turn skips the encoder pass and the 32-token prefix: its
+  // one chunk prefills the 32-token suffix, whose attention still reads
+  // the whole 64-token context.
+  EXPECT_EQ(plain.cc_dma_bytes - cached.cc_dma_bytes, reuse_saving(64, 32));
 
   // The first turn publishes at full price and is otherwise untouched.
   EXPECT_EQ(cached.records[0].prefill_end, plain.records[0].prefill_end);
@@ -150,6 +171,90 @@ TEST(EncoderCache, TiersAgreeOnHitsAndWeightFetch) {
             fast.encoder_cache_hits * encoder_weights);
 }
 
+TEST(EncoderCache, TiersAgreeOnPrefixHitsUnderMonolithicPrefill) {
+  TraceConfig cfg;
+  cfg.requests = 12;
+  cfg.arrival_rate_per_s = 4000.0;
+  cfg.input_tokens = 96;
+  cfg.crops = 2;
+  cfg.min_output_tokens = 1;
+  cfg.max_output_tokens = 4;
+  cfg.prefix_groups = 3;
+  cfg.prefix_tokens = 48;
+  const std::vector<Request> trace = poisson_trace(cfg);
+  std::set<std::size_t> conversations;
+  for (const Request& r : trace) conversations.insert(r.prefix_id);
+  auto replay = [&trace](core::ReplayMode mode) {
+    return replay_trace(small_cfg(), {tiny_model()},
+                        EngineConfig().replay_mode(mode), trace)
+        .result;
+  };
+  const ServingResult detailed = replay(core::ReplayMode::kDetailed);
+  const ServingResult fast = replay(core::ReplayMode::kFast);
+  // Every chunk 0 is the whole 96-token prompt: the first turn of each
+  // conversation publishes, every later one prefills its 48-token suffix.
+  EXPECT_EQ(detailed.prefix_cache_hits, trace.size() - conversations.size());
+  EXPECT_EQ(fast.prefix_cache_hits, detailed.prefix_cache_hits);
+  EXPECT_EQ(fast.encoder_cache_hits, detailed.encoder_cache_hits);
+}
+
+TEST(EncoderCache, ChunkZeroShorterThanThePrefixNeverPublishes) {
+  // 16-token chunks: chunk 0 ends inside the 32-token prefix, so a later
+  // turn's chunk 0 could run before the rest of the prefix KV exists.
+  constexpr Cycle kGap = 200'000'000;
+  const ReplayOutcome out = replay_trace(
+      small_cfg(), {tiny_model()},
+      EngineConfig().prefill_planner(std::make_shared<ChunkedPrefill>(16)),
+      {turn(0, 0, 1), turn(1, kGap, 1), turn(2, 2 * kGap, 1)});
+  EXPECT_EQ(out.result.completed, 3u);
+  EXPECT_EQ(out.result.prefix_cache_hits, 0u);
+  EXPECT_EQ(out.result.encoder_cache_hits, 2u);
+  for (const RequestRecord& rec : out.records) {
+    EXPECT_EQ(rec.prefill_chunks, 4u);  // the whole 64-token prompt
+  }
+}
+
+TEST(EncoderCache, WholePromptPrefixStillPrefillsOneToken) {
+  constexpr Cycle kGap = 200'000'000;
+  auto whole = [](Request r) {
+    r.prefix_tokens = r.input_tokens;
+    return r;
+  };
+  const CcRun cached =
+      run_on_one_cc({whole(turn(0, 0, 1)), whole(turn(1, kGap, 1))});
+  const CcRun plain = run_on_one_cc({turn(0, 0, 0), turn(1, kGap, 0)});
+  EXPECT_EQ(cached.result.prefix_cache_hits, 1u);
+  // The last prompt token is prefilled: it yields the first logits.
+  EXPECT_EQ(plain.cc_dma_bytes - cached.cc_dma_bytes, reuse_saving(64, 63));
+}
+
+/// Serves request 0 at half its keep fraction, every other request at
+/// its static one.
+class DegradeFirstRequest final : public QualityPolicy {
+ public:
+  const char* name() const override { return "degrade-first"; }
+  double keep_fraction(const Request& r,
+                       const QualityContext& ctx) const override {
+    return r.id == 0 ? 0.5 * ctx.base_keep : ctx.base_keep;
+  }
+};
+
+TEST(EncoderCache, DegradedChunkZeroDoesNotPublishThePrefix) {
+  // A pruned FFN computes different prefix KV than a full-keep turn
+  // would read: the degraded first turn still publishes its image, but
+  // not its prefix.
+  constexpr Cycle kGap = 200'000'000;
+  const ReplayOutcome out = replay_trace(
+      small_cfg(), {tiny_model()},
+      EngineConfig().quality_policy(std::make_shared<DegradeFirstRequest>()),
+      {turn(0, 0, 1), turn(1, kGap, 1), turn(2, 2 * kGap, 1)});
+  EXPECT_EQ(out.result.completed, 3u);
+  EXPECT_EQ(out.result.quality_downgrades, 1u);
+  EXPECT_EQ(out.result.encoder_cache_hits, 2u);
+  // Turn 1 runs at full keep and publishes; only turn 2 reuses it.
+  EXPECT_EQ(out.result.prefix_cache_hits, 1u);
+}
+
 TEST(EncoderCache, OffloadedChunkZeroNeitherHitsNorPublishes) {
   // PrefillToFat(512) ships the 640-token turns' whole prefill to the
   // GPU and keeps the 64-token turns local. Conversation 1 opens with a
@@ -176,8 +281,11 @@ TEST(EncoderCache, OffloadedChunkZeroNeitherHitsNorPublishes) {
   const ServingResult plain = replay(unshared);
   EXPECT_EQ(cached.offloaded_requests, 2u);
   EXPECT_EQ(cached.encoder_cache_hits, 1u);  // turn 2 only
-  // Both fat turns streamed the encoder through the GPU.
+  EXPECT_EQ(cached.prefix_cache_hits, 1u);   // turn 2 only
+  // Both fat turns streamed the encoder and the whole prompt through the
+  // GPU, in the same chunks as without the conversation.
   EXPECT_EQ(cached.fat_bytes_moved, plain.fat_bytes_moved);
+  EXPECT_EQ(cached.offloaded_chunks, plain.offloaded_chunks);
   EXPECT_LT(cached.cc_weight_fetch_bytes, plain.cc_weight_fetch_bytes);
 }
 
@@ -188,6 +296,14 @@ TEST(EncoderCache, MismatchedCropsInOneConversationThrow) {
   };
   EXPECT_THROW(run({turn(0, 0, 1, 64, 1), turn(1, 10, 1, 64, 2)}),
                std::invalid_argument);
+  // One conversation has one shared prefix length.
+  Request shorter_prefix = turn(1, 10, 1);
+  shorter_prefix.prefix_tokens = 24;
+  EXPECT_THROW(run({turn(0, 0, 1), shorter_prefix}), std::invalid_argument);
+  // A prefix longer than the prompt is malformed in every KV mode.
+  Request long_prefix = turn(0, 0, 1);
+  long_prefix.prefix_tokens = 65;
+  EXPECT_THROW(run({long_prefix}), std::invalid_argument);
   // Different conversations, different models or no conversation at all
   // may carry different images.
   std::vector<Request> ok = {turn(0, 0, 1, 64, 1), turn(1, 10, 2, 64, 2),
@@ -208,6 +324,59 @@ TEST(EncoderCache, NoSharedPrefixNeverHits) {
       replay_trace(small_cfg(), {tiny_model()}, EngineConfig(), trace);
   EXPECT_EQ(out.result.completed, trace.size());
   EXPECT_EQ(out.result.encoder_cache_hits, 0u);
+  EXPECT_EQ(out.result.prefix_cache_hits, 0u);
+}
+
+/// Admits everything. The first request joins an empty batch; after
+/// that, joins wait until the batch and the joiners number `kGate`, then
+/// one request joins per step boundary.
+class OneJoinPerStep final : public SchedulerPolicy {
+ public:
+  static constexpr std::size_t kGate = 5;
+  const char* name() const override { return "one-join-per-step"; }
+  AdmissionVerdict admit(const Request&, const AdmissionContext&) const override {
+    return AdmissionVerdict::kAdmit;
+  }
+  std::size_t decode_join_count(std::size_t active,
+                                std::size_t ready) const override {
+    if (active == 0) return ready;
+    return active + ready >= kGate ? 1 : 0;
+  }
+};
+
+TEST(EncoderCache, JoinsRidingAHeldPrefixRunGoFirst) {
+  // Request 0 opens conversation 1 and decodes long, holding its prefix
+  // run. Requests 1-2 open conversation 2 (a fresh run), requests 3-4
+  // ride conversation 1's. All four wait until one joins per step:
+  // shortest-remaining-first alone would join 2 (10 tokens), 4, 3, 1.
+  // Riders go first, each class in the policy's order: 4, 3, then 2,
+  // and 1 last.
+  auto decode = [](Request r, std::size_t output_tokens) {
+    r.output_tokens = output_tokens;
+    return r;
+  };
+  const std::vector<Request> trace = {
+      decode(turn(0, 0, 1), 64),  decode(turn(1, 1, 2), 40),
+      decode(turn(2, 2, 2), 10),  decode(turn(3, 3, 1), 30),
+      decode(turn(4, 4, 1), 20)};
+  const Bytes kPage = 4 * model::kv_bytes_per_token(tiny_model());
+  const ReplayOutcome out = replay_trace(
+      small_cfg(), {tiny_model()},
+      EngineConfig()
+          .scheduler(std::make_shared<OneJoinPerStep>())
+          .batch_policy(std::make_shared<ShortestRemainingFirst>())
+          .kv_capacity_bytes(256 * kPage)
+          .paged_kv(true)
+          .kv_page_bytes(kPage),
+      trace);
+  ASSERT_EQ(out.result.completed, trace.size());
+  const std::vector<RequestRecord>& rec = out.records;
+  EXPECT_LT(rec[0].first_token, rec[4].first_token);
+  EXPECT_LT(rec[4].first_token, rec[3].first_token);
+  EXPECT_LT(rec[3].first_token, rec[2].first_token);
+  EXPECT_LT(rec[2].first_token, rec[1].first_token);
+  // Requests 4 and 3 ride request 0's run, request 1 rides request 2's.
+  EXPECT_EQ(out.result.kv_shared_attaches, 3u);
 }
 
 }  // namespace

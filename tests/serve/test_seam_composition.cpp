@@ -3,10 +3,10 @@
 // weight-resident chunked under a tight residency budget), quality
 // policy (static vs queue-depth) and offload (none vs a threshold
 // policy with a fat backend), on both replay tiers; one trace groups its
-// requests into conversations that share an image. Every replay must
-// drain without tripping the engine's drain asserts (CC backlog, KV
-// pages, weight pins), finish or reject every request, and replay
-// bit-identically a second time.
+// requests into conversations that share an image and a prompt prefix.
+// Every replay must drain without tripping the engine's drain asserts
+// (CC backlog, KV pages, weight pins), finish or reject every request,
+// and replay bit-identically a second time.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -115,7 +115,7 @@ void replay_grid(core::ReplayMode mode, ServingResult& sum) {
   const core::ChipConfig chip = small_cfg();
   const std::vector<model::MllmConfig> models = zoo();
   // The last trace groups its requests into conversations, so the
-  // encoder cache runs under every composition too.
+  // encoder cache and prefix reuse run under every composition too.
   const std::vector<std::vector<Request>> traces = {
       random_trace(11), random_trace(23), random_trace(37),
       random_trace(41, /*prefix_groups=*/3)};
@@ -143,6 +143,7 @@ void replay_grid(core::ReplayMode mode, ServingResult& sum) {
       sum.rider_refetch_bytes += first.result.rider_refetch_bytes;
       sum.offloaded_chunks += first.result.offloaded_chunks;
       sum.encoder_cache_hits += first.result.encoder_cache_hits;
+      sum.prefix_cache_hits += first.result.prefix_cache_hits;
     }
   }
 }
@@ -155,6 +156,8 @@ void expect_every_seam_exercised(core::ReplayMode mode) {
   EXPECT_GT(sum.rider_refetch_bytes, 0u);  // fill-barrier re-pricing
   EXPECT_GT(sum.offloaded_chunks, 0u);     // offload exit
   EXPECT_GT(sum.encoder_cache_hits, 0u);   // encode-once chunk 0s
+  // 64-token chunk 0s cover the 48-token prefix: suffix-only plans.
+  EXPECT_GT(sum.prefix_cache_hits, 0u);
 }
 
 TEST(SeamComposition, GeneratedTracesDrainOnTheFastTier) {

@@ -16,12 +16,22 @@ Capture each side's stdout, then compare:
 Exit status: 0 when the masked outputs are identical, 1 when they
 differ, 2 on a usage or read error.
 
-`--self-test` runs the masks on built-in sample lines instead: every
-host-time field must be masked, and no yes/NO verdict or simulated
-number may be (exit 1 if either fails).
+`--json OLD.json NEW.json` compares two `BENCH_serving_trace.json`
+files key by key instead. It masks only the host-time keys: those
+ending in `wall_ms` or `speedup`, and `throughput_8_workers`. Nothing
+under `self_checks` is masked, since each entry there is a verdict. It
+prints every changed, removed and added key, then those three counts per
+top-level section:
+
+    python3 tools/sim_diff.py --json old/BENCH_serving_trace.json BENCH_serving_trace.json
+
+`--self-test` runs the masks on built-in sample lines and JSON pairs
+instead: every host-time field must be masked, and no yes/NO verdict or
+simulated number may be (exit 1 if either fails).
 """
 
 import difflib
+import json
 import re
 import sys
 
@@ -110,6 +120,38 @@ SIM_PAIRS = [
 ]
 
 
+# JSON pairs for --self-test. Each JSON_HOST_PAIRS pair differs only in
+# host-time keys, so the key-by-key diff must be empty; each
+# JSON_SIM_PAIRS pair differs in a simulated value, a verdict or a key,
+# so the diff must not be.
+JSON_HOST_PAIRS = [
+    ({"sections": [{"label": "s1 sequential", "wall_ms": 20312.5, "makespan_ms": 191318.0}]},
+     {"sections": [{"label": "s1 sequential", "wall_ms": 30120.1, "makespan_ms": 191318.0}]}),
+    ({"fidelity": {"detailed_wall_ms": 70694.0, "fast_wall_ms": 653.4,
+                   "cases": [{"drift_pct": -0.68, "speedup": 396.7}]}},
+     {"fidelity": {"detailed_wall_ms": 41000.5, "fast_wall_ms": 201.9,
+                   "cases": [{"drift_pct": -0.68, "speedup": 23.2}]}}),
+    ({"fast_sweep": {"policy_sweep_speedup": 64.4, "zoo_single_replay_speedup": 72.7,
+                     "throughput_8_workers": 5.2, "workers8_wall_ms": 812.0}},
+     {"fast_sweep": {"policy_sweep_speedup": 9.0, "zoo_single_replay_speedup": 130.4,
+                     "throughput_8_workers": 7.9, "workers8_wall_ms": 640.3}}),
+]
+JSON_SIM_PAIRS = [
+    ({"paged_kv": {"cases": [{"makespan_ms": 25407.1}]}},
+     {"paged_kv": {"cases": [{"makespan_ms": 25407.2}]}}),
+    ({"cluster": {"speedup_vs_1chip": 3.48}}, {"cluster": {"speedup_vs_1chip": 3.49}}),
+    ({"fast_sweep": {"policy_sweep_speedup_ok": True}},
+     {"fast_sweep": {"policy_sweep_speedup_ok": False}}),
+    ({"self_checks": {"throughput_ok": True, "all_passed": True}},
+     {"self_checks": {"throughput_ok": False, "all_passed": True}}),
+    ({"self_checks": {"wall_ms": True}}, {"self_checks": {"wall_ms": False}}),
+    ({"paged_kv": {"cases": [{"encoder_cache_hits": 44}]}},
+     {"paged_kv": {"cases": [{"encoder_cache_hits": 44, "prefix_cache_hits": 44}]}}),
+    ({"paged_kv": {"cases": [{"completed": 48}, {"completed": 48}]}},
+     {"paged_kv": {"cases": [{"completed": 48}]}}),
+]
+
+
 def self_test() -> int:
     failures = []
     for a, b in HOST_PAIRS:
@@ -118,9 +160,15 @@ def self_test() -> int:
     for a, b in SIM_PAIRS:
         if mask(a) == mask(b):
             failures.append(f"simulated content masked away:\n  {a}\n  {b}")
+    for a, b in JSON_HOST_PAIRS:
+        if json_diff(a, b):
+            failures.append(f"host-time key left unmasked:\n  {a}\n  {b}")
+    for a, b in JSON_SIM_PAIRS:
+        if not json_diff(a, b):
+            failures.append(f"simulated key masked away:\n  {a}\n  {b}")
     for failure in failures:
         print(failure)
-    total = len(HOST_PAIRS) + len(SIM_PAIRS)
+    total = len(HOST_PAIRS) + len(SIM_PAIRS) + len(JSON_HOST_PAIRS) + len(JSON_SIM_PAIRS)
     print(f"sim_diff self-test: {total - len(failures)} of {total} sample pairs right")
     return 1 if failures else 0
 
@@ -136,13 +184,77 @@ def masked_lines(path: str) -> list:
         return [mask(line.rstrip("\n")) for line in fh]
 
 
+def host_key(path: tuple) -> bool:
+    """True for a host-time JSON key: never under self_checks."""
+    if path[0] == "self_checks" or not isinstance(path[-1], str):
+        return False
+    key = path[-1]
+    return key.endswith("wall_ms") or key.endswith("speedup") or key == "throughput_8_workers"
+
+
+def flatten(node, path=()) -> dict:
+    """Maps every leaf's key path (dict keys and list indices) to its value."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return {path: node}
+    leaves = {}
+    for key, child in items:
+        leaves.update(flatten(child, path + (key,)))
+    return leaves
+
+
+def json_diff(old, new) -> list:
+    """(mark, path, text) of every changed (~), removed (-) and added (+)
+    leaf of two JSON documents, host-time keys masked, sorted by path."""
+    a = {p: v for p, v in flatten(old).items() if not host_key(p)}
+    b = {p: v for p, v in flatten(new).items() if not host_key(p)}
+    rows = [("~", p, f"{a[p]!r} -> {b[p]!r}") for p in a.keys() & b.keys() if a[p] != b[p]]
+    rows += [("-", p, repr(a[p])) for p in a.keys() - b.keys()]
+    rows += [("+", p, repr(b[p])) for p in b.keys() - a.keys()]
+    return sorted(rows, key=lambda row: str(row[1]))
+
+
+def dotted(path: tuple) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+
+
+def main_json(old_path: str, new_path: str) -> int:
+    try:
+        with open(old_path, encoding="utf-8") as fh:
+            old = json.load(fh)
+        with open(new_path, encoding="utf-8") as fh:
+            new = json.load(fh)
+    except (OSError, ValueError) as err:
+        print(f"sim_diff: {err}", file=sys.stderr)
+        return 2
+    rows = json_diff(old, new)
+    if not rows:
+        print(f"sim_diff: simulated JSON identical ({len(flatten(new))} keys, "
+              "host-time keys masked)")
+        return 0
+    for mark, path, text in rows:
+        print(f"{mark} {dotted(path)}: {text}")
+    for section in sorted({path[0] for _, path, _ in rows}):
+        counts = {m: sum(1 for mark, path, _ in rows if mark == m and path[0] == section)
+                  for m in "~-+"}
+        print(f"  {section}: {counts['~']} changed, {counts['-']} removed, "
+              f"{counts['+']} added")
+    print(f"sim_diff: simulated JSON differs ({len(rows)} keys)", file=sys.stderr)
+    return 1
+
+
 def main(argv) -> int:
     if argv[1:] == ["--self-test"]:
         return self_test()
+    if len(argv) == 4 and argv[1] == "--json":
+        return main_json(argv[2], argv[3])
     if len(argv) != 3:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: tools/sim_diff.py BASELINE.txt CANDIDATE.txt | --self-test",
-              file=sys.stderr)
+        print("usage: tools/sim_diff.py BASELINE.txt CANDIDATE.txt | "
+              "--json OLD.json NEW.json | --self-test", file=sys.stderr)
         return 2
     try:
         old, new = masked_lines(argv[1]), masked_lines(argv[2])
