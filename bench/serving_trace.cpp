@@ -44,7 +44,9 @@
 //      exactly conserved, and a tight-budget row that completes the
 //      trace by paying DRAM re-fetches. Every row also encodes each
 //      conversation's image once (encoder-cache hits gated to requests
-//      - conversations). §1–§8 replay with paged_kv off and carry no
+//      - conversations) and prefills every request once, as a CC job or
+//      as rows of an MC decode step (CC jobs + MC suffixes gated to
+//      requests). §1–§8 replay with paged_kv off and carry no
 //      prefix_id, so their numbers are untouched.
 //  10. heterogeneous offload — the §6 long-prefill zoo trace on one
 //      EdgeMM + fat-GPU chip pair (fast tier), sweeping OffloadPolicy
@@ -946,7 +948,8 @@ int main(int argc, char** argv) {
   // halves the budget to price the swap churn. Every row, whatever its
   // KV mode, encodes each conversation's image once and prefills its
   // shared prefix once: later turns prefill only their suffix, reading
-  // the prefix KV from DRAM. §1–§8 never see any
+  // the prefix KV from DRAM, and a short suffix rides the MC decode step
+  // as extra rows instead of a CC job. §1–§8 never see any
   // of this: paged_kv defaults off and their traces carry no prefix_id,
   // so their replays stay byte-identical.
   std::printf("\n--- paged KV: CoW prefix sharing + DRAM swap "
@@ -1011,12 +1014,13 @@ int main(int argc, char** argv) {
     const serve::ServingResult& r = s9.outcomes[i].result;
     std::printf("  %-24s %3zu done  makespan %8.1f ms  %7.1f tok/s  "
                 "peak batch %zu  peak KV %5.1f MiB  encoder hits %zu  "
-                "prefix hits %zu\n",
+                "prefix hits %zu  mc suffixes %zu\n",
                 s9_cases[i].label.c_str(), r.completed, r.makespan_ms,
                 r.tokens_per_second, r.peak_decode_batch,
                 static_cast<double>(r.peak_kv_reserved_bytes) /
                     (1024.0 * 1024.0),
-                r.encoder_cache_hits, r.prefix_cache_hits);
+                r.encoder_cache_hits, r.prefix_cache_hits,
+                r.mc_suffix_prefills);
     if (r.kv_pages_allocated > 0) {
       std::printf("  %-24s pages %zu alloc / %zu freed  shared attach %zu "
                   "(saved %zu)  swap out %zu  refetch %.1f MiB  "
@@ -1103,11 +1107,14 @@ int main(int argc, char** argv) {
   const std::size_t expected_hits = paged_trace.size() - conversations.size();
   bool hits_expected = true;
   bool prefix_hits_expected = true;
+  bool one_prefill_each = true;
   for (const auto& outcome : s9.outcomes) {
-    hits_expected = hits_expected &&
-                    outcome.result.encoder_cache_hits == expected_hits;
-    prefix_hits_expected = prefix_hits_expected &&
-                           outcome.result.prefix_cache_hits == expected_hits;
+    const serve::ServingResult& r = outcome.result;
+    hits_expected = hits_expected && r.encoder_cache_hits == expected_hits;
+    prefix_hits_expected =
+        prefix_hits_expected && r.prefix_cache_hits == expected_hits;
+    one_prefill_each = one_prefill_each &&
+                       r.prefill_jobs + r.mc_suffix_prefills == paged_cfg.requests;
   }
   const bool encoder_cache_ok = checks.add(
       "encoder_cache_ok", hits_expected,
@@ -1120,6 +1127,13 @@ int main(int argc, char** argv) {
              "each conversation's prefix prefilled once on every row (%zu "
              "prefix-cache hits = %zu requests - %zu conversations): ",
              expected_hits, paged_trace.size(), conversations.size());
+  // Gate (h): every request's prompt is prefilled exactly once, either
+  // as one monolithic CC-lane job or as rows of an MC decode step.
+  checks.add("mc_suffix_ok", one_prefill_each,
+             "every request prefilled once on every row (CC jobs + MC "
+             "suffixes = %zu requests; paged+prefix: %zu + %zu): ",
+             paged_cfg.requests, paged_prefix.prefill_jobs,
+             paged_prefix.mc_suffix_prefills);
   print_section_wall(s9);
 
   json.begin_object("paged_kv");
@@ -1150,6 +1164,7 @@ int main(int argc, char** argv) {
                static_cast<std::size_t>(r.kv_swap_dma_bytes));
     json.field("encoder_cache_hits", r.encoder_cache_hits);
     json.field("prefix_cache_hits", r.prefix_cache_hits);
+    json.field("mc_suffix_prefills", r.mc_suffix_prefills);
     json.end_object();
   }
   json.end_array();

@@ -10,12 +10,6 @@ namespace {
 
 using core::GemmWork;
 
-/// Appends the projection + attention ops of one transformer layer.
-/// Weight-bearing ops (QKV/O/MLP) process `m_weights` rows; the KV-cache
-/// stream ops are emitted once per entry of `contexts` with `m_attn`
-/// rows each — one entry for a single request, one entry per batched
-/// request for a continuous-batching decode step (private KV caches
-/// cannot share a fetch the way weights do).
 /// core::pruned_ops' rounding, applied at emission time: the quality
 /// seam must price a directly-emitted pruned prefill op and a
 /// pruned_ops-transformed decode op identically.
@@ -26,11 +20,16 @@ std::size_t pruned_dim(std::size_t k, double keep) {
   return std::max<std::size_t>(kept, 1);
 }
 
+/// Appends the projection + attention ops of one transformer layer.
+/// Weight-bearing ops (QKV/O/MLP) process `m_weights` rows; the KV-cache
+/// stream ops are emitted once per entry of `attn`, with that entry's
+/// rows and context — one entry for a single request, one per batched
+/// request for a continuous-batching decode step (private KV caches
+/// cannot share a fetch the way weights do).
 void append_layer_ops(std::vector<GemmWork>& ops, const TransformerShape& s,
-                      std::size_t m_weights, std::size_t m_attn,
-                      std::span<const std::size_t> contexts, Phase phase,
-                      bool mark_ffn_prunable, bool weights_resident = false,
-                      double ffn_keep = 1.0) {
+                      std::size_t m_weights, std::span<const DecodeSlot> attn,
+                      Phase phase, bool mark_ffn_prunable,
+                      bool weights_resident = false, double ffn_keep = 1.0) {
   const std::size_t d = s.d_model;
   const std::size_t kv = s.kv_dim();
 
@@ -38,9 +37,9 @@ void append_layer_ops(std::vector<GemmWork>& ops, const TransformerShape& s,
   ops.push_back({m_weights, d, d + 2 * kv, phase, weights_resident, 0, false});
   // Attention score and value contractions stream the KV cache (BF16)
   // rather than weights — per-request context, never resident.
-  for (const std::size_t context : contexts) {
-    ops.push_back({m_attn, kv, context, phase, false, 2, false});
-    ops.push_back({m_attn, context, kv, phase, false, 2, false});
+  for (const DecodeSlot& slot : attn) {
+    ops.push_back({slot.rows, kv, slot.context, phase, false, 2, false});
+    ops.push_back({slot.rows, slot.context, kv, phase, false, 2, false});
   }
   // Output projection.
   ops.push_back({m_weights, d, d, phase, weights_resident, 0, false});
@@ -68,9 +67,9 @@ void append_layer_ops(std::vector<GemmWork>& ops, const TransformerShape& s,
                       std::size_t m, std::size_t context, Phase phase,
                       bool mark_ffn_prunable, bool weights_resident = false,
                       double ffn_keep = 1.0) {
-  const std::size_t contexts[] = {context};
-  append_layer_ops(ops, s, m, m, contexts, phase, mark_ffn_prunable,
-                   weights_resident, ffn_keep);
+  const DecodeSlot attn[] = {{context, m}};
+  append_layer_ops(ops, s, m, attn, phase, mark_ffn_prunable, weights_resident,
+                   ffn_keep);
 }
 
 }  // namespace
@@ -185,32 +184,34 @@ core::PhaseWorkload build_request_workload(const MllmConfig& model,
                                        shape.crops));
 }
 
-std::vector<core::GemmWork> build_decode_step(
-    const MllmConfig& model, std::span<const std::size_t> contexts) {
-  if (contexts.empty()) {
+std::vector<core::GemmWork> build_decode_step(const MllmConfig& model,
+                                              std::span<const DecodeSlot> batch,
+                                              double keep_fraction) {
+  if (batch.empty()) {
     throw std::invalid_argument("build_decode_step: empty batch");
   }
-  for (const std::size_t context : contexts) {
-    if (context == 0) {
-      throw std::invalid_argument("build_decode_step: zero attention context");
+  if (keep_fraction < 0.0 || keep_fraction > 1.0) {
+    throw std::invalid_argument(
+        "build_decode_step: keep_fraction must be in [0, 1]");
+  }
+  std::size_t rows = 0;
+  for (const DecodeSlot& slot : batch) {
+    if (slot.context == 0 || slot.rows == 0) {
+      throw std::invalid_argument(
+          "build_decode_step: zero attention context or rows");
     }
+    rows += slot.rows;
   }
   std::vector<GemmWork> ops;
-  const std::size_t batch = contexts.size();
   for (std::size_t layer = 0; layer < model.llm.layers; ++layer) {
-    append_layer_ops(ops, model.llm, batch, 1, contexts, Phase::kDecode, true);
+    append_layer_ops(ops, model.llm, rows, batch, Phase::kDecode, true,
+                     /*weights_resident=*/false, keep_fraction);
   }
   if (model.llm.vocab > 0) {
-    ops.push_back(
-        {batch, model.llm.d_model, model.llm.vocab, Phase::kDecode, false, 0, false});
+    ops.push_back({batch.size(), model.llm.d_model, model.llm.vocab,
+                   Phase::kDecode, false, 0, false});
   }
   return ops;
-}
-
-std::vector<core::GemmWork> build_decode_step(
-    const MllmConfig& model, std::span<const std::size_t> contexts,
-    double keep_fraction) {
-  return core::pruned_ops(build_decode_step(model, contexts), keep_fraction);
 }
 
 DecodeStepTraffic decode_step_traffic(const MllmConfig& model, double keep_fraction,

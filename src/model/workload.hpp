@@ -104,28 +104,36 @@ std::size_t llm_layer_weight_elems(const MllmConfig& model);
 /// override the decode KV-stream ops carry).
 std::size_t kv_bytes_per_token(const MllmConfig& model);
 
-/// One continuous-batching decode iteration for a batch of in-flight
-/// requests with individual attention contexts. Weight-bearing ops
-/// (QKV/O/FFN/LM-head) are batched to m = contexts.size(), amortizing a
-/// single weight fetch across the batch (Fig. 9(c)); the KV-cache stream
-/// ops stay per-request (m = 1) with each request's own context — unlike
-/// weights, KV caches are private and cannot be shared across the batch.
-std::vector<core::GemmWork> build_decode_step(
-    const MllmConfig& model, std::span<const std::size_t> contexts);
+/// One request's share of a continuous-batching decode step: `rows`
+/// tokens attending `context` positions. A decoding request feeds one
+/// row; a prompt suffix prefilled inside the step feeds its suffix
+/// tokens, each attending the whole prompt (the rectangle convention of
+/// build_prefill_chunk), and only its last row yields a token.
+struct DecodeSlot {
+  std::size_t context = 1;
+  std::size_t rows = 1;
+};
 
-/// The quality-seam form: the same decode step with the prunable FFN ops
-/// pruned to `keep_fraction` via core::pruned_ops — exactly
-/// pruned_ops(build_decode_step(model, contexts), keep_fraction), kept
-/// as one call so engine and tests share the rounding.
-std::vector<core::GemmWork> build_decode_step(
-    const MllmConfig& model, std::span<const std::size_t> contexts,
-    double keep_fraction);
+/// One continuous-batching decode iteration for a batch of in-flight
+/// requests. Weight-bearing ops (QKV/O/FFN) are batched to m = the sum
+/// of the slots' rows, amortizing a single weight fetch across the batch
+/// (Fig. 9(c)); each request's two KV-stream ops stay private with
+/// m = its rows and its own context — unlike weights, KV caches cannot
+/// share a fetch. The LM head has m = batch.size(): one token per
+/// request. The prunable FFN ops are pruned to `keep_fraction` with
+/// core::pruned_ops' rounding, so the result is exactly
+/// pruned_ops(build_decode_step(model, batch), keep_fraction). Throws
+/// std::invalid_argument for an empty batch, a zero context or row
+/// count, or keep_fraction outside [0, 1].
+std::vector<core::GemmWork> build_decode_step(const MllmConfig& model,
+                                              std::span<const DecodeSlot> batch,
+                                              double keep_fraction = 1.0);
 
 /// DRAM bytes of one pruned decode step, split the way continuous
 /// batching shares them (Fig. 9(c)). A step of build_decode_step(model,
-/// contexts, keep_fraction) priced with weight element size
-/// `weight_elem_bytes` moves
-///   shared + sum_i (per_request + kv_slope * contexts[i])
+/// batch, keep_fraction) whose slots all feed one row, priced with
+/// weight element size `weight_elem_bytes`, moves
+///   shared + sum_i (per_request + kv_slope * batch[i].context)
 /// bytes:
 /// - `shared`: the weight fetch, once per step whatever the batch;
 /// - `per_request`: one row of BF16 activations (inputs + outputs) plus

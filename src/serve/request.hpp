@@ -56,12 +56,19 @@ struct Request {
 struct RequestRecord {
   Request request;
   Cycle admitted = 0;       ///< popped from the queue, prefill submitted
-  Cycle prefill_start = 0;  ///< CC-lane job dispatched
-  Cycle prefill_end = 0;    ///< encoder + prefill retired
+  /// Chunk 0 dispatched (CC lane or fat backend); the start of the MC
+  /// decode step carrying an MC-lane suffix; admission on a decode-only
+  /// tier, whose KV arrives finished.
+  Cycle prefill_start = 0;
+  /// Prefill retired (an offload's KV landed back); the end of an MC-lane
+  /// suffix's carrying step; admission on a decode-only tier.
+  Cycle prefill_end = 0;
   Cycle first_token = 0;    ///< first decode step including this request
   Cycle finish = 0;         ///< last output token retired
   std::size_t tokens_generated = 0;
-  std::size_t prefill_chunks = 0;  ///< CC-lane jobs the planner cut prefill into
+  /// Prefill jobs the planner cut prefill into (0 for an MC-lane suffix
+  /// and on a decode-only tier).
+  std::size_t prefill_chunks = 0;
   /// Prefill chunks the fat backend ran (OffloadPolicy; 0 = all local).
   std::size_t offloaded_chunks = 0;
   /// LLM layer groups this request held pinned on-chip during its

@@ -329,7 +329,8 @@ void ServingEngine::on_arrival(std::size_t index) {
   ++per_model_[records_[index].request.model].queued;
   result_.peak_queue_depth =
       std::max(result_.peak_queue_depth, queue_.size());
-  pump_admission();
+  // A suffix admitted onto the MC lane has no CC job to wait for.
+  if (pump_admission() && scheduler_.idle(Lane::kMcDecode)) start_decode_step();
 }
 
 ServingEngine::PrefillPlan& ServingEngine::plan_for(std::size_t index) {
@@ -353,7 +354,42 @@ ServingEngine::PrefillPlan& ServingEngine::plan_for(std::size_t index) {
     }
   }
   plan_chunks(index, plan);
+  plan.mc_rows = mc_suffix_rows(plan);
   return plan;
+}
+
+std::size_t ServingEngine::mc_suffix_rows(const PrefillPlan& plan) const {
+  // Everything this reads is fixed by admission order, so both tiers
+  // route the same plans.
+  if (engine_config_.phase() != EnginePhase::kFull || !plan.encoder_cached ||
+      plan.prefix_skip == 0 || plan.chunks.size() != 1) {
+    return 0;
+  }
+  // The decode step already fetches the model's INT8 weights once for
+  // its batch, so the suffix's rows cost the MC lane only CIM compute;
+  // on the CC lane the same chunk streams all of its bytes from DRAM.
+  const core::ChipTimingModel::ClusterSet& mc =
+      scheduler_.lane_clusters(Lane::kMcDecode);
+  double mc_cycles = 0.0;
+  for (GemmWork op : plan.chunks.front().ops) {
+    if (op.weight_elem_bytes_override != 0) continue;  // KV streams
+    op.weights_resident = true;
+    mc_cycles += static_cast<double>(mc.front()->compute_cycles(
+        core::ChipTimingModel::partition(op, mc.size()).front()));
+  }
+  const double cc_dram_cycles =
+      static_cast<double>(plan.total_bytes) / config_.dram.bytes_per_cycle;
+  return mc_cycles < cc_dram_cycles ? plan.chunks.front().tokens : 0;
+}
+
+ServingEngine::PrefillPlan* ServingEngine::mc_suffix_plan(std::size_t index) {
+  // Only conversations route suffixes, and a suffix's plan is dropped
+  // when the step carrying its rows retires.
+  if (conversations_.empty() || records_[index].tokens_generated > 0) {
+    return nullptr;
+  }
+  const auto it = plans_.find(index);
+  return it != plans_.end() && it->second.mc_rows > 0 ? &it->second : nullptr;
 }
 
 void ServingEngine::plan_chunks(std::size_t index, PrefillPlan& plan) {
@@ -683,8 +719,9 @@ double ServingEngine::remaining_service(std::size_t index) {
   // the CC backlog is charged there, not here.
   double prefill_cycles = 0.0;
   if (engine_config_.phase() != EnginePhase::kDecodeOnly) {
+    // An MC-lane suffix adds rows to a decode step, not a CC job.
     const PrefillPlan& plan = plan_for(index);
-    if (!plan.in_backlog) {
+    if (!plan.in_backlog && plan.mc_rows == 0) {
       prefill_cycles = static_cast<double>(plan.total_full_bytes) /
                        per_model_[r.model].cc_bytes_per_cycle_est;
     }
@@ -698,8 +735,9 @@ double ServingEngine::remaining_service(std::size_t index) {
   return prefill_cycles + decode_cycles;
 }
 
-void ServingEngine::pump_admission() {
+bool ServingEngine::pump_admission() {
   sim::Simulator& sim = chip_.simulator();
+  bool suffix_queued = false;
   while (queue_.ready(sim.now())) {
     const std::size_t index = index_.at(queue_.front().id);
     AdmissionVerdict verdict = engine_config_.scheduler().admit(
@@ -774,7 +812,20 @@ void ServingEngine::pump_admission() {
       // simply rebuilt.
       plan.encoder_cached = false;
       plan.prefix_skip = 0;
+      plan.mc_rows = 0;
       plan_chunks(index, plan);
+    }
+    if (plan.mc_rows > 0) {
+      // The suffix rides the MC decode batch (start_decode_step): it
+      // never enters the CC backlog or pins, and like a decode tier's
+      // request it is judged once, here.
+      apply_quality(index, judge_quality(index));
+      ++result_.encoder_cache_hits;
+      ++result_.prefix_cache_hits;
+      ++result_.mc_suffix_prefills;
+      decode_ready_.push_back(index);
+      suffix_queued = true;
+      continue;
     }
     rec.prefill_chunks = plan.chunks.size();
     if (!plan.chunk0_fat) {
@@ -791,6 +842,7 @@ void ServingEngine::pump_admission() {
     plan.in_backlog = true;
     submit_next_chunk(index);
   }
+  return suffix_queued;
 }
 
 void ServingEngine::submit_next_chunk(std::size_t index) {
@@ -876,8 +928,10 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
     if (plan.prefix_skip > 0) ++result_.prefix_cache_hits;
     if (Conversation* conversation = conversation_of(index)) {
       conversation->published = true;
-      if (plan.built_keep == 1.0 && job.tokens >= conversation->prefix_tokens) {
+      if (!conversation->prefix_published && plan.built_keep == 1.0 &&
+          job.tokens >= conversation->prefix_tokens) {
         conversation->prefix_published = true;
+        plan.publishes_prefix = true;
       }
     }
   }
@@ -913,6 +967,15 @@ void ServingEngine::on_chunk_done(std::size_t index) {
   // on chip now, so riders stop re-fetching (fill barrier lifts).
   if (plan.pin_attached && plan.pin_owner && chunk == plan.fill_chunk) {
     residency_->mark_filled(records_[index].request.model);
+  }
+  // The conversation's prefix KV just landed in DRAM: MC-lane suffixes
+  // that waited for it may join, and an idle MC lane needs a kick.
+  if (chunk == 0 && plan.publishes_prefix) {
+    conversation_of(index)->prefix_retired = true;
+    const bool suffix_waits =
+        std::any_of(decode_ready_.begin(), decode_ready_.end(),
+                    [this](std::size_t i) { return mc_suffix_plan(i) != nullptr; });
+    if (suffix_waits && scheduler_.idle(Lane::kMcDecode)) start_decode_step();
   }
   // Fold the measured chunk throughput into the estimator of whichever
   // backend ran it — each EWMA divides its OWN cost model's bytes by the
@@ -1152,8 +1215,12 @@ void ServingEngine::start_decode_step() {
           continue;
         }
       }
-      if (pages_ && !kv_join_reserve(index)) {
-        // Deferred join: stays decode-ready, retries next step boundary.
+      // Deferred join: stays decode-ready, retries next step boundary.
+      // An MC-lane suffix also waits until the chunk 0 that computes its
+      // prefix KV has retired.
+      const PrefillPlan* suffix = mc_suffix_plan(index);
+      if ((suffix && !conversation_of(index)->prefix_retired) ||
+          (pages_ && !kv_join_reserve(index))) {
         ++it;
         continue;
       }
@@ -1169,25 +1236,31 @@ void ServingEngine::start_decode_step() {
 
   // One continuous-batching step: per served model, batch the weight-
   // bearing ops across that model's active requests and stream each
-  // request's own KV cache.
+  // request's own KV cache. A joined MC-lane suffix feeds its suffix
+  // tokens as rows; the step is its prefill.
+  const Cycle now = chip_.simulator().now();
   std::vector<GemmWork> step;
-  std::vector<std::size_t> contexts;
+  std::vector<model::DecodeSlot> slots;
   for (std::size_t m = 0; m < models_.size(); ++m) {
-    contexts.clear();
+    slots.clear();
     // The batched weight fetch serves the whole per-model batch at once,
     // so it prunes to the LEAST degraded active request's fraction (the
     // max): a degraded co-batcher cannot starve an undegraded one of
     // rows it needs. Equal to the model's keep_fraction under StaticQuality.
     double frac = 0.0;
     for (const std::size_t index : active_) {
-      const RequestRecord& rec = records_[index];
-      if (rec.request.model == m) {
-        contexts.push_back(rec.request.input_tokens + rec.tokens_generated);
-        frac = std::max(frac, rec.keep_fraction_served);
+      RequestRecord& rec = records_[index];
+      if (rec.request.model != m) continue;
+      std::size_t rows = 1;
+      if (const PrefillPlan* suffix = mc_suffix_plan(index)) {
+        rows = suffix->mc_rows;
+        rec.prefill_start = now;
       }
+      slots.push_back({rec.request.input_tokens + rec.tokens_generated, rows});
+      frac = std::max(frac, rec.keep_fraction_served);
     }
-    if (contexts.empty()) continue;
-    const auto ops = model::build_decode_step(models_[m], contexts, frac);
+    if (slots.empty()) continue;
+    const auto ops = model::build_decode_step(models_[m], slots, frac);
     step.insert(step.end(), ops.begin(), ops.end());
   }
   if (paged_) {
@@ -1214,7 +1287,7 @@ void ServingEngine::start_decode_step() {
   batch_occupancy_sum_ += active_.size();
   result_.peak_decode_batch =
       std::max(result_.peak_decode_batch, active_.size());
-  step_started_ = chip_.simulator().now();
+  step_started_ = now;
   scheduler_.submit(Lane::kMcDecode, std::move(step),
                     [this] { on_decode_step_done(); });
 }
@@ -1249,6 +1322,11 @@ void ServingEngine::on_decode_step_done() {
   still_active_.clear();
   for (const std::size_t index : active_) {
     RequestRecord& rec = records_[index];
+    if (mc_suffix_plan(index) != nullptr) {
+      // The step that carried the suffix's rows was its prefill.
+      rec.prefill_end = now;
+      drop_plan(index);
+    }
     ++rec.tokens_generated;
     if (rec.keep_fraction_served < per_model_[rec.request.model].keep_fraction) {
       ++result_.tokens_at_degraded_quality;

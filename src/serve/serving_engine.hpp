@@ -19,7 +19,9 @@
 //     per-pin fill barrier keeping rider timing honest.
 // A request that finishes prefill joins the decode batch at the next
 // step boundary — it does not wait for the batch to drain (continuous
-// batching). The §IV-B BandwidthManager rebalances the CC:MC DMA budget
+// batching). A later chat turn whose short prompt suffix is cheaper as
+// CIM compute than as a CC job skips the CC lane: its suffix tokens
+// join a decode step as extra rows (mc_suffix_rows). The §IV-B BandwidthManager rebalances the CC:MC DMA budget
 // split every throttle interval from the bytes actually pending on each
 // side, and per-request completion callbacks record tail latency.
 #ifndef EDGEMM_SERVE_SERVING_ENGINE_HPP
@@ -170,6 +172,12 @@ struct ServingResult : TraceSummary {
   /// every request is served locally at full keep by a planner whose
   /// chunk 0 covers the prefix: requests - distinct conversations.
   std::size_t prefix_cache_hits = 0;
+  /// Later turns whose prompt suffix ran as extra rows of an MC-lane
+  /// decode step instead of a CC-lane job: a full engine's encoder-free,
+  /// single-chunk, local suffix whose CIM compute on the MC lane is below
+  /// the chunk's CC DRAM time. Each also counts in encoder_cache_hits and
+  /// prefix_cache_hits, never in prefill_jobs.
+  std::size_t mc_suffix_prefills = 0;
 
   /// Exact, including the floating-point metrics: identical replays
   /// produce identical bits.
@@ -297,18 +305,29 @@ class ServingEngine {
     /// encoder_cached; 0 = the whole prompt). The chunks cover
     /// input_tokens - prefix_skip tokens from offset prefix_skip.
     std::size_t prefix_skip = 0;
+    /// Suffix tokens that ride an MC-lane decode step as extra rows
+    /// instead of running as a CC-lane job (0 = the CC lane runs the
+    /// plan). Decided when the plan is built (mc_suffix_rows), cleared if
+    /// chunk 0 is judged fat; the plan then lives until that step retires.
+    std::size_t mc_rows = 0;
+    /// This plan's local chunk 0 published its conversation's prefix KV:
+    /// its retirement lets the conversation's MC-lane suffixes join.
+    bool publishes_prefix = false;
   };
 
   /// One conversation, keyed by (model, prefix_id): every turn must carry
   /// the same crops and prefix_tokens. `published` is set once a local
   /// chunk 0 has encoded its image onto the CC lane, `prefix_published`
-  /// once a full-keep local chunk 0 covering the whole shared prefix has
-  /// computed the prefix KV.
+  /// once a full-keep local chunk 0 covering the whole shared prefix was
+  /// submitted to compute the prefix KV, and `prefix_retired` once that
+  /// chunk 0 retired (the prefix KV is in DRAM: MC-lane suffixes, which
+  /// do not queue behind it on the CC lane, may join decode).
   struct Conversation {
     std::size_t crops = 0;
     std::size_t prefix_tokens = 0;
     bool published = false;
     bool prefix_published = false;
+    bool prefix_retired = false;
   };
 
   /// Everything the engine keeps per served model (parallel to models_).
@@ -362,7 +381,10 @@ class ServingEngine {
   };
 
   void on_arrival(std::size_t index);
-  void pump_admission();
+  /// Admits queue heads while the SchedulerPolicy allows. Returns true
+  /// when it queued an MC-lane suffix for decode (the caller kicks an
+  /// idle MC lane).
+  bool pump_admission();
   /// Reserves `index`'s KV at decode join — or finds the reservation a
   /// decode-only tier already made at admission (the KV hand-off).
   /// False = deferred (stays decode-ready / queued).
@@ -395,6 +417,16 @@ class ServingEngine {
   /// plan.prefix_skip) and (re)builds and prices every chunk. The plan
   /// must be outside the CC backlog and unpinned.
   void plan_chunks(std::size_t index, PrefillPlan& plan);
+  /// The suffix tokens a freshly built `plan` moves onto the MC lane, or
+  /// 0. Only a full engine's encoder-free, prefix-reusing single chunk
+  /// qualifies, and only when the cost rule holds: the chunk's weight-
+  /// bearing ops, priced as CIM compute with the weights already fetched
+  /// by the step, take the front MC-lane cluster fewer cycles than the
+  /// CC lane would spend streaming the chunk's bytes from DRAM.
+  std::size_t mc_suffix_rows(const PrefillPlan& plan) const;
+  /// `index`'s plan when its suffix waits to ride (or rides) an MC decode
+  /// step, else nullptr.
+  PrefillPlan* mc_suffix_plan(std::size_t index);
   void drop_plan(std::size_t index);
   /// `index`'s conversation when its turns share an image (a prefix_id
   /// and a non-empty shared prefix), else nullptr.

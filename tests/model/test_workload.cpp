@@ -1,9 +1,12 @@
 #include "model/workload.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -131,8 +134,8 @@ TEST(Workload, SingleRequestDecodeStepMatchesLegacyDecodeToken) {
   const auto params = default_params_for_output(300, 128);
   const auto reference =
       build_phase_workload(sphinx_tiny(), params).decode_token;
-  const std::size_t contexts[] = {params.decode_context};
-  const auto step = build_decode_step(sphinx_tiny(), contexts);
+  const DecodeSlot batch[] = {{params.decode_context}};
+  const auto step = build_decode_step(sphinx_tiny(), batch);
   ASSERT_EQ(step.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(step[i].m, reference[i].m);
@@ -254,8 +257,8 @@ TEST(Workload, KvBytesPerTokenFollowsModelShape) {
 }
 
 TEST(Workload, BatchedDecodeStepSharesWeightsNotKvCaches) {
-  const std::size_t contexts[] = {310, 350, 420};
-  const auto step = build_decode_step(sphinx_tiny(), contexts);
+  const DecodeSlot batch[] = {{310}, {350}, {420}};
+  const auto step = build_decode_step(sphinx_tiny(), batch);
   std::size_t kv_ops = 0;
   for (const auto& op : step) {
     if (op.weight_elem_bytes_override != 0) {
@@ -271,8 +274,96 @@ TEST(Workload, BatchedDecodeStepSharesWeightsNotKvCaches) {
   EXPECT_EQ(kv_ops, layers * 2 * 3);
 
   EXPECT_THROW(build_decode_step(sphinx_tiny(), {}), std::invalid_argument);
-  const std::size_t bad[] = {300, 0};
-  EXPECT_THROW(build_decode_step(sphinx_tiny(), bad), std::invalid_argument);
+  const DecodeSlot zero_context[] = {{300}, {0}};
+  EXPECT_THROW(build_decode_step(sphinx_tiny(), zero_context),
+               std::invalid_argument);
+  const DecodeSlot zero_rows[] = {{300, 0}};
+  EXPECT_THROW(build_decode_step(sphinx_tiny(), zero_rows),
+               std::invalid_argument);
+  const DecodeSlot one[] = {{300}};
+  EXPECT_THROW(build_decode_step(sphinx_tiny(), one, 1.5), std::invalid_argument);
+  EXPECT_THROW(build_decode_step(sphinx_tiny(), one, -0.1), std::invalid_argument);
+}
+
+/// The decode step as the builder emitted it before requests carried
+/// rows: per layer a batched QKV, two m = 1 KV streams per request, a
+/// batched O and MLP; then the batched LM head. Prunable FFN ops pruned
+/// with core::pruned_ops' rounding.
+std::vector<core::GemmWork> one_row_decode_step(
+    const MllmConfig& model, std::span<const std::size_t> contexts,
+    double keep) {
+  const TransformerShape& s = model.llm;
+  const std::size_t b = contexts.size();
+  const std::size_t d = s.d_model;
+  const std::size_t kv = s.kv_dim();
+  auto pruned = [keep](std::size_t k) {
+    return std::max<std::size_t>(
+        static_cast<std::size_t>(std::ceil(static_cast<double>(k) * keep)), 1);
+  };
+  std::vector<core::GemmWork> ops;
+  for (std::size_t layer = 0; layer < s.layers; ++layer) {
+    ops.push_back({b, d, d + 2 * kv, Phase::kDecode, false, 0, false});
+    for (const std::size_t c : contexts) {
+      ops.push_back({1, kv, c, Phase::kDecode, false, 2, false});
+      ops.push_back({1, c, kv, Phase::kDecode, false, 2, false});
+    }
+    ops.push_back({b, d, d, Phase::kDecode, false, 0, false});
+    const std::size_t ups = s.gated_mlp ? 2 : 1;
+    for (std::size_t u = 0; u < ups; ++u) {
+      ops.push_back({b, pruned(d), s.d_ffn, Phase::kDecode, false, 0, true});
+    }
+    ops.push_back({b, pruned(s.d_ffn), d, Phase::kDecode, false, 0, true});
+  }
+  if (s.vocab > 0) ops.push_back({b, d, s.vocab, Phase::kDecode, false, 0, false});
+  return ops;
+}
+
+TEST(Workload, OneRowPerRequestIsThePlainDecodeStep) {
+  const std::array<std::size_t, 3> contexts{310, 1, 4096};
+  std::vector<DecodeSlot> batch;
+  for (const std::size_t c : contexts) batch.push_back({c});
+  for (const MllmConfig& model : model_zoo()) {
+    for (const double keep : {1.0, 0.5, 0.0}) {
+      SCOPED_TRACE(model.name + " keep " + std::to_string(keep));
+      const auto step = build_decode_step(model, batch, keep);
+      const auto want = one_row_decode_step(model, contexts, keep);
+      ASSERT_EQ(step.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(step[i].m, want[i].m);
+        EXPECT_EQ(step[i].k, want[i].k);
+        EXPECT_EQ(step[i].n, want[i].n);
+        EXPECT_EQ(step[i].phase, want[i].phase);
+        EXPECT_EQ(step[i].weights_resident, want[i].weights_resident);
+        EXPECT_EQ(step[i].weight_elem_bytes_override,
+                  want[i].weight_elem_bytes_override);
+        EXPECT_EQ(step[i].prunable, want[i].prunable);
+      }
+    }
+  }
+}
+
+TEST(Workload, SuffixRowsWidenTheWeightOpsAndTheirOwnKvStreams) {
+  // Two decoding requests and a 44-token suffix over a 300-token prompt.
+  const DecodeSlot batch[] = {{310}, {300, 44}, {420}};
+  const auto& llm = sphinx_tiny().llm;
+  const auto step = build_decode_step(sphinx_tiny(), batch);
+  std::size_t kv_ops = 0;
+  for (std::size_t i = 0; i < step.size(); ++i) {
+    const core::GemmWork& op = step[i];
+    if (op.weight_elem_bytes_override != 0) {
+      // Each request streams its own KV with its own rows.
+      const DecodeSlot& slot = batch[(kv_ops / 2) % 3];
+      EXPECT_EQ(op.m, slot.rows);
+      EXPECT_TRUE(op.k == slot.context || op.n == slot.context);
+      ++kv_ops;
+    } else if (i + 1 == step.size()) {
+      EXPECT_EQ(op.m, 3u);  // LM head: one token per request
+      EXPECT_EQ(op.n, llm.vocab);
+    } else {
+      EXPECT_EQ(op.m, 1u + 44u + 1u);  // one weight fetch for every row
+    }
+  }
+  EXPECT_EQ(kv_ops, llm.layers * 2 * 3);
 }
 
 /// Prices decode steps the way the serving engine's MC lane fetches them.
@@ -285,8 +376,9 @@ class DecodeTrafficOracle {
 
   Bytes step_bytes(const MllmConfig& model, std::span<const std::size_t> contexts,
                    double keep) const {
-    return core::estimated_traffic_bytes(mc_,
-                                         build_decode_step(model, contexts, keep));
+    std::vector<DecodeSlot> batch;
+    for (const std::size_t c : contexts) batch.push_back({c});
+    return core::estimated_traffic_bytes(mc_, build_decode_step(model, batch, keep));
   }
 
  private:

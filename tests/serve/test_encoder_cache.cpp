@@ -66,15 +66,21 @@ struct CcRun {
   Bytes cc_dma_bytes = 0;
 };
 
+Bytes cc_dma_bytes(const ServingEngine& engine) {
+  Bytes bytes = 0;
+  for (const core::ClusterTimingModel* c :
+       engine.chip().clusters(ClusterKind::kComputeCentric)) {
+    bytes += c->stats().dma_bytes;
+  }
+  return bytes;
+}
+
 CcRun run_on_one_cc(std::vector<Request> trace) {
   ServingEngine engine(one_cc_cfg(), {tiny_model()}, EngineConfig());
   CcRun out;
   out.result = engine.run(std::move(trace));
   out.records = engine.records();
-  for (const core::ClusterTimingModel* c :
-       engine.chip().clusters(ClusterKind::kComputeCentric)) {
-    out.cc_dma_bytes += c->stats().dma_bytes;
-  }
+  out.cc_dma_bytes = cc_dma_bytes(engine);
   return out;
 }
 
@@ -87,20 +93,25 @@ Bytes one_cc_traffic(const std::vector<core::GemmWork>& ops) {
       model::aggregate_ops(ops));
 }
 
+/// A whole turn's one CC job on the one-CC chip: the encoder pass and
+/// the prefill of all `input_tokens`. The engine aggregates a chunk's
+/// ops; encoder ops never merge with the LLM prefill's (their phase
+/// differs), so the parts price separately.
+Bytes turn_traffic(std::size_t input_tokens) {
+  const Bytes encoder = one_cc_traffic(model::build_encoder_ops(tiny_model(), 2));
+  EXPECT_GT(encoder, 0u);
+  return encoder + one_cc_traffic(model::build_prefill_chunk(
+                       tiny_model(), 0, input_tokens, input_tokens));
+}
+
 /// What a later turn of `input_tokens` saves on the one-CC chip when it
 /// skips the encoder and prefills only the tokens after its `skip`-token
-/// prefix. The engine aggregates a chunk's ops; encoder ops never merge
-/// with the LLM prefill's (their phase differs), so the parts price
-/// separately.
+/// prefix on the CC lane.
 Bytes reuse_saving(std::size_t input_tokens, std::size_t skip) {
-  const Bytes encoder = one_cc_traffic(model::build_encoder_ops(tiny_model(), 2));
-  const Bytes full = one_cc_traffic(
-      model::build_prefill_chunk(tiny_model(), 0, input_tokens, input_tokens));
   const Bytes suffix = one_cc_traffic(model::build_prefill_chunk(
       tiny_model(), skip, input_tokens - skip, input_tokens));
-  EXPECT_GT(encoder, 0u);
-  EXPECT_LT(suffix, full);
-  return encoder + full - suffix;
+  EXPECT_LT(suffix, turn_traffic(input_tokens));
+  return turn_traffic(input_tokens) - suffix;
 }
 
 TEST(EncoderCache, SecondTurnSkipsExactlyTheEncoderTraffic) {
@@ -114,7 +125,9 @@ TEST(EncoderCache, SecondTurnSkipsExactlyTheEncoderTraffic) {
   EXPECT_EQ(plain.result.prefix_cache_hits, 0u);
   // The second turn skips the encoder pass and the 32-token prefix: its
   // one chunk prefills the 32-token suffix, whose attention still reads
-  // the whole 64-token context.
+  // the whole 64-token context. The suffix is too long for the MC lane's
+  // CIM compute to beat the chunk's DRAM time, so the CC lane runs it.
+  EXPECT_EQ(cached.result.mc_suffix_prefills, 0u);
   EXPECT_EQ(plain.cc_dma_bytes - cached.cc_dma_bytes, reuse_saving(64, 32));
 
   // The first turn publishes at full price and is otherwise untouched.
@@ -224,8 +237,132 @@ TEST(EncoderCache, WholePromptPrefixStillPrefillsOneToken) {
       run_on_one_cc({whole(turn(0, 0, 1)), whole(turn(1, kGap, 1))});
   const CcRun plain = run_on_one_cc({turn(0, 0, 0), turn(1, kGap, 0)});
   EXPECT_EQ(cached.result.prefix_cache_hits, 1u);
-  // The last prompt token is prefilled: it yields the first logits.
-  EXPECT_EQ(plain.cc_dma_bytes - cached.cc_dma_bytes, reuse_saving(64, 63));
+  // The last prompt token is prefilled: it yields the first logits. It
+  // rides the MC decode step as one row, so the second turn's whole CC
+  // job is saved.
+  EXPECT_EQ(cached.result.mc_suffix_prefills, 1u);
+  EXPECT_EQ(plain.cc_dma_bytes - cached.cc_dma_bytes, turn_traffic(64));
+}
+
+/// Floating-point work the MC clusters executed over a replay.
+Flops mc_flops(const ServingEngine& engine) {
+  Flops flops = 0;
+  for (const core::ClusterTimingModel* c :
+       engine.chip().clusters(ClusterKind::kMemoryCentric)) {
+    flops += c->stats().flops;
+  }
+  return flops;
+}
+
+/// The MC work of a replay's decode steps, from its records alone: every
+/// generated token is one row of the weight-bearing ops and one LM-head
+/// row and streams its request's KV at its context, except that the
+/// first token of `suffix_request` is carried by `suffix_rows` rows that
+/// each attend its whole prompt.
+Flops decode_flops(const std::vector<RequestRecord>& records,
+                   std::size_t suffix_request, std::size_t suffix_rows) {
+  const model::TransformerShape& llm = tiny_model().llm;
+  const Flops weights = model::llm_layer_weight_elems(tiny_model()) * llm.layers;
+  const Flops kv_per_context = 2 * 2 * llm.layers * llm.kv_dim();
+  Flops flops = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const Request& r = records[i].request;
+    for (std::size_t t = 0; t < records[i].tokens_generated; ++t) {
+      const Flops rows = i == suffix_request && t == 0 ? suffix_rows : 1;
+      flops += 2 * rows * weights + 2 * llm.d_model * llm.vocab +
+               rows * kv_per_context * (r.input_tokens + t);
+    }
+  }
+  return flops;
+}
+
+TEST(EncoderCache, ShortSuffixRidesTheDecodeStepInsteadOfTheCcLane) {
+  // Turn 0 decodes long; turn 1 arrives after its prefill retired, with
+  // an 8-token suffix behind the 32-token prefix.
+  constexpr Cycle kGap = 5'000'000;
+  auto shaped = [](Request r, std::size_t input, std::size_t output) {
+    r.input_tokens = input;
+    r.output_tokens = output;
+    return r;
+  };
+  const std::vector<Request> trace = {shaped(turn(0, 0, 1), 64, 400),
+                                      shaped(turn(1, kGap, 1), 40, 4)};
+  ServingEngine engine(one_cc_cfg(), {tiny_model()}, EngineConfig());
+  const ServingResult result = engine.run(trace);
+  const std::vector<RequestRecord>& rec = engine.records();
+  ASSERT_EQ(result.completed, 2u);
+  ASSERT_LT(rec[0].prefill_end, trace[1].arrival);
+  ASSERT_GT(rec[0].finish, trace[1].arrival);  // turn 1 joins a live batch
+  EXPECT_EQ(result.mc_suffix_prefills, 1u);
+  EXPECT_EQ(result.encoder_cache_hits, 1u);
+  EXPECT_EQ(result.prefix_cache_hits, 1u);
+
+  // Turn 1 never reaches the CC lane: the CC clusters moved exactly what
+  // turn 0 moves alone.
+  EXPECT_EQ(result.prefill_jobs, 1u);
+  EXPECT_EQ(rec[1].prefill_chunks, 0u);
+  EXPECT_EQ(cc_dma_bytes(engine), run_on_one_cc({trace[0]}).cc_dma_bytes);
+  // One step carried its suffix: prefill brackets it, and it yields the
+  // first token.
+  EXPECT_GT(rec[1].prefill_start, rec[1].admitted);
+  EXPECT_GT(rec[1].prefill_end, rec[1].prefill_start);
+  EXPECT_EQ(rec[1].first_token, rec[1].prefill_end);
+  // That step's weight-bearing ops ran turn 0's row plus the 8 suffix
+  // rows, and its KV streams ran 8 rows over turn 1's 40-token prompt:
+  // the MC work is every generated token's plus 7 extra rows.
+  EXPECT_EQ(mc_flops(engine), decode_flops(rec, 1, 8));
+}
+
+TEST(EncoderCache, SuffixJoinsOnlyOnceItsPrefixChunkRetired) {
+  // Turn 1 is admitted while turn 0's chunk 0 is still computing the
+  // prefix KV it reads: it waits outside the batch and joins at the
+  // cycle that chunk retires.
+  auto short_suffix = [](Request r) {
+    r.input_tokens = 40;
+    return r;
+  };
+  ServingEngine engine(one_cc_cfg(), {tiny_model()}, EngineConfig());
+  const ServingResult result =
+      engine.run({short_suffix(turn(0, 0, 1)), short_suffix(turn(1, 10, 1))});
+  const std::vector<RequestRecord>& rec = engine.records();
+  ASSERT_EQ(result.completed, 2u);
+  EXPECT_EQ(result.mc_suffix_prefills, 1u);
+  EXPECT_EQ(rec[1].admitted, 10u);
+  EXPECT_EQ(rec[1].prefill_start, rec[0].prefill_end);
+  EXPECT_LT(rec[1].first_token, rec[0].first_token);
+  EXPECT_EQ(mc_flops(engine), decode_flops(rec, 1, 8));
+}
+
+TEST(EncoderCache, TiersAgreeOnMcSuffixes) {
+  TraceConfig cfg;
+  cfg.requests = 12;
+  cfg.arrival_rate_per_s = 4000.0;
+  cfg.input_tokens = 96;
+  cfg.crops = 2;
+  cfg.min_output_tokens = 1;
+  cfg.max_output_tokens = 4;
+  cfg.prefix_groups = 3;
+  cfg.prefix_tokens = 88;
+  const std::vector<Request> trace = poisson_trace(cfg);
+  std::set<std::size_t> conversations;
+  for (const Request& r : trace) conversations.insert(r.prefix_id);
+  auto replay = [&trace](core::ReplayMode mode) {
+    return replay_trace(small_cfg(), {tiny_model()},
+                        EngineConfig().replay_mode(mode), trace)
+        .result;
+  };
+  const ServingResult detailed = replay(core::ReplayMode::kDetailed);
+  const ServingResult fast = replay(core::ReplayMode::kFast);
+  // Every later turn's 8-token suffix rides a decode step; only each
+  // conversation's first turn runs on the CC lane.
+  const std::size_t later_turns = trace.size() - conversations.size();
+  EXPECT_EQ(detailed.completed, trace.size());
+  EXPECT_EQ(detailed.mc_suffix_prefills, later_turns);
+  EXPECT_EQ(detailed.prefill_jobs, conversations.size());
+  EXPECT_EQ(fast.mc_suffix_prefills, detailed.mc_suffix_prefills);
+  EXPECT_EQ(fast.prefix_cache_hits, detailed.prefix_cache_hits);
+  EXPECT_EQ(fast.encoder_cache_hits, detailed.encoder_cache_hits);
+  EXPECT_EQ(fast.cc_weight_fetch_bytes, detailed.cc_weight_fetch_bytes);
 }
 
 /// Serves request 0 at half its keep fraction, every other request at

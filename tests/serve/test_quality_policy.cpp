@@ -394,10 +394,10 @@ TEST(QualityPolicy, PrefillFfnKeepShrinksOnlyStreamedFfnLayers) {
 
 TEST(QualityPolicy, DecodeStepKeepOverloadMatchesPrunedOps) {
   const model::MllmConfig m = tiny_model();
-  const std::vector<std::size_t> contexts{300, 512};
-  const auto direct = model::build_decode_step(m, contexts, 0.5);
+  const std::vector<model::DecodeSlot> batch{{300}, {512, 7}};
+  const auto direct = model::build_decode_step(m, batch, 0.5);
   const auto via_pruned =
-      core::pruned_ops(model::build_decode_step(m, contexts), 0.5);
+      core::pruned_ops(model::build_decode_step(m, batch), 0.5);
   ASSERT_EQ(direct.size(), via_pruned.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {
     EXPECT_EQ(direct[i].m, via_pruned[i].m);
