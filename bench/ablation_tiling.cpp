@@ -1,8 +1,8 @@
 // Ablation — systolic array geometry and CIM macro shape.
 //
-// DESIGN.md picks 16x16 SA and 64x16 CIM to land the published aggregate
-// numbers; this ablation sweeps the shapes at iso-PE-count and shows the
-// GEMM/GEMV cycle impact predicted by Eq. 2 / Eq. 3.
+// The Fig. 10 configuration picks 16x16 SA and 64x16 CIM to land the
+// published aggregate numbers; this ablation sweeps the shapes at
+// iso-PE-count and shows the GEMM/GEMV cycle impact of Eq. 2 / Eq. 3.
 #include "bench_common.hpp"
 #include "common/table.hpp"
 #include "coproc/cim_macro.hpp"

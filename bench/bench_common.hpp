@@ -1,6 +1,7 @@
 // Shared helpers for the reproduction benches: every bench prints the
-// paper-reported value next to the measured one so EXPERIMENTS.md can be
-// regenerated by running the binaries.
+// paper-reported value next to the measured one, so the "Measured vs
+// paper" table of docs/PAPER_MAP.md can be regenerated by running the
+// binaries.
 #ifndef EDGEMM_BENCH_BENCH_COMMON_HPP
 #define EDGEMM_BENCH_BENCH_COMMON_HPP
 

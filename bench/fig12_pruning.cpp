@@ -24,7 +24,7 @@ int main() {
   // --- (a)+(b): layer-wise evaluation on the synthetic SPHINX activations --
   // Scaled-width FFN (512 x 1408, same 2048:5632 aspect as TinyLlama)
   // keeps the functional evaluation fast; accuracy depends on channel
-  // statistics, not absolute width (DESIGN.md §1).
+  // statistics, not absolute width (docs/PAPER_MAP.md, "Substitutions").
   model::ActivationProfile profile;
   profile.channels = 512;
   profile.layers = 22;

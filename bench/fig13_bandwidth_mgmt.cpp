@@ -116,6 +116,6 @@ int main() {
                     managed_unbatched.tokens_per_second));
   }
   std::printf("\nNote: l_e and l_b are policy constants from the paper (36 / 131); the\n"
-              "crossover emerging from this simulator is reported in EXPERIMENTS.md.\n");
+              "crossover emerging from this simulator is explained in docs/PAPER_MAP.md.\n");
   return 0;
 }

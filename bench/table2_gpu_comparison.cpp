@@ -2,8 +2,8 @@
 //
 // Paper anchors: EdgeMM 2.15x GPU; +activation-aware pruning: 2.84x,
 // reaching 138 tokens/s; energy efficiency quoted as 0.217 token/J
-// (abstract) / 0.28 token/J (§V-C) — see EXPERIMENTS.md for the
-// inconsistency discussion; we report our derivation.
+// (abstract) / 0.28 token/J (§V-C) — see docs/PAPER_MAP.md ("Measured
+// vs paper") for the inconsistency; we report our derivation.
 #include <cstdio>
 #include <vector>
 
@@ -131,7 +131,7 @@ int main() {
   edgemm::bench::print_paper_vs_measured("EdgeMM + pruning throughput", "138 tokens/s",
                                          fmt_double(pruned.tokens_per_second, 1));
 
-  // Energy derivation (published constants; see EXPERIMENTS.md).
+  // Energy derivation (published constants; see docs/PAPER_MAP.md).
   const double seconds_per_token = 1.0 / pruned.tokens_per_second;
   const auto decode_bytes =
       static_cast<Bytes>(static_cast<double>(mllm.llm.total_params()) * keep /
@@ -140,7 +140,7 @@ int main() {
   std::printf(
       "\nEnergy: %.3f mJ/token chip + %.3f mJ/token DRAM -> %.2f tokens/J\n"
       "(paper quotes 0.217 token/J in the abstract and 0.28 token/J in §V-C;\n"
-      " both are inconsistent with 138 tokens/s at 112 mW — see EXPERIMENTS.md)\n",
+      " both are inconsistent with 138 tokens/s at 112 mW — see docs/PAPER_MAP.md)\n",
       energy.chip_joules * 1e3, energy.dram_joules * 1e3,
       baselines::tokens_per_joule(1.0, energy));
 

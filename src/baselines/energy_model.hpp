@@ -4,7 +4,7 @@
 // external-memory energy is charged per byte moved. The paper quotes
 // both 0.217 token/J (abstract) and 0.28 token/J (§V-C) — mutually
 // inconsistent and inconsistent with 138 tokens/s at sub-watt power, so
-// EXPERIMENTS.md records our derivation next to both published values.
+// docs/PAPER_MAP.md records our derivation next to both published values.
 #ifndef EDGEMM_BASELINES_ENERGY_MODEL_HPP
 #define EDGEMM_BASELINES_ENERGY_MODEL_HPP
 

@@ -1,7 +1,7 @@
 // Analytic model of the RTX 3060 laptop GPU baseline of Table II.
 //
-// We do not have the authors' GPU testbed; per the substitution rule
-// (DESIGN.md §1) the baseline is a roofline-plus-overheads model built
+// We do not have the authors' GPU testbed; as a substitution
+// (docs/PAPER_MAP.md) the baseline is a roofline-plus-overheads model built
 // from the published specification (13 TFLOP/s FP32, 336 GB/s GDDR6)
 // and the utilization pathologies the paper attributes to GPUs on edge
 // MLLMs: "SM cores ... often remain underutilized" for short-sequence

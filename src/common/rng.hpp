@@ -2,7 +2,7 @@
 //
 // Every stochastic component in the repository draws from an explicitly
 // seeded Xoshiro256** generator so that benches regenerate identical
-// tables run-to-run (DESIGN.md §5, "Determinism").
+// tables run-to-run.
 #ifndef EDGEMM_COMMON_RNG_HPP
 #define EDGEMM_COMMON_RNG_HPP
 

@@ -3,7 +3,7 @@
 // Compute latency inside a cluster follows the closed-form cycle models
 // of the coprocessors (Eq. 2 / Eq. 3 plus weight-write and distribution
 // overheads); DRAM traffic, DMA throttling and inter-cluster contention
-// are simulated event-by-event. DESIGN.md §5 explains the split.
+// are simulated event-by-event. docs/ARCHITECTURE.md explains the split.
 #ifndef EDGEMM_CORE_TIMING_HPP
 #define EDGEMM_CORE_TIMING_HPP
 

@@ -30,7 +30,7 @@ struct ActivationProfile {
   /// index increases, these outliers become more prominent"). Calibrated
   /// (with body_sigma / outlier_fraction) so the dynamic Top-k harness
   /// lands on the paper's Fig. 12 shape: ~50 % mean pruning ratio with
-  /// cosine comparable to fixed-0.1 (EXPERIMENTS.md).
+  /// cosine comparable to fixed-0.1 (docs/PAPER_MAP.md, "Fig. 12").
   double outlier_gain_first = 2.0;
   double outlier_gain_last = 10.0;
   /// Layer 0 is special (§V-C): high kurtosis but an *unstable*

@@ -20,8 +20,8 @@ TransformerShape dinov2_large() {
   return {"DINOv2 ViT-L", 24, 1024, 4096, 16, 16, 0, false};
 }
 // ConvNeXt-L expressed as its transformer-equivalent compute shape (the
-// timing plane only consumes layers × matmul dims; DESIGN.md §1 notes
-// the substitution).
+// timing plane only consumes layers × matmul dims; docs/PAPER_MAP.md,
+// "Substitutions", notes it).
 TransformerShape clip_convnext_l() {
   return {"CLIP ConvNeXt-L (equiv)", 24, 1024, 4096, 16, 16, 0, false};
 }

@@ -17,7 +17,7 @@ namespace edgemm::pruning {
 
 /// Experiment parameters (scaled-down FFN shapes keep the functional
 /// evaluation fast; accuracy depends on activation statistics, not
-/// absolute width — DESIGN.md §1).
+/// absolute width — docs/PAPER_MAP.md, "Substitutions").
 struct PruningEvalConfig {
   std::size_t d_ffn = 1024;       ///< hidden width of the evaluated FFN
   std::size_t tokens = 8;         ///< generated tokens averaged per layer

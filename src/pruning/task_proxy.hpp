@@ -1,12 +1,12 @@
 // Task-level accuracy proxy for pruning — the stand-in for the paper's
 // "minimal score reduction in VQA" claim (§V-C).
 //
-// We cannot score VQA without the trained checkpoint (DESIGN.md §1), so
-// the proxy measures what a downstream head would see: a fixed random
-// linear "answer head" maps the FFN output to answer logits, and the
-// score is the fraction of tokens whose argmax answer is unchanged by
-// pruning. Unlike cosine similarity this metric is sensitive exactly to
-// the errors that flip decisions.
+// We cannot score VQA without the trained checkpoint (docs/PAPER_MAP.md,
+// "Substitutions"), so the proxy measures what a downstream head would
+// see: a fixed random linear "answer head" maps the FFN output to answer
+// logits, and the score is the fraction of tokens whose argmax answer is
+// unchanged by pruning. Unlike cosine similarity this metric is
+// sensitive exactly to the errors that flip decisions.
 #ifndef EDGEMM_PRUNING_TASK_PROXY_HPP
 #define EDGEMM_PRUNING_TASK_PROXY_HPP
 

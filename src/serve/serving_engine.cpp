@@ -18,8 +18,12 @@ using core::Lane;
 
 namespace {
 
-/// EWMA weight for the online throughput/step-duration estimators.
-constexpr double kEstimatorGain = 0.25;
+/// Folds one measurement into an online throughput/step-duration
+/// estimator (EWMA).
+void fold(double& estimate, double observed) {
+  constexpr double kGain = 0.25;
+  estimate = (1.0 - kGain) * estimate + kGain * observed;
+}
 
 /// Validates before the chip is built: an invalid composition throws
 /// without paying for the clusters.
@@ -79,15 +83,11 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
     }
   }
 
-  // Per-model state. The decode keep fraction is the task-proxy
-  // derivation when enabled (§IV-A accuracy model), else the global
-  // constant; layer-group bytes feed the residency pin granularity; the
-  // decode traffic decomposition (closed form, model::decode_step_traffic,
-  // as the MC lane fetches it) sizes the MC side of the interval
-  // rebalance without rebuilding op lists per tick. The policy
-  // estimators seed analytically; each converges onto its own model's
-  // measured values as that model's chunks retire and decode steps it
-  // took part in complete.
+  // Per-model state: the decode keep fraction (the §IV-A task-proxy
+  // derivation when enabled), the pin granularity, and the closed-form
+  // decode traffic that sizes the MC side of the interval rebalance
+  // without building op lists per tick. The policy estimators seed
+  // analytically and converge onto the model's own measurements.
   const double cc_seed = std::max(config_.dram.bytes_per_cycle * 0.5, 1e-6);
   per_model_.reserve(models_.size());
   for (const model::MllmConfig& m : models_) {
@@ -108,11 +108,9 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
     s.decode_step_cycles_est = std::max(1.0, step_bytes / s.cc_bytes_per_cycle_est);
   }
 
-  // Heterogeneous pair: the fat backend schedules on the SAME simulator
-  // as the chip (one clock, overlapping lanes) and its KV return wire is
-  // a ledgered ChipLink priced like the cluster layer's chip-to-chip
-  // links. The throughput EWMA seeds at the spec's peak bandwidth and
-  // converges onto measured fat-chunk throughput.
+  // Heterogeneous pair: the fat backend shares the chip's simulator (one
+  // clock), its KV return wire is a ledgered ChipLink, and its throughput
+  // estimator seeds at the spec's peak bandwidth.
   if (engine_config_.fat_backend()) {
     fat_.emplace(chip_.simulator(), *engine_config_.fat_backend(),
                  config_.clock_hz);
@@ -168,16 +166,7 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     if (!index_.emplace(r.id, records_.size()).second) {
       throw std::invalid_argument("ServingEngine::run: duplicate request id");
     }
-    if (r.prefix_id != 0) {
-      const auto [it, fresh] = conversations_.try_emplace(
-          {r.model, r.prefix_id}, Conversation{r.crops, r.prefix_tokens});
-      if (!fresh && (it->second.crops != r.crops ||
-                     it->second.prefix_tokens != r.prefix_tokens)) {
-        throw std::invalid_argument(
-            "ServingEngine::run: requests of one conversation (model, "
-            "prefix_id) differ in crops or prefix_tokens");
-      }
-    }
+    conversations_.add(r);
     records_.push_back(RequestRecord{r});
   }
   total_ = records_.size();
@@ -217,10 +206,8 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
   result.max_cc_queue_delay_ms = cycles_to_ms(
       scheduler_.lane_stats(Lane::kCcStage).max_queue_wait, config_.clock_hz);
   if (pages_) {
-    // Drained-engine invariant, the KV analogue of the pin-drain assert
-    // below: every page allocated over the replay was freed — none
-    // resident, none stranded in DRAM, no preempted request still
-    // awaiting refill.
+    // Every page allocated over the replay was freed: none resident, none
+    // stranded in DRAM, no preempted request still awaiting refill.
     EDGEMM_ASSERT_MSG(pages_->holders() == 0 && pages_->resident_pages() == 0 &&
                           pages_->swapped_pages() == 0 && kv_swapped_.empty(),
                       "ServingEngine: KV pages leaked past the replay");
@@ -243,11 +230,8 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     result.kv_swap_preemptions = pages_->preemptions();
   }
   if (residency_) {
-    // Pins kept warm by the placement policy legitimately outlive their
-    // last rider; flush them now that the trace is drained, THEN assert
-    // no LIVE attach leaked past the replay (every attach must have
-    // detached on some exit path — prefill retirement, rejection, any
-    // future early-drop).
+    // Pins kept warm by the placement policy outlive their last rider:
+    // flush them, then assert no live attach leaked past the replay.
     result.placement_evictions = residency_->idle_evictions();
     residency_->evict_all_idle();
     EDGEMM_ASSERT_MSG(residency_->holders() == 0 && residency_->pinned() == 0,
@@ -280,11 +264,8 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     result.kv_return_max_queue_ms =
         cycles_to_ms(kv_return_link_->max_queue_wait(), config_.clock_hz);
   }
-  // Quality ledger: what the QualityPolicy cost. The accuracy proxy is
-  // priced per COMPLETED request at the fraction it finished at (memoized
-  // per (model, fraction) — zero proxy evaluations when nothing was ever
-  // degraded, since keep >= the static fraction prices as exact under
-  // keep >= 1 or reuses the decode-side derivation's agreement).
+  // Quality ledger: the accuracy proxy of each completed request at the
+  // fraction it finished at (memoized per (model, fraction)).
   {
     double acc_sum = 0.0;
     double acc_min = 1.0;
@@ -329,8 +310,7 @@ void ServingEngine::on_arrival(std::size_t index) {
   ++per_model_[records_[index].request.model].queued;
   result_.peak_queue_depth =
       std::max(result_.peak_queue_depth, queue_.size());
-  // A suffix admitted onto the MC lane has no CC job to wait for.
-  if (pump_admission() && scheduler_.idle(Lane::kMcDecode)) start_decode_step();
+  pump_admission();
 }
 
 ServingEngine::PrefillPlan& ServingEngine::plan_for(std::size_t index) {
@@ -340,30 +320,23 @@ ServingEngine::PrefillPlan& ServingEngine::plan_for(std::size_t index) {
   const Request& r = records_[index].request;
   PrefillPlan& plan = plans_.emplace(index, PrefillPlan{}).first->second;
   plan.built_keep = prefill_keep(index);
-  // Encode and prefill the shared prefix once per conversation: admission
-  // is FIFO, so every earlier request is already resolved, and the
-  // earlier local chunk 0 that published sits ahead of ours on the FIFO
-  // CC lane. Its projected vision tokens (and, once published, the
-  // prefix KV) are in DRAM before our chunk 0 runs; the suffix attends
-  // over the prefix KV as a later chunk attends over earlier chunks'.
-  // At least one token is always prefilled: it yields the first logits.
-  if (const Conversation* conversation = conversation_of(index)) {
-    plan.encoder_cached = conversation->published;
-    if (conversation->prefix_published) {
-      plan.prefix_skip = std::min(r.prefix_tokens, r.input_tokens - 1);
-    }
-  }
+  // Admission is FIFO, so every earlier turn of the conversation is
+  // already resolved; the suffix attends over the prefix KV as a later
+  // chunk attends over earlier chunks'.
+  plan.reuse = conversations_.reuse(r);
   plan_chunks(index, plan);
-  plan.mc_rows = mc_suffix_rows(plan);
+  plan.route = route_of(plan);
   return plan;
 }
 
-std::size_t ServingEngine::mc_suffix_rows(const PrefillPlan& plan) const {
+ServingEngine::PrefillRoute ServingEngine::route_of(
+    const PrefillPlan& plan) const {
   // Everything this reads is fixed by admission order, so both tiers
   // route the same plans.
-  if (engine_config_.phase() != EnginePhase::kFull || !plan.encoder_cached ||
-      plan.prefix_skip == 0 || plan.chunks.size() != 1) {
-    return 0;
+  if (engine_config_.phase() != EnginePhase::kFull ||
+      !plan.reuse.encoder_cached || plan.reuse.prefix_skip == 0 ||
+      plan.chunks.size() != 1) {
+    return PrefillRoute::kCc;
   }
   // The decode step already fetches the model's INT8 weights once for
   // its batch, so the suffix's rows cost the MC lane only CIM compute;
@@ -379,17 +352,8 @@ std::size_t ServingEngine::mc_suffix_rows(const PrefillPlan& plan) const {
   }
   const double cc_dram_cycles =
       static_cast<double>(plan.total_bytes) / config_.dram.bytes_per_cycle;
-  return mc_cycles < cc_dram_cycles ? plan.chunks.front().tokens : 0;
-}
-
-ServingEngine::PrefillPlan* ServingEngine::mc_suffix_plan(std::size_t index) {
-  // Only conversations route suffixes, and a suffix's plan is dropped
-  // when the step carrying its rows retires.
-  if (conversations_.empty() || records_[index].tokens_generated > 0) {
-    return nullptr;
-  }
-  const auto it = plans_.find(index);
-  return it != plans_.end() && it->second.mc_rows > 0 ? &it->second : nullptr;
+  return mc_cycles < cc_dram_cycles ? PrefillRoute::kMcSuffix
+                                    : PrefillRoute::kCc;
 }
 
 void ServingEngine::plan_chunks(std::size_t index, PrefillPlan& plan) {
@@ -399,7 +363,7 @@ void ServingEngine::plan_chunks(std::size_t index, PrefillPlan& plan) {
   plan.total_bytes = 0;
   plan.total_full_bytes = 0;
   Request suffix = records_[index].request;
-  suffix.input_tokens -= plan.prefix_skip;
+  suffix.input_tokens -= plan.reuse.prefix_skip;
   const std::vector<std::size_t> chunk_tokens =
       engine_config_.prefill_planner().plan(suffix);
   std::size_t planned = 0;
@@ -416,13 +380,6 @@ void ServingEngine::plan_chunks(std::size_t index, PrefillPlan& plan) {
     plan.chunks.emplace_back().tokens = tokens;
     price_chunk(index, plan, plan.chunks.size() - 1, /*ride_pin=*/true);
   }
-}
-
-ServingEngine::Conversation* ServingEngine::conversation_of(std::size_t index) {
-  const Request& r = records_[index].request;
-  // Without a shared prefix the turns share no prompt, image included.
-  if (r.prefix_id == 0 || r.prefix_tokens == 0) return nullptr;
-  return &conversations_.at({r.model, r.prefix_id});
 }
 
 void ServingEngine::price_chunk(std::size_t index, PrefillPlan& plan,
@@ -488,11 +445,10 @@ double ServingEngine::judge_quality(std::size_t index) {
   ctx.current_keep = rec.keep_fraction_served;
   ctx.min_keep = engine_config_.quality_min_keep();
   ctx.max_keep = engine_config_.quality_max_keep();
-  // Estimated finish: the CC backlog ahead (which, once the request's
-  // plan is admitted, already holds its unsubmitted chunks) plus its own
-  // remaining service — the admission_context estimate, in full-
-  // precision-equivalent bytes so the pressure signal is about load,
-  // not about how degraded the backlog already is.
+  // Estimated finish: the CC backlog ahead (an admitted plan's own
+  // chunks included) plus the request's remaining service, in full-
+  // precision-equivalent bytes so the signal is about load, not about
+  // how degraded the backlog already is.
   const double remaining =
       static_cast<double>(cc_pending_full_bytes_) / cc_est +
       remaining_service(index);
@@ -549,12 +505,12 @@ std::vector<GemmWork> ServingEngine::build_chunk_ops(
     const Request& r, const PrefillPlan& plan, std::size_t chunk,
     bool ride_pin, double ffn_keep) const {
   const model::MllmConfig& m = models_[r.model];
-  std::size_t start = plan.prefix_skip;
+  std::size_t start = plan.reuse.prefix_skip;
   for (std::size_t c = 0; c < chunk; ++c) start += plan.chunks[c].tokens;
   // The first chunk carries the encoder + projector ops in front of its
   // prefill slice (and always fetches — it is what fills the pin), unless
   // the conversation's image is already encoded in DRAM.
-  std::vector<GemmWork> ops = chunk == 0 && !plan.encoder_cached
+  std::vector<GemmWork> ops = chunk == 0 && !plan.reuse.encoder_cached
                                   ? model::build_encoder_ops(m, r.crops)
                                   : std::vector<GemmWork>{};
   // !ride_pin builds a barrier re-fetch: a rider dispatched before the
@@ -603,12 +559,9 @@ bool ServingEngine::maybe_pin_weights(std::size_t index,
   PrefillPlan& plan = plans_.at(index);
   if (plan.pin_attached) return false;  // already riding a pin
   const Request& r = records_[index].request;
-  // Pins are keyed by MODEL: all in-flight requests of the model
-  // refcount one pin and the budget is charged once. A brand-new pin is
-  // filled by next_chunk's fetch, so only the chunks AFTER it ride it —
-  // and pinning is pointless with no tail left. An attach to an existing
-  // pin — live, or kept warm by the placement policy — finds the weights
-  // already on chip and starts saving on next_chunk itself.
+  // Pins are keyed by model and refcounted. A fresh pin is filled by
+  // next_chunk's fetch, so only the chunks after it ride (no tail, no
+  // pin); an existing pin, live or kept warm, rides from next_chunk on.
   const bool rides_existing = residency_->resident_layers(r.model) > 0;
   const std::size_t first_resident =
       rides_existing ? next_chunk : next_chunk + 1;
@@ -652,11 +605,9 @@ bool ServingEngine::maybe_pin_weights(std::size_t index,
   plan.resident_layers = attach.layers;
   plan.first_resident_chunk = first_resident;
   records_[index].weight_pinned_layers = attach.layers;
-  // Re-price the unsubmitted tail: pinned layer groups drop their
-  // weight stream, so the jobs (and the CC backlog) shrink. A degraded
-  // request also re-prices the not-yet-submitted fill chunk itself: its
-  // pinned layers must stream FULL weights (that is what lands in the
-  // pin), which the pre-pin jobs pruned.
+  // Re-price the unsubmitted tail, whose pinned layer groups drop their
+  // weight stream. A degraded request re-prices the fill chunk too: its
+  // pinned layers must stream the full weights that land in the pin.
   const std::size_t rebuild_from =
       plan.built_keep < 1.0 ? next_chunk : first_resident;
   for (std::size_t c = rebuild_from; c < plan.chunks.size(); ++c) {
@@ -666,21 +617,16 @@ bool ServingEngine::maybe_pin_weights(std::size_t index,
 }
 
 void ServingEngine::drop_plan(std::size_t index) {
-  // The single exit point for prefill plans: EVERY path a request leaves
-  // the prefill stage through (retirement, rejection of a judged-and-
-  // planned queue head, any future preemption) funnels through here, so
-  // an attached pin can never outlive its request.
+  // The single exit point for prefill plans, so an attached pin can never
+  // outlive its request.
   const auto it = plans_.find(index);
   if (it == plans_.end()) return;
   if (it->second.pin_attached) {
     const std::size_t model = records_[index].request.model;
     bool keep_resident = false;
     if (residency_->refcount(model) == 1) {
-      // Last rider detaching: the placement policy decides whether the
-      // model's bytes stay on chip as an idle (warm) pin — free rides
-      // for its next request — or leave now. Out-of-favor idle pins are
-      // reclaimed later by evict_victims when a hotter model needs the
-      // room.
+      // Last rider detaching: the placement policy keeps the bytes as an
+      // idle warm pin (evict_victims reclaims it later) or lets them go.
       keep_resident =
           engine_config_.placement().retain_idle(model, placement_context());
     }
@@ -721,7 +667,7 @@ double ServingEngine::remaining_service(std::size_t index) {
   if (engine_config_.phase() != EnginePhase::kDecodeOnly) {
     // An MC-lane suffix adds rows to a decode step, not a CC job.
     const PrefillPlan& plan = plan_for(index);
-    if (!plan.in_backlog && plan.mc_rows == 0) {
+    if (!plan.in_backlog && plan.route != PrefillRoute::kMcSuffix) {
       prefill_cycles = static_cast<double>(plan.total_full_bytes) /
                        per_model_[r.model].cc_bytes_per_cycle_est;
     }
@@ -735,18 +681,16 @@ double ServingEngine::remaining_service(std::size_t index) {
   return prefill_cycles + decode_cycles;
 }
 
-bool ServingEngine::pump_admission() {
+void ServingEngine::pump_admission() {
   sim::Simulator& sim = chip_.simulator();
   bool suffix_queued = false;
   while (queue_.ready(sim.now())) {
     const std::size_t index = index_.at(queue_.front().id);
     AdmissionVerdict verdict = engine_config_.scheduler().admit(
         records_[index].request, admission_context(index));
-    // KV hand-off contract (disaggregated decode tier): the request's
-    // finished KV already crossed the chip link — rejecting it here
-    // would strand migrated bytes a prefill chip and the wire paid for.
-    // A decode tier therefore never rejects; backpressure is expressed
-    // by deferring until the hand-off reservation below fits.
+    // KV hand-off contract: a decode tier's request arrives with its KV
+    // already across the chip link, so the tier never rejects; it defers
+    // until the hand-off reservation below fits.
     if (engine_config_.phase() == EnginePhase::kDecodeOnly &&
         verdict == AdmissionVerdict::kReject) {
       verdict = AdmissionVerdict::kAdmit;
@@ -804,31 +748,32 @@ bool ServingEngine::pump_admission() {
     // fat start: EdgeMM weight residency means nothing to a backend
     // that re-streams weights per launch. Without a fat backend the
     // judgment is kLocal without consulting the policy.
-    plan.chunk0_fat = judge_offload(index, /*chunk=*/0) == OffloadTarget::kFat;
-    if (plan.chunk0_fat && plan.encoder_cached) {
+    if (judge_offload(index, /*chunk=*/0) == OffloadTarget::kFat) {
       // The fat backend never saw the conversation's encoded image or
       // prefix KV: an offloaded start encodes and prefills the whole
       // prompt itself. Unpinned and outside the backlog, so the plan is
       // simply rebuilt.
-      plan.encoder_cached = false;
-      plan.prefix_skip = 0;
-      plan.mc_rows = 0;
-      plan_chunks(index, plan);
+      plan.route = PrefillRoute::kFat;
+      if (plan.reuse != ConversationCache::Reuse{}) {
+        plan.reuse = {};
+        plan_chunks(index, plan);
+      }
     }
-    if (plan.mc_rows > 0) {
+    // The route is final: count what the plan reuses.
+    if (plan.reuse.encoder_cached) ++result_.encoder_cache_hits;
+    if (plan.reuse.prefix_skip > 0) ++result_.prefix_cache_hits;
+    if (plan.route == PrefillRoute::kMcSuffix) {
       // The suffix rides the MC decode batch (start_decode_step): it
       // never enters the CC backlog or pins, and like a decode tier's
       // request it is judged once, here.
       apply_quality(index, judge_quality(index));
-      ++result_.encoder_cache_hits;
-      ++result_.prefix_cache_hits;
       ++result_.mc_suffix_prefills;
       decode_ready_.push_back(index);
       suffix_queued = true;
       continue;
     }
     rec.prefill_chunks = plan.chunks.size();
-    if (!plan.chunk0_fat) {
+    if (plan.route == PrefillRoute::kCc) {
       // Weight-resident chunk chaining: attach to the model's shared pin
       // (its weights are already on chip — every chunk rides), or pin the
       // layer groups fresh before chunk 0 fetches them so chunks 1.. skip
@@ -842,47 +787,37 @@ bool ServingEngine::pump_admission() {
     plan.in_backlog = true;
     submit_next_chunk(index);
   }
-  return suffix_queued;
+  // A suffix admitted onto the MC lane has no CC job to wait for.
+  if (suffix_queued) kick_decode();
 }
 
 void ServingEngine::submit_next_chunk(std::size_t index) {
   PrefillPlan& plan = plans_.at(index);
-  // Per-chunk quality judgment (chunk 0's is the admission judgment):
-  // pressure may have moved since the last chunk, and the chunk about to
-  // be submitted should stream at the CURRENT fraction.
+  // Per-chunk quality judgment: the chunk streams at the current
+  // fraction (chunk 0's is the admission judgment).
   apply_quality(index, judge_quality(index));
   const std::size_t chunk = plan.next++;
   const bool first = chunk == 0;
-  // Backend judgment: chunk 0 consumes its admission-time verdict (made
-  // before pinning), later chunks are judged fresh at submission — the
-  // PrefillPlanner's chunk boundaries are the offload split points. A
-  // pinned request's chunks always stay local: its weights are already
-  // on the EdgeMM chip and the owner's fill fetch must actually land
-  // there, not in the GPU's GDDR.
+  // Backend judgment: chunk 0 follows its route, later chunks are judged
+  // fresh (chunk boundaries are the offload split points). A pinned
+  // request stays local: its fill fetch must land on the EdgeMM chip.
   bool to_fat = false;
   if (fat_) {
-    to_fat = first ? plan.chunk0_fat
+    to_fat = first ? plan.route == PrefillRoute::kFat
                    : judge_offload(index, chunk) == OffloadTarget::kFat;
     if (plan.pin_attached) to_fat = false;
   }
-  // Late pin: budget freed since admission (a competitor's prefill
-  // retired), or a same-model pin appearing, can still cover this
-  // request's remaining chunks — a fresh pin is filled by this chunk's
-  // fetch and the tail rides it; an attach to an existing pin rides from
-  // this chunk on. The admission attempt covers chunk 0, so only re-try
-  // from chunk 1 on. Requests that offloaded any chunk never pin: their
-  // prefill straddles backends, and holding TCDM bytes for a request
-  // that may leave again wastes the budget co-tenants want.
+  // Late pin: budget freed, or a same-model pin appearing, since
+  // admission (which tried chunk 0) can still cover the remaining chunks.
+  // A request that offloaded any chunk never pins: it may leave again,
+  // and its TCDM bytes are budget co-tenants want.
   if (chunk > 0 && residency_ && !plan.pin_attached && !to_fat &&
       plan.offloaded_chunks == 0) {
     maybe_pin_weights(index, chunk);
   }
-  // Fill barrier: a rider chunk dispatched before the pin owner's fill
-  // fetch retired would skip DMA for bytes that are not on chip yet, so
-  // it re-fetches the WHOLE pin instead (this chunk only — the rider's
-  // later chunks ride normally once the fill lands). Pin owners are
-  // exempt by construction: their chunks after the fill chunk are
-  // ordered behind it on the same request.
+  // Fill barrier: a rider chunk dispatched before the owner's fill fetch
+  // retired re-fetches the whole pin (this chunk only). Owners are exempt:
+  // their later chunks are ordered behind the fill chunk.
   if (plan.pin_attached && !plan.pin_owner &&
       chunk >= plan.first_resident_chunk &&
       !residency_->filled(records_[index].request.model) &&
@@ -898,13 +833,10 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
     if (first) records_[index].prefill_start = now;
   };
   if (to_fat) {
-    EDGEMM_ASSERT(!(first && plan.encoder_cached));
-    // Offloaded chunk: the job leaves the CC backlog (its bytes will
-    // transit the GPU's GDDR, not the chip's DRAM) and runs on the fat
-    // backend's prefill stream in FIFO order. The fat cost model prices
-    // it fresh — weights re-streamed per launch, no residency flags
-    // honored — and its throughput EWMA folds on retirement against
-    // those fat-model bytes.
+    EDGEMM_ASSERT(!(first && plan.reuse.encoder_cached));
+    // Offloaded chunk: it leaves the CC backlog and runs FIFO on the fat
+    // backend, whose own cost model prices it (weights re-streamed per
+    // launch); its estimator folds those bytes at retirement.
     cc_pending_bytes_ -= job.bytes;
     cc_pending_full_bytes_ -= job.full_bytes;
     plan.current_fat = true;
@@ -919,32 +851,19 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
     return;
   }
   if (first) {
-    // A local chunk 0 either reads its conversation's cached encoding and
-    // prefix KV or publishes them for every later turn (offloaded ones
-    // never do). Only a full-keep chunk 0 that covers the whole prefix
-    // publishes the prefix: a pruned FFN computes different KV, and a
-    // prefix split across chunks would finish after the next chunk 0.
-    if (plan.encoder_cached) ++result_.encoder_cache_hits;
-    if (plan.prefix_skip > 0) ++result_.prefix_cache_hits;
-    if (Conversation* conversation = conversation_of(index)) {
-      conversation->published = true;
-      if (!conversation->prefix_published && plan.built_keep == 1.0 &&
-          job.tokens >= conversation->prefix_tokens) {
-        conversation->prefix_published = true;
-        plan.publishes_prefix = true;
-      }
-    }
+    // A local chunk 0 publishes its conversation's encoding and, when it
+    // covers the whole prefix at full keep, the prefix KV for every
+    // later turn (offloaded ones never do; a prefix split across chunks
+    // would finish after the next chunk 0).
+    conversations_.publish(records_[index].request, job.tokens,
+                           plan.built_keep);
   }
   // Weight-traffic ledger: resident bytes are the DMA residency avoided.
   result_.cc_weight_fetch_bytes += job.weight_fetch_bytes;
   result_.cc_weight_bytes_saved += job.weight_resident_bytes;
-  // Only a request actually holding a pin (fresh or shared) gets an
-  // affinity key: chaining an unpinned request's chunks would
-  // re-introduce head-of-line blocking without saving a byte. Keyed per
-  // REQUEST even when the pin is shared — chaining all of a model's
-  // riders back-to-back would serialize the lane. (Inert unless the
-  // planner enabled lane chaining; the +1 keeps request id 0 distinct
-  // from "none".)
+  // Only a pinned request gets an affinity key, and one per request, not
+  // per shared pin, so chaining never serializes a model's riders (inert
+  // unless the planner chains the lane; +1 keeps id 0 distinct).
   const std::uint64_t affinity =
       plan.pin_attached ? records_[index].request.id + 1 : 0;
   scheduler_.submit(Lane::kCcStage, std::move(job.ops),
@@ -969,57 +888,44 @@ void ServingEngine::on_chunk_done(std::size_t index) {
     residency_->mark_filled(records_[index].request.model);
   }
   // The conversation's prefix KV just landed in DRAM: MC-lane suffixes
-  // that waited for it may join, and an idle MC lane needs a kick.
-  if (chunk == 0 && plan.publishes_prefix) {
-    conversation_of(index)->prefix_retired = true;
-    const bool suffix_waits =
-        std::any_of(decode_ready_.begin(), decode_ready_.end(),
-                    [this](std::size_t i) { return mc_suffix_plan(i) != nullptr; });
-    if (suffix_waits && scheduler_.idle(Lane::kMcDecode)) start_decode_step();
+  // that waited for it (the only decode-ready requests that still hold
+  // a plan) may join.
+  if (chunk == 0 && conversations_.retire(records_[index].request) &&
+      std::any_of(decode_ready_.begin(), decode_ready_.end(),
+                  [this](std::size_t i) { return plans_.contains(i); })) {
+    kick_decode();
   }
   // Fold the measured chunk throughput into the estimator of whichever
   // backend ran it — each EWMA divides its OWN cost model's bytes by the
   // observed cycles, so the two backends' signals never cross-pollute.
   if (was_fat) {
     if (now > plan.chunk_started && plan.current_fat_bytes > 0) {
-      const double observed =
-          static_cast<double>(plan.current_fat_bytes) /
-          static_cast<double>(now - plan.chunk_started);
-      fat_bytes_per_cycle_est_ = (1.0 - kEstimatorGain) * fat_bytes_per_cycle_est_ +
-                                 kEstimatorGain * observed;
+      fold(fat_bytes_per_cycle_est_,
+           static_cast<double>(plan.current_fat_bytes) /
+               static_cast<double>(now - plan.chunk_started));
     }
   } else if (now > plan.chunk_started && full > 0) {
-    // The estimator is normalized to FULL-precision-equivalent bytes: a
-    // degraded chunk streams fewer actual bytes in fewer cycles, and
-    // folding actual/cycles would teach the estimator that the lane got
-    // permanently faster — inflating every later admission/quality
-    // estimate once the co-tenant recovers. Full-equiv bytes over the
-    // same cycles keeps the signal about the LANE, not the degradation
-    // (all consumers divide full-equiv bytes by it, so units agree).
-    const double observed = static_cast<double>(full) /
-                            static_cast<double>(now - plan.chunk_started);
-    double& est = per_model_[records_[index].request.model].cc_bytes_per_cycle_est;
-    est = (1.0 - kEstimatorGain) * est + kEstimatorGain * observed;
+    // Full-precision-equivalent bytes over the measured cycles: actual
+    // bytes would teach the estimator that a degraded chunk's lane got
+    // permanently faster. Every consumer divides full-equivalent bytes by
+    // it, so the signal stays about the lane, not the degradation.
+    fold(per_model_[records_[index].request.model].cc_bytes_per_cycle_est,
+         static_cast<double>(full) /
+             static_cast<double>(now - plan.chunk_started));
   }
   if (plan.next < plan.chunks.size()) {
-    // Chain the next chunk: it queues BEHIND any job another request
-    // submitted meanwhile — exactly the interleaving that bounds
-    // CC-lane head-of-line blocking (unless lane-affinity chaining is
-    // on, which trades some of that bound for shorter pin hold times).
+    // The next chunk queues behind other requests' jobs: the interleaving
+    // that bounds CC-lane head-of-line blocking.
     submit_next_chunk(index);
     return;
   }
-  // The prefill retired: detach from the pin. Under sharing the bytes
-  // stay on chip until the LAST attached request of the model retires
-  // (eviction happens at refcount zero inside the tracker).
+  // The prefill retired: detach from the pin (shared bytes stay until the
+  // model's last rider detaches).
   const std::size_t return_tokens = plan.offload_tokens;
   drop_plan(index);
   if (return_tokens > 0 && kv_return_link_) {
-    // Offloaded prefill: the fat backend holds the KV it computed, and
-    // decode runs on EdgeMM — ship those tokens' KV back over the
-    // ledgered return wire. The prefill only counts as done when the
-    // bytes LAND (prefill_end includes the shipment), which is also what
-    // keeps a prefill-only tier's hand-off timestamps honest.
+    // Offloaded prefill: ship the fat backend's KV back over the return
+    // wire; the prefill is done when the bytes land.
     const Bytes kv_bytes =
         static_cast<Bytes>(return_tokens) *
         model::kv_bytes_per_token(models_[records_[index].request.model]);
@@ -1042,9 +948,9 @@ void ServingEngine::on_prefill_done(std::size_t index) {
     return;
   }
   decode_ready_.push_back(index);
-  // Continuous batching: if the MC lane is mid-step, this request joins
-  // at the next step boundary; only an idle lane needs a kick.
-  if (scheduler_.idle(Lane::kMcDecode)) start_decode_step();
+  // Continuous batching: if a step is pending, this request joins at the
+  // next step boundary; only an idle lane needs a kick.
+  kick_decode();
 }
 
 bool ServingEngine::kv_join_reserve(std::size_t index) {
@@ -1182,7 +1088,13 @@ void ServingEngine::grow_page_tables() {
   }
 }
 
+void ServingEngine::kick_decode() {
+  if (!decode_step_pending_) start_decode_step();
+}
+
 void ServingEngine::start_decode_step() {
+  EDGEMM_ASSERT_MSG(!decode_step_pending_,
+                    "ServingEngine: a second decode step on the MC lane");
   // Preempt-and-refill: restore swapped-out requests before admitting
   // new joiners — they were already mid-decode when evicted.
   if (paged_) refill_swapped();
@@ -1191,11 +1103,9 @@ void ServingEngine::start_decode_step() {
   }
   const std::size_t join = engine_config_.scheduler().decode_join_count(
       active_.size(), decode_ready_.size());
-  // Under prefix sharing, a request whose shared-prefix run is already
-  // held costs only its private pages, while a fresh run costs the whole
-  // prefix too: riders try first (pass 0), then the rest (pass 1), each
-  // class in the policy's order. Pass 0 records every joiner's class;
-  // pass 1 only runs when pass 0 walked the whole list under the limit.
+  // Under prefix sharing a rider of a held prefix run costs only its
+  // private pages: riders try first (pass 0, which records each joiner's
+  // class), then the rest (pass 1), each class in the policy's order.
   const bool riders_first = paged_ && engine_config_.kv_prefix_sharing();
   std::size_t joined = 0;
   for (int pass = riders_first ? 0 : 1; pass < 2; ++pass) {
@@ -1216,10 +1126,11 @@ void ServingEngine::start_decode_step() {
         }
       }
       // Deferred join: stays decode-ready, retries next step boundary.
-      // An MC-lane suffix also waits until the chunk 0 that computes its
-      // prefix KV has retired.
-      const PrefillPlan* suffix = mc_suffix_plan(index);
-      if ((suffix && !conversation_of(index)->prefix_retired) ||
+      // An MC-lane suffix (the only decode-ready request that still holds
+      // a plan) also waits until the chunk 0 that computes its prefix KV
+      // has retired.
+      if ((plans_.contains(index) &&
+           !conversations_.prefix_ready(records_[index].request)) ||
           (pages_ && !kv_join_reserve(index))) {
         ++it;
         continue;
@@ -1252,8 +1163,11 @@ void ServingEngine::start_decode_step() {
       RequestRecord& rec = records_[index];
       if (rec.request.model != m) continue;
       std::size_t rows = 1;
-      if (const PrefillPlan* suffix = mc_suffix_plan(index)) {
-        rows = suffix->mc_rows;
+      const auto suffix =
+          rec.tokens_generated == 0 ? plans_.find(index) : plans_.end();
+      if (suffix != plans_.end()) {
+        EDGEMM_ASSERT(suffix->second.route == PrefillRoute::kMcSuffix);
+        rows = suffix->second.chunks.front().tokens;
         rec.prefill_start = now;
       }
       slots.push_back({rec.request.input_tokens + rec.tokens_generated, rows});
@@ -1264,14 +1178,10 @@ void ServingEngine::start_decode_step() {
     step.insert(step.end(), ops.begin(), ops.end());
   }
   if (paged_) {
-    // Swap-in refill traffic as one KV-stream-priced DMA op (element
-    // override 2, like the per-request KV streams): weight side k*2 plus
-    // activation side ~2k re-streams ≈ the refilled bytes through the MC
-    // lane, so swap thrashing costs decode bandwidth in the timing plane.
-    // Pending = every byte re-fetched since the last submitted step
-    // (refill_swapped, a join that refilled a swapped prefix run, a
-    // decode-only hand-off join), so a step that never ran because
-    // grow_page_tables emptied active_ drops nothing.
+    // Every byte re-fetched since the last submitted step rides this one
+    // as a KV-stream-priced DMA op (element override 2: ≈ the refilled
+    // bytes through the MC lane), so swap thrashing costs decode
+    // bandwidth and a step that never ran drops nothing.
     const Bytes swap_dma =
         pages_->swap_refetch_bytes() - result_.kv_swap_dma_bytes;
     if (swap_dma > 0) {
@@ -1288,6 +1198,7 @@ void ServingEngine::start_decode_step() {
   result_.peak_decode_batch =
       std::max(result_.peak_decode_batch, active_.size());
   step_started_ = now;
+  decode_step_pending_ = true;
   scheduler_.submit(Lane::kMcDecode, std::move(step),
                     [this] { on_decode_step_done(); });
 }
@@ -1296,14 +1207,9 @@ void ServingEngine::on_decode_step_done() {
   const Cycle now = chip_.simulator().now();
   if (now > step_started_) {
     // Fold the measured step duration into every model that took part in
-    // the step (active_ still holds the step's batch here). A model that
-    // sat the step out keeps its estimator untouched — co-tenant steps
-    // say nothing about ITS decode cost. A MIXED step's duration is
-    // attributed per model by its token share of the step (each active
-    // request generates one token): charging every present model the
-    // full duration would double-count the co-tenants' work and inflate
-    // every estimator in a zoo. Single-model steps attribute the full
-    // duration — byte-identical to the pre-attribution estimator.
+    // the step (active_ still holds its batch), each by its token share:
+    // charging every present model the full duration would double-count
+    // its co-tenants' work. A model that sat the step out is untouched.
     for (ModelState& state : per_model_) state.step_tokens = 0;
     for (const std::size_t index : active_) {
       ++per_model_[records_[index].request.model].step_tokens;
@@ -1312,17 +1218,14 @@ void ServingEngine::on_decode_step_done() {
     const double total_tokens = static_cast<double>(active_.size());
     for (ModelState& state : per_model_) {
       if (state.step_tokens == 0) continue;
-      const double share =
-          observed * static_cast<double>(state.step_tokens) / total_tokens;
-      state.decode_step_cycles_est =
-          (1.0 - kEstimatorGain) * state.decode_step_cycles_est +
-          kEstimatorGain * share;
+      fold(state.decode_step_cycles_est,
+           observed * static_cast<double>(state.step_tokens) / total_tokens);
     }
   }
   still_active_.clear();
   for (const std::size_t index : active_) {
     RequestRecord& rec = records_[index];
-    if (mc_suffix_plan(index) != nullptr) {
+    if (rec.tokens_generated == 0 && plans_.contains(index)) {
       // The step that carried the suffix's rows was its prefill.
       rec.prefill_end = now;
       drop_plan(index);
@@ -1339,7 +1242,8 @@ void ServingEngine::on_decode_step_done() {
     }
   }
   active_.swap(still_active_);
-  pump_admission();   // retired requests freed admission slots
+  pump_admission();  // retired requests freed admission slots
+  decode_step_pending_ = false;
   start_decode_step();  // survivors + any newly prefilled joiners
 }
 
@@ -1352,12 +1256,10 @@ void ServingEngine::schedule_rebalance(Cycle interval) {
 }
 
 void ServingEngine::rebalance() {
-  // Size Bc:Bm from the bytes actually pending on each side (the dynamic
-  // analogue of the Fig. 9(c) per-round byte ratio): admitted prefill
-  // work on the CC side, remaining decode traffic of in-flight requests
-  // on the MC side. Weight fetches are charged once per step — the
-  // model's batch keeps decoding until its longest request drains — not
-  // once per request; continuous batching is what amortizes them.
+  // Size Bc:Bm from the bytes pending on each side (the dynamic Fig. 9(c)
+  // byte ratio): admitted prefill work against remaining decode traffic,
+  // whose weight fetch is charged once per step until the model's
+  // longest request drains.
   double mc_bytes = 0.0;
   for (ModelState& state : per_model_) state.max_remaining = 0;
   auto add_remaining = [&](std::size_t index) {

@@ -21,18 +21,17 @@
 // step boundary — it does not wait for the batch to drain (continuous
 // batching). A later chat turn whose short prompt suffix is cheaper as
 // CIM compute than as a CC job skips the CC lane: its suffix tokens
-// join a decode step as extra rows (mc_suffix_rows). The §IV-B BandwidthManager rebalances the CC:MC DMA budget
-// split every throttle interval from the bytes actually pending on each
-// side, and per-request completion callbacks record tail latency.
+// join a decode step as extra rows (its plan's PrefillRoute). The §IV-B
+// BandwidthManager rebalances the CC:MC DMA budget split every throttle
+// interval from the bytes actually pending on each side, and
+// per-request completion callbacks record tail latency.
 #ifndef EDGEMM_SERVE_SERVING_ENGINE_HPP
 #define EDGEMM_SERVE_SERVING_ENGINE_HPP
 
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <optional>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "baselines/gpu_backend.hpp"
@@ -42,6 +41,7 @@
 #include "core/phase_scheduler.hpp"
 #include "mem/memory_path.hpp"
 #include "model/mllm_config.hpp"
+#include "serve/conversation_cache.hpp"
 #include "serve/engine_config.hpp"
 #include "serve/kv_pages.hpp"
 #include "serve/kv_tracker.hpp"
@@ -160,23 +160,18 @@ struct ServingResult : TraceSummary {
   double accuracy_proxy_mean = 1.0;
   double accuracy_proxy_min = 1.0;
 
-  // --- Conversation encoder cache (requests with a prefix_id) --------------
-  /// Local chunk 0s built without the vision encoder + projector because
-  /// an earlier local chunk 0 of the same (model, prefix_id) conversation
-  /// already published its projected vision tokens to DRAM. Once every
-  /// request is served locally: requests - distinct conversations.
+  // --- Conversation cache (requests with a prefix_id; ConversationCache) --
+  /// Admitted plans whose final route is local and skips the vision
+  /// encoder + projector (their conversation's image is in DRAM), and
+  /// those that prefill only the prompt suffix over its prefix KV. Once
+  /// every request is served locally (at full keep by a planner whose
+  /// chunk 0 covers the prefix, for the second): requests - distinct
+  /// conversations.
   std::size_t encoder_cache_hits = 0;
-  /// Local chunk 0s of plans that prefill only the prompt suffix because
-  /// an earlier full-keep local chunk 0 of the conversation covered its
-  /// whole shared prefix; the suffix reads the prefix KV from DRAM. Once
-  /// every request is served locally at full keep by a planner whose
-  /// chunk 0 covers the prefix: requests - distinct conversations.
   std::size_t prefix_cache_hits = 0;
-  /// Later turns whose prompt suffix ran as extra rows of an MC-lane
-  /// decode step instead of a CC-lane job: a full engine's encoder-free,
-  /// single-chunk, local suffix whose CIM compute on the MC lane is below
-  /// the chunk's CC DRAM time. Each also counts in encoder_cache_hits and
-  /// prefix_cache_hits, never in prefill_jobs.
+  /// Later turns whose suffix ran as extra rows of an MC-lane decode step
+  /// (the kMcSuffix route), never in prefill_jobs; each is also an
+  /// encoder and a prefix hit.
   std::size_t mc_suffix_prefills = 0;
 
   /// Exact, including the floating-point metrics: identical replays
@@ -256,6 +251,12 @@ class ServingEngine {
     Bytes weight_resident_bytes = 0;
   };
 
+  /// Where a plan's prefill runs: chunk by chunk on the CC lane (each
+  /// later chunk may still offload), chunk 0 on the fat backend, or as
+  /// extra rows of one MC-lane decode step (a later chat turn's short
+  /// suffix; the plan then lives until that step retires).
+  enum class PrefillRoute { kCc, kFat, kMcSuffix };
+
   /// One admitted request's remaining prefill jobs (built once, consumed
   /// chunk by chunk; also cached for deferred queue heads so repeated
   /// admission judgments don't rebuild op lists). When a weight pin is
@@ -293,41 +294,14 @@ class ServingEngine {
     std::size_t offload_tokens = 0;    ///< their prefill tokens (KV to ship)
     bool current_fat = false;          ///< the in-flight chunk is on fat
     Bytes current_fat_bytes = 0;       ///< its fat-cost-model job bytes
-    /// Chunk 0's judgment, made at admission so pinning can be skipped
-    /// for offloaded starts.
-    bool chunk0_fat = false;
-    /// Chunk 0 is built without the encoder + projector ops: decided when
-    /// the plan is built (an earlier local chunk 0 of the conversation was
-    /// already submitted), cleared if chunk 0 is judged fat.
-    bool encoder_cached = false;
-    /// Leading prompt tokens the plan does not prefill because the
-    /// conversation's prefix KV is already in DRAM (decided with
-    /// encoder_cached; 0 = the whole prompt). The chunks cover
+    // --- Route ------------------------------------------------------------
+    /// Decided when the plan is built (route_of) and again, as kFat, when
+    /// chunk 0 is judged fat at admission: then the route is final.
+    PrefillRoute route = PrefillRoute::kCc;
+    /// From the ConversationCache when the plan is built; cleared, and the
+    /// plan rebuilt in full, on the kFat route. The chunks cover
     /// input_tokens - prefix_skip tokens from offset prefix_skip.
-    std::size_t prefix_skip = 0;
-    /// Suffix tokens that ride an MC-lane decode step as extra rows
-    /// instead of running as a CC-lane job (0 = the CC lane runs the
-    /// plan). Decided when the plan is built (mc_suffix_rows), cleared if
-    /// chunk 0 is judged fat; the plan then lives until that step retires.
-    std::size_t mc_rows = 0;
-    /// This plan's local chunk 0 published its conversation's prefix KV:
-    /// its retirement lets the conversation's MC-lane suffixes join.
-    bool publishes_prefix = false;
-  };
-
-  /// One conversation, keyed by (model, prefix_id): every turn must carry
-  /// the same crops and prefix_tokens. `published` is set once a local
-  /// chunk 0 has encoded its image onto the CC lane, `prefix_published`
-  /// once a full-keep local chunk 0 covering the whole shared prefix was
-  /// submitted to compute the prefix KV, and `prefix_retired` once that
-  /// chunk 0 retired (the prefix KV is in DRAM: MC-lane suffixes, which
-  /// do not queue behind it on the CC lane, may join decode).
-  struct Conversation {
-    std::size_t crops = 0;
-    std::size_t prefix_tokens = 0;
-    bool published = false;
-    bool prefix_published = false;
-    bool prefix_retired = false;
+    ConversationCache::Reuse reuse;
   };
 
   /// Everything the engine keeps per served model (parallel to models_).
@@ -381,10 +355,9 @@ class ServingEngine {
   };
 
   void on_arrival(std::size_t index);
-  /// Admits queue heads while the SchedulerPolicy allows. Returns true
-  /// when it queued an MC-lane suffix for decode (the caller kicks an
-  /// idle MC lane).
-  bool pump_admission();
+  /// Admits queue heads while the SchedulerPolicy allows, then kicks the
+  /// MC lane once if it queued an MC-lane suffix for decode.
+  void pump_admission();
   /// Reserves `index`'s KV at decode join — or finds the reservation a
   /// decode-only tier already made at admission (the KV hand-off).
   /// False = deferred (stays decode-ready / queued).
@@ -397,12 +370,10 @@ class ServingEngine {
   /// victims (or the grower itself, with no victim left) when the budget
   /// is full.
   void grow_page_tables();
-  /// Swaps out ONE victim among active_ (excluding position
-  /// `grower_pos`, adjusted if the victim sat before it): the request
-  /// with resident private pages and the least (last_touch, request id).
-  /// Every active request streams its whole KV each step, so recency of
-  /// page-table GROWTH is the cold signal. False when no active holds an
-  /// evictable private page.
+  /// Swaps out ONE victim among active_ but `grower_pos` (adjusted if the
+  /// victim sat before it): the one with resident private pages and the
+  /// least (last_touch, request id), as page-table growth is the cold
+  /// signal. False when no active holds an evictable private page.
   bool preempt_victim(std::size_t& grower_pos);
   void preempt_to_dram(std::size_t active_pos);
   AdmissionContext admission_context(std::size_t index);
@@ -413,24 +384,16 @@ class ServingEngine {
   /// backlog delay, judge_quality's estimated finish.
   double remaining_service(std::size_t index);
   PrefillPlan& plan_for(std::size_t index);
-  /// Asks the planner for the tokens `plan` prefills (all but
-  /// plan.prefix_skip) and (re)builds and prices every chunk. The plan
-  /// must be outside the CC backlog and unpinned.
+  /// Asks the planner for the tokens `plan` prefills (all but the reused
+  /// prefix) and (re)builds and prices every chunk. The plan must be
+  /// outside the CC backlog and unpinned.
   void plan_chunks(std::size_t index, PrefillPlan& plan);
-  /// The suffix tokens a freshly built `plan` moves onto the MC lane, or
-  /// 0. Only a full engine's encoder-free, prefix-reusing single chunk
-  /// qualifies, and only when the cost rule holds: the chunk's weight-
-  /// bearing ops, priced as CIM compute with the weights already fetched
-  /// by the step, take the front MC-lane cluster fewer cycles than the
-  /// CC lane would spend streaming the chunk's bytes from DRAM.
-  std::size_t mc_suffix_rows(const PrefillPlan& plan) const;
-  /// `index`'s plan when its suffix waits to ride (or rides) an MC decode
-  /// step, else nullptr.
-  PrefillPlan* mc_suffix_plan(std::size_t index);
+  /// A freshly built `plan`'s route: kMcSuffix for a full engine's
+  /// encoder-free, prefix-reusing single chunk whose weight-bearing ops,
+  /// as CIM compute over the step's already fetched weights, take the
+  /// front MC cluster fewer cycles than the chunk's CC DRAM time; else kCc.
+  PrefillRoute route_of(const PrefillPlan& plan) const;
   void drop_plan(std::size_t index);
-  /// `index`'s conversation when its turns share an image (a prefix_id
-  /// and a non-empty shared prefix), else nullptr.
-  Conversation* conversation_of(std::size_t index);
   /// Builds one chunk's op list. `ride_pin` = false re-fetches the
   /// plan's pinned layer groups too (the fill-barrier refetch of a rider
   /// dispatched before the pin's fill landed). `ffn_keep` < 1 emits the
@@ -474,6 +437,10 @@ class ServingEngine {
   /// Retires a finished request (prefill-only tier at prefill end, else
   /// at its last token): SLO ledger, counters, KV release, callback.
   void retire(std::size_t index);
+  /// The one guarded MC-lane kick: starts a decode step unless one is
+  /// already pending.
+  void kick_decode();
+  /// Submits the next decode step; no step may be pending.
   void start_decode_step();
   void on_decode_step_done();
   void schedule_rebalance(Cycle interval);
@@ -503,10 +470,9 @@ class ServingEngine {
   std::vector<RequestRecord> records_;
   std::unordered_map<RequestId, std::size_t> index_;
   std::unordered_map<std::size_t, PrefillPlan> plans_;  ///< by record index
-  /// The conversation cache: projected vision tokens and the shared
-  /// prefix's KV live in DRAM, outside the CIM KV budget. Empty unless a
-  /// request carries a prefix_id.
-  std::map<std::pair<std::size_t, std::size_t>, Conversation> conversations_;
+  /// Projected vision tokens and shared-prefix KV in DRAM, outside the
+  /// CIM KV budget.
+  ConversationCache conversations_;
   std::vector<std::size_t> decode_ready_;   ///< prefilled, awaiting a slot
   std::vector<std::size_t> active_;         ///< current decode batch
   /// Preempted-to-DRAM requests in preemption order (paged mode); they
@@ -519,6 +485,10 @@ class ServingEngine {
 
   CompletionCallback on_complete_;
   bool ran_ = false;
+  /// A decode step is queued or running: set at submission, cleared by
+  /// its done callback just before it starts the next. The MC lane holds
+  /// at most one step.
+  bool decode_step_pending_ = false;
   std::size_t total_ = 0;
   std::size_t completed_ = 0;
   std::size_t rejected_ = 0;
@@ -526,17 +496,14 @@ class ServingEngine {
   /// The replay's result, whose engine-owned counters and ledgers are
   /// incremented in place; run() fills in the rest and returns it.
   ServingResult result_;
-  /// The CC backlog: bytes of every admitted plan's chunks that have
-  /// neither retired nor left for the fat backend. Changed only by the
-  /// admission add, price_chunk and the two exits; drains to exactly 0
-  /// (asserted in run()).
+  /// The CC backlog: bytes of admitted chunks that have neither retired
+  /// nor left for the fat backend. Moved only by admission, price_chunk
+  /// and those two exits; drains to exactly 0 (asserted in run()).
   Bytes cc_pending_bytes_ = 0;
-  /// Full-precision-equivalent twin of cc_pending_bytes_: what the same
-  /// backlog would weigh undegraded. Queue-delay and service estimates
-  /// divide THESE by the (full-equivalent) throughput estimators, so a
-  /// degraded heavy co-tenant cannot skew a full-precision candidate's
-  /// admission math; cc_pending_bytes_ (actual) keeps feeding the
-  /// CC:MC bandwidth rebalance. Identical while nothing is degraded.
+  /// Full-precision-equivalent twin of cc_pending_bytes_, which the queue-
+  /// delay and service estimates divide by the (full-equivalent)
+  /// estimators so a degraded co-tenant cannot skew admission math; the
+  /// rebalance reads the actual bytes.
   Bytes cc_pending_full_bytes_ = 0;
   /// Finished requests that missed their deadline so far (QualityContext
   /// pressure signal).

@@ -240,6 +240,35 @@ TEST(EnginePhases, DecodeOnlySkipsPrefillAndGeneratesEveryToken) {
   }
 }
 
+TEST(EnginePhases, DecodeTierHoldsOneStepOnTheMcLane) {
+  // One request in flight at a time: every admission after the first
+  // happens inside a decode step's done callback, where the MC lane
+  // already reads idle. A decode tier's admission must not start a step
+  // of its own there, or two steps sit on the lane from then on.
+  std::vector<Request> trace(3);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    trace[i].id = i;
+    trace[i].input_tokens = 48;
+    trace[i].output_tokens = 10;
+  }
+  for (const core::ReplayMode mode :
+       {core::ReplayMode::kDetailed, core::ReplayMode::kFast}) {
+    for (const EnginePhase phase : {EnginePhase::kFull, EnginePhase::kDecodeOnly}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "fast=" << (mode == core::ReplayMode::kFast)
+                   << " decode_only=" << (phase == EnginePhase::kDecodeOnly));
+      EngineConfig config =
+          EngineConfig()
+              .scheduler(std::make_shared<ConcurrencyPolicy>(AdmissionLimits{1, 1}))
+              .replay_mode(mode)
+              .phase(phase);
+      const auto out = replay_trace(small_cfg(), {tiny_model()}, config, trace);
+      EXPECT_EQ(out.result.completed, 3u);
+      EXPECT_EQ(out.result.decode_steps, 30u);  // one step per token
+    }
+  }
+}
+
 // --- Disaggregated mode -----------------------------------------------------
 
 ClusterConfig disagg_config(std::size_t chips, std::size_t prefill,

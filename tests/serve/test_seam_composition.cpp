@@ -2,8 +2,9 @@
 // replayed under every cross of prefill planner (plain chunked vs
 // weight-resident chunked under a tight residency budget), quality
 // policy (static vs queue-depth) and offload (none vs a threshold
-// policy with a fat backend), on both replay tiers; one trace groups its
-// requests into conversations that share an image and a prompt prefix.
+// policy with a fat backend), on both replay tiers; two traces group
+// their requests into conversations that share an image and a prompt
+// prefix, one of them with suffixes short enough for the MC lane.
 // Every replay must drain without tripping the engine's drain asserts
 // (CC backlog, KV pages, weight pins), finish or reject every request,
 // and replay bit-identically a second time.
@@ -47,9 +48,11 @@ std::vector<model::MllmConfig> zoo() {
 /// A small two-model trace drawn from `seed`: request count, arrival
 /// rate, burst size, prompt and output lengths all vary. With
 /// `prefix_groups` > 0 the requests also fall into that many
-/// conversations per model, sharing a 48-token prefix and their image.
+/// conversations per model, sharing a 48-token prefix and their image;
+/// `short_suffixes` then keeps each prompt within 16 tokens past it.
 std::vector<Request> random_trace(std::uint64_t seed,
-                                  std::size_t prefix_groups = 0) {
+                                  std::size_t prefix_groups = 0,
+                                  bool short_suffixes = false) {
   std::mt19937_64 rng(seed);
   TraceConfig cfg;
   cfg.requests = 8 + rng() % 9;
@@ -62,7 +65,10 @@ std::vector<Request> random_trace(std::uint64_t seed,
   cfg.prefix_tokens = prefix_groups > 0 ? 48 : 0;
   cfg.seed = seed;
   std::vector<Request> trace = poisson_trace(cfg);
-  for (Request& r : trace) r.input_tokens = 64 + 32 * (rng() % 16);
+  for (Request& r : trace) {
+    r.input_tokens = short_suffixes ? cfg.prefix_tokens + 1 + rng() % 16
+                                    : 64 + 32 * (rng() % 16);
+  }
   return trace;
 }
 
@@ -114,11 +120,13 @@ EngineConfig compose(const Composition& c, core::ReplayMode mode,
 void replay_grid(core::ReplayMode mode, ServingResult& sum) {
   const core::ChipConfig chip = small_cfg();
   const std::vector<model::MllmConfig> models = zoo();
-  // The last trace groups its requests into conversations, so the
-  // encoder cache and prefix reuse run under every composition too.
+  // The last two traces group their requests into conversations, so the
+  // encoder cache and prefix reuse run under every composition too; the
+  // last one's later turns are short enough to prefill on the MC lane.
   const std::vector<std::vector<Request>> traces = {
       random_trace(11), random_trace(23), random_trace(37),
-      random_trace(41, /*prefix_groups=*/3)};
+      random_trace(41, /*prefix_groups=*/3),
+      random_trace(43, /*prefix_groups=*/3, /*short_suffixes=*/true)};
   for (std::size_t t = 0; t < traces.size(); ++t) {
     const std::vector<Request>& trace = traces[t];
     for (int bits = 0; bits < 8; ++bits) {
@@ -144,6 +152,7 @@ void replay_grid(core::ReplayMode mode, ServingResult& sum) {
       sum.offloaded_chunks += first.result.offloaded_chunks;
       sum.encoder_cache_hits += first.result.encoder_cache_hits;
       sum.prefix_cache_hits += first.result.prefix_cache_hits;
+      sum.mc_suffix_prefills += first.result.mc_suffix_prefills;
     }
   }
 }
@@ -158,6 +167,8 @@ void expect_every_seam_exercised(core::ReplayMode mode) {
   EXPECT_GT(sum.encoder_cache_hits, 0u);   // encode-once chunk 0s
   // 64-token chunk 0s cover the 48-token prefix: suffix-only plans.
   EXPECT_GT(sum.prefix_cache_hits, 0u);
+  // Single-chunk suffixes cheaper as CIM compute: MC-lane prefills.
+  EXPECT_GT(sum.mc_suffix_prefills, 0u);
 }
 
 TEST(SeamComposition, GeneratedTracesDrainOnTheFastTier) {

@@ -27,6 +27,7 @@ appear as an identifier in the corresponding header:
   OffloadPolicy / OffloadContext::<name> -> src/serve/policy.hpp
   QualityPolicy / QualityContext::<name> -> src/serve/policy.hpp
   RequestRecord::<name> -> src/serve/request.hpp
+  ConversationCache::<name> -> src/serve/conversation_cache.hpp
   PlacementPolicy / DemandWeightedPlacement / ModelDemand / PlacementContext
     / SchedulerPolicy / PrefillPlanner / BatchPolicy::<name> -> src/serve/policy.hpp
   PhaseScheduler::<name> -> src/core/phase_scheduler.hpp
@@ -53,10 +54,17 @@ cannot stay named in a table:
 Only the first word of an inline code span is read (`bench/serving_trace
 --fast` names bench/serving_trace); fenced code blocks are skipped.
 
+C++ sources (*.cpp / *.hpp) in the given directories are checked for
+one thing: every markdown file a comment or string literal cites
+(`docs/PAPER_MAP.md`, `README.md`) must exist, relative to the repo root
+or to the citing file, so a comment cannot point readers at a document
+that was never written.
+
 Offline and dependency-free by design, like check_markdown_links.py.
 
-Usage: tools/check_docs_drift.py README.md docs [more files/dirs...]
-Exit status: 0 when every referenced knob and path exists, 1 otherwise.
+Usage: tools/check_docs_drift.py README.md docs src bench [more files/dirs...]
+Exit status: 0 when every referenced knob, path and cited document
+exists, 1 otherwise.
 """
 
 import glob
@@ -94,6 +102,7 @@ HEADERS = {
     "QualityPolicy": "src/serve/policy.hpp",
     "QualityContext": "src/serve/policy.hpp",
     "RequestRecord": "src/serve/request.hpp",
+    "ConversationCache": "src/serve/conversation_cache.hpp",
     "PlacementPolicy": "src/serve/policy.hpp",
     "DemandWeightedPlacement": "src/serve/policy.hpp",
     "ModelDemand": "src/serve/policy.hpp",
@@ -119,6 +128,11 @@ PATH_RE = re.compile(r"^[\w.*-]+(?:/[\w.*-]*)+$")
 REPO_ROOTS = {"src", "tests", "tools", "perfbench", "examples", "docs",
               ".github"}
 BINARY_ROOTS = {"bench", "build"}
+SOURCE_EXTS = (".cpp", ".hpp")
+# A // comment or a string literal, the only places a source cites a
+# document (code such as `f.md` is a field access, not a citation).
+COMMENT_OR_STRING_RE = re.compile(r'//[^\n]*|"(?:[^"\\\n]|\\.)*"')
+MD_CITE_RE = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w-]+\.md)\b")
 
 
 def headers_of(owner: str) -> tuple:
@@ -136,7 +150,8 @@ def collect_files(args):
         if os.path.isdir(arg):
             for root, _dirs, names in os.walk(arg):
                 files.extend(
-                    os.path.join(root, n) for n in names if n.endswith(".md"))
+                    os.path.join(root, n) for n in names
+                    if n.endswith((".md",) + SOURCE_EXTS))
         else:
             files.append(arg)
     return sorted(set(files))
@@ -192,6 +207,20 @@ def dangling_paths(path: str, text: str) -> list:
     return failures
 
 
+def dangling_citations(path: str, text: str) -> list:
+    """Markdown files a source's comments or strings cite that exist
+    neither under the repo root nor next to the source."""
+    failures = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for part in COMMENT_OR_STRING_RE.findall(line):
+            for cited in MD_CITE_RE.findall(part):
+                if not any(os.path.isfile(os.path.join(base, cited))
+                           for base in (repo_root(), os.path.dirname(path))):
+                    failures.append(f"{path}:{lineno}: cites {cited}, which "
+                                    f"does not exist")
+    return failures
+
+
 def check(files):
     codes = {owner: header_code(headers_of(owner)) for owner in HEADERS}
     failures = [
@@ -206,6 +235,9 @@ def check(files):
     for path in files:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
+        if path.endswith(SOURCE_EXTS):
+            failures.extend(dangling_citations(path, text))
+            continue
         failures.extend(dangling_paths(path, text))
         for owner, name in REF_RE.findall(text):
             if name not in identifiers[owner]:
@@ -230,7 +262,7 @@ def main() -> int:
     failures = check(files)
     for failure in failures:
         print(failure)
-    print(f"checked {len(files)} markdown files against "
+    print(f"checked {len(files)} markdown and source files against "
           f"{', '.join(sorted({h for o in HEADERS for h in headers_of(o)}))} "
           f"and the repo tree: "
           f"{'OK' if not failures else f'{len(failures)} drifted reference(s)'}")
