@@ -28,11 +28,6 @@ enum class CoreKind : std::uint8_t {
   kMemoryCentric,   ///< RV host + digital CIM macro + act-aware pruner (GEMV).
 };
 
-/// Returns a short human-readable tag ("CC" / "MC").
-constexpr const char* to_string(CoreKind kind) {
-  return kind == CoreKind::kComputeCentric ? "CC" : "MC";
-}
-
 /// Inference phases of an MLLM (paper Fig. 1(a), Fig. 2).
 enum class Phase : std::uint8_t {
   kVisionEncoder,  ///< Compute-intensive GEMM over ~300 vision tokens.
@@ -40,16 +35,6 @@ enum class Phase : std::uint8_t {
   kPrefill,        ///< GEMM over prompt+vision tokens; builds KV cache.
   kDecode,         ///< Autoregressive, memory-bound GEMV per token.
 };
-
-constexpr const char* to_string(Phase phase) {
-  switch (phase) {
-    case Phase::kVisionEncoder: return "vision-encoder";
-    case Phase::kProjector: return "projector";
-    case Phase::kPrefill: return "llm-prefill";
-    case Phase::kDecode: return "llm-decode";
-  }
-  return "?";
-}
 
 }  // namespace edgemm
 

@@ -16,10 +16,6 @@ constexpr double cycles_to_ms(Cycle cycles, double clock_hz = kChipClockHz) {
   return cycles_to_seconds(cycles, clock_hz) * 1e3;
 }
 
-constexpr double gbps_to_bytes_per_cycle(double gb_per_s, double clock_hz = kChipClockHz) {
-  return gb_per_s * 1e9 / clock_hz;
-}
-
 constexpr double bytes_per_cycle_to_gbps(double bytes_per_cycle,
                                          double clock_hz = kChipClockHz) {
   return bytes_per_cycle * clock_hz / 1e9;

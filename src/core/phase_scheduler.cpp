@@ -8,14 +8,6 @@
 
 namespace edgemm::core {
 
-const char* to_string(Lane lane) {
-  switch (lane) {
-    case Lane::kCcStage: return "cc-stage";
-    case Lane::kMcDecode: return "mc-decode";
-  }
-  return "?";
-}
-
 PhaseScheduler::PhaseScheduler(ChipTimingModel& chip) : chip_(chip) {
   // §IV-B mapping: encoder/prefill prefer the CC clusters, decode the MC
   // clusters; preferred_clusters already falls back to every cluster for

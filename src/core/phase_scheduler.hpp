@@ -27,8 +27,6 @@ enum class Lane : std::uint8_t {
   kMcDecode,  ///< autoregressive decode steps (memory-centric clusters)
 };
 
-const char* to_string(Lane lane);
-
 /// Dispatches jobs onto the chip's cluster sets in per-lane FIFO order
 /// by default (see set_affinity_chaining for the opt-in exception).
 ///

@@ -120,7 +120,6 @@ class ClusterTimingModel {
     return *dma_;
   }
   const ClusterStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = ClusterStats{}; }
 
  private:
   struct Block {

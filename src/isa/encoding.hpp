@@ -23,16 +23,6 @@ namespace edgemm::isa {
 /// The four extension formats of Fig. 7.
 enum class Format : std::uint8_t { kMatrixMatrix, kMatrixVector, kVectorVector, kConfig };
 
-constexpr const char* to_string(Format f) {
-  switch (f) {
-    case Format::kMatrixMatrix: return "M-M";
-    case Format::kMatrixVector: return "M-V";
-    case Format::kVectorVector: return "V-V";
-    case Format::kConfig: return "Config";
-  }
-  return "?";
-}
-
 /// RISC-V custom major opcodes hosting the extension.
 inline constexpr std::uint32_t kOpcodeMatrixMatrix = 0x0B;  // custom-0
 inline constexpr std::uint32_t kOpcodeMatrixVector = 0x2B;  // custom-1

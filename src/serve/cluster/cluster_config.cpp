@@ -5,14 +5,6 @@
 
 namespace edgemm::serve {
 
-const char* to_string(ClusterMode mode) {
-  switch (mode) {
-    case ClusterMode::kReplica: return "replica";
-    case ClusterMode::kDisaggregated: return "disaggregated";
-  }
-  return "?";
-}
-
 ClusterConfig::ClusterConfig() : router_(std::make_shared<RoundRobinRouter>()) {}
 
 ClusterConfig& ClusterConfig::chips(std::size_t count) {

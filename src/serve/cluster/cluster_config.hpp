@@ -22,8 +22,6 @@ enum class ClusterMode : std::uint8_t {
   kDisaggregated,
 };
 
-const char* to_string(ClusterMode mode);
-
 /// Builder-style cluster composition, mirroring EngineConfig. Defaults
 /// are the identity cluster: 1 chip, replica mode, round-robin routing
 /// — run_cluster on it replays the single-engine result byte-for-byte.

@@ -10,6 +10,7 @@
 #ifndef EDGEMM_SERVE_ENGINE_CONFIG_HPP
 #define EDGEMM_SERVE_ENGINE_CONFIG_HPP
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 
@@ -60,8 +61,18 @@ double quality_accuracy_proxy(const model::MllmConfig& model,
                               double keep_fraction,
                               const TaskProxyPruningOptions& options = {});
 
-// EnginePhase lives in serve/policy.hpp (included above) so
-// OffloadContext can carry it; every EngineConfig user still sees it.
+/// Which serving stages this engine executes (disaggregated clusters).
+/// kFull is the single-chip default; the split phases are how a
+/// ClusterEngine turns one chip into a dedicated prefill or decode tier:
+/// a kPrefillOnly engine retires each request when its prefill ends (the
+/// finished KV is the product, streamed to a decode chip), a kDecodeOnly
+/// engine treats each request's arrival as "its KV just landed" and goes
+/// straight to the decode batch.
+enum class EnginePhase : std::uint8_t {
+  kFull,         ///< prefill + decode on this chip (the single-chip engine)
+  kPrefillOnly,  ///< encoder + prefill only; retires at prefill end
+  kDecodeOnly,   ///< decode only; prefill is assumed done elsewhere
+};
 
 /// Policy composition + engine knobs for one trace replay.
 class EngineConfig {

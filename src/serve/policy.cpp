@@ -5,15 +5,6 @@
 
 namespace edgemm::serve {
 
-const char* to_string(EnginePhase phase) {
-  switch (phase) {
-    case EnginePhase::kFull: return "full";
-    case EnginePhase::kPrefillOnly: return "prefill-only";
-    case EnginePhase::kDecodeOnly: return "decode-only";
-  }
-  return "?";
-}
-
 const char* to_string(AdmissionVerdict verdict) {
   switch (verdict) {
     case AdmissionVerdict::kAdmit: return "admit";
@@ -196,14 +187,6 @@ std::vector<std::size_t> EvictIdleOnPressure::evict_victims(
 }
 
 // --- Offload policies -------------------------------------------------------
-
-const char* to_string(OffloadTarget target) {
-  switch (target) {
-    case OffloadTarget::kLocal: return "local";
-    case OffloadTarget::kFat: return "fat";
-  }
-  return "?";
-}
 
 OffloadTarget NoOffload::place_chunk(const Request&,
                                      const OffloadContext&) const {

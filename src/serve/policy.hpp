@@ -22,22 +22,6 @@
 
 namespace edgemm::serve {
 
-/// Which serving stages this engine executes (disaggregated clusters).
-/// kFull is the single-chip default; the split phases are how a
-/// ClusterEngine turns one chip into a dedicated prefill or decode tier:
-/// a kPrefillOnly engine retires each request when its prefill ends (the
-/// finished KV is the product, streamed to a decode chip), a kDecodeOnly
-/// engine treats each request's arrival as "its KV just landed" and goes
-/// straight to the decode batch. Lives here (not engine_config.hpp) so
-/// OffloadContext can carry the judged chunk's phase.
-enum class EnginePhase : std::uint8_t {
-  kFull,         ///< prefill + decode on this chip (the single-chip engine)
-  kPrefillOnly,  ///< encoder + prefill only; retires at prefill end
-  kDecodeOnly,   ///< decode only; prefill is assumed done elsewhere
-};
-
-const char* to_string(EnginePhase phase);
-
 /// Outcome of one admission judgment.
 enum class AdmissionVerdict : std::uint8_t {
   kAdmit,  ///< pop the request and start its prefill now
@@ -54,8 +38,6 @@ const char* to_string(AdmissionVerdict verdict);
 struct AdmissionContext {
   Cycle now = 0;
   std::size_t inflight = 0;        ///< admitted but unfinished requests
-  std::size_t active_batch = 0;    ///< requests in the current decode batch
-  std::size_t queue_depth = 0;     ///< queued requests, candidate included
   /// Estimated cycles until the candidate's first prefill chunk could
   /// dispatch (CC-lane backlog over measured lane throughput).
   Cycle estimated_queue_delay = 0;
@@ -223,21 +205,15 @@ class ShortestRemainingFirst final : public BatchPolicy {
 };
 
 /// Per-model demand signals the engine maintains anyway, snapshotted for
-/// PlacementPolicy judgments. All deterministic; the estimates are the
-/// same per-model EWMAs AdmissionContext is built from.
+/// PlacementPolicy judgments. All deterministic.
 struct ModelDemand {
   std::size_t queued = 0;    ///< requests of this model waiting in the queue
   std::size_t inflight = 0;  ///< admitted but unfinished requests
-  /// Requests currently attached to this model's weight pin (riders
-  /// included); 0 for an idle kept-warm pin and for no pin at all.
-  std::size_t pin_refcount = 0;
   std::size_t resident_layers = 0;  ///< layer groups on chip (idle included)
   bool idle_resident = false;       ///< resident with refcount 0 (evictable)
   Bytes pinned_bytes = 0;           ///< bytes this model holds of the budget
   Bytes layer_group_bytes = 0;      ///< pin granularity of this model
   std::size_t total_layers = 0;     ///< LLM layers (full set = total x group)
-  double cc_bytes_per_cycle_est = 0.0;  ///< per-model CC throughput EWMA
-  double decode_step_cycles_est = 0.0;  ///< per-model decode-step EWMA
 
   /// Live requests that could want this model's weights near compute.
   std::size_t live_demand() const { return queued + inflight; }
@@ -251,9 +227,7 @@ struct ModelDemand {
 /// residency budget plus one ModelDemand per served model (indexed like
 /// the engine's model list).
 struct PlacementContext {
-  Bytes capacity = 0;           ///< the WeightResidencyTracker budget
-  Bytes pinned_bytes = 0;       ///< held right now (live + idle pins)
-  Bytes idle_pinned_bytes = 0;  ///< reclaimable without touching live pins
+  Bytes capacity = 0;  ///< the WeightResidencyTracker budget
   std::vector<ModelDemand> models;
 };
 
@@ -363,25 +337,11 @@ enum class OffloadTarget : std::uint8_t {
   kFat,    ///< the fat backend (GpuBackend) paired with this engine
 };
 
-const char* to_string(OffloadTarget target);
-
-/// Engine-state snapshot handed to OffloadPolicy::place_chunk. Queue
-/// depths and throughput EWMAs are maintained online by the engine —
-/// deterministic, but estimates, not guarantees.
+/// Engine-state snapshot handed to OffloadPolicy::place_chunk: the queue
+/// depth of each backend at the judged chunk's submission.
 struct OffloadContext {
-  EnginePhase phase = EnginePhase::kFull;  ///< the engine's stage split
-  std::size_t input_tokens = 0;  ///< the request's whole prompt length
-  std::size_t crops = 0;         ///< vision crops (chunk 0 runs the encoder)
-  std::size_t chunk = 0;         ///< index of the judged chunk
-  std::size_t chunk_count = 0;   ///< total chunks in the request's plan
-  std::size_t chunk_tokens = 0;  ///< prefill tokens of the judged chunk
-  std::size_t model = 0;         ///< index into the engine's model list
   std::size_t local_queued = 0;  ///< jobs waiting on the EdgeMM CC lane
   std::size_t fat_queued = 0;    ///< jobs waiting on the fat backend's stream
-  /// Measured CC-lane throughput EWMA (bytes/cycle, EdgeMM cost model).
-  double local_bytes_per_cycle_est = 0.0;
-  /// Measured fat-backend throughput EWMA (bytes/cycle, its cost model).
-  double fat_bytes_per_cycle_est = 0.0;
 };
 
 /// Decides, per prefill chunk, which backend of a heterogeneous
@@ -461,15 +421,13 @@ class ThresholdOffload final : public OffloadPolicy {
 
 /// Engine-state snapshot handed to QualityPolicy::keep_fraction. The
 /// pressure signals (queue depth, deadline slack against the per-model
-/// service EWMAs, decode batch occupancy, recent SLO misses) are
-/// maintained online by the engine — deterministic, but estimates, not
-/// guarantees. All byte-derived estimates are in full-precision-
-/// equivalent units so a degraded co-tenant cannot skew them.
+/// service EWMAs) are maintained online by the engine — deterministic,
+/// but estimates, not guarantees. All byte-derived estimates are in
+/// full-precision-equivalent units so a degraded co-tenant cannot skew
+/// them.
 struct QualityContext {
   Cycle now = 0;
   std::size_t queue_depth = 0;   ///< queued requests waiting for admission
-  std::size_t inflight = 0;      ///< admitted but unfinished requests
-  std::size_t active_batch = 0;  ///< requests in the current decode batch
   Cycle deadline = 0;            ///< the request's absolute deadline (0 = none)
   /// Estimated absolute completion: now + the CC backlog's delay + the
   /// request's remaining decode, from the engine's full-precision-
@@ -478,7 +436,6 @@ struct QualityContext {
   /// chunk 0 this equals the admission estimate (queue delay +
   /// service).
   Cycle estimated_finish = 0;
-  std::size_t slo_misses = 0;    ///< finished requests that missed deadlines
   double base_keep = 1.0;        ///< the static per-model keep fraction
   double current_keep = 1.0;     ///< fraction currently served to the request
   double min_keep = 0.25;        ///< lower edge of the configured band

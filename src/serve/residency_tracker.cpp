@@ -26,7 +26,18 @@ Bytes llm_layer_group_bytes(const model::MllmConfig& model,
 }
 
 WeightResidencyTracker::WeightResidencyTracker(Bytes capacity)
-    : ledger_(capacity, "WeightResidencyTracker") {}
+    : capacity_(capacity) {
+  if (capacity_ == 0) {
+    throw std::invalid_argument(
+        "WeightResidencyTracker: capacity must be > 0");
+  }
+}
+
+WeightResidencyTracker::PinMap::iterator WeightResidencyTracker::erase(
+    PinMap::iterator it) {
+  pinned_ -= it->second.bytes;
+  return pins_by_key_.erase(it);
+}
 
 WeightResidencyTracker::AttachResult WeightResidencyTracker::attach_layers(
     PinKey key, Bytes bytes_per_layer, std::size_t max_layers) {
@@ -49,9 +60,17 @@ WeightResidencyTracker::AttachResult WeightResidencyTracker::attach_layers(
     }
     return {it->second.layers, /*shared=*/true, warm};
   }
-  const std::size_t fit = try_pin_layers(key, bytes_per_layer, max_layers);
-  if (fit == 0) return {0, false, false};  // fallback counted by try_pin_layers
-  pins_by_key_.emplace(key, Pin{fit, 1, /*filled=*/false});
+  const std::size_t fit =
+      std::min<std::size_t>(max_layers, available() / bytes_per_layer);
+  if (fit == 0) {
+    ++fallbacks_;
+    return {0, false, false};
+  }
+  const Bytes bytes = static_cast<Bytes>(fit) * bytes_per_layer;
+  pins_by_key_.emplace(key, Pin{fit, bytes, 1, /*filled=*/false});
+  pinned_ += bytes;
+  peak_pinned_ = std::max(peak_pinned_, pinned_);
+  ++pins_;
   return {fit, /*shared=*/false, /*warm=*/false};
 }
 
@@ -61,10 +80,7 @@ void WeightResidencyTracker::detach(PinKey key, bool keep_resident) {
     throw std::logic_error(
         "WeightResidencyTracker: detach from a key holding no attached pin");
   }
-  if (--it->second.refs == 0 && !keep_resident) {
-    ledger_.release(key);
-    pins_by_key_.erase(it);
-  }
+  if (--it->second.refs == 0 && !keep_resident) erase(it);
 }
 
 void WeightResidencyTracker::mark_filled(PinKey key) {
@@ -89,8 +105,7 @@ void WeightResidencyTracker::evict_idle(PinKey key) {
     throw std::logic_error(
         "WeightResidencyTracker: evicting a pin with live holders");
   }
-  ledger_.release(key);
-  pins_by_key_.erase(it);
+  erase(it);
   ++idle_evictions_;
 }
 
@@ -98,8 +113,7 @@ std::size_t WeightResidencyTracker::evict_all_idle() {
   std::size_t evicted = 0;
   for (auto it = pins_by_key_.begin(); it != pins_by_key_.end();) {
     if (it->second.refs == 0) {
-      ledger_.release(it->first);
-      it = pins_by_key_.erase(it);
+      it = erase(it);
       ++evicted;
     } else {
       ++it;
@@ -116,14 +130,6 @@ std::size_t WeightResidencyTracker::idle_pins() const {
   return idle;
 }
 
-Bytes WeightResidencyTracker::idle_pinned_bytes() const {
-  Bytes bytes = 0;
-  for (const auto& [key, pin] : pins_by_key_) {
-    if (pin.refs == 0) bytes += ledger_.held_by(key);
-  }
-  return bytes;
-}
-
 std::size_t WeightResidencyTracker::refcount(PinKey key) const {
   const auto it = pins_by_key_.find(key);
   return it == pins_by_key_.end() ? 0 : it->second.refs;
@@ -133,36 +139,5 @@ std::size_t WeightResidencyTracker::resident_layers(PinKey key) const {
   const auto it = pins_by_key_.find(key);
   return it == pins_by_key_.end() ? 0 : it->second.layers;
 }
-
-bool WeightResidencyTracker::try_pin(RequestId id, Bytes bytes) {
-  if (!ledger_.try_acquire(id, bytes)) {
-    ++fallbacks_;
-    return false;
-  }
-  peak_pinned_ = std::max(peak_pinned_, ledger_.held());
-  ++pins_;
-  return true;
-}
-
-std::size_t WeightResidencyTracker::try_pin_layers(RequestId id,
-                                                   Bytes bytes_per_layer,
-                                                   std::size_t max_layers) {
-  if (bytes_per_layer == 0 || max_layers == 0) {
-    throw std::invalid_argument(
-        "WeightResidencyTracker: layer group size and count must be > 0");
-  }
-  const std::size_t fit =
-      std::min<std::size_t>(max_layers, available() / bytes_per_layer);
-  if (fit == 0) {
-    ++fallbacks_;
-    return 0;
-  }
-  // Cannot fail: `fit` layer groups fit the available budget by
-  // construction (and the duplicate-pin check throws, not returns).
-  try_pin(id, static_cast<Bytes>(fit) * bytes_per_layer);
-  return fit;
-}
-
-void WeightResidencyTracker::release(RequestId id) { ledger_.release(id); }
 
 }  // namespace edgemm::serve

@@ -54,10 +54,9 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "common/types.hpp"
 #include "core/config.hpp"
 #include "model/mllm_config.hpp"
-#include "serve/byte_ledger.hpp"
-#include "serve/request.hpp"
 
 namespace edgemm::serve {
 
@@ -83,14 +82,13 @@ Bytes llm_layer_group_bytes(const model::MllmConfig& model,
 
 /// Key a weight pin is held under. The serving engine uses the MODEL
 /// index: every in-flight request of a model attaches to one refcounted
-/// pin. A key must stay on one API: either the refcounted attach/detach
-/// pair or the low-level try_pin/release pair, never both.
+/// pin.
 using PinKey = std::uint64_t;
 
-/// Pin/release ledger over a fixed byte capacity (a ByteLedger plus the
-/// pin/fallback/peak counters and a refcount per pin). The tracker
-/// never overcommits and never blocks — a pin that does not fit fails
-/// immediately (the caller falls back to re-fetching weights).
+/// Refcounted pin ledger over a fixed byte capacity: one pin per key,
+/// each owning its bytes, plus the pin/fallback/peak counters. The
+/// tracker never overcommits and never blocks — a pin that does not fit
+/// fails immediately (the caller falls back to re-fetching weights).
 class WeightResidencyTracker {
  public:
   /// Outcome of one attach_layers call.
@@ -113,10 +111,12 @@ class WeightResidencyTracker {
   /// Throws std::invalid_argument for a zero capacity.
   explicit WeightResidencyTracker(Bytes capacity);
 
-  Bytes capacity() const { return ledger_.capacity(); }
-  Bytes pinned() const { return ledger_.held(); }
-  Bytes available() const { return ledger_.available(); }
-  std::size_t holders() const { return ledger_.holders(); }
+  Bytes capacity() const { return capacity_; }
+  /// Bytes held by every pin, live and idle.
+  Bytes pinned() const { return pinned_; }
+  Bytes available() const { return capacity_ - pinned_; }
+  /// Pins held, live and idle.
+  std::size_t holders() const { return pins_by_key_.size(); }
   /// Successful pin acquisitions so far.
   std::size_t pins() const { return pins_; }
   /// Failed acquisitions so far (each one is a chunk tail that keeps
@@ -136,8 +136,6 @@ class WeightResidencyTracker {
   Bytes peak_pinned() const { return peak_pinned_; }
   /// Pins currently resident with a zero refcount (kept warm).
   std::size_t idle_pins() const;
-  /// Bytes held by idle pins — reclaimable without touching any live pin.
-  Bytes idle_pinned_bytes() const;
 
   /// Refcounted attach under `key`. If `key` already holds a pin, the
   /// refcount is incremented and the existing pin is returned with
@@ -145,10 +143,10 @@ class WeightResidencyTracker {
   /// as many whole layer groups of `bytes_per_layer` as fit, up to
   /// `max_layers` (partial residency is the point: a budget worth three
   /// layer groups still saves three layers' worth of re-fetches per
-  /// chunk); a budget that cannot fit one group returns layers = 0, is
-  /// counted as a fallback and holds NOTHING (detach would throw).
-  /// Throws std::invalid_argument for zero bytes_per_layer or
-  /// max_layers.
+  /// chunk); filling the budget to exactly capacity succeeds. A budget
+  /// that cannot fit one group returns layers = 0, is counted as ONE
+  /// fallback and holds NOTHING (detach would throw). Throws
+  /// std::invalid_argument for zero bytes_per_layer or max_layers.
   AttachResult attach_layers(PinKey key, Bytes bytes_per_layer,
                              std::size_t max_layers);
 
@@ -185,35 +183,26 @@ class WeightResidencyTracker {
   /// (0 = no pin).
   std::size_t resident_layers(PinKey key) const;
 
-  // --- Low-level non-refcounted core (attach_layers builds on these) ----
-  /// Pins `bytes` for `id`. Filling the budget to exactly capacity
-  /// succeeds; one byte over fails (and counts a fallback). Throws
-  /// std::logic_error when `id` already holds a pin.
-  bool try_pin(RequestId id, Bytes bytes);
-
-  /// Pins as many whole layer groups of `bytes_per_layer` as fit, up to
-  /// `max_layers`; returns the number pinned (0 = fallback, counted).
-  /// Throws std::invalid_argument for zero bytes_per_layer or max_layers.
-  std::size_t try_pin_layers(RequestId id, Bytes bytes_per_layer,
-                             std::size_t max_layers);
-
-  /// Releases `id`'s pin; throws std::logic_error if absent.
-  void release(RequestId id);
-
  private:
-  /// One refcounted pin (attach_layers/detach bookkeeping on top of the
-  /// ledger entry held under the same key). refs == 0 with the entry
-  /// still present = an idle kept-warm pin.
+  /// One refcounted pin. refs == 0 with the entry still present = an
+  /// idle kept-warm pin, whose bytes stay charged.
   struct Pin {
     std::size_t layers = 0;
+    Bytes bytes = 0;  ///< layers x the group size it was attached with
     std::size_t refs = 0;
     /// False until the owner's fill fetch retires (mark_filled); riders
     /// of an unfilled pin re-fetch under the engine's fill barrier.
     bool filled = false;
   };
+  using PinMap = std::unordered_map<PinKey, Pin>;
 
-  ByteLedger ledger_;
-  std::unordered_map<PinKey, Pin> pins_by_key_;
+  /// Uncharges the bytes of the pin at `it` and drops the pin; returns
+  /// the next entry.
+  PinMap::iterator erase(PinMap::iterator it);
+
+  Bytes capacity_;
+  Bytes pinned_ = 0;
+  PinMap pins_by_key_;
   Bytes peak_pinned_ = 0;
   std::size_t pins_ = 0;
   std::size_t fallbacks_ = 0;

@@ -109,15 +109,12 @@ ServingEngine::ServingEngine(const core::ChipConfig& config,
   }
 
   // Heterogeneous pair: the fat backend shares the chip's simulator (one
-  // clock), its KV return wire is a ledgered ChipLink, and its throughput
-  // estimator seeds at the spec's peak bandwidth.
+  // clock) and its KV return wire is a ledgered ChipLink.
   if (engine_config_.fat_backend()) {
     fat_.emplace(chip_.simulator(), *engine_config_.fat_backend(),
                  config_.clock_hz);
     kv_return_link_.emplace(config_.chip_link_bytes_per_cycle,
                             config_.chip_link_latency);
-    fat_bytes_per_cycle_est_ =
-        engine_config_.fat_backend()->memory_bandwidth / config_.clock_hz;
   }
 }
 
@@ -285,24 +282,13 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
   return result;
 }
 
-OffloadTarget ServingEngine::judge_offload(std::size_t index,
-                                           std::size_t chunk) {
+OffloadTarget ServingEngine::judge_offload(std::size_t index) {
   if (!fat_) return OffloadTarget::kLocal;  // nowhere to offload to
-  const Request& r = records_[index].request;
-  const PrefillPlan& plan = plans_.at(index);
   OffloadContext ctx;
-  ctx.phase = engine_config_.phase();
-  ctx.input_tokens = r.input_tokens;
-  ctx.crops = r.crops;
-  ctx.chunk = chunk;
-  ctx.chunk_count = plan.chunks.size();
-  ctx.chunk_tokens = plan.chunks[chunk].tokens;
-  ctx.model = r.model;
   ctx.local_queued = scheduler_.queued(Lane::kCcStage);
   ctx.fat_queued = fat_->queued(Lane::kCcStage);
-  ctx.local_bytes_per_cycle_est = per_model_[r.model].cc_bytes_per_cycle_est;
-  ctx.fat_bytes_per_cycle_est = fat_bytes_per_cycle_est_;
-  return engine_config_.offload_policy().place_chunk(r, ctx);
+  return engine_config_.offload_policy().place_chunk(records_[index].request,
+                                                     ctx);
 }
 
 void ServingEngine::on_arrival(std::size_t index) {
@@ -437,10 +423,7 @@ double ServingEngine::judge_quality(std::size_t index) {
   QualityContext ctx;
   ctx.now = chip_.simulator().now();
   ctx.queue_depth = queue_.size();
-  ctx.inflight = inflight_;
-  ctx.active_batch = active_.size();
   ctx.deadline = r.deadline;
-  ctx.slo_misses = slo_misses_;
   ctx.base_keep = base;
   ctx.current_keep = rec.keep_fraction_served;
   ctx.min_keep = engine_config_.quality_min_keep();
@@ -532,22 +515,17 @@ std::vector<GemmWork> ServingEngine::build_chunk_ops(
 PlacementContext ServingEngine::placement_context() const {
   PlacementContext ctx;
   ctx.capacity = residency_->capacity();
-  ctx.pinned_bytes = residency_->pinned();
-  ctx.idle_pinned_bytes = residency_->idle_pinned_bytes();
   ctx.models.reserve(models_.size());
   for (std::size_t m = 0; m < models_.size(); ++m) {
     ModelDemand d;
     d.queued = per_model_[m].queued;
     d.inflight = per_model_[m].inflight;
-    d.pin_refcount = residency_->refcount(m);
     d.resident_layers = residency_->resident_layers(m);
-    d.idle_resident = d.resident_layers > 0 && d.pin_refcount == 0;
+    d.idle_resident = d.resident_layers > 0 && residency_->refcount(m) == 0;
     d.pinned_bytes =
         static_cast<Bytes>(d.resident_layers) * per_model_[m].layer_weight_bytes;
     d.layer_group_bytes = per_model_[m].layer_weight_bytes;
     d.total_layers = models_[m].llm.layers;
-    d.cc_bytes_per_cycle_est = per_model_[m].cc_bytes_per_cycle_est;
-    d.decode_step_cycles_est = per_model_[m].decode_step_cycles_est;
     ctx.models.push_back(d);
   }
   return ctx;
@@ -644,8 +622,6 @@ AdmissionContext ServingEngine::admission_context(std::size_t index) {
   AdmissionContext ctx;
   ctx.now = chip_.simulator().now();
   ctx.inflight = inflight_;
-  ctx.active_batch = active_.size();
-  ctx.queue_depth = queue_.size();
   // Backlog and service are priced in FULL-precision-equivalent bytes —
   // the estimator's unit (see the on_chunk_done fold): a degraded
   // backlog must not look like a faster lane to the admission judgment.
@@ -748,7 +724,7 @@ void ServingEngine::pump_admission() {
     // fat start: EdgeMM weight residency means nothing to a backend
     // that re-streams weights per launch. Without a fat backend the
     // judgment is kLocal without consulting the policy.
-    if (judge_offload(index, /*chunk=*/0) == OffloadTarget::kFat) {
+    if (judge_offload(index) == OffloadTarget::kFat) {
       // The fat backend never saw the conversation's encoded image or
       // prefix KV: an offloaded start encodes and prefills the whole
       // prompt itself. Unpinned and outside the backlog, so the plan is
@@ -804,7 +780,7 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
   bool to_fat = false;
   if (fat_) {
     to_fat = first ? plan.route == PrefillRoute::kFat
-                   : judge_offload(index, chunk) == OffloadTarget::kFat;
+                   : judge_offload(index) == OffloadTarget::kFat;
     if (plan.pin_attached) to_fat = false;
   }
   // Late pin: budget freed, or a same-model pin appearing, since
@@ -836,11 +812,10 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
     EDGEMM_ASSERT(!(first && plan.reuse.encoder_cached));
     // Offloaded chunk: it leaves the CC backlog and runs FIFO on the fat
     // backend, whose own cost model prices it (weights re-streamed per
-    // launch); its estimator folds those bytes at retirement.
+    // launch).
     cc_pending_bytes_ -= job.bytes;
     cc_pending_full_bytes_ -= job.full_bytes;
     plan.current_fat = true;
-    plan.current_fat_bytes = fat_->estimated_job_bytes(job.ops);
     ++plan.offloaded_chunks;
     plan.offload_tokens += job.tokens;
     ++result_.offloaded_chunks;
@@ -895,20 +870,13 @@ void ServingEngine::on_chunk_done(std::size_t index) {
                   [this](std::size_t i) { return plans_.contains(i); })) {
     kick_decode();
   }
-  // Fold the measured chunk throughput into the estimator of whichever
-  // backend ran it — each EWMA divides its OWN cost model's bytes by the
-  // observed cycles, so the two backends' signals never cross-pollute.
-  if (was_fat) {
-    if (now > plan.chunk_started && plan.current_fat_bytes > 0) {
-      fold(fat_bytes_per_cycle_est_,
-           static_cast<double>(plan.current_fat_bytes) /
-               static_cast<double>(now - plan.chunk_started));
-    }
-  } else if (now > plan.chunk_started && full > 0) {
-    // Full-precision-equivalent bytes over the measured cycles: actual
-    // bytes would teach the estimator that a degraded chunk's lane got
-    // permanently faster. Every consumer divides full-equivalent bytes by
-    // it, so the signal stays about the lane, not the degradation.
+  // Fold a local chunk's measured throughput into its model's CC
+  // estimator (a fat chunk ran on another cost model and folds nowhere).
+  // Full-precision-equivalent bytes over the measured cycles: actual
+  // bytes would teach the estimator that a degraded chunk's lane got
+  // permanently faster. Every consumer divides full-equivalent bytes by
+  // it, so the signal stays about the lane, not the degradation.
+  if (!was_fat && now > plan.chunk_started && full > 0) {
     fold(per_model_[records_[index].request.model].cc_bytes_per_cycle_est,
          static_cast<double>(full) /
              static_cast<double>(now - plan.chunk_started));
@@ -996,9 +964,6 @@ void ServingEngine::retire(std::size_t index) {
   RequestRecord& rec = records_[index];
   rec.finish = chip_.simulator().now();
   rec.done = true;
-  if (rec.request.deadline > 0 && rec.finish > rec.request.deadline) {
-    ++slo_misses_;
-  }
   ++completed_;
   --inflight_;
   --per_model_[rec.request.model].inflight;

@@ -293,7 +293,6 @@ class ServingEngine {
     std::size_t offloaded_chunks = 0;  ///< chunks the fat backend ran
     std::size_t offload_tokens = 0;    ///< their prefill tokens (KV to ship)
     bool current_fat = false;          ///< the in-flight chunk is on fat
-    Bytes current_fat_bytes = 0;       ///< its fat-cost-model job bytes
     // --- Route ------------------------------------------------------------
     /// Decided when the plan is built (route_of) and again, as kFat, when
     /// chunk 0 is judged fat at admission: then the route is final.
@@ -427,9 +426,9 @@ class ServingEngine {
   /// ledger's accuracy pricing.
   double accuracy_for(std::size_t model, double keep);
   PlacementContext placement_context() const;
-  /// Consults the OffloadPolicy for one chunk of `index`'s plan; always
-  /// kLocal without a fat backend (the policy is never even called).
-  OffloadTarget judge_offload(std::size_t index, std::size_t chunk);
+  /// Consults the OffloadPolicy for the next chunk of `index`'s plan;
+  /// always kLocal without a fat backend (the policy is never even called).
+  OffloadTarget judge_offload(std::size_t index);
   bool maybe_pin_weights(std::size_t index, std::size_t next_chunk);
   void submit_next_chunk(std::size_t index);
   void on_chunk_done(std::size_t index);
@@ -505,14 +504,8 @@ class ServingEngine {
   /// estimators so a degraded co-tenant cannot skew admission math; the
   /// rebalance reads the actual bytes.
   Bytes cc_pending_full_bytes_ = 0;
-  /// Finished requests that missed their deadline so far (QualityContext
-  /// pressure signal).
-  std::size_t slo_misses_ = 0;
   /// accuracy_for memo: (model index, quantized keep) -> agreement.
   std::unordered_map<std::uint64_t, double> accuracy_memo_;
-  /// Fat-backend throughput EWMA (its cost-model bytes per cycle),
-  /// seeded from the spec's peak bandwidth; feeds OffloadContext.
-  double fat_bytes_per_cycle_est_ = 0.0;
   std::size_t batch_occupancy_sum_ = 0;
   Cycle step_started_ = 0;
 };

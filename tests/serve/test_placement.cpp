@@ -88,7 +88,6 @@ ModelDemand demand(std::size_t queued, std::size_t inflight,
   ModelDemand d;
   d.queued = queued;
   d.inflight = inflight;
-  d.pin_refcount = refcount;
   d.resident_layers = resident_layers;
   d.idle_resident = resident_layers > 0 && refcount == 0;
   d.pinned_bytes = static_cast<Bytes>(resident_layers) * layer_group_bytes;
@@ -123,9 +122,8 @@ TEST(FillBarrierTracker, KeepResidentDetachRetainsBytesAndFillState) {
   // Idle pin: zero refcount, bytes still charged, fill preserved.
   EXPECT_EQ(tracker.refcount(3), 0u);
   EXPECT_EQ(tracker.resident_layers(3), 4u);
-  EXPECT_EQ(tracker.pinned(), 1000u);
+  EXPECT_EQ(tracker.pinned(), 1000u);  // all of it idle
   EXPECT_EQ(tracker.idle_pins(), 1u);
-  EXPECT_EQ(tracker.idle_pinned_bytes(), 1000u);
   EXPECT_TRUE(tracker.filled(3));
   // Detaching an idle pin is a logic error (revive it via attach).
   EXPECT_THROW(tracker.detach(3), std::logic_error);
@@ -155,7 +153,7 @@ TEST(FillBarrierTracker, EvictIdleReclaimsOnlyIdlePins) {
   EXPECT_THROW(tracker.evict_idle(1), std::logic_error);  // live holders
   EXPECT_THROW(tracker.evict_idle(9), std::logic_error);  // no such pin
   tracker.detach(1, /*keep_resident=*/true);
-  EXPECT_EQ(tracker.idle_pinned_bytes(), 600u);
+  EXPECT_EQ(tracker.pinned(), 600u);
   tracker.evict_idle(1);
   EXPECT_EQ(tracker.idle_evictions(), 1u);
   EXPECT_EQ(tracker.pinned(), 0u);

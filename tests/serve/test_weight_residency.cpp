@@ -3,7 +3,12 @@
 // byte-for-byte to ChunkedPrefill, a funded budget strictly cuts CC
 // weight traffic, contention between models falls back to re-fetch
 // instead of stalling.
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -58,7 +63,7 @@ Bytes full_weight_set(const model::MllmConfig& m, const core::ChipConfig& cfg) {
 
 TEST(WeightResidencyTracker, ExactCapacityPinSucceeds) {
   WeightResidencyTracker tracker(1024);
-  EXPECT_TRUE(tracker.try_pin(1, 1024));
+  EXPECT_EQ(tracker.attach_layers(1, 1024, 1).layers, 1u);
   EXPECT_EQ(tracker.pinned(), 1024u);
   EXPECT_EQ(tracker.available(), 0u);
   EXPECT_EQ(tracker.pins(), 1u);
@@ -68,55 +73,59 @@ TEST(WeightResidencyTracker, ExactCapacityPinSucceeds) {
 
 TEST(WeightResidencyTracker, OneByteOverFallsBackToRefetch) {
   WeightResidencyTracker tracker(1024);
-  ASSERT_TRUE(tracker.try_pin(1, 1024));
-  EXPECT_FALSE(tracker.try_pin(2, 1));
+  ASSERT_EQ(tracker.attach_layers(1, 1024, 1).layers, 1u);
+  EXPECT_EQ(tracker.attach_layers(2, 1, 1).layers, 0u);
   EXPECT_EQ(tracker.fallbacks(), 1u);
   EXPECT_EQ(tracker.holders(), 1u);  // the loser holds nothing
 }
 
 TEST(WeightResidencyTracker, ReleaseOnCompletionFreesBytes) {
   WeightResidencyTracker tracker(1024);
-  ASSERT_TRUE(tracker.try_pin(1, 1000));
-  ASSERT_FALSE(tracker.try_pin(2, 512));
-  tracker.release(1);  // eviction when the owning request retires
+  ASSERT_EQ(tracker.attach_layers(1, 1000, 1).layers, 1u);
+  ASSERT_EQ(tracker.attach_layers(2, 512, 1).layers, 0u);
+  tracker.detach(1);  // eviction when the owning request retires
   EXPECT_EQ(tracker.pinned(), 0u);
-  EXPECT_TRUE(tracker.try_pin(2, 512));
+  EXPECT_EQ(tracker.attach_layers(2, 512, 1).layers, 1u);
   EXPECT_EQ(tracker.peak_pinned(), 1000u);  // high-water mark survives
 }
 
 TEST(WeightResidencyTracker, DuplicateAndUnknownAreLogicErrors) {
   WeightResidencyTracker tracker(1024);
-  ASSERT_TRUE(tracker.try_pin(1, 10));
-  EXPECT_THROW(tracker.try_pin(1, 10), std::logic_error);
-  EXPECT_THROW(tracker.release(7), std::logic_error);
+  ASSERT_EQ(tracker.attach_layers(1, 10, 1).layers, 1u);
+  // A second attach under a held key rides the pin: no duplicate hold.
+  EXPECT_TRUE(tracker.attach_layers(1, 10, 1).shared);
+  EXPECT_EQ(tracker.pinned(), 10u);
+  EXPECT_EQ(tracker.holders(), 1u);
+  EXPECT_THROW(tracker.detach(7), std::logic_error);
+  EXPECT_THROW(tracker.evict_idle(7), std::logic_error);
   EXPECT_THROW(WeightResidencyTracker(0), std::invalid_argument);
 }
 
 TEST(WeightResidencyTracker, PinsWholeLayerGroupsPartially) {
   WeightResidencyTracker tracker(1000);
   // 3 groups of 300 fit a 1000-byte budget; the 4th would not.
-  EXPECT_EQ(tracker.try_pin_layers(1, 300, 8), 3u);
+  EXPECT_EQ(tracker.attach_layers(1, 300, 8).layers, 3u);
   EXPECT_EQ(tracker.pinned(), 900u);
   // No whole group left: fallback, counted.
-  EXPECT_EQ(tracker.try_pin_layers(2, 300, 8), 0u);
+  EXPECT_EQ(tracker.attach_layers(2, 300, 8).layers, 0u);
   EXPECT_EQ(tracker.fallbacks(), 1u);
-  EXPECT_THROW(tracker.try_pin_layers(3, 0, 8), std::invalid_argument);
-  EXPECT_THROW(tracker.try_pin_layers(3, 300, 0), std::invalid_argument);
+  EXPECT_THROW(tracker.attach_layers(3, 0, 8), std::invalid_argument);
+  EXPECT_THROW(tracker.attach_layers(3, 300, 0), std::invalid_argument);
 }
 
 TEST(WeightResidencyTracker, PartialPinPathUpdatesPeakAndPinCounters) {
   // peak_pinned_ must track the PARTIAL-pin path too, not just pins that
   // take whole budget-sized bites.
   WeightResidencyTracker tracker(1000);
-  EXPECT_EQ(tracker.try_pin_layers(1, 300, 2), 2u);  // capped by max_layers
+  EXPECT_EQ(tracker.attach_layers(1, 300, 2).layers, 2u);  // capped by max_layers
   EXPECT_EQ(tracker.pinned(), 600u);
   EXPECT_EQ(tracker.peak_pinned(), 600u);
   EXPECT_EQ(tracker.pins(), 1u);
-  EXPECT_EQ(tracker.try_pin_layers(2, 300, 8), 1u);  // capped by the budget
+  EXPECT_EQ(tracker.attach_layers(2, 300, 8).layers, 1u);  // capped by the budget
   EXPECT_EQ(tracker.pinned(), 900u);
   EXPECT_EQ(tracker.peak_pinned(), 900u);
   EXPECT_EQ(tracker.pins(), 2u);
-  tracker.release(1);
+  tracker.detach(1);
   EXPECT_EQ(tracker.pinned(), 300u);
   EXPECT_EQ(tracker.peak_pinned(), 900u);  // high-water mark survives
 }
@@ -125,13 +134,119 @@ TEST(WeightResidencyTracker, ZeroLayerPartialResultCountsExactlyOneFallback) {
   // A budget that cannot fit one layer group is ONE fallback — not one
   // per candidate layer, and not a pin with zero layers.
   WeightResidencyTracker tracker(100);
-  EXPECT_EQ(tracker.try_pin_layers(1, 300, 8), 0u);
+  EXPECT_EQ(tracker.attach_layers(1, 300, 8).layers, 0u);
   EXPECT_EQ(tracker.fallbacks(), 1u);
   EXPECT_EQ(tracker.pins(), 0u);
   EXPECT_EQ(tracker.holders(), 0u);
   EXPECT_EQ(tracker.peak_pinned(), 0u);
-  EXPECT_EQ(tracker.try_pin_layers(2, 101, 1), 0u);
+  EXPECT_EQ(tracker.attach_layers(2, 101, 1).layers, 0u);
   EXPECT_EQ(tracker.fallbacks(), 2u);  // exactly one more
+}
+
+TEST(WeightResidencyTracker, ConservesBytesUnderRandomLifecycles) {
+  // Seeded random attach / detach (keep or evict) / mark_filled /
+  // evict_idle / evict_all_idle sequences over three keys of different
+  // group sizes on a budget of a few groups, checked after every
+  // operation against an independent model of each pin's layers,
+  // refcount and fill state. Illegal operations must throw and change
+  // nothing.
+  struct ModelPin {
+    std::size_t layers = 0;
+    std::size_t refs = 0;
+    bool filled = false;
+  };
+  constexpr Bytes kCapacity = 1000;
+  const std::array<Bytes, 3> group = {300, 250, 400};
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    WeightResidencyTracker tracker(kCapacity);
+    std::map<PinKey, ModelPin> model;
+    Bytes last_peak = 0;
+    for (std::size_t op = 0; op < 300; ++op) {
+      const PinKey key = rng() % group.size();
+      const auto it = model.find(key);
+      switch (rng() % 6) {
+        case 0:
+        case 1: {
+          const std::size_t max_layers = 1 + rng() % 4;
+          Bytes held = 0;
+          for (const auto& [k, pin] : model) held += pin.layers * group[k];
+          const auto result = tracker.attach_layers(key, group[key], max_layers);
+          if (it != model.end()) {
+            EXPECT_TRUE(result.shared);
+            EXPECT_EQ(result.warm, it->second.refs == 0);
+            EXPECT_EQ(result.layers, it->second.layers);
+            ++it->second.refs;
+          } else {
+            const std::size_t fit = std::min<std::size_t>(
+                max_layers, (kCapacity - held) / group[key]);
+            EXPECT_FALSE(result.shared);
+            EXPECT_EQ(result.layers, fit);
+            if (fit > 0) model[key] = {fit, 1, false};
+          }
+          break;
+        }
+        case 2: {
+          const bool keep = rng() % 2 == 0;
+          if (it == model.end() || it->second.refs == 0) {
+            EXPECT_THROW(tracker.detach(key, keep), std::logic_error);
+            break;
+          }
+          tracker.detach(key, keep);
+          if (--it->second.refs == 0 && !keep) model.erase(it);
+          break;
+        }
+        case 3:
+          if (it == model.end()) {
+            EXPECT_THROW(tracker.mark_filled(key), std::logic_error);
+            break;
+          }
+          tracker.mark_filled(key);
+          it->second.filled = true;
+          break;
+        case 4:
+          if (it == model.end() || it->second.refs > 0) {
+            EXPECT_THROW(tracker.evict_idle(key), std::logic_error);
+            break;
+          }
+          tracker.evict_idle(key);
+          model.erase(it);
+          break;
+        default: {
+          std::size_t idle = 0;
+          for (auto m = model.begin(); m != model.end();) {
+            if (m->second.refs == 0) {
+              m = model.erase(m);
+              ++idle;
+            } else {
+              ++m;
+            }
+          }
+          EXPECT_EQ(tracker.evict_all_idle(), idle);
+          break;
+        }
+      }
+      Bytes expected = 0;
+      std::size_t idle_pins = 0;
+      for (PinKey k = 0; k < group.size(); ++k) {
+        const auto m = model.find(k);
+        const ModelPin pin = m == model.end() ? ModelPin{} : m->second;
+        ASSERT_EQ(tracker.resident_layers(k), pin.layers) << "op " << op;
+        ASSERT_EQ(tracker.refcount(k), pin.refs) << "op " << op;
+        ASSERT_EQ(tracker.filled(k), pin.filled) << "op " << op;
+        expected += tracker.resident_layers(k) * group[k];
+        if (m != model.end() && pin.refs == 0) ++idle_pins;
+      }
+      ASSERT_EQ(tracker.pinned(), expected) << "op " << op;
+      ASSERT_EQ(tracker.available(), tracker.capacity() - tracker.pinned());
+      ASSERT_EQ(tracker.holders(), model.size()) << "op " << op;
+      ASSERT_EQ(tracker.idle_pins(), idle_pins) << "op " << op;
+      ASSERT_GE(tracker.peak_pinned(), last_peak) << "op " << op;
+      ASSERT_GE(tracker.peak_pinned(), tracker.pinned()) << "op " << op;
+      last_peak = tracker.peak_pinned();
+    }
+  }
 }
 
 TEST(WeightResidencyCapacity, ScalesWithTcdmAndOversubscription) {

@@ -24,6 +24,7 @@ appear as an identifier in the corresponding header:
   ChipLink::<name>      -> src/mem/memory_path.hpp
   KvPageAllocator::<name> -> src/serve/kv_pages.hpp
   GpuBackend / GpuSpec::<name> -> src/baselines/gpu_backend.hpp + gpu_model.hpp
+  AdmissionContext::<name> -> src/serve/policy.hpp
   OffloadPolicy / OffloadContext::<name> -> src/serve/policy.hpp
   QualityPolicy / QualityContext::<name> -> src/serve/policy.hpp
   RequestRecord::<name> -> src/serve/request.hpp
@@ -97,6 +98,7 @@ HEADERS = {
     "KvPageAllocator": "src/serve/kv_pages.hpp",
     "GpuBackend": "src/baselines/gpu_backend.hpp",
     "GpuSpec": "src/baselines/gpu_model.hpp",
+    "AdmissionContext": "src/serve/policy.hpp",
     "OffloadPolicy": "src/serve/policy.hpp",
     "OffloadContext": "src/serve/policy.hpp",
     "QualityPolicy": "src/serve/policy.hpp",
