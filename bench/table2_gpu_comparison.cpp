@@ -81,15 +81,9 @@ int main() {
                                 gpu_backend.job_cycles(workload.decode_token);
   Cycle last_retire = 0;
   auto record_retire = [&last_retire, &gpu_sim] { last_retire = gpu_sim.now(); };
-  gpu_backend.submit(core::Lane::kCcStage,
-                     {workload.encoder.begin(), workload.encoder.end()},
-                     record_retire);
-  gpu_backend.submit(core::Lane::kCcStage,
-                     {workload.prefill.begin(), workload.prefill.end()},
-                     record_retire);
-  gpu_backend.submit(core::Lane::kCcStage,
-                     {workload.decode_token.begin(), workload.decode_token.end()},
-                     record_retire);
+  gpu_backend.submit(workload.encoder, record_retire);
+  gpu_backend.submit(workload.prefill, record_retire);
+  gpu_backend.submit(workload.decode_token, record_retire);
   gpu_sim.run();
 
   // Measured dynamic pruning depth (same harness as Fig. 12).

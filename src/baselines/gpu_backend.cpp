@@ -37,40 +37,37 @@ Bytes GpuBackend::estimated_job_bytes(
   return bytes;
 }
 
-void GpuBackend::submit(core::Lane lane, std::vector<core::GemmWork> ops,
+void GpuBackend::submit(std::vector<core::GemmWork> ops,
                         std::function<void()> done,
                         std::function<void()> started) {
   if (ops.empty()) {
     throw std::invalid_argument("GpuBackend: cannot submit an empty op list");
   }
-  Stream& s = stream(lane);
-  s.queue.push_back(Job{std::move(ops), std::move(done), std::move(started)});
-  if (!s.busy) {
-    dispatch_next(lane);
+  queue_.push_back(Job{std::move(ops), std::move(done), std::move(started)});
+  if (!busy_) {
+    dispatch_next();
   }
 }
 
-void GpuBackend::dispatch_next(core::Lane lane) {
-  Stream& s = stream(lane);
-  if (s.queue.empty()) {
-    s.busy = false;
+void GpuBackend::dispatch_next() {
+  if (queue_.empty()) {
+    busy_ = false;
     return;
   }
-  Job job = s.queue.take_front();
-  s.busy = true;
-  ++s.dispatched;
+  Job job = queue_.take_front();
+  busy_ = true;
   const Cycle duration = job_cycles(job.ops);
-  s.busy_cycles += duration;
+  busy_cycles_ += duration;
   bytes_moved_ += estimated_job_bytes(job.ops);
   kernel_launches_ += job.ops.size();
   if (job.started) {
     job.started();
   }
-  sim_.schedule(duration, [this, lane, done = std::move(job.done)]() {
+  sim_.schedule(duration, [this, done = std::move(job.done)]() {
     if (done) {
       done();
     }
-    dispatch_next(lane);
+    dispatch_next();
   });
 }
 

@@ -44,12 +44,6 @@ BudgetAssignment BandwidthManager::equal_sharing(std::size_t cc_clusters,
   return out;
 }
 
-BudgetAssignment BandwidthManager::budgets_for_length(std::size_t l,
-                                                      std::size_t cc_clusters,
-                                                      std::size_t mc_clusters) const {
-  return budgets_for_ratio(mc_ratio_for_length(l), cc_clusters, mc_clusters);
-}
-
 BudgetAssignment BandwidthManager::budgets_for_ratio(std::size_t mc_ratio,
                                                      std::size_t cc_clusters,
                                                      std::size_t mc_clusters) const {
@@ -82,10 +76,6 @@ std::size_t BandwidthManager::batch_for_length(std::size_t l) const {
     threshold *= 1.5;
   }
   return std::min(batch, policy_.max_batch);
-}
-
-void BandwidthManager::apply(ChipTimingModel& chip, std::size_t l) const {
-  apply_ratio(chip, mc_ratio_for_length(l));
 }
 
 void BandwidthManager::apply_ratio(ChipTimingModel& chip, std::size_t mc_ratio) const {

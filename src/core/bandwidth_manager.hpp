@@ -66,11 +66,6 @@ class BandwidthManager {
   /// through 1:3 and 1:5 up to 1:max_mc_ratio as l approaches l_b.
   std::size_t mc_ratio_for_length(std::size_t l) const;
 
-  /// Full budget assignment for l, given the cluster counts of `chip`.
-  BudgetAssignment budgets_for_length(std::size_t l,
-                                      std::size_t cc_clusters,
-                                      std::size_t mc_clusters) const;
-
   /// Budget assignment for an explicit Bc:Bm = 1:mc_ratio split; the
   /// equal partition at mc_ratio <= 1 or when either side is empty.
   BudgetAssignment budgets_for_ratio(std::size_t mc_ratio,
@@ -87,12 +82,10 @@ class BandwidthManager {
   /// growing with l up to max_batch (Fig. 9(c)).
   std::size_t batch_for_length(std::size_t l) const;
 
-  /// Applies the budgets to every cluster DMA of `chip`.
-  void apply(ChipTimingModel& chip, std::size_t l) const;
-
-  /// Applies an explicit Bc:Bm = 1:mc_ratio partition — used when batch
-  /// decoding rebalances the pipeline (Fig. 9(c)) and the per-round byte
-  /// ratio, not the raw output length, determines the right split.
+  /// Applies an explicit Bc:Bm = 1:mc_ratio partition to every cluster
+  /// of `chip` — mc_ratio_for_length(l) for a plain output length, or
+  /// the per-round byte ratio when batch decoding rebalances the
+  /// pipeline (Fig. 9(c)).
   void apply_ratio(ChipTimingModel& chip, std::size_t mc_ratio) const;
 
   /// Work-conserving split: caps every CC cluster at the budget

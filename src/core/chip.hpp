@@ -62,7 +62,6 @@ class ChipTimingModel {
   ChipTimingModel& operator=(ChipTimingModel&&) = delete;
 
   const ChipConfig& config() const { return config_; }
-  ChipComposition composition() const { return composition_; }
   ReplayMode replay_mode() const { return mode_; }
   /// The fast tier's integrator; nullptr in kDetailed mode.
   const FastMemoryModel* fast_model() const { return fast_ ? &*fast_ : nullptr; }

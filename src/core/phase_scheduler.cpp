@@ -30,14 +30,7 @@ void PhaseScheduler::submit(Lane lane, std::vector<GemmWork> ops,
                             std::function<void()> done,
                             std::function<void()> started,
                             std::uint64_t affinity) {
-  submit(lane, std::make_shared<const std::vector<GemmWork>>(std::move(ops)),
-         std::move(done), std::move(started), affinity);
-}
-
-void PhaseScheduler::submit(Lane lane, OpsRef ops, std::function<void()> done,
-                            std::function<void()> started,
-                            std::uint64_t affinity) {
-  if (!ops || ops->empty()) {
+  if (ops.empty()) {
     throw std::invalid_argument("PhaseScheduler::submit: empty op list");
   }
   LaneState& s = state(lane);
@@ -48,10 +41,6 @@ void PhaseScheduler::submit(Lane lane, OpsRef ops, std::function<void()> done,
 
 void PhaseScheduler::set_affinity_chaining(Lane lane, bool enabled) {
   state(lane).chain_affinity = enabled;
-}
-
-bool PhaseScheduler::affinity_chaining(Lane lane) const {
-  return state(lane).chain_affinity;
 }
 
 bool PhaseScheduler::idle(Lane lane) const {
@@ -98,10 +87,9 @@ void PhaseScheduler::dispatch_next(LaneState& lane) {
   ++lane.stats.dispatched;
   const Cycle waited = sim().now() - job.submitted;
   lane.stats.max_queue_wait = std::max(lane.stats.max_queue_wait, waited);
-  lane.stats.total_queue_wait += waited;
   if (job.started) job.started();
   lane.running_done = std::move(job.done);
-  chip_.run_on(*lane.clusters, *job.ops, [this, &lane] {
+  chip_.run_on(*lane.clusters, job.ops, [this, &lane] {
     lane.busy = false;
     const std::function<void()> done = std::move(lane.running_done);
     if (done) done();

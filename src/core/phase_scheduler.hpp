@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/fifo.hpp"
@@ -42,11 +41,6 @@ class PhaseScheduler {
   ChipTimingModel& chip() { return chip_; }
   sim::Simulator& sim() { return chip_.simulator(); }
 
-  /// Shared-ownership op list for jobs submitted many times (e.g. the
-  /// same decode step once per token) — avoids copying the vector per
-  /// submission.
-  using OpsRef = std::shared_ptr<const std::vector<GemmWork>>;
-
   /// Enqueues `ops` as one job on `lane`. Throws std::invalid_argument
   /// for an empty op list (an empty job has no retirement event).
   /// `affinity` is an opaque non-zero key (0 = none) grouping jobs that
@@ -54,10 +48,6 @@ class PhaseScheduler {
   /// weight pin; it only affects dispatch order when affinity chaining
   /// is enabled on the lane.
   void submit(Lane lane, std::vector<GemmWork> ops, std::function<void()> done,
-              std::function<void()> started = {}, std::uint64_t affinity = 0);
-
-  /// Same, without copying: the job shares ownership of `ops`.
-  void submit(Lane lane, OpsRef ops, std::function<void()> done,
               std::function<void()> started = {}, std::uint64_t affinity = 0);
 
   /// Affinity chaining (default off, preserving strict FIFO): when
@@ -69,7 +59,6 @@ class PhaseScheduler {
   /// un-fairness: a chain is at most one request's remaining chunks, and
   /// a lane with no matching job always takes the FIFO head.
   void set_affinity_chaining(Lane lane, bool enabled);
-  bool affinity_chaining(Lane lane) const;
 
   /// True when no job is running or queued on `lane`.
   bool idle(Lane lane) const;
@@ -87,17 +76,9 @@ class PhaseScheduler {
   struct LaneStats {
     std::size_t dispatched = 0;
     Cycle max_queue_wait = 0;
-    Cycle total_queue_wait = 0;
     /// Jobs dispatched ahead of the FIFO head because their affinity
     /// matched the previous job (0 unless chaining is enabled).
     std::size_t affinity_chained = 0;
-
-    double mean_queue_wait() const {
-      return dispatched > 0
-                 ? static_cast<double>(total_queue_wait) /
-                       static_cast<double>(dispatched)
-                 : 0.0;
-    }
   };
 
   const LaneStats& lane_stats(Lane lane) const;
@@ -109,7 +90,7 @@ class PhaseScheduler {
 
  private:
   struct Job {
-    OpsRef ops;
+    std::vector<GemmWork> ops;
     std::function<void()> done;
     std::function<void()> started;
     Cycle submitted = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
 #include "common/assert.hpp"
@@ -96,12 +95,8 @@ PipelineResult MllmPipeline::run(const PhaseWorkload& workload,
   const std::size_t n_batches = std::max<std::size_t>(options.batches, 2);
 
   BandwidthManager manager(config_, options.policy);
-  std::size_t batch = 1;
-  if (options.forced_batch > 0) {
-    batch = options.forced_batch;
-  } else if (options.enable_batching) {
-    batch = manager.batch_for_length(l);
-  }
+  const std::size_t batch =
+      options.enable_batching ? manager.batch_for_length(l) : 1;
 
   ChipTimingModel chip(config_, ChipComposition::kHeterogeneous);
   const auto& cc_set = chip.clusters(ClusterKind::kComputeCentric);
@@ -116,7 +111,7 @@ PipelineResult MllmPipeline::run(const PhaseWorkload& workload,
     cc_round.insert(cc_round.end(), workload.prefill.begin(), workload.prefill.end());
   }
   // One decode step serves the whole batch off a single weight fetch.
-  const std::vector<GemmWork> decode_step =
+  std::vector<GemmWork> decode_step =
       batched_decode_ops(pruned_ops(workload.decode_token, options.prune_keep_fraction),
                          batch);
 
@@ -133,11 +128,10 @@ PipelineResult MllmPipeline::run(const PhaseWorkload& workload,
       const double raw_ratio = cc_bytes > 0.0 ? mc_bytes / cc_bytes : 1.0;
       applied_ratio = std::clamp<std::size_t>(
           static_cast<std::size_t>(raw_ratio + 0.5), 1, options.policy.max_mc_ratio);
-      manager.apply_ratio(chip, applied_ratio);
     } else {
       applied_ratio = manager.mc_ratio_for_length(l);
-      manager.apply(chip, l);
     }
+    manager.apply_ratio(chip, applied_ratio);
   } else {
     // §IV-B baseline: the PMC throttles are always armed, with the
     // default equal hard partition across clusters.
@@ -154,8 +148,8 @@ PipelineResult MllmPipeline::run(const PhaseWorkload& workload,
   };
   struct Driver {
     PhaseScheduler& sched;
-    PhaseScheduler::OpsRef cc_round;    ///< shared: one submission per batch
-    PhaseScheduler::OpsRef decode_step; ///< shared: one submission per token
+    std::vector<GemmWork> cc_round;     ///< copied into each batch's job
+    std::vector<GemmWork> decode_step;  ///< copied into each token's job
     std::size_t l;
     std::size_t n_batches;
     std::vector<BatchTimes> times;
@@ -198,8 +192,8 @@ PipelineResult MllmPipeline::run(const PhaseWorkload& workload,
 
   PhaseScheduler scheduler(chip);
   Driver driver{scheduler,
-                std::make_shared<const std::vector<GemmWork>>(std::move(cc_round)),
-                std::make_shared<const std::vector<GemmWork>>(decode_step),
+                std::move(cc_round),
+                std::move(decode_step),
                 l,
                 n_batches,
                 std::vector<BatchTimes>(n_batches)};

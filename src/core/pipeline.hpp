@@ -33,7 +33,6 @@ struct PipelineOptions {
   std::size_t batches = 3;          ///< pipeline rounds simulated (≥2 for steady state)
   bool manage_bandwidth = true;     ///< §IV-B throttling
   bool enable_batching = true;      ///< Fig. 9(c) stream-based batch decode
-  std::size_t forced_batch = 0;     ///< 0 = policy decides; otherwise exact batch
   /// Average fraction of prunable (FFN) weight rows *kept* by the
   /// activation-aware pruner; 1.0 = pruning off. Applied to the k
   /// dimension of prunable decode ops.

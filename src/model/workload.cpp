@@ -152,15 +152,8 @@ core::PhaseWorkload build_phase_workload(const MllmConfig& model,
   w.prefill =
       build_prefill_chunk(model, 0, params.input_tokens, params.input_tokens);
 
-  // --- One decode iteration -----------------------------------------------
-  for (std::size_t layer = 0; layer < model.llm.layers; ++layer) {
-    append_layer_ops(w.decode_token, model.llm, 1, params.decode_context,
-                     Phase::kDecode, true);
-  }
-  if (model.llm.vocab > 0) {
-    w.decode_token.push_back(
-        {1, model.llm.d_model, model.llm.vocab, Phase::kDecode, false, 0, false});
-  }
+  const DecodeSlot one_request[] = {{params.decode_context, 1}};
+  w.decode_token = build_decode_step(model, one_request);
   return w;
 }
 
@@ -172,16 +165,6 @@ WorkloadParams default_params_for_output(std::size_t input_tokens,
   p.crops = crops;
   p.decode_context = input_tokens + output_tokens / 2;
   return p;
-}
-
-core::PhaseWorkload build_request_workload(const MllmConfig& model,
-                                           const RequestShape& shape) {
-  if (shape.output_tokens == 0) {
-    throw std::invalid_argument("build_request_workload: output_tokens must be > 0");
-  }
-  return build_phase_workload(
-      model, default_params_for_output(shape.input_tokens, shape.output_tokens,
-                                       shape.crops));
 }
 
 std::vector<core::GemmWork> build_decode_step(const MllmConfig& model,

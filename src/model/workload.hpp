@@ -23,8 +23,11 @@ struct WorkloadParams {
 };
 
 /// Expands `model` into encoder / prefill / per-token-decode op lists.
-/// FFN projections of the decode phase are marked prunable (§IV-A);
-/// KV-cache traffic is tagged with the BF16 element override.
+/// The decode list is build_decode_step for one request attending
+/// `decode_context` positions: FFN projections are marked prunable
+/// (§IV-A) and KV-cache traffic carries the BF16 element override.
+/// Throws std::invalid_argument for zero tokens, crops or decode
+/// context.
 core::PhaseWorkload build_phase_workload(const MllmConfig& model,
                                          const WorkloadParams& params);
 
@@ -32,20 +35,6 @@ core::PhaseWorkload build_phase_workload(const MllmConfig& model,
 WorkloadParams default_params_for_output(std::size_t input_tokens,
                                          std::size_t output_tokens,
                                          std::size_t crops = 1);
-
-/// Shape of one serving request (serve::Request carries these fields).
-struct RequestShape {
-  std::size_t input_tokens = 300;
-  std::size_t output_tokens = 128;
-  std::size_t crops = 1;
-};
-
-/// Per-request workload: the phase op lists for exactly one request of
-/// `model`, with the decode context derived from the request's own
-/// prompt and output lengths (the request-level analogue of
-/// build_phase_workload + default_params_for_output).
-core::PhaseWorkload build_request_workload(const MllmConfig& model,
-                                           const RequestShape& shape);
 
 /// Vision-encoder (+ projector) ops for one request with `crops` encoder
 /// passes — the front of every prefill plan. Throws std::invalid_argument

@@ -29,22 +29,14 @@ std::size_t ConcurrencyPolicy::decode_join_count(std::size_t active,
 }
 
 SloAwarePolicy::SloAwarePolicy(AdmissionLimits limits)
-    : SloAwarePolicy(limits, Options{}) {}
-
-SloAwarePolicy::SloAwarePolicy(AdmissionLimits limits, Options options)
-    : ConcurrencyPolicy(limits), options_(options) {
-  if (!(options_.slack > 0.0)) {
-    throw std::invalid_argument("SloAwarePolicy: slack must be > 0");
-  }
-}
+    : ConcurrencyPolicy(limits) {}
 
 AdmissionVerdict SloAwarePolicy::admit(const Request& r,
                                        const AdmissionContext& ctx) const {
   if (r.deadline > 0) {
     const double wait = static_cast<double>(ctx.estimated_queue_delay) +
                         static_cast<double>(ctx.estimated_service);
-    const double finish =
-        static_cast<double>(ctx.now) + options_.slack * wait;
+    const double finish = static_cast<double>(ctx.now) + wait;
     if (finish > static_cast<double>(r.deadline)) {
       return AdmissionVerdict::kReject;
     }

@@ -35,9 +35,6 @@ class ConcurrencyPolicy : public SchedulerPolicy {
   /// max_inflight < max_decode_batch (the batch could never fill).
   explicit ConcurrencyPolicy(AdmissionLimits limits);
 
-  const AdmissionLimits& limits() const { return limits_; }
-
-  const char* name() const override { return "concurrency"; }
   AdmissionVerdict admit(const Request& r,
                          const AdmissionContext& ctx) const override;
   std::size_t decode_join_count(std::size_t active,
@@ -47,29 +44,17 @@ class ConcurrencyPolicy : public SchedulerPolicy {
   AdmissionLimits limits_{};
 };
 
-/// SLO-aware scheduler: concurrency caps plus deadline feasibility.
-/// Requests without a deadline pass straight to the concurrency verdict.
+/// SLO-aware scheduler: concurrency caps plus deadline feasibility. A
+/// request whose estimated finish (now + queue delay + service) lies
+/// past its deadline is rejected; requests without a deadline pass
+/// straight to the concurrency verdict.
 class SloAwarePolicy final : public ConcurrencyPolicy {
  public:
-  struct Options {
-    /// Multiplier on (queue delay + service) before comparing against
-    /// the deadline: > 1 rejects earlier (conservative), < 1 later.
-    double slack = 1.0;
-  };
-
-  /// Throws std::invalid_argument for a non-positive slack (inherits the
-  /// limit checks of ConcurrencyPolicy).
+  /// Inherits the limit checks of ConcurrencyPolicy.
   explicit SloAwarePolicy(AdmissionLimits limits);
-  SloAwarePolicy(AdmissionLimits limits, Options options);
 
-  const Options& options() const { return options_; }
-
-  const char* name() const override { return "slo-aware"; }
   AdmissionVerdict admit(const Request& r,
                          const AdmissionContext& ctx) const override;
-
- private:
-  Options options_{};
 };
 
 }  // namespace edgemm::serve

@@ -54,7 +54,6 @@ double request_route_cost(const Request& r);
 class RouterPolicy {
  public:
   virtual ~RouterPolicy() = default;
-  virtual const char* name() const = 0;
   /// Chip index in [0, ctx.chips.size()) that serves `r`.
   virtual std::size_t route(const Request& r,
                             const RouterContext& ctx) const = 0;
@@ -63,7 +62,6 @@ class RouterPolicy {
 /// Request i -> chip i mod N, blind to cost and model.
 class RoundRobinRouter final : public RouterPolicy {
  public:
-  const char* name() const override { return "round-robin"; }
   std::size_t route(const Request& r, const RouterContext& ctx) const override;
 };
 
@@ -71,7 +69,6 @@ class RoundRobinRouter final : public RouterPolicy {
 /// index) — the classic join-shortest-queue approximation.
 class LeastLoadedRouter final : public RouterPolicy {
  public:
-  const char* name() const override { return "least-loaded"; }
   std::size_t route(const Request& r, const RouterContext& ctx) const override;
 };
 
@@ -85,7 +82,6 @@ class LeastLoadedRouter final : public RouterPolicy {
 class ModelAffinityRouter final : public RouterPolicy {
  public:
   explicit ModelAffinityRouter(double spill_factor = 4.0);
-  const char* name() const override { return "model-affinity"; }
   std::size_t route(const Request& r, const RouterContext& ctx) const override;
   double spill_factor() const { return spill_factor_; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "model/activation_gen.hpp"
@@ -21,6 +22,27 @@ std::uint64_t name_hash(const std::string& name) {
   return h;
 }
 
+/// The task proxy's activation source for `model`: a profile capped at
+/// the options' channel and layer limits, seeded per model by name.
+/// derive_keep_fraction and quality_accuracy_proxy both draw from it,
+/// so the static derivation and the quality ledger price the same
+/// proxy. Throws std::invalid_argument, prefixed by `caller`, for a
+/// zero cap.
+model::ActivationGenerator proxy_generator(const model::MllmConfig& model,
+                                           const TaskProxyPruningOptions& options,
+                                           const char* caller) {
+  if (options.max_proxy_channels == 0 || options.max_proxy_layers == 0) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": proxy caps must be > 0");
+  }
+  model::ActivationProfile profile;
+  profile.channels = std::min(model.llm.d_model, options.max_proxy_channels);
+  profile.layers = std::max<std::size_t>(
+      std::min(model.llm.layers, options.max_proxy_layers), 2);
+  return model::ActivationGenerator(profile,
+                                    options.proxy.seed ^ name_hash(model.name));
+}
+
 }  // namespace
 
 double derive_keep_fraction(const model::MllmConfig& model,
@@ -33,19 +55,8 @@ double derive_keep_fraction(const model::MllmConfig& model,
     throw std::invalid_argument(
         "derive_keep_fraction: min_keep_fraction must be in (0, 1]");
   }
-  if (options.max_proxy_channels == 0 || options.max_proxy_layers == 0) {
-    throw std::invalid_argument(
-        "derive_keep_fraction: proxy caps must be > 0");
-  }
-
-  model::ActivationProfile profile;
-  profile.channels = std::min(model.llm.d_model, options.max_proxy_channels);
-  profile.layers = std::max<std::size_t>(
-      std::min(model.llm.layers, options.max_proxy_layers), 2);
-  const model::ActivationGenerator gen(
-      profile, options.proxy.seed ^ name_hash(model.name));
-  const pruning::TaskProxyResult result =
-      pruning::evaluate_task_proxy(gen, options.proxy);
+  const pruning::TaskProxyResult result = pruning::evaluate_task_proxy(
+      proxy_generator(model, options, "derive_keep_fraction"), options.proxy);
 
   double keep = 1.0;  // pruning off unless the proxy clears the bar
   if (result.agreement_dynamic >= options.min_agreement) {
@@ -71,19 +82,8 @@ double quality_accuracy_proxy(const model::MllmConfig& model,
         "quality_accuracy_proxy: keep_fraction must be positive");
   }
   if (keep_fraction >= 1.0) return 1.0;  // no pruning, agreement exact
-  if (options.max_proxy_channels == 0 || options.max_proxy_layers == 0) {
-    throw std::invalid_argument(
-        "quality_accuracy_proxy: proxy caps must be > 0");
-  }
-
-  // Same capped profile and per-model seed as derive_keep_fraction, so
-  // the static derivation and the quality ledger price the same proxy.
-  model::ActivationProfile profile;
-  profile.channels = std::min(model.llm.d_model, options.max_proxy_channels);
-  profile.layers = std::max<std::size_t>(
-      std::min(model.llm.layers, options.max_proxy_layers), 2);
-  const model::ActivationGenerator gen(
-      profile, options.proxy.seed ^ name_hash(model.name));
+  const model::ActivationGenerator gen =
+      proxy_generator(model, options, "quality_accuracy_proxy");
   pruning::TaskProxyConfig proxy = options.proxy;
   proxy.fixed_ratios = {1.0 - keep_fraction};
   const pruning::TaskProxyResult result =

@@ -55,9 +55,6 @@ class SchedulerPolicy {
  public:
   virtual ~SchedulerPolicy() = default;
 
-  /// @return Stable human-readable policy name (bench/docs labels).
-  virtual const char* name() const = 0;
-
   /// Judges the queue head.
   /// @param r    The candidate request (always the arrival-ordered head).
   /// @param ctx  Engine-state snapshot with online backlog/service
@@ -84,9 +81,6 @@ class SchedulerPolicy {
 class PrefillPlanner {
  public:
   virtual ~PrefillPlanner() = default;
-
-  /// @return Stable human-readable planner name (bench/docs labels).
-  virtual const char* name() const = 0;
 
   /// Cuts one request's prefill into CC-lane jobs.
   /// @param r  The admitted request.
@@ -118,7 +112,6 @@ class PrefillPlanner {
 /// The PR-1 behavior: the whole prefill as one CC-lane job.
 class MonolithicPrefill final : public PrefillPlanner {
  public:
-  const char* name() const override { return "monolithic"; }
   std::vector<std::size_t> plan(const Request& r) const override;
 };
 
@@ -129,8 +122,6 @@ class ChunkedPrefill : public PrefillPlanner {
  public:
   /// Throws std::invalid_argument for a zero chunk size.
   explicit ChunkedPrefill(std::size_t max_chunk_tokens);
-  std::size_t max_chunk_tokens() const { return max_chunk_tokens_; }
-  const char* name() const override { return "chunked"; }
   std::vector<std::size_t> plan(const Request& r) const override;
 
  private:
@@ -158,7 +149,6 @@ class ResidentChunkedPrefill final : public ChunkedPrefill {
   ///                             prefers_lane_affinity).
   explicit ResidentChunkedPrefill(std::size_t max_chunk_tokens,
                                   bool chain_lane_affinity = false);
-  const char* name() const override { return "resident-chunked"; }
   bool chains_weight_residency() const override { return true; }
   bool prefers_lane_affinity() const override { return chain_lane_affinity_; }
 
@@ -175,9 +165,6 @@ class BatchPolicy {
  public:
   virtual ~BatchPolicy() = default;
 
-  /// @return Stable human-readable policy name (bench/docs labels).
-  virtual const char* name() const = 0;
-
   /// Reorders the decode-ready list in place before a join.
   /// @param ready    Indices into `records`, in prefill-completion
   ///                 (FIFO) order; may be permuted but not resized.
@@ -189,7 +176,6 @@ class BatchPolicy {
 /// Prefill-completion order (the PR-1 behavior).
 class FifoBatch final : public BatchPolicy {
  public:
-  const char* name() const override { return "fifo"; }
   void order_joiners(std::vector<std::size_t>& ready,
                      const std::vector<RequestRecord>& records) const override;
 };
@@ -199,7 +185,6 @@ class FifoBatch final : public BatchPolicy {
 /// order.
 class ShortestRemainingFirst final : public BatchPolicy {
  public:
-  const char* name() const override { return "shortest-remaining-first"; }
   void order_joiners(std::vector<std::size_t>& ready,
                      const std::vector<RequestRecord>& records) const override;
 };
@@ -247,9 +232,6 @@ class PlacementPolicy {
  public:
   virtual ~PlacementPolicy() = default;
 
-  /// @return Stable human-readable policy name (bench/docs labels).
-  virtual const char* name() const = 0;
-
   /// May `model` charge the budget with a fresh pin now?
   /// @param model  Index into ctx.models of the model asking to pin.
   /// @param ctx    Demand + budget snapshot.
@@ -278,7 +260,6 @@ class PlacementPolicy {
 /// Identical to an engine with no placement seam (tested).
 class KeepCurrentPlacement final : public PlacementPolicy {
  public:
-  const char* name() const override { return "keep-current"; }
   bool may_acquire(std::size_t model,
                    const PlacementContext& ctx) const override;
   bool retain_idle(std::size_t model,
@@ -298,7 +279,6 @@ class KeepCurrentPlacement final : public PlacementPolicy {
 /// (coldest first).
 class DemandWeightedPlacement final : public PlacementPolicy {
  public:
-  const char* name() const override { return "demand-weighted"; }
   bool may_acquire(std::size_t model,
                    const PlacementContext& ctx) const override;
   bool retain_idle(std::size_t model,
@@ -319,7 +299,6 @@ class DemandWeightedPlacement final : public PlacementPolicy {
 /// demand-ordered reclamation under pressure.
 class EvictIdleOnPressure final : public PlacementPolicy {
  public:
-  const char* name() const override { return "evict-idle"; }
   bool may_acquire(std::size_t model,
                    const PlacementContext& ctx) const override;
   bool retain_idle(std::size_t model,
@@ -357,9 +336,6 @@ class OffloadPolicy {
  public:
   virtual ~OffloadPolicy() = default;
 
-  /// @return Stable human-readable policy name (bench/docs labels).
-  virtual const char* name() const = 0;
-
   /// Places one prefill chunk.
   /// @param r    The request the chunk belongs to.
   /// @param ctx  Engine-state snapshot (see OffloadContext).
@@ -374,7 +350,6 @@ class OffloadPolicy {
 /// backend at all, even when one is configured.
 class NoOffload final : public OffloadPolicy {
  public:
-  const char* name() const override { return "no-offload"; }
   OffloadTarget place_chunk(const Request& r,
                             const OffloadContext& ctx) const override;
 };
@@ -388,8 +363,6 @@ class NoOffload final : public OffloadPolicy {
 class PrefillToFat final : public OffloadPolicy {
  public:
   explicit PrefillToFat(std::size_t min_prompt_tokens = 512);
-  std::size_t min_prompt_tokens() const { return min_prompt_tokens_; }
-  const char* name() const override { return "prefill-to-fat"; }
   OffloadTarget place_chunk(const Request& r,
                             const OffloadContext& ctx) const override;
 
@@ -408,8 +381,6 @@ class ThresholdOffload final : public OffloadPolicy {
   /// Throws std::invalid_argument for a zero threshold (it would spill
   /// every chunk even from an idle lane — use PrefillToFat(0) for that).
   explicit ThresholdOffload(std::size_t local_queue_threshold);
-  std::size_t local_queue_threshold() const { return local_queue_threshold_; }
-  const char* name() const override { return "threshold-offload"; }
   OffloadTarget place_chunk(const Request& r,
                             const OffloadContext& ctx) const override;
 
@@ -460,9 +431,6 @@ class QualityPolicy {
  public:
   virtual ~QualityPolicy() = default;
 
-  /// @return Stable human-readable policy name (bench/docs labels).
-  virtual const char* name() const = 0;
-
   /// Judges one request's keep fraction.
   /// @param r    The judged request.
   /// @param ctx  Engine-state snapshot (see QualityContext).
@@ -477,7 +445,6 @@ class QualityPolicy {
 /// keep fraction derived at construction (task proxy or global knob).
 class StaticQuality final : public QualityPolicy {
  public:
-  const char* name() const override { return "static-quality"; }
   double keep_fraction(const Request& r,
                        const QualityContext& ctx) const override;
 };
@@ -501,9 +468,7 @@ class SloPressureQuality final : public QualityPolicy {
   explicit SloPressureQuality(double step = 0.125, double relax_margin = 0.25);
 
   double step() const { return step_; }
-  double relax_margin() const { return relax_margin_; }
 
-  const char* name() const override { return "slo-pressure"; }
   double keep_fraction(const Request& r,
                        const QualityContext& ctx) const override;
 
@@ -522,10 +487,6 @@ class QueueDepthQuality final : public QualityPolicy {
   explicit QueueDepthQuality(std::size_t low_depth = 2,
                              std::size_t high_depth = 8);
 
-  std::size_t low_depth() const { return low_depth_; }
-  std::size_t high_depth() const { return high_depth_; }
-
-  const char* name() const override { return "queue-depth-quality"; }
   double keep_fraction(const Request& r,
                        const QualityContext& ctx) const override;
 

@@ -90,9 +90,8 @@ struct RequestRecord {
   /// Exact: request identity, every replay timestamp, the terminal flags.
   bool operator==(const RequestRecord&) const = default;
 
-  Cycle latency_cycles() const { return finish - request.arrival; }
   double latency_ms(double clock_hz = kChipClockHz) const {
-    return cycles_to_ms(latency_cycles(), clock_hz);
+    return cycles_to_ms(finish - request.arrival, clock_hz);
   }
   Cycle queue_delay_cycles() const { return prefill_start - request.arrival; }
   /// True when the request completed and met its deadline (requests

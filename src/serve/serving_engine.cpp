@@ -244,7 +244,7 @@ ServingResult ServingEngine::run(std::vector<Request> requests) {
     result.fat_kernel_launches = fat_->kernel_launches();
     result.fat_busy_fraction =
         result.makespan > 0
-            ? static_cast<double>(fat_->busy_cycles(Lane::kCcStage)) /
+            ? static_cast<double>(fat_->busy_cycles()) /
                   static_cast<double>(result.makespan)
             : 0.0;
   }
@@ -286,7 +286,7 @@ OffloadTarget ServingEngine::judge_offload(std::size_t index) {
   if (!fat_) return OffloadTarget::kLocal;  // nowhere to offload to
   OffloadContext ctx;
   ctx.local_queued = scheduler_.queued(Lane::kCcStage);
-  ctx.fat_queued = fat_->queued(Lane::kCcStage);
+  ctx.fat_queued = fat_->queued();
   return engine_config_.offload_policy().place_chunk(records_[index].request,
                                                      ctx);
 }
@@ -821,8 +821,8 @@ void ServingEngine::submit_next_chunk(std::size_t index) {
     ++result_.offloaded_chunks;
     if (plan.offloaded_chunks == 1) ++result_.offloaded_requests;
     records_[index].offloaded_chunks = plan.offloaded_chunks;
-    fat_->submit(Lane::kCcStage, std::move(job.ops),
-                 [this, index] { on_chunk_done(index); }, started);
+    fat_->submit(std::move(job.ops), [this, index] { on_chunk_done(index); },
+                 started);
     return;
   }
   if (first) {

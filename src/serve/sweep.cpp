@@ -1,9 +1,8 @@
 #include "serve/sweep.hpp"
 
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <exception>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -11,51 +10,6 @@
 namespace edgemm::serve {
 
 namespace {
-
-/// Bounded MPMC ring buffer of case indices (mt_circular_queue shape:
-/// mutex + two condvars + head/tail over a fixed store). The sweep
-/// pushes every index up front and closes the queue; workers pop until
-/// empty-and-closed.
-class IndexQueue {
- public:
-  explicit IndexQueue(std::size_t capacity)
-      : store_(capacity > 0 ? capacity : 1) {}
-
-  void push(std::size_t value) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock, [this] { return size_ < store_.size(); });
-    store_[(head_ + size_) % store_.size()] = value;
-    ++size_;
-    not_empty_.notify_one();
-  }
-
-  void close() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    closed_ = true;
-    not_empty_.notify_all();
-  }
-
-  /// False once the queue is drained and closed.
-  bool pop(std::size_t& value) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [this] { return size_ > 0 || closed_; });
-    if (size_ == 0) return false;
-    value = store_[head_];
-    head_ = (head_ + 1) % store_.size();
-    --size_;
-    not_full_.notify_one();
-    return true;
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
-  std::vector<std::size_t> store_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-  bool closed_ = false;
-};
 
 /// Replays cases[index] into outcomes[index] / errors[index]. Outcome
 /// slots are fixed by case index, so thread scheduling cannot reorder or
@@ -94,17 +48,19 @@ std::vector<SweepOutcome> run_sweep(const std::vector<SweepCase>& cases,
       run_case(cases, i, outcomes, errors);
     }
   } else {
-    IndexQueue queue(cases.size());
+    // Workers claim case indices from one shared cursor until it runs
+    // past the last case.
+    std::atomic<std::size_t> next{0};
     std::vector<std::thread> pool;
     pool.reserve(options.workers);
     for (std::size_t w = 0; w < options.workers; ++w) {
       pool.emplace_back([&] {
-        std::size_t index = 0;
-        while (queue.pop(index)) run_case(cases, index, outcomes, errors);
+        for (std::size_t index = next.fetch_add(1); index < cases.size();
+             index = next.fetch_add(1)) {
+          run_case(cases, index, outcomes, errors);
+        }
       });
     }
-    for (std::size_t i = 0; i < cases.size(); ++i) queue.push(i);
-    queue.close();
     for (std::thread& t : pool) t.join();
   }
 

@@ -4,12 +4,12 @@
 // tuples — each priced by its own ServingEngine via replay_trace's
 // one-run contract. Cases share NOTHING (every engine owns a fresh chip
 // and simulator), so they parallelize embarrassingly: a worker pool
-// drains case indices from a bounded ring buffer (the classic
-// mt_circular_queue shape) and deposits each outcome at its case's slot
-// in a pre-sized result vector. Result ORDER therefore never depends on
-// thread scheduling: run_sweep with 8 workers returns byte-identical
-// outcomes, in identical order, to workers = 1 — the property the bench
-// and tests/serve/test_sweep.cpp gate on.
+// claims case indices from one atomic cursor and deposits each outcome
+// at its case's slot in a pre-sized result vector. Result ORDER
+// therefore never depends on thread scheduling: run_sweep with 8
+// workers returns byte-identical outcomes, in identical order, to
+// workers = 1 — the property the bench and tests/serve/test_sweep.cpp
+// gate on.
 #ifndef EDGEMM_SERVE_SWEEP_HPP
 #define EDGEMM_SERVE_SWEEP_HPP
 

@@ -16,34 +16,26 @@ std::vector<core::GemmWork> cc_job() {
   return {{64, 256, 256, Phase::kPrefill, false, 0, false}};
 }
 
-std::vector<core::GemmWork> mc_job() {
-  return {{1, 256, 512, Phase::kDecode, false, 0, false}};
-}
+// --- GpuBackend: one deterministic FIFO stream over the shared clock ------
 
-// --- GpuBackend: deterministic FIFO streams over the shared clock -------
-
-TEST(GpuBackend, FifoSerializesALaneAndOverlapsLanes) {
+TEST(GpuBackend, FifoSerializesJobs) {
   sim::Simulator sim;
   baselines::GpuBackend gpu(sim, baselines::GpuSpec{}, kChipClockHz);
 
-  Cycle first_end = 0, second_start = 0, second_end = 0, mc_end = 0;
-  gpu.submit(core::Lane::kCcStage, cc_job(), [&] { first_end = sim.now(); });
+  Cycle first_end = 0, second_start = 0, second_end = 0;
+  gpu.submit(cc_job(), [&] { first_end = sim.now(); });
   gpu.submit(
-      core::Lane::kCcStage, cc_job(), [&] { second_end = sim.now(); },
+      cc_job(), [&] { second_end = sim.now(); },
       [&] { second_start = sim.now(); });
-  gpu.submit(core::Lane::kMcDecode, mc_job(), [&] { mc_end = sim.now(); });
-  EXPECT_EQ(gpu.queued(core::Lane::kCcStage), 1u);
+  EXPECT_EQ(gpu.queued(), 1u);
   sim.run();
 
   const Cycle cc_cycles = gpu.job_cycles(cc_job());
   EXPECT_EQ(first_end, cc_cycles);
   EXPECT_EQ(second_start, first_end);  // FIFO dispatch, no idle gap
   EXPECT_EQ(second_end, 2 * cc_cycles);
-  // The MC-lane stream ran concurrently, not behind the CC jobs.
-  EXPECT_EQ(mc_end, gpu.job_cycles(mc_job()));
-  EXPECT_EQ(gpu.dispatched(core::Lane::kCcStage), 2u);
-  EXPECT_TRUE(gpu.idle(core::Lane::kCcStage));
-  EXPECT_TRUE(gpu.idle(core::Lane::kMcDecode));
+  EXPECT_EQ(gpu.queued(), 0u);
+  EXPECT_EQ(gpu.busy_cycles(), 2 * cc_cycles);
 }
 
 TEST(GpuBackend, IdenticalSubmissionsRetireIdentically) {
@@ -52,8 +44,7 @@ TEST(GpuBackend, IdenticalSubmissionsRetireIdentically) {
     sim::Simulator sim;
     baselines::GpuBackend gpu(sim, baselines::GpuSpec{}, kChipClockHz);
     for (int i = 0; i < 4; ++i) {
-      gpu.submit(core::Lane::kCcStage, cc_job(),
-                 [retire, &sim] { retire->push_back(sim.now()); });
+      gpu.submit(cc_job(), [retire, &sim] { retire->push_back(sim.now()); });
     }
     sim.run();
   }
@@ -71,23 +62,20 @@ TEST(GpuBackend, PricesJobsFromTheRooflineModel) {
   EXPECT_EQ(gpu.job_cycles(ops),
             static_cast<Cycle>(
                 std::ceil(gpu.job_seconds(ops) * kChipClockHz)));
-  EXPECT_EQ(gpu.estimated_job_bytes(ops),
-            baselines::gpu_op_bytes(spec, ops.front()));
 
   // The ledger prices dispatched work: bytes via gpu_op_bytes, one
   // kernel launch per op, busy cycles = the job's duration.
-  gpu.submit(core::Lane::kCcStage, cc_job(), [] {});
+  gpu.submit(cc_job(), [] {});
   sim.run();
   EXPECT_EQ(gpu.bytes_moved(), baselines::gpu_op_bytes(spec, ops.front()));
   EXPECT_EQ(gpu.kernel_launches(), 1u);
-  EXPECT_EQ(gpu.busy_cycles(core::Lane::kCcStage), gpu.job_cycles(ops));
+  EXPECT_EQ(gpu.busy_cycles(), gpu.job_cycles(ops));
 }
 
 TEST(GpuBackend, RejectsEmptyJobsAndBadConstruction) {
   sim::Simulator sim;
   baselines::GpuBackend gpu(sim, baselines::GpuSpec{}, kChipClockHz);
-  EXPECT_THROW(gpu.submit(core::Lane::kCcStage, {}, [] {}),
-               std::invalid_argument);
+  EXPECT_THROW(gpu.submit({}, [] {}), std::invalid_argument);
   EXPECT_THROW(baselines::GpuBackend(sim, baselines::GpuSpec{}, 0.0),
                std::invalid_argument);
   baselines::GpuSpec bad;

@@ -53,7 +53,7 @@ TEST(BandwidthManager, RatioMonotoneInLength) {
 TEST(BandwidthManager, BudgetsSplitByRatio) {
   const ChipConfig cfg = default_chip_config();
   const auto mgr = make_manager();
-  const auto budgets = mgr.budgets_for_length(131, 8, 8);
+  const auto budgets = mgr.budgets_for_ratio(mgr.mc_ratio_for_length(131), 8, 8);
   EXPECT_EQ(budgets.mc_ratio, 7u);
   // CC side gets 1/8 of the interval bytes across 8 clusters; MC side
   // gets the remaining 7/8.
@@ -70,7 +70,7 @@ TEST(BandwidthManager, ShortOutputsKeepEqualSharing) {
   // Below l_e the manager leaves the default equal hard partition in
   // place (§IV-B: throttles are always armed with budget B).
   const auto mgr = make_manager();
-  const auto budgets = mgr.budgets_for_length(8, 8, 8);
+  const auto budgets = mgr.budgets_for_ratio(mgr.mc_ratio_for_length(8), 8, 8);
   EXPECT_EQ(budgets.mc_ratio, 1u);
   EXPECT_EQ(budgets.cc_budget_per_cluster, budgets.mc_budget_per_cluster);
   EXPECT_EQ(budgets.cc_budget_per_cluster,
@@ -112,7 +112,7 @@ TEST(BandwidthManager, ApplySetsClusterBudgets) {
   const ChipConfig cfg = default_chip_config();
   const auto mgr = make_manager();
   ChipTimingModel chip(cfg, ChipComposition::kHeterogeneous);
-  mgr.apply(chip, 131);
+  mgr.apply_ratio(chip, mgr.mc_ratio_for_length(131));
   const Bytes cc_at_131 =
       chip.clusters(ClusterKind::kComputeCentric).front()->budget();
   for (auto* c : chip.clusters(ClusterKind::kComputeCentric)) {
@@ -121,7 +121,8 @@ TEST(BandwidthManager, ApplySetsClusterBudgets) {
   for (auto* c : chip.clusters(ClusterKind::kMemoryCentric)) {
     EXPECT_GT(c->budget(), 6 * cc_at_131);
   }
-  mgr.apply(chip, 8);  // short output: back to the equal partition
+  // Short output: back to the equal partition.
+  mgr.apply_ratio(chip, mgr.mc_ratio_for_length(8));
   const Bytes equal_slice = mgr.equal_sharing(8, 8).cc_budget_per_cluster;
   for (auto* c : chip.all_clusters()) {
     EXPECT_EQ(c->budget(), equal_slice);

@@ -100,11 +100,8 @@ TEST(PhaseScheduler, TracksPerLaneQueueWaitStats) {
 
   const auto& stats = sched.lane_stats(Lane::kCcStage);
   EXPECT_EQ(stats.dispatched, 3u);
-  // Job 2 waited one job, job 3 waited two: max wait = two job durations,
-  // total = three, mean = one.
+  // Job 2 waited one job, job 3 waited two: max wait = two job durations.
   EXPECT_EQ(stats.max_queue_wait, 2 * first_end);
-  EXPECT_EQ(stats.total_queue_wait, 3 * first_end);
-  EXPECT_DOUBLE_EQ(stats.mean_queue_wait(), static_cast<double>(first_end));
   // The other lane is untouched.
   EXPECT_EQ(sched.lane_stats(Lane::kMcDecode).dispatched, 0u);
   EXPECT_EQ(sched.lane_stats(Lane::kMcDecode).max_queue_wait, 0u);
@@ -139,7 +136,6 @@ TEST(PhaseScheduler, AffinityChainingPrefersTheSameAffinityJob) {
   ChipTimingModel chip(small_cfg(), ChipComposition::kHeterogeneous);
   PhaseScheduler sched(chip);
   sched.set_affinity_chaining(Lane::kCcStage, true);
-  EXPECT_TRUE(sched.affinity_chaining(Lane::kCcStage));
   std::vector<std::string> order;
   std::function<void(int)> submit_chunk = [&](int chunk) {
     sched.submit(
@@ -187,10 +183,8 @@ TEST(PhaseScheduler, AffinityIsInertWithoutChaining) {
 TEST(PhaseScheduler, RejectsEmptyJobs) {
   ChipTimingModel chip(small_cfg(), ChipComposition::kHeterogeneous);
   PhaseScheduler sched(chip);
-  EXPECT_THROW(sched.submit(Lane::kCcStage, std::vector<GemmWork>{}, [] {}),
-               std::invalid_argument);
-  EXPECT_THROW(sched.submit(Lane::kMcDecode, PhaseScheduler::OpsRef{}, [] {}),
-               std::invalid_argument);
+  EXPECT_THROW(sched.submit(Lane::kCcStage, {}, [] {}), std::invalid_argument);
+  EXPECT_THROW(sched.submit(Lane::kMcDecode, {}, [] {}), std::invalid_argument);
 }
 
 }  // namespace

@@ -128,10 +128,14 @@ TEST(Pipeline, BatchingBoostsThroughputAtLatencyCost) {
   opts.output_tokens = 32;
   opts.batches = 3;
   opts.manage_bandwidth = false;
+  // A policy whose batch ramp saturates at 8 well below l = 32.
+  opts.policy.balance_length = 2;
+  opts.policy.batch_length = 3;
+  opts.policy.max_batch = 8;
 
   opts.enable_batching = false;
   const auto single = pipeline.run(synthetic_workload(), opts);
-  opts.forced_batch = 8;
+  opts.enable_batching = true;
   const auto batched = pipeline.run(synthetic_workload(), opts);
 
   EXPECT_EQ(batched.batch, 8u);

@@ -147,8 +147,12 @@ TEST(EndToEnd, EdgeMmOutperformsGpuModel) {
   core::PipelineOptions opts;
   opts.output_tokens = 128;
   opts.batches = 3;
-  opts.forced_batch = 8;
+  // A batch ramp that saturates at 8 well below l = 128.
+  opts.policy.balance_length = 8;
+  opts.policy.batch_length = 16;
+  opts.policy.max_batch = 8;
   const auto edge = pipeline.run(w, opts);
+  ASSERT_EQ(edge.batch, 8u);
 
   const auto gpu = baselines::evaluate_gpu(baselines::GpuSpec{}, w);
   const double gpu_tps = gpu.tokens_per_second(128);

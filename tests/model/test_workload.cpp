@@ -114,39 +114,6 @@ TEST(Workload, DefaultParamsDeriveContext) {
   EXPECT_EQ(p.decode_context, 300u + 64u);
 }
 
-TEST(Workload, RequestWorkloadMatchesPhaseWorkload) {
-  const RequestShape shape{300, 128, 2};
-  const auto per_request = build_request_workload(sphinx_tiny(), shape);
-  const auto reference = build_phase_workload(
-      sphinx_tiny(), default_params_for_output(300, 128, 2));
-  ASSERT_EQ(per_request.encoder.size(), reference.encoder.size());
-  ASSERT_EQ(per_request.prefill.size(), reference.prefill.size());
-  ASSERT_EQ(per_request.decode_token.size(), reference.decode_token.size());
-  for (std::size_t i = 0; i < reference.decode_token.size(); ++i) {
-    EXPECT_EQ(per_request.decode_token[i].k, reference.decode_token[i].k);
-    EXPECT_EQ(per_request.decode_token[i].n, reference.decode_token[i].n);
-  }
-  EXPECT_THROW(build_request_workload(sphinx_tiny(), RequestShape{300, 0, 1}),
-               std::invalid_argument);
-}
-
-TEST(Workload, SingleRequestDecodeStepMatchesLegacyDecodeToken) {
-  const auto params = default_params_for_output(300, 128);
-  const auto reference =
-      build_phase_workload(sphinx_tiny(), params).decode_token;
-  const DecodeSlot batch[] = {{params.decode_context}};
-  const auto step = build_decode_step(sphinx_tiny(), batch);
-  ASSERT_EQ(step.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(step[i].m, reference[i].m);
-    EXPECT_EQ(step[i].k, reference[i].k);
-    EXPECT_EQ(step[i].n, reference[i].n);
-    EXPECT_EQ(step[i].prunable, reference[i].prunable);
-    EXPECT_EQ(step[i].weight_elem_bytes_override,
-              reference[i].weight_elem_bytes_override);
-  }
-}
-
 TEST(Workload, PrefillChunkZeroIsTheMonolithicPrefill) {
   const auto reference =
       build_phase_workload(sphinx_tiny(), WorkloadParams{300, 1, 364}).prefill;

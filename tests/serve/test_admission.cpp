@@ -50,14 +50,6 @@ TEST(ConcurrencyPolicy, DecodeJoinFillsRemainingBatchSlots) {
   EXPECT_EQ(policy.decode_join_count(2, 0), 0u);  // nothing ready
 }
 
-TEST(SloAwarePolicy, ValidatesSlack) {
-  EXPECT_THROW(SloAwarePolicy(AdmissionLimits{2, 4}, {.slack = 0.0}),
-               std::invalid_argument);
-  EXPECT_THROW(SloAwarePolicy(AdmissionLimits{2, 4}, {.slack = -1.0}),
-               std::invalid_argument);
-  EXPECT_NO_THROW(SloAwarePolicy(AdmissionLimits{2, 4}));
-}
-
 TEST(SloAwarePolicy, PassesThroughWithoutDeadline) {
   const SloAwarePolicy policy(AdmissionLimits{2, 3});
   const Request r;  // deadline == 0
@@ -77,16 +69,6 @@ TEST(SloAwarePolicy, RejectsInfeasibleDeadline) {
   // Feasible but at the inflight cap defers rather than rejects.
   EXPECT_EQ(policy.admit(request_with_deadline(5000), ctx_with(3, 100, 400, 600)),
             AdmissionVerdict::kDefer);
-}
-
-TEST(SloAwarePolicy, SlackScalesTheEstimate) {
-  const SloAwarePolicy tight(AdmissionLimits{2, 3}, {.slack = 2.0});
-  const SloAwarePolicy loose(AdmissionLimits{2, 3}, {.slack = 0.5});
-  const Request r = request_with_deadline(1000);
-  const AdmissionContext ctx = ctx_with(0, 0, 400, 400);
-  // 2.0 * 800 = 1600 > 1000 rejects; 0.5 * 800 = 400 <= 1000 admits.
-  EXPECT_EQ(tight.admit(r, ctx), AdmissionVerdict::kReject);
-  EXPECT_EQ(loose.admit(r, ctx), AdmissionVerdict::kAdmit);
 }
 
 }  // namespace

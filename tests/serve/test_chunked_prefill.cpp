@@ -102,7 +102,6 @@ TEST(ChunkedPrefillEngine, InvalidPlannerPlanIsRejected) {
   // A planner that drops tokens violates the plan contract.
   class DropsTokens final : public PrefillPlanner {
    public:
-    const char* name() const override { return "broken"; }
     std::vector<std::size_t> plan(const Request& r) const override {
       return {r.input_tokens / 2};
     }

@@ -304,6 +304,26 @@ TEST(Cluster, DisaggregatedConservesKvBytesExactly) {
   EXPECT_GT(out.result.link_occupancy, 0.0);
 }
 
+/// Test double: SloAwarePolicy's deadline check with the estimated
+/// queue delay + service scaled by 1/4 — it rejects only requests whose
+/// deadline is hopeless even against a quarter of the estimate.
+class LenientSloPolicy final : public ConcurrencyPolicy {
+ public:
+  using ConcurrencyPolicy::ConcurrencyPolicy;
+  AdmissionVerdict admit(const Request& r,
+                         const AdmissionContext& ctx) const override {
+    if (r.deadline > 0) {
+      const double wait = static_cast<double>(ctx.estimated_queue_delay) +
+                          static_cast<double>(ctx.estimated_service);
+      if (static_cast<double>(ctx.now) + 0.25 * wait >
+          static_cast<double>(r.deadline)) {
+        return AdmissionVerdict::kReject;
+      }
+    }
+    return ConcurrencyPolicy::admit(r, ctx);
+  }
+};
+
 TEST(Cluster, DecodeTierNeverRejectsAMigratedKv) {
   // Probe run (no deadlines) to learn each request's first-token time,
   // then replay with deadlines that land just past it: at decode-tier
@@ -321,14 +341,13 @@ TEST(Cluster, DecodeTierNeverRejectsAMigratedKv) {
   trace_cfg.model_weights = {2.0, 1.0};
   auto trace = poisson_trace(trace_cfg);
 
-  // Lenient slack keeps the prefill tier's bootstrap estimate (which
-  // overshoots the true prefill latency) from rejecting up front; the
-  // deadline is then pinned BEFORE the probed first token, so by the
+  // A lenient estimate keeps the prefill tier's bootstrap estimate
+  // (which overshoots the true prefill latency) from rejecting up front;
+  // the deadline is then pinned BEFORE the probed first token, so by the
   // time the KV lands on the decode chip the budget is provably blown
   // regardless of what the decode-side estimator says.
-  EngineConfig slo_engine =
-      fast_engine().scheduler(std::make_shared<SloAwarePolicy>(
-          AdmissionLimits{4, 8}, SloAwarePolicy::Options{0.25}));
+  EngineConfig slo_engine = fast_engine().scheduler(
+      std::make_shared<LenientSloPolicy>(AdmissionLimits{4, 8}));
   const ClusterOutcome probe = run_cluster(small_cfg(), models, slo_engine,
                                            disagg_config(3, 1), trace);
   ASSERT_EQ(probe.result.completed, trace.size());

@@ -369,7 +369,6 @@ TEST(EncoderCache, TiersAgreeOnMcSuffixes) {
 /// its static one.
 class DegradeFirstRequest final : public QualityPolicy {
  public:
-  const char* name() const override { return "degrade-first"; }
   double keep_fraction(const Request& r,
                        const QualityContext& ctx) const override {
     return r.id == 0 ? 0.5 * ctx.base_keep : ctx.base_keep;
@@ -470,7 +469,6 @@ TEST(EncoderCache, NoSharedPrefixNeverHits) {
 class OneJoinPerStep final : public SchedulerPolicy {
  public:
   static constexpr std::size_t kGate = 5;
-  const char* name() const override { return "one-join-per-step"; }
   AdmissionVerdict admit(const Request&, const AdmissionContext&) const override {
     return AdmissionVerdict::kAdmit;
   }

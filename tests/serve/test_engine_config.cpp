@@ -3,6 +3,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <typeinfo>
 
 #include <gtest/gtest.h>
 
@@ -11,18 +12,24 @@
 namespace edgemm::serve {
 namespace {
 
+/// True when `policy`'s dynamic type is exactly `Expected`.
+template <typename Expected, typename Policy>
+bool is_exactly(const Policy& policy) {
+  return typeid(policy) == typeid(Expected);
+}
+
 TEST(EngineConfig, DefaultsReproducePr1Composition) {
   const EngineConfig config;
   EXPECT_NO_THROW(config.validate());
-  EXPECT_STREQ(config.scheduler().name(), "concurrency");
-  EXPECT_STREQ(config.prefill_planner().name(), "monolithic");
-  EXPECT_STREQ(config.batch_policy().name(), "fifo");
+  EXPECT_TRUE(is_exactly<ConcurrencyPolicy>(config.scheduler()));
+  EXPECT_TRUE(is_exactly<MonolithicPrefill>(config.prefill_planner()));
+  EXPECT_TRUE(is_exactly<FifoBatch>(config.batch_policy()));
   EXPECT_TRUE(config.manage_bandwidth());
   EXPECT_EQ(config.kv_capacity(), 0u);  // accounting off
   EXPECT_EQ(config.weight_residency(), 0u);  // residency off
   EXPECT_FALSE(config.task_proxy_pruning().has_value());
   // Residency-placement default: the placement-oblivious baseline.
-  EXPECT_STREQ(config.placement().name(), "keep-current");
+  EXPECT_TRUE(is_exactly<KeepCurrentPlacement>(config.placement()));
   // Detailed tier by default.
   EXPECT_EQ(config.replay_mode(), core::ReplayMode::kDetailed);
 }
@@ -39,7 +46,7 @@ TEST(EngineConfig, ReplayAndQueueKnobsCompose) {
           .scheduler(std::make_shared<ConcurrencyPolicy>(limits));
   EXPECT_NO_THROW(config.validate());
   EXPECT_EQ(config.replay_mode(), core::ReplayMode::kFast);
-  EXPECT_STREQ(config.scheduler().name(), "concurrency");
+  EXPECT_TRUE(is_exactly<ConcurrencyPolicy>(config.scheduler()));
 }
 
 TEST(EngineConfig, PlacementAndBarrierKnobsCompose) {
@@ -49,8 +56,7 @@ TEST(EngineConfig, PlacementAndBarrierKnobsCompose) {
           .weight_residency_bytes(1 << 24)
           .placement_policy(std::make_shared<DemandWeightedPlacement>());
   EXPECT_NO_THROW(config.validate());
-  EXPECT_STREQ(config.placement().name(), "demand-weighted");
-  EXPECT_STREQ(EvictIdleOnPressure{}.name(), "evict-idle");
+  EXPECT_TRUE(is_exactly<DemandWeightedPlacement>(config.placement()));
 }
 
 TEST(EngineConfig, WeightResidencyRequiresAResidencyCapablePlanner) {
@@ -60,7 +66,7 @@ TEST(EngineConfig, WeightResidencyRequiresAResidencyCapablePlanner) {
           .prefill_planner(std::make_shared<ResidentChunkedPrefill>(64))
           .weight_residency_bytes(1 << 20);
   EXPECT_NO_THROW(resident.validate());
-  EXPECT_STREQ(resident.prefill_planner().name(), "resident-chunked");
+  EXPECT_TRUE(is_exactly<ResidentChunkedPrefill>(resident.prefill_planner()));
   EXPECT_TRUE(resident.prefill_planner().chains_weight_residency());
   EXPECT_FALSE(resident.prefill_planner().prefers_lane_affinity());
   EXPECT_EQ(resident.weight_residency(), Bytes{1 << 20});
@@ -89,9 +95,9 @@ TEST(EngineConfig, BuilderComposesPolicies) {
           .manage_bandwidth(false)
           .kv_capacity_bytes(1 << 20);
   EXPECT_NO_THROW(config.validate());
-  EXPECT_STREQ(config.scheduler().name(), "slo-aware");
-  EXPECT_STREQ(config.prefill_planner().name(), "chunked");
-  EXPECT_STREQ(config.batch_policy().name(), "shortest-remaining-first");
+  EXPECT_TRUE(is_exactly<SloAwarePolicy>(config.scheduler()));
+  EXPECT_TRUE(is_exactly<ChunkedPrefill>(config.prefill_planner()));
+  EXPECT_TRUE(is_exactly<ShortestRemainingFirst>(config.batch_policy()));
   EXPECT_FALSE(config.manage_bandwidth());
   EXPECT_EQ(config.kv_capacity(), Bytes{1 << 20});
 }

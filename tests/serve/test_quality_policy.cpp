@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -78,7 +79,6 @@ std::vector<Request> bursty_trace(std::size_t requests = 24,
 class FixedQuality final : public QualityPolicy {
  public:
   explicit FixedQuality(double fraction) : fraction_(fraction) {}
-  const char* name() const override { return "fixed-quality"; }
   double keep_fraction(const Request&, const QualityContext&) const override {
     return fraction_;
   }
@@ -93,7 +93,6 @@ class DegradeModelQuality final : public QualityPolicy {
  public:
   DegradeModelQuality(std::size_t model, double fraction)
       : model_(model), fraction_(fraction) {}
-  const char* name() const override { return "degrade-model"; }
   double keep_fraction(const Request& r,
                        const QualityContext& ctx) const override {
     return r.model == model_ ? fraction_ : ctx.base_keep;
@@ -112,7 +111,6 @@ class StickyQueueDepthQuality final : public QualityPolicy {
  public:
   StickyQueueDepthQuality(std::size_t low_depth, std::size_t high_depth)
       : inner_(low_depth, high_depth) {}
-  const char* name() const override { return "sticky-queue-depth"; }
   double keep_fraction(const Request& r,
                        const QualityContext& ctx) const override {
     if (ctx.current_keep < ctx.base_keep) return ctx.current_keep;
@@ -128,7 +126,6 @@ class DegradeRequestQuality final : public QualityPolicy {
  public:
   DegradeRequestQuality(RequestId id, double fraction)
       : id_(id), fraction_(fraction) {}
-  const char* name() const override { return "degrade-request"; }
   double keep_fraction(const Request& r,
                        const QualityContext& ctx) const override {
     return r.id == id_ ? fraction_ : ctx.base_keep;
@@ -143,7 +140,6 @@ class DegradeRequestQuality final : public QualityPolicy {
 /// each judgment's context, in judgment order.
 class RecordingQuality final : public QualityPolicy {
  public:
-  const char* name() const override { return "recording-quality"; }
   double keep_fraction(const Request&,
                        const QualityContext& ctx) const override {
     judgments.push_back(ctx);
@@ -157,7 +153,6 @@ class RecordingQuality final : public QualityPolicy {
 /// each admission context.
 class RecordingScheduler final : public SchedulerPolicy {
  public:
-  const char* name() const override { return "recording-scheduler"; }
   AdmissionVerdict admit(const Request&,
                          const AdmissionContext& ctx) const override {
     admissions.push_back(ctx);
@@ -312,12 +307,6 @@ TEST(QualityPolicy, QueueDepthValidatesThresholds) {
   EXPECT_THROW(QueueDepthQuality(8, 8), std::invalid_argument);
   EXPECT_THROW(QueueDepthQuality(9, 8), std::invalid_argument);
   EXPECT_NO_THROW(QueueDepthQuality(0, 1));
-}
-
-TEST(QualityPolicy, PolicyNamesAreStable) {
-  EXPECT_STREQ(StaticQuality{}.name(), "static-quality");
-  EXPECT_STREQ(SloPressureQuality{}.name(), "slo-pressure");
-  EXPECT_STREQ(QueueDepthQuality{}.name(), "queue-depth-quality");
 }
 
 // --- Config + accuracy proxy ------------------------------------------------
@@ -792,13 +781,13 @@ TEST(QualityPolicy, FastTierMatchesDetailedQualityDecisions) {
 TEST(QualityPolicy, SweepIsByteIdenticalAcrossWorkerCounts) {
   const auto trace = bursty_trace(16, /*deadlines=*/true);
   std::vector<SweepCase> cases;
-  const std::vector<std::shared_ptr<const QualityPolicy>> policies{
-      std::make_shared<StaticQuality>(),
-      std::make_shared<SloPressureQuality>(),
-      std::make_shared<QueueDepthQuality>(1, 6)};
-  for (const auto& policy : policies) {
+  const std::vector<std::pair<const char*, std::shared_ptr<const QualityPolicy>>>
+      policies{{"static", std::make_shared<StaticQuality>()},
+               {"slo-pressure", std::make_shared<SloPressureQuality>()},
+               {"queue-depth", std::make_shared<QueueDepthQuality>(1, 6)}};
+  for (const auto& [label, policy] : policies) {
     SweepCase c;
-    c.label = policy->name();
+    c.label = label;
     c.chip = small_cfg();
     c.models = {tiny_model()};
     c.engine = base_config().quality_policy(policy);

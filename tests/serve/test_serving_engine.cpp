@@ -367,7 +367,6 @@ TEST(ServingEngine, TaskProxyPruningDerivesPerModelKeepFractions) {
 class ServiceEstimateProbe final : public SchedulerPolicy {
  public:
   explicit ServiceEstimateProbe(std::map<RequestId, Cycle>* out) : out_(out) {}
-  const char* name() const override { return "service-estimate-probe"; }
   AdmissionVerdict admit(const Request& r,
                          const AdmissionContext& ctx) const override {
     out_->emplace(r.id, ctx.estimated_service);

@@ -1,45 +1,18 @@
 #!/usr/bin/env python3
-"""Docs-drift guard: EngineConfig knobs named in docs must exist (stdlib only).
+"""Docs-drift guard: the types, members, paths and documents the docs name must exist (stdlib only).
 
-The serving docs reference engine knobs as `EngineConfig::<knob>` (and
-`ServingResult.<counter>` / `ServingResult::<counter>`). When a knob is
-renamed or removed, prose silently rots — this guard fails CI instead.
-Every knob referenced anywhere in the given markdown files/dirs must
-appear as an identifier in the corresponding header:
-
-  EngineConfig::<name>  -> src/serve/engine_config.hpp
-  ServingResult::<name> -> src/serve/serving_engine.hpp + trace_summary.hpp
-  TraceSummary::<name>  -> src/serve/trace_summary.hpp
-  ReplayMode / FastMemoryModel::<name> -> src/core/fast_replay.hpp
-  ChipTimingModel::<name> -> src/core/chip.hpp
-  ClusterTimingModel::<name> -> src/core/timing.hpp
-  DmaEngine::<name>     -> src/mem/dma.hpp
-  MemoryPath::<name>    -> src/mem/memory_path.hpp
-  ResourceServer::<name> -> src/mem/resource_server.hpp
-  SweepCase / SweepOptions / SweepOutcome::<name> -> src/serve/sweep.hpp
-  ClusterConfig::<name> -> src/serve/cluster/cluster_config.hpp
-  ClusterResult / ClusterOutcome::<name> -> src/serve/cluster/cluster_engine.hpp
-    (ClusterResult also + src/serve/trace_summary.hpp)
-  RouterPolicy::<name>  -> src/serve/cluster/router.hpp
-  ChipLink::<name>      -> src/mem/memory_path.hpp
-  KvPageAllocator::<name> -> src/serve/kv_pages.hpp
-  GpuBackend / GpuSpec::<name> -> src/baselines/gpu_backend.hpp + gpu_model.hpp
-  AdmissionContext::<name> -> src/serve/policy.hpp
-  OffloadPolicy / OffloadContext::<name> -> src/serve/policy.hpp
-  QualityPolicy / QualityContext::<name> -> src/serve/policy.hpp
-  RequestRecord::<name> -> src/serve/request.hpp
-  ConversationCache::<name> -> src/serve/conversation_cache.hpp
-  PlacementPolicy / DemandWeightedPlacement / ModelDemand / PlacementContext
-    / SchedulerPolicy / PrefillPlanner / BatchPolicy::<name> -> src/serve/policy.hpp
-  PhaseScheduler::<name> -> src/core/phase_scheduler.hpp
-  RequestQueue::<name>  -> src/serve/request_queue.hpp
-  WeightResidencyTracker::<name> -> src/serve/residency_tracker.hpp
-  CheckRegistry::<name> -> bench/bench_common.hpp
-
-A struct that inherits its fields maps to its own header plus its base's.
-Every mapped owner must itself still be declared (class / struct / enum)
-in one of its headers, so a deleted type cannot leave its map entry —
-and the doc references it checks — silently passing.
+The docs reference code as `Owner::member` (or `Owner.member`), e.g.
+`EngineConfig::kv_page_bytes` or `ServingResult.rider_refetch_bytes`.
+When a member is renamed or removed, prose silently rots — this guard
+fails CI instead. The owner -> header map is derived, not kept by hand:
+every class, struct or enum defined (not just forward-declared) in
+src/**/*.hpp or bench/*.hpp maps to its header, plus the headers of its
+bases, so a struct that inherits its fields is checked against both.
+Every `Owner::member` in the given markdown files/dirs whose owner is
+such a type must name an identifier of that code (// comments stripped,
+so a member that survives only in a comment does not count). A
+capitalised `Owner::member` whose owner is defined nowhere fails too: a
+deleted type cannot stay named in the docs.
 
 Every backticked repo path must also resolve on disk (glob patterns such
 as `core/pipeline.*` must match at least one file), so a deleted file
@@ -64,8 +37,8 @@ that was never written.
 Offline and dependency-free by design, like check_markdown_links.py.
 
 Usage: tools/check_docs_drift.py README.md docs src bench [more files/dirs...]
-Exit status: 0 when every referenced knob, path and cited document
-exists, 1 otherwise.
+Exit status: 0 when every referenced type, member, path and cited
+document exists, 1 otherwise.
 """
 
 import glob
@@ -73,55 +46,16 @@ import os
 import re
 import sys
 
-# Owner -> header, or a tuple of headers for a struct with a base.
-HEADERS = {
-    "EngineConfig": "src/serve/engine_config.hpp",
-    "ServingResult": ("src/serve/serving_engine.hpp",
-                      "src/serve/trace_summary.hpp"),
-    "TraceSummary": "src/serve/trace_summary.hpp",
-    "ReplayMode": "src/core/fast_replay.hpp",
-    "FastMemoryModel": "src/core/fast_replay.hpp",
-    "ChipTimingModel": "src/core/chip.hpp",
-    "ClusterTimingModel": "src/core/timing.hpp",
-    "DmaEngine": "src/mem/dma.hpp",
-    "MemoryPath": "src/mem/memory_path.hpp",
-    "ResourceServer": "src/mem/resource_server.hpp",
-    "SweepCase": "src/serve/sweep.hpp",
-    "SweepOptions": "src/serve/sweep.hpp",
-    "SweepOutcome": "src/serve/sweep.hpp",
-    "ClusterConfig": "src/serve/cluster/cluster_config.hpp",
-    "ClusterResult": ("src/serve/cluster/cluster_engine.hpp",
-                      "src/serve/trace_summary.hpp"),
-    "ClusterOutcome": "src/serve/cluster/cluster_engine.hpp",
-    "RouterPolicy": "src/serve/cluster/router.hpp",
-    "ChipLink": "src/mem/memory_path.hpp",
-    "KvPageAllocator": "src/serve/kv_pages.hpp",
-    "GpuBackend": "src/baselines/gpu_backend.hpp",
-    "GpuSpec": "src/baselines/gpu_model.hpp",
-    "AdmissionContext": "src/serve/policy.hpp",
-    "OffloadPolicy": "src/serve/policy.hpp",
-    "OffloadContext": "src/serve/policy.hpp",
-    "QualityPolicy": "src/serve/policy.hpp",
-    "QualityContext": "src/serve/policy.hpp",
-    "RequestRecord": "src/serve/request.hpp",
-    "ConversationCache": "src/serve/conversation_cache.hpp",
-    "PlacementPolicy": "src/serve/policy.hpp",
-    "DemandWeightedPlacement": "src/serve/policy.hpp",
-    "ModelDemand": "src/serve/policy.hpp",
-    "PlacementContext": "src/serve/policy.hpp",
-    "SchedulerPolicy": "src/serve/policy.hpp",
-    "PrefillPlanner": "src/serve/policy.hpp",
-    "BatchPolicy": "src/serve/policy.hpp",
-    "PhaseScheduler": "src/core/phase_scheduler.hpp",
-    "RequestQueue": "src/serve/request_queue.hpp",
-    "WeightResidencyTracker": "src/serve/residency_tracker.hpp",
-    "CheckRegistry": "bench/bench_common.hpp",
-}
-
-# `EngineConfig::knob` or `ServingResult::counter` for any owner above
-# (also matched with a dot, as prose sometimes writes
+# Headers whose type definitions form the owner map.
+HEADER_GLOBS = ("src/**/*.hpp", "bench/*.hpp")
+# `class X {`, `struct X final : public Base {`, `enum class X : T {` —
+# a definition; a forward declaration (`class X;`) has no body.
+DEFINITION_RE = re.compile(
+    r"\b(?:class|struct|enum(?:\s+class)?)\s+(\w+)(?:\s+final)?"
+    r"\s*(?::\s*([^{;()]*))?\{")
+# `Owner::member` or `Owner.member` (prose sometimes writes
 # `ServingResult.rider_refetch_bytes`).
-REF_RE = re.compile(r"\b(" + "|".join(HEADERS) + r")(?:::|\.)(\w+)")
+REF_RE = re.compile(r"\b([A-Za-z_]\w*)(::|\.)(\w+)")
 
 
 FENCE_RE = re.compile(r"^(```|~~~).*?^\1\s*$", re.MULTILINE | re.DOTALL)
@@ -135,11 +69,6 @@ SOURCE_EXTS = (".cpp", ".hpp")
 # document (code such as `f.md` is a field access, not a citation).
 COMMENT_OR_STRING_RE = re.compile(r'//[^\n]*|"(?:[^"\\\n]|\\.)*"')
 MD_CITE_RE = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w-]+\.md)\b")
-
-
-def headers_of(owner: str) -> tuple:
-    header = HEADERS[owner]
-    return header if isinstance(header, tuple) else (header,)
 
 
 def repo_root() -> str:
@@ -159,21 +88,48 @@ def collect_files(args):
     return sorted(set(files))
 
 
-def header_code(paths: tuple) -> str:
-    """The headers' text with // comments stripped — a knob renamed in
-    code but still mentioned in a comment must not keep the old doc
-    reference alive."""
-    code = []
-    for path in paths:
-        with open(os.path.join(repo_root(), path), encoding="utf-8") as fh:
-            code.append(re.sub(r"//[^\n]*", "", fh.read()))
-    return "\n".join(code)
+def strip_comments(code: str) -> str:
+    return re.sub(r"//[^\n]*", "", code)
 
 
-def declares(code: str, owner: str) -> bool:
-    return re.search(
-        r"\b(?:class|struct|enum(?:\s+class)?)\s+" + owner + r"\b",
-        code) is not None
+def owner_headers() -> dict:
+    """Type name -> the headers that define it or one of its bases,
+    relative to the repo root."""
+    root = repo_root()
+    defined = {}  # name -> set of headers defining it
+    bases = {}    # name -> set of base names
+    for pattern in HEADER_GLOBS:
+        for path in glob.glob(os.path.join(root, pattern), recursive=True):
+            rel = os.path.relpath(path, root)
+            with open(path, encoding="utf-8") as fh:
+                code = strip_comments(fh.read())
+            for name, base_list in DEFINITION_RE.findall(code):
+                defined.setdefault(name, set()).add(rel)
+                for base in base_list.split(","):
+                    words = re.findall(r"\w+", base)
+                    if words:
+                        bases.setdefault(name, set()).add(words[-1])
+
+    def closure(name, seen):
+        headers = set(defined.get(name, ()))
+        for base in bases.get(name, ()):
+            if base in defined and base not in seen:
+                headers |= closure(base, seen | {base})
+        return headers
+
+    return {name: sorted(closure(name, {name})) for name in defined}
+
+
+def header_identifiers(headers: list, cache: dict) -> set:
+    names = set()
+    for header in headers:
+        if header not in cache:
+            with open(os.path.join(repo_root(), header),
+                      encoding="utf-8") as fh:
+                cache[header] = set(re.findall(r"\b\w+\b",
+                                               strip_comments(fh.read())))
+        names |= cache[header]
+    return names
 
 
 def path_resolves(path: str) -> bool:
@@ -223,17 +179,9 @@ def dangling_citations(path: str, text: str) -> list:
     return failures
 
 
-def check(files):
-    codes = {owner: header_code(headers_of(owner)) for owner in HEADERS}
-    failures = [
-        f"{' + '.join(headers_of(owner))}: {owner} is mapped but no longer "
-        f"declared there (stale HEADERS entry?)"
-        for owner, code in codes.items() if not declares(code, owner)
-    ]
-    identifiers = {
-        owner: set(re.findall(r"\b\w+\b", code))
-        for owner, code in codes.items()
-    }
+def check(files, owners):
+    cache = {}
+    failures = []
     for path in files:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -241,12 +189,17 @@ def check(files):
             failures.extend(dangling_citations(path, text))
             continue
         failures.extend(dangling_paths(path, text))
-        for owner, name in REF_RE.findall(text):
-            if name not in identifiers[owner]:
+        for owner, sep, name in REF_RE.findall(text):
+            if owner in owners:
+                if name not in header_identifiers(owners[owner], cache):
+                    failures.append(
+                        f"{path}: {owner}::{name} is not declared in "
+                        f"{' + '.join(owners[owner])} "
+                        f"(renamed or removed member?)")
+            elif sep == "::" and owner[0].isupper():
                 failures.append(
-                    f"{path}: {owner}::{name} is not declared in "
-                    f"{' + '.join(headers_of(owner))} "
-                    f"(renamed or removed knob?)")
+                    f"{path}: {owner}::{name} names a type defined in no "
+                    f"header (renamed or removed type?)")
     return failures
 
 
@@ -261,12 +214,13 @@ def main() -> int:
         for f in missing:
             print(f"no such file: {f}")
         return 1
-    failures = check(files)
+    owners = owner_headers()
+    failures = check(files, owners)
     for failure in failures:
         print(failure)
     print(f"checked {len(files)} markdown and source files against "
-          f"{', '.join(sorted({h for o in HEADERS for h in headers_of(o)}))} "
-          f"and the repo tree: "
+          f"{len(owners)} types in {', '.join(HEADER_GLOBS)} and the repo "
+          f"tree: "
           f"{'OK' if not failures else f'{len(failures)} drifted reference(s)'}")
     return 1 if failures else 0
 
